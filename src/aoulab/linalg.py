@@ -60,10 +60,6 @@ def vscale(c: Fraction, a: Vec) -> Vec:
     return tuple(c * x for x in a)
 
 
-def vneg(a: Vec) -> Vec:
-    return tuple(-x for x in a)
-
-
 def is_zero_vec(a: Sequence[Fraction]) -> bool:
     return all(x == 0 for x in a)
 
@@ -268,7 +264,3 @@ def inverse(m: Matrix) -> Matrix:
     if len(pivots) != n:
         raise ShapeError("inverse: singular matrix")
     return Matrix.from_rows([r[n:] for r in rows])
-
-
-def column_span_contains(m: Matrix, v: Sequence[Fraction]) -> bool:
-    return solve(m, v) is not None

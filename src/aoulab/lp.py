@@ -17,9 +17,19 @@ that re-verifies by substitution:
 
   unbounded   a feasible point plus an improving ray.
 
-Variables are free; per-variable bounds are folded into explicit rows
-appended after the caller's rows, and certificates cover that expanded
-system (LPOutcome.system holds it).
+Per-variable bounds are folded into explicit rows appended after the
+caller's rows, and certificates cover that expanded system (LPOutcome.system
+holds it).
+
+Standard form: a variable whose bound is exactly (0, None) is one
+nonnegative column, and its bound row stays out of the tableau; every other
+variable is split as x = u - w. Each row starts the basis from a zero-cost
+unit column where one exists, normally its slack (a rhs-0 row whose slack is
+-1 is negated first); only the remaining rows get a phase-1 artificial. A
+row's multiplier is read from the reduced cost of the column that started
+it; the multiplier of a bound row kept out of the tableau is its column's
+reduced cost, which for a Farkas witness is the phase-1 one, -y.A_j.
+Pivots touch only the pivot row's nonzero columns.
 """
 
 from __future__ import annotations
@@ -29,7 +39,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import InvariantViolation, ShapeError
-from .linalg import Vec, dot, frac, integerize, vec, zeros
+from .linalg import Vec, dot, frac, integerize, unit_vec, vec, zeros
 
 LE, EQ, GE = "<=", "=", ">="
 _SENSES = (LE, EQ, GE)
@@ -66,14 +76,21 @@ class LPOutcome:
         return True
 
 
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
 def _pivot(tab: list[list[Fraction]], basis: list[int], r: int, j: int) -> None:
-    pv = tab[r][j]
-    tab[r] = [x / pv for x in tab[r]]
-    for i in range(len(tab)):
-        if i != r and tab[i][j] != 0:
-            f = tab[i][j]
-            row_r = tab[r]
-            tab[i] = [x - f * y for x, y in zip(tab[i], row_r)]
+    row = tab[r]
+    nz = [k for k, x in enumerate(row) if x]
+    pv = row[j]
+    if pv != 1:
+        for k in nz:
+            row[k] /= pv
+    for i, other in enumerate(tab):
+        f = other[j]
+        if f and i != r:
+            for k in nz:
+                other[k] -= f * row[k]
     basis[r] = j
 
 
@@ -84,8 +101,8 @@ def _run_simplex(tab: list[list[Fraction]], basis: list[int], allowed: int) -> i
     the entering column index when unbounded. Bland's rule throughout.
     """
     m = len(tab) - 1
+    obj = tab[m]
     while True:
-        obj = tab[m]  # _pivot rebinds rows, reread each pass
         enter = None
         for j in range(allowed):
             if obj[j] < 0:
@@ -109,69 +126,106 @@ def _run_simplex(tab: list[list[Fraction]], basis: list[int], allowed: int) -> i
 
 def _standard_simplex(
     a: list[list[Fraction]], b: list[Fraction], c: list[Fraction]
-) -> tuple[str, Vec | None, Vec, Vec | None]:
+) -> tuple[str, Vec | None, Vec, Vec, Vec | None]:
     """min c.x s.t. a x = b, x >= 0.
 
-    Returns (status, x, y, ray) where y are row multipliers relative to the
-    input equalities (internal row sign flips already undone): at optimality
-    y satisfies y.A <= c componentwise with y.b = value; at infeasibility
-    y.A <= 0 with y.b > 0.
+    Returns (status, x, y, d, ray). y are row multipliers relative to the
+    input rows (internal row sign flips already undone) and d = c - y.A the
+    reduced costs of the columns: at optimality d >= 0 and y.b = value; at
+    infeasibility y and d come from phase 1, where c is zero, so y.A = -d <= 0
+    with y.b > 0.
     """
     m, n = len(a), len(c)
-    flip = [Fraction(-1) if bi < 0 else Fraction(1) for bi in b]
-    rows = [[f * x for x in row] for f, row in zip(flip, a)]
-    rhs = [f * bi for f, bi in zip(flip, b)]
-
-    # columns: n real, m artificial, 1 rhs
-    tab = [rows[i] + [Fraction(1 if k == i else 0) for k in range(m)] + [rhs[i]] for i in range(m)]
-    basis = [n + i for i in range(m)]
-
-    # phase 1: minimize sum of artificials
-    obj = [Fraction(0)] * (n + m + 1)
+    rows = [list(r) for r in a]
+    rhs = list(b)
+    flip = [_ONE] * m
     for i in range(m):
-        obj = [o - t for o, t in zip(obj, tab[i])]
-    for k in range(m):
-        obj[n + k] += 1  # cost 1 on artificials, cancelled for basic ones above
-    tab.append(obj)
-    if _run_simplex(tab, basis, n) is not None:
-        raise InvariantViolation("phase-1 objective is bounded below by zero")
-    phase1 = -tab[m][-1]
-    if phase1 > 0:
-        y = tuple(flip[i] * (1 - tab[m][n + i]) for i in range(m))
-        return INFEASIBLE, None, y, None
+        if rhs[i] < 0:
+            rows[i] = [-x for x in rows[i]]
+            rhs[i] = -rhs[i]
+            flip[i] = -_ONE
 
-    # Drive basic artificials out so they cannot creep back above zero in
-    # phase 2. A row with no real coefficient left is redundant; its
-    # artificial stays basic at zero and the row never changes again.
+    # Each row starts from a zero-cost unit column (a slack) where one
+    # exists; a rhs-0 row holding a -1 unit column is negated to use it.
+    # The remaining rows get an artificial column each.
+    start: list[int | None] = [None] * m
+    for j, col in enumerate(zip(*rows)):
+        if c[j] != 0:
+            continue
+        nz = [i for i, x in enumerate(col) if x]
+        if len(nz) != 1 or start[nz[0]] is not None:
+            continue
+        i = nz[0]
+        if col[i] == 1:
+            start[i] = j
+        elif col[i] == -1 and rhs[i] == 0:
+            rows[i] = [-x for x in rows[i]]
+            flip[i] = -flip[i]
+            start[i] = j
+    arts = [i for i in range(m) if start[i] is None]
+    for t, i in enumerate(arts):
+        start[i] = n + t
+
+    tab = []
     for i in range(m):
-        if basis[i] >= n:
-            for j in range(n):
-                if tab[i][j] != 0:
-                    _pivot(tab, basis, i, j)
-                    break
+        row = rows[i] + [_ZERO] * len(arts) + [rhs[i]]
+        if start[i] >= n:
+            row[start[i]] = _ONE
+        tab.append(row)
+    basis = list(start)
+
+    if arts:
+        # phase 1: minimize the sum of the artificials
+        obj = [_ZERO] * n + [_ONE] * len(arts) + [_ZERO]
+        for i in arts:
+            for k, x in enumerate(tab[i]):
+                if x:
+                    obj[k] -= x
+        tab.append(obj)
+        if _run_simplex(tab, basis, n) is not None:
+            raise InvariantViolation("phase-1 objective is bounded below by zero")
+        if obj[-1] < 0:
+            y = tuple(
+                flip[i] * ((1 if start[i] >= n else 0) - obj[start[i]]) for i in range(m)
+            )
+            return INFEASIBLE, None, y, tuple(obj[:n]), None
+
+        tab.pop()
+        # Drive basic artificials out so they cannot creep back above zero
+        # in phase 2. A row with no real coefficient left is redundant; its
+        # artificial stays basic at zero and the row never changes again.
+        for i in range(m):
+            if basis[i] >= n:
+                for j in range(n):
+                    if tab[i][j] != 0:
+                        _pivot(tab, basis, i, j)
+                        break
 
     # phase 2: real objective; artificial columns stay in the tableau (never
-    # entering) so duals remain readable from their reduced costs.
-    obj = list(c) + [Fraction(0)] * (m + 1)
+    # entering) so every row's multiplier stays readable from the reduced
+    # cost of the column that started it.
+    obj = list(c) + [_ZERO] * (len(arts) + 1)
     for i in range(m):
-        cb = c[basis[i]] if basis[i] < n else Fraction(0)
-        if cb != 0:
-            obj = [o - cb * t for o, t in zip(obj, tab[i])]
-    tab[m] = obj
+        cb = c[basis[i]] if basis[i] < n else 0
+        if cb:
+            for k, x in enumerate(tab[i]):
+                if x:
+                    obj[k] -= cb * x
+    tab.append(obj)
     enter = _run_simplex(tab, basis, n)
-    y = tuple(flip[i] * (-tab[m][n + i]) for i in range(m))
-    x = list(zeros(n))
+    y = tuple(flip[i] * -obj[start[i]] for i in range(m))
+    x = [_ZERO] * n
     for i in range(m):
         if basis[i] < n:
             x[basis[i]] = tab[i][-1]
     if enter is not None:
-        ray = list(zeros(n))
-        ray[enter] = Fraction(1)
+        ray = [_ZERO] * n
+        ray[enter] = _ONE
         for i in range(m):
             if basis[i] < n:
                 ray[basis[i]] = -tab[i][enter]
-        return UNBOUNDED, tuple(x), y, tuple(ray)
-    return OPTIMAL, tuple(x), y, None
+        return UNBOUNDED, tuple(x), y, tuple(obj[:n]), tuple(ray)
+    return OPTIMAL, tuple(x), y, tuple(obj[:n]), None
 
 
 def solve_lp(
@@ -203,6 +257,10 @@ def solve_lp(
         if s not in _SENSES:
             raise ShapeError(f"unknown sense {s!r}")
     n_user = len(ext_rows)
+    # nonneg[j]: the system row of the bound x_j >= 0 when that is the whole
+    # bound on x_j; such a variable becomes one x >= 0 column, its bound row
+    # stays in the system but not in the tableau.
+    nonneg: dict[int, int] = {}
     if bounds is not None:
         if len(bounds) != n:
             raise ShapeError("bounds must give one pair per variable")
@@ -211,11 +269,14 @@ def solve_lp(
                 continue
             lo, hi = bd
             if lo is not None:
-                ext_rows.append(tuple(frac(1 if k == j else 0) for k in range(n)))
-                ext_rhs.append(frac(lo))
+                lo = frac(lo)
+                if lo == 0 and hi is None:
+                    nonneg[j] = len(ext_rows)
+                ext_rows.append(unit_vec(j, n))
+                ext_rhs.append(lo)
                 ext_senses.append(GE)
             if hi is not None:
-                ext_rows.append(tuple(frac(1 if k == j else 0) for k in range(n)))
+                ext_rows.append(unit_vec(j, n))
                 ext_rhs.append(frac(hi))
                 ext_senses.append(LE)
 
@@ -229,46 +290,57 @@ def solve_lp(
     )
 
     c_min = [-x for x in c_user] if maximize else list(c_user)
-    m = len(ext_rows)
-    # standard form: x = u - w, slack per inequality row
-    slack_of: dict[int, int] = {}
-    width = 2 * n
-    for i, s in enumerate(ext_senses):
-        if s != EQ:
-            slack_of[i] = width
-            width += 1
+    # standard form: column j is x_j itself when x_j >= 0, else u_j of
+    # x_j = u_j - w_j, with the w columns next and one slack per inequality
+    free = [j for j in range(n) if j not in nonneg]
+    bound_only = set(nonneg.values())
+    tab_rows = [i for i in range(len(ext_rows)) if i not in bound_only]
+    n_slack = sum(1 for i in tab_rows if ext_senses[i] != EQ)
     a_std = []
-    for i, r in enumerate(ext_rows):
-        row = list(r) + [-x for x in r] + [Fraction(0)] * (width - 2 * n)
-        if i in slack_of:
-            row[slack_of[i]] = Fraction(1) if ext_senses[i] == LE else Fraction(-1)
+    slack = n + len(free)
+    for i in tab_rows:
+        r = ext_rows[i]
+        row = list(r) + [-r[j] for j in free] + [_ZERO] * n_slack
+        if ext_senses[i] != EQ:
+            row[slack] = _ONE if ext_senses[i] == LE else -_ONE
+            slack += 1
         a_std.append(row)
-    c_std = c_min + [-x for x in c_min] + [Fraction(0)] * (width - 2 * n)
+    c_std = c_min + [-c_min[j] for j in free] + [_ZERO] * n_slack
 
-    status, xz, y, rayz = _standard_simplex(a_std, list(ext_rhs), c_std)
+    status, xz, y, d, rayz = _standard_simplex(a_std, [ext_rhs[i] for i in tab_rows], c_std)
+
+    # multipliers per system row: y on the tableau rows, and on the bound row
+    # of a nonnegative column that column's reduced cost (the phase-1 one,
+    # -y.A_j, for a Farkas witness)
+    mult = [_ZERO] * len(ext_rows)
+    for i, y_i in zip(tab_rows, y):
+        mult[i] = y_i
+    for j, i in nonneg.items():
+        mult[i] = d[j]
 
     if status == INFEASIBLE:
-        farkas = []
-        for i, s in enumerate(ext_senses):
-            farkas.append(-y[i] if s == LE else y[i])
-        farkas = vec(integerize(farkas))
-        out = LPOutcome(INFEASIBLE, system, dual_certificate=farkas)
+        farkas = [-m_i if s == LE else m_i for m_i, s in zip(mult, ext_senses)]
+        out = LPOutcome(INFEASIBLE, system, dual_certificate=vec(integerize(farkas)))
         verify_outcome(out)
         return out
 
-    x = tuple(xz[j] - xz[n + j] for j in range(n))
+    def user_vector(z: Vec) -> Vec:
+        out = list(z[:n])
+        for k, j in enumerate(free):
+            out[j] -= z[n + k]
+        return tuple(out)
+
+    x = user_vector(xz)
     if status == UNBOUNDED:
-        ray = tuple(rayz[j] - rayz[n + j] for j in range(n))
-        out = LPOutcome(UNBOUNDED, system, primal=x, ray=ray)
+        out = LPOutcome(UNBOUNDED, system, primal=x, ray=user_vector(rayz))
         verify_outcome(out)
         return out
 
     value = dot(c_min, x)
-    mu = list(y)
     if maximize:
         value = -value
-        mu = [-v for v in mu]
-    out = LPOutcome(OPTIMAL, system, primal=x, value=value, dual_certificate=vec(mu))
+        mult = [-v for v in mult]
+    out = LPOutcome(OPTIMAL, system, primal=x, value=value, dual_certificate=vec(mult))
     verify_outcome(out)
     return out
 

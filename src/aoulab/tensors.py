@@ -8,6 +8,7 @@ the (i, j) basis tensor lands at index i * dim_W + j.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -90,7 +91,10 @@ class TensorSpace:
     realized: AOUSpace
 
 
-_TENSOR_CACHE: dict = {}
+# Keyed by the factors' ids.  Each entry lives as long as its TensorSpace,
+# which the left factor keeps in its _derived cache: dropping the left space
+# drops the entry, so the ids of live keys are never reused.
+_TENSOR_CACHE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 def _unit_shift_decomposition(gens: tuple[Vec, ...], unit: Vec, b: Vec):
@@ -220,8 +224,8 @@ def tensor_space(left: AOUSpace, right: AOUSpace, kind: str) -> TensorSpace:
         sp.cone.require_polyhedral("tensor cones")
     key = (id(left), id(right), kind)
     hit = _TENSOR_CACHE.get(key)
-    if hit is not None and hit[0] is left and hit[1] is right:
-        return hit[2]
+    if hit is not None and hit.left is left and hit.right is right:
+        return hit
 
     dim = left.dim * right.dim
     unit = kron_vec(left.unit, right.unit)
@@ -250,7 +254,8 @@ def tensor_space(left: AOUSpace, right: AOUSpace, kind: str) -> TensorSpace:
     else:
         _assert_pi_aou(realized, left, right)
     ts = TensorSpace(left, right, kind, realized)
-    _TENSOR_CACHE[key] = (left, right, ts)
+    _TENSOR_CACHE[key] = ts
+    left._derived[("tensor_space", id(right), kind)] = ts
     return ts
 
 
@@ -490,15 +495,21 @@ def factorize(
         rays = extreme_rays(space.cone)
         basis_cols = Matrix.from_rows(list(zip(*rays))) if d else Matrix.identity(0)
         alpha = solve(basis_cols, space.unit)
-        assert alpha is not None and all(a > 0 for a in alpha)
+        if alpha is None or not all(a > 0 for a in alpha):
+            raise InvariantViolation(
+                "factorize: the unit is not a positive combination of the extreme rays"
+            )
         scaled = [tuple(a * x for x in ray) for a, ray in zip(alpha, rays)]
         psi_m = Matrix.from_rows(list(zip(*scaled)))
         phi_m = inverse(psi_m)
-        assert phi_m is not None
+        if phi_m is None:
+            raise InvariantViolation("factorize: the scaled extreme rays are not a basis")
         phi = UnitalMap(space, linf(d), phi_m)
         psi = UnitalMap(linf(d), space, psi_m)
-        assert phi.unital and phi.positive and psi.unital and psi.positive
-        assert (psi_m @ phi_m).data == Matrix.identity(d).data
+        if not (phi.unital and phi.positive and psi.unital and psi.positive):
+            raise InvariantViolation("factorize: simplicial phi or psi is not unital positive")
+        if (psi_m @ phi_m).data != Matrix.identity(d).data:
+            raise InvariantViolation("factorize: simplicial psi . phi is not the identity")
         return FactorizationResult(
             phi=phi,
             psi=psi,
@@ -551,8 +562,10 @@ def factorize(
     k = len(phi_rows)
     phi = UnitalMap(space, linf(k), Matrix.from_rows(phi_rows))
     psi = UnitalMap(linf(k), space, psi_m)
-    assert phi.unital and phi.positive
-    assert psi.unital and psi.positive
+    if not (phi.unital and phi.positive):
+        raise InvariantViolation("factorize: phi into linf(k) is not unital positive")
+    if not (psi.unital and psi.positive):
+        raise InvariantViolation("factorize: psi from linf(k) is not unital positive")
     return FactorizationResult(
         phi=phi,
         psi=psi,

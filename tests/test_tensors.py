@@ -2,6 +2,8 @@
 and the PSD-backed 2x2 example suite."""
 
 import dataclasses
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -22,6 +24,7 @@ from aoulab.psd_examples import (
     psd_example_suite,
     sos_matches,
 )
+from aoulab import tensors
 from aoulab.spaces import lin_space, linf, order_norm, unit_ball_vertices
 from aoulab.tensors import (
     EPSILON,
@@ -73,6 +76,23 @@ class TestTensorSpace:
     def test_cache_returns_same_object(self):
         assert tensor_space(L2, L3, EPSILON) is tensor_space(L2, L3, EPSILON)
         assert tensor_space(L2, L3, EPSILON) is not tensor_space(L2, L3, PI)
+
+    def test_cache_entries_live_as_long_as_the_left_space(self):
+        gc.collect()
+        before = len(tensors._TENSOR_CACHE)
+        pairs = [(lin_space(1), linf(2)) for _ in range(3)]
+        refs = [weakref.ref(tensor_space(a, b, PI)) for a, b in pairs]
+        assert len(tensors._TENSOR_CACHE) == before + 3
+        gc.collect()
+        # nobody holds the tensor spaces but their left factors
+        for (a, b), ref in zip(pairs, refs):
+            assert tensor_space(a, b, PI) is ref()
+        assert len(tensors._TENSOR_CACHE) == before + 3
+        spaces = [weakref.ref(sp) for pair in pairs for sp in pair]
+        del pairs, a, b
+        gc.collect()
+        assert all(ref() is None for ref in refs + spaces)
+        assert len(tensors._TENSOR_CACHE) == before
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(InputError):
