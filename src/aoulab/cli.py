@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -35,7 +36,6 @@ from .serialize import (
     dumps,
     element_from_dict,
     element_to_dict,
-    from_dict,
     loads,
     map_from_dict,
     map_to_dict,
@@ -317,7 +317,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built on the first main() call, not at import, and reused after that:
+    # building costs about a hundred times as much as parsing
     parser = _Parser(prog="aoulab", description=__doc__.splitlines()[0])
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text")

@@ -40,7 +40,7 @@ from .linalg import (
     vec,
     zeros,
 )
-from .lp import EQ, GE, INFEASIBLE, OPTIMAL, solve_lp
+from .lp import EQ, INFEASIBLE, OPTIMAL, solve_lp
 from .psd import ldlt_psd
 
 POLYHEDRAL = "polyhedral"
@@ -292,7 +292,12 @@ def close_and_lineality(cone: Cone) -> tuple[Cone, list[Vec]]:
 def extreme_rays(cone: Cone) -> list[Vec]:
     """Minimal generating set (coprime integer coordinates) of a pointed
     closed cone. Non-pointed input raises NotPointedError with the lineality
-    basis attached rather than silently reducing."""
+    basis attached rather than silently reducing.
+
+    H-rep cones get their rays from double description. For V-rep cones the
+    facets come from the same DD that hrep() runs (and caches); a generator
+    g is extreme iff the rows tight at g have rank dim - 1, the facet
+    incidence test, so no LP is solved."""
     cone.require_polyhedral("extreme_rays")
     if cone.has_strict_rows:
         raise StrictConeError("extreme_rays needs a closed cone; close it first")
@@ -302,11 +307,9 @@ def extreme_rays(cone: Cone) -> list[Vec]:
     if cone.inequalities is not None:
         rays = dd.extreme_rays_hrep(cone.inequalities, cone.dim)
     else:
-        gens = [vec(g) for g in dict.fromkeys(integerize(g) for g in cone.generators)]
-        lin, dual_rays = dd.dd_pair(gens, cone.dim)
-        span_rows = [list(r) for r in dual_rays] + [list(l) for l in lin]
-        if span_rows:
-            lineality = nullspace(Matrix.from_rows(span_rows))
+        rows = cone.hrep()
+        if rows:
+            lineality = nullspace(Matrix.from_rows(rows))
         else:
             lineality = [tuple(r) for r in Matrix.identity(cone.dim).data]
         if lineality:
@@ -314,10 +317,11 @@ def extreme_rays(cone: Cone) -> list[Vec]:
                 f"cone has lineality of dimension {len(lineality)}",
                 lineality=[vec(l) for l in lineality],
             )
+        int_rows = [integerize(a) for a in rows]
         rays = []
-        for i, g in enumerate(gens):
-            others = Cone.from_generators([h for j, h in enumerate(gens) if j != i] or [], dim=cone.dim)
-            if member(others, g).verdict != "member":
+        for g in dict.fromkeys(integerize(g) for g in cone.generators):
+            tight = [a for a in int_rows if sum(x * y for x, y in zip(a, g)) == 0]
+            if (rank(Matrix.from_rows(tight)) if tight else 0) == cone.dim - 1:
                 rays.append(g)
     rays = sorted(vec(integerize(r)) for r in rays)
     cone._derived[key] = rays
@@ -348,18 +352,27 @@ def image_cone(cone: Cone, m: Matrix) -> Cone:
 
 
 def contains(outer: Cone, inner: Cone) -> bool:
-    """outer >= inner for closed polyhedral cones, via generator membership."""
-    for g in inner.vrep():
-        if member(outer, g).verdict != "member":
-            return False
-    return True
+    """outer >= inner for closed cones, inner polyhedral.
+
+    A polyhedral outer cone is decided by integer sign tests: every H-row
+    of outer must be nonnegative on every V-generator of inner. A sym_psd
+    outer cone has no H-rep, so each generator goes through the exact PSD
+    test."""
+    if outer.dim != inner.dim:
+        raise ShapeError(f"contains: cone dims {outer.dim} and {inner.dim} differ")
+    gens = inner.vrep()
+    if outer.kind == SYM_PSD:
+        return all(member(outer, g).verdict == "member" for g in gens)
+    if not gens:
+        return True
+    rows = [integerize(a) for a in outer.hrep()]
+    return all(
+        sum(x * y for x, y in zip(a, g)) >= 0 for g in map(integerize, gens) for a in rows
+    )
 
 
 def same_cone(a: Cone, b: Cone) -> bool:
-    """Set equality of closed polyhedral cones: mutual membership of
-    generators, checked both ways."""
-    if a.dim != b.dim:
-        raise ShapeError("same_cone: ambient dimensions differ")
+    """Set equality of closed polyhedral cones: contains, both ways."""
     return contains(a, b) and contains(b, a)
 
 

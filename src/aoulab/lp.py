@@ -34,7 +34,7 @@ Pivots touch only the pivot row's nonzero columns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 

@@ -37,15 +37,13 @@ from .linalg import (
     vscale,
     zeros,
 )
-from .lp import EQ, GE, INFEASIBLE, OPTIMAL, solve_lp
+from .lp import EQ, GE, OPTIMAL, solve_lp
 from .spaces import (
     AOUSpace,
     archimedeanize,
     extreme_states,
-    linf,
     order_norm,
     unit_ball_vertices,
-    validate,
 )
 
 
@@ -74,9 +72,8 @@ class UnitalMap:
     @property
     def positive(self) -> bool:
         if "positive" not in self._flags:
-            self._flags["positive"] = all(
-                member(self.target.cone, self.matrix.apply(g)).verdict == "member"
-                for g in self.source.cone.vrep()
+            self._flags["positive"] = contains(
+                self.target.cone, image_cone(self.source.cone, self.matrix)
             )
         return self._flags["positive"]
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import dd
-from .cones import Cone, close_and_lineality, dual, extreme_rays, image_cone, member
+from .cones import Cone, close_and_lineality, dual, extreme_rays, image_cone
 from .errors import (
     InputError,
     InvariantViolation,
@@ -33,13 +33,11 @@ from .linalg import (
     dot,
     inverse,
     is_zero_vec,
-    nullspace,
     rank,
     unit_vec,
     vec,
-    zeros,
 )
-from .lp import GE, INFEASIBLE, OPTIMAL, LPOutcome, solve_lp
+from .lp import GE, INFEASIBLE, LPOutcome, solve_lp
 from .psd import ldlt_psd
 from .cones import SYM_PSD, pack_sym, unpack_sym
 
@@ -100,9 +98,12 @@ def _norm_outcome(space: AOUSpace, v: Vec) -> LPOutcome:
 def validate(space: AOUSpace) -> ValidationReport:
     """Order-unit and Archimedean flags with failure certificates.
 
-    The unit is an order unit when every basis direction is dominated by
-    some multiple of it (one LP each); Archimedean means closed cone, which
-    for polyhedral representations is the absence of strict rows.
+    The unit e is an order unit of the closed cone {x : Ax >= 0} iff every
+    nonzero row a has a.e > 0: such rows bound |a.v| by a multiple of a.e,
+    and a row with a.e <= 0 cannot dominate a basis direction i with
+    a_i != 0. On failure, certificates["order_unit_basis_{i}"] is that row
+    a, for the smallest such i. Archimedean means closed cone, which for
+    polyhedral representations is the absence of strict rows.
     """
     certificates: dict = {}
     if space.cone.kind == SYM_PSD:
@@ -118,14 +119,11 @@ def validate(space: AOUSpace) -> ValidationReport:
     archimedean = not space.cone.has_strict_rows
     closed, lineality = close_and_lineality(space.cone)
     pointed = not lineality
-    probe = AOUSpace(space.dim, closed, space.unit, space.label)
-    order_unit = True
-    for i in range(space.dim):
-        out = _norm_outcome(probe, unit_vec(i, space.dim))
-        if out.status != OPTIMAL:
-            order_unit = False
-            certificates[f"order_unit_basis_{i}"] = out
-            break
+    bad = [a for a in closed.hrep() if dot(a, space.unit) <= 0 and not is_zero_vec(a)]
+    order_unit = not bad
+    if bad:
+        i = min(next(j for j, x in enumerate(a) if x != 0) for a in bad)
+        certificates[f"order_unit_basis_{i}"] = next(a for a in bad if a[i] != 0)
     return ValidationReport(order_unit, archimedean, pointed, certificates)
 
 

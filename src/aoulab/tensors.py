@@ -9,11 +9,11 @@ the (i, j) basis tensor lands at index i * dim_W + j.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .cones import Certificate, Cone, extreme_rays, is_simplicial, member
+from .cones import Certificate, Cone, contains, extreme_rays, is_simplicial, member
 from .errors import InputError, InvariantViolation, ShapeError
 from .linalg import (
     Matrix,
@@ -277,9 +277,8 @@ def tensor_map(s: UnitalMap, t: UnitalMap, kind: str) -> UnitalMap:
     if kind == PI:
         # positivity on pi holds iff every product generator maps into the
         # target cone; the generator list is exactly the product list
-        for g in src.realized.cone.generators:
-            if member(tgt.realized.cone, m.apply(g)).verdict != "member":
-                raise InvariantViolation("tensor map is not positive on the pi cone")
+        if not m.positive:
+            raise InvariantViolation("tensor map is not positive on the pi cone")
     else:
         # dual route: (S (x) T)^T (f (x) g) = (S^T f) (x) (T^T g), so it is
         # enough that each factor pulls extreme target states into the conic
@@ -290,11 +289,12 @@ def tensor_map(s: UnitalMap, t: UnitalMap, kind: str) -> UnitalMap:
                 factor.source.dim,
             )
             mt = factor.matrix.transpose()
-            for st in extreme_states(factor.target):
-                if member(hull, mt.apply(st.functional)).verdict != "member":
-                    raise InvariantViolation(
-                        "tensor map is not positive on the epsilon cone"
-                    )
+            pulled = Cone.from_generators(
+                [mt.apply(st.functional) for st in extreme_states(factor.target)],
+                factor.source.dim,
+            )
+            if not contains(hull, pulled):
+                raise InvariantViolation("tensor map is not positive on the epsilon cone")
     return m
 
 

@@ -3,7 +3,8 @@ against, plus deterministic random generators for the randomized suites.
 
 The oracles deliberately use different algorithms from the package (subset
 enumeration and characteristic polynomials instead of double description and
-LDL^T) so agreement is meaningful.
+LDL^T; one exact LP per generator or basis vector instead of facet incidence
+and H-row sign tests) so agreement is meaningful.
 """
 
 from __future__ import annotations
@@ -12,9 +13,11 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from aoulab.linalg import Matrix, Vec, dot, integerize, nullspace, rank, solve, vec
+from aoulab.cones import Cone, close_and_lineality, member
+from aoulab.linalg import Matrix, Vec, dot, integerize, nullspace, rank, solve, unit_vec, vec
+from aoulab.lp import EQ, GE, OPTIMAL, solve_lp
 from aoulab.maps import UnitalMap
-from aoulab.spaces import extreme_states, linf
+from aoulab.spaces import AOUSpace, extreme_states, linf
 
 
 def rng(seed: int) -> random.Random:
@@ -38,18 +41,68 @@ def brute_extreme_rays(rows: list[Vec], dim: int) -> set[tuple[int, ...]]:
     out: set[tuple[int, ...]] = set()
     m = Matrix.from_rows(rows)
     for subset in combinations(range(len(rows)), dim - 1):
-        sub = Matrix.from_rows([rows[i] for i in subset])
-        ns = nullspace(sub)
+        # the empty subset (dim 1) leaves the whole line free
+        ns = nullspace(Matrix.from_rows([rows[i] for i in subset])) if subset else Matrix.identity(dim).data
         if len(ns) != 1:
             continue
         for cand in (ns[0], tuple(-x for x in ns[0])):
             if all(v >= 0 for v in m.apply(cand)):
                 tight = [r for r in rows if dot(r, cand) == 0]
-                if not tight:
-                    continue
-                if rank(Matrix.from_rows(tight)) == dim - 1:
+                if (rank(Matrix.from_rows(tight)) if tight else 0) == dim - 1:
                     out.add(integerize(cand))
     return out
+
+
+def lp_extreme_rays(cone: Cone) -> list[Vec]:
+    """Extreme rays of a pointed V-rep cone by redundancy LPs: a deduplicated
+    generator is extreme iff it is not in the cone of the others."""
+    gens = [vec(g) for g in dict.fromkeys(integerize(g) for g in cone.generators)]
+    rays = []
+    for i, g in enumerate(gens):
+        others = Cone.from_generators([h for j, h in enumerate(gens) if j != i], dim=cone.dim)
+        if member(others, g).verdict != "member":
+            rays.append(g)
+    return sorted(rays)
+
+
+def lp_is_pointed(cone: Cone) -> bool:
+    """A V-rep cone is pointed iff no convex combination of its (nonzero)
+    generators is zero: one feasibility LP."""
+    gens = cone.generators
+    if not gens:
+        return True
+    rows = [tuple(g[i] for g in gens) for i in range(cone.dim)] + [(1,) * len(gens)]
+    out = solve_lp(
+        (0,) * len(gens),
+        rows,
+        (0,) * cone.dim + (1,),
+        [EQ] * len(rows),
+        bounds=[(0, None)] * len(gens),
+    )
+    return out.status != OPTIMAL
+
+
+def lp_contains(outer: Cone, inner: Cone) -> bool:
+    """outer >= inner by one membership test (an LP for V-rep outer cones)
+    per generator of inner."""
+    return all(member(outer, g).verdict == "member" for g in inner.vrep())
+
+
+def lp_order_unit_failure(space: AOUSpace) -> int | None:
+    """First basis index i that no multiple of the unit dominates, or None
+    when the unit is an order unit: per basis vector, the LP
+    min r s.t. r*e +- e_i in the closed cone, r >= 0."""
+    closed, _ = close_and_lineality(space.cone)
+    for i in range(space.dim):
+        v = unit_vec(i, space.dim)
+        rows, rhs = [], []
+        for a in closed.hrep():
+            rows += [(dot(a, space.unit),)] * 2
+            rhs += [-dot(a, v), dot(a, v)]
+        out = solve_lp((1,), rows, rhs, [GE] * len(rows), bounds=[(0, None)])
+        if out.status != OPTIMAL:
+            return i
+    return None
 
 
 def brute_polytope_vertices(rows: list[Vec], rhs: list[Fraction], dim: int) -> set[Vec]:

@@ -9,10 +9,10 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-from conftest import rand_frac, rand_vec, random_unital_into_linf, rng
+from conftest import brute_extreme_rays, rand_frac, rand_vec, random_unital_into_linf, rng
 
 from aoulab.cones import Cone, extreme_rays, is_pointed, is_simplicial, member, same_cone
-from aoulab.linalg import Matrix, dot, vec
+from aoulab.linalg import Matrix, dot, integerize, vec
 from aoulab.lp import GE, LE, OPTIMAL, solve_lp
 from aoulab.maps import (
     UnitalMap,
@@ -292,6 +292,14 @@ def test_kernel_soundness_on_random_cones():
             rays = extreme_rays(cone)
             rebuilt = Cone.from_generators(rays, dim)
             assert same_cone(cone, rebuilt)
+            # same_cone and extreme_rays rest on DD; check both without it
+            if cone.inequalities is not None:
+                assert {integerize(x) for x in rays} == brute_extreme_rays(list(cone.inequalities), dim)
+            else:
+                for g in cone.generators:
+                    cert = member(rebuilt, g)
+                    assert cert.verdict == "member" and cert.verify(rebuilt, g)
+                assert {integerize(x) for x in rays} <= {integerize(g) for g in cone.generators}
             pt = rand_vec(r, dim, den=2)
             cert = member(cone, pt)
             certs += 1

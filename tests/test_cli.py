@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from aoulab.cli import main
+from aoulab.cli import _build_parser, main
 from aoulab.linalg import Matrix
 from aoulab.maps import UnitalMap
 from aoulab.serialize import dumps
@@ -75,6 +75,37 @@ class TestExitCodes:
         text = (tmp_path / "linf2.json").read_text().replace('"version": 1', '"version": 9')
         bad.write_text(text)
         assert main(["validate", str(bad)]) == 2
+
+
+class TestParserReuse:
+    def test_one_parser_serves_a_call_sequence(self, files, tmp_path, capsys):
+        # a verb, a usage error, then verify of the verb's report, as a
+        # long-running caller would issue them
+        report = tmp_path / "report.json"
+
+        def sequence(fresh_parser):
+            results = []
+            for argv in (
+                ["validate", files["lin2.json"], "--format", "json"],
+                ["norm", files["linf2.json"]],
+                ["verify", str(report)],
+            ):
+                if fresh_parser:
+                    _build_parser.cache_clear()
+                code, out = run(argv)
+                if argv[0] == "validate":
+                    report.write_text(out)
+                results.append((code, out, capsys.readouterr().err))
+            return results
+
+        fresh = sequence(True)
+        _build_parser.cache_clear()
+        reused = sequence(False)
+        assert _build_parser.cache_info().misses == 1
+        assert reused == fresh
+        assert [code for code, _, _ in reused] == [0, 1, 0]
+        assert "required: --vector" in reused[1][2]
+        assert reused[2][1] == "true\n"
 
 
 class TestScalarVerbs:

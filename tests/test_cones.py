@@ -26,8 +26,8 @@ from aoulab.errors import (
     ShapeError,
     StrictConeError,
 )
-from aoulab.linalg import Matrix, dot, vec
-from conftest import rand_vec, rng
+from aoulab.linalg import Matrix, dot, rank, vec
+from conftest import lp_contains, lp_extreme_rays, lp_is_pointed, rand_vec, rng
 
 
 def orthant(n):
@@ -229,6 +229,57 @@ class TestExtremeRays:
         with pytest.raises(NotPointedError):
             extreme_rays(cone)
 
+    def test_vrep_against_redundancy_lps_randomized(self):
+        r = rng(4242)
+        seen = {True: 0, False: 0}
+        for dim in range(1, 6):
+            for _ in range(12):
+                gens = [rand_vec(r, dim, lo=-2, hi=3, den=1) for _ in range(r.randint(1, dim + 3))]
+                cone = Cone.from_generators(gens, dim)
+                pointed = lp_is_pointed(cone)
+                seen[pointed] += 1
+                if pointed:
+                    assert extreme_rays(cone) == lp_extreme_rays(cone)
+                else:
+                    with pytest.raises(NotPointedError):
+                        extreme_rays(cone)
+        assert seen[True] > 20 and seen[False] > 5
+
+    def test_vrep_duplicate_parallel_and_zero_generators(self):
+        gens = [(0, 0, 0), (1, 0, 0), (1, 0, 0), (2, 0, 0), (0, 3, 0), (0, 1, 0), (1, 1, 1), (0, 0, 0)]
+        cone = Cone(dim=3, generators=tuple(vec(g) for g in gens))
+        assert extreme_rays(cone) == lp_extreme_rays(cone)
+        assert extreme_rays(cone) == [vec((0, 1, 0)), vec((1, 0, 0)), vec((1, 1, 1))]
+
+    def test_vrep_lower_dimensional_pointed(self):
+        # a 2-D wedge inside the plane x3 = 0 of Q^3: its H-rep carries the
+        # plane as an equality (a +- row pair)
+        cone = Cone.from_generators([(1, 0, 0), (1, 1, 0), (0, 1, 0), (2, 1, 0)])
+        assert vec((0, 0, 1)) in cone.hrep() and vec((0, 0, -1)) in cone.hrep()
+        assert extreme_rays(cone) == lp_extreme_rays(cone) == [vec((0, 1, 0)), vec((1, 0, 0))]
+        ray = Cone.from_generators([(1, 2, 0), (2, 4, 0)])
+        assert extreme_rays(ray) == lp_extreme_rays(ray) == [vec((1, 2, 0))]
+
+    def test_vrep_linf1_single_ray(self):
+        cone = Cone.from_generators([(3,)])
+        assert extreme_rays(cone) == [vec((1,))]
+
+    def test_vrep_not_pointed_reports_lineality(self):
+        cone = Cone.from_generators([(1, 0, 0), (-1, 1, 0), (0, -1, 0), (0, 0, 1)])
+        with pytest.raises(NotPointedError) as exc:
+            extreme_rays(cone)
+        lin = exc.value.lineality
+        assert len(lin) == 2 and rank(Matrix.from_rows(lin)) == 2
+        for l in lin:
+            assert l[2] == 0
+            for d in (l, tuple(-x for x in l)):
+                assert member(cone, d).verdict == "member"
+
+    def test_vrep_caches_the_hrep_of_its_dd(self):
+        cone = Cone.from_generators([(1, 0), (1, 1), (0, 1)])
+        extreme_rays(cone)
+        assert cone._derived["hrep"] == cone.hrep() == (vec((0, 1)), vec((1, 0)))
+
     def test_hrep_matches_vrep_route(self):
         rows = [(1, 1, 0), (1, -1, 0), (0, 0, 1), (1, 0, 1)]
         h = Cone.from_inequalities(rows)
@@ -270,3 +321,38 @@ def test_same_cone_across_representations():
     assert same_cone(h, v)
     assert contains(orthant(2), Cone.from_generators([(1, 0)], dim=2))
     assert not contains(Cone.from_generators([(1, 0)], dim=2), orthant(2))
+
+
+def test_contains_against_membership_lps_randomized():
+    r = rng(5151)
+    verdicts = set()
+    for _ in range(60):
+        dim = r.randint(1, 4)
+        cones = []
+        for _ in range(2):
+            gens = [rand_vec(r, dim, lo=-2, hi=3, den=2) for _ in range(r.randint(1, dim + 2))]
+            cone = Cone.from_generators(gens, dim)
+            if r.random() < 0.5 and cone.generators:
+                cone = Cone.from_inequalities(cone.hrep(), dim=dim)
+            cones.append(cone)
+        a, b = cones
+        for outer, inner in ((a, b), (b, a), (a, a)):
+            got = contains(outer, inner)
+            assert got == lp_contains(outer, inner)
+            verdicts.add(got)
+        assert same_cone(a, b) == (lp_contains(a, b) and lp_contains(b, a))
+    assert verdicts == {True, False}
+
+
+def test_contains_rejects_strict_rows_and_dim_mismatch():
+    with pytest.raises(ShapeError):
+        contains(orthant(2), orthant(3))
+    with pytest.raises(ShapeError):
+        same_cone(orthant(2), orthant(3))
+    strict = Cone.from_inequalities([(1, 0), (0, 1)], strict=[True, False])
+    with pytest.raises(StrictConeError):
+        contains(strict, orthant(2))
+    with pytest.raises(StrictConeError):
+        contains(orthant(2), strict)
+    with pytest.raises(StrictConeError):
+        same_cone(strict, orthant(2))

@@ -5,8 +5,11 @@ from fractions import Fraction
 import pytest
 from conftest import rand_frac, rand_vec, random_unital_into_linf, rng
 
-from aoulab.cones import Cone, member
-from aoulab.errors import InputError, ShapeError
+import aoulab.cones
+import aoulab.maps
+import aoulab.spaces
+from aoulab.cones import Cone, extreme_rays, member, same_cone
+from aoulab.errors import InputError, ShapeError, StrictConeError
 from aoulab.linalg import Matrix, dot, vec, vsub
 from aoulab.maps import (
     UnitalMap,
@@ -32,6 +35,7 @@ from aoulab.spaces import (
     linf,
     order_norm,
     unit_ball_vertices,
+    validate,
 )
 
 L1, L2, L3 = linf(1), linf(2), linf(3)
@@ -81,6 +85,26 @@ class TestCheckMap:
                 m = UnitalMap(sp, linf(3), Matrix.from_rows(rows))
                 rep = check_map(m)
                 assert rep.unital and rep.positive
+
+    def test_positive_against_membership_lps_randomized(self):
+        r = rng(707)
+        spaces = (L2, L3, lin_space(1), lin_space(2))
+        verdicts = set()
+        for _ in range(40):
+            src, tgt = r.choice(spaces), r.choice(spaces)
+            rows = [[Fraction(r.randint(-1, 4), r.randint(1, 2)) for _ in range(src.dim)] for _ in range(tgt.dim)]
+            m = UnitalMap(src, tgt, Matrix.from_rows(rows))
+            want = all(
+                member(tgt.cone, m.apply(g)).verdict == "member" for g in src.cone.vrep()
+            )
+            assert m.positive == want
+            verdicts.add(want)
+        assert verdicts == {True, False}
+
+    def test_positive_into_strict_cone_rejected(self):
+        strict = AOUSpace(2, Cone.from_inequalities([(1, 0), (0, 1)], strict=[True, False]), (1, 1))
+        with pytest.raises(StrictConeError):
+            UnitalMap(L2, strict, Matrix.identity(2)).positive
 
 
 class TestOrderIdeal:
@@ -368,3 +392,20 @@ class TestPerturb:
             )
             assert operator_norm(diff, src, tgt) <= bound
         assert checked >= 10
+
+
+def test_cone_structure_questions_solve_no_lp(monkeypatch):
+    # extreme rays, inclusion, positivity and the order-unit test are
+    # decided by DD, facet incidence and row signs alone
+    def no_lp(*args, **kwargs):
+        raise AssertionError("solve_lp called")
+
+    for module in (aoulab.cones, aoulab.spaces, aoulab.maps):
+        monkeypatch.setattr(module, "solve_lp", no_lp)
+    ls3 = lin_space(3)
+    assert len(extreme_states(ls3)) == 8
+    rep = validate(ls3)
+    assert rep.order_unit and rep.archimedean and rep.pointed
+    assert same_cone(ls3.cone, Cone.from_generators(extreme_rays(ls3.cone), ls3.dim))
+    m = UnitalMap(lin_space(1), L2, Matrix.from_rows([(1, 1), (1, -1)]))
+    assert m.positive

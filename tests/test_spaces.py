@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from conftest import rand_frac, rand_vec, rng
+from conftest import lp_order_unit_failure, rand_frac, rand_vec, rng
 
 from aoulab.cones import Cone, member, same_cone
 from aoulab.errors import InputError, PolyhedralRequired, ShapeError, SizeLimitError
@@ -73,7 +73,47 @@ class TestValidate:
         sp = AOUSpace(2, Cone.from_generators([(1, 0), (0, 1)]), (1, 0))
         rep = validate(sp)
         assert not rep.order_unit
-        assert rep.certificates  # LP infeasibility evidence attached
+        assert rep.certificates  # the violating row is attached
+
+    def test_unit_on_a_facet_row_certificate(self):
+        # lin_space(1) is {a0 >= |a1|}; (1, 1) lies on the facet a0 - a1 = 0
+        sp = AOUSpace(2, lin_space(1).cone, (1, 1))
+        rep = validate(sp)
+        assert not rep.order_unit
+        assert lp_order_unit_failure(sp) == 0
+        a = rep.certificates["order_unit_basis_0"]
+        assert a in sp.cone.hrep() and dot(a, sp.unit) <= 0 and a[0] != 0
+
+    def test_unit_outside_the_cone_row_certificate(self):
+        cone = Cone.from_generators([(1, 0, 0), (1, 1, 0), (0, 1, 0), (0, 0, 1)])
+        sp = AOUSpace(3, cone, (0, -1, 1))
+        rep = validate(sp)
+        assert not rep.order_unit
+        (key, a), = rep.certificates.items()
+        i = int(key.rsplit("_", 1)[1])
+        assert i == lp_order_unit_failure(sp)
+        assert a in cone.hrep() and dot(a, sp.unit) <= 0 and a[i] != 0
+
+    def test_order_unit_against_norm_lps_randomized(self):
+        r = rng(31337)
+        verdicts = set()
+        for _ in range(40):
+            dim = r.randint(1, 4)
+            gens = [rand_vec(r, dim, lo=-1, hi=3, den=1) for _ in range(r.randint(1, dim + 2))]
+            if not any(any(g) for g in gens):
+                continue
+            unit = rand_vec(r, dim, lo=-1, hi=3, den=2)
+            if not any(unit):
+                continue
+            sp = AOUSpace(dim, Cone.from_generators(gens, dim), unit)
+            rep = validate(sp)
+            fail = lp_order_unit_failure(sp)
+            assert rep.order_unit == (fail is None)
+            if fail is not None:
+                a = rep.certificates[f"order_unit_basis_{fail}"]
+                assert dot(a, unit) <= 0 and a[fail] != 0
+            verdicts.add(rep.order_unit)
+        assert verdicts == {True, False}
 
     def test_strict_cone_not_archimedean(self):
         sp = AOUSpace(1, Cone.from_inequalities([(1,)], strict=[True]), (1,))
