@@ -76,7 +76,7 @@ def integerize(a: Sequence[Fraction]) -> tuple[int, ...]:
     denom_lcm = 1
     for x in a:
         denom_lcm = denom_lcm * x.denominator // gcd(denom_lcm, x.denominator)
-    ints = [int(x * denom_lcm) for x in a]
+    ints = [x.numerator * (denom_lcm // x.denominator) for x in a]
     g = 0
     for v in ints:
         g = gcd(g, v)

@@ -151,7 +151,6 @@ def element_from_dict(d) -> TensorElement:
     )
 
 
-_TO = {"space": space_to_dict, "map": map_to_dict, "tensor_element": element_to_dict}
 _FROM = {"space": space_from_dict, "map": map_from_dict, "tensor_element": element_from_dict}
 
 

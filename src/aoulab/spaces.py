@@ -95,15 +95,23 @@ def _norm_outcome(space: AOUSpace, v: Vec) -> LPOutcome:
     return solve_lp((1,), rows, rhs, [GE] * len(rows), bounds=[(0, None)])
 
 
+def order_unit_failures(rows, unit: Vec) -> list[Vec]:
+    """The nonzero rows a with a.e <= 0.
+
+    The unit e is an order unit of the closed cone {x : Ax >= 0} iff there
+    are none: rows with a.e > 0 bound |a.v| by a multiple of a.e, and a row
+    with a.e <= 0 cannot dominate a basis direction i with a_i != 0.
+    """
+    return [a for a in rows if dot(a, unit) <= 0 and not is_zero_vec(a)]
+
+
 def validate(space: AOUSpace) -> ValidationReport:
     """Order-unit and Archimedean flags with failure certificates.
 
-    The unit e is an order unit of the closed cone {x : Ax >= 0} iff every
-    nonzero row a has a.e > 0: such rows bound |a.v| by a multiple of a.e,
-    and a row with a.e <= 0 cannot dominate a basis direction i with
-    a_i != 0. On failure, certificates["order_unit_basis_{i}"] is that row
-    a, for the smallest such i. Archimedean means closed cone, which for
-    polyhedral representations is the absence of strict rows.
+    The unit is an order unit iff `order_unit_failures` finds no row of the
+    closed cone. On failure, certificates["order_unit_basis_{i}"] is such a
+    row a, for the smallest i with a_i != 0. Archimedean means closed cone,
+    which for polyhedral representations is the absence of strict rows.
     """
     certificates: dict = {}
     if space.cone.kind == SYM_PSD:
@@ -119,7 +127,7 @@ def validate(space: AOUSpace) -> ValidationReport:
     archimedean = not space.cone.has_strict_rows
     closed, lineality = close_and_lineality(space.cone)
     pointed = not lineality
-    bad = [a for a in closed.hrep() if dot(a, space.unit) <= 0 and not is_zero_vec(a)]
+    bad = order_unit_failures(closed.hrep(), space.unit)
     order_unit = not bad
     if bad:
         i = min(next(j for j, x in enumerate(a) if x != 0) for a in bad)

@@ -36,6 +36,7 @@ from .spaces import (
     lin_space,
     linf,
     order_norm,
+    order_unit_failures,
     unit_ball_vertices,
 )
 
@@ -97,23 +98,6 @@ class TensorSpace:
 _TENSOR_CACHE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
-def _unit_shift_decomposition(gens: tuple[Vec, ...], unit: Vec, b: Vec):
-    """Minimal r with r*unit - b a conic combination of gens, plus the
-    coefficients; None when no r works."""
-    dim = len(unit)
-    rows = [tuple([unit[c]] + [-g[c] for g in gens]) for c in range(dim)]
-    out = solve_lp(
-        vec([1] + [0] * len(gens)),
-        rows,
-        list(b),
-        [EQ] * dim,
-        bounds=[(0, None)] * (1 + len(gens)),
-    )
-    if out.status != OPTIMAL:
-        return None
-    return out.primal[0], out.primal[1:]
-
-
 def _assert_epsilon_aou(space: AOUSpace) -> None:
     """The epsilon cone is closed by construction; pointedness is the rows
     spanning the dual, and since every row pairs to 1 with the unit, the
@@ -128,23 +112,18 @@ def _assert_epsilon_aou(space: AOUSpace) -> None:
             raise InvariantViolation("epsilon unit fails the order unit test")
 
 
-def _cone_coefficients(gens: tuple[Vec, ...], target: Vec) -> Vec | None:
-    rows = [tuple(g[c] for g in gens) for c in range(len(target))]
-    out = solve_lp(
-        vec([0] * len(gens)),
-        rows,
-        list(target),
-        [EQ] * len(target),
-        bounds=[(0, None)] * len(gens),
-    )
-    return out.primal if out.status == OPTIMAL else None
-
-
 def _assert_pi_aou(ts_realized: AOUSpace, left: AOUSpace, right: AOUSpace) -> None:
     """Finitely generated, hence closed; pointedness is certified by a
-    strictly positive product functional, and the order unit property by an
-    explicit product decomposition of r*unit +- (basis tensor)."""
-    gens = ts_realized.cone.generators
+    strictly positive product functional.  The product unit is an order unit
+    because each factor unit is one of its own cone, which is the row test of
+    `validate`: for r e_V +- v and s e_W +- w positive,
+
+        (r e + v) (x) (s e + w) + (r e - v) (x) (s e - w) = 2 r s e (x) e + 2 v (x) w
+
+    (and the same with w -> -w) puts 2 r s e_V (x) e_W +- 2 v (x) w in the pi
+    cone, and simple tensors span V (x) W.  A factor unit off the interior is
+    bad input that `extreme_states` rejects first, so the row test is an
+    invariant."""
     if ts_realized.cone.has_strict_rows:
         raise InvariantViolation("pi cone must be closed")
     f0 = vec([0] * left.dim)
@@ -154,67 +133,12 @@ def _assert_pi_aou(ts_realized: AOUSpace, left: AOUSpace, right: AOUSpace) -> No
     for st in extreme_states(right):
         g0 = tuple(a + b for a, b in zip(g0, st.functional))
     phi = kron_vec(f0, g0)
-    for g in gens:
+    for g in ts_realized.cone.generators:
         if dot(phi, g) <= 0:
             raise InvariantViolation("pi cone is not pointed")
-
-    vg, wg = left.cone.vrep(), right.cone.vrep()
-    # per factor and basis vector: coefficients of r e + b and r e - b over
-    # the factor generators, with one shared r (padded by the decomposition
-    # of the unit itself)
-    factor_dec = []
-    for sp, basis_gens in ((left, vg), (right, wg)):
-        eta = _cone_coefficients(basis_gens, sp.unit)
-        if eta is None:
-            raise InvariantViolation("factor unit escaped its own cone")
-        per_basis = []
-        for i in range(sp.dim):
-            b = tuple(Fraction(int(j == i)) for j in range(sp.dim))
-            plus = _unit_shift_decomposition(basis_gens, sp.unit, tuple(-x for x in b))
-            minus = _unit_shift_decomposition(basis_gens, sp.unit, b)
-            if plus is None or minus is None:
-                raise InvariantViolation("factor unit fails the order unit test")
-            r = max(plus[0], minus[0])
-            lam_p = tuple(x + (r - plus[0]) * h for x, h in zip(plus[1], eta))
-            lam_m = tuple(x + (r - minus[0]) * h for x, h in zip(minus[1], eta))
-            per_basis.append((r, lam_p, lam_m))
-        factor_dec.append(per_basis)
-
-    # (r e + v)(x)(s e + w) + (r e - v)(x)(s e - w) = 2 r s e(x)e + 2 v(x)w
-    nw = len(wg)
-    dim = ts_realized.dim
-    for i in range(left.dim):
-        r, lam_p, lam_m = factor_dec[0][i]
-        for j in range(right.dim):
-            s, mu_p, mu_m = factor_dec[1][j]
-            b_flat = tuple(
-                Fraction(int(a == i and bb == j))
-                for a in range(left.dim)
-                for bb in range(right.dim)
-            )
-            for sgn in (1, -1):
-                pairs = (
-                    ((lam_p, mu_p), (lam_m, mu_m))
-                    if sgn == 1
-                    else ((lam_p, mu_m), (lam_m, mu_p))
-                )
-                total = [Fraction(0)] * dim
-                for lam, mu in pairs:
-                    for a, la in enumerate(lam):
-                        if la == 0:
-                            continue
-                        for bix, muv in enumerate(mu):
-                            if muv == 0:
-                                continue
-                            g = gens[a * nw + bix]
-                            c = la * muv / 2
-                            for t in range(dim):
-                                total[t] += c * g[t]
-                expect = tuple(
-                    r * s * u + sgn * x for u, x in zip(ts_realized.unit, b_flat)
-                )
-                if tuple(total) != expect:
-                    raise InvariantViolation("pi unit fails the order unit test")
+    for sp in (left, right):
+        if order_unit_failures(sp.cone.hrep(), sp.unit):
+            raise InvariantViolation("factor unit fails the order unit test")
 
 
 def tensor_space(left: AOUSpace, right: AOUSpace, kind: str) -> TensorSpace:
@@ -423,7 +347,11 @@ def _psi_entry(r: int, c: int, k: int) -> int:
 def _best_psi(space: AOUSpace, phi_rows: list[Vec], vectors: list[Vec]):
     """One LP: the unital positive psi minimizing the worst order norm of
     psi(phi(v)) - v over the given vectors.  Variables are the dim x k
-    entries of psi plus the defect bound t (last variable)."""
+    entries of psi plus the defect bound t (last variable).
+
+    Each defect row (coefficients, rhs) is added once: v and -v give the
+    same two rows with the signs swapped, and unit-ball vertices come in
+    such pairs."""
     d, k = space.dim, len(phi_rows)
     nvars = d * k + 1
     t_ix = d * k
@@ -444,6 +372,7 @@ def _best_psi(space: AOUSpace, phi_rows: list[Vec], vectors: list[Vec]):
             rows.append(tuple(coeff))
             rhs.append(Fraction(0))
             senses.append(GE)
+    defect_rows: dict = {}
     for v in vectors:
         w = tuple(dot(row, v) for row in phi_rows)
         for a in hrows:
@@ -455,9 +384,11 @@ def _best_psi(space: AOUSpace, phi_rows: list[Vec], vectors: list[Vec]):
                 for i in range(d):
                     for j in range(k):
                         coeff[_psi_entry(i, j, k)] = -sign * a[i] * w[j]
-                rows.append(tuple(coeff))
-                rhs.append(-sign * av)
-                senses.append(GE)
+                defect_rows.setdefault((tuple(coeff), -sign * av))
+    for coeff, b in defect_rows:
+        rows.append(coeff)
+        rhs.append(b)
+        senses.append(GE)
     obj = [Fraction(0)] * nvars
     obj[t_ix] = Fraction(1)
     bounds = [None] * (d * k) + [(Fraction(0), None)]
@@ -532,12 +463,12 @@ def factorize(
     best: tuple[Fraction, Matrix, list[Vec]] | None = None
     while True:
         phi_rows = [pool[i] for i in chosen]
+        phi_m = Matrix.from_rows(phi_rows)
         psi_m, defect = _best_psi(space, phi_rows, vectors)
         # the LP bound is tight: recompute the defect from the solution
-        recomputed = Fraction(0)
-        for v in vectors:
-            img = psi_m.apply(Matrix.from_rows(phi_rows).apply(v))
-            recomputed = max(recomputed, order_norm(space, vsub(img, v)))
+        residuals = [vsub(psi_m.apply(phi_m.apply(v)), v) for v in vectors]
+        norms = [order_norm(space, res) for res in residuals]
+        recomputed = max(norms, default=Fraction(0))
         if recomputed != defect:
             raise InvariantViolation("defect LP bound is not tight")
         schedule.append((len(chosen), defect))
@@ -545,16 +476,9 @@ def factorize(
             best = (defect, psi_m, phi_rows)
         if defect <= eps or len(chosen) >= min(len(pool), FACTORIZE_STATE_CAP):
             break
-        # add the state most violated by the worst residual
-        worst_v = max(
-            vectors,
-            key=lambda v: order_norm(
-                space, vsub(psi_m.apply(Matrix.from_rows(phi_rows).apply(v)), v)
-            ),
-        )
-        residual = vsub(
-            psi_m.apply(Matrix.from_rows(phi_rows).apply(worst_v)), worst_v
-        )
+        # add the state most violated by the worst residual (the first of
+        # equally bad ones)
+        residual = residuals[norms.index(recomputed)]
         remaining = [i for i in range(len(pool)) if i not in chosen]
         chosen.append(max(remaining, key=lambda i: abs(dot(pool[i], residual))))
 

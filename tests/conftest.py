@@ -4,7 +4,8 @@ against, plus deterministic random generators for the randomized suites.
 The oracles deliberately use different algorithms from the package (subset
 enumeration and characteristic polynomials instead of double description and
 LDL^T; one exact LP per generator or basis vector instead of facet incidence
-and H-row sign tests) so agreement is meaningful.
+and H-row sign tests; explicit product decompositions instead of the factor
+row test for pi units) so agreement is meaningful.
 """
 
 from __future__ import annotations
@@ -14,10 +15,12 @@ from fractions import Fraction
 from itertools import combinations
 
 from aoulab.cones import Cone, close_and_lineality, member
+from aoulab.errors import InvariantViolation
 from aoulab.linalg import Matrix, Vec, dot, integerize, nullspace, rank, solve, unit_vec, vec
 from aoulab.lp import EQ, GE, OPTIMAL, solve_lp
 from aoulab.maps import UnitalMap
 from aoulab.spaces import AOUSpace, extreme_states, linf
+from aoulab.tensors import kron_vec
 
 
 def rng(seed: int) -> random.Random:
@@ -103,6 +106,133 @@ def lp_order_unit_failure(space: AOUSpace) -> int | None:
         if out.status != OPTIMAL:
             return i
     return None
+
+
+def _unit_shift_decomposition(gens: tuple[Vec, ...], unit: Vec, b: Vec):
+    """Minimal r with r*unit - b a conic combination of gens, plus the
+    coefficients; None when no r works."""
+    dim = len(unit)
+    rows = [tuple([unit[c]] + [-g[c] for g in gens]) for c in range(dim)]
+    out = solve_lp(
+        vec([1] + [0] * len(gens)),
+        rows,
+        list(b),
+        [EQ] * dim,
+        bounds=[(0, None)] * (1 + len(gens)),
+    )
+    if out.status != OPTIMAL:
+        return None
+    return out.primal[0], out.primal[1:]
+
+
+def _cone_coefficients(gens: tuple[Vec, ...], target: Vec) -> Vec | None:
+    rows = [tuple(g[c] for g in gens) for c in range(len(target))]
+    out = solve_lp(
+        vec([0] * len(gens)),
+        rows,
+        list(target),
+        [EQ] * len(target),
+        bounds=[(0, None)] * len(gens),
+    )
+    return out.primal if out.status == OPTIMAL else None
+
+
+def lp_pi_order_unit(left: AOUSpace, right: AOUSpace) -> None:
+    """Raise InvariantViolation unless e_V (x) e_W is an order unit of the pi
+    cone of left (x) right, by explicit decompositions: per factor and basis
+    vector b, the least r with r e +- b a conic combination of the factor
+    generators (2 dim + 1 LPs per factor), then the products of those
+    decompositions are expanded over the pi generators and must rebuild
+    r s e (x) e +- b (x) c exactly."""
+    vg, wg = left.cone.vrep(), right.cone.vrep()
+    gens = [kron_vec(v, w) for v in vg for w in wg]
+    unit = kron_vec(left.unit, right.unit)
+    # per factor and basis vector: coefficients of r e + b and r e - b over
+    # the factor generators, with one shared r (padded by the decomposition
+    # of the unit itself)
+    factor_dec = []
+    for sp, basis_gens in ((left, vg), (right, wg)):
+        eta = _cone_coefficients(basis_gens, sp.unit)
+        if eta is None:
+            raise InvariantViolation("factor unit escaped its own cone")
+        per_basis = []
+        for i in range(sp.dim):
+            b = unit_vec(i, sp.dim)
+            plus = _unit_shift_decomposition(basis_gens, sp.unit, tuple(-x for x in b))
+            minus = _unit_shift_decomposition(basis_gens, sp.unit, b)
+            if plus is None or minus is None:
+                raise InvariantViolation("factor unit fails the order unit test")
+            r = max(plus[0], minus[0])
+            lam_p = tuple(x + (r - plus[0]) * h for x, h in zip(plus[1], eta))
+            lam_m = tuple(x + (r - minus[0]) * h for x, h in zip(minus[1], eta))
+            per_basis.append((r, lam_p, lam_m))
+        factor_dec.append(per_basis)
+
+    # (r e + v)(x)(s e + w) + (r e - v)(x)(s e - w) = 2 r s e(x)e + 2 v(x)w
+    nw = len(wg)
+    dim = len(unit)
+    for i in range(left.dim):
+        r, lam_p, lam_m = factor_dec[0][i]
+        for j in range(right.dim):
+            s, mu_p, mu_m = factor_dec[1][j]
+            b_flat = kron_vec(unit_vec(i, left.dim), unit_vec(j, right.dim))
+            for sgn in (1, -1):
+                pairs = ((lam_p, mu_p), (lam_m, mu_m)) if sgn == 1 else ((lam_p, mu_m), (lam_m, mu_p))
+                total = [Fraction(0)] * dim
+                for lam, mu in pairs:
+                    for a, la in enumerate(lam):
+                        for bix, muv in enumerate(mu):
+                            c = la * muv / 2
+                            if c:
+                                g = gens[a * nw + bix]
+                                for t in range(dim):
+                                    total[t] += c * g[t]
+                expect = tuple(r * s * u + sgn * x for u, x in zip(unit, b_flat))
+                if tuple(total) != expect:
+                    raise InvariantViolation("pi unit fails the order unit test")
+
+
+def psi_lp_without_dedup(space: AOUSpace, phi_rows: list[Vec], vectors: list[Vec]):
+    """The factorization defect LP of `tensors._best_psi` as (obj, rows,
+    rhs, senses, bounds), with every defect row kept, duplicates included."""
+    d, k = space.dim, len(phi_rows)
+    nvars = d * k + 1
+    t_ix = d * k
+    hrows = space.cone.hrep()
+    rows, rhs, senses = [], [], []
+    for i in range(d):
+        coeff = [Fraction(0)] * nvars
+        for j in range(k):
+            coeff[i * k + j] = Fraction(1)
+        rows.append(tuple(coeff))
+        rhs.append(space.unit[i])
+        senses.append(EQ)
+    for j in range(k):
+        for a in hrows:
+            coeff = [Fraction(0)] * nvars
+            for i in range(d):
+                coeff[i * k + j] = a[i]
+            rows.append(tuple(coeff))
+            rhs.append(Fraction(0))
+            senses.append(GE)
+    for v in vectors:
+        w = tuple(dot(row, v) for row in phi_rows)
+        for a in hrows:
+            ae = dot(a, space.unit)
+            av = dot(a, v)
+            for sign in (1, -1):
+                coeff = [Fraction(0)] * nvars
+                coeff[t_ix] = ae
+                for i in range(d):
+                    for j in range(k):
+                        coeff[i * k + j] = -sign * a[i] * w[j]
+                rows.append(tuple(coeff))
+                rhs.append(-sign * av)
+                senses.append(GE)
+    obj = [Fraction(0)] * nvars
+    obj[t_ix] = Fraction(1)
+    bounds = [None] * (d * k) + [(Fraction(0), None)]
+    return vec(obj), rows, rhs, senses, bounds
 
 
 def brute_polytope_vertices(rows: list[Vec], rhs: list[Fraction], dim: int) -> set[Vec]:

@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -71,3 +73,38 @@ def test_det_rank_inverse():
 def test_dot_length_mismatch():
     with pytest.raises(ShapeError):
         dot(vec([1]), vec([1, 2]))
+
+
+def _integerize_by_products(a):
+    """integerize as it was first written: one Fraction product per entry."""
+    a = [frac(x) for x in a]
+    if all(x == 0 for x in a):
+        return (0,) * len(a)
+    denom_lcm = 1
+    for x in a:
+        denom_lcm = denom_lcm * x.denominator // gcd(denom_lcm, x.denominator)
+    ints = [int(x * denom_lcm) for x in a]
+    g = 0
+    for v in ints:
+        g = gcd(g, v)
+    return tuple(v // g for v in ints)
+
+
+def test_integerize_matches_the_fraction_product_form():
+    r = random.Random(5)
+    cases = [
+        (0, 0, 0),
+        (),
+        (Fraction(0), Fraction(-3, 7), 0),
+        (Fraction(-1, 2), Fraction(-1, 3), Fraction(-5, 6)),
+        (Fraction(1, 10**9 + 7), Fraction(-2, 998244353), Fraction(3, 2**61 - 1)),
+        (Fraction(10**30 + 1, 10**9 + 9), Fraction(-(2**89 - 1), 10**9 + 7)),
+    ]
+    cases += [
+        tuple(Fraction(r.randint(-50, 50), r.randint(1, 40)) for _ in range(r.randint(1, 6)))
+        for _ in range(300)
+    ]
+    for a in cases:
+        got = integerize(a)
+        assert got == _integerize_by_products(a), a
+        assert all(type(x) is int for x in got)

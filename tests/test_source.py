@@ -39,3 +39,36 @@ def test_no_unused_imports():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += [f"{path.name}: {name}" for name in _unused_imports(tree)]
     assert not found, found
+
+
+def _module_level_names(tree: ast.Module) -> list[tuple[str, int]]:
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append((node.name, node.lineno))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [(t.id, node.lineno) for t in targets if isinstance(t, ast.Name)]
+    return names
+
+
+def test_no_unreferenced_private_names():
+    # a module-level _name that no code in the package reads is dead code
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    found = [
+        f"{file}: {name} (line {line})"
+        for file, tree in trees.items()
+        for name, line in _module_level_names(tree)
+        if name.startswith("_") and not name.startswith("__") and name not in referenced
+    ]
+    assert not found, found

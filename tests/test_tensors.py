@@ -7,11 +7,12 @@ import weakref
 from fractions import Fraction
 
 import pytest
-from conftest import rand_frac, rand_vec, rng
+from conftest import lp_pi_order_unit, psi_lp_without_dedup, rand_frac, rand_vec, rng
 
-from aoulab.cones import is_simplicial, member
+from aoulab.cones import Cone, is_simplicial, member
 from aoulab.errors import InputError, InvariantViolation, ShapeError
-from aoulab.linalg import Matrix, dot, vec
+from aoulab.linalg import Matrix, det, dot, vec
+from aoulab.lp import solve_lp
 from aoulab.maps import UnitalMap, check_map, is_order_quotient, operator_norm
 from aoulab.psd_examples import (
     BELL,
@@ -25,7 +26,7 @@ from aoulab.psd_examples import (
     sos_matches,
 )
 from aoulab import tensors
-from aoulab.spaces import lin_space, linf, order_norm, unit_ball_vertices
+from aoulab.spaces import AOUSpace, extreme_states, lin_space, linf, order_norm, unit_ball_vertices, validate
 from aoulab.tensors import (
     EPSILON,
     PI,
@@ -51,6 +52,32 @@ LS3_WITNESS = ((2, 0, 0), (0, -1, -1), (0, -1, 1), (0, 0, 0))
 
 def identity_map(space):
     return UnitalMap(space, space, Matrix.identity(space.dim))
+
+
+def random_simplicial(r, d):
+    """A V-rep cone on d independent integer generators, unit a positive
+    combination of them."""
+    while True:
+        gens = [tuple(r.randint(-2, 3) for _ in range(d)) for _ in range(d)]
+        if det(Matrix.from_rows(gens)) != 0:
+            break
+    weights = [r.randint(1, 3) for _ in gens]
+    unit = tuple(sum(w * g[c] for w, g in zip(weights, gens)) for c in range(d))
+    return AOUSpace(d, Cone.from_generators(gens, dim=d), unit, label=f"simplicial({d})")
+
+
+def random_non_simplicial(r, d):
+    """A pointed full-dimensional V-rep cone with more than d extreme rays,
+    unit the sum of its generators."""
+    while True:
+        gens = [tuple(r.randint(-2, 3) for _ in range(d)) for _ in range(d + 2)]
+        unit = tuple(sum(g[c] for g in gens) for c in range(d))
+        if not any(unit):
+            continue
+        space = AOUSpace(d, Cone.from_generators(gens, dim=d), unit, label="random")
+        report = validate(space)
+        if report.order_unit and report.pointed and not is_simplicial(space.cone):
+            return space
 
 
 class TestTensorSpace:
@@ -93,6 +120,48 @@ class TestTensorSpace:
         gc.collect()
         assert all(ref() is None for ref in refs + spaces)
         assert len(tensors._TENSOR_CACHE) == before
+
+    def test_pi_order_unit_agrees_with_decomposition_oracle(self):
+        # the factor row test against explicit product decompositions of
+        # r s e (x) e +- (basis tensor) by exact LPs
+        r = rng(17)
+        pairs = [(linf(m), lin_space(n)) for m in (1, 2, 3) for n in (1, 2)]
+        pairs += [(lin_space(1), linf(2)), (lin_space(2), lin_space(1))]
+        for d in (2, 3):
+            simp = random_simplicial(r, d)
+            pairs += [(simp, lin_space(2)), (linf(2), simp)]
+        for left, right in pairs:
+            lp_pi_order_unit(left, right)
+            ts = tensor_space(left, right, PI)
+            assert ts.realized.unit == kron_vec(left.unit, right.unit)
+
+    def test_pi_rejects_factor_units_off_the_interior(self, monkeypatch):
+        on_facet = AOUSpace(2, linf(2).cone, (1, 0))
+        outside = AOUSpace(2, linf(2).cone, (1, -1))
+        flat = AOUSpace(2, Cone.from_generators([(1, 0)], dim=2), (1, 0))
+        for bad in (on_facet, outside, flat):
+            for left, right in ((bad, linf(2)), (lin_space(1), bad)):
+                with pytest.raises(InvariantViolation):
+                    lp_pi_order_unit(left, right)
+                # bad input: the states reject it first, for both kinds
+                for kind in (PI, EPSILON):
+                    with pytest.raises(InputError):
+                        tensor_space(left, right, kind)
+        # past a state check that accepted it, the factor row test rejects
+        # the unit on a facet by itself
+        states = {id(on_facet): extreme_states(linf(2))}
+        monkeypatch.setattr(tensors, "extreme_states", lambda sp: states.get(id(sp)) or extreme_states(sp))
+        with pytest.raises(InvariantViolation, match="factor unit fails the order unit test"):
+            tensor_space(on_facet, linf(2), PI)
+
+    def test_pi_spaces_and_nuclearity_solve_no_tensor_lp(self, monkeypatch):
+        def no_lp(*args, **kwargs):
+            raise AssertionError("tensors.solve_lp called")
+
+        monkeypatch.setattr(tensors, "solve_lp", no_lp)
+        ts = tensor_space(lin_space(2), lin_space(2), PI)
+        assert ts.realized.dim == 9
+        assert is_nuclear_fd(linf(3)) is True
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(InputError):
@@ -275,6 +344,47 @@ class TestFactorize:
             diff = tuple(a - b for a, b in zip(comp.apply(v), v))
             worst = max(worst, order_norm(LS2, diff))
         assert worst == res.defect
+
+    def test_defect_lp_rows_are_added_once(self, monkeypatch):
+        sizes = []
+
+        def spy(obj, rows, *args, **kwargs):
+            sizes.append(len(rows))
+            return solve_lp(obj, rows, *args, **kwargs)
+
+        monkeypatch.setattr(tensors, "solve_lp", spy)
+        assert factorize(lin_space(2)).schedule == ((3, Fraction(1)), (4, Fraction(1, 2)))
+        assert sizes == [39, 43]
+        space = lin_space(2)
+        pool = [st.functional for st in extreme_states(space)]
+        verts = unit_ball_vertices(space)
+        assert [len(psi_lp_without_dedup(space, pool[:k], verts)[1]) for k in (3, 4)] == [63, 67]
+
+    def test_defect_lp_value_matches_undeduplicated_rows(self):
+        r = rng(29)
+        for space in (lin_space(2), random_non_simplicial(r, 3)):
+            pool = [st.functional for st in extreme_states(space)]
+            verts = [vec(v) for v in unit_ball_vertices(space)]
+            assert len(pool) == 4
+            for chosen in ([0, 1, 2], [1, 2, 3], [0, 2, 3], [0, 1, 2, 3]):
+                phi_rows = [pool[i] for i in chosen]
+                _, value = tensors._best_psi(space, phi_rows, verts)
+                obj, rows, rhs, senses, bounds = psi_lp_without_dedup(space, phi_rows, verts)
+                out = solve_lp(obj, rows, rhs, senses, bounds=bounds)
+                assert out.value == value
+
+    def test_greedy_step_reuses_the_residual_norms(self, monkeypatch):
+        calls = []
+
+        def counting(space, v):
+            calls.append(v)
+            return order_norm(space, v)
+
+        monkeypatch.setattr(tensors, "order_norm", counting)
+        res = factorize(lin_space(2))
+        assert res.schedule == ((3, Fraction(1)), (4, Fraction(1, 2)))
+        # one norm per ball vertex per LP, none more for picking the state
+        assert len(calls) == 2 * len(unit_ball_vertices(lin_space(2))) == 12
 
     def test_loose_tolerance_accepts_lin_space_two(self):
         res = factorize(LS2, eps=Fraction(1, 2))
