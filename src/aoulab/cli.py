@@ -17,16 +17,14 @@ import sys
 from fractions import Fraction
 
 from .errors import InputError, InvariantViolation
-from .linalg import Matrix
 from .maps import (
     UnitalMap,
+    _pert_with_norms,
+    _perturb_with_norm,
     archimedean_quotient,
     auerbach_basis,
     check_map,
     extend_unital_positive,
-    operator_norm,
-    pert,
-    perturb,
 )
 from .psd_examples import psd_example_suite
 from .serialize import (
@@ -173,22 +171,13 @@ def _run_extend(inputs):
 
 
 def _run_pert(inputs):
-    t = map_from_dict(inputs["map"])
-    s = pert(t)
-    diff = Matrix.from_rows(
-        [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(t.matrix.data, s.matrix.data)]
-    )
-    return {
-        "map": map_to_dict(s),
-        "distance": _plain(operator_norm(diff, t.source, t.target)),
-        "norm": _plain(operator_norm(t)),
-    }
+    s, distance, norm = _pert_with_norms(map_from_dict(inputs["map"]))
+    return {"map": map_to_dict(s), "distance": _plain(distance), "norm": _plain(norm)}
 
 
 def _run_perturb(inputs):
-    t = map_from_dict(inputs["map"])
-    s, bound = perturb(t)
-    return {"map": map_to_dict(s), "bound": _plain(bound), "norm": _plain(operator_norm(t))}
+    s, bound, norm = _perturb_with_norm(map_from_dict(inputs["map"]))
+    return {"map": map_to_dict(s), "bound": _plain(bound), "norm": _plain(norm)}
 
 
 def _run_auerbach(inputs):

@@ -321,7 +321,7 @@ def extreme_rays(cone: Cone) -> list[Vec]:
         rays = []
         for g in dict.fromkeys(integerize(g) for g in cone.generators):
             tight = [a for a in int_rows if sum(x * y for x, y in zip(a, g)) == 0]
-            if (rank(Matrix.from_rows(tight)) if tight else 0) == cone.dim - 1:
+            if rank(tight) == cone.dim - 1:
                 rays.append(g)
     rays = sorted(vec(integerize(r)) for r in rays)
     cone._derived[key] = rays
@@ -335,7 +335,7 @@ def is_simplicial(cone: Cone) -> bool:
     if cone.has_strict_rows:
         raise StrictConeError("is_simplicial needs a closed cone")
     rays = extreme_rays(cone)  # raises NotPointedError when not pointed
-    full = rank(Matrix.from_rows(rays)) == cone.dim if rays else cone.dim == 0
+    full = rank(rays) == cone.dim
     if not full:
         raise InputError("is_simplicial requires a full-dimensional cone")
     return len(rays) == cone.dim

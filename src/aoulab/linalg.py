@@ -2,16 +2,21 @@
 
 Every decision procedure in this package runs over fractions.Fraction; no
 float ever enters a comparison. Vectors are plain tuples of Fractions,
-matrices are immutable row-major tuples of such tuples. The helpers here are
-deliberately small: Gaussian elimination with exact pivots covers solve,
-rank, nullspace, determinant and inverse at the problem sizes we care about.
+matrices are immutable row-major tuples of such tuples.
+
+rref, rank, nullspace, solve, det and inverse share one fraction-free
+elimination over Python ints: each row is scaled to integers once (the
+reduced form does not change under row scaling; det divides the scales back
+out), Bareiss steps keep every entry an exact minor, and Fractions are built
+only from the final pivot rows. rank builds none, and takes rows that are
+already integer as they are.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 from typing import Iterable, Sequence
 
 from .errors import ShapeError
@@ -156,111 +161,144 @@ class Matrix:
                 out.append(tuple(a * b for a in a_row for b in b_row))
         return Matrix(tuple(out))
 
-    def vstack(self, other: "Matrix") -> "Matrix":
-        if self.data and other.data and self.cols != other.cols:
-            raise ShapeError("vstack: column mismatch")
-        return Matrix(self.data + other.data)
+
+def _int_rows(rows: Iterable[Sequence]) -> tuple[list[list[int]], list[int]]:
+    """Each row times the lcm of its denominators: (integer rows, scales).
+
+    Ints and Fractions both carry numerator and denominator, so rows that
+    are already integer pass with scale 1 and no Fraction is built."""
+    out, scales = [], []
+    for row in rows:
+        den = 1
+        for x in row:
+            d = x.denominator
+            if d != 1:
+                den = den * d // gcd(den, d)
+        if den == 1:
+            out.append([x.numerator for x in row])
+        else:
+            out.append([x.numerator * (den // x.denominator) for x in row])
+        scales.append(den)
+    return out, scales
 
 
-def _eliminate(rows: list[list[Fraction]], ncols: int) -> tuple[list[list[Fraction]], list[int]]:
-    """In-place forward+back elimination; returns (reduced rows, pivot cols)."""
+def _bareiss(rows: list[list[int]], ncols: int, back: bool) -> tuple[list[int], int, int]:
+    """Fraction-free elimination of integer rows in place (Bareiss, Math.
+    Comp. 22, 1968): pivots are searched in the first ncols columns, and each
+    step replaces row i by (p * row_i - row_i[c] * pivot_row) / prev, where p
+    is the new pivot and prev the one before. Every entry stays a minor of
+    the input, so the division is exact and no gcd is taken.
+
+    With back=False only the rows below each pivot are eliminated (rank and
+    determinant). With back=True the rows above are too (Gauss-Jordan), and
+    every pivot entry then equals the last pivot d, so row i divided by d is
+    row i of the reduced row echelon form; the rows past the rank are zero
+    on the first ncols columns.
+
+    Returns (pivot columns, last pivot d, sign of the row permutation)."""
     pivots: list[int] = []
-    r = 0
+    prev, sign, r, m = 1, 1, 0, len(rows)
     for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if rows[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
+        if r == m:
             break
-    return rows, pivots
+        for k in range(r, m):
+            if rows[k][c]:
+                break
+        else:
+            continue
+        if k != r:
+            rows[r], rows[k] = rows[k], rows[r]
+            sign = -sign
+        prow = rows[r]
+        p = prow[c]
+        for i in range(0 if back else r + 1, m):
+            if i == r:
+                continue
+            row = rows[i]
+            f = row[c]
+            if f:
+                rows[i] = [(p * x - f * y) // prev for x, y in zip(row, prow)]
+            elif p != prev:
+                rows[i] = [p * x // prev for x in row]
+        pivots.append(c)
+        prev = p
+        r += 1
+    return pivots, prev, sign
 
 
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:
-    rows = [list(r) for r in m.data]
-    rows, pivots = _eliminate(rows, m.cols)
-    return Matrix.from_rows(rows), pivots
+    rows = _int_rows(m.data)[0]
+    pivots, d, _ = _bareiss(rows, m.cols, back=True)
+    return Matrix(tuple(tuple(Fraction(x, d) for x in row) for row in rows)), pivots
 
 
-def rank(m: Matrix) -> int:
-    return len(rref(m)[1])
+def rank(m: Matrix | Sequence[Sequence[int]]) -> int:
+    """Rank of a Matrix, or of a plain sequence of integer rows (which skips
+    the conversion to Fractions; rows of Fractions are accepted too)."""
+    if isinstance(m, Matrix):
+        rows, ncols = m.data, m.cols
+    else:
+        rows = m
+        ncols = len(rows[0]) if rows else 0
+        if any(len(r) != ncols for r in rows):
+            raise ShapeError("ragged rows")
+    return len(_bareiss(_int_rows(rows)[0], ncols, back=False)[0])
 
 
 def solve(m: Matrix, b: Sequence[Fraction]) -> Vec | None:
     """One exact solution of m x = b, free variables set to zero; None if none."""
     if len(b) != m.rows:
         raise ShapeError("solve: rhs length mismatch")
-    rows = [list(r) + [frac(x)] for r, x in zip(m.data, b)]
-    if not rows:
+    if not m.rows:
         return zeros(m.cols)
-    rows, pivots = _eliminate(rows, m.cols)
-    for row in rows[len(pivots):]:
-        if row[-1] != 0:
-            return None
+    rows = _int_rows(r + (frac(x),) for r, x in zip(m.data, b))[0]
+    pivots, d, _ = _bareiss(rows, m.cols, back=True)
+    if any(row[-1] for row in rows[len(pivots):]):
+        return None
     x = [Fraction(0)] * m.cols
-    for i, c in enumerate(pivots):
-        x[c] = rows[i][-1]
+    for row, c in zip(rows, pivots):
+        x[c] = Fraction(row[-1], d)
     return tuple(x)
 
 
 def nullspace(m: Matrix) -> list[Vec]:
     """Basis of {x : m x = 0}, one vector per free column."""
-    reduced, pivots = rref(m)
-    free = [c for c in range(m.cols) if c not in pivots]
+    rows = _int_rows(m.data)[0]
+    pivots, d, _ = _bareiss(rows, m.cols, back=True)
+    pivot_set = set(pivots)
     basis = []
-    for fc in free:
+    for fc in range(m.cols):
+        if fc in pivot_set:
+            continue
         v = [Fraction(0)] * m.cols
         v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -reduced.data[i][fc]
+        for row, pc in zip(rows, pivots):
+            v[pc] = Fraction(-row[fc], d)
         basis.append(tuple(v))
     return basis
 
 
 def det(m: Matrix) -> Fraction:
+    """Exact determinant: Bareiss on the row-scaled integer matrix, whose
+    determinant is det(m) times the product of the row scales."""
     if m.rows != m.cols:
         raise ShapeError("det: square matrix required")
-    n = m.rows
-    rows = [list(r) for r in m.data]
-    result = Fraction(1)
-    for c in range(n):
-        pivot_row = None
-        for i in range(c, n):
-            if rows[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != c:
-            rows[c], rows[pivot_row] = rows[pivot_row], rows[c]
-            result = -result
-        result *= rows[c][c]
-        inv = 1 / rows[c][c]
-        for i in range(c + 1, n):
-            if rows[i][c] != 0:
-                f = rows[i][c] * inv
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-    return result
+    rows, scales = _int_rows(m.data)
+    pivots, d, sign = _bareiss(rows, m.cols, back=False)
+    if len(pivots) != m.rows:
+        return Fraction(0)
+    return Fraction(sign * d, prod(scales))
 
 
 def inverse(m: Matrix) -> Matrix:
     if m.rows != m.cols:
         raise ShapeError("inverse: square matrix required")
     n = m.rows
-    rows = [list(r) + list(unit_vec(i, n)) for i, r in enumerate(m.data)]
-    rows, pivots = _eliminate(rows, n)
+    rows, scales = _int_rows(m.data)
+    # [s_i * row_i | s_i * e_i] reduces to [I | m^-1]
+    for i, (row, s) in enumerate(zip(rows, scales)):
+        row.extend(s if j == i else 0 for j in range(n))
+    pivots, d, _ = _bareiss(rows, n, back=True)
     if len(pivots) != n:
         raise ShapeError("inverse: singular matrix")
-    return Matrix.from_rows([r[n:] for r in rows])
+    return Matrix(tuple(tuple(Fraction(x, d) for x in row[n:]) for row in rows))

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 from typing import Sequence
 
 from .cones import Cone, close_and_lineality, contains, image_cone, member, same_cone
@@ -529,6 +530,8 @@ def operator_norm(m, source: AOUSpace | None = None, target: AOUSpace | None = N
 
 
 AUERBACH_DIM_CAP = 6
+# most determinants the scan over ball-vertex tuples may take (C(verts, dim))
+AUERBACH_SCAN_CAP = 20_000
 
 
 def auerbach_basis(space: AOUSpace) -> tuple[list[Vec], list[Vec]]:
@@ -541,6 +544,12 @@ def auerbach_basis(space: AOUSpace) -> tuple[list[Vec], list[Vec]]:
     if space.dim > AUERBACH_DIM_CAP:
         raise SizeLimitError(f"auerbach_basis capped at dimension {AUERBACH_DIM_CAP}")
     verts = list(reversed(unit_ball_vertices(space)))
+    scan = comb(len(verts), space.dim)
+    if scan > AUERBACH_SCAN_CAP:
+        raise SizeLimitError(
+            f"auerbach_basis: scan of C({len(verts)}, {space.dim}) = {scan} determinants "
+            f"exceeds AUERBACH_SCAN_CAP = {AUERBACH_SCAN_CAP}"
+        )
     best = None
     best_abs = Fraction(0)
     for tup in combinations(verts, space.dim):
@@ -601,6 +610,11 @@ def pert(t: UnitalMap) -> UnitalMap:
     state again. The result S is unital positive with ||t - S|| <= ||t|| - 1
     exactly, and S = t whenever ||t|| = 1.
     """
+    return _pert_with_norms(t)[0]
+
+
+def _pert_with_norms(t: UnitalMap) -> tuple[UnitalMap, Fraction, Fraction]:
+    """pert plus the two norms its bound check computes: (S, ||t - S||, ||t||)."""
     if not t.unital:
         raise InputError("pert requires a unital map")
     if not _is_standard_linf(t.target):
@@ -632,7 +646,7 @@ def pert(t: UnitalMap) -> UnitalMap:
         raise InvariantViolation(f"pert bound violated: ||t-S|| = {gap} > {tnorm - 1}")
     if tnorm == 1 and s_map.matrix.data != t.matrix.data:
         raise InvariantViolation("pert must fix maps of norm one")
-    return s_map
+    return s_map, gap, tnorm
 
 
 def perturb(t: UnitalMap) -> tuple[UnitalMap, Fraction]:
@@ -642,24 +656,22 @@ def perturb(t: UnitalMap) -> tuple[UnitalMap, Fraction]:
     there, and absorb the gap by adding (gap * total-variation functional)
     times the target unit. Returns (S, bound) with S positive and
     ||t - S|| <= dim(source) * (||t|| - 1) = bound, exactly.
+
+    The Kadison embedding is isometric, so ||t|| equals the norm of the
+    pushed map tp that pert computes; its ||tp - pert(tp)|| is the gap.
     """
+    return _perturb_with_norm(t)[:2]
+
+
+def _perturb_with_norm(t: UnitalMap) -> tuple[UnitalMap, Fraction, Fraction]:
+    """perturb plus the norm it computes: (S, bound, ||t||)."""
     if not t.unital:
         raise InputError("perturb requires a unital map")
     from .spaces import kadison_embed
 
     emb = kadison_embed(t.target)
     tp = UnitalMap(t.source, emb.target, emb.matrix @ t.matrix)
-    sp = pert(tp)
-    gap = operator_norm(
-        Matrix.from_rows(
-            [
-                vadd(sp.matrix.row(r), vscale(Fraction(-1), tp.matrix.row(r)))
-                for r in range(tp.target.dim)
-            ]
-        ),
-        t.source,
-        emb.target,
-    )
+    _, gap, tnorm = _pert_with_norms(tp)
     _, duals = auerbach_basis(t.source)
     states = extreme_states(t.source)
     tv_total = zeros(t.source.dim)  # sum of the total-variation functionals
@@ -674,7 +686,7 @@ def perturb(t: UnitalMap) -> tuple[UnitalMap, Fraction]:
     s_map = UnitalMap(t.source, t.target, Matrix.from_rows(s_rows))
     if not s_map.positive:
         raise InvariantViolation("perturb output must be positive")
-    bound = t.source.dim * (operator_norm(t) - 1)
+    bound = t.source.dim * (tnorm - 1)
     diff = Matrix.from_rows(
         [
             vadd(t.matrix.row(r), vscale(Fraction(-1), s_map.matrix.row(r)))
@@ -683,4 +695,4 @@ def perturb(t: UnitalMap) -> tuple[UnitalMap, Fraction]:
     )
     if operator_norm(diff, t.source, t.target) > bound:
         raise InvariantViolation("perturb bound violated")
-    return s_map, bound
+    return s_map, bound, tnorm

@@ -12,9 +12,10 @@ import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 from .cones import Certificate, Cone, contains, extreme_rays, is_simplicial, member
-from .errors import InputError, InvariantViolation, ShapeError
+from .errors import InputError, InvariantViolation, ShapeError, SizeLimitError
 from .linalg import (
     Matrix,
     Vec,
@@ -44,6 +45,8 @@ EPSILON = "epsilon"
 PI = "pi"
 
 FACTORIZE_STATE_CAP = 64
+# most d x d determinants the seed scan of factorize may take (C(states, d))
+FACTORIZE_SCAN_CAP = 20_000
 
 
 def kron_vec(a: Vec, b: Vec) -> Vec:
@@ -432,9 +435,10 @@ def factorize(
             )
         scaled = [tuple(a * x for x in ray) for a, ray in zip(alpha, rays)]
         psi_m = Matrix.from_rows(list(zip(*scaled)))
-        phi_m = inverse(psi_m)
-        if phi_m is None:
-            raise InvariantViolation("factorize: the scaled extreme rays are not a basis")
+        try:
+            phi_m = inverse(psi_m)
+        except ShapeError as exc:
+            raise InvariantViolation("factorize: the scaled extreme rays are not a basis") from exc
         phi = UnitalMap(space, linf(d), phi_m)
         psi = UnitalMap(linf(d), space, psi_m)
         if not (phi.unital and phi.positive and psi.unital and psi.positive):
@@ -452,6 +456,12 @@ def factorize(
         )
 
     pool = [s.functional for s in extreme_states(space)]
+    scan = comb(len(pool), d)
+    if scan > FACTORIZE_SCAN_CAP:
+        raise SizeLimitError(
+            f"factorize: seed scan of C({len(pool)}, {d}) = {scan} determinants "
+            f"exceeds FACTORIZE_SCAN_CAP = {FACTORIZE_SCAN_CAP}"
+        )
     # seed: d states with the largest |det|, so phi starts injective
     best_det, seed = None, None
     for combo in combinations(range(len(pool)), d):

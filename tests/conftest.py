@@ -5,7 +5,8 @@ The oracles deliberately use different algorithms from the package (subset
 enumeration and characteristic polynomials instead of double description and
 LDL^T; one exact LP per generator or basis vector instead of facet incidence
 and H-row sign tests; explicit product decompositions instead of the factor
-row test for pi units) so agreement is meaningful.
+row test for pi units; Gauss-Jordan over Fractions instead of fraction-free
+integer elimination) so agreement is meaningful.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from itertools import combinations
 
 from aoulab.cones import Cone, close_and_lineality, member
 from aoulab.errors import InvariantViolation
-from aoulab.linalg import Matrix, Vec, dot, integerize, nullspace, rank, solve, unit_vec, vec
+from aoulab.linalg import Matrix, Vec, dot, frac, integerize, unit_vec, vec
 from aoulab.lp import EQ, GE, OPTIMAL, solve_lp
 from aoulab.maps import UnitalMap
 from aoulab.spaces import AOUSpace, extreme_states, linf
@@ -35,6 +36,101 @@ def rand_vec(r: random.Random, n: int, lo: int = -4, hi: int = 4, den: int = 3) 
     return vec([rand_frac(r, lo, hi, den) for _ in range(n)])
 
 
+# -- Fraction elimination: the oracle for the integer kernel in linalg --------
+
+
+def fraction_eliminate(rows: list[list[Fraction]], ncols: int) -> tuple[list[list[Fraction]], list[int]]:
+    """Gauss-Jordan over Fractions, in place: pivots are searched in the
+    first ncols columns, each pivot row is divided by its pivot and the
+    pivot column is cleared in every other row. Returns (reduced rows,
+    pivot cols)."""
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = None
+        for i in range(r, len(rows)):
+            if rows[i][c] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        pv = rows[r][c]
+        rows[r] = [x / pv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
+def fraction_rref(m: Matrix) -> tuple[Matrix, list[int]]:
+    rows, pivots = fraction_eliminate([list(r) for r in m.data], m.cols)
+    return Matrix.from_rows(rows), pivots
+
+
+def fraction_rank(m: Matrix) -> int:
+    return len(fraction_rref(m)[1])
+
+
+def fraction_solve(m: Matrix, b) -> Vec | None:
+    """One solution of m x = b with the free variables zero; None if none."""
+    rows = [list(r) + [frac(x)] for r, x in zip(m.data, b)]
+    rows, pivots = fraction_eliminate(rows, m.cols)
+    if any(row[-1] != 0 for row in rows[len(pivots):]):
+        return None
+    x = [Fraction(0)] * m.cols
+    for i, c in enumerate(pivots):
+        x[c] = rows[i][-1]
+    return tuple(x)
+
+
+def fraction_nullspace(m: Matrix) -> list[Vec]:
+    """Kernel basis, one vector per free column of the reduced form."""
+    reduced, pivots = fraction_rref(m)
+    basis = []
+    for fc in (c for c in range(m.cols) if c not in pivots):
+        v = [Fraction(0)] * m.cols
+        v[fc] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            v[pc] = -reduced.data[i][fc]
+        basis.append(tuple(v))
+    return basis
+
+
+def fraction_inverse(m: Matrix) -> Matrix | None:
+    """m^-1 by reducing [m | I]; None when m is singular."""
+    n = m.rows
+    rows = [list(r) + list(unit_vec(i, n)) for i, r in enumerate(m.data)]
+    rows, pivots = fraction_eliminate(rows, n)
+    return Matrix.from_rows([r[n:] for r in rows]) if len(pivots) == n else None
+
+
+def fraction_det(m: Matrix) -> Fraction:
+    """Product of the pivots of forward elimination over Fractions, with a
+    sign flip per row swap."""
+    n = m.rows
+    rows = [list(r) for r in m.data]
+    result = Fraction(1)
+    for c in range(n):
+        pivot_row = next((i for i in range(c, n) if rows[i][c] != 0), None)
+        if pivot_row is None:
+            return Fraction(0)
+        if pivot_row != c:
+            rows[c], rows[pivot_row] = rows[pivot_row], rows[c]
+            result = -result
+        result *= rows[c][c]
+        for i in range(c + 1, n):
+            if rows[i][c] != 0:
+                f = rows[i][c] / rows[c][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+    return result
+
+
 def brute_extreme_rays(rows: list[Vec], dim: int) -> set[tuple[int, ...]]:
     """Extreme rays of a pointed cone {x : rows . x >= 0} by subset search.
 
@@ -45,13 +141,13 @@ def brute_extreme_rays(rows: list[Vec], dim: int) -> set[tuple[int, ...]]:
     m = Matrix.from_rows(rows)
     for subset in combinations(range(len(rows)), dim - 1):
         # the empty subset (dim 1) leaves the whole line free
-        ns = nullspace(Matrix.from_rows([rows[i] for i in subset])) if subset else Matrix.identity(dim).data
+        ns = fraction_nullspace(Matrix.from_rows([rows[i] for i in subset])) if subset else Matrix.identity(dim).data
         if len(ns) != 1:
             continue
         for cand in (ns[0], tuple(-x for x in ns[0])):
             if all(v >= 0 for v in m.apply(cand)):
                 tight = [r for r in rows if dot(r, cand) == 0]
-                if (rank(Matrix.from_rows(tight)) if tight else 0) == dim - 1:
+                if (fraction_rank(Matrix.from_rows(tight)) if tight else 0) == dim - 1:
                     out.add(integerize(cand))
     return out
 
@@ -240,9 +336,9 @@ def brute_polytope_vertices(rows: list[Vec], rhs: list[Fraction], dim: int) -> s
     out: set[Vec] = set()
     for subset in combinations(range(len(rows)), dim):
         sub = Matrix.from_rows([rows[i] for i in subset])
-        if rank(sub) != dim:
+        if fraction_rank(sub) != dim:
             continue
-        x = solve(sub, [rhs[i] for i in subset])
+        x = fraction_solve(sub, [rhs[i] for i in subset])
         if x is None:
             continue
         if all(dot(r, x) >= b for r, b in zip(rows, rhs)):

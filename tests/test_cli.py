@@ -301,3 +301,30 @@ class TestExamples:
         report.write_text(out)
         code, out = run(["verify", str(report)])
         assert code == 0 and out.strip() == "true"
+
+
+class TestNormReuse:
+    @pytest.mark.parametrize("verb, norms", [("pert", 2), ("perturb", 3)])
+    def test_each_operator_norm_is_computed_once(self, files, monkeypatch, verb, norms):
+        # pert needs ||t - S|| and ||t||; perturb needs ||t|| (equal to that
+        # of t pushed through the isometric Kadison embedding), the gap, and
+        # the final check on t - S
+        import aoulab.cli
+        import aoulab.maps
+
+        calls = []
+        original = aoulab.maps.operator_norm
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for module in (aoulab.maps, aoulab.cli):
+            if hasattr(module, "operator_norm"):
+                monkeypatch.setattr(module, "operator_norm", counting)
+        code, out = run([verb, files["skew.json"], "--format", "json"])
+        assert code == 0
+        assert len(calls) == norms
+        d = json.loads(out)
+        assert d["norm"] == "2"
+        assert d["distance" if verb == "pert" else "bound"] == ("1" if verb == "pert" else "2")

@@ -26,8 +26,8 @@ from aoulab.errors import (
     ShapeError,
     StrictConeError,
 )
-from aoulab.linalg import Matrix, dot, rank, vec
-from conftest import lp_contains, lp_extreme_rays, lp_is_pointed, rand_vec, rng
+from aoulab.linalg import Matrix, dot, vec
+from conftest import fraction_rank, lp_contains, lp_extreme_rays, lp_is_pointed, rand_vec, rng
 
 
 def orthant(n):
@@ -269,7 +269,7 @@ class TestExtremeRays:
         with pytest.raises(NotPointedError) as exc:
             extreme_rays(cone)
         lin = exc.value.lineality
-        assert len(lin) == 2 and rank(Matrix.from_rows(lin)) == 2
+        assert len(lin) == 2 and fraction_rank(Matrix.from_rows(lin)) == 2
         for l in lin:
             assert l[2] == 0
             for d in (l, tuple(-x for x in l)):

@@ -1,8 +1,17 @@
 import random
 from fractions import Fraction
+from itertools import permutations
 from math import gcd
 
 import pytest
+from conftest import (
+    fraction_det,
+    fraction_inverse,
+    fraction_nullspace,
+    fraction_rank,
+    fraction_rref,
+    fraction_solve,
+)
 
 from aoulab.errors import ShapeError
 from aoulab.linalg import (
@@ -14,6 +23,7 @@ from aoulab.linalg import (
     inverse,
     nullspace,
     rank,
+    rref,
     sign_canonical,
     solve,
     vec,
@@ -108,3 +118,135 @@ def test_integerize_matches_the_fraction_product_form():
         got = integerize(a)
         assert got == _integerize_by_products(a), a
         assert all(type(x) is int for x in got)
+
+
+# -- the integer elimination kernel against the Fraction oracle ---------------
+
+_DENOMS = (1, 1, 1, 2, 3, 7, 10**9 + 7, 998244353, 2**61 - 1)
+
+
+def random_matrix(r: random.Random, m: int, n: int) -> list[list[Fraction]]:
+    """m x n rational rows with, at random, zero rows, duplicate rows, a row
+    that is a combination of two others, zero columns, negative entries and
+    large coprime denominators."""
+    rows: list[list[Fraction]] = []
+    for _ in range(m):
+        pick = r.random()
+        if rows and pick < 0.15:
+            rows.append(list(r.choice(rows)))
+        elif pick < 0.25:
+            rows.append([Fraction(0)] * n)
+        else:
+            rows.append([Fraction(r.randint(-6, 6), r.choice(_DENOMS)) for _ in range(n)])
+    if m >= 3 and r.random() < 0.3:
+        a, b, c = r.sample(range(m), 3)
+        x, y = (Fraction(r.randint(-3, 3), r.randint(1, 5)) for _ in range(2))
+        rows[a] = [x * p + y * q for p, q in zip(rows[b], rows[c])]
+    if n and r.random() < 0.25:
+        j = r.randrange(n)
+        for row in rows:
+            row[j] = Fraction(0)
+    return rows
+
+
+def as_matrix(rows: list[list[Fraction]]) -> Matrix:
+    return Matrix(tuple(tuple(row) for row in rows))
+
+
+def random_cases(seed: int, per_shape: int):
+    r = random.Random(seed)
+    for m in range(7):
+        for n in range(8):
+            for _ in range(per_shape):
+                yield r, as_matrix(random_matrix(r, m, n))
+
+
+def leibniz_det(m: Matrix) -> Fraction:
+    n = m.rows
+    total = Fraction(0)
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = Fraction(-1 if inversions % 2 else 1)
+        for i, j in enumerate(perm):
+            term *= m.data[i][j]
+        total += term
+    return total
+
+
+def test_kernel_matches_fraction_oracle():
+    shapes = set()
+    for r, m in random_cases(11, per_shape=12):
+        shapes.add((m.rows, m.cols))
+        reduced, pivots = rref(m)
+        expected, expected_pivots = fraction_rref(m)
+        assert (reduced.data, pivots) == (expected.data, expected_pivots)
+        assert rank(m) == len(pivots)
+        assert nullspace(m) == fraction_nullspace(m)
+        b = vec([Fraction(r.randint(-5, 5), r.choice(_DENOMS)) for _ in range(m.rows)])
+        assert solve(m, b) == fraction_solve(m, b)
+        if m.rows == m.cols:
+            assert det(m) == fraction_det(m)
+            inv = fraction_inverse(m)
+            if inv is None:
+                with pytest.raises(ShapeError):
+                    inverse(m)
+            else:
+                assert inverse(m).data == inv.data
+    # every shape from 0x0 to 6x7 that a Matrix can hold: rows of length 0
+    # make an m x 0 matrix, and a matrix without rows is the 0 x 0 one
+    assert len(shapes) == 1 + 6 * 8
+
+
+def test_rank_takes_integer_rows_as_they_are():
+    r = random.Random(3)
+    for _ in range(300):
+        m, n = r.randint(0, 6), r.randint(1, 7)
+        rows = [tuple(r.randint(-3, 3) for _ in range(n)) for _ in range(m)]
+        if m >= 3 and r.random() < 0.4:
+            rows[0] = tuple(x - 2 * y for x, y in zip(rows[1], rows[2]))
+        expected = fraction_rank(Matrix.from_rows(rows))
+        assert rank(rows) == rank(Matrix.from_rows(rows)) == expected
+        assert rank([vec(row) for row in rows]) == expected
+    assert rank([]) == 0
+    with pytest.raises(ShapeError):
+        rank([(1, 2), (3,)])
+
+
+def test_det_matches_leibniz_expansion():
+    r = random.Random(7)
+    for n in range(5):
+        for _ in range(40):
+            m = as_matrix(random_matrix(r, n, n))
+            assert det(m) == leibniz_det(m)
+    assert det(Matrix(())) == 1
+    tiny = Fraction(1, 2**61 - 1)
+    assert det(Matrix.from_rows([[tiny, 1], [0, -tiny]])) == -tiny * tiny
+
+
+def test_solve_is_none_exactly_on_inconsistent_systems():
+    consistent = inconsistent = 0
+    for r, m in random_cases(13, per_shape=6):
+        x0 = vec([Fraction(r.randint(-4, 4), r.choice(_DENOMS)) for _ in range(m.cols)])
+        # b in the column space, then b moved off it in its first coordinate
+        b_in = m.apply(x0)
+        for b in (b_in, tuple(y + (i == 0) for i, y in enumerate(b_in))):
+            augmented = Matrix(tuple(row + (y,) for row, y in zip(m.data, b)))
+            solvable = fraction_rank(augmented) == fraction_rank(m)
+            x = solve(m, b)
+            assert (x is not None) == solvable
+            if x is None:
+                inconsistent += 1
+            else:
+                consistent += 1
+                assert m.apply(x) == tuple(b)
+    assert consistent and inconsistent
+
+
+def test_nullspace_vectors_are_a_kernel_basis():
+    for _, m in random_cases(17, per_shape=6):
+        basis = nullspace(m)
+        assert len(basis) == m.cols - fraction_rank(m)
+        for v in basis:
+            assert all(x == 0 for x in m.apply(v))
+        if basis:
+            assert fraction_rank(Matrix.from_rows(basis)) == len(basis)

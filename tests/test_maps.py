@@ -1,5 +1,6 @@
 """Map layer: classification, ideals, quotients, extension, perturbation."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ import aoulab.cones
 import aoulab.maps
 import aoulab.spaces
 from aoulab.cones import Cone, extreme_rays, member, same_cone
-from aoulab.errors import InputError, ShapeError, StrictConeError
+from aoulab.errors import InputError, ShapeError, SizeLimitError, StrictConeError
 from aoulab.linalg import Matrix, dot, vec, vsub
 from aoulab.maps import (
     UnitalMap,
@@ -290,6 +291,13 @@ class TestOperatorNormAndAuerbach:
                 assert dual_norm(sp, xd) == 1
                 for j, y in enumerate(basis):
                     assert dot(xd, y) == (1 if i == j else 0)
+
+    def test_auerbach_scan_over_budget_raises_at_once(self):
+        # linf(5) has 32 ball vertices: C(32, 5) = 201376 tuples to scan
+        start = time.perf_counter()
+        with pytest.raises(SizeLimitError, match=r"C\(32, 5\) = 201376"):
+            auerbach_basis(linf(5))
+        assert time.perf_counter() - start < 1
 
 
 class TestPert:

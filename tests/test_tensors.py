@@ -3,6 +3,7 @@ and the PSD-backed 2x2 example suite."""
 
 import dataclasses
 import gc
+import time
 import weakref
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ import pytest
 from conftest import lp_pi_order_unit, psi_lp_without_dedup, rand_frac, rand_vec, rng
 
 from aoulab.cones import Cone, is_simplicial, member
-from aoulab.errors import InputError, InvariantViolation, ShapeError
+from aoulab.errors import InputError, InvariantViolation, ShapeError, SizeLimitError
 from aoulab.linalg import Matrix, det, dot, vec
 from aoulab.lp import solve_lp
 from aoulab.maps import UnitalMap, check_map, is_order_quotient, operator_norm
@@ -329,6 +330,13 @@ class TestFactorize:
             comp = res.psi.compose(res.phi)
             assert comp.matrix.data == Matrix.identity(space.dim).data
             assert res.phi.positive and res.psi.positive
+
+    def test_seed_scan_over_budget_raises_at_once(self):
+        # lin_space(5) has 32 extreme states in dimension 6: C(32, 6) = 906192
+        start = time.perf_counter()
+        with pytest.raises(SizeLimitError, match=r"C\(32, 6\) = 906192"):
+            factorize(lin_space(5))
+        assert time.perf_counter() - start < 1
 
     def test_lin_space_two_stalls_at_one_half(self):
         res = factorize(LS2)
