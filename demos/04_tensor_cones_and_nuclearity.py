@@ -44,8 +44,8 @@ for row in report.witness.coeffs.data:
     print("  ", row)
 print("separating functional:", report.pi_certificate.witness)
 
-# single-space verdicts cross-validate simpliciality against the pairwise
-# oracle over a battery of partners
+# a finite-dimensional space is nuclear exactly when its cone is simplicial
+# (the paper's local characterization), so one rank test decides it
 for space in (linf(3), lin_space(1), lin_space(2)):
     print(space.label, "nuclear:", is_nuclear_fd(space))
 

@@ -15,6 +15,7 @@ import functools
 import json
 import sys
 from fractions import Fraction
+from typing import Callable
 
 from .errors import InputError, InvariantViolation
 from .maps import (
@@ -29,16 +30,15 @@ from .maps import (
 from .psd_examples import psd_example_suite
 from .serialize import (
     VERSION,
+    decode_frac,
     decode_rows,
     decode_vec,
     dumps,
     element_from_dict,
-    element_to_dict,
     loads,
     map_from_dict,
-    map_to_dict,
     space_from_dict,
-    space_to_dict,
+    to_dict,
 )
 from .spaces import (
     AOUSpace,
@@ -71,12 +71,8 @@ def _plain(obj):
         return obj
     if isinstance(obj, Fraction):
         return str(obj)
-    if isinstance(obj, AOUSpace):
-        return space_to_dict(obj)
-    if isinstance(obj, UnitalMap):
-        return map_to_dict(obj)
-    if isinstance(obj, TensorElement):
-        return element_to_dict(obj)
+    if isinstance(obj, (AOUSpace, UnitalMap, TensorElement)):
+        return to_dict(obj)
     if isinstance(obj, (tuple, list)):
         return [_plain(x) for x in obj]
     if isinstance(obj, dict):
@@ -116,118 +112,51 @@ def _parse_json_flag(text: str, what: str):
         raise InputError(f"bad {what}: {exc}") from exc
 
 
-# -- one runner per verb, operating on the embedded-inputs dict ------------
+# -- runners with more than one step; the table below holds the rest ---------
+#
+# A runner takes the decoded arguments in table order and returns the result
+# fields; `_report` renders them with `_plain`.
 
 
-def _run_validate(inputs):
-    rep = validate(space_from_dict(inputs["space"]))
-    return {
-        "order_unit": rep.order_unit,
-        "archimedean": rep.archimedean,
-        "pointed": rep.pointed,
-        "certificates": _plain(rep.certificates),
-    }
+def _run_validate(space):
+    rep = validate(space)
+    return {"order_unit": rep.order_unit, "archimedean": rep.archimedean,
+            "pointed": rep.pointed, "certificates": rep.certificates}
 
 
-def _run_norm(inputs):
-    sp = space_from_dict(inputs["space"])
-    return {"norm": _plain(order_norm(sp, decode_vec(inputs["vector"])))}
+def _run_archimedeanize(space):
+    arch, proj = archimedeanize(space)
+    return {"space": arch, "projection": proj.data}
 
 
-def _run_states(inputs):
-    sp = space_from_dict(inputs["space"])
-    return {"states": [_plain(s.functional) for s in extreme_states(sp)]}
+def _run_check_map(m):
+    rep = check_map(m)
+    return {"unital": rep.unital, "positive": rep.positive,
+            "order_embedding": rep.order_embedding, "isometry": rep.isometry}
 
 
-def _run_archimedeanize(inputs):
-    sp, proj = archimedeanize(space_from_dict(inputs["space"]))
-    return {"space": space_to_dict(sp), "projection": _plain(proj.data)}
+def _run_tensor_member(z, kind):
+    cert = member_tensor(tensor_space(z.left, z.right, kind), z)
+    return {"kind": kind, "verdict": cert.verdict, "certificate": cert}
 
 
-def _run_quotient(inputs):
-    sp = space_from_dict(inputs["space"])
-    quotient, qmap = archimedean_quotient(sp, decode_rows(inputs["kernel"]))
-    return {"space": space_to_dict(quotient), "map": map_to_dict(qmap)}
-
-
-def _run_check_map(inputs):
-    rep = check_map(map_from_dict(inputs["map"]))
-    return {
-        "unital": rep.unital,
-        "positive": rep.positive,
-        "order_embedding": rep.order_embedding,
-        "isometry": rep.isometry,
-    }
-
-
-def _run_extend(inputs):
-    m = extend_unital_positive(
-        space_from_dict(inputs["space"]),
-        decode_rows(inputs["basis"]),
-        decode_rows(inputs["values"]),
-        space_from_dict(inputs["target"]),
-    )
-    return {"map": map_to_dict(m)}
-
-
-def _run_pert(inputs):
-    s, distance, norm = _pert_with_norms(map_from_dict(inputs["map"]))
-    return {"map": map_to_dict(s), "distance": _plain(distance), "norm": _plain(norm)}
-
-
-def _run_perturb(inputs):
-    s, bound, norm = _perturb_with_norm(map_from_dict(inputs["map"]))
-    return {"map": map_to_dict(s), "bound": _plain(bound), "norm": _plain(norm)}
-
-
-def _run_auerbach(inputs):
-    basis, duals = auerbach_basis(space_from_dict(inputs["space"]))
-    return {"basis": _plain(basis), "duals": _plain(duals)}
-
-
-def _run_tensor_member(inputs):
-    z = element_from_dict(inputs["element"])
-    ts = tensor_space(z.left, z.right, inputs["kind"])
-    cert = member_tensor(ts, z)
-    return {"kind": inputs["kind"], "verdict": cert.verdict, "certificate": _plain(cert)}
-
-
-def _run_tensor_norm(inputs):
-    z = element_from_dict(inputs["element"])
-    return {"norm": _plain(injective_banach_norm(z))}
-
-
-def _run_nuclear(inputs):
-    return {"nuclear": is_nuclear_fd(space_from_dict(inputs["space"]))}
-
-
-def _run_nuclear_pair(inputs):
-    rep = is_nuclear_pairwise(
-        space_from_dict(inputs["left"]), space_from_dict(inputs["right"])
-    )
+def _run_nuclear_pair(left, right):
+    rep = is_nuclear_pairwise(left, right)
     out = {"nuclear": rep.nuclear}
     if rep.witness is not None:
-        out["witness"] = element_to_dict(rep.witness)
-        out["pi_certificate"] = _plain(rep.pi_certificate)
-        out["epsilon_certificate"] = _plain(rep.epsilon_certificate)
+        out["witness"] = rep.witness
+        out["pi_certificate"] = rep.pi_certificate
+        out["epsilon_certificate"] = rep.epsilon_certificate
     return out
 
 
-def _run_factorize(inputs):
-    sp = space_from_dict(inputs["space"])
-    res = factorize(sp, eps=Fraction(inputs["eps"]))
-    return {
-        "defect": _plain(res.defect),
-        "success": res.success,
-        "states_used": res.states_used,
-        "schedule": _plain(res.schedule),
-        "exhausted": res.exhausted,
-        "phi": map_to_dict(res.phi),
-        "psi": map_to_dict(res.psi),
-    }
+def _run_factorize(space, eps):
+    res = factorize(space, eps=eps)
+    return {"defect": res.defect, "success": res.success, "states_used": res.states_used,
+            "schedule": res.schedule, "exhausted": res.exhausted, "phi": res.phi, "psi": res.psi}
 
 
-def _run_examples(inputs):
+def _run_examples(_which):
     expected = {
         "bell": {"psd": "member", "pi": "non_member", "epsilon": "member"},
         "swap": {"psd": "non_member", "pi": "non_member", "epsilon": "member"},
@@ -248,32 +177,149 @@ def _run_examples(inputs):
         "all_match": all_match,
     }
     if pair.witness is not None:
-        out["non_nuclearity_witness"] = element_to_dict(pair.witness)
+        out["non_nuclearity_witness"] = pair.witness
     return out
 
 
-_RUNNERS = {
-    "validate": _run_validate,
-    "norm": _run_norm,
-    "states": _run_states,
-    "archimedeanize": _run_archimedeanize,
-    "quotient": _run_quotient,
-    "check-map": _run_check_map,
-    "extend": _run_extend,
-    "pert": _run_pert,
-    "perturb": _run_perturb,
-    "auerbach": _run_auerbach,
-    "tensor-member": _run_tensor_member,
-    "tensor-norm": _run_tensor_norm,
-    "nuclear": _run_nuclear,
-    "nuclear-pair": _run_nuclear_pair,
-    "factorize": _run_factorize,
-    "examples": _run_examples,
+# -- the verb table ------------------------------------------------------------
+#
+# One row per report verb: help text, arguments, runner.  The parser, the argv
+# path and `verify` all read it.  An argument is spelled `key` (positional) or
+# `--key` (option).  `load` turns its argv text into the value the report
+# embeds under `key`; `decode` turns an embedded value into the runner's
+# argument and rejects, as invalid input, any value `load` could not have made.
+
+
+@dataclasses.dataclass(frozen=True)
+class _Arg:
+    key: str
+    load: Callable[[str], object]
+    decode: Callable[[object], object]
+    option: bool = False
+    help: str | None = None
+    choices: tuple[str, ...] | None = None
+    default: str | None = None
+
+
+def _file(key, cls, what, from_dict, help=None) -> _Arg:
+    return _Arg(key, lambda path: to_dict(_load_typed(path, cls, what)), from_dict, help=help)
+
+
+def _space(key="space", help=None) -> _Arg:
+    return _file(key, AOUSpace, "space", space_from_dict, help)
+
+
+_MAP = _file("map", UnitalMap, "map", map_from_dict)
+_ELEMENT = _file("element", TensorElement, "tensor element", element_from_dict)
+
+
+def _json(key, decode, help) -> _Arg:
+    return _Arg(key, lambda text: _parse_json_flag(text, f"--{key}"), decode, True, help)
+
+
+def _choice(key, choices, option=False) -> _Arg:
+    def decode(value):
+        if value not in choices:
+            raise InputError(f"{key} must be one of {', '.join(choices)}, got {value!r}")
+        return value
+
+    return _Arg(key, str, decode, option, choices=choices)
+
+
+@dataclasses.dataclass(frozen=True)
+class _Verb:
+    help: str
+    args: tuple[_Arg, ...]
+    run: Callable[..., dict]
+
+
+_VERBS = {
+    "validate": _Verb("order-unit, Archimedean, pointedness flags", (_space(),), _run_validate),
+    "norm": _Verb(
+        "order norm of a vector",
+        (_space(), _json("vector", decode_vec, 'JSON list, e.g. "[1,-1]"')),
+        lambda space, v: {"norm": order_norm(space, v)},
+    ),
+    "states": _Verb(
+        "extreme states of the space",
+        (_space(),),
+        lambda space: {"states": [s.functional for s in extreme_states(space)]},
+    ),
+    "archimedeanize": _Verb(
+        "Archimedeanization and its projection", (_space(),), _run_archimedeanize
+    ),
+    "quotient": _Verb(
+        "Archimedean quotient by an order ideal",
+        (_space(), _json("kernel", decode_rows, "JSON list of basis rows")),
+        lambda space, kernel: dict(zip(("space", "map"), archimedean_quotient(space, kernel))),
+    ),
+    "check-map": _Verb("unital/positive/embedding/isometry flags", (_MAP,), _run_check_map),
+    "extend": _Verb(
+        "extend a partial unital positive map",
+        (
+            _space(help="the big space"),
+            _space("target", help="the value space"),
+            _json("basis", decode_rows, "JSON rows spanning the subspace"),
+            _json("values", decode_rows, "JSON rows of images"),
+        ),
+        lambda space, target, basis, values: {
+            "map": extend_unital_positive(space, basis, values, target)
+        },
+    ),
+    "pert": _Verb(
+        "nearest positive map, coordinatewise target",
+        (_MAP,),
+        lambda m: dict(zip(("map", "distance", "norm"), _pert_with_norms(m))),
+    ),
+    "perturb": _Verb(
+        "positive correction with the dimension bound",
+        (_MAP,),
+        lambda m: dict(zip(("map", "bound", "norm"), _perturb_with_norm(m))),
+    ),
+    "auerbach": _Verb(
+        "Auerbach system of the unit ball",
+        (_space(),),
+        lambda space: dict(zip(("basis", "duals"), auerbach_basis(space))),
+    ),
+    "tensor-member": _Verb(
+        "membership of a tensor element in one tensor cone",
+        (_ELEMENT, _choice("kind", (EPSILON, PI), option=True)),
+        _run_tensor_member,
+    ),
+    "tensor-norm": _Verb(
+        "injective norm of a tensor element",
+        (_ELEMENT,),
+        lambda z: {"norm": injective_banach_norm(z)},
+    ),
+    "nuclear": _Verb(
+        "nuclearity of one space", (_space(),), lambda space: {"nuclear": is_nuclear_fd(space)}
+    ),
+    "nuclear-pair": _Verb(
+        "equality of the two tensor cones on a pair",
+        (_space("left"), _space("right")),
+        _run_nuclear_pair,
+    ),
+    "factorize": _Verb(
+        "approximate factorization through a coordinatewise space",
+        (_space(), _Arg("eps", str, decode_frac, True, "defect tolerance, a rational", default="1/10")),
+        _run_factorize,
+    ),
+    "examples": _Verb(
+        "run the built-in worked examples and check their verdicts",
+        (_choice("which", ("paper",)),),
+        _run_examples,
+    ),
 }
 
 
-def _report(verb: str, inputs: dict) -> dict:
-    result = _RUNNERS[verb](inputs)
+def _report(verb: str, inputs) -> dict:
+    """Decode the embedded inputs against the verb's row, run it, and wrap
+    the result as a report."""
+    spec = _VERBS[verb]
+    keys = sorted(a.key for a in spec.args)
+    if not isinstance(inputs, dict) or sorted(inputs) != keys:
+        raise InputError(f"{verb} inputs must be an object with the keys {keys}")
+    result = _plain(spec.run(*(a.decode(inputs[a.key]) for a in spec.args)))
     if any(k in result for k in _META_KEYS):
         raise InvariantViolation("result keys collide with report metadata")
     return {"version": VERSION, "type": "report", "verb": verb, "inputs": inputs, **result}
@@ -314,119 +360,17 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text")
     sub = parser.add_subparsers(dest="verb", required=True, parser_class=_Parser)
-
-    def add(name, help_text, *specs):
-        p = sub.add_parser(name, parents=[common], help=help_text)
-        for args, kwargs in specs:
-            p.add_argument(*args, **kwargs)
-        return p
-
-    add("validate", "order-unit, Archimedean, pointedness flags", (("space",), {}))
-    add(
-        "norm",
-        "order norm of a vector",
-        (("space",), {}),
-        (("--vector",), {"required": True, "help": 'JSON list, e.g. "[1,-1]"'}),
-    )
-    add("states", "extreme states of the space", (("space",), {}))
-    add("archimedeanize", "Archimedeanization and its projection", (("space",), {}))
-    add(
-        "quotient",
-        "Archimedean quotient by an order ideal",
-        (("space",), {}),
-        (("--kernel",), {"required": True, "help": "JSON list of basis rows"}),
-    )
-    add("check-map", "unital/positive/embedding/isometry flags", (("map",), {}))
-    add(
-        "extend",
-        "extend a partial unital positive map",
-        (("space",), {"help": "the big space"}),
-        (("target",), {"help": "the value space"}),
-        (("--basis",), {"required": True, "help": "JSON rows spanning the subspace"}),
-        (("--values",), {"required": True, "help": "JSON rows of images"}),
-    )
-    add("pert", "nearest positive map, coordinatewise target", (("map",), {}))
-    add("perturb", "positive correction with the dimension bound", (("map",), {}))
-    add("auerbach", "Auerbach system of the unit ball", (("space",), {}))
-    add(
-        "tensor-member",
-        "membership of a tensor element in one tensor cone",
-        (("element",), {}),
-        (("--kind",), {"required": True, "choices": (EPSILON, PI)}),
-    )
-    add("tensor-norm", "injective norm of a tensor element", (("element",), {}))
-    add("nuclear", "nuclearity of one space", (("space",), {}))
-    add(
-        "nuclear-pair",
-        "equality of the two tensor cones on a pair",
-        (("left",), {}),
-        (("right",), {}),
-    )
-    add(
-        "factorize",
-        "approximate factorization through a coordinatewise space",
-        (("space",), {}),
-        (("--eps",), {"default": "1/10", "help": "defect tolerance, a rational"}),
-    )
-    add(
-        "examples",
-        "run the built-in worked examples and check their verdicts",
-        (("which",), {"choices": ("paper",)}),
-    )
-    add("roundtrip", "canonical serialization of a file", (("path",), {}))
-    add("verify", "re-run a report and confirm it bit for bit", (("report",), {}))
+    for verb, spec in _VERBS.items():
+        p = sub.add_parser(verb, parents=[common], help=spec.help)
+        for a in spec.args:
+            kw = {"required": a.default is None, "default": a.default} if a.option else {}
+            p.add_argument(f"--{a.key}" if a.option else a.key, choices=a.choices, help=a.help, **kw)
+    for verb, help_text, arg in (
+        ("roundtrip", "canonical serialization of a file", "path"),
+        ("verify", "re-run a report and confirm it bit for bit", "report"),
+    ):
+        sub.add_parser(verb, parents=[common], help=help_text).add_argument(arg)
     return parser
-
-
-def _inputs_from_args(args) -> dict:
-    verb = args.verb
-    if verb in ("validate", "states", "archimedeanize", "nuclear", "auerbach"):
-        return {"space": space_to_dict(_load_typed(args.space, AOUSpace, "space"))}
-    if verb == "norm":
-        return {
-            "space": space_to_dict(_load_typed(args.space, AOUSpace, "space")),
-            "vector": _parse_json_flag(args.vector, "--vector"),
-        }
-    if verb == "quotient":
-        return {
-            "space": space_to_dict(_load_typed(args.space, AOUSpace, "space")),
-            "kernel": _parse_json_flag(args.kernel, "--kernel"),
-        }
-    if verb in ("check-map", "pert", "perturb"):
-        return {"map": map_to_dict(_load_typed(args.map, UnitalMap, "map"))}
-    if verb == "extend":
-        return {
-            "space": space_to_dict(_load_typed(args.space, AOUSpace, "space")),
-            "target": space_to_dict(_load_typed(args.target, AOUSpace, "space")),
-            "basis": _parse_json_flag(args.basis, "--basis"),
-            "values": _parse_json_flag(args.values, "--values"),
-        }
-    if verb in ("tensor-member", "tensor-norm"):
-        inputs = {
-            "element": element_to_dict(
-                _load_typed(args.element, TensorElement, "tensor element")
-            )
-        }
-        if verb == "tensor-member":
-            inputs["kind"] = args.kind
-        return inputs
-    if verb == "nuclear-pair":
-        return {
-            "left": space_to_dict(_load_typed(args.left, AOUSpace, "space")),
-            "right": space_to_dict(_load_typed(args.right, AOUSpace, "space")),
-        }
-    if verb == "factorize":
-        try:
-            Fraction(args.eps)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"bad --eps {args.eps!r}") from exc
-        return {
-            "space": space_to_dict(_load_typed(args.space, AOUSpace, "space")),
-            "eps": args.eps,
-        }
-    if verb == "examples":
-        return {"which": args.which}
-    raise InvariantViolation(f"no input builder for verb {verb!r}")
 
 
 def _cmd_roundtrip(args, out) -> int:
@@ -444,9 +388,9 @@ def _cmd_verify(args, out) -> int:
     if report.get("version") != VERSION:
         raise InputError(f"unsupported report version {report.get('version')!r}")
     verb = report.get("verb")
-    if verb not in _RUNNERS:
+    if not isinstance(verb, str) or verb not in _VERBS:
         raise InputError(f"report carries unknown verb {verb!r}")
-    fresh = _report(verb, report["inputs"])
+    fresh = _report(verb, report.get("inputs"))
     stored = {k: report[k] for k in report if k not in _META_KEYS}
     recomputed = {
         k: json.loads(_json_text(v)) for k, v in fresh.items() if k not in _META_KEYS
@@ -473,7 +417,8 @@ def main(argv=None, out=None) -> int:
             return _cmd_roundtrip(args, out)
         if args.verb == "verify":
             return _cmd_verify(args, out)
-        report = _report(args.verb, _inputs_from_args(args))
+        spec = _VERBS[args.verb]
+        report = _report(args.verb, {a.key: a.load(getattr(args, a.key)) for a in spec.args})
         _emit(report, args.format, out)
         if args.verb == "examples" and not report.get("all_match", False):
             return EXIT_BREACH

@@ -163,6 +163,16 @@ class Cone:
         return self._derived["hrep"]
 
 
+# the verdict each kind of evidence supports, and whether its cone is PSD
+_KINDS = {
+    "conic_decomposition": ("member", False),
+    "hrep_evaluation": ("member", False),
+    "psd_factorization": ("member", True),
+    "separating_functional": ("non_member", False),
+    "negative_direction": ("non_member", True),
+}
+
+
 @dataclass(frozen=True)
 class Certificate:
     """Machine-checkable evidence for a membership verdict."""
@@ -174,12 +184,17 @@ class Certificate:
     payload: dict | None = None
 
     def verify(self, cone: Cone, v: Sequence[Fraction]) -> bool:
+        """True when the evidence proves the verdict for v; tampered or
+        malformed evidence (a verdict its kind cannot support, an index out
+        of range, a vector of the wrong length) gives False."""
         v = vec(v)
+        if _KINDS.get(self.kind) != (self.verdict, cone.kind == SYM_PSD) or len(v) != cone.dim:
+            return False
         if self.kind == "conic_decomposition":
             gens = cone.vrep()
             total = zeros(cone.dim)
-            for idx, coeff in self.decomposition:
-                if coeff < 0:
+            for idx, coeff in self.decomposition or ():
+                if coeff < 0 or not 0 <= idx < len(gens):
                     return False
                 total = tuple(t + coeff * g for t, g in zip(total, gens[idx]))
             return total == v
@@ -187,22 +202,21 @@ class Certificate:
             return all(dot(row, v) >= 0 for row in cone.hrep())
         if self.kind == "separating_functional":
             w = self.witness
-            if dot(w, v) >= 0:
+            if w is None or len(w) != cone.dim or dot(w, v) >= 0:
                 return False
             if cone.generators is not None:
                 return all(dot(w, g) >= 0 for g in cone.generators)
             # w must be implied by the rows; a stored row index suffices
             if self.payload and "row_index" in self.payload:
-                return vec(cone.hrep()[self.payload["row_index"]]) == w
+                rows, i = cone.hrep(), self.payload["row_index"]
+                return 0 <= i < len(rows) and vec(rows[i]) == w
             return all(dot(w, g) >= 0 for g in cone.vrep())
         if self.kind == "psd_factorization":
-            res = ldlt_psd(unpack_sym(v, cone.psd_side))
-            return res.is_psd
-        if self.kind == "negative_direction":
-            m = unpack_sym(v, cone.psd_side)
-            x = self.witness
-            return dot(x, m.apply(x)) < 0
-        return False
+            return ldlt_psd(unpack_sym(v, cone.psd_side)).is_psd
+        x = self.witness  # negative_direction
+        if x is None or len(x) != cone.psd_side:
+            return False
+        return dot(x, unpack_sym(v, cone.psd_side).apply(x)) < 0
 
 
 def member(cone: Cone, v: Sequence[Fraction]) -> Certificate:

@@ -6,7 +6,11 @@ enumeration and characteristic polynomials instead of double description and
 LDL^T; one exact LP per generator or basis vector instead of facet incidence
 and H-row sign tests; explicit product decompositions instead of the factor
 row test for pi units; Gauss-Jordan over Fractions instead of fraction-free
-integer elimination) so agreement is meaningful.
+integer elimination) so agreement is meaningful.  Some are second routes to a
+verdict that the package decides by one route: pairwise cone equality against
+a battery of partners for single-space nuclearity, the induced map on the
+kernel quotient for order quotients, and the epsilon order norm for the
+injective norm.
 """
 
 from __future__ import annotations
@@ -15,13 +19,13 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from aoulab.cones import Cone, close_and_lineality, member
+from aoulab.cones import Cone, close_and_lineality, image_cone, member, same_cone
 from aoulab.errors import InvariantViolation
 from aoulab.linalg import Matrix, Vec, dot, frac, integerize, unit_vec, vec
 from aoulab.lp import EQ, GE, OPTIMAL, solve_lp
-from aoulab.maps import UnitalMap
-from aoulab.spaces import AOUSpace, extreme_states, linf
-from aoulab.tensors import kron_vec
+from aoulab.maps import UnitalMap, archimedean_quotient
+from aoulab.spaces import AOUSpace, extreme_states, lin_space, linf, order_norm
+from aoulab.tensors import EPSILON, TensorElement, is_nuclear_pairwise, kron_vec, tensor_space
 
 
 def rng(seed: int) -> random.Random:
@@ -389,3 +393,73 @@ def random_unital_into_linf(r, source, k, spread=4):
             row = tuple(a + c * b for a, b in zip(row, s))
         rows.append(row)
     return UnitalMap(source, linf(k), Matrix.from_rows(rows))
+
+
+# -- second routes: verdicts the package decides one way, re-decided here -----
+
+
+# partners of known nuclearity: the coordinatewise spaces and lin_space(1)
+# have simplicial cones, lin_space(2) (the cone over a square) does not
+NUCLEARITY_BATTERY = (
+    (linf(1), True),
+    (linf(2), True),
+    (linf(3), True),
+    (lin_space(1), True),
+    (lin_space(2), False),
+)
+
+
+def battery_nuclearity(space: AOUSpace, battery=NUCLEARITY_BATTERY) -> bool | None:
+    """Nuclearity of a space by pairwise cone equality against partners of
+    known nuclearity, with no simpliciality test of the space itself.
+
+    pi = epsilon on V (x) W exactly when V or W is nuclear (Aubrun, Lami,
+    Palazuelos & Plavala, Entangleability of cones, GAFA 31, 2021). So every
+    nuclear partner must give equal cones, and each non-nuclear partner gives
+    the verdict; None when the battery has no non-nuclear partner.
+    """
+    verdicts = set()
+    for partner, partner_nuclear in battery:
+        equal = is_nuclear_pairwise(space, partner).nuclear
+        if partner_nuclear and not equal:
+            raise InvariantViolation(f"pi != epsilon against the nuclear {partner.label}")
+        if not partner_nuclear:
+            verdicts.add(equal)
+    if len(verdicts) > 1:
+        raise InvariantViolation("non-nuclear partners disagree")
+    return verdicts.pop() if verdicts else None
+
+
+def solve_factor(target: Matrix, through: Matrix) -> Matrix | None:
+    """X with X @ through == target, exact; None if inconsistent."""
+    tt = through.transpose()
+    rows = []
+    for r in range(target.rows):
+        x = fraction_solve(tt, target.row(r))
+        if x is None:
+            return None
+        rows.append(x)
+    cand = Matrix.from_rows(rows)
+    return cand if (cand @ through).data == target.data else None
+
+
+def kernel_quotient_is_order_quotient(m: UnitalMap) -> bool:
+    """Order-quotient test through the first isomorphism theorem: ker m of a
+    unital positive surjection is an order ideal, and m is an order quotient
+    exactly when the map it induces on the Archimedean quotient by ker m is
+    a unital order isomorphism onto the target."""
+    quotient, q = archimedean_quotient(m.source, fraction_nullspace(m.matrix))
+    induced = solve_factor(m.matrix, q.matrix)
+    return (
+        induced is not None
+        and quotient.dim == m.target.dim
+        and fraction_det(induced) != 0
+        and same_cone(image_cone(quotient.cone, induced), m.target.cone)
+        and induced.apply(quotient.unit) == m.target.unit
+    )
+
+
+def epsilon_order_norm(z: TensorElement) -> Fraction:
+    """The order norm of z in the realized epsilon tensor space."""
+    return order_norm(tensor_space(z.left, z.right, EPSILON).realized, z.flatten())
+

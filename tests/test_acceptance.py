@@ -9,13 +9,22 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-from conftest import brute_extreme_rays, rand_frac, rand_vec, random_unital_into_linf, rng
+from conftest import (
+    battery_nuclearity,
+    brute_extreme_rays,
+    kernel_quotient_is_order_quotient,
+    rand_frac,
+    rand_vec,
+    random_unital_into_linf,
+    rng,
+)
 
 from aoulab.cones import Cone, extreme_rays, is_pointed, is_simplicial, member, same_cone
 from aoulab.linalg import Matrix, dot, integerize, vec
 from aoulab.lp import GE, LE, OPTIMAL, solve_lp
 from aoulab.maps import (
     UnitalMap,
+    _is_isometry,
     archimedean_quotient,
     auerbach_basis,
     check_map,
@@ -80,10 +89,12 @@ def test_nuclearity_verdicts_with_witnesses():
         for sp in nuclear:
             assert is_nuclear_fd(sp) is True
             assert is_simplicial(sp.cone) is True
+            assert battery_nuclearity(sp) is True
         for n, partner in ((2, lin_space(2)), (3, lin_space(2))):
             sp = lin_space(n)
             assert is_nuclear_fd(sp) is False
             assert is_simplicial(sp.cone) is False
+            assert battery_nuclearity(sp) is False
             rep = is_nuclear_pairwise(sp, partner)
             assert rep.nuclear is False and rep.witness is not None
             flat = rep.witness.flatten()
@@ -181,12 +192,14 @@ def test_tensoring_preserves_embeddings_and_quotients():
         instances = 0
         for i, (iota, q) in enumerate(zip(embeddings, quotients)):
             w = partners[i % len(partners)]
-            assert check_map(iota).order_embedding
             big = tensor_map(iota, identity_map(w), EPSILON)
-            assert check_map(big).order_embedding
-            assert is_order_quotient(q).is_quotient
+            for m in (iota, big):
+                rep = check_map(m)
+                assert rep.order_embedding and rep.isometry and _is_isometry(m)
             bigq = tensor_map(q, identity_map(w), PI)
-            assert is_order_quotient(bigq).is_quotient
+            for m in (q, bigq):
+                assert is_order_quotient(m).is_quotient
+                assert kernel_quotient_is_order_quotient(m)
             instances += 2
         assert instances >= 20
 

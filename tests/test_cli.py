@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from aoulab.cli import _build_parser, main
+from aoulab.cli import _VERBS, _build_parser, main
 from aoulab.linalg import Matrix
 from aoulab.maps import UnitalMap
 from aoulab.serialize import dumps
@@ -230,40 +230,45 @@ class TestRoundtrip:
         assert code == 0 and once == twice
 
 
+# one verify round trip per report verb; a verb added to the table without a
+# case here fails the parametrized test below.  Test ids number the cases in
+# this order (argv0, argv1, ...), so a new case goes at the end.
+ROUND_TRIPS = {
+    "validate": ["validate", "{linf2}"],
+    "norm": ["norm", "{linf2}", "--vector", "[1,-1]"],
+    "states": ["states", "{lin2}"],
+    "archimedeanize": ["archimedeanize", "{linf2}"],
+    "quotient": ["quotient", "{linf3}", "--kernel", "[[0,1,-1]]"],
+    "check-map": ["check-map", "{avg}"],
+    "pert": ["pert", "{skew}"],
+    "perturb": ["perturb", "{skew}"],
+    "auerbach": ["auerbach", "{lin2}"],
+    "tensor-member": ["tensor-member", "{elem}", "--kind", "pi"],
+    "tensor-norm": ["tensor-norm", "{elem}"],
+    "nuclear": ["nuclear", "{lin2}"],
+    "nuclear-pair": ["nuclear-pair", "{lin2}", "{lin2}"],
+    "factorize": ["factorize", "{lin2}"],
+    "extend": ["extend", "{lin2}", "{linf2}", "--basis", "[[1,0,0],[0,1,0]]", "--values", "[[1,1],[1,-1]]"],
+    "examples": ["examples", "paper"],
+}
+
+
+def round_trip_id(verb):
+    return f"argv{list(ROUND_TRIPS).index(verb)}" if verb in ROUND_TRIPS else verb
+
+
+def fresh_report(files, argv):
+    sub = {f"{{{name[:-5]}}}": path for name, path in files.items() if name.endswith(".json")}
+    code, out = run([sub.get(a, a) for a in argv] + ["--format", "json"])
+    assert code == 0
+    return json.loads(out)
+
+
 class TestVerify:
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["validate", "{linf2}"],
-            ["norm", "{linf2}", "--vector", "[1,-1]"],
-            ["states", "{lin2}"],
-            ["archimedeanize", "{linf2}"],
-            ["quotient", "{linf3}", "--kernel", "[[0,1,-1]]"],
-            ["check-map", "{avg}"],
-            ["pert", "{skew}"],
-            ["perturb", "{skew}"],
-            ["auerbach", "{lin2}"],
-            ["tensor-member", "{elem}", "--kind", "pi"],
-            ["tensor-norm", "{elem}"],
-            ["nuclear", "{lin2}"],
-            ["nuclear-pair", "{lin2}", "{lin2}"],
-            ["factorize", "{lin2}"],
-        ],
-    )
-    def test_fresh_reports_verify(self, files, tmp_path, argv):
-        sub = {
-            "{linf2}": files["linf2.json"],
-            "{linf3}": files["linf3.json"],
-            "{lin2}": files["lin2.json"],
-            "{avg}": files["avg.json"],
-            "{skew}": files["skew.json"],
-            "{elem}": files["elem.json"],
-        }
-        argv = [sub.get(a, a) for a in argv] + ["--format", "json"]
-        code, out = run(argv)
-        assert code == 0
+    @pytest.mark.parametrize("verb", list(_VERBS), ids=round_trip_id)
+    def test_fresh_reports_verify(self, files, tmp_path, verb):
         report = tmp_path / "report.json"
-        report.write_text(out)
+        report.write_text(json.dumps(fresh_report(files, ROUND_TRIPS[verb])))
         code, out = run(["verify", str(report)])
         assert code == 0 and out.strip() == "true"
 
@@ -278,6 +283,61 @@ class TestVerify:
 
     def test_non_report_rejected(self, files):
         assert main(["verify", files["linf2.json"]]) == 2
+
+
+class TestMalformedReports:
+    # a hand-edited report is invalid input (exit 2), never a traceback
+    def verify_edited(self, files, tmp_path, capsys, argv, edit):
+        d = fresh_report(files, argv)
+        edit(d)
+        report = tmp_path / "edited.json"
+        report.write_text(json.dumps(d))
+        capsys.readouterr()
+        code, out = run(["verify", str(report)])
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert err.startswith("aoulab: invalid input: ") and err.count("\n") == 1
+        return err
+
+    def test_missing_inputs(self, files, tmp_path, capsys):
+        self.verify_edited(files, tmp_path, capsys, ["nuclear", "{lin2}"], lambda d: d.pop("inputs"))
+
+    def test_list_inputs(self, files, tmp_path, capsys):
+        def edit(d):
+            d["inputs"] = [d["inputs"]["space"]]
+
+        self.verify_edited(files, tmp_path, capsys, ["nuclear", "{lin2}"], edit)
+
+    def test_verb_that_is_no_string(self, files, tmp_path, capsys):
+        def edit(d):
+            d["verb"] = [d["verb"]]
+
+        self.verify_edited(files, tmp_path, capsys, ["nuclear", "{lin2}"], edit)
+
+    def test_missing_input_key(self, files, tmp_path, capsys):
+        argv = ["norm", "{linf2}", "--vector", "[1,-1]"]
+        err = self.verify_edited(files, tmp_path, capsys, argv, lambda d: d["inputs"].pop("vector"))
+        assert "vector" in err
+
+    def test_unexpected_input_key(self, files, tmp_path, capsys):
+        def edit(d):
+            d["inputs"]["extra"] = 1
+
+        self.verify_edited(files, tmp_path, capsys, ["nuclear", "{lin2}"], edit)
+
+    def test_bad_rational_eps(self, files, tmp_path, capsys):
+        def edit(d):
+            d["inputs"]["eps"] = "abc"
+
+        err = self.verify_edited(files, tmp_path, capsys, ["factorize", "{lin2}"], edit)
+        assert "'abc'" in err
+
+    def test_examples_choice_outside_the_table(self, files, tmp_path, capsys):
+        def edit(d):
+            d["inputs"]["which"] = "textbook"
+
+        err = self.verify_edited(files, tmp_path, capsys, ["examples", "paper"], edit)
+        assert "paper" in err and "'textbook'" in err
 
 
 class TestExamples:

@@ -1,10 +1,12 @@
 """Cone layer: certified membership, duals, closure, simpliciality, images."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
 from aoulab.cones import (
+    Certificate,
     Cone,
     close_and_lineality,
     contains,
@@ -311,6 +313,73 @@ def test_certificates_reverify_randomized():
         v = rand_vec(r, 3)
         cert = member(cone, v)
         assert cert.verify(cone, v)
+
+
+class TestTamperedCertificates:
+    # every tampered certificate must verify False, never raise
+    ORTHANT_H = Cone.from_inequalities([(1, 0), (0, 1)])
+
+    def test_flipped_verdict(self):
+        v = vec((1, 2))
+        for cone in (orthant(2), self.ORTHANT_H):
+            cert = member(cone, v)
+            assert cert.verify(cone, v)
+            flipped = dataclasses.replace(cert, verdict="non_member")
+            assert not flipped.verify(cone, v)
+        assert not Certificate("non_member", "hrep_evaluation").verify(self.ORTHANT_H, v)
+        outside = vec((1, -1))
+        for cone in (orthant(2), self.ORTHANT_H):
+            cert = member(cone, outside)
+            assert cert.verify(cone, outside)
+            assert not dataclasses.replace(cert, verdict="member").verify(cone, outside)
+        psd = Cone.sym_psd(2)
+        for m in ([(2, 1), (1, 2)], [(1, 0), (0, -1)]):
+            packed = pack_sym(Matrix.from_rows(m))
+            cert = member(psd, packed)
+            assert cert.verify(psd, packed)
+            flipped = "member" if cert.verdict == "non_member" else "non_member"
+            assert not dataclasses.replace(cert, verdict=flipped).verify(psd, packed)
+
+    def test_unknown_kind_and_wrong_cone_type(self):
+        v = vec((1, 2))
+        assert not Certificate("member", "trust_me").verify(orthant(2), v)
+        assert not Certificate("member", "psd_factorization").verify(orthant(2), v)
+        packed = pack_sym(Matrix.from_rows([(2, 1), (1, 2)]))
+        assert not Certificate("member", "hrep_evaluation").verify(Cone.sym_psd(2), packed)
+
+    @pytest.mark.parametrize("index", [-1, 2, 7])
+    def test_row_index_out_of_range(self, index):
+        v = vec((-1, 0))
+        cert = member(self.ORTHANT_H, v)
+        assert cert.payload == {"row_index": 0} and cert.verify(self.ORTHANT_H, v)
+        bad = dataclasses.replace(cert, payload={"row_index": index})
+        assert not bad.verify(self.ORTHANT_H, v)
+
+    @pytest.mark.parametrize("index", [-1, 2, 7])
+    def test_decomposition_index_out_of_range(self, index):
+        v = vec((1, 2))
+        cert = member(orthant(2), v)
+        assert cert.verify(orthant(2), v)
+        bad = dataclasses.replace(cert, decomposition=((0, Fraction(1)), (index, Fraction(2))))
+        assert not bad.verify(orthant(2), v)
+
+    @pytest.mark.parametrize("witness", [(), (-1,), (-1, 0, 0)])
+    def test_wrong_length_witness(self, witness):
+        v = vec((-1, 0))
+        for cone in (orthant(2), self.ORTHANT_H):
+            cert = member(cone, v)
+            assert cert.verify(cone, v)
+            bad = dataclasses.replace(cert, witness=vec(witness), payload=None)
+            assert not bad.verify(cone, v)
+        psd = Cone.sym_psd(2)
+        packed = pack_sym(Matrix.from_rows([(1, 0), (0, -1)]))
+        cert = member(psd, packed)
+        assert not dataclasses.replace(cert, witness=vec(witness)).verify(psd, packed)
+
+    def test_wrong_length_vector(self):
+        for cone in (orthant(2), self.ORTHANT_H):
+            cert = member(cone, (1, 2))
+            assert not cert.verify(cone, (1, 2, 0))
 
 
 def test_same_cone_across_representations():

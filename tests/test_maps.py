@@ -4,7 +4,13 @@ import time
 from fractions import Fraction
 
 import pytest
-from conftest import rand_frac, rand_vec, random_unital_into_linf, rng
+from conftest import (
+    kernel_quotient_is_order_quotient,
+    rand_frac,
+    rand_vec,
+    random_unital_into_linf,
+    rng,
+)
 
 import aoulab.cones
 import aoulab.maps
@@ -67,25 +73,48 @@ class TestCheckMap:
         assert not check_map(m).unital
 
     def test_embedding_iff_isometry_randomized(self):
-        # check_map itself raises if the two verdicts ever split on a unital
-        # positive map; this loop just exercises it broadly
+        # check_map reads a unital map's isometry flag off the embedding
+        # test; the dual-ball test must agree on unital maps, positive or not
         r = rng(404)
-        for sp in (L2, lin_space(1), lin_space(2)):
+        seen = set()
+        for sp in (L2, L3, lin_space(1), lin_space(2)):
             states = [s.functional for s in extreme_states(sp)]
-            for _ in range(10):
-                rows = []
-                for _ in range(3):
-                    w = [Fraction(r.randint(0, 3)) for _ in states]
-                    total = sum(w)
-                    if total == 0:
-                        w[0], total = Fraction(1), Fraction(1)
-                    row = vec([0] * sp.dim)
-                    for c, s in zip(w, states):
-                        row = tuple(a + (c / total) * b for a, b in zip(row, s))
-                    rows.append(row)
-                m = UnitalMap(sp, linf(3), Matrix.from_rows(rows))
+            for trial in range(26):
+                k = r.randint(1, 3)
+                if trial % 2:
+                    m = random_unital_into_linf(r, sp, k)
+                else:
+                    # state mixtures, and every state when embedding
+                    rows = [] if trial % 4 else list(states)
+                    for _ in range(k):
+                        w = [Fraction(r.randint(0, 3)) for _ in states]
+                        if not any(w):
+                            w[0] = Fraction(1)
+                        mix = [sum(c * s[i] for c, s in zip(w, states)) for i in range(sp.dim)]
+                        rows.append(vec([x / sum(w) for x in mix]))
+                    m = UnitalMap(sp, linf(len(rows)), Matrix.from_rows(rows))
                 rep = check_map(m)
-                assert rep.unital and rep.positive
+                assert rep.unital
+                assert rep.isometry == rep.order_embedding == aoulab.maps._is_isometry(m)
+                seen.add((rep.positive, rep.isometry))
+        assert seen == {(True, True), (True, False), (False, False)}
+
+    def test_isometry_of_non_unital_maps(self):
+        # -id keeps every norm but reverses the order; 2 id keeps the order
+        # but doubles every norm
+        for sp in (L2, lin_space(1), lin_space(2)):
+            eye = Matrix.identity(sp.dim).data
+            rep = check_map(UnitalMap(sp, sp, Matrix.from_rows([[-x for x in row] for row in eye])))
+            assert not rep.unital and not rep.order_embedding and rep.isometry
+            rep = check_map(UnitalMap(sp, sp, Matrix.from_rows([[2 * x for x in row] for row in eye])))
+            assert not rep.unital and rep.order_embedding and not rep.isometry
+        r = rng(405)
+        for _ in range(20):
+            sp = r.choice((L2, lin_space(1)))
+            rows = [rand_vec(r, sp.dim, lo=-2, hi=2, den=2) for _ in range(2)]
+            m = UnitalMap(sp, L2, Matrix.from_rows(rows))
+            if not m.unital:
+                assert check_map(m).isometry == aoulab.maps._is_isometry(m)
 
     def test_positive_against_membership_lps_randomized(self):
         r = rng(707)
@@ -211,6 +240,22 @@ class TestOrderQuotient:
                 rows.append(tuple(row))
             m = UnitalMap(linf(n), linf(len(blocks)), Matrix.from_rows(rows))
             assert is_order_quotient(m).is_quotient
+            assert kernel_quotient_is_order_quotient(m)
+
+    def test_agrees_with_kernel_quotient_route(self):
+        skews = (
+            UnitalMap(L2, L2, Matrix.from_rows([(Fraction(1, 2), Fraction(1, 2)), (0, 1)])),
+            # a surjection with a kernel whose image cone misses both axes
+            UnitalMap(
+                L3,
+                L2,
+                Matrix.from_rows([(Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)),
+                                  (Fraction(1, 4), Fraction(1, 2), Fraction(1, 4))]),
+            ),
+        )
+        for m in (UnitalMap(L2, L2, Matrix.identity(2)), AVG) + skews:
+            assert is_order_quotient(m).is_quotient == kernel_quotient_is_order_quotient(m)
+        assert [is_order_quotient(m).is_quotient for m in skews] == [False, False]
 
 
 class TestExtension:

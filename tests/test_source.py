@@ -72,3 +72,13 @@ def test_no_unreferenced_private_names():
         if name.startswith("_") and not name.startswith("__") and name not in referenced
     ]
     assert not found, found
+
+
+def test_no_global_statements():
+    # a module global rebound from inside a function is state shared by
+    # every caller that no argument shows
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Global)]
+    assert not found, found

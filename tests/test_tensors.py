@@ -8,7 +8,16 @@ import weakref
 from fractions import Fraction
 
 import pytest
-from conftest import lp_pi_order_unit, psi_lp_without_dedup, rand_frac, rand_vec, rng
+from conftest import (
+    battery_nuclearity,
+    epsilon_order_norm,
+    kernel_quotient_is_order_quotient,
+    lp_pi_order_unit,
+    psi_lp_without_dedup,
+    rand_frac,
+    rand_vec,
+    rng,
+)
 
 from aoulab.cones import Cone, is_simplicial, member
 from aoulab.errors import InputError, InvariantViolation, ShapeError, SizeLimitError
@@ -241,10 +250,18 @@ class TestInjectiveNorm:
 
     def test_matches_epsilon_order_norm(self):
         r = rng(29)
-        eps = tensor_space(LS2, L2, EPSILON)
-        for _ in range(25):
-            z = TensorElement.from_flat(LS2, L2, rand_vec(r, 6))
-            assert injective_banach_norm(z) == order_norm(eps.realized, z.flatten())
+        for left, right in ((LS2, L2), (L2, LS1), (LS1, LS2)):
+            for _ in range(10):
+                z = TensorElement.from_flat(left, right, rand_vec(r, left.dim * right.dim))
+                assert injective_banach_norm(z) == epsilon_order_norm(z)
+
+    def test_builds_no_epsilon_space(self, monkeypatch):
+        def no_tensor_space(*args):
+            raise AssertionError("injective_banach_norm built a tensor space")
+
+        monkeypatch.setattr(tensors, "tensor_space", no_tensor_space)
+        z = TensorElement(L2, LS1, Matrix.from_rows([(1, -2), (0, 3)]))
+        assert injective_banach_norm(z) == 3
 
 
 class TestNuclearity:
@@ -277,12 +294,22 @@ class TestNuclearity:
     def test_fd_battery_matches_simpliciality(self):
         for space in (linf(1), L2, L3, linf(4), LS1, LS2, LS3):
             assert is_nuclear_fd(space) == is_simplicial(space.cone)
+            assert is_nuclear_fd(space) == battery_nuclearity(space)
+
+    def test_fd_matches_battery_on_random_spaces(self):
+        r = rng(31)
+        spaces = [random_simplicial(r, d) for d in (2, 3, 3)]
+        spaces += [random_non_simplicial(r, 3) for _ in range(3)]
+        verdicts = [is_nuclear_fd(space) for space in spaces]
+        assert verdicts == [True] * 3 + [False] * 3
+        assert verdicts == [battery_nuclearity(space) for space in spaces]
 
     def test_custom_battery(self):
-        # the simpliciality answer must survive cross-validation against
-        # whatever partners the caller supplies
-        assert is_nuclear_fd(LS2, battery=(L2,)) is False
-        assert is_nuclear_fd(L3, battery=(L2, LS2)) is True
+        # every nuclear partner gives equal cones, whatever the space; each
+        # non-nuclear partner reproduces the single-space verdict
+        assert battery_nuclearity(LS2, ((L2, True),)) is None
+        assert battery_nuclearity(LS2, ((L2, True), (LS3, False))) is is_nuclear_fd(LS2) is False
+        assert battery_nuclearity(L3, ((L2, True), (LS2, False))) is is_nuclear_fd(L3) is True
 
 
 class TestTensorMap:
@@ -317,6 +344,7 @@ class TestTensorMap:
         assert is_order_quotient(q).is_quotient
         big = tensor_map(q, identity_map(L2), PI)
         assert is_order_quotient(big).is_quotient
+        assert kernel_quotient_is_order_quotient(q) and kernel_quotient_is_order_quotient(big)
 
 
 class TestFactorize:
