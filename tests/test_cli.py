@@ -257,18 +257,18 @@ def round_trip_id(verb):
     return f"argv{list(ROUND_TRIPS).index(verb)}" if verb in ROUND_TRIPS else verb
 
 
-def fresh_report(files, argv):
+def fresh_report(files, argv) -> str:
     sub = {f"{{{name[:-5]}}}": path for name, path in files.items() if name.endswith(".json")}
     code, out = run([sub.get(a, a) for a in argv] + ["--format", "json"])
     assert code == 0
-    return json.loads(out)
+    return out
 
 
 class TestVerify:
     @pytest.mark.parametrize("verb", list(_VERBS), ids=round_trip_id)
     def test_fresh_reports_verify(self, files, tmp_path, verb):
         report = tmp_path / "report.json"
-        report.write_text(json.dumps(fresh_report(files, ROUND_TRIPS[verb])))
+        report.write_text(fresh_report(files, ROUND_TRIPS[verb]))
         code, out = run(["verify", str(report)])
         assert code == 0 and out.strip() == "true"
 
@@ -288,7 +288,7 @@ class TestVerify:
 class TestMalformedReports:
     # a hand-edited report is invalid input (exit 2), never a traceback
     def verify_edited(self, files, tmp_path, capsys, argv, edit):
-        d = fresh_report(files, argv)
+        d = json.loads(fresh_report(files, argv))
         edit(d)
         report = tmp_path / "edited.json"
         report.write_text(json.dumps(d))
