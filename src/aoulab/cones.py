@@ -3,10 +3,17 @@
 A Cone is either polyhedral, given by generators (V-rep) or by inequality
 rows with optional strict flags (H-rep), or the cone of positive
 semidefinite symmetric n x n matrices stored as packed upper-triangle
-vectors (kind sym_psd). Polyhedral representation conversions are computed
-on demand via double description and cached write-once; sym_psd cones refuse
-conversion with a typed error and delegate membership to the exact LDL^T
-test.
+vectors (kind sym_psd). Cones are frozen, so what is derived from their
+fields stays valid. sym_psd cones refuse conversion with a typed error and
+delegate membership to the exact LDL^T test.
+
+A polyhedral cone runs double description on its own rows at most once and
+keeps the result, coprime integer tuples, in its _derived cache. Everything
+derived reads that one pair: the other representation (vrep() of an H-cone,
+hrep() of a V-cone), extreme_rays, contains, is_pointed and
+close_and_lineality. dual() hands the pair to the dual cone, whose DD input
+is the same rows. Work stays in integers; Fractions are built only for what
+public functions return.
 
 Every membership answer is a Certificate that re-verifies by substitution:
 a conic decomposition over named generators, a violated inequality row, a
@@ -74,10 +81,10 @@ def unpack_sym(v: Sequence[Fraction], n: int) -> Matrix:
     return Matrix.from_rows(rows)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Cone:
     """dim-dimensional cone; exactly one representation is primal at build
-    time, the other is derived lazily and cached."""
+    time, the other is derived lazily from the cone's double description."""
 
     dim: int
     generators: tuple[Vec, ...] | None = None
@@ -137,30 +144,61 @@ class Cone:
                 f"sym_psd membership goes through the PSD oracles"
             )
 
+    def require_closed(self, what: str) -> None:
+        """Polyhedral without strict rows: the cones whose other
+        representation is well defined."""
+        self.require_polyhedral(what)
+        if self.has_strict_rows:
+            raise StrictConeError("close_and_lineality first: cone has strict rows")
+
     def vrep(self) -> tuple[Vec, ...]:
         """Generators; lines appear as +- pairs. Strict cones must be closed
         first (their generator form would silently change the set)."""
-        self.require_polyhedral("generator representation")
-        if self.generators is not None:
-            return self.generators
-        if self.has_strict_rows:
-            raise StrictConeError("close_and_lineality first: cone has strict rows")
-        if "vrep" not in self._derived:
-            gens = dd.generators_from_hrep(self.inequalities, self.dim)
-            self._derived["vrep"] = tuple(gens)
-        return self._derived["vrep"]
+        self.require_closed("generator representation")
+        return self.generators if self.generators is not None else self._from_dd("vrep")
 
     def hrep(self) -> tuple[Vec, ...]:
         """Closed inequality rows (no strict flags)."""
-        self.require_polyhedral("inequality representation")
-        if self.inequalities is not None:
-            if self.has_strict_rows:
-                raise StrictConeError("close_and_lineality first: cone has strict rows")
-            return self.inequalities
-        if "hrep" not in self._derived:
-            rows = dd.hrep_from_generators(self.generators, self.dim)
-            self._derived["hrep"] = tuple(rows)
-        return self._derived["hrep"]
+        self.require_closed("inequality representation")
+        return self.inequalities if self.inequalities is not None else self._from_dd("hrep")
+
+    def _from_dd(self, key: str) -> tuple[Vec, ...]:
+        """The derived representation as Fractions, built once."""
+        if key not in self._derived:
+            self._derived[key] = tuple(vec(v) for v in _dd_other(self))
+        return self._derived[key]
+
+
+def _dd(cone: Cone) -> tuple[list[dd.IntVec], list[dd.IntVec]]:
+    """dd_pair of the cone's own rows (generators or inequalities), run at
+    most once per cone: the generator form of an H-cone, the dual cone, so
+    the facet rows, of a V-cone."""
+    if "dd" not in cone._derived:
+        rows = cone.generators if cone.generators is not None else cone.inequalities
+        cone._derived["dd"] = dd.dd_pair(rows, cone.dim)
+    return cone._derived["dd"]
+
+
+def _dd_other(cone: Cone) -> list[dd.IntVec]:
+    """The representation the DD derives, lines as +- pairs."""
+    lin, rays = _dd(cone)
+    return rays + [x for l in lin for x in (l, tuple(-v for v in l))]
+
+
+def int_vrep(cone: Cone) -> list[dd.IntVec]:
+    """vrep() as coprime integer tuples; an H-cone's are its DD's own."""
+    cone.require_closed("generator representation")
+    if cone.generators is None:
+        return _dd_other(cone)
+    return [integerize(g) for g in cone.generators]
+
+
+def int_hrep(cone: Cone) -> list[dd.IntVec]:
+    """hrep() as coprime integer tuples; a V-cone's are its DD's own."""
+    cone.require_closed("inequality representation")
+    if cone.inequalities is None:
+        return _dd_other(cone)
+    return [integerize(a) for a in cone.inequalities]
 
 
 # the verdict each kind of evidence supports, and whether its cone is PSD
@@ -273,7 +311,8 @@ def member(cone: Cone, v: Sequence[Fraction]) -> Certificate:
 
 
 def dual(cone: Cone) -> Cone:
-    """Dual cone under the standard pairing; a pure representation swap.
+    """Dual cone under the standard pairing; a representation swap that
+    shares the cone's double description, since both have the same rows.
 
     The dual only sees the closure, so strict flags are dropped. sym_psd is
     self-dual and is returned as such.
@@ -281,26 +320,25 @@ def dual(cone: Cone) -> Cone:
     if cone.kind == SYM_PSD:
         return cone
     if cone.generators is not None:
-        return Cone.from_inequalities(cone.generators, dim=cone.dim)
-    return Cone.from_generators(cone.inequalities, dim=cone.dim)
+        out = Cone.from_inequalities(cone.generators, dim=cone.dim)
+    else:
+        out = Cone.from_generators(cone.inequalities, dim=cone.dim)
+    out._derived["dd"] = _dd(cone)
+    return out
+
+
+def _lineality(cone: Cone) -> list[Vec]:
+    """Basis of the lineality of the closure: the common kernel of its rows."""
+    rows = cone.inequalities if cone.inequalities is not None else int_hrep(cone)
+    return nullspace(rows) if rows else list(Matrix.identity(cone.dim).data)
 
 
 def close_and_lineality(cone: Cone) -> tuple[Cone, list[Vec]]:
     """Drop strict flags; return the closure and a basis of its lineality."""
     cone.require_polyhedral("close_and_lineality")
-    if cone.inequalities is not None:
-        closed = Cone.from_inequalities(cone.inequalities, dim=cone.dim)
-        lin = nullspace(Matrix.from_rows(cone.inequalities)) if cone.inequalities else [
-            v for v in Matrix.identity(cone.dim).data
-        ]
-        return closed, [vec(l) for l in lin]
-    # V-rep cones are closed; lineality = common kernel of the facet rows
-    rows = cone.hrep()
-    if rows:
-        lin = nullspace(Matrix.from_rows(rows))
-    else:
-        lin = [tuple(r) for r in Matrix.identity(cone.dim).data]
-    return cone, [vec(l) for l in lin]
+    if cone.has_strict_rows:
+        cone = Cone.from_inequalities(cone.inequalities, dim=cone.dim)
+    return cone, _lineality(cone)
 
 
 def extreme_rays(cone: Cone) -> list[Vec]:
@@ -308,46 +346,37 @@ def extreme_rays(cone: Cone) -> list[Vec]:
     closed cone. Non-pointed input raises NotPointedError with the lineality
     basis attached rather than silently reducing.
 
-    H-rep cones get their rays from double description. For V-rep cones the
-    facets come from the same DD that hrep() runs (and caches); a generator
-    g is extreme iff the rows tight at g have rank dim - 1, the facet
-    incidence test, so no LP is solved."""
-    cone.require_polyhedral("extreme_rays")
-    if cone.has_strict_rows:
-        raise StrictConeError("extreme_rays needs a closed cone; close it first")
-    key = "extreme_rays"
-    if key in cone._derived:
-        return cone._derived[key]
+    Both routes read the cone's one double description. An H-cone's rays
+    are the DD's. A V-cone's DD gives its facet rows, and a generator g is
+    extreme iff the rows tight at g have rank dim - 1, the facet incidence
+    test, so no LP is solved."""
+    cone.require_closed("extreme_rays")
+    if "extreme_rays" in cone._derived:
+        return cone._derived["extreme_rays"]
     if cone.inequalities is not None:
-        rays = dd.extreme_rays_hrep(cone.inequalities, cone.dim)
+        lin, rays = _dd(cone)
+        lineality = [vec(l) for l in lin]
     else:
-        rows = cone.hrep()
-        if rows:
-            lineality = nullspace(Matrix.from_rows(rows))
-        else:
-            lineality = [tuple(r) for r in Matrix.identity(cone.dim).data]
-        if lineality:
-            raise NotPointedError(
-                f"cone has lineality of dimension {len(lineality)}",
-                lineality=[vec(l) for l in lineality],
-            )
-        int_rows = [integerize(a) for a in rows]
-        rays = []
-        for g in dict.fromkeys(integerize(g) for g in cone.generators):
-            tight = [a for a in int_rows if sum(x * y for x, y in zip(a, g)) == 0]
-            if rank(tight) == cone.dim - 1:
-                rays.append(g)
-    rays = sorted(vec(integerize(r)) for r in rays)
-    cone._derived[key] = rays
+        lineality = _lineality(cone)
+    if lineality:
+        raise NotPointedError(
+            f"cone has lineality of dimension {len(lineality)}", lineality=lineality
+        )
+    if cone.generators is not None:
+        rows = int_hrep(cone)
+        rays = sorted(
+            g
+            for g in dict.fromkeys(int_vrep(cone))
+            if rank([a for a in rows if sum(x * y for x, y in zip(a, g)) == 0]) == cone.dim - 1
+        )
+    rays = cone._derived["extreme_rays"] = [vec(r) for r in rays]
     return rays
 
 
 def is_simplicial(cone: Cone) -> bool:
     """Pointed, closed, full-dimensional, with exactly dim extreme rays that
     are linearly independent. Validation failures raise typed errors."""
-    cone.require_polyhedral("is_simplicial")
-    if cone.has_strict_rows:
-        raise StrictConeError("is_simplicial needs a closed cone")
+    cone.require_closed("is_simplicial")
     rays = extreme_rays(cone)  # raises NotPointedError when not pointed
     full = rank(rays) == cone.dim
     if not full:
@@ -374,15 +403,13 @@ def contains(outer: Cone, inner: Cone) -> bool:
     test."""
     if outer.dim != inner.dim:
         raise ShapeError(f"contains: cone dims {outer.dim} and {inner.dim} differ")
-    gens = inner.vrep()
     if outer.kind == SYM_PSD:
-        return all(member(outer, g).verdict == "member" for g in gens)
+        return all(member(outer, g).verdict == "member" for g in inner.vrep())
+    gens = int_vrep(inner)
     if not gens:
         return True
-    rows = [integerize(a) for a in outer.hrep()]
-    return all(
-        sum(x * y for x, y in zip(a, g)) >= 0 for g in map(integerize, gens) for a in rows
-    )
+    rows = int_hrep(outer)
+    return all(sum(x * y for x, y in zip(a, g)) >= 0 for g in gens for a in rows)
 
 
 def same_cone(a: Cone, b: Cone) -> bool:
@@ -391,14 +418,5 @@ def same_cone(a: Cone, b: Cone) -> bool:
 
 
 def is_pointed(cone: Cone) -> bool:
-    cone.require_polyhedral("is_pointed")
-    if cone.inequalities is not None and not cone.has_strict_rows:
-        # lineality of {x : Ax >= 0} is exactly ker A
-        if not cone.inequalities:
-            return cone.dim == 0
-        return not nullspace(Matrix.from_rows(cone.inequalities))
-    try:
-        extreme_rays(cone)
-    except NotPointedError:
-        return False
-    return True
+    cone.require_closed("is_pointed")
+    return not _lineality(cone)

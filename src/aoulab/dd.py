@@ -1,12 +1,19 @@
 """Double description: exact conversion between halfspace and generator form.
 
-dd_pair is the workhorse: given rows a_i it returns a lineality basis L and
-extreme rays R with {x : a_i . x >= 0 for all i} = span(L) + cone(R), all as
-coprime integer tuples. The incremental algorithm starts from the full space
-(lineality = standard basis) and inserts halfspaces in a deterministic order
-(normalized, deduplicated, lexicographically sorted), so outputs are stable
-across runs. Adjacency during ray splitting uses the combinatorial test on
-active sets, held as bitmasks over processed rows.
+dd_pair(rows, dim) returns a lineality basis L and extreme rays R with
+{x : a . x >= 0 for every row a} = span(L) + cone(R), all as coprime integer
+tuples. The same output answers two questions. Read as an H-rep, the rows
+cut out the cone span(L) + cone(R). Read as generators, they span the dual
+of that cone, so R together with L as +- pairs are the facet rows of
+cone(rows). `cones.Cone` runs dd_pair at most once per cone on its own
+rows, shares the result with its dual cone, and keeps the integers; callers
+build Fractions only where they return them.
+
+The incremental algorithm starts from the full space (lineality = standard
+basis) and inserts halfspaces in a deterministic order (normalized,
+deduplicated, lexicographically sorted), so outputs are stable across runs.
+Adjacency during ray splitting uses the combinatorial test on active sets,
+held as bitmasks over processed rows.
 
 All arithmetic is integer: inputs are scaled to coprime integers and the
 update rules clear denominators, which keeps this fast without giving up
@@ -21,8 +28,8 @@ from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
-from .errors import InputError, NotPointedError, ShapeError
-from .linalg import Vec, integerize
+from .errors import InputError, ShapeError
+from .linalg import Vec, integerize, vec
 
 IntVec = tuple[int, ...]
 
@@ -121,42 +128,7 @@ def dd_pair(halfspaces: Sequence[Sequence], dim: int) -> tuple[list[IntVec], lis
         rays = kept_rays + new_rays
         active = kept_active + new_active
 
-    order = sorted(range(len(rays)), key=lambda i: rays[i])
-    return sorted(lineality), [rays[i] for i in order]
-
-
-def _as_vecs(int_vecs: Sequence[IntVec]) -> list[Vec]:
-    return [tuple(Fraction(x) for x in v) for v in int_vecs]
-
-
-def generators_from_hrep(rows: Sequence[Sequence], dim: int) -> list[Vec]:
-    """Generators (lines as +- pairs) of {x : row . x >= 0 for all rows}."""
-    lin, rays = dd_pair(rows, dim)
-    gens = list(rays)
-    for l in lin:
-        gens.append(l)
-        gens.append(tuple(-x for x in l))
-    return _as_vecs(gens)
-
-
-def hrep_from_generators(gens: Sequence[Sequence], dim: int) -> list[Vec]:
-    """Halfspace rows of cone(gens); equality facets appear as +- row pairs."""
-    lin, rays = dd_pair(gens, dim)  # this is the dual cone of cone(gens)
-    rows = list(rays)
-    for l in lin:
-        rows.append(l)
-        rows.append(tuple(-x for x in l))
-    return _as_vecs(rows)
-
-
-def extreme_rays_hrep(rows: Sequence[Sequence], dim: int) -> list[Vec]:
-    """Extreme rays of a pointed halfspace cone; error when lineality exists."""
-    lin, rays = dd_pair(rows, dim)
-    if lin:
-        raise NotPointedError(
-            f"cone has lineality of dimension {len(lin)}", lineality=_as_vecs(lin)
-        )
-    return _as_vecs(rays)
+    return sorted(lineality), sorted(rays)
 
 
 def polytope_vertices(
@@ -167,11 +139,14 @@ def polytope_vertices(
     Raises InputError when the set is unbounded (a recession direction is
     attached as the certificate). The empty polytope returns [].
     """
-    hom = [integerize(list(r) + [-b]) for r, b in zip(rows, rhs)]
+    hom = [list(r) + [-b] for r, b in zip(rows, rhs)]
     hom.append(tuple([0] * dim + [1]))
     lin, rays = dd_pair(hom, dim + 1)
     if lin:
-        raise InputError("unbounded feasible set (contains a line)", certificate=_as_vecs(lin))
+        raise InputError(
+            "unbounded feasible set (contains a line)",
+            certificate=[vec(l) for l in lin],
+        )
     verts: list[Vec] = []
     for r in rays:
         t = r[-1]
@@ -180,7 +155,7 @@ def polytope_vertices(
                 continue
             raise InputError(
                 "unbounded feasible set (recession direction)",
-                certificate=tuple(Fraction(x) for x in r[:-1]),
+                certificate=vec(r[:-1]),
             )
         verts.append(tuple(Fraction(x, t) for x in r[:-1]))
     return sorted(set(verts))

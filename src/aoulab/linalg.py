@@ -232,16 +232,19 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     return Matrix(tuple(tuple(Fraction(x, d) for x in row) for row in rows)), pivots
 
 
+def _rows_and_cols(m: Matrix | Sequence[Sequence[int]]) -> tuple[Sequence[Sequence], int]:
+    if isinstance(m, Matrix):
+        return m.data, m.cols
+    ncols = len(m[0]) if m else 0
+    if any(len(r) != ncols for r in m):
+        raise ShapeError("ragged rows")
+    return m, ncols
+
+
 def rank(m: Matrix | Sequence[Sequence[int]]) -> int:
     """Rank of a Matrix, or of a plain sequence of integer rows (which skips
     the conversion to Fractions; rows of Fractions are accepted too)."""
-    if isinstance(m, Matrix):
-        rows, ncols = m.data, m.cols
-    else:
-        rows = m
-        ncols = len(rows[0]) if rows else 0
-        if any(len(r) != ncols for r in rows):
-            raise ShapeError("ragged rows")
+    rows, ncols = _rows_and_cols(m)
     return len(_bareiss(_int_rows(rows)[0], ncols, back=False)[0])
 
 
@@ -261,16 +264,18 @@ def solve(m: Matrix, b: Sequence[Fraction]) -> Vec | None:
     return tuple(x)
 
 
-def nullspace(m: Matrix) -> list[Vec]:
-    """Basis of {x : m x = 0}, one vector per free column."""
-    rows = _int_rows(m.data)[0]
-    pivots, d, _ = _bareiss(rows, m.cols, back=True)
+def nullspace(m: Matrix | Sequence[Sequence[int]]) -> list[Vec]:
+    """Basis of {x : m x = 0}, one vector per free column; m is a Matrix or
+    a nonempty sequence of rows, as for rank."""
+    rows, ncols = _rows_and_cols(m)
+    rows = _int_rows(rows)[0]
+    pivots, d, _ = _bareiss(rows, ncols, back=True)
     pivot_set = set(pivots)
     basis = []
-    for fc in range(m.cols):
+    for fc in range(ncols):
         if fc in pivot_set:
             continue
-        v = [Fraction(0)] * m.cols
+        v = [Fraction(0)] * ncols
         v[fc] = Fraction(1)
         for row, pc in zip(rows, pivots):
             v[pc] = Fraction(-row[fc], d)

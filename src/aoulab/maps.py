@@ -43,14 +43,16 @@ from .spaces import (
     AOUSpace,
     archimedeanize,
     extreme_states,
+    order_interval_vertices,
     order_norm,
     unit_ball_vertices,
 )
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class UnitalMap:
-    """A linear map between AOU spaces; the flags are computed, not trusted."""
+    """A linear map between AOU spaces; the flags are computed, not trusted,
+    and cached on the frozen map."""
 
     source: AOUSpace
     target: AOUSpace
@@ -431,18 +433,11 @@ def extend_unital_positive(
 
 
 def interval_min(space: AOUSpace, f) -> Fraction:
-    """Exact minimum of the functional over the order interval [0, e]."""
+    """Exact minimum of the functional over the order interval [0, e]: the
+    least value at a vertex of the polytope, the interval containing 0.
+    A non-pointed cone makes the interval unbounded (InputError)."""
     c = _coeffs(space, f)
-    rows, rhs = [], []
-    for a in space.cone.hrep():
-        rows.append(a)
-        rhs.append(Fraction(0))
-        rows.append(tuple(-x for x in a))
-        rhs.append(-dot(a, space.unit))
-    out = solve_lp(c, rows, rhs, [GE] * len(rows))
-    if out.status != OPTIMAL:
-        raise InvariantViolation("order interval must be a nonempty polytope")
-    return out.value
+    return min(dot(c, p) for p in order_interval_vertices(space))
 
 
 def dual_norm(space: AOUSpace, f) -> Fraction:

@@ -75,7 +75,10 @@ def _cone_from_dict(d, dim: int) -> Cone:
         raise InputError("cone must be a JSON object")
     rep = d.get("rep")
     if rep == "sym_psd":
-        cone = Cone.sym_psd(int(d["n"]))
+        n = d.get("n")
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            raise InputError(f"sym_psd side n must be a positive integer, got {n!r}")
+        cone = Cone.sym_psd(n)
         if cone.dim != dim:
             raise InputError("sym_psd side does not match the space dimension")
         return cone
@@ -83,8 +86,10 @@ def _cone_from_dict(d, dim: int) -> Cone:
         return Cone.from_generators(decode_rows(d.get("rows")), dim)
     if rep == "inequalities":
         strict = d.get("strict")
-        if strict is not None and not all(isinstance(s, bool) for s in strict):
-            raise InputError("strict flags must be booleans")
+        if strict is not None and not (
+            isinstance(strict, list) and all(isinstance(s, bool) for s in strict)
+        ):
+            raise InputError("strict flags must be a list of booleans")
         return Cone.from_inequalities(decode_rows(d.get("rows")), strict=strict, dim=dim)
     raise InputError(f"unknown cone representation {rep!r}")
 

@@ -42,9 +42,10 @@ from .psd import ldlt_psd
 from .cones import SYM_PSD, pack_sym, unpack_sym
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class AOUSpace:
-    """(V, V+, e) with V = Q^dim in a fixed basis."""
+    """(V, V+, e) with V = Q^dim in a fixed basis; frozen, so what is derived
+    from its fields stays valid."""
 
     dim: int
     cone: Cone
@@ -53,7 +54,7 @@ class AOUSpace:
     _derived: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        self.unit = vec(self.unit)
+        object.__setattr__(self, "unit", vec(self.unit))
         if len(self.unit) != self.dim or self.cone.dim != self.dim:
             raise ShapeError("unit, cone and space dimensions must agree")
         if is_zero_vec(self.unit):

@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .cones import Certificate, Cone, contains, extreme_rays, is_simplicial, member
+from .cones import Certificate, Cone, contains, extreme_rays, int_vrep, is_simplicial, member
 from .errors import InputError, InvariantViolation, ShapeError, SizeLimitError
 from .linalg import (
     Matrix,
@@ -22,7 +22,6 @@ from .linalg import (
     det,
     dot,
     frac,
-    integerize,
     inverse,
     rank,
     solve,
@@ -268,12 +267,12 @@ def is_nuclear_pairwise(left: AOUSpace, right: AOUSpace) -> NuclearityReport:
     # generator (extremality in the ambient cone), so only the unmatched
     # rays can separate the cones; test those first
     gen_index: dict = {}
-    for idx, g in enumerate(pi_cone.generators):
-        gen_index.setdefault(integerize(g), idx)
+    for idx, g in enumerate(int_vrep(pi_cone)):
+        gen_index.setdefault(g, idx)
     matched, unmatched = [], []
-    for ray in eps.realized.cone.vrep():
-        (matched if integerize(ray) in gen_index else unmatched).append(ray)
-    for ray in unmatched:
+    for ray in int_vrep(eps.realized.cone):
+        (matched if ray in gen_index else unmatched).append(ray)
+    for ray in map(vec, unmatched):
         cert = member(pi_cone, ray)
         if cert.verdict == "non_member":
             z = TensorElement.from_flat(left, right, ray)
@@ -287,7 +286,7 @@ def is_nuclear_pairwise(left: AOUSpace, right: AOUSpace) -> NuclearityReport:
                 epsilon_certificate=eps_cert,
             )
     for ray in matched:
-        idx = gen_index[integerize(ray)]
+        idx = gen_index[ray]
         g = pi_cone.generators[idx]
         j = next(i for i, x in enumerate(g) if x != 0)
         cert = Certificate(

@@ -9,8 +9,9 @@ row test for pi units; Gauss-Jordan over Fractions instead of fraction-free
 integer elimination) so agreement is meaningful.  Some are second routes to a
 verdict that the package decides by one route: pairwise cone equality against
 a battery of partners for single-space nuclearity, the induced map on the
-kernel quotient for order quotients, and the epsilon order norm for the
-injective norm.
+kernel quotient for order quotients, the epsilon order norm for the
+injective norm, and one LP over the cone rows for the minimum of a
+functional on the order interval.
 """
 
 from __future__ import annotations
@@ -19,6 +20,9 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+import pytest
+
+import aoulab.dd
 from aoulab.cones import Cone, close_and_lineality, image_cone, member, same_cone
 from aoulab.errors import InvariantViolation
 from aoulab.linalg import Matrix, Vec, dot, frac, integerize, unit_vec, vec
@@ -26,6 +30,20 @@ from aoulab.lp import EQ, GE, OPTIMAL, solve_lp
 from aoulab.maps import UnitalMap, archimedean_quotient
 from aoulab.spaces import AOUSpace, extreme_states, lin_space, linf, order_norm
 from aoulab.tensors import EPSILON, TensorElement, is_nuclear_pairwise, kron_vec, tensor_space
+
+
+@pytest.fixture()
+def dd_calls(monkeypatch) -> list:
+    """One entry per dd_pair call made while the test runs: its row count."""
+    calls = []
+    real = aoulab.dd.dd_pair
+
+    def counted(rows, dim):
+        calls.append(len(rows))
+        return real(rows, dim)
+
+    monkeypatch.setattr(aoulab.dd, "dd_pair", counted)
+    return calls
 
 
 def rng(seed: int) -> random.Random:
@@ -463,3 +481,16 @@ def epsilon_order_norm(z: TensorElement) -> Fraction:
     """The order norm of z in the realized epsilon tensor space."""
     return order_norm(tensor_space(z.left, z.right, EPSILON).realized, z.flatten())
 
+
+
+def lp_interval_min(space: AOUSpace, f) -> Fraction:
+    """min f over the order interval [0, e] by one LP over the cone rows,
+    where the package takes the least value at a vertex of the interval."""
+    rows, rhs = [], []
+    for a in space.cone.hrep():
+        rows += [a, tuple(-x for x in a)]
+        rhs += [Fraction(0), -dot(a, space.unit)]
+    out = solve_lp(vec(f), rows, rhs, [GE] * len(rows))
+    if out.status != OPTIMAL:
+        raise InvariantViolation("order interval must be a nonempty polytope")
+    return out.value

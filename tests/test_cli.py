@@ -30,6 +30,7 @@ def files(tmp_path):
         paths[name] = str(p)
         return str(p)
 
+    write("linf1.json", linf(1))
     write("linf2.json", linf(2))
     write("linf3.json", linf(3))
     write("lin2.json", lin_space(2))
@@ -285,6 +286,33 @@ class TestVerify:
         assert main(["verify", files["linf2.json"]]) == 2
 
 
+# cone objects a space file may hold that are not cones; the space around
+# them is linf(1), so a bool n would otherwise pass as a 1 x 1 PSD cone
+MALFORMED_CONES = {
+    "sym_psd_without_n": {"rep": "sym_psd"},
+    "sym_psd_string_n": {"rep": "sym_psd", "n": "x"},
+    "sym_psd_list_n": {"rep": "sym_psd", "n": [2]},
+    "sym_psd_bool_n": {"rep": "sym_psd", "n": True},
+    "strict_not_a_list": {"rep": "inequalities", "rows": [["1"]], "strict": 5},
+}
+
+
+def assert_invalid_input(code, out, err):
+    assert code == 2 and out == ""
+    assert err.startswith("aoulab: invalid input: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("cone", list(MALFORMED_CONES.values()), ids=list(MALFORMED_CONES))
+def test_malformed_cone_in_space_file(files, tmp_path, capsys, cone):
+    d = json.loads(open(files["linf1.json"]).read())
+    d["cone"] = cone
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(d))
+    capsys.readouterr()
+    code, out = run(["validate", str(path)])
+    assert_invalid_input(code, out, capsys.readouterr().err)
+
+
 class TestMalformedReports:
     # a hand-edited report is invalid input (exit 2), never a traceback
     def verify_edited(self, files, tmp_path, capsys, argv, edit):
@@ -295,9 +323,15 @@ class TestMalformedReports:
         capsys.readouterr()
         code, out = run(["verify", str(report)])
         err = capsys.readouterr().err
-        assert code == 2 and out == ""
-        assert err.startswith("aoulab: invalid input: ") and err.count("\n") == 1
+        assert_invalid_input(code, out, err)
         return err
+
+    @pytest.mark.parametrize("cone", list(MALFORMED_CONES.values()), ids=list(MALFORMED_CONES))
+    def test_malformed_cone(self, files, tmp_path, capsys, cone):
+        def edit(d):
+            d["inputs"]["space"]["cone"] = cone
+
+        self.verify_edited(files, tmp_path, capsys, ["validate", "{linf1}"], edit)
 
     def test_missing_inputs(self, files, tmp_path, capsys):
         self.verify_edited(files, tmp_path, capsys, ["nuclear", "{lin2}"], lambda d: d.pop("inputs"))

@@ -29,6 +29,8 @@ from aoulab.errors import (
     StrictConeError,
 )
 from aoulab.linalg import Matrix, dot, vec
+from aoulab.spaces import AOUSpace, extreme_states, lin_space, linf
+from aoulab.tensors import PI, tensor_space
 from conftest import fraction_rank, lp_contains, lp_extreme_rays, lp_is_pointed, rand_vec, rng
 
 
@@ -277,10 +279,12 @@ class TestExtremeRays:
             for d in (l, tuple(-x for x in l)):
                 assert member(cone, d).verdict == "member"
 
-    def test_vrep_caches_the_hrep_of_its_dd(self):
+    def test_vrep_caches_the_hrep_of_its_dd(self, dd_calls):
         cone = Cone.from_generators([(1, 0), (1, 1), (0, 1)])
         extreme_rays(cone)
-        assert cone._derived["hrep"] == cone.hrep() == (vec((0, 1)), vec((1, 0)))
+        assert cone.hrep() is cone.hrep()
+        assert cone.hrep() == (vec((0, 1)), vec((1, 0)))
+        assert len(dd_calls) == 1
 
     def test_hrep_matches_vrep_route(self):
         rows = [(1, 1, 0), (1, -1, 0), (0, 0, 1), (1, 0, 1)]
@@ -288,6 +292,61 @@ class TestExtremeRays:
         via_h = extreme_rays(h)
         v = Cone.from_generators(h.vrep())
         assert extreme_rays(v) == via_h
+
+
+class TestOneDoubleDescription:
+    # a cone runs dd_pair on its own rows at most once, and its dual, whose
+    # DD input is the same rows, reuses that run
+
+    V_CONE_GENS = [(1, 0, 0), (1, 1, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]
+
+    def v_space(self):
+        return AOUSpace(3, Cone.from_generators(self.V_CONE_GENS), (2, 3, 2))
+
+    def test_h_cone_extreme_rays_then_vrep(self, dd_calls):
+        cone = Cone.from_inequalities([(1, 1, 0), (1, -1, 0), (0, 0, 1)])
+        extreme_rays(cone)
+        cone.vrep()
+        assert len(dd_calls) == 1
+
+    def test_v_space_states_hrep_and_extreme_rays(self, dd_calls):
+        space = self.v_space()
+        extreme_states(space)
+        space.cone.hrep()
+        extreme_rays(space.cone)
+        assert len(dd_calls) == 1
+
+    def test_h_space_states_then_vrep(self, dd_calls):
+        space = lin_space(2)
+        extreme_states(space)
+        space.cone.vrep()
+        assert len(dd_calls) == 1
+
+    def test_pi_tensor_space_runs_one_dd_per_factor(self, dd_calls):
+        tensor_space(self.v_space(), linf(2), PI)
+        assert len(dd_calls) == 2
+
+    def test_dual_of_dual_shares_the_run(self, dd_calls):
+        cone = Cone.from_generators(self.V_CONE_GENS)
+        assert dual(dual(cone)).hrep() == cone.hrep()
+        assert len(dd_calls) == 1
+
+    def test_public_returns_are_fractions(self):
+        def all_fractions(vectors):
+            return all(type(x) is Fraction for v in vectors for x in v)
+
+        h_cone = Cone.from_inequalities([(1, 1, 0), (1, -1, 0), (0, 0, 1)])
+        v_cone = Cone.from_generators(self.V_CONE_GENS)
+        for cone in (h_cone, v_cone, dual(h_cone), dual(v_cone)):
+            assert all_fractions(cone.vrep()) and all_fractions(cone.hrep())
+            assert all_fractions(extreme_rays(cone))
+        for space in (self.v_space(), lin_space(2)):
+            assert all_fractions(s.functional for s in extreme_states(space))
+        for cone in (Cone.from_inequalities([(1, 0, 0)]), Cone.from_generators([(1, 0), (-1, 0), (0, 1)])):
+            with pytest.raises(NotPointedError) as exc:
+                extreme_rays(cone)
+            assert exc.value.lineality and all_fractions(exc.value.lineality)
+            assert all_fractions(close_and_lineality(cone)[1])
 
 
 def test_member_dual_adjunction_randomized():

@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 from conftest import brute_extreme_rays, brute_polytope_vertices, rand_frac, rand_vec, rng
 
-from aoulab.dd import dd_pair, extreme_rays_hrep, generators_from_hrep, hrep_from_generators, polytope_vertices
+from aoulab.cones import Cone, extreme_rays
+from aoulab.dd import dd_pair, polytope_vertices
 from aoulab.errors import InputError, NotPointedError
 from aoulab.linalg import dot, integerize, vec
 
@@ -33,8 +34,9 @@ def test_halfplane_lineality():
     lin, rays = dd_pair([[1, 0]], 2)
     assert lin == [(0, 1)]
     assert rays == [(1, 0)]
-    with pytest.raises(NotPointedError):
-        extreme_rays_hrep([[1, 0]], 2)
+    with pytest.raises(NotPointedError) as exc:
+        extreme_rays(Cone.from_inequalities([[1, 0]], dim=2))
+    assert exc.value.lineality == [vec((0, 1))]
 
 
 def test_full_space_and_origin():
@@ -51,9 +53,9 @@ def test_duplicate_and_scaled_rows_ignored():
 
 def test_roundtrip_hrep_vrep():
     rows = [[1, 1, 1], [1, -1, 0], [0, 1, -1], [2, 0, 1]]
-    gens = generators_from_hrep(rows, 3)
-    back = hrep_from_generators(gens, 3)
-    gens2 = generators_from_hrep(back, 3)
+    gens = Cone.from_inequalities(rows).vrep()
+    back = Cone.from_generators(gens).hrep()
+    gens2 = Cone.from_inequalities(back).vrep()
     assert sorted(integerize(g) for g in gens) == sorted(integerize(g) for g in gens2)
 
 

@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 from conftest import (
+    fraction_rank,
     kernel_quotient_is_order_quotient,
+    lp_interval_min,
     rand_frac,
     rand_vec,
     random_unital_into_linf,
@@ -298,6 +300,29 @@ class TestIntervalAndNormBound:
         assert interval_min(L2, (1, -2)) == -2
         assert dual_norm(L2, (1, -2)) == 3
         assert not norm_bound_equiv(L2, (1, -2), 1)
+
+    def test_interval_min_matches_lp(self):
+        r = rng(31)
+        spaces = [linf(n) for n in (1, 2, 3)] + [lin_space(n) for n in (1, 2, 3)]
+        while len(spaces) < 10:
+            # generators with first coordinate 1 span a pointed cone, and
+            # their sum is interior once they span the space
+            dim = r.randint(2, 4)
+            gens = [(1,) + rand_vec(r, dim - 1) for _ in range(dim + 2)]
+            if fraction_rank(Matrix.from_rows(gens)) == dim:
+                unit = tuple(sum(g[i] for g in gens) for i in range(dim))
+                spaces.append(AOUSpace(dim, Cone.from_generators(gens), unit))
+        for sp in spaces:
+            for _ in range(8):
+                f = rand_vec(r, sp.dim)
+                assert interval_min(sp, f) == lp_interval_min(sp, f)
+
+    def test_interval_min_rejects_non_pointed_cone(self):
+        # [0, e] holds the line spanned by (0, 1), as does the unit ball
+        halfplane = AOUSpace(2, Cone.from_inequalities([(1, 0)]), (1, 0))
+        for query in (interval_min, dual_norm):
+            with pytest.raises(InputError):
+                query(halfplane, (0, 1))
 
     def test_biconditional_randomized(self):
         r = rng(19)

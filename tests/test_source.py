@@ -82,3 +82,16 @@ def test_no_global_statements():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Global)]
     assert not found, found
+
+
+def test_no_floats():
+    # no float ever takes part in a decision: no float literal, no float()
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            literal = isinstance(node, ast.Constant) and isinstance(node.value, (float, complex))
+            call = isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float"
+            if literal or call:
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found

@@ -1,5 +1,6 @@
 """AOU space layer: builders, validation, Archimedeanization, norms, states."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from conftest import lp_order_unit_failure, rand_frac, rand_vec, rng
 from aoulab.cones import Cone, member, same_cone
 from aoulab.errors import InputError, PolyhedralRequired, ShapeError, SizeLimitError
 from aoulab.linalg import Matrix, dot, vec
+from aoulab.maps import UnitalMap
 from aoulab.spaces import (
     AOUSpace,
     archimedeanize,
@@ -188,6 +190,26 @@ class TestArchimedeanize:
                 phibar_rows.append(x)
             phibar = Matrix.from_rows(phibar_rows)
             assert (phibar @ q).data == phi.data
+
+
+class TestFrozen:
+    # caches hold what was derived from the fields, so the fields stay put
+    def test_fields_cannot_be_reassigned(self):
+        sp = linf(2)
+        order_norm(sp, (1, 0))
+        m = UnitalMap(sp, linf(1), Matrix.from_rows([(Fraction(1, 2), Fraction(1, 2))]))
+        for obj, name, value in (
+            (sp, "unit", vec((2, 2))),
+            (sp.cone, "generators", ()),
+            (m, "matrix", Matrix.identity(2)),
+        ):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, name, value)
+        assert order_norm(sp, (1, 0)) == 1
+
+    def test_unit_is_stored_as_fractions(self):
+        unit = AOUSpace(2, Cone.from_generators([(1, 0), (0, 1)]), (1, 2)).unit
+        assert unit == (1, 2) and all(type(x) is Fraction for x in unit)
 
 
 class TestOrderNorm:
