@@ -74,7 +74,6 @@ from .spaces import (
     StateVector,
     ValidationReport,
     archimedeanize,
-    build,
     dual_augmented,
     extreme_states,
     kadison_embed,

@@ -290,7 +290,7 @@ def member(cone: Cone, v: Sequence[Fraction]) -> Certificate:
         [cols.row(i) for i in range(cone.dim)],
         v,
         [EQ] * cone.dim,
-        bounds=[(0, None)] * len(gens),
+        nonneg=[True] * len(gens),
     )
     if out.status == OPTIMAL:
         decomp = tuple(

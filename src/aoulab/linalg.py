@@ -4,12 +4,13 @@ Every decision procedure in this package runs over fractions.Fraction; no
 float ever enters a comparison. Vectors are plain tuples of Fractions,
 matrices are immutable row-major tuples of such tuples.
 
-rref, rank, nullspace, solve, det and inverse share one fraction-free
-elimination over Python ints: each row is scaled to integers once (the
-reduced form does not change under row scaling; det divides the scales back
-out), Bareiss steps keep every entry an exact minor, and Fractions are built
-only from the final pivot rows. rank builds none, and takes rows that are
-already integer as they are.
+rank, nullspace, solve, det and inverse share one fraction-free elimination
+over Python ints: each row is scaled to integers once (the reduced form does
+not change under row scaling; det divides the scales back out), Bareiss
+steps keep every entry an exact minor, and Fractions are built only from the
+final pivot rows. rank builds none, and takes rows that are already integer
+as they are. quotient_matrix turns a kernel basis into a surjection that
+kills exactly that kernel.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from fractions import Fraction
 from math import gcd, prod
 from typing import Iterable, Sequence
 
-from .errors import ShapeError
+from .errors import InvariantViolation, ShapeError
 
 Vec = tuple[Fraction, ...]
 
@@ -86,19 +87,6 @@ def integerize(a: Sequence[Fraction]) -> tuple[int, ...]:
     for v in ints:
         g = gcd(g, v)
     return tuple(v // g for v in ints)
-
-
-def sign_canonical(a: Sequence[Fraction]) -> tuple[int, ...]:
-    """integerize plus a sign flip so the first nonzero entry is positive.
-
-    Only for objects where both directions are equivalent (lines, equality
-    row normals), never for rays.
-    """
-    w = integerize(a)
-    for x in w:
-        if x != 0:
-            return w if x > 0 else tuple(-v for v in w)
-    return w
 
 
 @dataclass(frozen=True)
@@ -226,12 +214,6 @@ def _bareiss(rows: list[list[int]], ncols: int, back: bool) -> tuple[list[int], 
     return pivots, prev, sign
 
 
-def rref(m: Matrix) -> tuple[Matrix, list[int]]:
-    rows = _int_rows(m.data)[0]
-    pivots, d, _ = _bareiss(rows, m.cols, back=True)
-    return Matrix(tuple(tuple(Fraction(x, d) for x in row) for row in rows)), pivots
-
-
 def _rows_and_cols(m: Matrix | Sequence[Sequence[int]]) -> tuple[Sequence[Sequence], int]:
     if isinstance(m, Matrix):
         return m.data, m.cols
@@ -307,3 +289,17 @@ def inverse(m: Matrix) -> Matrix:
     if len(pivots) != n:
         raise ShapeError("inverse: singular matrix")
     return Matrix(tuple(tuple(Fraction(x, d) for x in row[n:]) for row in rows))
+
+
+def quotient_matrix(kernel: Sequence[Vec], dim: int) -> Matrix:
+    """A surjection Q^dim -> Q^(dim - k) whose kernel is exactly the span of
+    the k independent kernel vectors: complete them to a basis with
+    standard vectors, invert, and keep the rows dual to the completion."""
+    basis = list(kernel)
+    for i in range(dim):
+        cand = basis + [unit_vec(i, dim)]
+        if rank(cand) == len(cand):
+            basis = cand
+    if len(basis) != dim:
+        raise InvariantViolation("kernel completion failed to reach a basis")
+    return Matrix(inverse(Matrix.from_rows(basis).transpose()).data[len(kernel):])

@@ -1,15 +1,14 @@
 """Exact rational linear programming with verifiable certificates.
 
 Two-phase primal simplex over Fraction with Bland's rule, so termination is
-guaranteed and every answer is exact. Each outcome carries a certificate
+guaranteed and every answer is exact. Every problem is a minimization, and
+each variable is free or nonnegative. Each outcome carries a certificate
 that re-verifies by substitution:
 
   optimal     primal point satisfying every row, plus dual multipliers with
-              sum_i mu_i * a_i == objective and sum_i mu_i * b_i == value.
-              Sign convention per row sense: for a minimize problem mu_i >= 0
-              on >=-rows and mu_i <= 0 on <=-rows; flipped for maximize;
-              equality rows unrestricted. (So "maximize x s.t. x <= 1" gets
-              dual (1), the textbook convention.)
+              sum_i mu_i * a_i == objective and sum_i mu_i * b_i == value,
+              mu_i >= 0 on >=-rows, mu_i <= 0 on <=-rows, equality rows
+              unrestricted.
 
   infeasible  a Farkas witness: nonnegative multipliers on the rows oriented
               as >= (a <=-row is used negated, equality rows may carry either
@@ -17,19 +16,18 @@ that re-verifies by substitution:
 
   unbounded   a feasible point plus an improving ray.
 
-Per-variable bounds are folded into explicit rows appended after the
+Each nonnegativity flag becomes an explicit row x_j >= 0 appended after the
 caller's rows, and certificates cover that expanded system (LPOutcome.system
 holds it).
 
-Standard form: a variable whose bound is exactly (0, None) is one
-nonnegative column, and its bound row stays out of the tableau; every other
-variable is split as x = u - w. Each row starts the basis from a zero-cost
-unit column where one exists, normally its slack (a rhs-0 row whose slack is
--1 is negated first); only the remaining rows get a phase-1 artificial. A
-row's multiplier is read from the reduced cost of the column that started
-it; the multiplier of a bound row kept out of the tableau is its column's
-reduced cost, which for a Farkas witness is the phase-1 one, -y.A_j.
-Pivots touch only the pivot row's nonzero columns.
+Standard form: a nonnegative variable is one column, and its row stays out
+of the tableau; every free variable is split as x = u - w. Each row starts
+the basis from a zero-cost unit column where one exists, normally its slack
+(a rhs-0 row whose slack is -1 is negated first); only the remaining rows
+get a phase-1 artificial. A row's multiplier is read from the reduced cost
+of the column that started it; the multiplier of a nonnegativity row is its
+column's reduced cost, which for a Farkas witness is the phase-1 one,
+-y.A_j. Pivots touch only the pivot row's nonzero columns.
 """
 
 from __future__ import annotations
@@ -55,7 +53,6 @@ class LPSystem:
     rows: tuple[Vec, ...]
     rhs: Vec
     senses: tuple[str, ...]
-    maximize: bool
     n_user_rows: int
 
 
@@ -234,17 +231,16 @@ def solve_lp(
     rhs: Sequence,
     senses: Sequence[str],
     *,
-    maximize: bool = False,
-    bounds: Sequence[tuple | None] | None = None,
+    nonneg: Sequence[bool] | None = None,
 ) -> LPOutcome:
-    """Optimize objective.x subject to rows[i].x (sense_i) rhs[i].
+    """Minimize objective.x subject to rows[i].x (sense_i) rhs[i].
 
-    bounds, when given, is one (lo, hi) pair per variable (either side may be
-    None); the pairs become explicit rows after the user rows. The returned
-    outcome always self-verifies before it is handed back.
+    nonneg, when given, flags each variable that must be >= 0; each flag
+    becomes an explicit row after the user rows. The returned outcome
+    always self-verifies before it is handed back.
     """
-    c_user = vec(objective)
-    n = len(c_user)
+    c = vec(objective)
+    n = len(c)
     ext_rows = [vec(r) for r in rows]
     ext_rhs = [frac(x) for x in rhs]
     ext_senses = list(senses)
@@ -257,66 +253,45 @@ def solve_lp(
         if s not in _SENSES:
             raise ShapeError(f"unknown sense {s!r}")
     n_user = len(ext_rows)
-    # nonneg[j]: the system row of the bound x_j >= 0 when that is the whole
-    # bound on x_j; such a variable becomes one x >= 0 column, its bound row
-    # stays in the system but not in the tableau.
-    nonneg: dict[int, int] = {}
-    if bounds is not None:
-        if len(bounds) != n:
-            raise ShapeError("bounds must give one pair per variable")
-        for j, bd in enumerate(bounds):
-            if bd is None:
-                continue
-            lo, hi = bd
-            if lo is not None:
-                lo = frac(lo)
-                if lo == 0 and hi is None:
-                    nonneg[j] = len(ext_rows)
-                ext_rows.append(unit_vec(j, n))
-                ext_rhs.append(lo)
-                ext_senses.append(GE)
-            if hi is not None:
-                ext_rows.append(unit_vec(j, n))
-                ext_rhs.append(frac(hi))
-                ext_senses.append(LE)
+    flags = [False] * n if nonneg is None else list(nonneg)
+    if len(flags) != n:
+        raise ShapeError("nonneg must give one flag per variable")
+    # a nonnegative variable is one x >= 0 column; its row x_j >= 0 stays in
+    # the system but not in the tableau
+    pos = [j for j in range(n) if flags[j]]
+    for j in pos:
+        ext_rows.append(unit_vec(j, n))
+        ext_rhs.append(_ZERO)
+        ext_senses.append(GE)
 
     system = LPSystem(
-        objective=c_user,
+        objective=c,
         rows=tuple(ext_rows),
         rhs=vec(ext_rhs),
         senses=tuple(ext_senses),
-        maximize=maximize,
         n_user_rows=n_user,
     )
 
-    c_min = [-x for x in c_user] if maximize else list(c_user)
     # standard form: column j is x_j itself when x_j >= 0, else u_j of
     # x_j = u_j - w_j, with the w columns next and one slack per inequality
-    free = [j for j in range(n) if j not in nonneg]
-    bound_only = set(nonneg.values())
-    tab_rows = [i for i in range(len(ext_rows)) if i not in bound_only]
-    n_slack = sum(1 for i in tab_rows if ext_senses[i] != EQ)
+    free = [j for j in range(n) if not flags[j]]
+    n_slack = sum(1 for s in ext_senses[:n_user] if s != EQ)
     a_std = []
     slack = n + len(free)
-    for i in tab_rows:
-        r = ext_rows[i]
+    for r, s in zip(ext_rows, ext_senses[:n_user]):
         row = list(r) + [-r[j] for j in free] + [_ZERO] * n_slack
-        if ext_senses[i] != EQ:
-            row[slack] = _ONE if ext_senses[i] == LE else -_ONE
+        if s != EQ:
+            row[slack] = _ONE if s == LE else -_ONE
             slack += 1
         a_std.append(row)
-    c_std = c_min + [-c_min[j] for j in free] + [_ZERO] * n_slack
+    c_std = list(c) + [-c[j] for j in free] + [_ZERO] * n_slack
 
-    status, xz, y, d, rayz = _standard_simplex(a_std, [ext_rhs[i] for i in tab_rows], c_std)
+    status, xz, y, d, rayz = _standard_simplex(a_std, ext_rhs[:n_user], c_std)
 
-    # multipliers per system row: y on the tableau rows, and on the bound row
-    # of a nonnegative column that column's reduced cost (the phase-1 one,
-    # -y.A_j, for a Farkas witness)
-    mult = [_ZERO] * len(ext_rows)
-    for i, y_i in zip(tab_rows, y):
-        mult[i] = y_i
-    for j, i in nonneg.items():
-        mult[i] = d[j]
+    # multipliers per system row: y on the tableau rows, and on the row of a
+    # nonnegative column that column's reduced cost (the phase-1 one, -y.A_j,
+    # for a Farkas witness)
+    mult = list(y) + [d[j] for j in pos]
 
     if status == INFEASIBLE:
         farkas = [-m_i if s == LE else m_i for m_i, s in zip(mult, ext_senses)]
@@ -336,11 +311,7 @@ def solve_lp(
         verify_outcome(out)
         return out
 
-    value = dot(c_min, x)
-    if maximize:
-        value = -value
-        mult = [-v for v in mult]
-    out = LPOutcome(OPTIMAL, system, primal=x, value=value, dual_certificate=vec(mult))
+    out = LPOutcome(OPTIMAL, system, primal=x, value=dot(c, x), dual_certificate=vec(mult))
     verify_outcome(out)
     return out
 
@@ -374,9 +345,9 @@ def verify_outcome(out: LPOutcome) -> None:
         _check(len(mu) == len(rows), "dual length")
         for m_i, s in zip(mu, senses):
             if s == GE:
-                _check(m_i <= 0 if sys_.maximize else m_i >= 0, "dual sign on >= row")
+                _check(m_i >= 0, "dual sign on >= row")
             elif s == LE:
-                _check(m_i >= 0 if sys_.maximize else m_i <= 0, "dual sign on <= row")
+                _check(m_i <= 0, "dual sign on <= row")
         comb = zeros(n)
         for m_i, r in zip(mu, rows):
             comb = tuple(c + m_i * x for c, x in zip(comb, r))
@@ -413,7 +384,6 @@ def verify_outcome(out: LPOutcome) -> None:
                 _check(v >= 0, "ray leaves >= row")
             else:
                 _check(v == 0, "ray leaves = row")
-        improvement = dot(sys_.objective, d)
-        _check(improvement > 0 if sys_.maximize else improvement < 0, "ray does not improve")
+        _check(dot(sys_.objective, d) < 0, "ray does not improve")
     else:
         raise InvariantViolation(f"unknown status {out.status}")

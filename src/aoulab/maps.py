@@ -1,16 +1,17 @@
 """Linear maps between AOU spaces and the constructions built from them.
 
 The map-level toolkit: unitality/positivity/embedding/isometry checks (a
-unital map's isometry flag is its embedding flag), order ideals and their
-quotients, order-quotient recognition by cone equality, unital positive
-extension by LP feasibility, the order-interval minimum and the norm-bound
+unital map's isometry flag is its embedding flag, a non-unital map's one
+cone equality between dual balls), order ideals and their quotients,
+order-quotient recognition by cone equality, unital positive extension by
+LP feasibility, the order-interval minimum and the norm-bound
 biconditional for functionals, Auerbach bases from ball vertices, and the
 two perturbation constructions that turn a unital map with norm close to 1
 into a nearby positive map, with exact bounds.  Each verdict is decided by
 one route; the tests keep the second routes as oracles.
 
 Everything here reduces to exact LPs, vertex enumerations, and cone
-membership; no numeric tolerance appears anywhere.
+equality or membership; no numeric tolerance appears anywhere.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .linalg import (
     dot,
     inverse,
     is_zero_vec,
+    quotient_matrix,
     rank,
     solve,
     unit_vec,
@@ -89,19 +91,8 @@ class UnitalMap:
         return UnitalMap(inner.source, self.target, self.matrix @ inner.matrix)
 
 
-@dataclass(frozen=True)
-class Functional:
-    """A linear functional on a space, kept with its space for norm queries."""
-
-    space: AOUSpace
-    coeffs: Vec
-
-    def __call__(self, v) -> Fraction:
-        return dot(self.coeffs, vec(v))
-
-
 def _coeffs(space: AOUSpace, f) -> Vec:
-    c = f.coeffs if isinstance(f, Functional) else vec(f)
+    c = vec(f)
     if len(c) != space.dim:
         raise ShapeError(f"functional length {len(c)} != space dim {space.dim}")
     return c
@@ -126,32 +117,24 @@ def _pullback_cone(m: UnitalMap) -> Cone:
 
 
 def _is_isometry(m: UnitalMap) -> bool:
-    """Exact isometry test through dual balls.
+    """Exact isometry test through dual balls, with no LP.
 
-    The dual ball of the pulled-back seminorm v -> ||m(v)|| is the convex
-    hull of +-(g o m) over extreme target states; the map is an isometry iff
-    that hull still contains every extreme source state (the reverse
-    inclusion is automatic for unital positive maps).
+    The dual ball of the order norm is the convex hull of +-(extreme
+    states) (Paulsen & Tomforde, Vector spaces with an order unit, 2009), and
+    that of the pulled-back seminorm v -> ||m(v)|| is the hull of +-(g o m)
+    over extreme target states. Two seminorms agree iff their dual balls
+    do, so m is an isometry iff the hulls are equal: one cone equality
+    between their height-1 lifts, the cones generated by the (p, 1).
     """
     mt = m.matrix.transpose()
+
+    def lifted_hull(points: list[Vec]) -> Cone:
+        lifts = [p + (1,) for q in points for p in (q, tuple(-x for x in q))]
+        return Cone.from_generators(lifts, dim=m.source.dim + 1)
+
     pulled = [mt.apply(g.functional) for g in extreme_states(m.target)]
-    # the pulled-back dual ball may not fit inside the source dual ball when
-    # m is not positive; both inclusions are needed in general
-    if any(dual_norm(m.source, p) > 1 for p in pulled):
-        return False
-    points = pulled + [tuple(-x for x in p) for p in pulled]
-    n = m.source.dim
-    k = len(points)
-    cols = Matrix.from_rows(points).transpose()
-    for f in extreme_states(m.source):
-        rows = [cols.row(i) for i in range(n)] + [(Fraction(1),) * k]
-        rhs = list(f.functional) + [Fraction(1)]
-        out = solve_lp(
-            zeros(k), rows, rhs, [EQ] * (n + 1), bounds=[(0, None)] * k
-        )
-        if out.status != OPTIMAL:
-            return False
-    return True
+    source = [f.functional for f in extreme_states(m.source)]
+    return same_cone(lifted_hull(pulled), lifted_hull(source))
 
 
 def check_map(m: UnitalMap) -> MapReport:
@@ -235,20 +218,6 @@ def _dominating_ideal_element(space: AOUSpace, jb: list[Vec], q: Vec) -> Vec:
     return p
 
 
-def _projection_along(space_dim: int, kernel_basis: list[Vec]) -> Matrix:
-    """A surjection that kills exactly span(kernel_basis)."""
-    basis = [list(b) for b in kernel_basis]
-    for i in range(space_dim):
-        cand = basis + [list(unit_vec(i, space_dim))]
-        if rank(Matrix.from_rows(cand)) == len(cand):
-            basis = cand
-    if len(basis) != space_dim:
-        raise InvariantViolation("kernel completion failed to reach a basis")
-    b = Matrix.from_rows(basis).transpose()
-    binv = inverse(b)
-    return Matrix.from_rows(binv.data[len(kernel_basis):])
-
-
 def archimedean_quotient(space: AOUSpace, basis: Sequence) -> tuple[AOUSpace, UnitalMap]:
     """Quotient by an order ideal: project, then Archimedeanize the image.
 
@@ -268,7 +237,7 @@ def archimedean_quotient(space: AOUSpace, basis: Sequence) -> tuple[AOUSpace, Un
             independent.append(b)
     if _in_span(independent, space.unit, space.dim):
         raise InputError("order ideal contains the unit; quotient collapses")
-    proj = _projection_along(space.dim, independent)
+    proj = quotient_matrix(independent, space.dim)
     closed, _ = close_and_lineality(space.cone)
     mid = AOUSpace(
         proj.rows,
@@ -539,7 +508,7 @@ def _min_l1_measure(states: list, f: Vec) -> list[Fraction]:
         rows,
         list(f),
         [EQ] * n,
-        bounds=[(0, None)] * (2 * k),
+        nonneg=[True] * (2 * k),
     )
     if out.status != OPTIMAL:
         raise InvariantViolation("states span the dual; the measure LP cannot fail")

@@ -121,6 +121,18 @@ def sos_matches(m: Matrix, squares: tuple[Vec, ...]) -> bool:
 
 # -- verdicts --------------------------------------------------------------
 
+# the claim and cone each kind of evidence supports, and the field that holds
+# the evidence (None: the matrix itself is the evidence)
+_KINDS = {
+    "psd_factorization": ("member", "psd", None),
+    "negative_direction": ("non_member", "psd", "direction"),
+    "partial_transpose_witness": ("non_member", "pi", "direction"),
+    "psd_superset": ("non_member", "pi", "direction"),
+    "product_decomposition": ("member", "pi", "products"),
+    "gram_shift": ("member", "epsilon", "shift"),
+    "polynomial_identity": ("member", "epsilon", "sos"),
+}
+
 
 @dataclass(frozen=True)
 class TensorVerdict:
@@ -138,17 +150,28 @@ class TensorVerdict:
     products: tuple[tuple[Matrix, Matrix], ...] | None = None
 
     def verify(self, m: Matrix) -> bool:
+        """True when the evidence proves the claim for m; a claim or cone
+        its kind cannot support, missing evidence or malformed evidence
+        gives False."""
+        if self.kind not in _KINDS:
+            return False
+        claim, cone, evidence = _KINDS[self.kind]
+        if (self.claim, self.cone) != (claim, cone):
+            return False
+        if evidence is not None and getattr(self, evidence) is None:
+            return False
         try:
+            _require_sym4(m)
             return self._verify(m)
         except (InputError, InvariantViolation):
             return False
 
     def _verify(self, m: Matrix) -> bool:
         if self.kind == "psd_factorization":
-            return self.claim == "member" and ldlt_psd(m).is_psd
+            return ldlt_psd(m).is_psd
         if self.kind == "negative_direction":
             v = dot(self.direction, m.apply(self.direction))
-            return self.claim == "non_member" and v == self.value and v < 0
+            return v == self.value and v < 0
         if self.kind == "partial_transpose_witness":
             # d^T PT(m) d < 0 while <PT(dd^T), P (x) Q> = (d.(p (x) q))^2 >= 0
             # on every product of PSD matrices, so PT(dd^T) separates m
@@ -156,7 +179,7 @@ class TensorVerdict:
             d = self.direction
             pt = partial_transpose(m)
             v = dot(d, pt.apply(d))
-            if not (self.claim == "non_member" and v == self.value and v < 0):
+            if not (v == self.value and v < 0):
                 return False
             w = partial_transpose(
                 Matrix.from_rows([[a * b for b in d] for a in d])
@@ -180,28 +203,28 @@ class TensorVerdict:
                 return False
             return biquadratic_form(SEGRE_RELATION) == {}
         if self.kind == "polynomial_identity":
-            return self.claim == "member" and sos_matches(m, self.sos)
+            return sos_matches(m, self.sos)
         if self.kind == "product_decomposition":
             total = [[Fraction(0)] * 4 for _ in range(4)]
             for p, q in self.products:
+                if {p.rows, p.cols, q.rows, q.cols} != {2}:
+                    return False
                 if not ldlt_psd(p).is_psd or not ldlt_psd(q).is_psd:
                     return False
                 kr = p.kron(q)
                 for i in range(4):
                     for j in range(4):
                         total[i][j] += kr.data[i][j]
-            return self.claim == "member" and Matrix.from_rows(total).data == m.data
-        if self.kind == "psd_superset":
-            # the functional M -> d^T M d is nonnegative on every simple
-            # product (d^T (pp^T (x) qq^T) d = (d.(p (x) q))^2, checked
-            # below), hence on pi, yet negative on m
-            d = self.direction
-            v = dot(d, m.apply(d))
-            if not (self.claim == "non_member" and v == self.value and v < 0):
-                return False
-            outer = Matrix.from_rows([[a * b for b in d] for a in d])
-            return sos_matches(outer, (d,))
-        raise InputError(f"unknown verdict kind {self.kind!r}")
+            return Matrix.from_rows(total).data == m.data
+        # psd_superset: the functional M -> d^T M d is nonnegative on every
+        # simple product (d^T (pp^T (x) qq^T) d = (d.(p (x) q))^2, checked
+        # below), hence on pi, yet negative on m
+        d = self.direction
+        v = dot(d, m.apply(d))
+        if not (v == self.value and v < 0):
+            return False
+        outer = Matrix.from_rows([[a * b for b in d] for a in d])
+        return sos_matches(outer, (d,))
 
 
 @dataclass(frozen=True)
@@ -224,9 +247,11 @@ class BlockPositivityReport:
 _GRID = tuple(
     frac(v) for v in (-2, -1, Fraction(-1, 2), 0, Fraction(1, 2), 1, 2)
 )
+# the Gram shifts tried after the two informed guesses: -33/2, ..., 33/2
+_SHIFTS = tuple(Fraction(k, 2) for k in range(-33, 34))
 
 
-def block_positive(m: Matrix, shift_steps: int = 33) -> BlockPositivityReport:
+def block_positive(m: Matrix) -> BlockPositivityReport:
     """Three-valued block positivity of a symmetric 4x4 matrix.
 
     Membership is certified by a rational t with m + t*R PSD (R is the
@@ -235,10 +260,7 @@ def block_positive(m: Matrix, shift_steps: int = 33) -> BlockPositivityReport:
     complete, so "undecided" is a possible honest answer.
     """
     _require_sym4(m)
-    candidates = [Fraction(0), 2 * (m.data[0][3] - m.data[1][2])]
-    candidates += [
-        Fraction(k, 2) for k in range(-shift_steps, shift_steps + 1)
-    ]
+    candidates = (Fraction(0), 2 * (m.data[0][3] - m.data[1][2])) + _SHIFTS
     seen = set()
     for t in candidates:
         if t in seen:

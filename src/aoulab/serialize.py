@@ -108,7 +108,7 @@ def space_to_dict(space: AOUSpace) -> dict:
 def space_from_dict(d) -> AOUSpace:
     _check_header(d, "space")
     dim = d.get("dim")
-    if not isinstance(dim, int) or dim <= 0:
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim <= 0:
         raise InputError(f"bad dimension {dim!r}")
     return AOUSpace(
         dim=dim,

@@ -27,16 +27,7 @@ from .errors import (
     ShapeError,
     SizeLimitError,
 )
-from .linalg import (
-    Matrix,
-    Vec,
-    dot,
-    inverse,
-    is_zero_vec,
-    rank,
-    unit_vec,
-    vec,
-)
+from .linalg import Matrix, Vec, dot, is_zero_vec, quotient_matrix, unit_vec, vec
 from .lp import GE, INFEASIBLE, LPOutcome, solve_lp
 from .psd import ldlt_psd
 from .cones import SYM_PSD, pack_sym, unpack_sym
@@ -93,7 +84,7 @@ def _norm_outcome(space: AOUSpace, v: Vec) -> LPOutcome:
         rhs.append(-av)
         rows.append((ae,))
         rhs.append(av)
-    return solve_lp((1,), rows, rhs, [GE] * len(rows), bounds=[(0, None)])
+    return solve_lp((1,), rows, rhs, [GE] * len(rows), nonneg=[True])
 
 
 def order_unit_failures(rows, unit: Vec) -> list[Vec]:
@@ -147,16 +138,7 @@ def archimedeanize(space: AOUSpace) -> tuple[AOUSpace, Matrix]:
     closed, lin = close_and_lineality(space.cone)
     if not lin:
         return AOUSpace(space.dim, closed, space.unit, space.label), Matrix.identity(space.dim)
-    # complete the lineality basis to a full basis with standard vectors
-    basis = [list(l) for l in lin]
-    for i in range(space.dim):
-        cand = basis + [list(unit_vec(i, space.dim))]
-        if rank(Matrix.from_rows(cand)) == len(cand):
-            basis = cand
-    if len(basis) != space.dim:
-        raise InvariantViolation("lineality completion failed to reach a basis")
-    b = Matrix.from_rows(basis).transpose()  # columns: lineality then complement
-    q = Matrix.from_rows(inverse(b).data[len(lin):])
+    q = quotient_matrix(lin, space.dim)
     new_cone = image_cone(closed, q)
     new_unit = q.apply(space.unit)
     arch = AOUSpace(q.rows, new_cone, new_unit, label=f"{space.label}/arch" if space.label else "")
@@ -261,17 +243,14 @@ def order_interval_vertices(space: AOUSpace) -> list[Vec]:
 
 
 def unit_ball_vertices(space: AOUSpace) -> list[Vec]:
-    """Vertices of the order-norm unit ball [-e, e]."""
+    """Vertices of the order-norm unit ball [-e, e] = 2 [0, e] - e: the
+    interval vertices under p -> 2p - e, which is increasing in every
+    coordinate and so keeps their sorted order."""
     key = "ball_vertices"
     if key not in space._derived:
-        rows, rhs = [], []
-        for a in space.cone.hrep():
-            ae = dot(a, space.unit)
-            rows.append(a)
-            rhs.append(-ae)
-            rows.append(tuple(-x for x in a))
-            rhs.append(-ae)
-        space._derived[key] = dd.polytope_vertices(rows, rhs, space.dim)
+        space._derived[key] = [
+            tuple(2 * x - u for x, u in zip(p, space.unit)) for p in order_interval_vertices(space)
+        ]
     return space._derived[key]
 
 
@@ -326,17 +305,3 @@ def dual_augmented(space: AOUSpace) -> AOUSpace:
     cone = Cone.from_inequalities(rows, dim=space.dim + 1)
     unit = unit_vec(space.dim, space.dim + 1)
     return AOUSpace(space.dim + 1, cone, unit, label=f"dual_augmented({space.label})")
-
-
-_BUILDERS = {"linf": linf, "lin_space": lin_space, "sym_space": sym_space}
-
-
-def build(name: str, param) -> AOUSpace:
-    """Dispatch on builder name; dual_augmented takes a space, the rest an n."""
-    if name == "dual_augmented":
-        if not isinstance(param, AOUSpace):
-            raise InputError("dual_augmented takes a built space")
-        return dual_augmented(param)
-    if name not in _BUILDERS:
-        raise InputError(f"unknown space builder {name!r}; have {sorted(_BUILDERS)} + dual_augmented")
-    return _BUILDERS[name](int(param))

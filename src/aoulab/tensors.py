@@ -373,8 +373,7 @@ def _best_psi(space: AOUSpace, phi_rows: list[Vec], vectors: list[Vec]):
         senses.append(GE)
     obj = [Fraction(0)] * nvars
     obj[t_ix] = Fraction(1)
-    bounds = [None] * (d * k) + [(Fraction(0), None)]
-    out = solve_lp(vec(obj), rows, rhs, senses, bounds=bounds)
+    out = solve_lp(vec(obj), rows, rhs, senses, nonneg=[False] * (d * k) + [True])
     if out.status != OPTIMAL:
         raise InvariantViolation("defect LP must be solvable")
     psi_rows = [
@@ -383,25 +382,18 @@ def _best_psi(space: AOUSpace, phi_rows: list[Vec], vectors: list[Vec]):
     return Matrix.from_rows(psi_rows), out.value
 
 
-def factorize(
-    space: AOUSpace,
-    vectors: list[Vec] | None = None,
-    eps: Fraction | int = Fraction(1, 10),
-) -> FactorizationResult:
+def factorize(space: AOUSpace, eps: Fraction | int = Fraction(1, 10)) -> FactorizationResult:
     """Approximate factorization of the identity through a coordinate space.
 
     phi collects state evaluations; psi is the best unital positive return
     map for the current state set, found by a single LP.  The state set
     grows greedily (most violated state first) until the defect drops below
-    eps or the states run out.  With the default vectors (the unit ball
-    vertices) the defect equals the operator norm of psi . phi - id exactly.
+    eps or the states run out.  The defect is taken over the unit ball
+    vertices, so it equals the operator norm of psi . phi - id exactly.
     """
     eps = frac(eps)
     space.cone.require_polyhedral("factorization")
-    if vectors is None:
-        vectors = [vec(v) for v in unit_ball_vertices(space)]
-    else:
-        vectors = [vec(v) for v in vectors]
+    vectors = unit_ball_vertices(space)
     d = space.dim
 
     if is_simplicial(space.cone):

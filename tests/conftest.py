@@ -10,8 +10,9 @@ integer elimination) so agreement is meaningful.  Some are second routes to a
 verdict that the package decides by one route: pairwise cone equality against
 a battery of partners for single-space nuclearity, the induced map on the
 kernel quotient for order quotients, the epsilon order norm for the
-injective norm, and one LP over the cone rows for the minimum of a
-functional on the order interval.
+injective norm, one LP over the cone rows for the minimum of a
+functional on the order interval, and one LP per source state for the
+isometry of a map.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from aoulab.cones import Cone, close_and_lineality, image_cone, member, same_con
 from aoulab.errors import InvariantViolation
 from aoulab.linalg import Matrix, Vec, dot, frac, integerize, unit_vec, vec
 from aoulab.lp import EQ, GE, OPTIMAL, solve_lp
-from aoulab.maps import UnitalMap, archimedean_quotient
+from aoulab.maps import UnitalMap, archimedean_quotient, dual_norm
 from aoulab.spaces import AOUSpace, extreme_states, lin_space, linf, order_norm
 from aoulab.tensors import EPSILON, TensorElement, is_nuclear_pairwise, kron_vec, tensor_space
 
@@ -198,7 +199,7 @@ def lp_is_pointed(cone: Cone) -> bool:
         rows,
         (0,) * cone.dim + (1,),
         [EQ] * len(rows),
-        bounds=[(0, None)] * len(gens),
+        nonneg=[True] * len(gens),
     )
     return out.status != OPTIMAL
 
@@ -220,7 +221,7 @@ def lp_order_unit_failure(space: AOUSpace) -> int | None:
         for a in closed.hrep():
             rows += [(dot(a, space.unit),)] * 2
             rhs += [-dot(a, v), dot(a, v)]
-        out = solve_lp((1,), rows, rhs, [GE] * len(rows), bounds=[(0, None)])
+        out = solve_lp((1,), rows, rhs, [GE] * len(rows), nonneg=[True])
         if out.status != OPTIMAL:
             return i
     return None
@@ -236,7 +237,7 @@ def _unit_shift_decomposition(gens: tuple[Vec, ...], unit: Vec, b: Vec):
         rows,
         list(b),
         [EQ] * dim,
-        bounds=[(0, None)] * (1 + len(gens)),
+        nonneg=[True] * (1 + len(gens)),
     )
     if out.status != OPTIMAL:
         return None
@@ -250,7 +251,7 @@ def _cone_coefficients(gens: tuple[Vec, ...], target: Vec) -> Vec | None:
         rows,
         list(target),
         [EQ] * len(target),
-        bounds=[(0, None)] * len(gens),
+        nonneg=[True] * len(gens),
     )
     return out.primal if out.status == OPTIMAL else None
 
@@ -312,7 +313,7 @@ def lp_pi_order_unit(left: AOUSpace, right: AOUSpace) -> None:
 
 def psi_lp_without_dedup(space: AOUSpace, phi_rows: list[Vec], vectors: list[Vec]):
     """The factorization defect LP of `tensors._best_psi` as (obj, rows,
-    rhs, senses, bounds), with every defect row kept, duplicates included."""
+    rhs, senses, nonneg), with every defect row kept, duplicates included."""
     d, k = space.dim, len(phi_rows)
     nvars = d * k + 1
     t_ix = d * k
@@ -349,8 +350,7 @@ def psi_lp_without_dedup(space: AOUSpace, phi_rows: list[Vec], vectors: list[Vec
                 senses.append(GE)
     obj = [Fraction(0)] * nvars
     obj[t_ix] = Fraction(1)
-    bounds = [None] * (d * k) + [(Fraction(0), None)]
-    return vec(obj), rows, rhs, senses, bounds
+    return vec(obj), rows, rhs, senses, [False] * (d * k) + [True]
 
 
 def brute_polytope_vertices(rows: list[Vec], rhs: list[Fraction], dim: int) -> set[Vec]:
@@ -494,3 +494,23 @@ def lp_interval_min(space: AOUSpace, f) -> Fraction:
     if out.status != OPTIMAL:
         raise InvariantViolation("order interval must be a nonempty polytope")
     return out.value
+
+
+def lp_is_isometry(m: UnitalMap) -> bool:
+    """Isometry by dual-ball inclusions, where the package compares the two
+    hulls as cones: every pulled-back target state g o m has dual norm at
+    most 1, and each extreme source state is a convex combination of the
+    +-(g o m), one feasibility LP per state."""
+    mt = m.matrix.transpose()
+    pulled = [mt.apply(g.functional) for g in extreme_states(m.target)]
+    if any(dual_norm(m.source, p) > 1 for p in pulled):
+        return False
+    points = pulled + [tuple(-x for x in p) for p in pulled]
+    n, k = m.source.dim, len(points)
+    cols = Matrix.from_rows(points).transpose()
+    for f in extreme_states(m.source):
+        rows = [cols.row(i) for i in range(n)] + [(Fraction(1),) * k]
+        out = solve_lp((0,) * k, rows, list(f.functional) + [1], [EQ] * (n + 1), nonneg=[True] * k)
+        if out.status != OPTIMAL:
+            return False
+    return True

@@ -13,6 +13,7 @@ from conftest import (
     battery_nuclearity,
     brute_extreme_rays,
     kernel_quotient_is_order_quotient,
+    lp_is_isometry,
     rand_frac,
     rand_vec,
     random_unital_into_linf,
@@ -20,11 +21,10 @@ from conftest import (
 )
 
 from aoulab.cones import Cone, extreme_rays, is_pointed, is_simplicial, member, same_cone
-from aoulab.linalg import Matrix, dot, integerize, vec
+from aoulab.linalg import Matrix, dot, integerize, unit_vec, vec
 from aoulab.lp import GE, LE, OPTIMAL, solve_lp
 from aoulab.maps import (
     UnitalMap,
-    _is_isometry,
     archimedean_quotient,
     auerbach_basis,
     check_map,
@@ -195,7 +195,7 @@ def test_tensoring_preserves_embeddings_and_quotients():
             big = tensor_map(iota, identity_map(w), EPSILON)
             for m in (iota, big):
                 rep = check_map(m)
-                assert rep.order_embedding and rep.isometry and _is_isometry(m)
+                assert rep.order_embedding and rep.isometry and lp_is_isometry(m)
             bigq = tensor_map(q, identity_map(w), PI)
             for m in (q, bigq):
                 assert is_order_quotient(m).is_quotient
@@ -326,13 +326,12 @@ def test_kernel_soundness_on_random_cones():
             rows = [rand_vec(r, n) for _ in range(m)]
             rhs = [rand_frac(r) for _ in range(m)]
             senses = [r.choice((LE, GE)) for _ in range(m)]
-            out = solve_lp(
-                rand_vec(r, n),
-                rows,
-                rhs,
-                senses,
-                bounds=[(Fraction(-5), Fraction(5))] * n,
-            )
+            # the box -5 <= x_j <= 5 as rows
+            for j in range(n):
+                rows += [unit_vec(j, n)] * 2
+                rhs += [Fraction(-5), Fraction(5)]
+                senses += [GE, LE]
+            out = solve_lp(rand_vec(r, n), rows, rhs, senses)
             certs += 1
             verified += bool(out.verify())
         assert verified == certs

@@ -295,6 +295,11 @@ MALFORMED_CONES = {
     "sym_psd_bool_n": {"rep": "sym_psd", "n": True},
     "strict_not_a_list": {"rep": "inequalities", "rows": [["1"]], "strict": 5},
 }
+# space fields that are not what they claim; around linf(1) a bool dim would
+# otherwise pass as dimension 1
+MALFORMED_SPACE_FIELDS = {
+    "bool_dim": {"dim": True},
+}
 
 
 def assert_invalid_input(code, out, err):
@@ -306,6 +311,19 @@ def assert_invalid_input(code, out, err):
 def test_malformed_cone_in_space_file(files, tmp_path, capsys, cone):
     d = json.loads(open(files["linf1.json"]).read())
     d["cone"] = cone
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(d))
+    capsys.readouterr()
+    code, out = run(["validate", str(path)])
+    assert_invalid_input(code, out, capsys.readouterr().err)
+
+
+@pytest.mark.parametrize(
+    "fields", list(MALFORMED_SPACE_FIELDS.values()), ids=list(MALFORMED_SPACE_FIELDS)
+)
+def test_malformed_field_in_space_file(files, tmp_path, capsys, fields):
+    d = json.loads(open(files["linf1.json"]).read())
+    d.update(fields)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(d))
     capsys.readouterr()
@@ -330,6 +348,15 @@ class TestMalformedReports:
     def test_malformed_cone(self, files, tmp_path, capsys, cone):
         def edit(d):
             d["inputs"]["space"]["cone"] = cone
+
+        self.verify_edited(files, tmp_path, capsys, ["validate", "{linf1}"], edit)
+
+    @pytest.mark.parametrize(
+        "fields", list(MALFORMED_SPACE_FIELDS.values()), ids=list(MALFORMED_SPACE_FIELDS)
+    )
+    def test_malformed_space_field(self, files, tmp_path, capsys, fields):
+        def edit(d):
+            d["inputs"]["space"].update(fields)
 
         self.verify_edited(files, tmp_path, capsys, ["validate", "{linf1}"], edit)
 

@@ -9,7 +9,6 @@ from conftest import (
     fraction_inverse,
     fraction_nullspace,
     fraction_rank,
-    fraction_rref,
     fraction_solve,
 )
 
@@ -23,8 +22,6 @@ from aoulab.linalg import (
     inverse,
     nullspace,
     rank,
-    rref,
-    sign_canonical,
     solve,
     vec,
 )
@@ -44,10 +41,6 @@ def test_integerize_coprime_and_direction():
     assert integerize(vec(["1/2", "1/3"])) == (3, 2)
     assert integerize(vec(["-2", "4"])) == (-1, 2)
     assert integerize(vec([0, 0])) == (0, 0)
-
-
-def test_sign_canonical_flips():
-    assert sign_canonical(vec(["-1/2", "1"])) == (1, -2)
 
 
 def test_matrix_apply_compose_kron():
@@ -177,10 +170,7 @@ def test_kernel_matches_fraction_oracle():
     shapes = set()
     for r, m in random_cases(11, per_shape=12):
         shapes.add((m.rows, m.cols))
-        reduced, pivots = rref(m)
-        expected, expected_pivots = fraction_rref(m)
-        assert (reduced.data, pivots) == (expected.data, expected_pivots)
-        assert rank(m) == len(pivots)
+        assert rank(m) == fraction_rank(m)
         assert nullspace(m) == fraction_nullspace(m)
         b = vec([Fraction(r.randint(-5, 5), r.choice(_DENOMS)) for _ in range(m.rows)])
         assert solve(m, b) == fraction_solve(m, b)

@@ -17,12 +17,11 @@ from conftest import (  # noqa: E402
     fraction_inverse,
     fraction_nullspace,
     fraction_rank,
-    fraction_rref,
     fraction_solve,
 )
 
 from aoulab.errors import ShapeError  # noqa: E402
-from aoulab.linalg import Matrix, det, inverse, nullspace, rank, rref, solve  # noqa: E402
+from aoulab.linalg import Matrix, det, inverse, nullspace, rank, solve  # noqa: E402
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 
@@ -47,10 +46,7 @@ def matrices(draw, max_rows=6, max_cols=7, square=False):
 
 @PROPERTY
 @given(matrices())
-def test_rref_rank_nullspace_agree_with_the_oracle(m):
-    reduced, pivots = rref(m)
-    expected, expected_pivots = fraction_rref(m)
-    assert reduced.data == expected.data and pivots == expected_pivots
+def test_rank_nullspace_agree_with_the_oracle(m):
     assert rank(m) == fraction_rank(m)
     basis = nullspace(m)
     assert basis == fraction_nullspace(m)

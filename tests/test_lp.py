@@ -8,12 +8,13 @@ from aoulab.linalg import dot, unit_vec, vec
 from aoulab.lp import EQ, GE, INFEASIBLE, LE, OPTIMAL, UNBOUNDED, solve_lp, verify_outcome
 
 
-def test_max_with_upper_bound_dual_is_one():
-    out = solve_lp([1], [[1]], [1], [LE], maximize=True)
+def test_min_of_negated_objective_with_upper_bound():
+    # max x s.t. x <= 1, posed as min -x: the <=-row carries dual -1
+    out = solve_lp([-1], [[1]], [1], [LE])
     assert out.status == OPTIMAL
     assert out.primal == vec([1])
-    assert out.value == 1
-    assert out.dual_certificate == vec([1])
+    assert out.value == -1
+    assert out.dual_certificate == vec([-1])
 
 
 def test_infeasible_pair_farkas_witness():
@@ -34,23 +35,23 @@ def test_order_norm_shaped_lp():
 
 
 def test_unbounded_with_ray():
-    out = solve_lp([1], [[1]], [0], [GE], maximize=True)
+    out = solve_lp([-1], [[1]], [0], [GE])
     assert out.status == UNBOUNDED
     assert out.ray is not None and out.ray[0] > 0
 
 
 def test_equality_rows_and_bounds():
-    # min x + y s.t. x + y + z = 3, z <= 1, x,y >= 0
+    # min x + y s.t. x + y + z = 3, z <= 1 (a box row), x,y >= 0
     out = solve_lp(
         [1, 1, 0],
-        [[1, 1, 1]],
-        [3],
-        [EQ],
-        bounds=[(0, None), (0, None), (None, 1)],
+        [[1, 1, 1], [0, 0, 1]],
+        [3, 1],
+        [EQ, LE],
+        nonneg=[True, True, False],
     )
     assert out.status == OPTIMAL
     assert out.value == 2
-    assert len(out.system.rows) == 4  # one user row + three bound rows
+    assert len(out.system.rows) == 4  # two user rows + two nonnegativity rows
 
 
 def test_shape_errors():
@@ -58,6 +59,8 @@ def test_shape_errors():
         solve_lp([1, 2], [[1]], [0], [GE])
     with pytest.raises(ShapeError):
         solve_lp([1], [[1]], [0], ["<"])
+    with pytest.raises(ShapeError):
+        solve_lp([1, 2], [[1, 1]], [0], [GE], nonneg=[True])
 
 
 def test_randomized_against_vertex_oracle():
@@ -124,19 +127,20 @@ def _rand_rhs(r):
 
 
 def test_nonnegative_bound_is_a_row_of_the_system():
-    out = solve_lp([1], [], [], [], bounds=[(0, None)])
+    out = solve_lp([1], [], [], [], nonneg=[True])
     assert out.status == OPTIMAL and out.value == 0
     assert out.system.rows == (vec([1]),) and out.system.n_user_rows == 0
     assert out.dual_certificate == vec([1])
-    out = solve_lp([0], [[1]], [-1], [LE], bounds=[(0, None)])
+    out = solve_lp([0], [[1]], [-1], [LE], nonneg=[True])
     assert out.status == INFEASIBLE
     assert out.system.rows == (vec([1]), vec([1]))
     assert out.dual_certificate == vec([1, 1])
 
 
 def test_mixed_bounds_and_senses_against_vertex_oracle():
-    # (0, None) variables mixed with free ones, EQ/LE/GE rows with rhs 0 and
-    # negative rhs, both directions; a box keeps every region bounded.
+    # nonnegative variables mixed with free ones, EQ/LE/GE rows with rhs 0
+    # and negative rhs, both directions (a maximum as the minimum of -c); a
+    # box keeps every region bounded.
     r = rng(20261018)
     seen = set()
     for trial in range(80):
@@ -151,9 +155,9 @@ def test_mixed_bounds_and_senses_against_vertex_oracle():
             rhs += [Fraction(5), Fraction(-5)]
             senses += [LE, GE]
         c = rand_vec(r, n)
-        maximize = r.random() < 0.5
-        bounds = [(0, None) if j in nonneg else None for j in range(n)]
-        out = solve_lp(c, rows, rhs, senses, maximize=maximize, bounds=bounds)
+        if r.random() < 0.5:
+            c = vec(-x for x in c)
+        out = solve_lp(c, rows, rhs, senses, nonneg=[j in nonneg for j in range(n)])
         verify_outcome(out)
         sys_ = out.system
         assert sys_.n_user_rows == len(rows)
@@ -166,8 +170,7 @@ def test_mixed_bounds_and_senses_against_vertex_oracle():
             assert out.status == INFEASIBLE
             continue
         assert out.status == OPTIMAL
-        values = [dot(c, v) for v in verts]
-        assert out.value == (max(values) if maximize else min(values))
+        assert out.value == min(dot(c, v) for v in verts)
     assert seen == {OPTIMAL, INFEASIBLE}
 
 
@@ -183,13 +186,13 @@ def test_nonnegative_lps_against_vertex_and_ray_oracles():
         rhs = [_rand_rhs(r) for _ in range(m)]
         senses = [r.choice([EQ, LE, GE]) for _ in range(m)]
         c = rand_vec(r, n)
-        maximize = r.random() < 0.5
-        out = solve_lp(c, rows, rhs, senses, maximize=maximize, bounds=[(0, None)] * n)
+        if r.random() < 0.5:
+            c = vec(-x for x in c)
+        out = solve_lp(c, rows, rhs, senses, nonneg=[True] * n)
         verify_outcome(out)
         ge_rows, ge_rhs = _as_ge_rows(rows, rhs, senses, n, range(n))
         verts = brute_polytope_vertices(ge_rows, ge_rhs, n)
-        sign = -1 if maximize else 1
-        improving = [d for d in brute_extreme_rays(ge_rows, n) if sign * dot(c, d) < 0]
+        improving = [d for d in brute_extreme_rays(ge_rows, n) if dot(c, d) < 0]
         seen.add(out.status)
         if not verts:
             assert out.status == INFEASIBLE
@@ -198,11 +201,10 @@ def test_nonnegative_lps_against_vertex_and_ray_oracles():
             x, d = out.primal, out.ray
             assert all(dot(row, x) >= b for row, b in zip(ge_rows, ge_rhs))
             assert all(dot(row, d) >= 0 for row in ge_rows)
-            assert sign * dot(c, d) < 0
+            assert dot(c, d) < 0
         else:
             assert out.status == OPTIMAL
-            values = [dot(c, v) for v in verts]
-            assert out.value == (max(values) if maximize else min(values))
+            assert out.value == min(dot(c, v) for v in verts)
     assert seen == {OPTIMAL, INFEASIBLE, UNBOUNDED}
 
 
@@ -212,7 +214,7 @@ def test_beale_cycling_example_terminates():
     c = [Fraction(-3, 4), 20, Fraction(-1, 2), 6]
     rows = [[Fraction(1, 4), -8, -1, 9], [Fraction(1, 2), -12, Fraction(-1, 2), 3], [0, 0, 1, 0]]
     rhs, senses = [0, 0, 1], [LE] * 3
-    out = solve_lp(c, rows, rhs, senses, bounds=[(0, None)] * 4)
+    out = solve_lp(c, rows, rhs, senses, nonneg=[True] * 4)
     assert out.status == OPTIMAL
     assert out.value == Fraction(-5, 4)
     verts = brute_polytope_vertices(*_as_ge_rows(rows, rhs, senses, 4, range(4)), 4)

@@ -8,6 +8,7 @@ from conftest import (
     fraction_rank,
     kernel_quotient_is_order_quotient,
     lp_interval_min,
+    lp_is_isometry,
     rand_frac,
     rand_vec,
     random_unital_into_linf,
@@ -97,7 +98,7 @@ class TestCheckMap:
                     m = UnitalMap(sp, linf(len(rows)), Matrix.from_rows(rows))
                 rep = check_map(m)
                 assert rep.unital
-                assert rep.isometry == rep.order_embedding == aoulab.maps._is_isometry(m)
+                assert rep.isometry == rep.order_embedding == lp_is_isometry(m)
                 seen.add((rep.positive, rep.isometry))
         assert seen == {(True, True), (True, False), (False, False)}
 
@@ -116,7 +117,24 @@ class TestCheckMap:
             rows = [rand_vec(r, sp.dim, lo=-2, hi=2, den=2) for _ in range(2)]
             m = UnitalMap(sp, L2, Matrix.from_rows(rows))
             if not m.unital:
-                assert check_map(m).isometry == aoulab.maps._is_isometry(m)
+                assert check_map(m).isometry == lp_is_isometry(m)
+
+    def test_isometry_test_solves_no_lp(self, monkeypatch):
+        # the dual-ball test is one cone equality: no LP, no dual norm
+        def forbidden(*args, **kwargs):
+            raise AssertionError("LP route called")
+
+        for module in (aoulab.cones, aoulab.maps):
+            monkeypatch.setattr(module, "solve_lp", forbidden)
+        monkeypatch.setattr(aoulab.maps, "dual_norm", forbidden)
+        for sp in (L2, lin_space(1), lin_space(2)):
+            eye = Matrix.identity(sp.dim).data
+            flip = UnitalMap(sp, sp, Matrix.from_rows([[-x for x in row] for row in eye]))
+            double = UnitalMap(sp, sp, Matrix.from_rows([[2 * x for x in row] for row in eye]))
+            assert aoulab.maps._is_isometry(flip) and not aoulab.maps._is_isometry(double)
+        drop = UnitalMap(L3, L2, Matrix.from_rows([(1, 0, 0), (0, 1, 0)]))
+        assert not aoulab.maps._is_isometry(drop)
+        assert aoulab.maps._is_isometry(kadison_embed(lin_space(2)))
 
     def test_positive_against_membership_lps_randomized(self):
         r = rng(707)

@@ -52,24 +52,55 @@ def _module_level_names(tree: ast.Module) -> list[tuple[str, int]]:
     return names
 
 
-def test_no_unreferenced_private_names():
-    # a module-level _name that no code in the package reads is dead code
-    trees = {
-        path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        for path in sorted(PACKAGE.glob("*.py"))
-    }
-    referenced = set()
+def _read_names(trees) -> set[str]:
+    """Every name package code reads, bare or as an attribute."""
+    names = set()
     for tree in trees.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-                referenced.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                referenced.add(node.attr)
+                names.add(node.attr)
+    return names
+
+
+def _parse_package() -> dict:
+    return {
+        path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+
+
+def test_no_unreferenced_private_names():
+    # a module-level _name that no code in the package reads is dead code
+    trees = _parse_package()
+    referenced = _read_names(trees)
     found = [
         f"{file}: {name} (line {line})"
         for file, tree in trees.items()
         for name, line in _module_level_names(tree)
         if name.startswith("_") and not name.startswith("__") and name not in referenced
+    ]
+    assert not found, found
+
+
+def test_no_unreferenced_public_names():
+    # a module-level public name that the package neither re-exports from
+    # __init__ nor reads anywhere is an entry point no caller has
+    trees = _parse_package()
+    exported = {
+        alias.asname or alias.name
+        for node in ast.walk(trees["__init__.py"])
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    referenced = _read_names(trees)
+    found = [
+        f"{file}: {name} (line {line})"
+        for file, tree in trees.items()
+        if file != "__init__.py"
+        for name, line in _module_level_names(tree)
+        if not name.startswith("_") and name not in exported and name not in referenced
     ]
     assert not found, found
 

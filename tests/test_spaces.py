@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from conftest import lp_order_unit_failure, rand_frac, rand_vec, rng
 
+import aoulab.dd
 from aoulab.cones import Cone, member, same_cone
 from aoulab.errors import InputError, PolyhedralRequired, ShapeError, SizeLimitError
 from aoulab.linalg import Matrix, dot, vec
@@ -13,7 +14,6 @@ from aoulab.maps import UnitalMap
 from aoulab.spaces import (
     AOUSpace,
     archimedeanize,
-    build,
     dual_augmented,
     extreme_states,
     kadison_embed,
@@ -25,6 +25,7 @@ from aoulab.spaces import (
     unit_ball_vertices,
     validate,
 )
+from aoulab.tensors import EPSILON, PI, tensor_space
 
 
 class TestBuilders:
@@ -53,13 +54,6 @@ class TestBuilders:
         sp = dual_augmented(linf(1))
         assert sp.dim == 2 and sp.unit == vec((0, 1))
         assert set(sp.cone.inequalities) == {vec((0, 1)), vec((1, 1))}
-
-    def test_build_dispatch(self):
-        assert build("linf", 3).dim == 3
-        assert build("lin_space", 1).dim == 2
-        assert build("dual_augmented", linf(1)).dim == 2
-        with pytest.raises(InputError):
-            build("so3", 2)
 
     def test_zero_unit_rejected(self):
         with pytest.raises(InputError):
@@ -330,6 +324,27 @@ class TestIntervalAndBall:
             vec((0, 1)),
             vec((0, -1)),
         }
+
+    def test_interval_and_ball_share_one_dd(self, dd_calls):
+        for sp in (linf(3), lin_space(2), lin_space(3)):
+            sp.cone.hrep()  # a V-cone's facets are a DD of their own
+            dd_calls.clear()
+            order_interval_vertices(sp)
+            unit_ball_vertices(sp)
+            assert len(dd_calls) == 1
+
+    def test_ball_is_the_dd_of_the_ball_rows(self):
+        # [-e, e] = {v : a.v >= -a.e and -a.v >= -a.e for every row a}
+        spaces = [linf(n) for n in range(1, 5)] + [lin_space(n) for n in range(1, 5)]
+        for left, right in ((linf(2), lin_space(1)), (lin_space(2), linf(2))):
+            spaces += [tensor_space(left, right, kind).realized for kind in (EPSILON, PI)]
+        for sp in spaces:
+            rows, rhs = [], []
+            for a in sp.cone.hrep():
+                ae = dot(a, sp.unit)
+                rows += [a, tuple(-x for x in a)]
+                rhs += [-ae, -ae]
+            assert unit_ball_vertices(sp) == aoulab.dd.polytope_vertices(rows, rhs, sp.dim)
 
     def test_ball_vertices_have_norm_one(self):
         for sp in (linf(3), lin_space(2), dual_augmented(linf(1))):

@@ -29,6 +29,7 @@ from aoulab.psd_examples import (
     I4,
     SEGRE_RELATION,
     SWAP,
+    TensorVerdict,
     biquadratic_form,
     block_positive,
     partial_transpose,
@@ -405,8 +406,8 @@ class TestFactorize:
             for chosen in ([0, 1, 2], [1, 2, 3], [0, 2, 3], [0, 1, 2, 3]):
                 phi_rows = [pool[i] for i in chosen]
                 _, value = tensors._best_psi(space, phi_rows, verts)
-                obj, rows, rhs, senses, bounds = psi_lp_without_dedup(space, phi_rows, verts)
-                out = solve_lp(obj, rows, rhs, senses, bounds=bounds)
+                obj, rows, rhs, senses, nonneg = psi_lp_without_dedup(space, phi_rows, verts)
+                out = solve_lp(obj, rows, rhs, senses, nonneg=nonneg)
                 assert out.value == value
 
     def test_greedy_step_reuses_the_residual_norms(self, monkeypatch):
@@ -425,6 +426,57 @@ class TestFactorize:
     def test_loose_tolerance_accepts_lin_space_two(self):
         res = factorize(LS2, eps=Fraction(1, 2))
         assert res.success and res.defect <= Fraction(1, 2)
+
+
+class TestTamperedVerdicts:
+    # a verdict proves its claim only for the cone its kind supports, and
+    # missing or malformed evidence is a failed check, never an exception
+    SUITE = {rep.label: rep for rep in psd_example_suite()}
+    CONES = ("psd", "pi", "epsilon")
+
+    def test_psd_factorization_proves_no_pi_membership(self):
+        assert TensorVerdict("member", "psd", "psd_factorization").verify(BELL)
+        assert not TensorVerdict("member", "pi", "psd_factorization").verify(BELL)
+        assert not TensorVerdict("member", "epsilon", "psd_factorization").verify(BELL)
+
+    def test_relabelled_suite_verdicts_fail(self):
+        for rep in self.SUITE.values():
+            for v in rep.verdicts.values():
+                assert v.verify(rep.matrix)
+                flipped = "member" if v.claim == "non_member" else "non_member"
+                assert not dataclasses.replace(v, claim=flipped).verify(rep.matrix)
+                for cone in self.CONES:
+                    if cone != v.cone:
+                        assert not dataclasses.replace(v, cone=cone).verify(rep.matrix)
+
+    def test_non_member_gram_shift_fails(self):
+        ev = block_positive(BELL).evidence
+        assert ev.verify(BELL)
+        assert not dataclasses.replace(ev, claim="non_member").verify(BELL)
+        assert not TensorVerdict("non_member", "epsilon", "gram_shift", shift=Fraction(0)).verify(BELL)
+
+    @pytest.mark.parametrize(
+        "claim, cone, kind",
+        [
+            ("non_member", "psd", "negative_direction"),
+            ("non_member", "pi", "partial_transpose_witness"),
+            ("non_member", "pi", "psd_superset"),
+            ("member", "pi", "product_decomposition"),
+            ("member", "epsilon", "gram_shift"),
+            ("member", "epsilon", "polynomial_identity"),
+        ],
+    )
+    def test_missing_evidence_fails(self, claim, cone, kind):
+        for m in (BELL, SWAP, I4):
+            assert not TensorVerdict(claim, cone, kind).verify(m)
+
+    def test_malformed_evidence_fails(self):
+        pt = self.SUITE["bell"].verdicts["pi"]
+        assert not dataclasses.replace(pt, direction=vec((0, 1, -1))).verify(BELL)
+        one = Matrix.identity(1)
+        assert not TensorVerdict("member", "pi", "product_decomposition", products=((one, one),)).verify(I4)
+        assert not TensorVerdict("member", "psd", "unknown_kind").verify(I4)
+        assert not TensorVerdict("member", "epsilon", "gram_shift", shift=Fraction(0)).verify(Matrix.identity(3))
 
 
 class TestPartialTranspose:
