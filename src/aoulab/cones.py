@@ -12,8 +12,9 @@ keeps the result, coprime integer tuples, in its _derived cache. Everything
 derived reads that one pair: the other representation (vrep() of an H-cone,
 hrep() of a V-cone), extreme_rays, contains, is_pointed and
 close_and_lineality. dual() hands the pair to the dual cone, whose DD input
-is the same rows. Work stays in integers; Fractions are built only for what
-public functions return.
+is the same rows. The cone's own rows are integerized once as well, for the
+DD and for int_vrep/int_hrep. Work stays in integers; Fractions are built
+only for what public functions return.
 
 Every membership answer is a Certificate that re-verifies by substitution:
 a conic decomposition over named generators, a violated inequality row, a
@@ -169,13 +170,21 @@ class Cone:
         return self._derived[key]
 
 
+def _own_int_rows(cone: Cone) -> list[dd.IntVec]:
+    """The cone's own rows (generators or inequalities) as coprime integer
+    tuples, integerized once per cone."""
+    if "own_int" not in cone._derived:
+        rows = cone.generators if cone.generators is not None else cone.inequalities
+        cone._derived["own_int"] = [integerize(r) for r in rows]
+    return cone._derived["own_int"]
+
+
 def _dd(cone: Cone) -> tuple[list[dd.IntVec], list[dd.IntVec]]:
     """dd_pair of the cone's own rows (generators or inequalities), run at
     most once per cone: the generator form of an H-cone, the dual cone, so
     the facet rows, of a V-cone."""
     if "dd" not in cone._derived:
-        rows = cone.generators if cone.generators is not None else cone.inequalities
-        cone._derived["dd"] = dd.dd_pair(rows, cone.dim)
+        cone._derived["dd"] = dd.dd_pair(_own_int_rows(cone), cone.dim)
     return cone._derived["dd"]
 
 
@@ -188,17 +197,13 @@ def _dd_other(cone: Cone) -> list[dd.IntVec]:
 def int_vrep(cone: Cone) -> list[dd.IntVec]:
     """vrep() as coprime integer tuples; an H-cone's are its DD's own."""
     cone.require_closed("generator representation")
-    if cone.generators is None:
-        return _dd_other(cone)
-    return [integerize(g) for g in cone.generators]
+    return _dd_other(cone) if cone.generators is None else _own_int_rows(cone)
 
 
 def int_hrep(cone: Cone) -> list[dd.IntVec]:
     """hrep() as coprime integer tuples; a V-cone's are its DD's own."""
     cone.require_closed("inequality representation")
-    if cone.inequalities is None:
-        return _dd_other(cone)
-    return [integerize(a) for a in cone.inequalities]
+    return _dd_other(cone) if cone.inequalities is None else _own_int_rows(cone)
 
 
 # the verdict each kind of evidence supports, and whether its cone is PSD
@@ -209,6 +214,15 @@ _KINDS = {
     "separating_functional": ("non_member", False),
     "negative_direction": ("non_member", True),
 }
+
+
+def _is_term(entry, n_gens: int) -> bool:
+    """A decomposition term (index, coefficient): an int index (not a bool)
+    below n_gens and a nonnegative int or Fraction coefficient."""
+    if not (isinstance(entry, tuple) and len(entry) == 2):
+        return False
+    idx, coeff = entry
+    return type(idx) is int and 0 <= idx < n_gens and type(coeff) in (int, Fraction) and coeff >= 0
 
 
 @dataclass(frozen=True)
@@ -224,16 +238,19 @@ class Certificate:
     def verify(self, cone: Cone, v: Sequence[Fraction]) -> bool:
         """True when the evidence proves the verdict for v; tampered or
         malformed evidence (a verdict its kind cannot support, an index out
-        of range, a vector of the wrong length) gives False."""
+        of range or a decomposition term that is not an (index, rational)
+        pair, a vector of the wrong length, a separating row of an H-cone
+        without its row index) gives False."""
         v = vec(v)
         if _KINDS.get(self.kind) != (self.verdict, cone.kind == SYM_PSD) or len(v) != cone.dim:
             return False
         if self.kind == "conic_decomposition":
             gens = cone.vrep()
             total = zeros(cone.dim)
-            for idx, coeff in self.decomposition or ():
-                if coeff < 0 or not 0 <= idx < len(gens):
+            for entry in self.decomposition or ():
+                if not _is_term(entry, len(gens)):
                     return False
+                idx, coeff = entry
                 total = tuple(t + coeff * g for t, g in zip(total, gens[idx]))
             return total == v
         if self.kind == "hrep_evaluation":
@@ -244,11 +261,9 @@ class Certificate:
                 return False
             if cone.generators is not None:
                 return all(dot(w, g) >= 0 for g in cone.generators)
-            # w must be implied by the rows; a stored row index suffices
-            if self.payload and "row_index" in self.payload:
-                rows, i = cone.hrep(), self.payload["row_index"]
-                return 0 <= i < len(rows) and vec(rows[i]) == w
-            return all(dot(w, g) >= 0 for g in cone.vrep())
+            # w must be one of the rows, named by the index member stores
+            rows, i = cone.inequalities, (self.payload or {}).get("row_index")
+            return type(i) is int and 0 <= i < len(rows) and rows[i] == w
         if self.kind == "psd_factorization":
             return ldlt_psd(unpack_sym(v, cone.psd_side)).is_psd
         x = self.witness  # negative_direction

@@ -66,6 +66,15 @@ def vscale(c: Fraction, a: Vec) -> Vec:
     return tuple(c * x for x in a)
 
 
+def kron_vec(a: Sequence[Fraction], b: Sequence[Fraction]) -> Vec:
+    """a (x) b in row-major coordinates: entry i * len(b) + j is a_i b_j.
+
+    Tensor coordinates use this layout, and so do LPs over the entries m of
+    an unknown matrix M, read row by row: (M x)_r = kron_vec(e_r, x) . m and
+    a . (M g) = kron_vec(a, g) . m."""
+    return tuple(x * y for x in a for y in b)
+
+
 def is_zero_vec(a: Sequence[Fraction]) -> bool:
     return all(x == 0 for x in a)
 
@@ -74,19 +83,20 @@ def integerize(a: Sequence[Fraction]) -> tuple[int, ...]:
     """Scale a rational vector by a positive rational to coprime integers.
 
     Preserves direction (the scale is positive), so it is safe for rays and
-    halfspace normals. The zero vector maps to itself.
+    halfspace normals. The zero vector maps to itself. Ints and Fractions
+    pass as they are, as in _int_rows; other entries go through frac.
     """
-    a = [frac(x) for x in a]
-    if all(x == 0 for x in a):
-        return (0,) * len(a)
-    denom_lcm = 1
+    a = [x if isinstance(x, (int, Fraction)) else frac(x) for x in a]
+    den = 1
     for x in a:
-        denom_lcm = denom_lcm * x.denominator // gcd(denom_lcm, x.denominator)
-    ints = [x.numerator * (denom_lcm // x.denominator) for x in a]
+        d = x.denominator
+        if d != 1:
+            den = den * d // gcd(den, d)
+    ints = [x.numerator * (den // x.denominator) for x in a]
     g = 0
     for v in ints:
         g = gcd(g, v)
-    return tuple(v // g for v in ints)
+    return tuple(v // g for v in ints) if g else (0,) * len(ints)
 
 
 @dataclass(frozen=True)

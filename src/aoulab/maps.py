@@ -31,6 +31,7 @@ from .linalg import (
     dot,
     inverse,
     is_zero_vec,
+    kron_vec,
     quotient_matrix,
     rank,
     solve,
@@ -317,6 +318,32 @@ def is_order_quotient(m: UnitalMap) -> QuotientReport:
 # -- extension ---------------------------------------------------------------
 
 
+def _unital_positive_rows(
+    source: AOUSpace, target: AOUSpace, values: Sequence[tuple[Vec, Vec]], extra: int = 0
+) -> tuple[list[Vec], list[Fraction], list[str]]:
+    """LP rows, over the row-major entries of a target.dim x source.dim
+    matrix M followed by `extra` columns that stay zero here, saying that M
+    is a unital positive map with M x = y for each given pair (x, y).
+
+    M x = y is the rows kron_vec(e_r, x) = y_r, first for the pairs, then
+    for the units. Positivity is kron_vec(a, g) = a . (M g) >= 0 for each
+    source generator g (outer loop) and target H-row a (inner loop)."""
+    pad = zeros(extra)
+    rows, rhs, senses = [], [], []
+    for x, y in [*values, (source.unit, target.unit)]:
+        for r in range(target.dim):
+            rows.append(kron_vec(unit_vec(r, target.dim), x) + pad)
+            rhs.append(y[r])
+            senses.append(EQ)
+    hrows = target.cone.hrep()
+    for g in source.cone.vrep():
+        for a in hrows:
+            rows.append(kron_vec(a, g) + pad)
+            rhs.append(Fraction(0))
+            senses.append(GE)
+    return rows, rhs, senses
+
+
 def extend_unital_positive(
     w2: AOUSpace, w1_basis: Sequence, values: Sequence, v: AOUSpace
 ) -> UnitalMap:
@@ -350,48 +377,14 @@ def extend_unital_positive(
         raise InputError("the given map is not unital on the subspace")
 
     nw, nv = w2.dim, v.dim
-    nvars = nv * nw  # matrix entries, row major
-
-    def entry(rr, cc):
-        return rr * nw + cc
-
-    rows, rhs, senses = [], [], []
-    for b, val in zip(basis, vals):
-        for r in range(nv):
-            row = [Fraction(0)] * nvars
-            for c in range(nw):
-                row[entry(r, c)] = b[c]
-            rows.append(tuple(row))
-            rhs.append(val[r])
-            senses.append(EQ)
-    for r in range(nv):
-        row = [Fraction(0)] * nvars
-        for c in range(nw):
-            row[entry(r, c)] = w2.unit[c]
-        rows.append(tuple(row))
-        rhs.append(v.unit[r])
-        senses.append(EQ)
-    vrows = v.cone.hrep()
-    for g in w2.cone.vrep():
-        for a in vrows:
-            row = [Fraction(0)] * nvars
-            for r in range(nv):
-                if a[r] == 0:
-                    continue
-                for c in range(nw):
-                    row[entry(r, c)] += a[r] * g[c]
-            rows.append(tuple(row))
-            rhs.append(Fraction(0))
-            senses.append(GE)
-    out = solve_lp(zeros(nvars), rows, rhs, senses)
+    rows, rhs, senses = _unital_positive_rows(w2, v, list(zip(basis, vals)))
+    out = solve_lp(zeros(nv * nw), rows, rhs, senses)
     if out.status != OPTIMAL:
         raise InputError(
             "no unital positive extension exists (target cone not simplicial?)",
             certificate=out.dual_certificate,
         )
-    matrix = Matrix.from_rows(
-        [[out.primal[entry(r, c)] for c in range(nw)] for r in range(nv)]
-    )
+    matrix = Matrix.from_rows(out.primal[r * nw : (r + 1) * nw] for r in range(nv))
     ext = UnitalMap(w2, v, matrix)
     if not ext.unital or not ext.positive:
         raise InvariantViolation("extension LP returned a non-solution")

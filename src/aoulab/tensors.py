@@ -2,8 +2,9 @@
 
 The epsilon cone is cut out by the product functionals f (x) g over extreme
 state pairs; the pi cone is generated by products of positive elements.  Both
-realized spaces carry the product unit e_V (x) e_W.  Coordinates are row-major:
-the (i, j) basis tensor lands at index i * dim_W + j.
+realized spaces carry the product unit e_V (x) e_W.  Coordinates are row-major,
+the convention of `linalg.kron_vec`: the (i, j) basis tensor lands at index
+i * dim_W + j.
 """
 
 from __future__ import annotations
@@ -23,13 +24,15 @@ from .linalg import (
     dot,
     frac,
     inverse,
+    kron_vec,
     rank,
     solve,
     vec,
     vsub,
+    zeros,
 )
-from .lp import EQ, GE, OPTIMAL, solve_lp
-from .maps import UnitalMap
+from .lp import GE, OPTIMAL, solve_lp
+from .maps import UnitalMap, _unital_positive_rows
 from .spaces import (
     AOUSpace,
     extreme_states,
@@ -45,10 +48,6 @@ PI = "pi"
 FACTORIZE_STATE_CAP = 64
 # most d x d determinants the seed scan of factorize may take (C(states, d))
 FACTORIZE_SCAN_CAP = 20_000
-
-
-def kron_vec(a: Vec, b: Vec) -> Vec:
-    return tuple(x * y for x in a for y in b)
 
 
 @dataclass(eq=False)
@@ -322,64 +321,34 @@ class FactorizationResult:
     exhausted: bool
 
 
-def _psi_entry(r: int, c: int, k: int) -> int:
-    return r * k + c
-
-
 def _best_psi(space: AOUSpace, phi_rows: list[Vec], vectors: list[Vec]):
-    """One LP: the unital positive psi minimizing the worst order norm of
-    psi(phi(v)) - v over the given vectors.  Variables are the dim x k
-    entries of psi plus the defect bound t (last variable).
+    """One LP: the unital positive psi: linf(k) -> space minimizing the worst
+    order norm of psi(phi(v)) - v over the given vectors.  Variables are the
+    dim x k entries of psi, row-major, plus the defect bound t (last
+    variable), with t (a . e) >= +-(a . psi(phi(v)) - a . v) for each H-row a.
 
     Each defect row (coefficients, rhs) is added once: v and -v give the
     same two rows with the signs swapped, and unit-ball vertices come in
     such pairs."""
     d, k = space.dim, len(phi_rows)
-    nvars = d * k + 1
-    t_ix = d * k
+    rows, rhs, senses = _unital_positive_rows(linf(k), space, (), extra=1)
     hrows = space.cone.hrep()
-    rows, rhs, senses = [], [], []
-    for i in range(d):
-        coeff = [Fraction(0)] * nvars
-        for j in range(k):
-            coeff[_psi_entry(i, j, k)] = Fraction(1)
-        rows.append(tuple(coeff))
-        rhs.append(space.unit[i])
-        senses.append(EQ)
-    for j in range(k):
-        for a in hrows:
-            coeff = [Fraction(0)] * nvars
-            for i in range(d):
-                coeff[_psi_entry(i, j, k)] = a[i]
-            rows.append(tuple(coeff))
-            rhs.append(Fraction(0))
-            senses.append(GE)
     defect_rows: dict = {}
     for v in vectors:
         w = tuple(dot(row, v) for row in phi_rows)
         for a in hrows:
-            ae = dot(a, space.unit)
-            av = dot(a, v)
+            ae, av, aw = dot(a, space.unit), dot(a, v), kron_vec(a, w)
             for sign in (1, -1):
-                coeff = [Fraction(0)] * nvars
-                coeff[t_ix] = ae
-                for i in range(d):
-                    for j in range(k):
-                        coeff[_psi_entry(i, j, k)] = -sign * a[i] * w[j]
-                defect_rows.setdefault((tuple(coeff), -sign * av))
+                defect_rows.setdefault((tuple(-sign * x for x in aw) + (ae,), -sign * av))
     for coeff, b in defect_rows:
         rows.append(coeff)
         rhs.append(b)
         senses.append(GE)
-    obj = [Fraction(0)] * nvars
-    obj[t_ix] = Fraction(1)
-    out = solve_lp(vec(obj), rows, rhs, senses, nonneg=[False] * (d * k) + [True])
+    obj = zeros(d * k) + (Fraction(1),)
+    out = solve_lp(obj, rows, rhs, senses, nonneg=[False] * (d * k) + [True])
     if out.status != OPTIMAL:
         raise InvariantViolation("defect LP must be solvable")
-    psi_rows = [
-        tuple(out.primal[_psi_entry(i, j, k)] for j in range(k)) for i in range(d)
-    ]
-    return Matrix.from_rows(psi_rows), out.value
+    return Matrix.from_rows(out.primal[i * k : (i + 1) * k] for i in range(d)), out.value
 
 
 def factorize(space: AOUSpace, eps: Fraction | int = Fraction(1, 10)) -> FactorizationResult:

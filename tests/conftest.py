@@ -12,7 +12,9 @@ a battery of partners for single-space nuclearity, the induced map on the
 kernel quotient for order quotients, the epsilon order norm for the
 injective norm, one LP over the cone rows for the minimum of a
 functional on the order interval, and one LP per source state for the
-isometry of a map.
+isometry of a map.  The LP builders (`extension_lp_rows`,
+`psi_lp_without_dedup`) index the matrix entries by hand instead of through
+`kron_vec`.
 """
 
 from __future__ import annotations
@@ -309,6 +311,38 @@ def lp_pi_order_unit(left: AOUSpace, right: AOUSpace) -> None:
                 expect = tuple(r * s * u + sgn * x for u, x in zip(unit, b_flat))
                 if tuple(total) != expect:
                     raise InvariantViolation("pi unit fails the order unit test")
+
+
+def extension_lp_rows(w2: AOUSpace, basis: list[Vec], vals: list[Vec], v: AOUSpace):
+    """The feasibility LP of `maps.extend_unital_positive` as (rows, rhs,
+    senses), built with its own index arithmetic over the row-major matrix
+    entries: the given values, then the units, then one positivity row per
+    source generator and target H-row."""
+    nw, nv = w2.dim, v.dim
+    nvars = nv * nw
+
+    def entry(rr, cc):
+        return rr * nw + cc
+
+    rows, rhs, senses = [], [], []
+    for b, val in list(zip(basis, vals)) + [(w2.unit, v.unit)]:
+        for r in range(nv):
+            row = [Fraction(0)] * nvars
+            for c in range(nw):
+                row[entry(r, c)] = b[c]
+            rows.append(tuple(row))
+            rhs.append(val[r])
+            senses.append(EQ)
+    for g in w2.cone.vrep():
+        for a in v.cone.hrep():
+            row = [Fraction(0)] * nvars
+            for r in range(nv):
+                for c in range(nw):
+                    row[entry(r, c)] += a[r] * g[c]
+            rows.append(tuple(row))
+            rhs.append(Fraction(0))
+            senses.append(GE)
+    return rows, rhs, senses
 
 
 def psi_lp_without_dedup(space: AOUSpace, phi_rows: list[Vec], vectors: list[Vec]):

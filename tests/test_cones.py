@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+import aoulab.cones
+import aoulab.dd
 from aoulab.cones import (
     Certificate,
     Cone,
@@ -28,7 +30,7 @@ from aoulab.errors import (
     ShapeError,
     StrictConeError,
 )
-from aoulab.linalg import Matrix, dot, vec
+from aoulab.linalg import Matrix, dot, integerize, vec
 from aoulab.spaces import AOUSpace, extreme_states, lin_space, linf
 from aoulab.tensors import PI, tensor_space
 from conftest import fraction_rank, lp_contains, lp_extreme_rays, lp_is_pointed, rand_vec, rng
@@ -322,6 +324,23 @@ class TestOneDoubleDescription:
         space.cone.vrep()
         assert len(dd_calls) == 1
 
+    def test_second_contains_integerizes_nothing(self, monkeypatch):
+        calls = []
+
+        def counted(a):
+            calls.append(a)
+            return integerize(a)
+
+        for mod in (aoulab.cones, aoulab.dd):
+            monkeypatch.setattr(mod, "integerize", counted)
+        a = Cone.from_generators([(1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1)])
+        b = Cone.from_generators([(2, 1, 1), (1, 0, 0)])
+        assert contains(a, b) and not contains(b, a)
+        assert calls
+        calls.clear()
+        assert contains(a, b) and not contains(b, a)
+        assert calls == []
+
     def test_pi_tensor_space_runs_one_dd_per_factor(self, dd_calls):
         tensor_space(self.v_space(), linf(2), PI)
         assert len(dd_calls) == 2
@@ -439,6 +458,32 @@ class TestTamperedCertificates:
         for cone in (orthant(2), self.ORTHANT_H):
             cert = member(cone, (1, 2))
             assert not cert.verify(cone, (1, 2, 0))
+
+    @pytest.mark.parametrize(
+        "decomposition",
+        [
+            ((0,),),
+            ((0, 1, 5),),
+            ((Fraction(1, 2), 1),),
+            ((True, 2),),  # as an index, True would read generator 1
+            (0,),
+            ("01",),
+        ],
+    )
+    def test_malformed_decomposition_entry(self, decomposition):
+        v = vec((0, 2))
+        cert = Certificate("member", "conic_decomposition", decomposition=((1, Fraction(2)),))
+        assert cert.verify(orthant(2), v)
+        bad = dataclasses.replace(cert, decomposition=decomposition)
+        assert not bad.verify(orthant(2), v)
+
+    def test_separating_row_needs_its_index(self, dd_calls):
+        v = vec((-1, 0))
+        cert = Certificate("non_member", "separating_functional", witness=vec((1, 0)))
+        assert not cert.verify(self.ORTHANT_H, v)
+        assert dataclasses.replace(cert, payload={"row_index": 0}).verify(self.ORTHANT_H, v)
+        assert not dataclasses.replace(cert, payload={"row_index": True}).verify(self.ORTHANT_H, v)
+        assert dd_calls == []
 
 
 def test_same_cone_across_representations():

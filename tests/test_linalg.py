@@ -12,6 +12,7 @@ from conftest import (
     fraction_solve,
 )
 
+import aoulab.linalg
 from aoulab.errors import ShapeError
 from aoulab.linalg import (
     Matrix,
@@ -111,6 +112,20 @@ def test_integerize_matches_the_fraction_product_form():
         got = integerize(a)
         assert got == _integerize_by_products(a), a
         assert all(type(x) is int for x in got)
+
+
+def test_integerize_takes_ints_and_fractions_as_they_are(monkeypatch):
+    def no_frac(x):
+        raise AssertionError(f"frac({x!r}) called")
+
+    monkeypatch.setattr(aoulab.linalg, "frac", no_frac)
+    assert integerize((4, Fraction(-2, 3), 0)) == (6, -1, 0)
+    assert integerize((0, Fraction(0))) == (0, 0)
+    monkeypatch.undo()
+    assert integerize(("1/2", 3)) == (1, 6)
+    for bad in ((1, 0.5), (Fraction(1), 2.0)):
+        with pytest.raises(ShapeError):
+            integerize(bad)
 
 
 # -- the integer elimination kernel against the Fraction oracle ---------------

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 from conftest import (
+    extension_lp_rows,
     fraction_rank,
     kernel_quotient_is_order_quotient,
     lp_interval_min,
@@ -21,6 +22,7 @@ import aoulab.spaces
 from aoulab.cones import Cone, extreme_rays, member, same_cone
 from aoulab.errors import InputError, ShapeError, SizeLimitError, StrictConeError
 from aoulab.linalg import Matrix, dot, vec, vsub
+from aoulab.lp import solve_lp
 from aoulab.maps import (
     UnitalMap,
     archimedean_quotient,
@@ -302,6 +304,44 @@ class TestExtension:
     def test_unit_outside_subspace_rejected(self):
         with pytest.raises(InputError):
             extend_unital_positive(L2, [(1, 0)], [(1,)], L1)
+
+
+class TestExtensionLP:
+    @staticmethod
+    def _cases():
+        # a positive vector sent to a non-positive one: infeasible
+        yield L3, [L3.unit, vec((1, 0, 0))], [L2.unit, vec((2, -1))], L2
+        # the unit and b sent to the unit and s(b) e for a state s: feasible
+        b = vec((0, 1, -1))
+        for w2 in (L3, lin_space(2)):
+            s = extreme_states(w2)[0]
+            for v in (L2, L3, lin_space(1), lin_space(2)):
+                yield w2, [w2.unit, b], [v.unit, tuple(s(b) * x for x in v.unit)], v
+
+    def test_rows_match_the_index_oracle(self, monkeypatch):
+        posed = []
+
+        def spy(obj, rows, rhs, senses, **kwargs):
+            out = solve_lp(obj, rows, rhs, senses, **kwargs)
+            posed.append(((list(rows), list(rhs), list(senses)), out))
+            return out
+
+        monkeypatch.setattr(aoulab.maps, "solve_lp", spy)
+        feasible = []
+        for w2, basis, vals, v in self._cases():
+            oracle = extension_lp_rows(w2, basis, vals, v)
+            assert aoulab.maps._unital_positive_rows(w2, v, list(zip(basis, vals))) == oracle
+            try:
+                ext = extend_unital_positive(w2, basis, vals, v)
+            except InputError:
+                ext = None
+            feasible.append(ext is not None)
+            system, out = posed.pop()
+            assert system == oracle
+            if ext is not None:
+                n = w2.dim
+                assert ext.matrix.data == tuple(out.primal[r * n : (r + 1) * n] for r in range(v.dim))
+        assert feasible == [False] + [True] * 8 and not posed
 
 
 class TestIntervalAndNormBound:

@@ -36,7 +36,7 @@ from aoulab.psd_examples import (
     psd_example_suite,
     sos_matches,
 )
-from aoulab import tensors
+from aoulab import maps, tensors
 from aoulab.spaces import AOUSpace, extreme_states, lin_space, linf, order_norm, unit_ball_vertices, validate
 from aoulab.tensors import (
     EPSILON,
@@ -409,6 +409,27 @@ class TestFactorize:
                 obj, rows, rhs, senses, nonneg = psi_lp_without_dedup(space, phi_rows, verts)
                 out = solve_lp(obj, rows, rhs, senses, nonneg=nonneg)
                 assert out.value == value
+
+    def test_constant_block_matches_the_index_oracle(self, monkeypatch):
+        posed = []
+
+        def spy(obj, rows, rhs, senses, **kwargs):
+            posed.append((list(rows), list(rhs), list(senses)))
+            return solve_lp(obj, rows, rhs, senses, **kwargs)
+
+        monkeypatch.setattr(tensors, "solve_lp", spy)
+        r = rng(29)
+        for space in (lin_space(2), random_non_simplicial(r, 3)):
+            pool = [st.functional for st in extreme_states(space)]
+            verts = [vec(v) for v in unit_ball_vertices(space)]
+            for k in (3, 4):
+                _, rows, rhs, senses, _ = psi_lp_without_dedup(space, pool[:k], verts)
+                n = space.dim + k * len(space.cone.hrep())
+                oracle = (rows[:n], rhs[:n], senses[:n])
+                assert maps._unital_positive_rows(linf(k), space, (), extra=1) == oracle
+                tensors._best_psi(space, pool[:k], verts)
+                rows, rhs, senses = posed.pop()
+                assert (rows[:n], rhs[:n], senses[:n]) == oracle
 
     def test_greedy_step_reuses_the_residual_norms(self, monkeypatch):
         calls = []
