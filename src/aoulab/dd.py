@@ -47,12 +47,20 @@ def _reduce(v: Sequence[int]) -> IntVec:
     return tuple(x // g for x in v)
 
 
+def _is_coprime_int(h) -> bool:
+    """h is a tuple of ints with gcd 1 (or all zero), so integerize(h) == h."""
+    return type(h) is tuple and all(type(x) is int for x in h) and gcd(*h) <= 1
+
+
 def dd_pair(halfspaces: Sequence[Sequence], dim: int) -> tuple[list[IntVec], list[IntVec]]:
-    """Minimal (lineality basis, extreme rays) of {x : h . x >= 0 for all h}."""
+    """Minimal (lineality basis, extreme rays) of {x : h . x >= 0 for all h}.
+
+    Rows that are already coprime integer tuples, as `cones` passes a
+    cone's own rows, are taken as they are; others are integerized."""
     rows: list[IntVec] = []
     seen = set()
     for h in halfspaces:
-        hv = integerize(h)
+        hv = h if _is_coprime_int(h) else integerize(h)
         if len(hv) != dim:
             raise ShapeError(f"halfspace length {len(hv)} != dim {dim}")
         if all(x == 0 for x in hv) or hv in seen:

@@ -29,6 +29,7 @@ from .linalg import (
     Vec,
     det,
     dot,
+    frac,
     inverse,
     is_zero_vec,
     kron_vec,
@@ -48,7 +49,7 @@ from .spaces import (
     extreme_states,
     order_interval_vertices,
     order_norm,
-    unit_ball_vertices,
+    unit_ball_half,
 )
 
 
@@ -403,9 +404,10 @@ def interval_min(space: AOUSpace, f) -> Fraction:
 
 
 def dual_norm(space: AOUSpace, f) -> Fraction:
-    """Norm of a functional against the order norm: max |f| on the unit ball."""
+    """Norm of a functional against the order norm: max |f| on the unit
+    ball, one vertex of each +- pair, since |f(-x)| = |f(x)|."""
     c = _coeffs(space, f)
-    return max((abs(dot(c, x)) for x in unit_ball_vertices(space)), default=Fraction(0))
+    return max((abs(dot(c, x)) for x in unit_ball_half(space)), default=Fraction(0))
 
 
 def norm_bound_equiv(space: AOUSpace, f, eps) -> bool:
@@ -415,7 +417,7 @@ def norm_bound_equiv(space: AOUSpace, f, eps) -> bool:
     value is returned.
     """
     c = _coeffs(space, f)
-    eps = Fraction(eps)
+    eps = frac(eps)
     lhs = dual_norm(space, c) <= 2 * eps + dot(c, space.unit)
     rhs = interval_min(space, c) >= -eps
     if lhs != rhs:
@@ -429,7 +431,9 @@ def norm_bound_equiv(space: AOUSpace, f, eps) -> bool:
 
 
 def operator_norm(m, source: AOUSpace | None = None, target: AOUSpace | None = None) -> Fraction:
-    """Exact operator norm between order norms: max over source ball vertices."""
+    """Exact operator norm between order norms: the max of ||T x|| over the
+    source ball vertices. The ball is symmetric and ||T(-x)|| = ||T x||, so
+    one vertex of each +- pair is taken, half the order norms."""
     if isinstance(m, UnitalMap):
         source, target, mat = m.source, m.target, m.matrix
     else:
@@ -437,7 +441,7 @@ def operator_norm(m, source: AOUSpace | None = None, target: AOUSpace | None = N
         if source is None or target is None:
             raise ShapeError("matrix form needs explicit source and target spaces")
     return max(
-        (order_norm(target, mat.apply(x)) for x in unit_ball_vertices(source)),
+        (order_norm(target, mat.apply(x)) for x in unit_ball_half(source)),
         default=Fraction(0),
     )
 
@@ -451,12 +455,18 @@ def auerbach_basis(space: AOUSpace) -> tuple[list[Vec], list[Vec]]:
     """A basis of unit vectors whose dual basis is also made of unit
     functionals, found by maximizing |det| over tuples of ball vertices.
 
+    Flipping the sign of a vertex keeps |det|, and a tuple holding both x
+    and -x has det 0, so the scan takes one vertex of each +- pair:
+    C(n/2, dim) tuples for n ball vertices instead of C(n, dim). It reads
+    the half in reverse sorted order, the order in which a scan of the
+    reversed full ball first meets each pair, so ties break the same way.
+
     Biorthogonality and all 2*dim unit-norm identities are verified exactly
     before returning.
     """
     if space.dim > AUERBACH_DIM_CAP:
         raise SizeLimitError(f"auerbach_basis capped at dimension {AUERBACH_DIM_CAP}")
-    verts = list(reversed(unit_ball_vertices(space)))
+    verts = list(reversed(unit_ball_half(space)))
     scan = comb(len(verts), space.dim)
     if scan > AUERBACH_SCAN_CAP:
         raise SizeLimitError(

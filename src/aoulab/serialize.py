@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .cones import Cone
 from .errors import InputError
-from .linalg import Matrix, Vec, vec
+from .linalg import Matrix, Vec, frac, vec
 from .maps import UnitalMap
 from .spaces import AOUSpace
 from .tensors import TensorElement
@@ -21,7 +21,7 @@ VERSION = 1
 
 
 def _enc_frac(x: Fraction) -> str:
-    return str(Fraction(x))
+    return str(frac(x))
 
 
 def decode_frac(s) -> Fraction:

@@ -254,6 +254,22 @@ def unit_ball_vertices(space: AOUSpace) -> list[Vec]:
     return space._derived[key]
 
 
+def unit_ball_half(space: AOUSpace) -> list[Vec]:
+    """One vertex of each +- pair of the unit ball, the one whose first
+    nonzero coordinate is positive, in the ball's sorted order.
+
+    The ball [-e, e] is symmetric, so its vertices come in pairs x, -x, and
+    0, the midpoint of -e and e, is never one. A scan that cannot tell x
+    from -x (||T(-x)|| = ||T x||, |f(-x)| = |f(x)|, |det| under a sign
+    flip) needs only this half."""
+    key = "ball_half"
+    if key not in space._derived:
+        space._derived[key] = [
+            x for x in unit_ball_vertices(space) if next(c for c in x if c) > 0
+        ]
+    return space._derived[key]
+
+
 # -- builders --------------------------------------------------------------
 
 LIN_SPACE_CAP = 12

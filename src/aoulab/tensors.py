@@ -39,6 +39,7 @@ from .spaces import (
     linf,
     order_norm,
     order_unit_failures,
+    unit_ball_half,
     unit_ball_vertices,
 )
 
@@ -359,6 +360,13 @@ def factorize(space: AOUSpace, eps: Fraction | int = Fraction(1, 10)) -> Factori
     grows greedily (most violated state first) until the defect drops below
     eps or the states run out.  The defect is taken over the unit ball
     vertices, so it equals the operator norm of psi . phi - id exactly.
+
+    The LP poses its rows over every ball vertex; the tightness check
+    recomputes the defect over one vertex of each +- pair, since the
+    residual of -v is minus that of v and has the same norm.  It reads that
+    half in reverse sorted order, the order in which the sorted ball first
+    meets each pair, so the worst residual it picks is the full scan's up
+    to sign, and the next state, chosen by |f(residual)|, is the same.
     """
     eps = frac(eps)
     space.cone.require_polyhedral("factorization")
@@ -409,6 +417,7 @@ def factorize(space: AOUSpace, eps: Fraction | int = Fraction(1, 10)) -> Factori
         if best_det is None or dv > best_det:
             best_det, seed = dv, combo
     chosen = list(seed) if seed is not None and best_det else list(range(min(d, len(pool))))
+    half = list(reversed(unit_ball_half(space)))
     schedule: list[tuple[int, Fraction]] = []
     best: tuple[Fraction, Matrix, list[Vec]] | None = None
     while True:
@@ -416,7 +425,7 @@ def factorize(space: AOUSpace, eps: Fraction | int = Fraction(1, 10)) -> Factori
         phi_m = Matrix.from_rows(phi_rows)
         psi_m, defect = _best_psi(space, phi_rows, vectors)
         # the LP bound is tight: recompute the defect from the solution
-        residuals = [vsub(psi_m.apply(phi_m.apply(v)), v) for v in vectors]
+        residuals = [vsub(psi_m.apply(phi_m.apply(v)), v) for v in half]
         norms = [order_norm(space, res) for res in residuals]
         recomputed = max(norms, default=Fraction(0))
         if recomputed != defect:

@@ -14,7 +14,9 @@ injective norm, one LP over the cone rows for the minimum of a
 functional on the order interval, and one LP per source state for the
 isometry of a map.  The LP builders (`extension_lp_rows`,
 `psi_lp_without_dedup`) index the matrix entries by hand instead of through
-`kron_vec`.
+`kron_vec`.  The full-ball scans (operator norm, dual norm, Auerbach |det|
+scan by Fraction elimination) visit every vertex of the unit ball, where
+the package takes one vertex of each +- pair.
 """
 
 from __future__ import annotations
@@ -30,9 +32,9 @@ from aoulab.cones import Cone, close_and_lineality, image_cone, member, same_con
 from aoulab.errors import InvariantViolation
 from aoulab.linalg import Matrix, Vec, dot, frac, integerize, unit_vec, vec
 from aoulab.lp import EQ, GE, OPTIMAL, solve_lp
-from aoulab.maps import UnitalMap, archimedean_quotient, dual_norm
-from aoulab.spaces import AOUSpace, extreme_states, lin_space, linf, order_norm
-from aoulab.tensors import EPSILON, TensorElement, is_nuclear_pairwise, kron_vec, tensor_space
+from aoulab.maps import UnitalMap, archimedean_quotient
+from aoulab.spaces import AOUSpace, extreme_states, lin_space, linf, order_norm, unit_ball_vertices
+from aoulab.tensors import EPSILON, PI, TensorElement, is_nuclear_pairwise, kron_vec, tensor_space
 
 
 @pytest.fixture()
@@ -537,7 +539,7 @@ def lp_is_isometry(m: UnitalMap) -> bool:
     +-(g o m), one feasibility LP per state."""
     mt = m.matrix.transpose()
     pulled = [mt.apply(g.functional) for g in extreme_states(m.target)]
-    if any(dual_norm(m.source, p) > 1 for p in pulled):
+    if any(full_ball_dual_norm(m.source, p) > 1 for p in pulled):
         return False
     points = pulled + [tuple(-x for x in p) for p in pulled]
     n, k = m.source.dim, len(points)
@@ -548,3 +550,48 @@ def lp_is_isometry(m: UnitalMap) -> bool:
         if out.status != OPTIMAL:
             return False
     return True
+
+
+# -- full-ball scans: the symmetric scans the package halves ------------------
+
+
+def ball_scan_spaces(r: random.Random) -> list[AOUSpace]:
+    """linf(1..4), lin_space(1..4), the epsilon and pi spaces of
+    linf(2) (x) lin_space(1) and lin_space(2) (x) linf(2), and three random
+    pointed V-rep spaces (generators with first coordinate 1, unit their
+    sum once they span)."""
+    spaces = [linf(n) for n in range(1, 5)] + [lin_space(n) for n in range(1, 5)]
+    for left, right in ((linf(2), lin_space(1)), (lin_space(2), linf(2))):
+        spaces += [tensor_space(left, right, kind).realized for kind in (EPSILON, PI)]
+    while len(spaces) < 15:
+        dim = r.randint(2, 4)
+        gens = [(1,) + rand_vec(r, dim - 1) for _ in range(dim + 2)]
+        if fraction_rank(Matrix.from_rows(gens)) == dim:
+            unit = tuple(sum(g[i] for g in gens) for i in range(dim))
+            spaces.append(AOUSpace(dim, Cone.from_generators(gens), unit))
+    return spaces
+
+
+def full_ball_operator_norm(mat: Matrix, source: AOUSpace, target: AOUSpace) -> Fraction:
+    """max ||T x|| over every vertex x of the source ball."""
+    return max(
+        (order_norm(target, mat.apply(x)) for x in unit_ball_vertices(source)),
+        default=Fraction(0),
+    )
+
+
+def full_ball_dual_norm(space: AOUSpace, f) -> Fraction:
+    """max |f(x)| over every vertex x of the ball."""
+    c = vec(f)
+    return max((abs(dot(c, x)) for x in unit_ball_vertices(space)), default=Fraction(0))
+
+
+def full_ball_auerbach_scan(space: AOUSpace) -> list[Vec]:
+    """The first dim-tuple of ball vertices, over the whole ball in reverse
+    sorted order, with the largest |det| by Fraction elimination."""
+    best, best_abs = None, Fraction(0)
+    for tup in combinations(list(reversed(unit_ball_vertices(space))), space.dim):
+        d = abs(fraction_det(Matrix.from_rows(tup)))
+        if d > best_abs:
+            best, best_abs = tup, d
+    return list(best)

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from conftest import brute_extreme_rays, brute_polytope_vertices, rand_frac, rand_vec, rng
 
+import aoulab.dd
 from aoulab.cones import Cone, extreme_rays
 from aoulab.dd import dd_pair, polytope_vertices
 from aoulab.errors import InputError, NotPointedError
@@ -49,6 +50,29 @@ def test_full_space_and_origin():
 def test_duplicate_and_scaled_rows_ignored():
     lin, rays = dd_pair([[1, 1], ["1/2", "1/2"], [2, 2], [1, -1]], 2)
     assert sorted(rays) == [(1, -1), (1, 1)]
+
+
+def test_coprime_integer_tuples_taken_as_they_are(monkeypatch):
+    calls = []
+    real = aoulab.dd.integerize
+
+    def counted(h):
+        calls.append(h)
+        return real(h)
+
+    monkeypatch.setattr(aoulab.dd, "integerize", counted)
+    gens = [(1, 0, 0), (0, 2, 0), (0, 0, Fraction(1, 3)), (1, 1, 1)]
+    rows = [(1, 1, 1), (1, -1, 0), (0, 1, -1), ("2", 0, 1)]
+    # a cone's first hrep()/vrep() hands dd_pair its own rows as coprime
+    # integer tuples, which need no second integerize
+    Cone.from_generators(gens).hrep()
+    Cone.from_inequalities(rows).vrep()
+    assert calls == []
+    # anything else still is scaled: non-coprime, bool or Fraction entries
+    plain = dd_pair([(1, 1), (1, -1)], 2)
+    for scaled in ([(2, 2), (3, -3)], [(True, True), (1, -1)], [vec((1, 1)), vec((1, -1))]):
+        assert dd_pair(scaled, 2) == plain
+    assert calls == [(2, 2), (3, -3), (True, True), vec((1, 1)), vec((1, -1))]
 
 
 def test_roundtrip_hrep_vrep():

@@ -2,11 +2,16 @@
 
 import time
 from fractions import Fraction
+from math import comb
 
 import pytest
 from conftest import (
+    ball_scan_spaces,
     extension_lp_rows,
     fraction_rank,
+    full_ball_auerbach_scan,
+    full_ball_dual_norm,
+    full_ball_operator_norm,
     kernel_quotient_is_order_quotient,
     lp_interval_min,
     lp_is_isometry,
@@ -359,6 +364,12 @@ class TestIntervalAndNormBound:
         assert dual_norm(L2, (1, -2)) == 3
         assert not norm_bound_equiv(L2, (1, -2), 1)
 
+    def test_float_eps_rejected(self):
+        # a float must not take part in the verdict
+        with pytest.raises(ShapeError):
+            norm_bound_equiv(L2, (1, 1), 0.5)
+        assert norm_bound_equiv(L2, (1, 1), "1/2")
+
     def test_interval_min_matches_lp(self):
         r = rng(31)
         spaces = [linf(n) for n in (1, 2, 3)] + [lin_space(n) for n in (1, 2, 3)]
@@ -412,8 +423,10 @@ class TestOperatorNormAndAuerbach:
         assert duals == [vec((Fraction(1, 2), Fraction(1, 2))), vec((Fraction(1, 2), Fraction(-1, 2)))]
 
     def test_auerbach_identities_battery(self):
-        for sp in (L3, lin_space(1), lin_space(2), dual_augmented(linf(1))):
+        # linf(5): 32 ball vertices, 16 +- pairs, C(16, 5) = 4368 tuples
+        for sp in (L3, lin_space(1), lin_space(2), dual_augmented(linf(1)), linf(5)):
             basis, duals = auerbach_basis(sp)
+            assert len(basis) == sp.dim
             for i, (x, xd) in enumerate(zip(basis, duals)):
                 assert order_norm(sp, x) == 1
                 assert dual_norm(sp, xd) == 1
@@ -421,11 +434,58 @@ class TestOperatorNormAndAuerbach:
                     assert dot(xd, y) == (1 if i == j else 0)
 
     def test_auerbach_scan_over_budget_raises_at_once(self):
-        # linf(5) has 32 ball vertices: C(32, 5) = 201376 tuples to scan
+        # linf(6) has 64 ball vertices, 32 +- pairs: C(32, 6) = 906192 tuples
         start = time.perf_counter()
-        with pytest.raises(SizeLimitError, match=r"C\(32, 5\) = 201376"):
-            auerbach_basis(linf(5))
+        with pytest.raises(SizeLimitError, match=r"C\(32, 6\) = 906192"):
+            auerbach_basis(linf(6))
         assert time.perf_counter() - start < 1
+
+
+class TestBallHalfScans:
+    # the symmetric scans read one vertex of each +- pair of the ball; the
+    # full-ball oracles read every vertex
+    SPACES = ball_scan_spaces(rng(43))
+
+    def test_operator_norm_matches_full_ball(self):
+        r = rng(47)
+        for sp in self.SPACES:
+            for target in (linf(2), sp):
+                mat = Matrix.from_rows([rand_vec(r, sp.dim) for _ in range(target.dim)])
+                assert operator_norm(mat, sp, target) == full_ball_operator_norm(mat, sp, target)
+
+    def test_dual_norm_matches_full_ball(self):
+        r = rng(53)
+        for sp in self.SPACES:
+            for _ in range(4):
+                f = rand_vec(r, sp.dim)
+                assert dual_norm(sp, f) == full_ball_dual_norm(sp, f)
+
+    def test_auerbach_scan_matches_full_ball(self):
+        # same basis, so ties break as the full scan breaks them; spaces
+        # whose full scan passes 2000 Fraction determinants are left out:
+        # the two six-dimensional tensor spaces (C(36, 6)) and one random
+        # space with 32 vertices in dimension 4 (C(32, 4))
+        checked = 0
+        for sp in self.SPACES:
+            if comb(len(unit_ball_vertices(sp)), sp.dim) > 2000:
+                continue
+            basis, _ = auerbach_basis(sp)
+            assert basis == full_ball_auerbach_scan(sp)
+            checked += 1
+        assert checked == 12
+
+    def test_operator_norm_takes_one_norm_per_pair(self, monkeypatch):
+        calls = []
+
+        def counting(space, v):
+            calls.append(v)
+            return order_norm(space, v)
+
+        monkeypatch.setattr(aoulab.maps, "order_norm", counting)
+        r, sp = rng(59), lin_space(3)
+        mat = Matrix.from_rows([rand_vec(r, 4) for _ in range(3)])
+        operator_norm(mat, sp, L3)
+        assert len(calls) == len(unit_ball_vertices(sp)) // 2 == 4
 
 
 class TestPert:

@@ -126,3 +126,31 @@ def test_no_floats():
             if literal or call:
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, found
+
+
+def test_no_fraction_of_a_parameter():
+    # Fraction(x) takes a float x as a binary fraction, so a float argument
+    # would take part in a decision; only the two coercions that check the
+    # type first may call it on a parameter
+    allowed = {("linalg.py", "frac"), ("serialize.py", "decode_frac")}
+    found = []
+    for file, tree in _parse_package().items():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if (file, getattr(fn, "name", None)) in allowed:
+                continue
+            a = fn.args
+            params = {p.arg for p in a.posonlyargs + a.args + a.kwonlyargs}
+            params |= {p.arg for p in (a.vararg, a.kwarg) if p is not None}
+            for node in ast.walk(fn):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "Fraction"
+                    and len(node.args) == 1
+                    and isinstance(node.args[0], ast.Name)
+                    and node.args[0].id in params
+                ):
+                    found.append(f"{file}:{node.lineno} Fraction({node.args[0].id})")
+    assert not found, found

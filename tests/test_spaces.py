@@ -4,7 +4,7 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
-from conftest import lp_order_unit_failure, rand_frac, rand_vec, rng
+from conftest import ball_scan_spaces, lp_order_unit_failure, rand_frac, rand_vec, rng
 
 import aoulab.dd
 from aoulab.cones import Cone, member, same_cone
@@ -22,6 +22,7 @@ from aoulab.spaces import (
     order_interval_vertices,
     order_norm,
     sym_space,
+    unit_ball_half,
     unit_ball_vertices,
     validate,
 )
@@ -345,6 +346,20 @@ class TestIntervalAndBall:
                 rows += [a, tuple(-x for x in a)]
                 rhs += [-ae, -ae]
             assert unit_ball_vertices(sp) == aoulab.dd.polytope_vertices(rows, rhs, sp.dim)
+
+    def test_ball_half_holds_one_vertex_of_each_pair(self):
+        # half and -half split the ball: together all of it, no vertex in both
+        dim_one = [
+            AOUSpace(1, Cone.from_generators([(1,)]), (2,)),
+            AOUSpace(1, Cone.from_generators([(-1,)]), (-3,)),
+        ]
+        for sp in ball_scan_spaces(rng(61)) + dim_one:
+            ball, half = unit_ball_vertices(sp), unit_ball_half(sp)
+            neg = [tuple(-x for x in v) for v in half]
+            assert sorted(half + neg) == ball
+            assert not set(half) & set(neg)
+            assert half == sorted(half) and unit_ball_half(sp) is half
+        assert [unit_ball_half(sp) for sp in dim_one] == [[vec((2,))], [vec((3,))]]
 
     def test_ball_vertices_have_norm_one(self):
         for sp in (linf(3), lin_space(2), dual_augmented(linf(1))):

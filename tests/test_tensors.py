@@ -37,7 +37,16 @@ from aoulab.psd_examples import (
     sos_matches,
 )
 from aoulab import maps, tensors
-from aoulab.spaces import AOUSpace, extreme_states, lin_space, linf, order_norm, unit_ball_vertices, validate
+from aoulab.spaces import (
+    AOUSpace,
+    extreme_states,
+    lin_space,
+    linf,
+    order_norm,
+    unit_ball_half,
+    unit_ball_vertices,
+    validate,
+)
 from aoulab.tensors import (
     EPSILON,
     PI,
@@ -441,8 +450,9 @@ class TestFactorize:
         monkeypatch.setattr(tensors, "order_norm", counting)
         res = factorize(lin_space(2))
         assert res.schedule == ((3, Fraction(1)), (4, Fraction(1, 2)))
-        # one norm per ball vertex per LP, none more for picking the state
-        assert len(calls) == 2 * len(unit_ball_vertices(lin_space(2))) == 12
+        # one norm per +- pair of ball vertices per LP, none more for
+        # picking the state
+        assert len(calls) == 2 * len(unit_ball_half(lin_space(2))) == 6
 
     def test_loose_tolerance_accepts_lin_space_two(self):
         res = factorize(LS2, eps=Fraction(1, 2))
