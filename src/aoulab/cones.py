@@ -19,13 +19,17 @@ only for what public functions return.
 Every membership answer is a Certificate that re-verifies by substitution:
 a conic decomposition over named generators, a violated inequality row, a
 separating functional that is nonnegative on all generators and negative on
-the query, or an exact PSD factorization / negative direction.
+the query, or an exact PSD factorization / negative direction. Membership
+solves no LP: an H-cone evaluates its rows, and a V-cone reads the integer
+H-rep of its one DD, where the first violated row separates and a
+Caratheodory face walk over the generators decomposes a member.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 from . import dd
@@ -48,7 +52,6 @@ from .linalg import (
     vec,
     zeros,
 )
-from .lp import EQ, INFEASIBLE, OPTIMAL, solve_lp
 from .psd import ldlt_psd
 
 POLYHEDRAL = "polyhedral"
@@ -206,6 +209,74 @@ def int_hrep(cone: Cone) -> list[dd.IntVec]:
     return _dd_other(cone) if cone.inequalities is None else _own_int_rows(cone)
 
 
+def _idot(a: dd.IntVec, b: Sequence[int]) -> int:
+    return sum(x * y for x, y in zip(a, b))
+
+
+def _columns(cone: Cone) -> list[list[int]]:
+    """a . g for every integer H-row a, one list per integer generator g of
+    a V-cone; computed once per cone."""
+    if "columns" not in cone._derived:
+        rows = int_hrep(cone)
+        cone._derived["columns"] = [[_idot(a, g) for a in rows] for g in _own_int_rows(cone)]
+    return cone._derived["columns"]
+
+
+def _face_walk(
+    cone: Cone, r: list[int], slack: list[int], den: int
+) -> tuple[list[tuple[int, Fraction]], list[int], int]:
+    """Caratheodory walk from r / den, a point of the V-cone, with slack the
+    values of int_hrep(cone) at r.
+
+    Each step takes the first generator g that is tight on every row tight
+    at the residual and lies outside the lineality, so g is in the
+    residual's minimal face, and subtracts t g for the largest t that keeps
+    the residual in the cone, by an exact ratio test. The first row that
+    turns tight leaves the face smaller, so there are at most dim steps.
+    Returns the terms (generator index, t) in units of the integer
+    generators and the residual r / den where no such generator is left:
+    zero, or a point of the lineality."""
+    own = _own_int_rows(cone)
+    terms = []
+    while any(slack):
+        tight = [i for i, s in enumerate(slack) if s == 0]
+        j, col = next(
+            (
+                (j, col)
+                for j, col in enumerate(_columns(cone))
+                if any(col) and all(col[i] == 0 for i in tight)
+            ),
+            (None, None),
+        )
+        if j is None:
+            raise InvariantViolation("no generator in the minimal face of a point of the cone")
+        p, q = None, 1
+        for s, c in zip(slack, col):
+            if c > 0 and (p is None or s * q < p * c):
+                p, q = s, c
+        terms.append((j, Fraction(p, den * q)))
+        r = [q * x - p * y for x, y in zip(r, own[j])]
+        slack = [q * s - p * c for s, c in zip(slack, col)]
+        den *= q
+        g = gcd(den, *r)
+        if g > 1:
+            r = [x // g for x in r]
+            slack = [s // g for s in slack]
+            den //= g
+    return terms, r, den
+
+
+def _lineality_lift(cone: Cone) -> tuple[Cone, list[int]]:
+    """The pointed cone over (g, 1) for the integer generators g of a V-cone
+    that lie in its lineality, and their indices; built once per cone."""
+    if "lineality_lift" not in cone._derived:
+        inside = [j for j, col in enumerate(_columns(cone)) if not any(col)]
+        own = _own_int_rows(cone)
+        lift = Cone.from_generators([own[j] + (1,) for j in inside], dim=cone.dim + 1)
+        cone._derived["lineality_lift"] = (lift, inside)
+    return cone._derived["lineality_lift"]
+
+
 # the verdict each kind of evidence supports, and whether its cone is PSD
 _KINDS = {
     "conic_decomposition": ("member", False),
@@ -274,7 +345,14 @@ class Certificate:
 
 def member(cone: Cone, v: Sequence[Fraction]) -> Certificate:
     """Certified membership test. Strict-flagged cones are rejected: their
-    membership is only well defined after closing."""
+    membership is only well defined after closing.
+
+    An H-cone answers from its own rows, a sym_psd cone from LDL^T. A V-cone
+    reads int_hrep, the facet rows of its one DD: the first row in that
+    order negative on v is the separating functional of a non-member, and
+    a member's conic decomposition comes from `_face_walk`, with a second
+    walk for a residual left in the lineality. The certificate is verified
+    before it is returned."""
     v = vec(v)
     if len(v) != cone.dim:
         raise ShapeError(f"vector length {len(v)} != cone dim {cone.dim}")
@@ -292,37 +370,48 @@ def member(cone: Cone, v: Sequence[Fraction]) -> Certificate:
                     "non_member", "separating_functional", witness=row, payload={"row_index": i}
                 )
         return Certificate("member", "hrep_evaluation")
-    gens = cone.vrep()
-    if not gens:
-        if is_zero_vec(v):
-            return Certificate("member", "conic_decomposition", decomposition=())
-        # the zero cone: any functional negative on v separates
-        w = tuple(-x for x in v)
-        return Certificate("non_member", "separating_functional", witness=w)
-    cols = Matrix.from_rows(gens).transpose()
-    out = solve_lp(
-        zeros(len(gens)),
-        [cols.row(i) for i in range(cone.dim)],
-        v,
-        [EQ] * cone.dim,
-        nonneg=[True] * len(gens),
-    )
-    if out.status == OPTIMAL:
-        decomp = tuple(
-            (j, out.primal[j]) for j in range(len(gens)) if out.primal[j] != 0
-        )
-        cert = Certificate("member", "conic_decomposition", decomposition=decomp)
-    else:
-        if out.status != INFEASIBLE:
-            raise InvariantViolation("membership LP can only be optimal or infeasible")
-        # Farkas multipliers on the equality rows give f with f.G <= 0,
-        # f.v > 0; negate for the standard orientation.
-        f = out.dual_certificate[: cone.dim]
-        w = vec(integerize([-x for x in f]))
-        cert = Certificate("non_member", "separating_functional", witness=w)
+    cert = _generator_member(cone, v)
     if not cert.verify(cone, v):
         raise InvariantViolation("membership certificate failed re-verification")
     return cert
+
+
+def _generator_member(cone: Cone, v: Vec) -> Certificate:
+    """Membership in a V-cone from its integer H-rep, in integers: v is
+    scaled by the common denominator of its entries."""
+    rows = int_hrep(cone)
+    den = lcm(*(x.denominator for x in v))
+    r = [x.numerator * (den // x.denominator) for x in v]
+    slack = [_idot(a, r) for a in rows]
+    bad = next((a for a, s in zip(rows, slack) if s < 0), None)
+    if bad is not None:
+        return Certificate("non_member", "separating_functional", witness=vec(bad))
+    terms, r, den = _face_walk(cone, r, slack, den)
+    if any(r):
+        # the residual lies in the lineality: walk in the pointed cone over
+        # (g, 1), g the generators inside the lineality, from its lowest
+        # point (r, p / q) above the residual; rows (b, beta) of that cone
+        # have beta >= 0 and bound the height below by -b.r / beta
+        lift, inside = _lineality_lift(cone)
+        lift_rows = int_hrep(lift)
+        p, q = None, 1
+        for b in lift_rows:
+            br = -_idot(b[:-1], r)
+            if b[-1] > 0 and (p is None or br * q > p * b[-1]):
+                p, q = br, b[-1]
+        lifted = [q * x for x in r] + [p]
+        more, rest, _ = _face_walk(lift, lifted, [_idot(b, lifted) for b in lift_rows], den * q)
+        if any(rest):
+            raise InvariantViolation("lineality residual left the lifted cone")
+        terms += [(inside[k], t) for k, t in more]
+    # t units of the integer generator are t * own / g units of g
+    own = _own_int_rows(cone)
+    decomp = []
+    for j, t in sorted(terms):
+        g = cone.generators[j]
+        l = next(i for i, x in enumerate(g) if x)
+        decomp.append((j, t * own[j][l] / g[l]))
+    return Certificate("member", "conic_decomposition", decomposition=tuple(decomp))
 
 
 def dual(cone: Cone) -> Cone:
@@ -343,9 +432,12 @@ def dual(cone: Cone) -> Cone:
 
 
 def _lineality(cone: Cone) -> list[Vec]:
-    """Basis of the lineality of the closure: the common kernel of its rows."""
-    rows = cone.inequalities if cone.inequalities is not None else int_hrep(cone)
-    return nullspace(rows) if rows else list(Matrix.identity(cone.dim).data)
+    """Basis of the lineality of the closure: the common kernel of its rows,
+    computed once per cone."""
+    if "lineality" not in cone._derived:
+        rows = cone.inequalities if cone.inequalities is not None else int_hrep(cone)
+        cone._derived["lineality"] = nullspace(rows) if rows else list(Matrix.identity(cone.dim).data)
+    return cone._derived["lineality"]
 
 
 def close_and_lineality(cone: Cone) -> tuple[Cone, list[Vec]]:

@@ -147,7 +147,7 @@ def polytope_vertices(
     Raises InputError when the set is unbounded (a recession direction is
     attached as the certificate). The empty polytope returns [].
     """
-    hom = [list(r) + [-b] for r, b in zip(rows, rhs)]
+    hom = [tuple(r) + (-b,) for r, b in zip(rows, rhs)]
     hom.append(tuple([0] * dim + [1]))
     lin, rays = dd_pair(hom, dim + 1)
     if lin:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import dd
-from .cones import Cone, close_and_lineality, dual, extreme_rays, image_cone
+from .cones import Cone, close_and_lineality, dual, extreme_rays, image_cone, int_hrep
 from .errors import (
     InputError,
     InvariantViolation,
@@ -176,7 +176,9 @@ def extreme_states(space: AOUSpace) -> list[StateVector]:
     """Extreme rays of the dual cone, normalized to 1 on the unit.
 
     Every state is a convex combination of these, so state-quantified
-    conditions reduce to this finite list.
+    conditions reduce to this finite list. A cone with lineality raises
+    NotPointedError, an InputError carrying the lineality basis: its states
+    vanish on the lineality, so they cannot separate points.
     """
     if space.cone.kind == SYM_PSD:
         raise PolyhedralRequired(
@@ -185,6 +187,12 @@ def extreme_states(space: AOUSpace) -> list[StateVector]:
         )
     if "extreme_states" in space._derived:
         return space._derived["extreme_states"]
+    _, lineality = close_and_lineality(space.cone)
+    if lineality:
+        raise NotPointedError(
+            "cone is not pointed (it contains a line); states do not separate points",
+            lineality=lineality,
+        )
     try:
         rays = extreme_rays(dual(space.cone))
     except NotPointedError as e:
@@ -232,12 +240,13 @@ def order_interval_vertices(space: AOUSpace) -> list[Vec]:
     """Vertices of [0, e] = {v : v in cone, e - v in cone}."""
     key = "interval_vertices"
     if key not in space._derived:
+        # coprime integer rows, and an integral a.e as an int, reach the DD
+        # as they are
         rows, rhs = [], []
-        for a in space.cone.hrep():
-            rows.append(a)
-            rhs.append(Fraction(0))
-            rows.append(tuple(-x for x in a))
-            rhs.append(-dot(a, space.unit))
+        for a in int_hrep(space.cone):
+            ae = dot(a, space.unit)
+            rows += (a, tuple(-x for x in a))
+            rhs += (0, -ae.numerator if ae.denominator == 1 else -ae)
         space._derived[key] = dd.polytope_vertices(rows, rhs, space.dim)
     return space._derived[key]
 

@@ -28,10 +28,10 @@ from itertools import combinations
 import pytest
 
 import aoulab.dd
-from aoulab.cones import Cone, close_and_lineality, image_cone, member, same_cone
-from aoulab.errors import InvariantViolation
-from aoulab.linalg import Matrix, Vec, dot, frac, integerize, unit_vec, vec
-from aoulab.lp import EQ, GE, OPTIMAL, solve_lp
+from aoulab.cones import Certificate, Cone, close_and_lineality, image_cone, member, same_cone
+from aoulab.errors import InvariantViolation, ShapeError
+from aoulab.linalg import Matrix, Vec, dot, frac, integerize, is_zero_vec, unit_vec, vec, zeros
+from aoulab.lp import EQ, GE, INFEASIBLE, OPTIMAL, solve_lp
 from aoulab.maps import UnitalMap, archimedean_quotient
 from aoulab.spaces import AOUSpace, extreme_states, lin_space, linf, order_norm, unit_ball_vertices
 from aoulab.tensors import EPSILON, PI, TensorElement, is_nuclear_pairwise, kron_vec, tensor_space
@@ -179,6 +179,50 @@ def brute_extreme_rays(rows: list[Vec], dim: int) -> set[tuple[int, ...]]:
     return out
 
 
+def lp_member(cone: Cone, v) -> Certificate:
+    """Membership in a V-rep cone by one LP, v = G c with c >= 0, with no
+    double description: an optimum is a conic decomposition, and the Farkas
+    multipliers of an infeasible LP give a separating functional. Other
+    cones go through `member`, which decides them by H-row evaluation or
+    LDL^T, also without a DD."""
+    if cone.generators is None:
+        return member(cone, v)
+    v = vec(v)
+    if len(v) != cone.dim:
+        raise ShapeError(f"vector length {len(v)} != cone dim {cone.dim}")
+    gens = cone.vrep()
+    if not gens:
+        if is_zero_vec(v):
+            return Certificate("member", "conic_decomposition", decomposition=())
+        # the zero cone: any functional negative on v separates
+        w = tuple(-x for x in v)
+        return Certificate("non_member", "separating_functional", witness=w)
+    cols = Matrix.from_rows(gens).transpose()
+    out = solve_lp(
+        zeros(len(gens)),
+        [cols.row(i) for i in range(cone.dim)],
+        v,
+        [EQ] * cone.dim,
+        nonneg=[True] * len(gens),
+    )
+    if out.status == OPTIMAL:
+        decomp = tuple(
+            (j, out.primal[j]) for j in range(len(gens)) if out.primal[j] != 0
+        )
+        cert = Certificate("member", "conic_decomposition", decomposition=decomp)
+    else:
+        if out.status != INFEASIBLE:
+            raise InvariantViolation("membership LP can only be optimal or infeasible")
+        # Farkas multipliers on the equality rows give f with f.G <= 0,
+        # f.v > 0; negate for the standard orientation.
+        f = out.dual_certificate[: cone.dim]
+        w = vec(integerize([-x for x in f]))
+        cert = Certificate("non_member", "separating_functional", witness=w)
+    if not cert.verify(cone, v):
+        raise InvariantViolation("membership certificate failed re-verification")
+    return cert
+
+
 def lp_extreme_rays(cone: Cone) -> list[Vec]:
     """Extreme rays of a pointed V-rep cone by redundancy LPs: a deduplicated
     generator is extreme iff it is not in the cone of the others."""
@@ -186,7 +230,7 @@ def lp_extreme_rays(cone: Cone) -> list[Vec]:
     rays = []
     for i, g in enumerate(gens):
         others = Cone.from_generators([h for j, h in enumerate(gens) if j != i], dim=cone.dim)
-        if member(others, g).verdict != "member":
+        if lp_member(others, g).verdict != "member":
             rays.append(g)
     return sorted(rays)
 
@@ -211,7 +255,7 @@ def lp_is_pointed(cone: Cone) -> bool:
 def lp_contains(outer: Cone, inner: Cone) -> bool:
     """outer >= inner by one membership test (an LP for V-rep outer cones)
     per generator of inner."""
-    return all(member(outer, g).verdict == "member" for g in inner.vrep())
+    return all(lp_member(outer, g).verdict == "member" for g in inner.vrep())
 
 
 def lp_order_unit_failure(space: AOUSpace) -> int | None:

@@ -14,6 +14,7 @@ from conftest import (
     brute_extreme_rays,
     kernel_quotient_is_order_quotient,
     lp_is_isometry,
+    lp_member,
     rand_frac,
     rand_vec,
     random_unital_into_linf,
@@ -310,7 +311,7 @@ def test_kernel_soundness_on_random_cones():
                 assert {integerize(x) for x in rays} == brute_extreme_rays(list(cone.inequalities), dim)
             else:
                 for g in cone.generators:
-                    cert = member(rebuilt, g)
+                    cert = lp_member(rebuilt, g)
                     assert cert.verdict == "member" and cert.verify(rebuilt, g)
                 assert {integerize(x) for x in rays} <= {integerize(g) for g in cone.generators}
             pt = rand_vec(r, dim, den=2)

@@ -7,10 +7,11 @@ from fractions import Fraction
 import pytest
 
 from aoulab.cli import _VERBS, _build_parser, main
+from aoulab.cones import Cone
 from aoulab.linalg import Matrix
 from aoulab.maps import UnitalMap
 from aoulab.serialize import dumps
-from aoulab.spaces import lin_space, linf
+from aoulab.spaces import AOUSpace, lin_space, linf
 from aoulab.tensors import TensorElement
 
 
@@ -48,6 +49,7 @@ def files(tmp_path):
     )
     write("elem.json", TensorElement(linf(2), linf(2), Matrix.from_rows([(1, -2), (0, 3)])))
     paths["dir"] = str(tmp_path)
+    paths["write"] = write
     return paths
 
 
@@ -329,6 +331,35 @@ def test_malformed_field_in_space_file(files, tmp_path, capsys, fields):
     capsys.readouterr()
     code, out = run(["validate", str(path)])
     assert_invalid_input(code, out, capsys.readouterr().err)
+
+
+# spaces whose cone contains a line, with the lineality basis each reports:
+# all of Q^3 from five generators, and the half-plane {x1 >= 0}
+NON_POINTED_SPACES = {
+    "whole_space": (
+        AOUSpace(
+            3,
+            Cone.from_generators([(-2, 1, 1), (-2, -1, 1), (0, 2, 1), (-3, 1, -3), (3, 0, -1)]),
+            (-4, 3, -1),
+        ),
+        [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+    ),
+    "half_plane": (AOUSpace(2, Cone.from_generators([(1, 0), (0, 1), (0, -1)]), (1, 0)), [["0", "1"]]),
+}
+
+
+@pytest.mark.parametrize("name", list(NON_POINTED_SPACES))
+@pytest.mark.parametrize("verb", ["states", "nuclear-pair"])
+def test_non_pointed_space_is_invalid_input(files, capsys, name, verb):
+    space, lineality = NON_POINTED_SPACES[name]
+    path = files["write"](f"{name}.json", space)
+    argv = [verb, path] + ([files["linf2.json"]] if verb == "nuclear-pair" else [])
+    capsys.readouterr()
+    code, out = run(argv)
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2 and out == ""
+    assert err[0] == "aoulab: invalid input: cone is not pointed (it contains a line); states do not separate points"
+    assert json.loads(err[1].removeprefix("aoulab: certificate: ")) == lineality
 
 
 class TestMalformedReports:

@@ -33,7 +33,15 @@ from aoulab.errors import (
 from aoulab.linalg import Matrix, dot, integerize, vec
 from aoulab.spaces import AOUSpace, extreme_states, lin_space, linf
 from aoulab.tensors import PI, tensor_space
-from conftest import fraction_rank, lp_contains, lp_extreme_rays, lp_is_pointed, rand_vec, rng
+from conftest import (
+    fraction_rank,
+    lp_contains,
+    lp_extreme_rays,
+    lp_is_pointed,
+    lp_member,
+    rand_vec,
+    rng,
+)
 
 
 def orthant(n):
@@ -95,6 +103,65 @@ class TestMember:
         zero = Cone.from_generators([], dim=2)
         assert member(zero, (0, 0)).verdict == "member"
         assert member(zero, (1, 0)).verdict == "non_member"
+
+
+def _agreement_cones(r):
+    """V-cones for the membership agreement test: fixed pointed,
+    lower-dimensional and non-pointed ones (the whole space, a half-space, a
+    line), then random ones with a duplicate, a parallel and a zero
+    generator added. The zero generator goes in through the constructor,
+    which from_generators would drop it from."""
+    e = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    cones = [
+        orthant(3),
+        WEDGE,
+        Cone.from_generators([(1, 1, 0), (1, -1, 0), (1, 0, 0)]),  # a 2-D cone in Q^3
+        Cone.from_generators(e + [tuple(-x for x in g) for g in e]),  # Q^3
+        Cone.from_generators([(-2, 1, 1), (-2, -1, 1), (0, 2, 1), (-3, 1, -3), (3, 0, -1)]),  # Q^3
+        Cone.from_generators([(1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]),  # x1 >= 0
+        Cone.from_generators([(1, 1, 0), (-1, 1, 0), (0, -1, 0), (0, 0, 1)]),  # x3 >= 0
+        Cone.from_generators([(1, 2, 0), (-1, -2, 0)]),  # a line
+        Cone.from_generators([(1, 2), (-2, -4)]),  # a line, parallel generators
+        Cone.from_generators([(1, 0, 0), (0, 1, 0), (0, -1, 0)]),  # a half-plane in Q^3
+        Cone.from_generators([], dim=2),
+    ]
+    for _ in range(40):
+        dim = r.randint(1, 4)
+        gens = [rand_vec(r, dim, lo=-3, hi=3, den=2) for _ in range(r.randint(1, dim + 3))]
+        g = gens[r.randrange(len(gens))]
+        gens += [g, tuple(Fraction(r.randint(1, 3), r.randint(1, 2)) * x for x in g)]
+        gens = [vec(x) for x in gens if any(x)]
+        gens.insert(r.randint(0, len(gens)), vec([0] * dim))
+        cones.append(Cone(dim=dim, generators=tuple(gens)))
+    return cones
+
+
+def test_member_agrees_with_lp_oracle():
+    # the face walk on the cone's double description against one LP per
+    # query; queries: random vectors, the generators and their negatives,
+    # zero, and random conic combinations of random subsets of generators
+    r = rng(7331)
+    verdicts = set()
+    non_pointed = 0
+    for cone in _agreement_cones(r):
+        gens = cone.generators
+        queries = [rand_vec(r, cone.dim) for _ in range(4)] + [vec([0] * cone.dim)]
+        queries += list(gens) + [tuple(-x for x in g) for g in gens]
+        for _ in range(4):
+            combo = [Fraction(0)] * cone.dim
+            for g in gens:
+                if r.random() < 0.6:
+                    c = Fraction(r.randint(0, 4), r.randint(1, 3))
+                    combo = [x + c * y for x, y in zip(combo, g)]
+            queries.append(tuple(combo))
+        non_pointed += not is_pointed(cone)
+        for v in queries:
+            got, want = member(cone, v), lp_member(cone, v)
+            assert got.verdict == want.verdict, (cone, v)
+            assert got.verify(cone, v) and want.verify(cone, v)
+            verdicts.add(got.verdict)
+    assert verdicts == {"member", "non_member"}
+    assert non_pointed >= 8
 
 
 class TestDual:

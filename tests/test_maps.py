@@ -131,8 +131,8 @@ class TestCheckMap:
         def forbidden(*args, **kwargs):
             raise AssertionError("LP route called")
 
-        for module in (aoulab.cones, aoulab.maps):
-            monkeypatch.setattr(module, "solve_lp", forbidden)
+        # cones imports no LP at all (tests/test_source.py)
+        monkeypatch.setattr(aoulab.maps, "solve_lp", forbidden)
         monkeypatch.setattr(aoulab.maps, "dual_norm", forbidden)
         for sp in (L2, lin_space(1), lin_space(2)):
             eye = Matrix.identity(sp.dim).data
@@ -596,7 +596,8 @@ def test_cone_structure_questions_solve_no_lp(monkeypatch):
     def no_lp(*args, **kwargs):
         raise AssertionError("solve_lp called")
 
-    for module in (aoulab.cones, aoulab.spaces, aoulab.maps):
+    # cones imports no LP at all (tests/test_source.py)
+    for module in (aoulab.spaces, aoulab.maps):
         monkeypatch.setattr(module, "solve_lp", no_lp)
     ls3 = lin_space(3)
     assert len(extreme_states(ls3)) == 8

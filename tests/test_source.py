@@ -154,3 +154,21 @@ def test_no_fraction_of_a_parameter():
                 ):
                     found.append(f"{file}:{node.lineno} Fraction({node.args[0].id})")
     assert not found, found
+
+
+def _imports_lp(node) -> bool:
+    """An import of the lp module or of names from it, relative or absolute."""
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[-1] == "lp" for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        from_lp = (node.module or "").split(".")[-1] == "lp"
+        return from_lp or any(alias.name == "lp" for alias in node.names)
+    return False
+
+
+def test_cones_imports_no_lp():
+    # membership reads the cone's double description; no LP may decide it
+    path = PACKAGE / "cones.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = [f"cones.py:{node.lineno}" for node in ast.walk(tree) if _imports_lp(node)]
+    assert not found, found

@@ -7,8 +7,8 @@ import pytest
 from conftest import ball_scan_spaces, lp_order_unit_failure, rand_frac, rand_vec, rng
 
 import aoulab.dd
-from aoulab.cones import Cone, member, same_cone
-from aoulab.errors import InputError, PolyhedralRequired, ShapeError, SizeLimitError
+from aoulab.cones import Cone, close_and_lineality, member, same_cone
+from aoulab.errors import InputError, NotPointedError, PolyhedralRequired, ShapeError, SizeLimitError
 from aoulab.linalg import Matrix, dot, vec
 from aoulab.maps import UnitalMap
 from aoulab.spaces import (
@@ -268,6 +268,25 @@ class TestExtremeStates:
     def test_sym_psd_refused(self):
         with pytest.raises(PolyhedralRequired):
             extreme_states(sym_space(2))
+
+    def test_lineality_refused_with_its_basis(self):
+        # all of Q^3, and the half-plane {x1 >= 0} and {x1 > 0} with x2 free:
+        # the states vanish on the lineality, so they cannot separate points
+        whole = Cone.from_generators([(-2, 1, 1), (-2, -1, 1), (0, 2, 1), (-3, 1, -3), (3, 0, -1)])
+        cases = [
+            (AOUSpace(3, whole, (-4, 3, -1)), 3),
+            (AOUSpace(2, Cone.from_generators([(1, 0), (0, 1), (0, -1)]), (1, 0)), 1),
+            (AOUSpace(2, Cone.from_inequalities([(1, 0)], strict=[True]), (1, 0)), 1),
+        ]
+        for sp, lin_dim in cases:
+            with pytest.raises(NotPointedError) as exc:
+                extreme_states(sp)
+            lineality = exc.value.certificate
+            assert len(lineality) == lin_dim
+            closed = close_and_lineality(sp.cone)[0]
+            for g in lineality:
+                for x in (g, tuple(-c for c in g)):
+                    assert member(closed, x).verdict == "member"
 
 
 class TestKadisonEmbed:
