@@ -7,14 +7,16 @@ vectors (kind sym_psd). Cones are frozen, so what is derived from their
 fields stays valid. sym_psd cones refuse conversion with a typed error and
 delegate membership to the exact LDL^T test.
 
-A polyhedral cone runs double description on its own rows at most once and
-keeps the result, coprime integer tuples, in its _derived cache. Everything
-derived reads that one pair: the other representation (vrep() of an H-cone,
-hrep() of a V-cone), extreme_rays, contains, is_pointed and
-close_and_lineality. dual() hands the pair to the dual cone, whose DD input
-is the same rows. The cone's own rows are integerized once as well, for the
-DD and for int_vrep/int_hrep. Work stays in integers; Fractions are built
-only for what public functions return.
+A value derived from a frozen object (cone, space, map) is computed once
+by `_cached` and kept in the object's _derived dict, the package's one
+cache. A polyhedral cone runs double description on its own rows at most
+once and keeps the result, coprime integer tuples. Everything derived reads
+that one pair: the other representation (vrep() of an H-cone, hrep() of a
+V-cone), extreme_rays, contains, is_pointed and close_and_lineality. dual()
+hands the pair to the dual cone, whose DD input is the same rows. The
+cone's own rows are integerized once as well, for the DD and for
+int_vrep/int_hrep. Work stays in integers; Fractions are built only for
+what public functions return.
 
 Every membership answer is a Certificate that re-verifies by substitution:
 a conic decomposition over named generators, a violated inequality row, a
@@ -27,6 +29,7 @@ Caratheodory face walk over the generators decomposes a member.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
@@ -83,6 +86,23 @@ def unpack_sym(v: Sequence[Fraction], n: int) -> Matrix:
             rows[i][j] = rows[j][i] = v[k]
             k += 1
     return Matrix.from_rows(rows)
+
+
+def _cached(fn):
+    """fn(obj, *args), computed once per frozen obj and kept in obj._derived
+    under fn's name, or (name, *args) when there are args. A call that
+    raises stores nothing."""
+    name = fn.__name__
+
+    @functools.wraps(fn)
+    def wrapper(obj, *args):
+        key = (name, *args) if args else name
+        derived = obj._derived
+        if key not in derived:
+            derived[key] = fn(obj, *args)
+        return derived[key]
+
+    return wrapper
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,36 +179,33 @@ class Cone:
         """Generators; lines appear as +- pairs. Strict cones must be closed
         first (their generator form would silently change the set)."""
         self.require_closed("generator representation")
-        return self.generators if self.generators is not None else self._from_dd("vrep")
+        return self.generators if self.generators is not None else self._from_dd()
 
     def hrep(self) -> tuple[Vec, ...]:
         """Closed inequality rows (no strict flags)."""
         self.require_closed("inequality representation")
-        return self.inequalities if self.inequalities is not None else self._from_dd("hrep")
+        return self.inequalities if self.inequalities is not None else self._from_dd()
 
-    def _from_dd(self, key: str) -> tuple[Vec, ...]:
-        """The derived representation as Fractions, built once."""
-        if key not in self._derived:
-            self._derived[key] = tuple(vec(v) for v in _dd_other(self))
-        return self._derived[key]
+    @_cached
+    def _from_dd(self) -> tuple[Vec, ...]:
+        """The derived representation as Fractions."""
+        return tuple(vec(v) for v in _dd_other(self))
 
 
+@_cached
 def _own_int_rows(cone: Cone) -> list[dd.IntVec]:
     """The cone's own rows (generators or inequalities) as coprime integer
-    tuples, integerized once per cone."""
-    if "own_int" not in cone._derived:
-        rows = cone.generators if cone.generators is not None else cone.inequalities
-        cone._derived["own_int"] = [integerize(r) for r in rows]
-    return cone._derived["own_int"]
+    tuples."""
+    rows = cone.generators if cone.generators is not None else cone.inequalities
+    return [integerize(r) for r in rows]
 
 
+@_cached
 def _dd(cone: Cone) -> tuple[list[dd.IntVec], list[dd.IntVec]]:
-    """dd_pair of the cone's own rows (generators or inequalities), run at
-    most once per cone: the generator form of an H-cone, the dual cone, so
-    the facet rows, of a V-cone."""
-    if "dd" not in cone._derived:
-        cone._derived["dd"] = dd.dd_pair(_own_int_rows(cone), cone.dim)
-    return cone._derived["dd"]
+    """dd_pair of the cone's own rows (generators or inequalities): the
+    generator form of an H-cone, the dual cone, so the facet rows, of a
+    V-cone."""
+    return dd.dd_pair(_own_int_rows(cone), cone.dim)
 
 
 def _dd_other(cone: Cone) -> list[dd.IntVec]:
@@ -213,13 +230,12 @@ def _idot(a: dd.IntVec, b: Sequence[int]) -> int:
     return sum(x * y for x, y in zip(a, b))
 
 
+@_cached
 def _columns(cone: Cone) -> list[list[int]]:
     """a . g for every integer H-row a, one list per integer generator g of
-    a V-cone; computed once per cone."""
-    if "columns" not in cone._derived:
-        rows = int_hrep(cone)
-        cone._derived["columns"] = [[_idot(a, g) for a in rows] for g in _own_int_rows(cone)]
-    return cone._derived["columns"]
+    a V-cone."""
+    rows = int_hrep(cone)
+    return [[_idot(a, g) for a in rows] for g in _own_int_rows(cone)]
 
 
 def _face_walk(
@@ -266,15 +282,13 @@ def _face_walk(
     return terms, r, den
 
 
+@_cached
 def _lineality_lift(cone: Cone) -> tuple[Cone, list[int]]:
     """The pointed cone over (g, 1) for the integer generators g of a V-cone
-    that lie in its lineality, and their indices; built once per cone."""
-    if "lineality_lift" not in cone._derived:
-        inside = [j for j, col in enumerate(_columns(cone)) if not any(col)]
-        own = _own_int_rows(cone)
-        lift = Cone.from_generators([own[j] + (1,) for j in inside], dim=cone.dim + 1)
-        cone._derived["lineality_lift"] = (lift, inside)
-    return cone._derived["lineality_lift"]
+    that lie in its lineality, and their indices."""
+    inside = [j for j, col in enumerate(_columns(cone)) if not any(col)]
+    own = _own_int_rows(cone)
+    return Cone.from_generators([own[j] + (1,) for j in inside], dim=cone.dim + 1), inside
 
 
 # the verdict each kind of evidence supports, and whether its cone is PSD
@@ -427,17 +441,15 @@ def dual(cone: Cone) -> Cone:
         out = Cone.from_inequalities(cone.generators, dim=cone.dim)
     else:
         out = Cone.from_generators(cone.inequalities, dim=cone.dim)
-    out._derived["dd"] = _dd(cone)
+    out._derived[_dd.__name__] = _dd(cone)
     return out
 
 
+@_cached
 def _lineality(cone: Cone) -> list[Vec]:
-    """Basis of the lineality of the closure: the common kernel of its rows,
-    computed once per cone."""
-    if "lineality" not in cone._derived:
-        rows = cone.inequalities if cone.inequalities is not None else int_hrep(cone)
-        cone._derived["lineality"] = nullspace(rows) if rows else list(Matrix.identity(cone.dim).data)
-    return cone._derived["lineality"]
+    """Basis of the lineality of the closure: the common kernel of its rows."""
+    rows = cone.inequalities if cone.inequalities is not None else int_hrep(cone)
+    return nullspace(rows) if rows else list(Matrix.identity(cone.dim).data)
 
 
 def close_and_lineality(cone: Cone) -> tuple[Cone, list[Vec]]:
@@ -448,6 +460,7 @@ def close_and_lineality(cone: Cone) -> tuple[Cone, list[Vec]]:
     return cone, _lineality(cone)
 
 
+@_cached
 def extreme_rays(cone: Cone) -> list[Vec]:
     """Minimal generating set (coprime integer coordinates) of a pointed
     closed cone. Non-pointed input raises NotPointedError with the lineality
@@ -458,8 +471,6 @@ def extreme_rays(cone: Cone) -> list[Vec]:
     extreme iff the rows tight at g have rank dim - 1, the facet incidence
     test, so no LP is solved."""
     cone.require_closed("extreme_rays")
-    if "extreme_rays" in cone._derived:
-        return cone._derived["extreme_rays"]
     if cone.inequalities is not None:
         lin, rays = _dd(cone)
         lineality = [vec(l) for l in lin]
@@ -476,8 +487,7 @@ def extreme_rays(cone: Cone) -> list[Vec]:
             for g in dict.fromkeys(int_vrep(cone))
             if rank([a for a in rows if sum(x * y for x, y in zip(a, g)) == 0]) == cone.dim - 1
         )
-    rays = cone._derived["extreme_rays"] = [vec(r) for r in rays]
-    return rays
+    return [vec(r) for r in rays]
 
 
 def is_simplicial(cone: Cone) -> bool:

@@ -22,7 +22,7 @@ from itertools import combinations
 from math import comb
 from typing import Sequence
 
-from .cones import Cone, close_and_lineality, contains, image_cone, member, same_cone
+from .cones import Cone, _cached, close_and_lineality, contains, image_cone, member, same_cone
 from .errors import InputError, InvariantViolation, ShapeError, SizeLimitError
 from .linalg import (
     Matrix,
@@ -61,7 +61,7 @@ class UnitalMap:
     source: AOUSpace
     target: AOUSpace
     matrix: Matrix
-    _flags: dict = field(default_factory=dict, repr=False)
+    _derived: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.matrix.rows != self.target.dim or self.matrix.cols != self.source.dim:
@@ -71,18 +71,14 @@ class UnitalMap:
             )
 
     @property
+    @_cached
     def unital(self) -> bool:
-        if "unital" not in self._flags:
-            self._flags["unital"] = self.matrix.apply(self.source.unit) == self.target.unit
-        return self._flags["unital"]
+        return self.matrix.apply(self.source.unit) == self.target.unit
 
     @property
+    @_cached
     def positive(self) -> bool:
-        if "positive" not in self._flags:
-            self._flags["positive"] = contains(
-                self.target.cone, image_cone(self.source.cone, self.matrix)
-            )
-        return self._flags["positive"]
+        return contains(self.target.cone, image_cone(self.source.cone, self.matrix))
 
     def apply(self, v) -> Vec:
         return self.matrix.apply(vec(v))
@@ -398,7 +394,8 @@ def extend_unital_positive(
 def interval_min(space: AOUSpace, f) -> Fraction:
     """Exact minimum of the functional over the order interval [0, e]: the
     least value at a vertex of the polytope, the interval containing 0.
-    A non-pointed cone makes the interval unbounded (InputError)."""
+    A unit that is not an order unit, or a non-pointed cone, is bad input
+    (InputError)."""
     c = _coeffs(space, f)
     return min(dot(c, p) for p in order_interval_vertices(space))
 

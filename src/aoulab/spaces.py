@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import dd
-from .cones import Cone, close_and_lineality, dual, extreme_rays, image_cone, int_hrep
+from .cones import Cone, _cached, close_and_lineality, dual, extreme_rays, image_cone, int_hrep
 from .errors import (
     InputError,
     InvariantViolation,
@@ -97,6 +97,13 @@ def order_unit_failures(rows, unit: Vec) -> list[Vec]:
     return [a for a in rows if dot(a, unit) <= 0 and not is_zero_vec(a)]
 
 
+def _not_an_order_unit(row) -> InputError:
+    """Bad input: a nonzero row a of the closed cone with a.e <= 0."""
+    return InputError(
+        "the unit is not an order unit: a cone row is not positive on it", certificate=vec(row)
+    )
+
+
 def validate(space: AOUSpace) -> ValidationReport:
     """Order-unit and Archimedean flags with failure certificates.
 
@@ -131,11 +138,15 @@ def archimedeanize(space: AOUSpace) -> tuple[AOUSpace, Matrix]:
     """Close the cone, then quotient by the lineality of the closure.
 
     Returns the Archimedean space and the quotient matrix q. For an already
-    closed pointed cone this is the identity. The result must validate as
+    closed pointed cone this is the identity. A unit that is not an order
+    unit of the closure is bad input. The result must validate as
     Archimedean with a pointed cone; failure to do so is an internal error.
     """
     space.cone.require_polyhedral("archimedeanize")
     closed, lin = close_and_lineality(space.cone)
+    bad = order_unit_failures(int_hrep(closed), space.unit)
+    if bad:
+        raise _not_an_order_unit(bad[0])
     if not lin:
         return AOUSpace(space.dim, closed, space.unit, space.label), Matrix.identity(space.dim)
     q = quotient_matrix(lin, space.dim)
@@ -172,6 +183,7 @@ def order_norm(space: AOUSpace, v) -> Fraction:
     return r
 
 
+@_cached
 def extreme_states(space: AOUSpace) -> list[StateVector]:
     """Extreme rays of the dual cone, normalized to 1 on the unit.
 
@@ -185,8 +197,6 @@ def extreme_states(space: AOUSpace) -> list[StateVector]:
             "sym_psd spaces have infinitely many extreme states; "
             "use the dedicated PSD oracles"
         )
-    if "extreme_states" in space._derived:
-        return space._derived["extreme_states"]
     _, lineality = close_and_lineality(space.cone)
     if lineality:
         raise NotPointedError(
@@ -211,7 +221,6 @@ def extreme_states(space: AOUSpace) -> list[StateVector]:
             )
         states.append(StateVector(tuple(x / fe for x in f)))
     states.sort(key=lambda s: s.functional)
-    space._derived["extreme_states"] = states
     return states
 
 
@@ -236,33 +245,31 @@ def kadison_embed(space: AOUSpace):
 # -- interval and ball geometry ------------------------------------------
 
 
+@_cached
 def order_interval_vertices(space: AOUSpace) -> list[Vec]:
-    """Vertices of [0, e] = {v : v in cone, e - v in cone}."""
-    key = "interval_vertices"
-    if key not in space._derived:
-        # coprime integer rows, and an integral a.e as an int, reach the DD
-        # as they are
-        rows, rhs = [], []
-        for a in int_hrep(space.cone):
-            ae = dot(a, space.unit)
-            rows += (a, tuple(-x for x in a))
-            rhs += (0, -ae.numerator if ae.denominator == 1 else -ae)
-        space._derived[key] = dd.polytope_vertices(rows, rhs, space.dim)
-    return space._derived[key]
+    """Vertices of [0, e] = {v : v in cone, e - v in cone}; InputError when
+    e is not an order unit."""
+    # coprime integer rows, and an integral a.e as an int, reach the DD as
+    # they are; a.e <= 0 on a nonzero row is an `order_unit_failures` row
+    rows, rhs = [], []
+    for a in int_hrep(space.cone):
+        ae = dot(a, space.unit)
+        if ae <= 0 and any(a):
+            raise _not_an_order_unit(a)
+        rows += (a, tuple(-x for x in a))
+        rhs += (0, -ae.numerator if ae.denominator == 1 else -ae)
+    return dd.polytope_vertices(rows, rhs, space.dim)
 
 
+@_cached
 def unit_ball_vertices(space: AOUSpace) -> list[Vec]:
     """Vertices of the order-norm unit ball [-e, e] = 2 [0, e] - e: the
     interval vertices under p -> 2p - e, which is increasing in every
     coordinate and so keeps their sorted order."""
-    key = "ball_vertices"
-    if key not in space._derived:
-        space._derived[key] = [
-            tuple(2 * x - u for x, u in zip(p, space.unit)) for p in order_interval_vertices(space)
-        ]
-    return space._derived[key]
+    return [tuple(2 * x - u for x, u in zip(p, space.unit)) for p in order_interval_vertices(space)]
 
 
+@_cached
 def unit_ball_half(space: AOUSpace) -> list[Vec]:
     """One vertex of each +- pair of the unit ball, the one whose first
     nonzero coordinate is positive, in the ball's sorted order.
@@ -271,12 +278,7 @@ def unit_ball_half(space: AOUSpace) -> list[Vec]:
     0, the midpoint of -e and e, is never one. A scan that cannot tell x
     from -x (||T(-x)|| = ||T x||, |f(-x)| = |f(x)|, |det| under a sign
     flip) needs only this half."""
-    key = "ball_half"
-    if key not in space._derived:
-        space._derived[key] = [
-            x for x in unit_ball_vertices(space) if next(c for c in x if c) > 0
-        ]
-    return space._derived[key]
+    return [x for x in unit_ball_vertices(space) if next(c for c in x if c) > 0]
 
 
 # -- builders --------------------------------------------------------------

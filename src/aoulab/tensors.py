@@ -9,13 +9,12 @@ i * dim_W + j.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .cones import Certificate, Cone, contains, extreme_rays, int_vrep, is_simplicial, member
+from .cones import Certificate, Cone, _cached, contains, extreme_rays, int_vrep, is_simplicial, member
 from .errors import InputError, InvariantViolation, ShapeError, SizeLimitError
 from .linalg import (
     Matrix,
@@ -85,18 +84,12 @@ class TensorElement:
         return cls(left, right, Matrix.from_rows([[x * y for y in w] for x in v]))
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class TensorSpace:
     left: AOUSpace
     right: AOUSpace
     kind: str
     realized: AOUSpace
-
-
-# Keyed by the factors' ids.  Each entry lives as long as its TensorSpace,
-# which the left factor keeps in its _derived cache: dropping the left space
-# drops the entry, so the ids of live keys are never reused.
-_TENSOR_CACHE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 def _assert_epsilon_aou(space: AOUSpace) -> None:
@@ -108,9 +101,8 @@ def _assert_epsilon_aou(space: AOUSpace) -> None:
         raise InvariantViolation("epsilon cone must be closed")
     if rank(Matrix.from_rows(cone.inequalities)) != space.dim:
         raise InvariantViolation("epsilon cone is not pointed")
-    for row in cone.inequalities:
-        if dot(row, space.unit) <= 0:
-            raise InvariantViolation("epsilon unit fails the order unit test")
+    if order_unit_failures(cone.inequalities, space.unit):
+        raise InvariantViolation("epsilon unit fails the order unit test")
 
 
 def _assert_pi_aou(ts_realized: AOUSpace, left: AOUSpace, right: AOUSpace) -> None:
@@ -142,16 +134,14 @@ def _assert_pi_aou(ts_realized: AOUSpace, left: AOUSpace, right: AOUSpace) -> No
             raise InvariantViolation("factor unit fails the order unit test")
 
 
+@_cached
 def tensor_space(left: AOUSpace, right: AOUSpace, kind: str) -> TensorSpace:
+    """The epsilon or pi tensor space of left and right, cached by left
+    under (right, kind), so it lives as long as the left factor."""
     if kind not in (EPSILON, PI):
         raise InputError(f"unknown tensor cone kind {kind!r}")
     for sp in (left, right):
         sp.cone.require_polyhedral("tensor cones")
-    key = (id(left), id(right), kind)
-    hit = _TENSOR_CACHE.get(key)
-    if hit is not None and hit.left is left and hit.right is right:
-        return hit
-
     dim = left.dim * right.dim
     unit = kron_vec(left.unit, right.unit)
     if kind == EPSILON:
@@ -178,10 +168,7 @@ def tensor_space(left: AOUSpace, right: AOUSpace, kind: str) -> TensorSpace:
         _assert_epsilon_aou(realized)
     else:
         _assert_pi_aou(realized, left, right)
-    ts = TensorSpace(left, right, kind, realized)
-    _TENSOR_CACHE[key] = ts
-    left._derived[("tensor_space", id(right), kind)] = ts
-    return ts
+    return TensorSpace(left, right, kind, realized)
 
 
 def member_tensor(ts: TensorSpace, z: TensorElement) -> Certificate:
@@ -259,10 +246,8 @@ def is_nuclear_pairwise(left: AOUSpace, right: AOUSpace) -> NuclearityReport:
     eps = tensor_space(left, right, EPSILON)
     pi = tensor_space(left, right, PI)
     pi_cone = pi.realized.cone
-    for g in pi_cone.generators:
-        for row in eps.realized.cone.inequalities:
-            if dot(row, g) < 0:
-                raise InvariantViolation("pi generator escapes the epsilon cone")
+    if not contains(eps.realized.cone, pi_cone):
+        raise InvariantViolation("pi generator escapes the epsilon cone")
     # an epsilon extreme ray inside pi must be parallel to a listed pi
     # generator (extremality in the ambient cone), so only the unmatched
     # rays can separate the cones; test those first

@@ -362,6 +362,32 @@ def test_non_pointed_space_is_invalid_input(files, capsys, name, verb):
     assert json.loads(err[1].removeprefix("aoulab: certificate: ")) == lineality
 
 
+# spaces whose unit is not an order unit, with the one cone row each
+# reports: the orthant with a unit on a facet and with one outside the cone,
+# and {x0 >= 0, x1 >= 0} in Q^3, whose closure has a line, with unit (1, 0, 0)
+BAD_UNIT_SPACES = {
+    "unit_on_facet": (AOUSpace(2, linf(2).cone, (1, 0)), ["0", "1"]),
+    "unit_outside": (AOUSpace(2, linf(2).cone, (1, -1)), ["0", "1"]),
+    "quadrant_in_q3": (
+        AOUSpace(3, Cone.from_inequalities([(1, 0, 0), (0, 1, 0)]), (1, 0, 0)),
+        ["0", "1", "0"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(BAD_UNIT_SPACES))
+@pytest.mark.parametrize("verb", ["auerbach", "factorize", "archimedeanize"])
+def test_unit_that_is_no_order_unit_is_invalid_input(files, capsys, name, verb):
+    space, row = BAD_UNIT_SPACES[name]
+    path = files["write"](f"{name}.json", space)
+    capsys.readouterr()
+    code, out = run([verb, path])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2 and out == ""
+    assert err[0] == "aoulab: invalid input: the unit is not an order unit: a cone row is not positive on it"
+    assert json.loads(err[1].removeprefix("aoulab: certificate: ")) == row
+
+
 class TestMalformedReports:
     # a hand-edited report is invalid input (exit 2), never a traceback
     def verify_edited(self, files, tmp_path, capsys, argv, edit):

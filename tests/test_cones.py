@@ -374,15 +374,17 @@ class TestOneDoubleDescription:
 
     def test_h_cone_extreme_rays_then_vrep(self, dd_calls):
         cone = Cone.from_inequalities([(1, 1, 0), (1, -1, 0), (0, 0, 1)])
-        extreme_rays(cone)
-        cone.vrep()
+        rays = extreme_rays(cone)
+        gens = cone.vrep()
+        # a second call hands back the object the first one built
+        assert extreme_rays(cone) is rays and cone.vrep() is gens
         assert len(dd_calls) == 1
 
     def test_v_space_states_hrep_and_extreme_rays(self, dd_calls):
         space = self.v_space()
-        extreme_states(space)
-        space.cone.hrep()
-        extreme_rays(space.cone)
+        first = (extreme_states(space), space.cone.hrep(), extreme_rays(space.cone))
+        again = (extreme_states(space), space.cone.hrep(), extreme_rays(space.cone))
+        assert all(a is b for a, b in zip(again, first))
         assert len(dd_calls) == 1
 
     def test_h_space_states_then_vrep(self, dd_calls):

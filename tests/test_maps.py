@@ -158,6 +158,18 @@ class TestCheckMap:
             verdicts.add(want)
         assert verdicts == {True, False}
 
+    def test_flags_are_computed_once(self, monkeypatch):
+        calls = []
+        apply, contains = Matrix.apply, aoulab.maps.contains
+        monkeypatch.setattr(Matrix, "apply", lambda m, v: calls.append("apply") or apply(m, v))
+        monkeypatch.setattr(aoulab.maps, "contains", lambda a, b: calls.append("contains") or contains(a, b))
+        m = UnitalMap(L2, L1, Matrix.from_rows([(Fraction(1, 2), Fraction(1, 2))]))
+        assert m.unital and m.positive
+        assert "apply" in calls and calls.count("contains") == 1
+        calls.clear()
+        assert m.unital and m.positive
+        assert calls == []
+
     def test_positive_into_strict_cone_rejected(self):
         strict = AOUSpace(2, Cone.from_inequalities([(1, 0), (0, 1)], strict=[True, False]), (1, 1))
         with pytest.raises(StrictConeError):
@@ -392,6 +404,22 @@ class TestIntervalAndNormBound:
         for query in (interval_min, dual_norm):
             with pytest.raises(InputError):
                 query(halfplane, (0, 1))
+
+    def test_unit_that_is_no_order_unit_is_bad_input(self):
+        # on a facet of the orthant and outside it; row (0, 1) is not
+        # positive on either unit
+        for unit in ((1, 0), (1, -1)):
+            sp = AOUSpace(2, L2.cone, unit)
+            queries = (
+                lambda: interval_min(sp, (1, 0)),
+                lambda: dual_norm(sp, (1, 0)),
+                lambda: norm_bound_equiv(sp, (1, 0), 1),
+                lambda: auerbach_basis(sp),
+            )
+            for query in queries:
+                with pytest.raises(InputError) as exc:
+                    query()
+                assert exc.value.certificate == (0, 1)
 
     def test_biconditional_randomized(self):
         r = rng(19)

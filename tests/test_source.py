@@ -172,3 +172,20 @@ def test_cones_imports_no_lp():
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     found = [f"cones.py:{node.lineno}" for node in ast.walk(tree) if _imports_lp(node)]
     assert not found, found
+
+
+def test_one_cache_mechanism():
+    # derived values are kept by cones._cached alone: no other module
+    # touches the _derived attribute (declaring the field is a name, not an
+    # attribute), and no module keeps a cache of its own by weak reference
+    found = []
+    for file, tree in _parse_package().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "_derived" and file != "cones.py":
+                found.append(f"{file}:{node.lineno} ._derived")
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [node.module or ""] if isinstance(node, ast.ImportFrom) else []
+                names += [alias.name for alias in node.names]
+                if "weakref" in (n.split(".")[0] for n in names):
+                    found.append(f"{file}:{node.lineno} import weakref")
+    assert not found, found

@@ -154,6 +154,15 @@ class TestArchimedeanize:
         assert arch2.dim == arch.dim
         assert q2.data == Matrix.identity(arch.dim).data
 
+    def test_unit_that_is_no_order_unit_of_the_closure_is_bad_input(self):
+        # with a line in the closure, and without one
+        quadrant = AOUSpace(3, Cone.from_inequalities([(1, 0, 0), (0, 1, 0)]), (1, 0, 0))
+        outside = AOUSpace(2, linf(2).cone, (1, -1))
+        for sp, row in ((quadrant, (0, 1, 0)), (outside, (0, 1))):
+            with pytest.raises(InputError) as exc:
+                archimedeanize(sp)
+            assert exc.value.certificate == row
+
     def test_universal_property_randomized(self):
         # any unital positive map into an Archimedean space factors exactly
         # through the quotient
@@ -193,14 +202,18 @@ class TestFrozen:
         sp = linf(2)
         order_norm(sp, (1, 0))
         m = UnitalMap(sp, linf(1), Matrix.from_rows([(Fraction(1, 2), Fraction(1, 2))]))
+        right = linf(1)
+        ts = tensor_space(sp, right, PI)
         for obj, name, value in (
             (sp, "unit", vec((2, 2))),
             (sp.cone, "generators", ()),
             (m, "matrix", Matrix.identity(2)),
+            (ts, "realized", sp),
         ):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(obj, name, value)
         assert order_norm(sp, (1, 0)) == 1
+        assert tensor_space(sp, right, PI) is ts and ts.realized.dim == 2
 
     def test_unit_is_stored_as_fractions(self):
         unit = AOUSpace(2, Cone.from_generators([(1, 0), (0, 1)]), (1, 2)).unit
@@ -258,6 +271,13 @@ class TestExtremeStates:
             vec((1, s1, s2)) for s1 in (1, -1) for s2 in (1, -1)
         }
 
+    def test_states_are_kept_under_the_bare_name(self):
+        # the key the benchmark reads for spaces.extreme_states.hit_ratio
+        sp = lin_space(2)
+        states = extreme_states(sp)
+        assert sp._derived["extreme_states"] is states
+        assert extreme_states(sp) is states
+
     def test_states_are_states(self):
         for sp in (linf(2), lin_space(2), dual_augmented(linf(1))):
             for s in extreme_states(sp):
@@ -279,8 +299,11 @@ class TestExtremeStates:
             (AOUSpace(2, Cone.from_inequalities([(1, 0)], strict=[True]), (1, 0)), 1),
         ]
         for sp, lin_dim in cases:
-            with pytest.raises(NotPointedError) as exc:
-                extreme_states(sp)
+            for _ in range(2):
+                # a call that raises caches nothing, so the next one raises too
+                with pytest.raises(NotPointedError) as exc:
+                    extreme_states(sp)
+                assert "extreme_states" not in sp._derived
             lineality = exc.value.certificate
             assert len(lineality) == lin_dim
             closed = close_and_lineality(sp.cone)[0]

@@ -123,23 +123,23 @@ class TestTensorSpace:
     def test_cache_returns_same_object(self):
         assert tensor_space(L2, L3, EPSILON) is tensor_space(L2, L3, EPSILON)
         assert tensor_space(L2, L3, EPSILON) is not tensor_space(L2, L3, PI)
+        # the key is the right factor itself, not its dimension or label
+        other = linf(3)
+        assert tensor_space(L2, other, EPSILON) is not tensor_space(L2, L3, EPSILON)
+        assert tensor_space(L2, other, EPSILON).right is other
 
     def test_cache_entries_live_as_long_as_the_left_space(self):
         gc.collect()
-        before = len(tensors._TENSOR_CACHE)
         pairs = [(lin_space(1), linf(2)) for _ in range(3)]
         refs = [weakref.ref(tensor_space(a, b, PI)) for a, b in pairs]
-        assert len(tensors._TENSOR_CACHE) == before + 3
         gc.collect()
         # nobody holds the tensor spaces but their left factors
         for (a, b), ref in zip(pairs, refs):
             assert tensor_space(a, b, PI) is ref()
-        assert len(tensors._TENSOR_CACHE) == before + 3
         spaces = [weakref.ref(sp) for pair in pairs for sp in pair]
         del pairs, a, b
         gc.collect()
         assert all(ref() is None for ref in refs + spaces)
-        assert len(tensors._TENSOR_CACHE) == before
 
     def test_pi_order_unit_agrees_with_decomposition_oracle(self):
         # the factor row test against explicit product decompositions of
@@ -368,6 +368,14 @@ class TestFactorize:
             comp = res.psi.compose(res.phi)
             assert comp.matrix.data == Matrix.identity(space.dim).data
             assert res.phi.positive and res.psi.positive
+
+    def test_unit_that_is_no_order_unit_is_bad_input(self):
+        # the orthant's unit must be interior; (0, 1) is not positive on
+        # a unit on a facet or outside the cone
+        for unit in ((1, 0), (1, -1)):
+            with pytest.raises(InputError) as exc:
+                factorize(AOUSpace(2, linf(2).cone, unit))
+            assert exc.value.certificate == (0, 1)
 
     def test_seed_scan_over_budget_raises_at_once(self):
         # lin_space(5) has 32 extreme states in dimension 6: C(32, 6) = 906192
