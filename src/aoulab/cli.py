@@ -118,10 +118,12 @@ def _parse_json_flag(text: str, what: str):
 # fields; `_report` renders them with `_plain`.
 
 
-def _run_validate(space):
-    rep = validate(space)
-    return {"order_unit": rep.order_unit, "archimedean": rep.archimedean,
-            "pointed": rep.pointed, "certificates": rep.certificates}
+def _fields_of(fn):
+    """A runner reporting fn's result dataclass: its public fields that are
+    not None."""
+    return lambda *args: {
+        k: v for k, v in vars(fn(*args)).items() if not k.startswith("_") and v is not None
+    }
 
 
 def _run_archimedeanize(space):
@@ -129,31 +131,9 @@ def _run_archimedeanize(space):
     return {"space": arch, "projection": proj.data}
 
 
-def _run_check_map(m):
-    rep = check_map(m)
-    return {"unital": rep.unital, "positive": rep.positive,
-            "order_embedding": rep.order_embedding, "isometry": rep.isometry}
-
-
 def _run_tensor_member(z, kind):
     cert = member_tensor(tensor_space(z.left, z.right, kind), z)
     return {"kind": kind, "verdict": cert.verdict, "certificate": cert}
-
-
-def _run_nuclear_pair(left, right):
-    rep = is_nuclear_pairwise(left, right)
-    out = {"nuclear": rep.nuclear}
-    if rep.witness is not None:
-        out["witness"] = rep.witness
-        out["pi_certificate"] = rep.pi_certificate
-        out["epsilon_certificate"] = rep.epsilon_certificate
-    return out
-
-
-def _run_factorize(space, eps):
-    res = factorize(space, eps=eps)
-    return {"defect": res.defect, "success": res.success, "states_used": res.states_used,
-            "schedule": res.schedule, "exhausted": res.exhausted, "phi": res.phi, "psi": res.psi}
 
 
 def _run_examples(_which):
@@ -234,7 +214,9 @@ class _Verb:
 
 
 _VERBS = {
-    "validate": _Verb("order-unit, Archimedean, pointedness flags", (_space(),), _run_validate),
+    "validate": _Verb(
+        "order-unit, Archimedean, pointedness flags", (_space(),), _fields_of(validate)
+    ),
     "norm": _Verb(
         "order norm of a vector",
         (_space(), _json("vector", decode_vec, 'JSON list, e.g. "[1,-1]"')),
@@ -253,7 +235,9 @@ _VERBS = {
         (_space(), _json("kernel", decode_rows, "JSON list of basis rows")),
         lambda space, kernel: dict(zip(("space", "map"), archimedean_quotient(space, kernel))),
     ),
-    "check-map": _Verb("unital/positive/embedding/isometry flags", (_MAP,), _run_check_map),
+    "check-map": _Verb(
+        "unital/positive/embedding/isometry flags", (_MAP,), _fields_of(check_map)
+    ),
     "extend": _Verb(
         "extend a partial unital positive map",
         (
@@ -297,12 +281,12 @@ _VERBS = {
     "nuclear-pair": _Verb(
         "equality of the two tensor cones on a pair",
         (_space("left"), _space("right")),
-        _run_nuclear_pair,
+        _fields_of(is_nuclear_pairwise),
     ),
     "factorize": _Verb(
         "approximate factorization through a coordinatewise space",
         (_space(), _Arg("eps", str, decode_frac, True, "defect tolerance, a rational", default="1/10")),
-        _run_factorize,
+        _fields_of(factorize),
     ),
     "examples": _Verb(
         "run the built-in worked examples and check their verdicts",

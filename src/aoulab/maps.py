@@ -10,8 +10,11 @@ two perturbation constructions that turn a unital map with norm close to 1
 into a nearby positive map, with exact bounds.  Each verdict is decided by
 one route; the tests keep the second routes as oracles.
 
-Everything here reduces to exact LPs, vertex enumerations, and cone
-equality or membership; no numeric tolerance appears anywhere.
+Everything here reduces to vertex enumerations and cone equality or
+membership, plus one exact LP: the extension's feasibility.  The witness
+of a non-ideal, the lifts of an order quotient and the minimal measures
+behind the perturbations are read off verified conic decompositions.  No
+numeric tolerance appears anywhere.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from .linalg import (
     vadd,
     vec,
     vscale,
+    vsub,
     zeros,
 )
 from .lp import EQ, GE, OPTIMAL, solve_lp
@@ -50,6 +54,7 @@ from .spaces import (
     order_interval_vertices,
     order_norm,
     unit_ball_half,
+    unit_ball_vertices,
 )
 
 
@@ -162,7 +167,7 @@ class IdealReport:
     witness: tuple[Vec, Vec] | None = None  # (p, q): 0 <= q <= p, p in J, q not
 
 
-def _in_span(basis: Sequence[Vec], v: Vec, dim: int) -> bool:
+def _in_span(basis: Sequence[Vec], v: Vec) -> bool:
     if not basis:
         return is_zero_vec(v)
     return solve(Matrix.from_rows(basis).transpose(), v) is not None
@@ -175,6 +180,10 @@ def is_order_ideal(space: AOUSpace, basis: Sequence) -> IdealReport:
     Equivalent cone form: every generator of cone /\\ (J - cone) must lie in
     J. Checking only positive elements of J would be unsound without a
     decomposition property, so the intersection cone is computed in full.
+    A generator q outside J is the witness's q. It lies in J - cone, so its
+    conic decomposition over +-basis and the negated cone generators splits
+    it as q = p - c: the +-basis terms sum to p in J, and p - q = c lies in
+    the cone.
     """
     space.cone.require_polyhedral("is_order_ideal")
     jb = [vec(b) for b in basis]
@@ -183,37 +192,22 @@ def is_order_ideal(space: AOUSpace, basis: Sequence) -> IdealReport:
             raise ShapeError("ideal basis vector of wrong length")
     jb = [b for b in jb if not is_zero_vec(b)]
     # J - cone as generators: +-basis and negated cone generators
-    down_gens = []
-    for b in jb:
-        down_gens.append(b)
-        down_gens.append(tuple(-x for x in b))
+    down_gens = [x for b in jb for x in (b, tuple(-y for y in b))]
     down_gens += [tuple(-x for x in g) for g in space.cone.vrep()]
     down = Cone.from_generators(down_gens, dim=space.dim)
     meet_rows = list(space.cone.hrep()) + list(down.hrep())
     meet = Cone.from_inequalities(meet_rows, dim=space.dim)
     for q in meet.vrep():
-        if not _in_span(jb, q, space.dim):
-            p = _dominating_ideal_element(space, jb, q)
+        if not _in_span(jb, q):
+            cert = member(down, q)
+            if cert.verdict != "member":
+                raise InvariantViolation("meet-cone generator has no dominating ideal element")
+            p = zeros(space.dim)
+            for i, c in cert.decomposition:
+                if i < 2 * len(jb):
+                    p = vadd(p, vscale(c, down_gens[i]))
             return IdealReport(False, witness=(p, q))
     return IdealReport(True)
-
-
-def _dominating_ideal_element(space: AOUSpace, jb: list[Vec], q: Vec) -> Vec:
-    """Some p in J with p - q in the cone; exists whenever q in J - cone."""
-    k = len(jb)
-    rows = []
-    rhs = []
-    jt = Matrix.from_rows(jb).transpose() if jb else Matrix.zero(space.dim, 0)
-    for a in space.cone.hrep():
-        rows.append(tuple(dot(a, jt.col(j)) for j in range(k)))
-        rhs.append(dot(a, q))
-    out = solve_lp(zeros(k), rows, rhs, [GE] * len(rows))
-    if out.status != OPTIMAL:
-        raise InvariantViolation("meet-cone generator has no dominating ideal element")
-    p = zeros(space.dim)
-    for j in range(k):
-        p = vadd(p, vscale(out.primal[j], jb[j]))
-    return p
 
 
 def archimedean_quotient(space: AOUSpace, basis: Sequence) -> tuple[AOUSpace, UnitalMap]:
@@ -233,7 +227,7 @@ def archimedean_quotient(space: AOUSpace, basis: Sequence) -> tuple[AOUSpace, Un
     for b in jb:
         if rank(Matrix.from_rows(independent + [b])) == len(independent) + 1:
             independent.append(b)
-    if _in_span(independent, space.unit, space.dim):
+    if _in_span(independent, space.unit):
         raise InputError("order ideal contains the unit; quotient collapses")
     proj = quotient_matrix(independent, space.dim)
     closed, _ = close_and_lineality(space.cone)
@@ -262,21 +256,6 @@ class QuotientReport:
 EPS_SCHEDULE = (Fraction(1), Fraction(1, 2), Fraction(1, 4), Fraction(1, 8))
 
 
-def _lift_with_slack(m: UnitalMap, w: Vec, eps: Fraction) -> Vec | None:
-    """Some v with m(v) = w and v + eps*e in the source cone, or None."""
-    n = m.source.dim
-    rows = list(m.matrix.data)
-    rhs = list(w)
-    senses = [EQ] * m.target.dim
-    shift = vscale(eps, m.source.unit)
-    for a in m.source.cone.hrep():
-        rows.append(a)
-        rhs.append(-dot(a, shift))
-        senses.append(GE)
-    out = solve_lp(zeros(n), rows, rhs, senses)
-    return out.primal if out.status == OPTIMAL else None
-
-
 def is_order_quotient(m: UnitalMap) -> QuotientReport:
     """Decide whether m is an order quotient map, by cone equality.
 
@@ -285,9 +264,13 @@ def is_order_quotient(m: UnitalMap) -> QuotientReport:
     v + eps e >= 0, that is, when w lies in the closure of the image of the
     source cone. By Minkowski-Weyl the image of a closed polyhedral cone is
     finitely generated, hence closed, so this holds exactly when that image
-    equals the target cone. A positive answer carries the lifts for each
-    target generator and eps in EPS_SCHEDULE; a negative one carries a
-    target generator outside the image with a separating functional.
+    equals the target cone, that is, when every target generator is a
+    member of the image. A negative answer carries the first target
+    generator outside the image with a separating functional. A positive
+    one carries, for each target generator w, the combination v of the
+    source generators behind the terms of w's conic decomposition over the
+    image: m(v) = w and v >= 0, so v lifts w exactly and v + eps e >= 0 for
+    every eps in EPS_SCHEDULE.
     """
     if not m.unital or not m.positive:
         raise InputError("order-quotient test requires a unital positive map")
@@ -296,18 +279,17 @@ def is_order_quotient(m: UnitalMap) -> QuotientReport:
 
     closed_src, _ = close_and_lineality(m.source.cone)
     img = image_cone(closed_src, m.matrix)
-    if not contains(img, m.target.cone):  # img inside the target is automatic
-        for w in m.target.cone.vrep():
-            cert = member(img, w)
-            if cert.verdict != "member":
-                return QuotientReport(False, witness=vec(w), separating=cert.witness)
-        raise InvariantViolation("cone inequality without a missing generator")
+    # the source generators behind img's, dropping zero images as image_cone does
+    behind = [g for g in closed_src.vrep() if not is_zero_vec(m.matrix.apply(g))]
     lifts = {}
     for i, w in enumerate(m.target.cone.vrep()):
+        cert = member(img, w)
+        if cert.verdict != "member":
+            return QuotientReport(False, witness=vec(w), separating=cert.witness)
+        v = zeros(m.source.dim)
+        for j, c in cert.decomposition:
+            v = vadd(v, vscale(c, behind[j]))
         for eps in EPS_SCHEDULE:
-            v = _lift_with_slack(m, vec(w), eps)
-            if v is None:
-                raise InvariantViolation("lift LP infeasible although cones are equal")
             lifts[(i, eps)] = v
     return QuotientReport(True, lifts=lifts)
 
@@ -493,26 +475,34 @@ def auerbach_basis(space: AOUSpace) -> tuple[list[Vec], list[Vec]]:
 # -- perturbation toward positivity --------------------------------------------
 
 
-def _min_l1_measure(states: list, f: Vec) -> list[Fraction]:
-    """Signed weights mu over the states with sum mu_j f_j = f and minimal
-    l1 mass; the minimum equals the dual norm of f."""
-    k = len(states)
-    n = len(f)
-    rows = []
-    for i in range(n):
-        rows.append(
-            tuple(s.functional[i] for s in states) + tuple(-s.functional[i] for s in states)
-        )
-    out = solve_lp(
-        (Fraction(1),) * (2 * k),
-        rows,
-        list(f),
-        [EQ] * n,
-        nonneg=[True] * (2 * k),
+def _min_l1_measure(space: AOUSpace, f: Vec) -> list[Fraction]:
+    """Signed weights mu over the extreme states with sum mu_j s_j = f and
+    minimal l1 mass; the minimum equals the dual norm of f.
+
+    The dual of min sum |mu_j| subject to sum mu_j s_j = f is max f(x) over
+    the unit ball {x : |s_j(x)| <= 1}, attained at a ball vertex x; the
+    first one is taken. By complementary slackness a feasible mu is a
+    minimizer exactly when mu_j > 0 only where s_j(x) = 1 and mu_j < 0 only
+    where s_j(x) = -1, and a minimizer exists. So mu is read off one conic
+    decomposition of f over the states that are +-1 at x, each taken with
+    that sign, and its mass is checked to be f(x).
+    """
+    states = extreme_states(space)
+    x = max(unit_ball_vertices(space), key=lambda v: dot(f, v))
+    signed = [(j, sign) for j, s in enumerate(states) if abs(sign := dot(s.functional, x)) == 1]
+    cone = Cone.from_generators(
+        [vscale(sign, states[j].functional) for j, sign in signed], dim=space.dim
     )
-    if out.status != OPTIMAL:
-        raise InvariantViolation("states span the dual; the measure LP cannot fail")
-    return [out.primal[j] - out.primal[k + j] for j in range(k)]
+    cert = member(cone, f)
+    if cert.verdict != "member":
+        raise InvariantViolation("states span the dual; f must decompose at its maximizer")
+    mu = [Fraction(0)] * len(states)
+    for i, c in cert.decomposition:
+        j, sign = signed[i]
+        mu[j] = sign * c
+    if sum(map(abs, mu)) != dot(f, x):
+        raise InvariantViolation("tight decomposition must have the dual norm as its mass")
+    return mu
 
 
 def _is_standard_linf(space: AOUSpace) -> bool:
@@ -542,7 +532,7 @@ def _pert_with_norms(t: UnitalMap) -> tuple[UnitalMap, Fraction, Fraction]:
     states = extreme_states(t.source)
     new_rows = []
     for r in range(t.target.dim):
-        mu = _min_l1_measure(states, t.matrix.row(r))
+        mu = _min_l1_measure(t.source, t.matrix.row(r))
         pos_mass = sum((x for x in mu if x > 0), Fraction(0))
         if pos_mass <= 0:
             raise InvariantViolation("unital row must carry positive mass")
@@ -554,13 +544,8 @@ def _pert_with_norms(t: UnitalMap) -> tuple[UnitalMap, Fraction, Fraction]:
     s_map = UnitalMap(t.source, t.target, Matrix.from_rows(new_rows))
     if not s_map.unital or not s_map.positive:
         raise InvariantViolation("pert output must be unital positive")
-    gap = operator_norm(
-        Matrix.from_rows(
-            [vadd(t.matrix.row(r), vscale(Fraction(-1), s_map.matrix.row(r))) for r in range(t.target.dim)]
-        ),
-        t.source,
-        t.target,
-    )
+    diff = Matrix.from_rows(map(vsub, t.matrix.data, s_map.matrix.data))
+    gap = operator_norm(diff, t.source, t.target)
     tnorm = operator_norm(t)
     if gap > tnorm - 1:
         raise InvariantViolation(f"pert bound violated: ||t-S|| = {gap} > {tnorm - 1}")
@@ -596,7 +581,7 @@ def _perturb_with_norm(t: UnitalMap) -> tuple[UnitalMap, Fraction, Fraction]:
     states = extreme_states(t.source)
     tv_total = zeros(t.source.dim)  # sum of the total-variation functionals
     for xd in duals:
-        mu = _min_l1_measure(states, xd)
+        mu = _min_l1_measure(t.source, xd)
         for x, s in zip(mu, states):
             tv_total = vadd(tv_total, vscale(abs(x), s.functional))
     s_rows = [
@@ -607,12 +592,7 @@ def _perturb_with_norm(t: UnitalMap) -> tuple[UnitalMap, Fraction, Fraction]:
     if not s_map.positive:
         raise InvariantViolation("perturb output must be positive")
     bound = t.source.dim * (tnorm - 1)
-    diff = Matrix.from_rows(
-        [
-            vadd(t.matrix.row(r), vscale(Fraction(-1), s_map.matrix.row(r)))
-            for r in range(t.target.dim)
-        ]
-    )
+    diff = Matrix.from_rows(map(vsub, t.matrix.data, s_map.matrix.data))
     if operator_norm(diff, t.source, t.target) > bound:
         raise InvariantViolation("perturb bound violated")
     return s_map, bound, tnorm

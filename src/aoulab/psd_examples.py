@@ -39,6 +39,13 @@ SEGRE_RELATION = Matrix.from_rows(
 )
 
 
+def _segre_shift(m: Matrix, t: Fraction) -> Matrix:
+    """m + t*R for the Segre relation R."""
+    return Matrix.from_rows(
+        [[m.data[i][j] + t * SEGRE_RELATION.data[i][j] for j in range(4)] for i in range(4)]
+    )
+
+
 def _require_sym4(m: Matrix) -> None:
     if m.rows != 4 or m.cols != 4:
         raise ShapeError("expected a 4x4 matrix")
@@ -190,16 +197,7 @@ class TensorVerdict:
         if self.kind == "gram_shift":
             # m + t*R is PSD and R vanishes on simple tensors, so the block
             # form of m is a sum of squares on simple tensors
-            shifted = Matrix.from_rows(
-                [
-                    [
-                        m.data[i][j] + self.shift * SEGRE_RELATION.data[i][j]
-                        for j in range(4)
-                    ]
-                    for i in range(4)
-                ]
-            )
-            if not ldlt_psd(shifted).is_psd:
+            if not ldlt_psd(_segre_shift(m, self.shift)).is_psd:
                 return False
             return biquadratic_form(SEGRE_RELATION) == {}
         if self.kind == "polynomial_identity":
@@ -266,13 +264,7 @@ def block_positive(m: Matrix) -> BlockPositivityReport:
         if t in seen:
             continue
         seen.add(t)
-        shifted = Matrix.from_rows(
-            [
-                [m.data[i][j] + t * SEGRE_RELATION.data[i][j] for j in range(4)]
-                for i in range(4)
-            ]
-        )
-        if ldlt_psd(shifted).is_psd:
+        if ldlt_psd(_segre_shift(m, t)).is_psd:
             ev = TensorVerdict(claim="member", cone="epsilon", kind="gram_shift", shift=t)
             if not ev.verify(m):
                 raise InvariantViolation("gram shift certificate failed to verify")

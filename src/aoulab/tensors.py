@@ -344,7 +344,8 @@ def factorize(space: AOUSpace, eps: Fraction | int = Fraction(1, 10)) -> Factori
     map for the current state set, found by a single LP.  The state set
     grows greedily (most violated state first) until the defect drops below
     eps or the states run out.  The defect is taken over the unit ball
-    vertices, so it equals the operator norm of psi . phi - id exactly.
+    vertices, so it equals the operator norm of psi . phi - id exactly.  No
+    defect is below a negative eps, so such an eps is bad input (InputError).
 
     The LP poses its rows over every ball vertex; the tightness check
     recomputes the defect over one vertex of each +- pair, since the
@@ -354,6 +355,8 @@ def factorize(space: AOUSpace, eps: Fraction | int = Fraction(1, 10)) -> Factori
     to sign, and the next state, chosen by |f(residual)|, is the same.
     """
     eps = frac(eps)
+    if eps < 0:
+        raise InputError(f"factorize: eps must be nonnegative, got {eps}")
     space.cone.require_polyhedral("factorization")
     vectors = unit_ball_vertices(space)
     d = space.dim

@@ -11,8 +11,9 @@ verdict that the package decides by one route: pairwise cone equality against
 a battery of partners for single-space nuclearity, the induced map on the
 kernel quotient for order quotients, the epsilon order norm for the
 injective norm, one LP over the cone rows for the minimum of a
-functional on the order interval, and one LP per source state for the
-isometry of a map.  The LP builders (`extension_lp_rows`,
+functional on the order interval, one LP per source state for the
+isometry of a map, and one LP for the minimal-mass signed measure of a
+functional over the states.  The LP builders (`extension_lp_rows`,
 `psi_lp_without_dedup`) index the matrix entries by hand instead of through
 `kron_vec`.  The full-ball scans (operator norm, dual norm, Auerbach |det|
 scan by Fraction elimination) visit every vertex of the unit ball, where
@@ -594,6 +595,30 @@ def lp_is_isometry(m: UnitalMap) -> bool:
         if out.status != OPTIMAL:
             return False
     return True
+
+
+def lp_min_l1_measure(states: list, f: Vec) -> list[Fraction]:
+    """Signed weights mu over the states with sum mu_j f_j = f and minimal
+    l1 mass, by one LP over the positive and negative parts, where the
+    package reads them off a conic decomposition at a maximizing ball
+    vertex; the minimum equals the dual norm of f."""
+    k = len(states)
+    n = len(f)
+    rows = []
+    for i in range(n):
+        rows.append(
+            tuple(s.functional[i] for s in states) + tuple(-s.functional[i] for s in states)
+        )
+    out = solve_lp(
+        (Fraction(1),) * (2 * k),
+        rows,
+        list(f),
+        [EQ] * n,
+        nonneg=[True] * (2 * k),
+    )
+    if out.status != OPTIMAL:
+        raise InvariantViolation("states span the dual; the measure LP cannot fail")
+    return [out.primal[j] - out.primal[k + j] for j in range(k)]
 
 
 # -- full-ball scans: the symmetric scans the package halves ------------------

@@ -170,6 +170,13 @@ class TestReports:
         assert d["defect"] == "1/2" and d["success"] is False
         assert d["schedule"] == [[3, "1"], [4, "1/2"]]
 
+    def test_factorize_negative_eps_exits_two(self, files, capsys):
+        capsys.readouterr()
+        code, out = run(["factorize", files["lin2.json"], "--eps", "-1"])
+        err = capsys.readouterr().err
+        assert_invalid_input(code, out, err)
+        assert "eps must be nonnegative" in err
+
     def test_extend_infeasible_exits_two(self, files):
         # asks for a functional of norm three on a norm-one element
         code = main(

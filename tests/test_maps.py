@@ -9,12 +9,15 @@ from conftest import (
     ball_scan_spaces,
     extension_lp_rows,
     fraction_rank,
+    fraction_solve,
     full_ball_auerbach_scan,
     full_ball_dual_norm,
     full_ball_operator_norm,
     kernel_quotient_is_order_quotient,
     lp_interval_min,
     lp_is_isometry,
+    lp_member,
+    lp_min_l1_measure,
     rand_frac,
     rand_vec,
     random_unital_into_linf,
@@ -29,6 +32,7 @@ from aoulab.errors import InputError, ShapeError, SizeLimitError, StrictConeErro
 from aoulab.linalg import Matrix, dot, vec, vsub
 from aoulab.lp import solve_lp
 from aoulab.maps import (
+    EPS_SCHEDULE,
     UnitalMap,
     archimedean_quotient,
     auerbach_basis,
@@ -57,6 +61,37 @@ from aoulab.spaces import (
 
 L1, L2, L3 = linf(1), linf(2), linf(3)
 AVG = UnitalMap(L2, L1, Matrix.from_rows([(Fraction(1, 2), Fraction(1, 2))]))
+SKEW = UnitalMap(L2, L2, Matrix.from_rows([(Fraction(1, 2), Fraction(1, 2)), (0, 1)]))
+SYMMETRIC = UnitalMap(
+    L2, L2, Matrix.from_rows([(Fraction(3, 2), Fraction(-1, 2)), (Fraction(-1, 2), Fraction(3, 2))])
+)
+
+
+def group_merge_maps(r, count):
+    """Group-merge quotients linf(n) -> linf(m), n = 2..4: rows average
+    disjoint blocks of coordinates; always order quotients."""
+    maps = []
+    for _ in range(count):
+        n = r.randint(2, 4)
+        blocks = [[] for _ in range(r.randint(1, n - 1) if n > 1 else 1)]
+        for i in range(n):
+            blocks[r.randrange(len(blocks))].append(i)
+        blocks = [b for b in blocks if b]
+        rows = []
+        for b in blocks:
+            row = [Fraction(0)] * n
+            for i in b:
+                row[i] = Fraction(1, len(b))
+            rows.append(tuple(row))
+        maps.append(UnitalMap(linf(n), linf(len(blocks)), Matrix.from_rows(rows)))
+    return maps
+
+
+def in_span(basis, v):
+    basis = [b for b in basis if any(b)]
+    if not basis:
+        return not any(v)
+    return fraction_solve(Matrix.from_rows(basis).transpose(), v) is not None
 
 
 class TestCheckMap:
@@ -199,6 +234,36 @@ class TestOrderIdeal:
     def test_full_space_is_ideal(self):
         assert is_order_ideal(L2, [(1, 0), (0, 1)]).is_ideal
 
+    def test_witnesses_on_random_subspaces(self):
+        # 0 <= q <= p with p in J and q not, checked by membership LPs;
+        # bases may repeat a vector, hold a multiple of one, or hold zero
+        r = rng(6121)
+        spaces = [linf(n) for n in (2, 3, 4)] + [lin_space(n) for n in (1, 2)]
+        verdicts = []
+        for _ in range(80):
+            sp = r.choice(spaces)
+            basis = [
+                tuple(r.randint(-1, 1) for _ in range(sp.dim))
+                for _ in range(r.randint(1, sp.dim - 1))
+            ]
+            extra = r.choice(("duplicate", "parallel", "zero", None))
+            if extra == "duplicate":
+                basis.append(basis[0])
+            elif extra == "parallel":
+                basis.append(tuple(-2 * x for x in basis[-1]))
+            elif extra == "zero":
+                basis.insert(r.randrange(len(basis) + 1), (0,) * sp.dim)
+            rep = is_order_ideal(sp, basis)
+            verdicts.append(rep.is_ideal)
+            if rep.is_ideal:
+                continue
+            p, q = rep.witness
+            assert in_span(basis, p) and not in_span(basis, q)
+            assert lp_member(sp.cone, q).verdict == "member"
+            assert lp_member(sp.cone, vsub(p, q)).verdict == "member"
+        # a subspace that meets the cone only in 0 is an ideal
+        assert verdicts.count(True) >= 10 and verdicts.count(False) >= 10
+
 
 class TestArchimedeanQuotient:
     def test_zero_ideal_is_isomorphic_copy(self):
@@ -244,9 +309,7 @@ class TestOrderQuotient:
             assert member(AVG.source.cone, shifted).verdict == "member"
 
     def test_positive_bijection_that_skews_the_cone(self):
-        m = UnitalMap(
-            L2, L2, Matrix.from_rows([(Fraction(1, 2), Fraction(1, 2)), (0, 1)])
-        )
+        m = SKEW
         assert m.unital and m.positive
         rep = is_order_quotient(m)
         assert not rep.is_quotient
@@ -262,28 +325,29 @@ class TestOrderQuotient:
             is_order_quotient(m)
 
     def test_norm_quotients_randomized(self):
-        # group-merge quotients linf(n) -> linf(m): rows average disjoint
-        # blocks of coordinates; always order quotients
-        r = rng(7321)
-        for _ in range(10):
-            n = r.randint(2, 4)
-            blocks = [[] for _ in range(r.randint(1, n - 1) if n > 1 else 1)]
-            for i in range(n):
-                blocks[r.randrange(len(blocks))].append(i)
-            blocks = [b for b in blocks if b]
-            rows = []
-            for b in blocks:
-                row = [Fraction(0)] * n
-                for i in b:
-                    row[i] = Fraction(1, len(b))
-                rows.append(tuple(row))
-            m = UnitalMap(linf(n), linf(len(blocks)), Matrix.from_rows(rows))
+        for m in group_merge_maps(rng(7321), 10):
             assert is_order_quotient(m).is_quotient
             assert kernel_quotient_is_order_quotient(m)
 
+    def test_lifts_are_exact(self):
+        # m v = w with v >= 0, so v + eps e >= 0 for every eps; dropping the
+        # first coordinate of linf(3) sends the first source generator to
+        # zero, ahead of the generators behind the image's
+        drop = UnitalMap(L3, L2, Matrix.from_rows([(0, 1, 0), (0, 0, 1)]))
+        for m in [drop, AVG] + group_merge_maps(rng(8117), 12):
+            rep = is_order_quotient(m)
+            assert rep.is_quotient
+            gens = m.target.cone.vrep()
+            assert set(rep.lifts) == {(i, eps) for i in range(len(gens)) for eps in EPS_SCHEDULE}
+            for (i, eps), v in rep.lifts.items():
+                assert m.apply(v) == vec(gens[i])
+                assert lp_member(m.source.cone, v).verdict == "member"
+                shifted = tuple(x + eps * u for x, u in zip(v, m.source.unit))
+                assert lp_member(m.source.cone, shifted).verdict == "member"
+
     def test_agrees_with_kernel_quotient_route(self):
         skews = (
-            UnitalMap(L2, L2, Matrix.from_rows([(Fraction(1, 2), Fraction(1, 2)), (0, 1)])),
+            SKEW,
             # a surjection with a kernel whose image cone misses both axes
             UnitalMap(
                 L3,
@@ -527,9 +591,7 @@ class TestPert:
         assert s.matrix.data == ((Fraction(1), Fraction(0)),)
 
     def test_symmetric_example(self):
-        t = UnitalMap(
-            L2, L2, Matrix.from_rows([(Fraction(3, 2), Fraction(-1, 2)), (Fraction(-1, 2), Fraction(3, 2))])
-        )
+        t = SYMMETRIC
         s = pert(t)
         assert s.matrix.data == Matrix.identity(2).data
         diff = Matrix.from_rows([vsub(t.matrix.row(i), s.matrix.row(i)) for i in range(2)])
@@ -561,6 +623,33 @@ class TestPert:
         assert found >= 20
 
 
+class TestMinimalMeasure:
+    def test_matches_the_measure_lp(self):
+        # the oracle's mass, f rebuilt exactly, and weight only on states
+        # that are +-1, with the weight's sign, at a vertex maximizing f
+        r = rng(3313)
+        for sp in ball_scan_spaces(r):
+            states = [s.functional for s in extreme_states(sp)]
+            verts = unit_ball_vertices(sp)
+            for _ in range(3):
+                f = rand_vec(r, sp.dim)
+                mu = aoulab.maps._min_l1_measure(sp, f)
+                oracle = lp_min_l1_measure(extreme_states(sp), f)
+                assert len(mu) == len(states)
+                assert sum(map(abs, mu)) == sum(map(abs, oracle))
+                rebuilt = tuple(sum(m * s[i] for m, s in zip(mu, states)) for i in range(sp.dim))
+                assert rebuilt == f
+                top = max(dot(f, x) for x in verts)
+                assert any(
+                    all(m == 0 or dot(s, x) == (1 if m > 0 else -1) for m, s in zip(mu, states))
+                    for x in verts
+                    if dot(f, x) == top
+                )
+
+    def test_zero_functional_has_no_mass(self):
+        assert aoulab.maps._min_l1_measure(lin_space(2), (0, 0, 0)) == [0] * 4
+
+
 class TestPerturb:
     def test_positive_map_fixed(self):
         t = UnitalMap(L2, L2, Matrix.identity(2))
@@ -568,9 +657,7 @@ class TestPerturb:
         assert s.matrix.data == t.matrix.data and bound == 0
 
     def test_symmetric_example(self):
-        t = UnitalMap(
-            L2, L2, Matrix.from_rows([(Fraction(3, 2), Fraction(-1, 2)), (Fraction(-1, 2), Fraction(3, 2))])
-        )
+        t = SYMMETRIC
         s, bound = perturb(t)
         assert bound == 2
         assert s.positive
@@ -616,6 +703,20 @@ class TestPerturb:
             )
             assert operator_norm(diff, src, tgt) <= bound
         assert checked >= 10
+
+
+def test_witnesses_lifts_and_measures_solve_no_lp(monkeypatch):
+    # order-ideal witnesses, quotient lifts and the perturbations' minimal
+    # measures are read off conic decompositions
+    def no_lp(*args, **kwargs):
+        raise AssertionError("solve_lp called")
+
+    monkeypatch.setattr(aoulab.maps, "solve_lp", no_lp)
+    assert not is_order_ideal(L2, [(1, 1)]).is_ideal
+    assert is_order_quotient(AVG).is_quotient
+    assert not is_order_quotient(SKEW).is_quotient
+    assert pert(SYMMETRIC).matrix.data == Matrix.identity(2).data
+    assert perturb(SYMMETRIC)[0].positive
 
 
 def test_cone_structure_questions_solve_no_lp(monkeypatch):

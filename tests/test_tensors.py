@@ -466,6 +466,13 @@ class TestFactorize:
         res = factorize(LS2, eps=Fraction(1, 2))
         assert res.success and res.defect <= Fraction(1, 2)
 
+    @pytest.mark.parametrize("space", [LS2, linf(2)], ids=["lin_space(2)", "linf(2)"])
+    def test_negative_tolerance_is_bad_input(self, space):
+        # no defect is at most a negative eps, greedy or simplicial
+        with pytest.raises(InputError, match="eps must be nonnegative"):
+            factorize(space, eps=Fraction(-1, 10))
+        assert factorize(space, eps=0).defect >= 0
+
 
 class TestTamperedVerdicts:
     # a verdict proves its claim only for the cone its kind supports, and
