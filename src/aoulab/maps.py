@@ -13,7 +13,10 @@ one route; the tests keep the second routes as oracles.
 Everything here reduces to vertex enumerations and cone equality or
 membership, plus one exact LP: the extension's feasibility.  The witness
 of a non-ideal, the lifts of an order quotient and the minimal measures
-behind the perturbations are read off verified conic decompositions.  No
+behind the perturbations are read off verified conic decompositions.  The
+order-norm LPs are left to `operator_norm` alone: the perturbations read
+their norms off their own minimal measures and rank-one correction, and
+the Auerbach basis its unit norms off the cone rows and its dual basis.  No
 numeric tolerance appears anywhere.
 """
 
@@ -25,7 +28,7 @@ from itertools import combinations
 from math import comb
 from typing import Sequence
 
-from .cones import Cone, _cached, close_and_lineality, contains, image_cone, member, same_cone
+from .cones import Cone, _cached, close_and_lineality, contains, image_cone, int_hrep, member, same_cone
 from .errors import InputError, InvariantViolation, ShapeError, SizeLimitError
 from .linalg import (
     Matrix,
@@ -441,7 +444,10 @@ def auerbach_basis(space: AOUSpace) -> tuple[list[Vec], list[Vec]]:
     reversed full ball first meets each pair, so ties break the same way.
 
     Biorthogonality and all 2*dim unit-norm identities are verified exactly
-    before returning.
+    before returning, with no order-norm LP: ||x_i|| <= 1 because
+    |a . x_i| <= a . e on every cone row a, so e +- x_i >= 0, and
+    ||x_i|| >= x_i*(x_i) / ||x_i*||* = 1 by biorthogonality and the dual
+    norm check.
     """
     if space.dim > AUERBACH_DIM_CAP:
         raise SizeLimitError(f"auerbach_basis capped at dimension {AUERBACH_DIM_CAP}")
@@ -463,8 +469,9 @@ def auerbach_basis(space: AOUSpace) -> tuple[list[Vec], list[Vec]]:
         raise InvariantViolation("ball vertices failed to span; space not validated?")
     basis = [vec(x) for x in best]
     duals = list(inverse(Matrix.from_rows(basis).transpose()).data)
+    rows = [(a, dot(a, space.unit)) for a in int_hrep(space.cone)]
     for i, (x, xd) in enumerate(zip(basis, duals)):
-        if order_norm(space, x) != 1 or dual_norm(space, xd) != 1:
+        if any(abs(dot(a, x)) > ae for a, ae in rows) or dual_norm(space, xd) != 1:
             raise InvariantViolation("Auerbach unit-norm identity failed")
         for j, y in enumerate(basis):
             if dot(xd, y) != (1 if i == j else 0):
@@ -519,6 +526,11 @@ def pert(t: UnitalMap) -> UnitalMap:
     source states; dropping the negative part and renormalizing gives a
     state again. The result S is unital positive with ||t - S|| <= ||t|| - 1
     exactly, and S = t whenever ||t|| = 1.
+
+    The norm of a map into linf(k) is the largest dual norm of its rows, so
+    ||t|| is the largest row mass sum |mu_j|, which `_min_l1_measure` checks
+    to be that row's dual norm, and ||t - S|| the largest dual norm of a row
+    of t - S: no order-norm LP.
     """
     return _pert_with_norms(t)[0]
 
@@ -530,9 +542,10 @@ def _pert_with_norms(t: UnitalMap) -> tuple[UnitalMap, Fraction, Fraction]:
     if not _is_standard_linf(t.target):
         raise InputError("pert target must carry the coordinatewise order with unit (1,..,1)")
     states = extreme_states(t.source)
-    new_rows = []
+    new_rows, masses = [], []
     for r in range(t.target.dim):
         mu = _min_l1_measure(t.source, t.matrix.row(r))
+        masses.append(sum(map(abs, mu)))
         pos_mass = sum((x for x in mu if x > 0), Fraction(0))
         if pos_mass <= 0:
             raise InvariantViolation("unital row must carry positive mass")
@@ -544,9 +557,8 @@ def _pert_with_norms(t: UnitalMap) -> tuple[UnitalMap, Fraction, Fraction]:
     s_map = UnitalMap(t.source, t.target, Matrix.from_rows(new_rows))
     if not s_map.unital or not s_map.positive:
         raise InvariantViolation("pert output must be unital positive")
-    diff = Matrix.from_rows(map(vsub, t.matrix.data, s_map.matrix.data))
-    gap = operator_norm(diff, t.source, t.target)
-    tnorm = operator_norm(t)
+    gap = max(dual_norm(t.source, d) for d in map(vsub, t.matrix.data, s_map.matrix.data))
+    tnorm = max(masses)
     if gap > tnorm - 1:
         raise InvariantViolation(f"pert bound violated: ||t-S|| = {gap} > {tnorm - 1}")
     if tnorm == 1 and s_map.matrix.data != t.matrix.data:
@@ -563,7 +575,10 @@ def perturb(t: UnitalMap) -> tuple[UnitalMap, Fraction]:
     ||t - S|| <= dim(source) * (||t|| - 1) = bound, exactly.
 
     The Kadison embedding is isometric, so ||t|| equals the norm of the
-    pushed map tp that pert computes; its ||tp - pert(tp)|| is the gap.
+    pushed map tp that pert computes; its ||tp - pert(tp)|| is the gap. The
+    final bound check needs ||t - S|| for the rank-one t - S =
+    -gap e (x) tv_total, which is gap ||tv_total||*, since ||e (x) f|| =
+    ||e|| ||f||* and ||e|| = 1: no order-norm LP.
     """
     return _perturb_with_norm(t)[:2]
 
@@ -592,7 +607,16 @@ def _perturb_with_norm(t: UnitalMap) -> tuple[UnitalMap, Fraction, Fraction]:
     if not s_map.positive:
         raise InvariantViolation("perturb output must be positive")
     bound = t.source.dim * (tnorm - 1)
-    diff = Matrix.from_rows(map(vsub, t.matrix.data, s_map.matrix.data))
-    if operator_norm(diff, t.source, t.target) > bound:
+    if _correction_norm(t, s_map, gap, tv_total) > bound:
         raise InvariantViolation("perturb bound violated")
     return s_map, bound, tnorm
+
+
+def _correction_norm(t: UnitalMap, s_map: UnitalMap, gap: Fraction, tv_total: Vec) -> Fraction:
+    """||t - S|| for perturb's S, after checking row by row that t - S is
+    exactly -gap e (x) tv_total: gap ||tv_total||*. The target has
+    extreme states, each 1 on e, so ||e|| = 1."""
+    for row, s_row, u in zip(t.matrix.data, s_map.matrix.data, t.target.unit):
+        if vsub(row, s_row) != vscale(-gap * u, tv_total):
+            raise InvariantViolation("perturb correction is not -gap e (x) tv_total")
+    return gap * dual_norm(t.source, tv_total)

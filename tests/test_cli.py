@@ -488,28 +488,33 @@ class TestExamples:
         assert code == 0 and out.strip() == "true"
 
 
-class TestNormReuse:
-    @pytest.mark.parametrize("verb, norms", [("pert", 2), ("perturb", 3)])
-    def test_each_operator_norm_is_computed_once(self, files, monkeypatch, verb, norms):
-        # pert needs ||t - S|| and ||t||; perturb needs ||t|| (equal to that
-        # of t pushed through the isometric Kadison embedding), the gap, and
-        # the final check on t - S
-        import aoulab.cli
-        import aoulab.maps
+class TestNormsFromEvidence:
+    @pytest.mark.parametrize(
+        "verb, name",
+        [
+            ("pert", "skew.json"),
+            ("perturb", "skew.json"),
+            ("auerbach", "lin2.json"),
+            ("auerbach", "linf3.json"),
+        ],
+    )
+    def test_report_solves_no_order_norm_lp(self, files, monkeypatch, tmp_path, verb, name):
+        # pert and perturb read their norms off their minimal measures and
+        # rank-one correction, auerbach its unit norms off the cone rows and
+        # the dual basis; the order norm is the only LP aoulab.spaces poses
+        import aoulab.spaces
 
-        calls = []
-        original = aoulab.maps.operator_norm
+        def no_lp(*args, **kwargs):
+            raise AssertionError("order-norm LP solved")
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
-
-        for module in (aoulab.maps, aoulab.cli):
-            if hasattr(module, "operator_norm"):
-                monkeypatch.setattr(module, "operator_norm", counting)
-        code, out = run([verb, files["skew.json"], "--format", "json"])
+        monkeypatch.setattr(aoulab.spaces, "solve_lp", no_lp)
+        code, out = run([verb, files[name], "--format", "json"])
         assert code == 0
-        assert len(calls) == norms
+        report = tmp_path / "report.json"
+        report.write_text(out)
+        assert run(["verify", str(report)]) == (0, "true\n")
         d = json.loads(out)
-        assert d["norm"] == "2"
-        assert d["distance" if verb == "pert" else "bound"] == ("1" if verb == "pert" else "2")
+        if verb == "pert":
+            assert (d["norm"], d["distance"]) == ("2", "1")
+        elif verb == "perturb":
+            assert (d["norm"], d["bound"]) == ("2", "2")

@@ -28,10 +28,11 @@ import aoulab.cones
 import aoulab.maps
 import aoulab.spaces
 from aoulab.cones import Cone, extreme_rays, member, same_cone
-from aoulab.errors import InputError, ShapeError, SizeLimitError, StrictConeError
-from aoulab.linalg import Matrix, dot, vec, vsub
+from aoulab.errors import InputError, InvariantViolation, ShapeError, SizeLimitError, StrictConeError
+from aoulab.linalg import Matrix, dot, vec, vscale, vsub
 from aoulab.lp import solve_lp
 from aoulab.maps import (
+    AUERBACH_SCAN_CAP,
     EPS_SCHEDULE,
     UnitalMap,
     archimedean_quotient,
@@ -703,6 +704,135 @@ class TestPerturb:
             )
             assert operator_norm(diff, src, tgt) <= bound
         assert checked >= 10
+
+
+def matrix_diff(t, s):
+    return Matrix.from_rows(map(vsub, t.matrix.data, s.matrix.data))
+
+
+# 1-dim spaces: linf(1), and the ray of (3) with unit (2)
+RAY = AOUSpace(1, Cone.from_generators([(3,)]), (2,), label="ray")
+# the orthant and the cone over a square, with duplicate and parallel rows
+# (and a redundant one on the orthant)
+ORTHANT_ROWS = AOUSpace(2, Cone.from_inequalities([(1, 0), (1, 0), (2, 0), (0, 1), (0, 3), (1, 1)]), (1, 1))
+SQUARE_ROWS = AOUSpace(
+    3,
+    Cone.from_inequalities(list(lin_space(2).cone.hrep()) + [(2, 2, 2), (1, 1, -1), (3, -3, 3)]),
+    (1, 0, 0),
+)
+
+
+class TestNormsFromEvidence:
+    # pert and perturb read their norms off their minimal measures and
+    # rank-one correction, auerbach its unit norms off the cone rows and the
+    # dual basis; the LP routes of operator_norm and order_norm are the
+    # oracles
+
+    @staticmethod
+    def check_against_operator_norm(t, monkeypatch):
+        corrections = []
+        original = aoulab.maps._correction_norm
+
+        def recording(t, s_map, gap, tv_total):
+            corrections.append((s_map, original(t, s_map, gap, tv_total)))
+            return corrections[-1][1]
+
+        tn = operator_norm(t)
+        if aoulab.maps._is_standard_linf(t.target):
+            s, gap, norm = aoulab.maps._pert_with_norms(t)
+            assert norm == tn
+            assert gap == operator_norm(matrix_diff(t, s), t.source, t.target) <= tn - 1
+        with monkeypatch.context() as patch:
+            patch.setattr(aoulab.maps, "_correction_norm", recording)
+            s, bound, norm = aoulab.maps._perturb_with_norm(t)
+        assert norm == tn and bound == t.source.dim * (tn - 1)
+        [(s_map, correction)] = corrections
+        assert s_map is s
+        assert correction == operator_norm(matrix_diff(t, s), t.source, t.target) <= bound
+
+    def test_perturbation_norms_on_the_acceptance_maps(self, monkeypatch):
+        # the random maps of the perturbation acceptance test
+        r = rng(601)
+        battery = (L2, L3, lin_space(1), lin_space(2))
+        kept = 0
+        while kept < 100:
+            t = random_unital_into_linf(r, battery[kept % len(battery)], r.randint(1, 3))
+            if not 1 < operator_norm(t) <= 3:
+                continue
+            self.check_against_operator_norm(t, monkeypatch)
+            kept += 1
+
+    def test_perturbation_norms_on_group_merges(self, monkeypatch):
+        for t in group_merge_maps(rng(7321), 10):
+            self.check_against_operator_norm(t, monkeypatch)
+            assert aoulab.maps._pert_with_norms(t)[1:] == (0, 1)
+
+    def test_perturb_correction_into_non_coordinate_targets(self, monkeypatch):
+        # ||e (x) f|| = ||f||* needs ||e|| = 1 in the target, not linf
+        r = rng(6047)
+        checked = 0
+        for src, tgt in [(L2, lin_space(1)), (lin_space(1), lin_space(2)), (lin_space(2), lin_space(2))] * 4:
+            sigma = extreme_states(src)[0].functional
+            raw = Matrix.from_rows([rand_vec(r, src.dim, -2, 2, 2) for _ in range(tgt.dim)])
+            defect = vsub(tgt.unit, raw.apply(src.unit))
+            rows = [[x + d * c for x, c in zip(row, sigma)] for row, d in zip(raw.data, defect)]
+            t = UnitalMap(src, tgt, Matrix.from_rows(rows))
+            if operator_norm(t) > 1:
+                self.check_against_operator_norm(t, monkeypatch)
+                checked += 1
+        assert checked == 12
+
+    def test_auerbach_unit_norms_on_the_scan_spaces(self):
+        checked = 0
+        for sp in ball_scan_spaces(rng(43)):
+            if comb(len(unit_ball_vertices(sp)) // 2, sp.dim) > AUERBACH_SCAN_CAP:
+                continue
+            basis, duals = auerbach_basis(sp)
+            assert [order_norm(sp, x) for x in basis] == [1] * sp.dim
+            assert [full_ball_dual_norm(sp, xd) for xd in duals] == [1] * sp.dim
+            checked += 1
+        assert checked == 15
+
+    def test_doubled_ball_vertex_breaks_the_unit_norm_check(self, monkeypatch):
+        # 2 x_1 doubles |det| of the best tuple, so the scan takes it; the
+        # stubbed ball also gives its dual x_1*/2 the dual norm 1, so only
+        # the row check ||2 x_1|| <= 1 can catch it
+        sp = lin_space(2)
+        first = auerbach_basis(sp)[0][0]
+        half = aoulab.maps.unit_ball_half
+        monkeypatch.setattr(
+            aoulab.maps,
+            "unit_ball_half",
+            lambda space: [vscale(2, x) if x == first else x for x in half(space)],
+        )
+        with pytest.raises(InvariantViolation, match="unit-norm"):
+            auerbach_basis(sp)
+
+    def test_perturbed_correction_row_breaks_the_final_check(self, monkeypatch):
+        original = aoulab.maps._correction_norm
+
+        def tampered(t, s_map, gap, tv_total):
+            rows = [list(row) for row in s_map.matrix.data]
+            rows[-1][0] += Fraction(1, 7)
+            return original(t, UnitalMap(t.source, t.target, Matrix.from_rows(rows)), gap, tv_total)
+
+        monkeypatch.setattr(aoulab.maps, "_correction_norm", tampered)
+        with pytest.raises(InvariantViolation, match="correction"):
+            perturb(SYMMETRIC)
+
+    @pytest.mark.parametrize(
+        "space", [L1, RAY, ORTHANT_ROWS, SQUARE_ROWS], ids=["linf1", "ray", "orthant", "square"]
+    )
+    def test_degenerate_spaces(self, space, monkeypatch):
+        basis, duals = auerbach_basis(space)
+        assert [order_norm(space, x) for x in basis] == [1] * space.dim
+        assert [full_ball_dual_norm(space, xd) for xd in duals] == [1] * space.dim
+        # rows that are states make a unital positive map into linf(k); the
+        # row 2 s_1 - s_k is unital too, and not positive when s_1 != s_k
+        states = [s.functional for s in extreme_states(space)]
+        for rows in ([states[0]], [states[0], states[-1]], [vsub(vscale(2, states[0]), states[-1])]):
+            t = UnitalMap(space, linf(len(rows)), Matrix.from_rows(rows))
+            self.check_against_operator_norm(t, monkeypatch)
 
 
 def test_witnesses_lifts_and_measures_solve_no_lp(monkeypatch):

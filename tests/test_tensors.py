@@ -11,6 +11,7 @@ import pytest
 from conftest import (
     battery_nuclearity,
     epsilon_order_norm,
+    fraction_rank,
     kernel_quotient_is_order_quotient,
     lp_pi_order_unit,
     psi_lp_without_dedup,
@@ -21,7 +22,7 @@ from conftest import (
 
 from aoulab.cones import Cone, is_simplicial, member
 from aoulab.errors import InputError, InvariantViolation, ShapeError, SizeLimitError
-from aoulab.linalg import Matrix, det, dot, vec
+from aoulab.linalg import Matrix, det, dot, vec, vsub
 from aoulab.lp import solve_lp
 from aoulab.maps import UnitalMap, check_map, is_order_quotient, operator_norm
 from aoulab.psd_examples import (
@@ -448,19 +449,61 @@ class TestFactorize:
                 rows, rhs, senses = posed.pop()
                 assert (rows[:n], rhs[:n], senses[:n]) == oracle
 
-    def test_greedy_step_reuses_the_residual_norms(self, monkeypatch):
-        calls = []
+    def test_recheck_solves_no_order_norm_lp(self, monkeypatch):
+        # the recheck reads each residual's norm off the extreme states; the
+        # defect LPs, posed in aoulab.tensors, are the only LPs left
+        import aoulab.spaces
 
-        def counting(space, v):
-            calls.append(v)
-            return order_norm(space, v)
+        def no_lp(*args, **kwargs):
+            raise AssertionError("order-norm LP solved")
 
-        monkeypatch.setattr(tensors, "order_norm", counting)
+        monkeypatch.setattr(aoulab.spaces, "solve_lp", no_lp)
         res = factorize(lin_space(2))
         assert res.schedule == ((3, Fraction(1)), (4, Fraction(1, 2)))
-        # one norm per +- pair of ball vertices per LP, none more for
-        # picking the state
-        assert len(calls) == 2 * len(unit_ball_half(lin_space(2))) == 6
+
+    @staticmethod
+    def random_non_simplicial_space(r):
+        # generators (1, x, y) of a cone over a polygon with 4 or more corners
+        while True:
+            gens = [(1,) + rand_vec(r, 2, -3, 3, 1) for _ in range(5)]
+            cone = Cone.from_generators(gens, dim=3)
+            if fraction_rank(Matrix.from_rows(gens)) == 3 and not is_simplicial(cone):
+                return AOUSpace(3, cone, tuple(sum(g[i] for g in gens) for i in range(3)))
+
+    @pytest.mark.parametrize("seed", [None, 4127], ids=["lin_space(2)", "random"])
+    def test_recheck_norms_match_the_order_norm(self, monkeypatch, seed):
+        space = LS2 if seed is None else self.random_non_simplicial_space(rng(seed))
+        rounds = []
+        original = tensors._residual_norms
+
+        def recording(pool, psi_phi, half):
+            rounds.append(original(pool, psi_phi, half))
+            return rounds[-1]
+
+        monkeypatch.setattr(tensors, "_residual_norms", recording)
+        res = factorize(space)
+        assert len(rounds) == len(res.schedule) >= 1
+        for (residuals, norms), (_, defect) in zip(rounds, res.schedule):
+            assert norms == [order_norm(space, v) for v in residuals]
+            assert max(norms) == defect
+
+    @pytest.mark.parametrize("off", [Fraction(1, 7), Fraction(-1, 7)])
+    def test_defect_off_by_a_seventh_breaks_the_recheck(self, monkeypatch, off):
+        original = tensors._best_psi
+        monkeypatch.setattr(
+            tensors, "_best_psi", lambda *args: (lambda psi, value: (psi, value + off))(*original(*args))
+        )
+        with pytest.raises(InvariantViolation, match="not tight"):
+            factorize(LS2)
+
+    @pytest.mark.parametrize(
+        "space", [linf(1), AOUSpace(1, Cone.from_generators([(3,)]), (2,))], ids=["linf1", "ray"]
+    )
+    def test_one_dimensional_spaces_factor_exactly(self, space):
+        res = factorize(space)
+        assert (res.success, res.defect, res.schedule) == (True, 0, ((1, Fraction(0)),))
+        comp = res.psi.compose(res.phi).matrix
+        assert max(order_norm(space, vsub(comp.apply(v), v)) for v in unit_ball_vertices(space)) == 0
 
     def test_loose_tolerance_accepts_lin_space_two(self):
         res = factorize(LS2, eps=Fraction(1, 2))
