@@ -4,7 +4,7 @@ Files, the command line, and the verify pass
 
 Spaces, maps, and tensor elements serialize to versioned JSON with exact
 "p/q" rationals. Every CLI report embeds its inputs, so a report file can
-be re-run and confirmed later without the original inputs.
+be confirmed later without the original inputs.
 """
 
 import json
@@ -38,7 +38,7 @@ report.write_text(buf.getvalue())
 d = json.loads(buf.getvalue())
 print("nuclear:", d["nuclear"], " witness rows:", d["witness"]["coeffs"])
 
-# and verify re-runs the report from its embedded inputs
+# and verify checks the report's certificates against its embedded inputs
 code = main(["verify", str(report)])
 print("verify exit code:", code)
 

@@ -88,6 +88,7 @@ from .spaces import (
 from .tensors import (
     EPSILON,
     PI,
+    DefectStep,
     FactorizationResult,
     NuclearityReport,
     TensorElement,

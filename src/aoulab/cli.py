@@ -1,10 +1,17 @@
 """Command-line front end.
 
 Every verb loads its inputs, runs one library operation, and emits a report
-that embeds both the inputs and the result, so `verify` can re-run the
-computation from the report alone and confirm it bit for bit.  Exit codes:
-0 the computation ran (whatever the verdict), 1 usage error, 2 invalid
-input, 3 internal invariant breach.
+that embeds both the inputs and the result, so `verify` can confirm the
+report from the report alone.  Five verbs are checked from the evidence
+their reports carry, with no search run again: `factorize` from each
+greedy step's psi and defect-LP dual multipliers, `pert` and `perturb` from
+dual norms over the unit ball and the target's extreme states,
+`tensor-member` and `nuclear-pair` from their certificates against the
+product generators and product-state rows.  `verify` re-runs every other
+verb and compares the result with the report's.  Exit codes: 0 the
+computation ran (whatever the verdict; `verify` exits 3 on a report that
+does not hold), 1 usage error, 2 invalid input, 3 internal invariant
+breach.
 """
 
 from __future__ import annotations
@@ -17,10 +24,14 @@ import sys
 from fractions import Fraction
 from typing import Callable
 
+from .cones import Certificate
 from .errors import InputError, InvariantViolation
+from .linalg import Matrix
 from .maps import (
     UnitalMap,
+    _pert_holds,
     _pert_with_norms,
+    _perturb_holds,
     _perturb_with_norm,
     archimedean_quotient,
     auerbach_basis,
@@ -45,13 +56,20 @@ from .spaces import (
     archimedeanize,
     extreme_states,
     lin_space,
+    linf,
     order_norm,
     validate,
 )
 from .tensors import (
     EPSILON,
     PI,
+    DefectStep,
+    FactorizationResult,
+    NuclearityReport,
     TensorElement,
+    _checked_product_cone,
+    _factorization_holds,
+    _nuclearity_holds,
     factorize,
     injective_banach_norm,
     is_nuclear_fd,
@@ -63,6 +81,9 @@ from .tensors import (
 EXIT_OK, EXIT_USAGE, EXIT_INPUT, EXIT_BREACH = 0, 1, 2, 3
 
 _META_KEYS = ("version", "type", "verb", "inputs")
+# result keys that hold evidence for `verify` alone: the json form carries
+# them, the text form shows the claims without them
+_EVIDENCE_KEYS = ("steps", "pi_decompositions")
 
 
 def _plain(obj):
@@ -115,7 +136,7 @@ def _parse_json_flag(text: str, what: str):
 # -- runners with more than one step; the table below holds the rest ---------
 #
 # A runner takes the decoded arguments in table order and returns the result
-# fields; `_report` renders them with `_plain`.
+# fields; `_result` renders them with `_plain`.
 
 
 def _fields_of(fn):
@@ -161,19 +182,191 @@ def _run_examples(_which):
     return out
 
 
+# -- checks: a stored result against the decoded inputs, with no re-run -------
+#
+# A check takes the decoded arguments in table order and the report's result
+# fields, decodes those strictly, and returns whether every claim holds.  A
+# result with missing or extra keys, or a value of the wrong type or shape,
+# is invalid input; a well-formed claim that does not hold gives False.
+
+
+def _keys(result: dict, *shapes: tuple[str, ...]) -> tuple[str, ...]:
+    """The key set of result, which must be one of shapes."""
+    for shape in shapes:
+        if sorted(result) == sorted(shape):
+            return shape
+    raise InputError(f"result keys {sorted(result)} are not one of {[sorted(s) for s in shapes]}")
+
+
+def _rational(x) -> Fraction:
+    """A rational in the canonical "p/q" text reports carry."""
+    value = decode_frac(x)
+    if not isinstance(x, str) or str(value) != x:
+        raise InputError(f"expected a rational in canonical form, got {x!r}")
+    return value
+
+
+def _integer(x) -> int:
+    if type(x) is not int:
+        raise InputError(f"expected an integer, got {x!r}")
+    return x
+
+
+def _flag(x) -> bool:
+    if not isinstance(x, bool):
+        raise InputError(f"expected true or false, got {x!r}")
+    return x
+
+
+def _list(x, what: str) -> list:
+    if not isinstance(x, list):
+        raise InputError(f"{what} must be a list, got {x!r}")
+    return x
+
+
+def _rationals(x, what: str) -> tuple:
+    return tuple(_rational(v) for v in _list(x, what))
+
+
+def _pair(x, what: str) -> list:
+    if len(_list(x, what)) != 2:
+        raise InputError(f"{what} must be a pair, got {x!r}")
+    return x
+
+
+def _on(stored, field: str, rebuild):
+    """A map or tensor element a result embeds, rebuilt from its matrix
+    field around the inputs' spaces, or None when the stored object is not
+    the rebuilt one's canonical form."""
+    if not isinstance(stored, dict):
+        raise InputError(f"expected an embedded object, got {stored!r}")
+    obj = rebuild(Matrix.from_rows(decode_rows(stored.get(field))))
+    return obj if to_dict(obj) == stored else None
+
+
+def _object(d, name: str, keys: tuple[str, ...]) -> dict:
+    """A dataclass as `_plain` renders it: its fields and "object": name."""
+    if not isinstance(d, dict) or sorted(d) != sorted(keys + ("object",)) or d["object"] != name:
+        raise InputError(f"expected a {name} with the fields {list(keys)}, got {d!r}")
+    return d
+
+
+def _certificate(d, dim: int) -> Certificate:
+    """A certificate about a vector of length dim."""
+    _object(d, "Certificate", ("decomposition", "kind", "payload", "verdict", "witness"))
+    if not isinstance(d["verdict"], str) or not isinstance(d["kind"], str):
+        raise InputError("certificate verdict and kind must be strings")
+    if d["payload"] is not None and not isinstance(d["payload"], dict):
+        raise InputError("certificate payload must be an object")
+    witness = None if d["witness"] is None else _rationals(d["witness"], "witness")
+    if witness is not None and len(witness) != dim:
+        raise InputError(f"certificate witness has length {len(witness)}, expected {dim}")
+    return Certificate(
+        d["verdict"],
+        d["kind"],
+        None if d["decomposition"] is None else _terms(d["decomposition"]),
+        witness,
+        d["payload"],
+    )
+
+
+def _terms(x) -> tuple:
+    """Conic decomposition terms [index, coefficient]."""
+    return tuple(
+        (_integer(i), _rational(c))
+        for i, c in (_pair(t, "decomposition term") for t in _list(x, "decomposition"))
+    )
+
+
+def _map_check(key: str, holds):
+    """The check of a pert or perturb result: the map S, a rational under
+    key (the distance or the bound) and the norm of t."""
+
+    def check(t, result) -> bool:
+        _keys(result, (key, "map", "norm"))
+        s_map = _on(result["map"], "matrix", lambda m: UnitalMap(t.source, t.target, m))
+        return s_map is not None and holds(t, s_map, _rational(result[key]), _rational(result["norm"]))
+
+    return check
+
+
+def _check_tensor_member(z, kind, result) -> bool:
+    _keys(result, ("certificate", "kind", "verdict"))
+    cert = _certificate(result["certificate"], z.left.dim * z.right.dim)
+    return (
+        result["kind"] == kind
+        and result["verdict"] == cert.verdict
+        and cert.verify(_checked_product_cone(z.left, z.right, kind), z.flatten())
+    )
+
+
+def _check_nuclear_pair(left, right, result) -> bool:
+    shape = _keys(
+        result,
+        ("nuclear", "pi_decompositions"),
+        ("epsilon_certificate", "nuclear", "pi_certificate", "witness"),
+    )
+    nuclear = _flag(result["nuclear"])
+    if "witness" in shape:
+        z = _on(result["witness"], "coeffs", lambda c: TensorElement(left, right, c))
+        dim = left.dim * right.dim
+        pi_cert, eps_cert = (_certificate(result[k], dim) for k in ("pi_certificate", "epsilon_certificate"))
+        report = NuclearityReport(False, z, pi_cert, eps_cert)
+        return not nuclear and z is not None and _nuclearity_holds(left, right, report)
+    decomps = tuple(_terms(d) for d in _list(result["pi_decompositions"], "pi_decompositions"))
+    return nuclear and _nuclearity_holds(left, right, NuclearityReport(True, pi_decompositions=decomps))
+
+
+def _step(d) -> DefectStep:
+    _object(d, "DefectStep", ("multipliers", "psi"))
+    psi = tuple(_rationals(row, "psi row") for row in _list(d["psi"], "psi"))
+    multipliers = []
+    for m in _list(d["multipliers"], "multipliers"):
+        name, mu = _pair(m, "multiplier")
+        if not _list(name, "row name") or not isinstance(name[0], str):
+            raise InputError(f"a row name starts with its kind, got {name!r}")
+        multipliers.append((tuple(name), _rational(mu)))
+    return DefectStep(psi, tuple(multipliers))
+
+
+def _check_factorize(space, eps, result) -> bool:
+    _keys(result, ("defect", "exhausted", "phi", "psi", "schedule", "states_used", "steps", "success"))
+    phi = _on(result["phi"], "matrix", lambda m: UnitalMap(space, linf(m.rows), m))
+    psi = None if phi is None else _on(result["psi"], "matrix", lambda m: UnitalMap(phi.target, space, m))
+    if phi is None or psi is None:
+        return False
+    schedule = tuple(
+        (_integer(k), _rational(defect))
+        for k, defect in (_pair(p, "schedule entry") for p in _list(result["schedule"], "schedule"))
+    )
+    res = FactorizationResult(
+        phi=phi,
+        psi=psi,
+        defect=_rational(result["defect"]),
+        success=_flag(result["success"]),
+        states_used=_integer(result["states_used"]),
+        schedule=schedule,
+        exhausted=_flag(result["exhausted"]),
+        steps=tuple(_step(d) for d in _list(result["steps"], "steps")),
+    )
+    return _factorization_holds(space, eps, res)
+
+
 # -- the verb table ------------------------------------------------------------
 #
-# One row per report verb: help text, arguments, runner.  The parser, the argv
-# path and `verify` all read it.  An argument is spelled `key` (positional) or
-# `--key` (option).  `load` turns its argv text into the value the report
-# embeds under `key`; `decode` turns an embedded value into the runner's
-# argument and rejects, as invalid input, any value `load` could not have made.
+# One row per report verb: help text, arguments, runner, and the check that
+# `verify` runs in place of the runner, where the report carries evidence
+# for one.  The parser, the argv path and `verify` all read it.  An argument
+# is spelled `key` (positional) or `--key` (option).  `load` turns its argv
+# text into the value the report embeds under `key` and the runner's
+# argument; `decode` turns an embedded value into the runner's argument and
+# rejects, as invalid input, any value `load` could not have made.
 
 
 @dataclasses.dataclass(frozen=True)
 class _Arg:
     key: str
-    load: Callable[[str], object]
+    load: Callable[[str], tuple[object, object]]
     decode: Callable[[object], object]
     option: bool = False
     help: str | None = None
@@ -182,7 +375,11 @@ class _Arg:
 
 
 def _file(key, cls, what, from_dict, help=None) -> _Arg:
-    return _Arg(key, lambda path: to_dict(_load_typed(path, cls, what)), from_dict, help=help)
+    def load(path):
+        obj = _load_typed(path, cls, what)
+        return to_dict(obj), obj
+
+    return _Arg(key, load, from_dict, help=help)
 
 
 def _space(key="space", help=None) -> _Arg:
@@ -193,8 +390,19 @@ _MAP = _file("map", UnitalMap, "map", map_from_dict)
 _ELEMENT = _file("element", TensorElement, "tensor element", element_from_dict)
 
 
+def _as_embedded(parse, decode):
+    """A load that embeds what parse makes of the text and decodes that."""
+
+    def load(text):
+        value = parse(text)
+        return value, decode(value)
+
+    return load
+
+
 def _json(key, decode, help) -> _Arg:
-    return _Arg(key, lambda text: _parse_json_flag(text, f"--{key}"), decode, True, help)
+    parse = lambda text: _parse_json_flag(text, f"--{key}")
+    return _Arg(key, _as_embedded(parse, decode), decode, True, help)
 
 
 def _choice(key, choices, option=False) -> _Arg:
@@ -203,7 +411,7 @@ def _choice(key, choices, option=False) -> _Arg:
             raise InputError(f"{key} must be one of {', '.join(choices)}, got {value!r}")
         return value
 
-    return _Arg(key, str, decode, option, choices=choices)
+    return _Arg(key, _as_embedded(str, decode), decode, option, choices=choices)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -211,6 +419,7 @@ class _Verb:
     help: str
     args: tuple[_Arg, ...]
     run: Callable[..., dict]
+    check: Callable[..., bool] | None = None
 
 
 _VERBS = {
@@ -254,11 +463,13 @@ _VERBS = {
         "nearest positive map, coordinatewise target",
         (_MAP,),
         lambda m: dict(zip(("map", "distance", "norm"), _pert_with_norms(m))),
+        _map_check("distance", _pert_holds),
     ),
     "perturb": _Verb(
         "positive correction with the dimension bound",
         (_MAP,),
         lambda m: dict(zip(("map", "bound", "norm"), _perturb_with_norm(m))),
+        _map_check("bound", _perturb_holds),
     ),
     "auerbach": _Verb(
         "Auerbach system of the unit ball",
@@ -269,6 +480,7 @@ _VERBS = {
         "membership of a tensor element in one tensor cone",
         (_ELEMENT, _choice("kind", (EPSILON, PI), option=True)),
         _run_tensor_member,
+        _check_tensor_member,
     ),
     "tensor-norm": _Verb(
         "injective norm of a tensor element",
@@ -282,11 +494,23 @@ _VERBS = {
         "equality of the two tensor cones on a pair",
         (_space("left"), _space("right")),
         _fields_of(is_nuclear_pairwise),
+        _check_nuclear_pair,
     ),
     "factorize": _Verb(
         "approximate factorization through a coordinatewise space",
-        (_space(), _Arg("eps", str, decode_frac, True, "defect tolerance, a rational", default="1/10")),
+        (
+            _space(),
+            _Arg(
+                "eps",
+                _as_embedded(str, decode_frac),
+                decode_frac,
+                True,
+                "defect tolerance, a rational",
+                default="1/10",
+            ),
+        ),
         _fields_of(factorize),
+        _check_factorize,
     ),
     "examples": _Verb(
         "run the built-in worked examples and check their verdicts",
@@ -296,24 +520,28 @@ _VERBS = {
 }
 
 
-def _report(verb: str, inputs) -> dict:
-    """Decode the embedded inputs against the verb's row, run it, and wrap
-    the result as a report."""
+def _decode_inputs(verb: str, inputs) -> list:
+    """The runner's arguments from a report's embedded inputs."""
     spec = _VERBS[verb]
     keys = sorted(a.key for a in spec.args)
     if not isinstance(inputs, dict) or sorted(inputs) != keys:
         raise InputError(f"{verb} inputs must be an object with the keys {keys}")
-    result = _plain(spec.run(*(a.decode(inputs[a.key]) for a in spec.args)))
+    return [a.decode(inputs[a.key]) for a in spec.args]
+
+
+def _result(verb: str, args: list) -> dict:
+    """The verb's result fields, rendered with `_plain`."""
+    result = _plain(_VERBS[verb].run(*args))
     if any(k in result for k in _META_KEYS):
         raise InvariantViolation("result keys collide with report metadata")
-    return {"version": VERSION, "type": "report", "verb": verb, "inputs": inputs, **result}
+    return result
 
 
 def _emit(report: dict, fmt: str, out) -> None:
     if fmt == "json":
         out.write(_json_text(report))
         return
-    result = {k: v for k, v in report.items() if k not in _META_KEYS}
+    result = {k: v for k, v in report.items() if k not in _META_KEYS + _EVIDENCE_KEYS}
     if len(result) == 1:
         value = next(iter(result.values()))
         if isinstance(value, str):
@@ -351,7 +579,12 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument(f"--{a.key}" if a.option else a.key, choices=a.choices, help=a.help, **kw)
     for verb, help_text, arg in (
         ("roundtrip", "canonical serialization of a file", "path"),
-        ("verify", "re-run a report and confirm it bit for bit", "report"),
+        (
+            "verify",
+            "confirm a report: factorize, pert, perturb, tensor-member and "
+            "nuclear-pair from the evidence they carry, any other verb by running it again",
+            "report",
+        ),
     ):
         sub.add_parser(verb, parents=[common], help=help_text).add_argument(arg)
     return parser
@@ -374,12 +607,12 @@ def _cmd_verify(args, out) -> int:
     verb = report.get("verb")
     if not isinstance(verb, str) or verb not in _VERBS:
         raise InputError(f"report carries unknown verb {verb!r}")
-    fresh = _report(verb, report.get("inputs"))
+    inputs = _decode_inputs(verb, report.get("inputs"))
     stored = {k: report[k] for k in report if k not in _META_KEYS}
-    recomputed = {
-        k: json.loads(_json_text(v)) for k, v in fresh.items() if k not in _META_KEYS
-    }
-    verified = stored == recomputed
+    check = _VERBS[verb].check
+    # `_plain` yields only what JSON parses back to itself, so the re-run
+    # result compares with the stored one directly
+    verified = check(*inputs, stored) if check else stored == _result(verb, inputs)
     _emit(
         {"version": VERSION, "type": "report", "verb": "verify",
          "inputs": {"report": report.get("verb")}, "verified": verified},
@@ -402,7 +635,14 @@ def main(argv=None, out=None) -> int:
         if args.verb == "verify":
             return _cmd_verify(args, out)
         spec = _VERBS[args.verb]
-        report = _report(args.verb, {a.key: a.load(getattr(args, a.key)) for a in spec.args})
+        loaded = [a.load(getattr(args, a.key)) for a in spec.args]
+        report = {
+            "version": VERSION,
+            "type": "report",
+            "verb": args.verb,
+            "inputs": {a.key: embedded for a, (embedded, _) in zip(spec.args, loaded)},
+            **_result(args.verb, [arg for _, arg in loaded]),
+        }
         _emit(report, args.format, out)
         if args.verb == "examples" and not report.get("all_match", False):
             return EXIT_BREACH

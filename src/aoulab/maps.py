@@ -513,9 +513,19 @@ def _min_l1_measure(space: AOUSpace, f: Vec) -> list[Fraction]:
 
 
 def _is_standard_linf(space: AOUSpace) -> bool:
-    return space.unit == (Fraction(1),) * space.dim and same_cone(
-        space.cone, Cone.from_generators([unit_vec(i, space.dim) for i in range(space.dim)])
-    )
+    """Unit (1, .., 1) and the nonnegative orthant as cone, read off the
+    cone's own rows, generators and closed inequality rows alike, since the
+    orthant is its own dual: nonnegative rows give a cone inside the
+    orthant, and then all of it exactly when each e_i is a positive
+    multiple of a row, as nonnegative vectors combine to e_i only through
+    multiples of e_i."""
+    cone = space.cone
+    cone.require_closed("pert")
+    rows = cone.generators if cone.generators is not None else cone.inequalities
+    if space.unit != (Fraction(1),) * space.dim or any(x < 0 for row in rows for x in row):
+        return False
+    axes = {next(i for i, x in enumerate(row) if x) for row in rows if sum(map(bool, row)) == 1}
+    return len(axes) == space.dim
 
 
 def pert(t: UnitalMap) -> UnitalMap:
@@ -535,12 +545,16 @@ def pert(t: UnitalMap) -> UnitalMap:
     return _pert_with_norms(t)[0]
 
 
-def _pert_with_norms(t: UnitalMap) -> tuple[UnitalMap, Fraction, Fraction]:
-    """pert plus the two norms its bound check computes: (S, ||t - S||, ||t||)."""
+def _require_pert_input(t: UnitalMap) -> None:
     if not t.unital:
         raise InputError("pert requires a unital map")
     if not _is_standard_linf(t.target):
         raise InputError("pert target must carry the coordinatewise order with unit (1,..,1)")
+
+
+def _pert_with_norms(t: UnitalMap) -> tuple[UnitalMap, Fraction, Fraction]:
+    """pert plus the two norms its bound check computes: (S, ||t - S||, ||t||)."""
+    _require_pert_input(t)
     states = extreme_states(t.source)
     new_rows, masses = [], []
     for r in range(t.target.dim):
@@ -557,13 +571,44 @@ def _pert_with_norms(t: UnitalMap) -> tuple[UnitalMap, Fraction, Fraction]:
     s_map = UnitalMap(t.source, t.target, Matrix.from_rows(new_rows))
     if not s_map.unital or not s_map.positive:
         raise InvariantViolation("pert output must be unital positive")
-    gap = max(dual_norm(t.source, d) for d in map(vsub, t.matrix.data, s_map.matrix.data))
+    gap = _norm_into(t.source, map(vsub, t.matrix.data, s_map.matrix.data))
     tnorm = max(masses)
     if gap > tnorm - 1:
         raise InvariantViolation(f"pert bound violated: ||t-S|| = {gap} > {tnorm - 1}")
     if tnorm == 1 and s_map.matrix.data != t.matrix.data:
         raise InvariantViolation("pert must fix maps of norm one")
     return s_map, gap, tnorm
+
+
+def _norm_into(source: AOUSpace, rows) -> Fraction:
+    """The norm of a map into linf(k) given by its rows: the largest dual
+    norm of a row."""
+    return max((dual_norm(source, row) for row in rows), default=Fraction(0))
+
+
+def _positive_rows(source: AOUSpace, rows) -> bool:
+    """Whether every row is a positive functional: f >= 0 on the cone
+    exactly when ||f||* = f(e), since 0 <= x <= r e puts x - r e / 2 in
+    the ball of radius r / 2, and -r e <= x <= r e bounds |f(x)| by
+    f(e) r for positive f."""
+    return all(dual_norm(source, f) == dot(f, source.unit) for f in rows)
+
+
+def _pert_holds(t: UnitalMap, s_map: UnitalMap, distance: Fraction, norm: Fraction) -> bool:
+    """Whether a pert result (S, ||t - S||, ||t||) holds for t: S unital
+    and positive, row by row, the two norms exact as the largest dual norms
+    of the rows of t and t - S, and ||t - S|| <= ||t|| - 1. Every test
+    reads dual norms over the unit ball: no measure is decomposed and no
+    cone is compared."""
+    _require_pert_input(t)
+    gap = _norm_into(t.source, map(vsub, t.matrix.data, s_map.matrix.data))
+    return (
+        s_map.unital
+        and _positive_rows(t.source, s_map.matrix.data)
+        and norm == _norm_into(t.source, t.matrix.data)
+        and distance == gap
+        and gap <= norm - 1
+    )
 
 
 def perturb(t: UnitalMap) -> tuple[UnitalMap, Fraction]:
@@ -620,3 +665,21 @@ def _correction_norm(t: UnitalMap, s_map: UnitalMap, gap: Fraction, tv_total: Ve
         if vsub(row, s_row) != vscale(-gap * u, tv_total):
             raise InvariantViolation("perturb correction is not -gap e (x) tv_total")
     return gap * dual_norm(t.source, tv_total)
+
+
+def _perturb_holds(t: UnitalMap, s_map: UnitalMap, bound: Fraction, norm: Fraction) -> bool:
+    """Whether a perturb result (S, bound, ||t||) holds for t: S positive,
+    ||t|| exact, bound = dim(source) (||t|| - 1) and ||t - S|| <= bound.
+    Composed with the Kadison embedding of the target, a map keeps its
+    norm and its positivity, so each claim is read off the functionals
+    g o t, g o S and g o (t - S) over the target's extreme states g."""
+    if not t.unital:
+        raise InputError("perturb requires a unital map")
+    evaluate = Matrix.from_rows(g.functional for g in extreme_states(t.target))
+    diff = Matrix.from_rows(map(vsub, t.matrix.data, s_map.matrix.data))
+    return (
+        _positive_rows(t.source, (evaluate @ s_map.matrix).data)
+        and norm == _norm_into(t.source, (evaluate @ t.matrix).data)
+        and bound == t.source.dim * (norm - 1)
+        and _norm_into(t.source, (evaluate @ diff).data) <= bound
+    )

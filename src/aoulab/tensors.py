@@ -27,10 +27,11 @@ from .linalg import (
     rank,
     solve,
     vec,
+    vscale,
     vsub,
     zeros,
 )
-from .lp import GE, OPTIMAL, solve_lp
+from .lp import EQ, GE, OPTIMAL, solve_lp
 from .maps import UnitalMap, _unital_positive_rows
 from .spaces import (
     AOUSpace,
@@ -47,6 +48,11 @@ PI = "pi"
 FACTORIZE_STATE_CAP = 64
 # most d x d determinants the seed scan of factorize may take (C(states, d))
 FACTORIZE_SCAN_CAP = 20_000
+# most entries (rows x columns, in the LP's standard form) of one defect LP:
+# lin_space(3)'s largest is 132 x 193 = 25 476 and solves in about a second,
+# while a 4-dim space with 8 states poses 308 x 337 = 103 796 and runs for
+# minutes
+FACTORIZE_LP_CAP = 50_000
 
 
 @dataclass(eq=False)
@@ -133,6 +139,21 @@ def _assert_pi_aou(ts_realized: AOUSpace, left: AOUSpace, right: AOUSpace) -> No
             raise InvariantViolation("factor unit fails the order unit test")
 
 
+def _product_cone(left: AOUSpace, right: AOUSpace, kind: str) -> Cone:
+    """The epsilon cone, cut out by the products f (x) g of extreme states,
+    or the pi cone, generated by the products v (x) w of cone generators."""
+    dim = left.dim * right.dim
+    if kind == EPSILON:
+        rows = [
+            kron_vec(f.functional, g.functional)
+            for f in extreme_states(left)
+            for g in extreme_states(right)
+        ]
+        return Cone.from_inequalities(rows, dim=dim)
+    gens = [kron_vec(v, w) for v in left.cone.vrep() for w in right.cone.vrep()]
+    return Cone.from_generators(gens, dim)
+
+
 @_cached
 def tensor_space(left: AOUSpace, right: AOUSpace, kind: str) -> TensorSpace:
     """The epsilon or pi tensor space of left and right, cached by left
@@ -141,26 +162,10 @@ def tensor_space(left: AOUSpace, right: AOUSpace, kind: str) -> TensorSpace:
         raise InputError(f"unknown tensor cone kind {kind!r}")
     for sp in (left, right):
         sp.cone.require_polyhedral("tensor cones")
-    dim = left.dim * right.dim
-    unit = kron_vec(left.unit, right.unit)
-    if kind == EPSILON:
-        rows = [
-            kron_vec(f.functional, g.functional)
-            for f in extreme_states(left)
-            for g in extreme_states(right)
-        ]
-        cone = Cone.from_inequalities(rows, dim=dim)
-    else:
-        gens = [
-            kron_vec(v, w)
-            for v in left.cone.vrep()
-            for w in right.cone.vrep()
-        ]
-        cone = Cone.from_generators(gens, dim)
     realized = AOUSpace(
-        dim=dim,
-        cone=cone,
-        unit=unit,
+        dim=left.dim * right.dim,
+        cone=_product_cone(left, right, kind),
+        unit=kron_vec(left.unit, right.unit),
         label=f"{kind}({left.label},{right.label})",
     )
     if kind == EPSILON:
@@ -174,6 +179,18 @@ def member_tensor(ts: TensorSpace, z: TensorElement) -> Certificate:
     if z.left.dim != ts.left.dim or z.right.dim != ts.right.dim:
         raise ShapeError("tensor element does not match the tensor space")
     return member(ts.realized.cone, z.flatten())
+
+
+def _checked_product_cone(left: AOUSpace, right: AOUSpace, kind: str) -> Cone:
+    """`_product_cone` for a report check, on factors that pass what
+    `tensor_space` asks of them: polyhedral, with extreme states. A
+    certificate `member_tensor` gave verifies against it with the same
+    generator and row indices, and since the realized space is not built,
+    a pi check needs no facet of pi."""
+    for sp in (left, right):
+        sp.cone.require_polyhedral("tensor cones")
+        extreme_states(sp)
+    return _product_cone(left, right, kind)
 
 
 def tensor_map(s: UnitalMap, t: UnitalMap, kind: str) -> UnitalMap:
@@ -232,6 +249,9 @@ class NuclearityReport:
     witness: TensorElement | None = None
     pi_certificate: Certificate | None = None
     epsilon_certificate: Certificate | None = None
+    # nuclear: the conic decomposition over the pi generators of each
+    # epsilon extreme ray, in the order of int_vrep of the epsilon cone
+    pi_decompositions: tuple[tuple[tuple[int, Fraction], ...], ...] | None = None
 
 
 def is_nuclear_pairwise(left: AOUSpace, right: AOUSpace) -> NuclearityReport:
@@ -240,7 +260,8 @@ def is_nuclear_pairwise(left: AOUSpace, right: AOUSpace) -> NuclearityReport:
     The pi cone always sits inside the epsilon cone; that inclusion is
     asserted.  Equality is decided by running every extreme ray of the
     epsilon cone through a pi membership test, so a negative answer comes
-    with an explicit element of epsilon minus pi and a Farkas witness.
+    with an explicit element of epsilon minus pi and a Farkas witness, and
+    a positive one with each ray's decomposition over the pi generators.
     """
     eps = tensor_space(left, right, EPSILON)
     pi = tensor_space(left, right, PI)
@@ -253,10 +274,13 @@ def is_nuclear_pairwise(left: AOUSpace, right: AOUSpace) -> NuclearityReport:
     gen_index: dict = {}
     for idx, g in enumerate(int_vrep(pi_cone)):
         gen_index.setdefault(g, idx)
+    rays = int_vrep(eps.realized.cone)
+    decompositions = [()] * len(rays)
     matched, unmatched = [], []
-    for ray in int_vrep(eps.realized.cone):
-        (matched if ray in gen_index else unmatched).append(ray)
-    for ray in map(vec, unmatched):
+    for i, ray in enumerate(rays):
+        (matched if ray in gen_index else unmatched).append(i)
+    for i in unmatched:
+        ray = vec(rays[i])
         cert = member(pi_cone, ray)
         if cert.verdict == "non_member":
             z = TensorElement.from_flat(left, right, ray)
@@ -269,10 +293,12 @@ def is_nuclear_pairwise(left: AOUSpace, right: AOUSpace) -> NuclearityReport:
                 pi_certificate=cert,
                 epsilon_certificate=eps_cert,
             )
-    for ray in matched:
+        decompositions[i] = cert.decomposition
+    for i in matched:
+        ray = rays[i]
         idx = gen_index[ray]
         g = pi_cone.generators[idx]
-        j = next(i for i, x in enumerate(g) if x != 0)
+        j = next(c for c, x in enumerate(g) if x != 0)
         cert = Certificate(
             verdict="member",
             kind="conic_decomposition",
@@ -280,7 +306,39 @@ def is_nuclear_pairwise(left: AOUSpace, right: AOUSpace) -> NuclearityReport:
         )
         if not cert.verify(pi_cone, ray):
             raise InvariantViolation("matched ray decomposition failed to verify")
-    return NuclearityReport(nuclear=True)
+        decompositions[i] = cert.decomposition
+    return NuclearityReport(nuclear=True, pi_decompositions=tuple(decompositions))
+
+
+def _nuclearity_holds(left: AOUSpace, right: AOUSpace, report: NuclearityReport) -> bool:
+    """Whether the report's evidence proves its verdict, from the product
+    generators and product-state rows alone.
+
+    Not nuclear: the witness is in epsilon (row evaluation) and out of pi
+    (a functional nonnegative on every product generator). Nuclear: each
+    epsilon extreme ray, from the DD of the epsilon rows, is the stated
+    combination of pi generators, so epsilon lies in pi, and pi always lies
+    in epsilon. No facet of pi is built and no membership is decided.
+    """
+    eps = _checked_product_cone(left, right, EPSILON)
+    pi = _product_cone(left, right, PI)
+    if not report.nuclear:
+        flat = report.witness.flatten()
+        return (
+            report.pi_certificate.verdict == "non_member"
+            and report.pi_certificate.verify(pi, flat)
+            and report.epsilon_certificate.verdict == "member"
+            and report.epsilon_certificate.verify(eps, flat)
+        )
+    rays = int_vrep(eps)
+    if len(report.pi_decompositions) != len(rays):
+        raise ShapeError(
+            f"{len(report.pi_decompositions)} pi decompositions for {len(rays)} epsilon extreme rays"
+        )
+    return all(
+        Certificate("member", "conic_decomposition", decomposition=terms).verify(pi, ray)
+        for ray, terms in zip(rays, report.pi_decompositions)
+    )
 
 
 def is_nuclear_fd(space: AOUSpace) -> bool:
@@ -296,6 +354,19 @@ def is_nuclear_fd(space: AOUSpace) -> bool:
 
 
 @dataclass(frozen=True)
+class DefectStep:
+    """One greedy step of `factorize`: the defect LP's optimal psi (row
+    major, dim x k) and the LP's nonzero dual multipliers, each on a named
+    row. A name is ("unit", r), the unit coordinate r of psi(1) = e;
+    ("positive", j, a), cone row a of `hrep()` on psi(e_j); or ("defect", v,
+    a, sign), cone row a of the bound t (a . e) >= sign a . (psi phi(v) - v)
+    at vertex v of `unit_ball_vertices`. The bound row t >= 0 is left out."""
+
+    psi: tuple[Vec, ...]
+    multipliers: tuple[tuple[tuple, Fraction], ...]
+
+
+@dataclass(frozen=True)
 class FactorizationResult:
     phi: UnitalMap
     psi: UnitalMap
@@ -304,6 +375,7 @@ class FactorizationResult:
     states_used: int
     schedule: tuple[tuple[int, Fraction], ...]
     exhausted: bool
+    steps: tuple[DefectStep, ...] = ()
 
 
 def _best_psi(space: AOUSpace, phi_rows: list[Vec], vectors: list[Vec]):
@@ -311,29 +383,118 @@ def _best_psi(space: AOUSpace, phi_rows: list[Vec], vectors: list[Vec]):
     order norm of psi(phi(v)) - v over the given vectors.  Variables are the
     dim x k entries of psi, row-major, plus the defect bound t (last
     variable), with t (a . e) >= +-(a . psi(phi(v)) - a . v) for each H-row a.
+    Returns psi, the optimal value and the nonzero multipliers on the named
+    rows (see `DefectStep`).
 
-    Each defect row (coefficients, rhs) is added once: v and -v give the
-    same two rows with the signs swapped, and unit-ball vertices come in
-    such pairs."""
+    Each defect row (coefficients, rhs) is added once, under the name it
+    first meets: v and -v give the same two rows with the signs swapped,
+    and unit-ball vertices come in such pairs.  An LP over
+    FACTORIZE_LP_CAP standard-form entries raises SizeLimitError unsolved."""
     d, k = space.dim, len(phi_rows)
     rows, rhs, senses = _unital_positive_rows(linf(k), space, (), extra=1)
     hrows = space.cone.hrep()
+    names = [("unit", r) for r in range(d)]
+    names += [("positive", j, a) for j in range(k) for a in range(len(hrows))]
     defect_rows: dict = {}
-    for v in vectors:
+    for vi, v in enumerate(vectors):
         w = tuple(dot(row, v) for row in phi_rows)
-        for a in hrows:
+        for ai, a in enumerate(hrows):
             ae, av, aw = dot(a, space.unit), dot(a, v), kron_vec(a, w)
             for sign in (1, -1):
-                defect_rows.setdefault((tuple(-sign * x for x in aw) + (ae,), -sign * av))
-    for coeff, b in defect_rows:
+                defect_rows.setdefault(
+                    (tuple(-sign * x for x in aw) + (ae,), -sign * av), ("defect", vi, ai, sign)
+                )
+    for (coeff, b), name in defect_rows.items():
         rows.append(coeff)
         rhs.append(b)
         senses.append(GE)
+        names.append(name)
+    # standard form: psi's entries are free, so each is split in two; t and
+    # the slack of every inequality row take one column each
+    entries = len(rows) * (2 * d * k + 1 + sum(sense != EQ for sense in senses))
+    if entries > FACTORIZE_LP_CAP:
+        raise SizeLimitError(
+            f"factorize: defect LP of {len(rows)} rows over {k} states has {entries} "
+            f"standard-form entries, over FACTORIZE_LP_CAP = {FACTORIZE_LP_CAP}"
+        )
     obj = zeros(d * k) + (Fraction(1),)
     out = solve_lp(obj, rows, rhs, senses, nonneg=[False] * (d * k) + [True])
     if out.status != OPTIMAL:
         raise InvariantViolation("defect LP must be solvable")
-    return Matrix.from_rows(out.primal[i * k : (i + 1) * k] for i in range(d)), out.value
+    psi = Matrix.from_rows(out.primal[i * k : (i + 1) * k] for i in range(d))
+    # zip stops at the names, before the multiplier of t >= 0
+    return psi, out.value, tuple((name, mu) for name, mu in zip(names, out.dual_certificate) if mu)
+
+
+def _defect_lower_bound(
+    space: AOUSpace, phi_rows: list[Vec], vectors: list[Vec], hrows, multipliers
+) -> Fraction | None:
+    """The lower bound on the defect LP's optimum that the named multipliers
+    prove, by weak duality, or None when they prove none: a multiplier of
+    the wrong sign, or a combination of the rows that is not 0 on psi's
+    entries and at most 1 on t (the objective, up to the bound row
+    t >= 0). Each row is rebuilt from its name; a name of no row is bad
+    input (InputError)."""
+    d, k = space.dim, len(phi_rows)
+    bounds = {"unit": (d,), "positive": (k, len(hrows)), "defect": (len(vectors), len(hrows), None)}
+    acc = [[Fraction(0)] * k for _ in range(d)]
+    t_coeff = bound = Fraction(0)
+    for name, mu in multipliers:
+        if not _names_a_row(name, bounds):
+            raise InputError(f"multiplier names no row of the defect LP: {list(name)!r}")
+        kind, idx = name[0], name[1:]
+        if kind == "unit":
+            (r,) = idx
+            acc[r] = [x + mu for x in acc[r]]
+            bound += mu * space.unit[r]
+            continue
+        if mu < 0:
+            return None
+        if kind == "positive":
+            j, a = idx
+            for i in range(d):
+                acc[i][j] += mu * hrows[a][i]
+            continue
+        vi, a, sign = idx
+        row, v = hrows[a], vectors[vi]
+        w = [dot(f, v) for f in phi_rows]
+        for i in range(d):
+            for j in range(k):
+                acc[i][j] -= mu * sign * row[i] * w[j]
+        t_coeff += mu * dot(row, space.unit)
+        bound -= mu * sign * dot(row, v)
+    if any(any(r) for r in acc) or t_coeff > 1:
+        return None
+    return bound
+
+
+def _names_a_row(name: tuple, bounds: dict) -> bool:
+    """name is (kind, *indices) with each index an int below its bound in
+    bounds[kind], or 1 or -1 where the bound is None (a sign)."""
+    limits = bounds.get(name[0]) if name else None
+    if limits is None or len(name) != len(limits) + 1:
+        return False
+    return all(
+        type(i) is int and (i in (1, -1) if n is None else 0 <= i < n)
+        for i, n in zip(name[1:], limits)
+    )
+
+
+def _seed_states(pool: list[Vec], d: int) -> list[int]:
+    """The d states with the largest |det| (the first such tuple), so phi
+    starts injective; SizeLimitError past FACTORIZE_SCAN_CAP determinants."""
+    scan = comb(len(pool), d)
+    if scan > FACTORIZE_SCAN_CAP:
+        raise SizeLimitError(
+            f"factorize: seed scan of C({len(pool)}, {d}) = {scan} determinants "
+            f"exceeds FACTORIZE_SCAN_CAP = {FACTORIZE_SCAN_CAP}"
+        )
+    best_det, seed = None, None
+    for combo in combinations(range(len(pool)), d):
+        dv = abs(det(Matrix.from_rows([pool[i] for i in combo])))
+        if best_det is None or dv > best_det:
+            best_det, seed = dv, combo
+    return list(seed) if seed is not None and best_det else list(range(min(d, len(pool))))
 
 
 def _residual_norms(pool: list[Vec], psi_phi: Matrix, half: list[Vec]) -> tuple[list[Vec], list[Fraction]]:
@@ -341,6 +502,14 @@ def _residual_norms(pool: list[Vec], psi_phi: Matrix, half: list[Vec]) -> tuple[
     the largest |s(residual)| over the extreme states s in pool."""
     residuals = [vsub(psi_phi.apply(v), v) for v in half]
     return residuals, [max(abs(dot(s, res)) for s in pool) for res in residuals]
+
+
+def _next_state(pool: list[Vec], chosen: list[int], residuals: list[Vec], norms: list[Fraction]) -> int:
+    """The state most violated by the worst residual (the first of equally
+    bad residuals and states) among those not chosen yet."""
+    residual = residuals[norms.index(max(norms))]
+    remaining = [i for i in range(len(pool)) if i not in chosen]
+    return max(remaining, key=lambda i: abs(dot(pool[i], residual)))
 
 
 def factorize(space: AOUSpace, eps: Fraction | int = Fraction(1, 10)) -> FactorizationResult:
@@ -362,7 +531,9 @@ def factorize(space: AOUSpace, eps: Fraction | int = Fraction(1, 10)) -> Factori
     Each residual's order norm is the largest |s(residual)| over the
     extreme states s already in hand (Paulsen & Tomforde, Vector spaces
     with an order unit, 2009): no order-norm LP runs, and the check does
-    not rest on the defect LP it checks.
+    not rest on the defect LP it checks.  Each greedy step keeps its psi
+    and the LP's dual multipliers (`DefectStep`), the evidence
+    `_factorization_holds` checks a result against.
     """
     eps = frac(eps)
     if eps < 0:
@@ -402,40 +573,26 @@ def factorize(space: AOUSpace, eps: Fraction | int = Fraction(1, 10)) -> Factori
         )
 
     pool = [s.functional for s in extreme_states(space)]
-    scan = comb(len(pool), d)
-    if scan > FACTORIZE_SCAN_CAP:
-        raise SizeLimitError(
-            f"factorize: seed scan of C({len(pool)}, {d}) = {scan} determinants "
-            f"exceeds FACTORIZE_SCAN_CAP = {FACTORIZE_SCAN_CAP}"
-        )
-    # seed: d states with the largest |det|, so phi starts injective
-    best_det, seed = None, None
-    for combo in combinations(range(len(pool)), d):
-        dv = abs(det(Matrix.from_rows([pool[i] for i in combo])))
-        if best_det is None or dv > best_det:
-            best_det, seed = dv, combo
-    chosen = list(seed) if seed is not None and best_det else list(range(min(d, len(pool))))
+    chosen = _seed_states(pool, d)
     half = list(reversed(unit_ball_half(space)))
     schedule: list[tuple[int, Fraction]] = []
+    steps: list[DefectStep] = []
     best: tuple[Fraction, Matrix, list[Vec]] | None = None
     while True:
         phi_rows = [pool[i] for i in chosen]
-        psi_m, defect = _best_psi(space, phi_rows, vectors)
+        psi_m, defect, multipliers = _best_psi(space, phi_rows, vectors)
         # the LP bound is tight: recompute the defect from the solution
         residuals, norms = _residual_norms(pool, psi_m @ Matrix.from_rows(phi_rows), half)
         recomputed = max(norms, default=Fraction(0))
         if recomputed != defect:
             raise InvariantViolation("defect LP bound is not tight")
         schedule.append((len(chosen), defect))
+        steps.append(DefectStep(psi_m.data, multipliers))
         if best is None or defect < best[0]:
             best = (defect, psi_m, phi_rows)
         if defect <= eps or len(chosen) >= min(len(pool), FACTORIZE_STATE_CAP):
             break
-        # add the state most violated by the worst residual (the first of
-        # equally bad ones)
-        residual = residuals[norms.index(recomputed)]
-        remaining = [i for i in range(len(pool)) if i not in chosen]
-        chosen.append(max(remaining, key=lambda i: abs(dot(pool[i], residual))))
+        chosen.append(_next_state(pool, chosen, residuals, norms))
 
     defect, psi_m, phi_rows = best
     k = len(phi_rows)
@@ -453,4 +610,101 @@ def factorize(space: AOUSpace, eps: Fraction | int = Fraction(1, 10)) -> Factori
         states_used=k,
         schedule=tuple(schedule),
         exhausted=len(chosen) >= min(len(pool), FACTORIZE_STATE_CAP),
+        steps=tuple(steps),
+    )
+
+
+def _column_in_cone(cone: Cone, v: Vec) -> bool:
+    """v in the cone, by the rows of an H-cone or, in a V-cone, as a
+    positive multiple of a generator: exact on the extreme rays, which the
+    columns of a simplicial psi are."""
+    if cone.inequalities is not None:
+        return all(dot(a, v) >= 0 for a in cone.inequalities)
+    for g in cone.generators:
+        l = next(i for i, x in enumerate(g) if x)
+        if v[l] / g[l] > 0 and vscale(v[l] / g[l], g) == v:
+            return True
+    return False
+
+
+def _factorization_holds(space: AOUSpace, eps: Fraction, res: FactorizationResult) -> bool:
+    """Whether every claim of a factorize result holds, from its evidence
+    and the space alone: no defect LP and no membership test.
+
+    With no steps the claim is an exact factorization through linf(dim):
+    psi phi = id with phi and psi unital positive, which only a simplicial
+    space has. phi is positive when it is nonnegative on every generator;
+    psi when each column is in the cone, by the rows of an H-cone or, in a
+    V-cone, as a positive multiple of a generator, which each extreme ray
+    is.
+
+    With steps the check replays the greedy loop on the space's extreme
+    states: the seed scan, then per step the count of states, psi's unit
+    and positivity rows, its defect as the largest |s(residual)| over the
+    states and the half ball (the order norm, Paulsen & Tomforde, Vector
+    spaces with an order unit, 2009), the multipliers' lower bound on the
+    LP optimum, which must meet that defect, the stopping rule and the next
+    state. The best step must be the reported phi and psi. A psi of the
+    wrong shape or a multiplier naming no row is bad input.
+    """
+    eps = frac(eps)
+    if eps < 0:
+        raise InputError(f"factorize: eps must be nonnegative, got {eps}")
+    space.cone.require_closed("factorization")
+    d = space.dim
+    phi_m, psi_m = res.phi.matrix, res.psi.matrix
+    if not res.steps:
+        ones = (Fraction(1),) * d
+        return (
+            (res.defect, res.success, res.states_used, res.exhausted) == (0, True, d, False)
+            and res.schedule == ((d, Fraction(0)),)
+            and phi_m.rows == d
+            and phi_m.apply(space.unit) == ones
+            and psi_m.apply(ones) == space.unit
+            and (psi_m @ phi_m).data == Matrix.identity(d).data
+            and all(x >= 0 for g in space.cone.vrep() for x in phi_m.apply(g))
+            and all(_column_in_cone(space.cone, col) for col in psi_m.transpose().data)
+        )
+
+    vectors = unit_ball_vertices(space)
+    pool = [s.functional for s in extreme_states(space)]
+    if len(pool) == d:
+        # a simplicial space factors exactly, with no greedy step
+        return False
+    if len(res.schedule) != len(res.steps):
+        raise ShapeError(f"{len(res.steps)} steps for a schedule of {len(res.schedule)}")
+    hrows = space.cone.hrep()
+    half = list(reversed(unit_ball_half(space)))
+    chosen = _seed_states(pool, d)
+    limit = min(len(pool), FACTORIZE_STATE_CAP)
+    best = None
+    for n, (step, (k, defect)) in enumerate(zip(res.steps, res.schedule)):
+        phi_rows = [pool[i] for i in chosen]
+        psi = Matrix.from_rows(step.psi)
+        if (psi.rows, psi.cols) != (d, len(chosen)):
+            raise ShapeError(f"step {n}: psi is {psi.rows}x{psi.cols}, expected {d}x{len(chosen)}")
+        if k != len(chosen) or psi.apply((Fraction(1),) * k) != space.unit:
+            return False
+        if any(dot(a, col) < 0 for col in psi.transpose().data for a in hrows):
+            return False
+        residuals, norms = _residual_norms(pool, psi @ Matrix.from_rows(phi_rows), half)
+        if max(norms) != defect:
+            return False
+        if _defect_lower_bound(space, phi_rows, vectors, hrows, step.multipliers) != defect:
+            return False
+        if best is None or defect < best[0]:
+            best = (defect, psi, phi_rows)
+        stop = defect <= eps or k >= limit
+        if stop != (n == len(res.steps) - 1):
+            return False
+        if not stop:
+            chosen.append(_next_state(pool, chosen, residuals, norms))
+    defect, psi, phi_rows = best
+    return (
+        res.defect == defect
+        and res.success == (defect <= eps)
+        and res.states_used == len(phi_rows)
+        and res.exhausted == (len(chosen) >= limit)
+        and phi_m.data == tuple(phi_rows)
+        and psi_m.data == psi.data
     )

@@ -17,11 +17,15 @@ functional over the states.  The LP builders (`extension_lp_rows`,
 `psi_lp_without_dedup`) index the matrix entries by hand instead of through
 `kron_vec`.  The full-ball scans (operator norm, dual norm, Auerbach |det|
 scan by Fraction elimination) visit every vertex of the unit ball, where
-the package takes one vertex of each +- pair.
+the package takes one vertex of each +- pair.  `rerun_verifies` confirms a
+CLI report by running its verb again and comparing the results through a
+JSON round trip, where `verify` checks the evidence of the five verbs that
+carry it.
 """
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -29,6 +33,7 @@ from itertools import combinations
 import pytest
 
 import aoulab.dd
+from aoulab.cli import _META_KEYS, _VERBS, _plain
 from aoulab.cones import Certificate, Cone, close_and_lineality, image_cone, member, same_cone
 from aoulab.errors import InvariantViolation, ShapeError
 from aoulab.linalg import Matrix, Vec, dot, frac, integerize, is_zero_vec, unit_vec, vec, zeros
@@ -664,3 +669,15 @@ def full_ball_auerbach_scan(space: AOUSpace) -> list[Vec]:
         if d > best_abs:
             best, best_abs = tup, d
     return list(best)
+
+
+# -- the re-run oracle for CLI reports ------------------------------------------
+
+
+def rerun_verifies(report: dict) -> bool:
+    """Whether running the report's verb again on its embedded inputs gives
+    its stored result, compared after a JSON round trip of the fresh one."""
+    spec = _VERBS[report["verb"]]
+    fresh = _plain(spec.run(*(a.decode(report["inputs"][a.key]) for a in spec.args)))
+    stored = {k: v for k, v in report.items() if k not in _META_KEYS}
+    return json.loads(json.dumps(fresh, sort_keys=True)) == stored

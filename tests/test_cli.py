@@ -1,18 +1,25 @@
 """Front end: verbs, exit codes, canonical output, and the verify pass."""
 
+import dataclasses
 import io
 import json
 from fractions import Fraction
 
 import pytest
 
+import aoulab.cli
+import aoulab.cones
+import aoulab.maps
+import aoulab.spaces
+import aoulab.tensors
 from aoulab.cli import _VERBS, _build_parser, main
 from aoulab.cones import Cone
 from aoulab.linalg import Matrix
 from aoulab.maps import UnitalMap
 from aoulab.serialize import dumps
 from aoulab.spaces import AOUSpace, lin_space, linf
-from aoulab.tensors import TensorElement
+from aoulab.tensors import EPSILON, PI, TensorElement
+from conftest import ball_scan_spaces, rand_vec, random_unital_into_linf, rerun_verifies, rng
 
 
 def run(argv):
@@ -176,6 +183,20 @@ class TestReports:
         err = capsys.readouterr().err
         assert_invalid_input(code, out, err)
         assert "eps must be nonnegative" in err
+
+    def test_factorize_over_the_lp_budget_exits_two(self, files, capsys):
+        space = AOUSpace(
+            4,
+            Cone.from_generators(
+                [(-2, 0, 2, 2), (0, 2, 0, 0), (-1, 1, 1, 2), (3, 2, 0, 1), (-1, -1, 2, 1), (2, 1, -1, -1)]
+            ),
+            (1, 5, 4, 5),
+        )
+        capsys.readouterr()
+        code, out = run(["factorize", files["write"]("four.json", space)])
+        err = capsys.readouterr().err
+        assert_invalid_input(code, out, err)
+        assert "FACTORIZE_LP_CAP" in err
 
     def test_extend_infeasible_exits_two(self, files):
         # asks for a functional of norm three on a norm-one element
@@ -395,6 +416,69 @@ def test_unit_that_is_no_order_unit_is_invalid_input(files, capsys, name, verb):
     assert json.loads(err[1].removeprefix("aoulab: certificate: ")) == row
 
 
+def at(path):
+    """An edit that replaces the value at path (keys and indices) with the
+    last item."""
+
+    def edit(d, value):
+        for key in path[:-1]:
+            d = d[key]
+        d[path[-1]] = value
+
+    return lambda value: lambda d: edit(d, value)
+
+
+# evidence edits that make a checked report malformed: a wrong length, an
+# entry that is no rational, a row name out of range, a missing or extra key
+FACTORIZE_LIN2 = ["factorize", "{lin2}"]
+FIRST_NAME = ["steps", 0, "multipliers", 0, 0]
+LAST_NAME = ["steps", 0, "multipliers", -1, 0]
+NUCLEAR_PAIR = ["nuclear-pair", "{linf2}", "{lin2}"]
+MALFORMED_EVIDENCE = {
+    "psi_row_too_long": (FACTORIZE_LIN2, lambda d: d["steps"][0]["psi"][0].append("0")),
+    "psi_row_missing": (FACTORIZE_LIN2, lambda d: d["steps"][1]["psi"].pop()),
+    "one_step_short": (FACTORIZE_LIN2, lambda d: d["steps"].pop()),
+    "psi_entry_no_rational": (FACTORIZE_LIN2, at(["steps", 0, "psi", 0, 0])("half")),
+    "psi_entry_a_float": (FACTORIZE_LIN2, at(["steps", 0, "psi", 0, 0])(0.5)),
+    "multiplier_no_rational": (FACTORIZE_LIN2, at(["steps", 0, "multipliers", 0, 1])("x")),
+    "multiplier_not_canonical": (FACTORIZE_LIN2, at(["steps", 0, "multipliers", 0, 1])("2/2")),
+    "vertex_out_of_range": (FACTORIZE_LIN2, at(LAST_NAME)(["defect", 99, 0, 1])),
+    "cone_row_out_of_range": (FACTORIZE_LIN2, at(FIRST_NAME)(["positive", 0, 4])),
+    "unit_coordinate_out_of_range": (FACTORIZE_LIN2, at(FIRST_NAME)(["unit", 3])),
+    "sign_out_of_range": (FACTORIZE_LIN2, at(LAST_NAME)(["defect", 1, 0, 2])),
+    "unknown_row_kind": (FACTORIZE_LIN2, at(FIRST_NAME)(["slack", 0])),
+    "bool_row_index": (FACTORIZE_LIN2, at(FIRST_NAME)(["unit", True])),
+    "schedule_entry_no_pair": (FACTORIZE_LIN2, lambda d: d["schedule"][0].append("1")),
+    "steps_missing": (FACTORIZE_LIN2, lambda d: d.pop("steps")),
+    "extra_result_key": (FACTORIZE_LIN2, at(["extra"])(1)),
+    "pert_distance_no_rational": (["pert", "{skew}"], at(["distance"])("one")),
+    "pert_map_row_too_long": (["pert", "{skew}"], lambda d: d["map"]["matrix"][0].append("0")),
+    "perturb_norm_missing": (["perturb", "{skew}"], lambda d: d.pop("norm")),
+    "perturb_bound_no_rational": (["perturb", "{skew}"], at(["bound"])([2])),
+    "perturb_map_row_missing": (["perturb", "{skew}"], lambda d: d["map"]["matrix"].pop()),
+    "certificate_witness_too_short": (
+        ["tensor-member", "{elem}", "--kind", "pi"],
+        lambda d: d["certificate"]["witness"].pop(),
+    ),
+    "decomposition_coefficient_no_rational": (
+        ["tensor-member", "{elem}", "--kind", "pi"],
+        lambda d: d["certificate"].update(decomposition=[[0, "one"]]),
+    ),
+    "certificate_no_object": (["tensor-member", "{elem}", "--kind", "pi"], at(["certificate"])("yes")),
+    "certificate_payload_a_list": (
+        ["tensor-member", "{elem}", "--kind", "epsilon"],
+        at(["certificate", "payload"])([0]),
+    ),
+    "nuclear_one_decomposition_short": (NUCLEAR_PAIR, lambda d: d["pi_decompositions"].pop()),
+    "nuclear_flag_a_string": (NUCLEAR_PAIR, at(["nuclear"])("true")),
+    "nuclear_keys_of_both_verdicts": (NUCLEAR_PAIR, lambda d: d.__setitem__("witness", d["inputs"]["left"])),
+    "nuclear_witness_functional_too_long": (
+        ["nuclear-pair", "{lin2}", "{lin2}"],
+        lambda d: d["pi_certificate"]["witness"].append("0"),
+    ),
+}
+
+
 class TestMalformedReports:
     # a hand-edited report is invalid input (exit 2), never a traceback
     def verify_edited(self, files, tmp_path, capsys, argv, edit):
@@ -464,6 +548,11 @@ class TestMalformedReports:
         err = self.verify_edited(files, tmp_path, capsys, ["examples", "paper"], edit)
         assert "paper" in err and "'textbook'" in err
 
+    @pytest.mark.parametrize("name", list(MALFORMED_EVIDENCE))
+    def test_malformed_evidence(self, files, tmp_path, capsys, name):
+        argv, edit = MALFORMED_EVIDENCE[name]
+        self.verify_edited(files, tmp_path, capsys, argv, edit)
+
 
 class TestExamples:
     def test_reference_examples_all_match(self):
@@ -518,3 +607,181 @@ class TestNormsFromEvidence:
             assert (d["norm"], d["distance"]) == ("2", "1")
         elif verb == "perturb":
             assert (d["norm"], d["bound"]) == ("2", "2")
+
+
+# -- evidence checks -------------------------------------------------------------
+#
+# verify checks factorize, pert, perturb, tensor-member and nuclear-pair
+# reports from their evidence; `rerun_verifies` (conftest) is the re-run
+# oracle each verdict is held against.
+
+RAY = AOUSpace(1, Cone.from_generators([(3,)]), (2,), label="ray")
+BASE_SPACES = {
+    "linf1": linf(1),
+    "linf2": linf(2),
+    "linf3": linf(3),
+    "lin1": lin_space(1),
+    "lin2": lin_space(2),
+    "ray": RAY,
+}
+SKEW = UnitalMap(
+    linf(2), linf(2), Matrix.from_rows([(Fraction(3, 2), Fraction(-1, 2)), (Fraction(-1, 2), Fraction(3, 2))])
+)
+AVG = UnitalMap(linf(2), linf(1), Matrix.from_rows([(Fraction(1, 2), Fraction(1, 2))]))
+CHECKED_VERBS = ("factorize", "pert", "perturb", "tensor-member", "nuclear-pair")
+
+
+def check_cases() -> dict:
+    """name -> (verb, arguments): objects go to files, strings stay argv."""
+    scan = ball_scan_spaces(rng(9))
+    # linf(4), the epsilon and pi spaces of linf(2) (x) lin_space(1), and
+    # the random V-rep spaces the defect LP budget admits
+    extra = [scan[3], scan[8], scan[9]] + [sp for sp in scan[12:] if sp.dim <= 3]
+    cases = {f"factorize:{name}": ("factorize", [sp]) for name, sp in BASE_SPACES.items()}
+    cases |= {f"factorize:scan{i}": ("factorize", [sp]) for i, sp in enumerate(extra)}
+    r = rng(71)
+    sources = list(BASE_SPACES.values()) + [sp for sp in scan if sp.dim <= 4]
+    maps = {"skew": SKEW, "avg": AVG}
+    maps |= {f"random{i}": random_unital_into_linf(r, src, 1 + i % 3) for i, src in enumerate(sources)}
+    # a unital map into lin_space(1), a target that is not coordinatewise
+    maps["into_lin1"] = UnitalMap(
+        linf(2), lin_space(1), Matrix.from_rows([(Fraction(1, 2), Fraction(1, 2)), (1, -1)])
+    )
+    for name, m in maps.items():
+        if name != "into_lin1":
+            cases[f"pert:{name}"] = ("pert", [m])
+        cases[f"perturb:{name}"] = ("perturb", [m])
+    pairs = [
+        ("linf2", "linf2"),
+        ("linf2", "lin1"),
+        ("lin1", "lin2"),
+        ("lin2", "lin2"),
+        ("ray", "linf2"),
+        ("linf3", "ray"),
+    ]
+    r = rng(73)
+    for a, b in pairs:
+        left, right = BASE_SPACES[a], BASE_SPACES[b]
+        elements = {
+            # a member of both cones, and its negative, in neither
+            "unit": TensorElement.simple(left, right, left.unit, right.unit),
+            "negated": TensorElement.simple(left, right, left.unit, tuple(-x for x in right.unit)),
+            "noisy": TensorElement(
+                left, right, Matrix.from_rows([rand_vec(r, right.dim, -1, 3) for _ in range(left.dim)])
+            ),
+        }
+        for kind in (EPSILON, PI):
+            for label, z in elements.items():
+                cases[f"tensor-member:{kind}:{a},{b}:{label}"] = ("tensor-member", [z, "--kind", kind])
+        cases[f"nuclear-pair:{a},{b}"] = ("nuclear-pair", [left, right])
+    return cases
+
+
+CHECK_CASES = check_cases()
+
+
+@pytest.fixture(scope="module")
+def checked_reports(tmp_path_factory):
+    """A fresh json report of each check case."""
+    work = tmp_path_factory.mktemp("checked")
+    reports = {}
+    for name, (verb, args) in CHECK_CASES.items():
+        argv = [verb]
+        for i, a in enumerate(args):
+            if not isinstance(a, str):
+                path = work / f"{name.replace(':', '_')}_{i}.json"
+                path.write_text(dumps(a))
+                a = str(path)
+            argv.append(a)
+        code, out = run(argv + ["--format", "json"])
+        assert code == 0, name
+        reports[name] = json.loads(out)
+    return reports
+
+
+def verify_report(tmp_path, report: dict):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report))
+    return run(["verify", str(path)])
+
+
+# edits of a fresh report that leave it well-formed and make a claim false
+WITNESS_ENTRY = at(["certificate", "witness", 0])
+TAMPERS = {
+    "factorize_defect": ("factorize:lin2", at(["defect"])("1/3")),
+    "factorize_schedule_value": ("factorize:lin2", at(["schedule", 0, 1])("3/4")),
+    "factorize_psi_entry": ("factorize:lin2", at(["steps", 1, "psi", 1, 0])("-1/4")),
+    "factorize_first_psi_entry": ("factorize:lin2", at(["steps", 0, "psi", 0, 1])("1/4")),
+    "factorize_multiplier": ("factorize:lin2", at(["steps", 1, "multipliers", 0, 1])("-1/4")),
+    "factorize_map_row": ("factorize:lin2", at(["psi", "matrix", 1])(["-1/8", "1/8", "-1/8", "1/8"])),
+    "factorize_simplicial_map_row": ("factorize:linf2", at(["phi", "matrix", 0])(["1", "1"])),
+    "pert_distance": ("pert:skew", at(["distance"])("1/2")),
+    "pert_norm": ("pert:skew", at(["norm"])("3")),
+    "pert_map_row": ("pert:skew", at(["map", "matrix", 0])(["0", "1"])),
+    "perturb_bound": ("perturb:skew", at(["bound"])("3")),
+    "perturb_norm": ("perturb:skew", at(["norm"])("3")),
+    "perturb_map_row": ("perturb:skew", at(["map", "matrix", 0])(["3/2", "-1/2"])),
+    "tensor_member_verdict": ("tensor-member:pi:linf2,linf2:unit", at(["verdict"])("non_member")),
+    "tensor_member_witness": ("tensor-member:pi:linf2,linf2:negated", WITNESS_ENTRY("-1")),
+    "tensor_member_row_witness": ("tensor-member:epsilon:lin1,lin2:negated", WITNESS_ENTRY("-1")),
+    "tensor_member_decomposition": (
+        "tensor-member:pi:lin1,lin2:unit",
+        at(["certificate", "decomposition", 0, 1])("7"),
+    ),
+    "tensor_member_kind": ("tensor-member:pi:linf2,linf2:unit", at(["kind"])("epsilon")),
+    "nuclear_flag_true": ("nuclear-pair:linf2,lin1", at(["nuclear"])(False)),
+    "nuclear_flag_false": ("nuclear-pair:lin2,lin2", at(["nuclear"])(True)),
+    "nuclear_decomposition": ("nuclear-pair:linf2,lin1", at(["pi_decompositions", 0, 0, 1])("2")),
+    "nuclear_witness": ("nuclear-pair:lin2,lin2", at(["witness", "coeffs", 0, 0])("1")),
+}
+
+
+class TestEvidenceChecks:
+    @pytest.mark.parametrize("name", list(CHECK_CASES))
+    def test_fresh_report_passes_check_and_oracle(self, checked_reports, tmp_path, name):
+        report = checked_reports[name]
+        assert verify_report(tmp_path, report) == (0, "true\n")
+        assert rerun_verifies(report)
+
+    def test_cases_reach_both_branches_and_verdicts(self, checked_reports):
+        reports = checked_reports.values()
+        steps = [len(d["steps"]) for d in reports if d["verb"] == "factorize"]
+        assert 0 in steps and max(steps) >= 2
+        assert {d["verdict"] for d in reports if d["verb"] == "tensor-member"} == {"member", "non_member"}
+        assert {d["nuclear"] for d in reports if d["verb"] == "nuclear-pair"} == {True, False}
+        assert {d["distance"] != "0" for d in reports if d["verb"] == "pert"} == {True, False}
+
+    @pytest.mark.parametrize("name", list(TAMPERS))
+    def test_tampered_report_is_false(self, checked_reports, tmp_path, name):
+        case, edit = TAMPERS[name]
+        report = json.loads(json.dumps(checked_reports[case]))
+        edit(report)
+        assert report != checked_reports[case]
+        assert verify_report(tmp_path, report) == (3, "false\n")
+        assert not rerun_verifies(report)
+
+    def test_checks_run_no_search(self, checked_reports, tmp_path, monkeypatch):
+        # no LP, no membership decision, no minimal measure and none of the
+        # five runners, wherever a check could reach them
+        def refuse(*args, **kwargs):
+            raise AssertionError("a check ran a search")
+
+        for module in (aoulab.maps, aoulab.spaces, aoulab.tensors):
+            monkeypatch.setattr(module, "solve_lp", refuse)
+        for module in (aoulab.cones, aoulab.maps, aoulab.tensors):
+            monkeypatch.setattr(module, "member", refuse)
+        for module, name in (
+            (aoulab.maps, "_min_l1_measure"),
+            (aoulab.maps, "_pert_with_norms"),
+            (aoulab.maps, "_perturb_with_norm"),
+            (aoulab.tensors, "factorize"),
+            (aoulab.tensors, "is_nuclear_pairwise"),
+            (aoulab.tensors, "member_tensor"),
+            (aoulab.tensors, "_best_psi"),
+            (aoulab.cli, "_run_tensor_member"),
+        ):
+            monkeypatch.setattr(module, name, refuse)
+        for verb in CHECKED_VERBS:
+            monkeypatch.setitem(_VERBS, verb, dataclasses.replace(_VERBS[verb], run=refuse))
+        for name, report in checked_reports.items():
+            assert verify_report(tmp_path, report) == (0, "true\n"), name

@@ -189,3 +189,28 @@ def test_one_cache_mechanism():
                 if "weakref" in (n.split(".")[0] for n in names):
                     found.append(f"{file}:{node.lineno} import weakref")
     assert not found, found
+
+
+# report verbs whose reports carry no evidence yet: `verify` runs them again
+RERUN_VERBS = (
+    "validate",
+    "norm",
+    "states",
+    "archimedeanize",
+    "quotient",
+    "check-map",
+    "extend",
+    "auerbach",
+    "tensor-norm",
+    "nuclear",
+    "examples",
+)
+
+
+def test_every_verb_is_checked_or_rerun():
+    # a verb added to the table must choose: a check of its report's
+    # evidence, or a place in RERUN_VERBS
+    from aoulab.cli import _VERBS
+
+    checked = [verb for verb, spec in _VERBS.items() if spec.check is not None]
+    assert sorted(checked + list(RERUN_VERBS)) == sorted(_VERBS)

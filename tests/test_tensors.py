@@ -385,6 +385,35 @@ class TestFactorize:
             factorize(lin_space(5))
         assert time.perf_counter() - start < 1
 
+    # 4-dim, V-rep, 8 extreme states: its first defect LP, over 4 states, is
+    # 308 rows by 337 standard-form columns and ran for minutes unbudgeted
+    FOUR_DIM = AOUSpace(
+        4,
+        Cone.from_generators(
+            [(-2, 0, 2, 2), (0, 2, 0, 0), (-1, 1, 1, 2), (3, 2, 0, 1), (-1, -1, 2, 1), (2, 1, -1, -1)]
+        ),
+        (1, 5, 4, 5),
+    )
+
+    def test_defect_lp_over_budget_raises_unsolved(self, monkeypatch):
+        def unsolved(*args, **kwargs):
+            raise AssertionError("an LP over the budget was solved")
+
+        monkeypatch.setattr(tensors, "solve_lp", unsolved)
+        start = time.perf_counter()
+        with pytest.raises(SizeLimitError, match=r"308 rows over 4 states has 103796 standard-form entries"):
+            factorize(self.FOUR_DIM)
+        assert time.perf_counter() - start < 1
+
+    def test_lin_space_three_fits_the_budget(self):
+        # its largest defect LP is 132 x 193 = 25476 entries
+        res = factorize(LS3)
+        two_thirds = Fraction(2, 3)
+        assert res.schedule == tuple((k, two_thirds) for k in range(4, 9))
+        assert (res.defect, res.success, res.states_used, res.exhausted) == (two_thirds, False, 4, True)
+        assert [len(step.psi[0]) for step in res.steps] == list(range(4, 9))
+        assert tensors._factorization_holds(LS3, Fraction(1, 10), res)
+
     def test_lin_space_two_stalls_at_one_half(self):
         res = factorize(LS2)
         assert not res.success and res.exhausted
@@ -423,7 +452,7 @@ class TestFactorize:
             assert len(pool) == 4
             for chosen in ([0, 1, 2], [1, 2, 3], [0, 2, 3], [0, 1, 2, 3]):
                 phi_rows = [pool[i] for i in chosen]
-                _, value = tensors._best_psi(space, phi_rows, verts)
+                _, value, _ = tensors._best_psi(space, phi_rows, verts)
                 obj, rows, rhs, senses, nonneg = psi_lp_without_dedup(space, phi_rows, verts)
                 out = solve_lp(obj, rows, rhs, senses, nonneg=nonneg)
                 assert out.value == value
@@ -491,7 +520,9 @@ class TestFactorize:
     def test_defect_off_by_a_seventh_breaks_the_recheck(self, monkeypatch, off):
         original = tensors._best_psi
         monkeypatch.setattr(
-            tensors, "_best_psi", lambda *args: (lambda psi, value: (psi, value + off))(*original(*args))
+            tensors,
+            "_best_psi",
+            lambda *args: (lambda psi, value, duals: (psi, value + off, duals))(*original(*args)),
         )
         with pytest.raises(InvariantViolation, match="not tight"):
             factorize(LS2)
