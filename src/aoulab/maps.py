@@ -300,32 +300,6 @@ def is_order_quotient(m: UnitalMap) -> QuotientReport:
 # -- extension ---------------------------------------------------------------
 
 
-def _unital_positive_rows(
-    source: AOUSpace, target: AOUSpace, values: Sequence[tuple[Vec, Vec]], extra: int = 0
-) -> tuple[list[Vec], list[Fraction], list[str]]:
-    """LP rows, over the row-major entries of a target.dim x source.dim
-    matrix M followed by `extra` columns that stay zero here, saying that M
-    is a unital positive map with M x = y for each given pair (x, y).
-
-    M x = y is the rows kron_vec(e_r, x) = y_r, first for the pairs, then
-    for the units. Positivity is kron_vec(a, g) = a . (M g) >= 0 for each
-    source generator g (outer loop) and target H-row a (inner loop)."""
-    pad = zeros(extra)
-    rows, rhs, senses = [], [], []
-    for x, y in [*values, (source.unit, target.unit)]:
-        for r in range(target.dim):
-            rows.append(kron_vec(unit_vec(r, target.dim), x) + pad)
-            rhs.append(y[r])
-            senses.append(EQ)
-    hrows = target.cone.hrep()
-    for g in source.cone.vrep():
-        for a in hrows:
-            rows.append(kron_vec(a, g) + pad)
-            rhs.append(Fraction(0))
-            senses.append(GE)
-    return rows, rhs, senses
-
-
 def extend_unital_positive(
     w2: AOUSpace, w1_basis: Sequence, values: Sequence, v: AOUSpace
 ) -> UnitalMap:
@@ -358,8 +332,22 @@ def extend_unital_positive(
     if implied != v.unit:
         raise InputError("the given map is not unital on the subspace")
 
+    # over M's row-major entries: M x = y as kron_vec(e_r, x) = y_r for the
+    # pairs, then the units, and a . (M g) = kron_vec(a, g) >= 0 for each
+    # generator g of w2 (outer loop) and H-row a of v (inner loop)
     nw, nv = w2.dim, v.dim
-    rows, rhs, senses = _unital_positive_rows(w2, v, list(zip(basis, vals)))
+    rows, rhs, senses = [], [], []
+    for x, y in [*zip(basis, vals), (w2.unit, v.unit)]:
+        for r in range(nv):
+            rows.append(kron_vec(unit_vec(r, nv), x))
+            rhs.append(y[r])
+            senses.append(EQ)
+    hrows = v.cone.hrep()
+    for g in w2.cone.vrep():
+        for a in hrows:
+            rows.append(kron_vec(a, g))
+            rhs.append(Fraction(0))
+            senses.append(GE)
     out = solve_lp(zeros(nv * nw), rows, rhs, senses)
     if out.status != OPTIMAL:
         raise InputError(

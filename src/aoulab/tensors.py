@@ -14,7 +14,18 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .cones import Certificate, Cone, _cached, contains, extreme_rays, int_vrep, is_simplicial, member
+from .cones import (
+    Certificate,
+    Cone,
+    _cached,
+    contains,
+    dual,
+    extreme_rays,
+    int_hrep,
+    int_vrep,
+    is_simplicial,
+    member,
+)
 from .errors import InputError, InvariantViolation, ShapeError, SizeLimitError
 from .linalg import (
     Matrix,
@@ -26,15 +37,17 @@ from .linalg import (
     kron_vec,
     rank,
     solve,
+    vadd,
     vec,
     vscale,
     vsub,
     zeros,
 )
-from .lp import EQ, GE, OPTIMAL, solve_lp
-from .maps import UnitalMap, _unital_positive_rows
+from .lp import GE, OPTIMAL, solve_lp
+from .maps import UnitalMap
 from .spaces import (
     AOUSpace,
+    _not_an_order_unit,
     extreme_states,
     linf,
     order_unit_failures,
@@ -49,9 +62,9 @@ FACTORIZE_STATE_CAP = 64
 # most d x d determinants the seed scan of factorize may take (C(states, d))
 FACTORIZE_SCAN_CAP = 20_000
 # most entries (rows x columns, in the LP's standard form) of one defect LP:
-# lin_space(3)'s largest is 132 x 193 = 25 476 and solves in about a second,
-# while a 4-dim space with 8 states poses 308 x 337 = 103 796 and runs for
-# minutes
+# lin_space(3)'s largest is 57 x 101 = 5 757, while a 4-dim space with 8
+# states poses 271 x 291 = 78 861 at its first step (308 x 337 posed over
+# psi's entries, where it ran for minutes)
 FACTORIZE_LP_CAP = 50_000
 
 
@@ -356,11 +369,12 @@ def is_nuclear_fd(space: AOUSpace) -> bool:
 @dataclass(frozen=True)
 class DefectStep:
     """One greedy step of `factorize`: the defect LP's optimal psi (row
-    major, dim x k) and the LP's nonzero dual multipliers, each on a named
-    row. A name is ("unit", r), the unit coordinate r of psi(1) = e;
-    ("positive", j, a), cone row a of `hrep()` on psi(e_j); or ("defect", v,
-    a, sign), cone row a of the bound t (a . e) >= sign a . (psi phi(v) - v)
-    at vertex v of `unit_ball_vertices`. The bound row t >= 0 is left out."""
+    major, dim x k) and nonzero dual multipliers proving it optimal, each
+    on a named row of the LP over psi's entries and the bound t. A name is
+    ("unit", r), the unit coordinate r of psi(1) = e; ("positive", j, a),
+    cone row a of `hrep()` on psi(e_j); or ("defect", v, a, sign), cone row
+    a of t (a . e) >= sign a . (psi phi(v) - v) at vertex v of
+    `unit_ball_vertices`. The bound row t >= 0 is left out."""
 
     psi: tuple[Vec, ...]
     multipliers: tuple[tuple[tuple, Fraction], ...]
@@ -380,50 +394,73 @@ class FactorizationResult:
 
 def _best_psi(space: AOUSpace, phi_rows: list[Vec], vectors: list[Vec]):
     """One LP: the unital positive psi: linf(k) -> space minimizing the worst
-    order norm of psi(phi(v)) - v over the given vectors.  Variables are the
-    dim x k entries of psi, row-major, plus the defect bound t (last
-    variable), with t (a . e) >= +-(a . psi(phi(v)) - a . v) for each H-row a.
-    Returns psi, the optimal value and the nonzero multipliers on the named
-    rows (see `DefectStep`).
+    order norm of psi(phi(v)) - v over the unit-ball vertices; returns psi,
+    the optimum and nonzero multipliers on the rows `DefectStep` names.
 
-    Each defect row (coefficients, rhs) is added once, under the name it
-    first meets: v and -v give the same two rows with the signs swapped,
-    and unit-ball vertices come in such pairs.  An LP over
-    FACTORIZE_LP_CAP standard-form entries raises SizeLimitError unsolved."""
+    Column j < k-1 of psi is sum_i lam_ij g_i over the extreme rays g_i,
+    lam >= 0, and column k-1 is e minus the others, whose cone rows stay.
+    The bound t = t0 + u+ - u-, t0 the defect at lam = 0, meets t (a . e)
+    >= +-a . (psi phi(v) - v) for each cone row a and one v of each +- pair,
+    each row once, so every rhs is <= 0 and no phase 1 runs.  The unit
+    multipliers solve column k-1's dual equation; column j's positive ones
+    decompose over the cone rows its residual functional, whose value at
+    g_i is the reduced cost of lam_ij.  SizeLimitError, unsolved, past
+    FACTORIZE_LP_CAP standard-form entries."""
     d, k = space.dim, len(phi_rows)
-    rows, rhs, senses = _unital_positive_rows(linf(k), space, (), extra=1)
-    hrows = space.cone.hrep()
-    names = [("unit", r) for r in range(d)]
-    names += [("positive", j, a) for j in range(k) for a in range(len(hrows))]
-    defect_rows: dict = {}
+    gens, hrows = extreme_rays(space.cone), space.cone.hrep()
+    n, last = len(gens), k - 1
+    ag = [[dot(a, g) for g in gens] for a in hrows]
+    ae = [dot(a, space.unit) for a in hrows]
+    rows = [tuple(-x for _ in range(last) for x in row) + (0, 0) for row in ag]
+    rhs = [-x for x in ae]
+    names = [("positive", last, a) for a in range(len(hrows))]
+    defect: dict = {}
     for vi, v in enumerate(vectors):
-        w = tuple(dot(row, v) for row in phi_rows)
-        for ai, a in enumerate(hrows):
-            ae, av, aw = dot(a, space.unit), dot(a, v), kron_vec(a, w)
+        if next(c for c in v if c) < 0:
+            continue
+        w = [dot(f, v) for f in phi_rows]
+        for a, row in enumerate(hrows):
             for sign in (1, -1):
-                defect_rows.setdefault(
-                    (tuple(-sign * x for x in aw) + (ae,), -sign * av), ("defect", vi, ai, sign)
-                )
-    for (coeff, b), name in defect_rows.items():
-        rows.append(coeff)
-        rhs.append(b)
-        senses.append(GE)
-        names.append(name)
-    # standard form: psi's entries are free, so each is split in two; t and
-    # the slack of every inequality row take one column each
-    entries = len(rows) * (2 * d * k + 1 + sum(sense != EQ for sense in senses))
+                coeff = tuple(-sign * (w[j] - w[last]) * x for j in range(last) for x in ag[a])
+                key = (coeff + (ae[a], -ae[a]), sign * (w[last] * ae[a] - dot(row, v)))
+                defect.setdefault(key, ("defect", vi, a, sign))
+    t0 = max((b / c[-2] for c, b in defect if c[-2]), default=Fraction(0))
+    rows += [c for c, _ in defect]
+    rhs += [b - t0 * c[-2] for c, b in defect]
+    names += defect.values()
+    # standard form: lam, u+, u- and each row's slack are one column each
+    entries = len(rows) * (n * last + 2 + len(rows))
     if entries > FACTORIZE_LP_CAP:
         raise SizeLimitError(
             f"factorize: defect LP of {len(rows)} rows over {k} states has {entries} "
             f"standard-form entries, over FACTORIZE_LP_CAP = {FACTORIZE_LP_CAP}"
         )
-    obj = zeros(d * k) + (Fraction(1),)
-    out = solve_lp(obj, rows, rhs, senses, nonneg=[False] * (d * k) + [True])
+    obj = zeros(n * last) + (Fraction(1), Fraction(-1))
+    out = solve_lp(obj, rows, rhs, [GE] * len(rows), nonneg=[True] * (n * last + 2))
     if out.status != OPTIMAL:
         raise InvariantViolation("defect LP must be solvable")
-    psi = Matrix.from_rows(out.primal[i * k : (i + 1) * k] for i in range(d))
-    # zip stops at the names, before the multiplier of t >= 0
-    return psi, out.value, tuple((name, mu) for name, mu in zip(names, out.dual_certificate) if mu)
+    gmat = Matrix.from_rows(list(zip(*gens)))
+    cols = [gmat.apply(out.primal[j * n : (j + 1) * n]) for j in range(last)]
+    cols.append(tuple(e - sum(c[r] for c in cols) for r, e in enumerate(space.unit)))
+    # pos: the newest column's cone rows, weighted; dfc[j]: the defect rows' on column j
+    duals = [(name, mu) for name, mu in zip(names, out.dual_certificate) if mu]
+    pos, dfc = zeros(d), [zeros(d)] * k
+    for name, mu in duals:
+        if name[0] == "positive":
+            pos = vadd(pos, vscale(mu, hrows[name[2]]))
+        else:
+            _, vi, a, sign = name
+            dfc = [vadd(x, vscale(mu * sign * dot(f, vectors[vi]), hrows[a])) for x, f in zip(dfc, phi_rows)]
+    multipliers = [(("unit", r), x) for r, x in enumerate(vsub(dfc[last], pos)) if x]
+    # the dual cone, generated by the nonzero cone rows; an H-cone's shares its DD
+    cone = dual(space.cone) if space.cone.inequalities is not None else Cone.from_generators(hrows, d)
+    live = [a for a, row in enumerate(hrows) if any(row)]
+    for j in range(last):
+        cert = member(cone, vsub(vadd(pos, dfc[j]), dfc[last]))
+        if cert.verdict != "member":
+            raise InvariantViolation("a column's residual functional left the dual cone")
+        multipliers += [(("positive", j, live[i]), c) for i, c in cert.decomposition if c]
+    return Matrix.from_rows(list(zip(*cols))), t0 + out.value, tuple(multipliers + duals)
 
 
 def _defect_lower_bound(
@@ -515,31 +552,36 @@ def _next_state(pool: list[Vec], chosen: list[int], residuals: list[Vec], norms:
 def factorize(space: AOUSpace, eps: Fraction | int = Fraction(1, 10)) -> FactorizationResult:
     """Approximate factorization of the identity through a coordinate space.
 
-    phi collects state evaluations; psi is the best unital positive return
-    map for the current state set, found by a single LP.  The state set
-    grows greedily (most violated state first) until the defect drops below
-    eps or the states run out.  The defect is taken over the unit ball
-    vertices, so it equals the operator norm of psi . phi - id exactly.  No
-    defect is below a negative eps, so such an eps is bad input (InputError).
+    phi collects state evaluations; psi is the best unital positive return map
+    for the current state set, found by a single LP. The state set grows
+    greedily (most violated state first) until the defect drops below eps or
+    the states run out. The defect is taken over the unit ball vertices, so it
+    equals the operator norm of psi . phi - id exactly. No defect is below a
+    negative eps, so such an eps is bad input (InputError). A simplicial space
+    factors exactly, with no ball enumerated. Once all m extreme states are
+    chosen, the optimum is the least defect of any unital positive
+    factorization through any linf(k'), since such a phi' is A phi_S, phi_S
+    all m states and A row-stochastic.
 
-    The LP poses its rows over every ball vertex; the tightness check
-    recomputes the defect over one vertex of each +- pair, since the
-    residual of -v is minus that of v and has the same norm.  It reads that
-    half in reverse sorted order, the order in which the sorted ball first
-    meets each pair, so the worst residual it picks is the full scan's up
-    to sign, and the next state, chosen by |f(residual)|, is the same.
-    Each residual's order norm is the largest |s(residual)| over the
-    extreme states s already in hand (Paulsen & Tomforde, Vector spaces
-    with an order unit, 2009): no order-norm LP runs, and the check does
-    not rest on the defect LP it checks.  Each greedy step keeps its psi
-    and the LP's dual multipliers (`DefectStep`), the evidence
+    The LP and the tightness check that recomputes the defect take one vertex
+    of each +- pair, since the residual of -v is minus that of v. The check
+    reads that half in reverse sorted order, the order in which the sorted
+    ball first meets each pair, so the worst residual it picks is the full
+    scan's up to sign, and the next state, chosen by |f(residual)|, is the
+    same. Each residual's order norm is the largest |s(residual)| over the
+    extreme states s already in hand (Paulsen & Tomforde, Vector spaces with
+    an order unit, 2009): no order-norm LP runs, and the check does not rest
+    on the defect LP it checks. Each greedy step keeps its psi and dual
+    multipliers proving its optimum (`DefectStep`), the evidence
     `_factorization_holds` checks a result against.
     """
     eps = frac(eps)
     if eps < 0:
         raise InputError(f"factorize: eps must be nonnegative, got {eps}")
     space.cone.require_polyhedral("factorization")
-    vectors = unit_ball_vertices(space)
+    bad = order_unit_failures(int_hrep(space.cone), space.unit)
+    if bad:
+        raise _not_an_order_unit(bad[0])
     d = space.dim
 
     if is_simplicial(space.cone):
@@ -580,7 +622,7 @@ def factorize(space: AOUSpace, eps: Fraction | int = Fraction(1, 10)) -> Factori
     best: tuple[Fraction, Matrix, list[Vec]] | None = None
     while True:
         phi_rows = [pool[i] for i in chosen]
-        psi_m, defect, multipliers = _best_psi(space, phi_rows, vectors)
+        psi_m, defect, multipliers = _best_psi(space, phi_rows, unit_ball_vertices(space))
         # the LP bound is tight: recompute the defect from the solution
         residuals, norms = _residual_norms(pool, psi_m @ Matrix.from_rows(phi_rows), half)
         recomputed = max(norms, default=Fraction(0))

@@ -14,13 +14,14 @@ injective norm, one LP over the cone rows for the minimum of a
 functional on the order interval, one LP per source state for the
 isometry of a map, and one LP for the minimal-mass signed measure of a
 functional over the states.  The LP builders (`extension_lp_rows`,
-`psi_lp_without_dedup`) index the matrix entries by hand instead of through
-`kron_vec`.  The full-ball scans (operator norm, dual norm, Auerbach |det|
-scan by Fraction elimination) visit every vertex of the unit ball, where
-the package takes one vertex of each +- pair.  `rerun_verifies` confirms a
-CLI report by running its verb again and comparing the results through a
-JSON round trip, where `verify` checks the evidence of the five verbs that
-carry it.
+`psi_lp_without_dedup`, `psi_lp_in_generators`) index the matrix entries by
+hand instead of through `kron_vec`, and the last one takes the start defect
+off the extreme states instead of the cone rows.  The full-ball scans
+(operator norm, dual norm, Auerbach |det| scan by Fraction elimination)
+visit every vertex of the unit ball, where the package takes one vertex of
+each +- pair.  `rerun_verifies` confirms a CLI report by running its verb
+again and comparing the results through a JSON round trip, where `verify`
+checks the evidence of the five verbs that carry it.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import pytest
 
 import aoulab.dd
 from aoulab.cli import _META_KEYS, _VERBS, _plain
-from aoulab.cones import Certificate, Cone, close_and_lineality, image_cone, member, same_cone
+from aoulab.cones import Certificate, Cone, close_and_lineality, extreme_rays, image_cone, member, same_cone
 from aoulab.errors import InvariantViolation, ShapeError
 from aoulab.linalg import Matrix, Vec, dot, frac, integerize, is_zero_vec, unit_vec, vec, zeros
 from aoulab.lp import EQ, GE, INFEASIBLE, OPTIMAL, solve_lp
@@ -437,6 +438,45 @@ def psi_lp_without_dedup(space: AOUSpace, phi_rows: list[Vec], vectors: list[Vec
     obj = [Fraction(0)] * nvars
     obj[t_ix] = Fraction(1)
     return vec(obj), rows, rhs, senses, [False] * (d * k) + [True]
+
+
+def psi_lp_in_generators(space: AOUSpace, phi_rows: list[Vec], vectors: list[Vec]):
+    """The defect LP in the form `tensors._best_psi` solves, as (obj, rows,
+    rhs, senses, nonneg), over every given vector, duplicates included.
+
+    Variables: lam[j][i] (column j < k - 1 of psi as a combination of the
+    extreme rays g_i) at index j * n + i, then u+ and u-, all nonnegative;
+    column k - 1 is e minus the others and the bound is t0 + u+ - u-, t0
+    the defect of the map x -> x_{k-1} e, here the largest |s(x_{k-1} e -
+    v)| over the extreme states s and the vectors v."""
+    gens, hrows = extreme_rays(space.cone), space.cone.hrep()
+    n, last = len(gens), len(phi_rows) - 1
+    nvars = n * last + 2
+    states = [st.functional for st in extreme_states(space)]
+    t0 = max(abs(dot(phi_rows[last], v) - dot(s, v)) for s in states for v in vectors)
+    rows, rhs = [], []
+    for a in hrows:
+        coeff = [Fraction(0)] * nvars
+        for j in range(last):
+            for i, g in enumerate(gens):
+                coeff[j * n + i] = -dot(a, g)
+        rows.append(tuple(coeff))
+        rhs.append(-dot(a, space.unit))
+    for v in vectors:
+        w = [dot(f, v) for f in phi_rows]
+        for a in hrows:
+            ae, av = dot(a, space.unit), dot(a, v)
+            for sign in (1, -1):
+                coeff = [Fraction(0)] * nvars
+                for j in range(last):
+                    for i, g in enumerate(gens):
+                        coeff[j * n + i] = -sign * (w[j] - w[last]) * dot(a, g)
+                coeff[nvars - 2], coeff[nvars - 1] = ae, -ae
+                rows.append(tuple(coeff))
+                rhs.append(sign * (w[last] * ae - av) - t0 * ae)
+    obj = [Fraction(0)] * nvars
+    obj[nvars - 2], obj[nvars - 1] = Fraction(1), Fraction(-1)
+    return vec(obj), rows, rhs, [GE] * len(rows), [True] * nvars
 
 
 def brute_polytope_vertices(rows: list[Vec], rhs: list[Fraction], dim: int) -> set[Vec]:

@@ -711,7 +711,7 @@ TAMPERS = {
     "factorize_defect": ("factorize:lin2", at(["defect"])("1/3")),
     "factorize_schedule_value": ("factorize:lin2", at(["schedule", 0, 1])("3/4")),
     "factorize_psi_entry": ("factorize:lin2", at(["steps", 1, "psi", 1, 0])("-1/4")),
-    "factorize_first_psi_entry": ("factorize:lin2", at(["steps", 0, "psi", 0, 1])("1/4")),
+    "factorize_first_psi_entry": ("factorize:lin2", at(["steps", 0, "psi", 0, 1])("-1/3")),
     "factorize_multiplier": ("factorize:lin2", at(["steps", 1, "multipliers", 0, 1])("-1/4")),
     "factorize_map_row": ("factorize:lin2", at(["psi", "matrix", 1])(["-1/8", "1/8", "-1/8", "1/8"])),
     "factorize_simplicial_map_row": ("factorize:linf2", at(["phi", "matrix", 0])(["1", "1"])),

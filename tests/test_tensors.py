@@ -14,6 +14,7 @@ from conftest import (
     fraction_rank,
     kernel_quotient_is_order_quotient,
     lp_pi_order_unit,
+    psi_lp_in_generators,
     psi_lp_without_dedup,
     rand_frac,
     rand_vec,
@@ -21,9 +22,9 @@ from conftest import (
 )
 
 from aoulab.cones import Cone, is_simplicial, member
-from aoulab.errors import InputError, InvariantViolation, ShapeError, SizeLimitError
+from aoulab.errors import InputError, InvariantViolation, NotPointedError, ShapeError, SizeLimitError
 from aoulab.linalg import Matrix, det, dot, vec, vsub
-from aoulab.lp import solve_lp
+from aoulab.lp import EQ, GE, solve_lp
 from aoulab.maps import UnitalMap, check_map, is_order_quotient, operator_norm
 from aoulab.psd_examples import (
     BELL,
@@ -37,7 +38,7 @@ from aoulab.psd_examples import (
     psd_example_suite,
     sos_matches,
 )
-from aoulab import maps, tensors
+from aoulab import tensors
 from aoulab.spaces import (
     AOUSpace,
     extreme_states,
@@ -378,6 +379,13 @@ class TestFactorize:
                 factorize(AOUSpace(2, linf(2).cone, unit))
             assert exc.value.certificate == (0, 1)
 
+    def test_non_pointed_cone_is_refused_with_its_lineality(self):
+        # the simpliciality test refuses it before any ball is enumerated
+        space = AOUSpace(2, Cone.from_generators([(1, 0), (0, 1), (0, -1)]), (1, 0))
+        with pytest.raises(NotPointedError) as exc:
+            factorize(space)
+        assert exc.value.lineality == [(0, 1)]
+
     def test_seed_scan_over_budget_raises_at_once(self):
         # lin_space(5) has 32 extreme states in dimension 6: C(32, 6) = 906192
         start = time.perf_counter()
@@ -386,7 +394,8 @@ class TestFactorize:
         assert time.perf_counter() - start < 1
 
     # 4-dim, V-rep, 8 extreme states: its first defect LP, over 4 states, is
-    # 308 rows by 337 standard-form columns and ran for minutes unbudgeted
+    # 271 rows by 291 standard-form columns; posed over psi's entries it was
+    # 308 by 337 and ran for minutes unbudgeted
     FOUR_DIM = AOUSpace(
         4,
         Cone.from_generators(
@@ -401,13 +410,25 @@ class TestFactorize:
 
         monkeypatch.setattr(tensors, "solve_lp", unsolved)
         start = time.perf_counter()
-        with pytest.raises(SizeLimitError, match=r"308 rows over 4 states has 103796 standard-form entries"):
+        with pytest.raises(SizeLimitError, match=r"271 rows over 4 states has 78861 standard-form entries"):
             factorize(self.FOUR_DIM)
         assert time.perf_counter() - start < 1
 
-    def test_lin_space_three_fits_the_budget(self):
-        # its largest defect LP is 132 x 193 = 25476 entries
+    def test_lin_space_three_fits_the_budget(self, monkeypatch):
+        # its largest defect LP is 57 x 101 = 5757 standard-form entries:
+        # nonnegative columns only, plus one slack per >= row; every rhs is
+        # <= 0, so the simplex starts from the slack basis with no phase 1
+        posed = []
+
+        def spy(obj, rows, rhs, senses, **kwargs):
+            posed.append((len(rows) * (len(obj) + len(rows)), max(rhs), set(senses), all(kwargs["nonneg"])))
+            return solve_lp(obj, rows, rhs, senses, **kwargs)
+
+        monkeypatch.setattr(tensors, "solve_lp", spy)
         res = factorize(LS3)
+        assert len(posed) == 5
+        for entries, top, senses, nonneg in posed:
+            assert entries <= 6000 and top <= 0 and senses == {GE} and nonneg
         two_thirds = Fraction(2, 3)
         assert res.schedule == tuple((k, two_thirds) for k in range(4, 9))
         assert (res.defect, res.success, res.states_used, res.exhausted) == (two_thirds, False, 4, True)
@@ -438,30 +459,49 @@ class TestFactorize:
 
         monkeypatch.setattr(tensors, "solve_lp", spy)
         assert factorize(lin_space(2)).schedule == ((3, Fraction(1)), (4, Fraction(1, 2)))
-        assert sizes == [39, 43]
+        assert sizes == [21, 21]
         space = lin_space(2)
         pool = [st.functional for st in extreme_states(space)]
         verts = unit_ball_vertices(space)
         assert [len(psi_lp_without_dedup(space, pool[:k], verts)[1]) for k in (3, 4)] == [63, 67]
+        assert [len(psi_lp_in_generators(space, pool[:k], verts)[1]) for k in (3, 4)] == [52, 52]
 
-    def test_defect_lp_value_matches_undeduplicated_rows(self):
+    def test_defect_lp_value_matches_undeduplicated_rows(self, monkeypatch):
+        # at every greedy step the optimum is the full-ball LP's over psi's
+        # entries: the step's psi with t at the optimum meets every row of
+        # that LP, and the step's multipliers bound it below by the same
+        # value (weak duality). Except on lin_space(3), whose five full-ball
+        # LPs take about 10 s, that LP is also solved
+        steps = []
+        original = tensors._best_psi
+
+        def recording(space, phi_rows, verts):
+            steps.append((phi_rows, *original(space, phi_rows, verts)))
+            return steps[-1][1:]
+
+        monkeypatch.setattr(tensors, "_best_psi", recording)
         r = rng(29)
-        for space in (lin_space(2), random_non_simplicial(r, 3)):
-            pool = [st.functional for st in extreme_states(space)]
-            verts = [vec(v) for v in unit_ball_vertices(space)]
-            assert len(pool) == 4
-            for chosen in ([0, 1, 2], [1, 2, 3], [0, 2, 3], [0, 1, 2, 3]):
-                phi_rows = [pool[i] for i in chosen]
-                _, value, _ = tensors._best_psi(space, phi_rows, verts)
+        for space in [LS2, LS3] + [random_non_simplicial(r, 3) for _ in range(3)]:
+            steps.clear()
+            assert len(factorize(space).schedule) == len(steps) >= 2
+            verts, hrows = unit_ball_vertices(space), space.cone.hrep()
+            for phi_rows, psi, value, multipliers in steps:
                 obj, rows, rhs, senses, nonneg = psi_lp_without_dedup(space, phi_rows, verts)
-                out = solve_lp(obj, rows, rhs, senses, nonneg=nonneg)
-                assert out.value == value
+                x = tuple(e for row in psi.data for e in row) + (value,)
+                assert dot(obj, x) == value >= 0
+                for row, b, sense in zip(rows, rhs, senses):
+                    assert dot(row, x) == b if sense == EQ else dot(row, x) >= b
+                assert tensors._defect_lower_bound(space, phi_rows, verts, hrows, multipliers) == value
+                if space is not LS3:
+                    assert solve_lp(obj, rows, rhs, senses, nonneg=nonneg).value == value
 
-    def test_constant_block_matches_the_index_oracle(self, monkeypatch):
+    def test_defect_lp_rows_match_the_index_oracle(self, monkeypatch):
+        # the positivity rows of the newest column in order, then the
+        # oracle's defect rows over the full ball, each once
         posed = []
 
         def spy(obj, rows, rhs, senses, **kwargs):
-            posed.append((list(rows), list(rhs), list(senses)))
+            posed.append((obj, list(zip(rows, rhs)), list(senses), kwargs["nonneg"]))
             return solve_lp(obj, rows, rhs, senses, **kwargs)
 
         monkeypatch.setattr(tensors, "solve_lp", spy)
@@ -469,14 +509,35 @@ class TestFactorize:
         for space in (lin_space(2), random_non_simplicial(r, 3)):
             pool = [st.functional for st in extreme_states(space)]
             verts = [vec(v) for v in unit_ball_vertices(space)]
+            m = len(space.cone.hrep())
             for k in (3, 4):
-                _, rows, rhs, senses, _ = psi_lp_without_dedup(space, pool[:k], verts)
-                n = space.dim + k * len(space.cone.hrep())
-                oracle = (rows[:n], rhs[:n], senses[:n])
-                assert maps._unital_positive_rows(linf(k), space, (), extra=1) == oracle
+                obj, rows, rhs, senses, nonneg = psi_lp_in_generators(space, pool[:k], verts)
+                oracle = list(zip(rows, rhs))
                 tensors._best_psi(space, pool[:k], verts)
-                rows, rhs, senses = posed.pop()
-                assert (rows[:n], rhs[:n], senses[:n]) == oracle
+                got_obj, got, got_senses, got_nonneg = posed.pop()
+                assert (got_obj, got_senses, got_nonneg) == (obj, senses[: len(got)], nonneg)
+                assert got[:m] == oracle[:m]
+                assert sorted(got[m:]) == sorted(set(oracle[m:]))
+
+    def test_simplicial_branch_enumerates_no_ball(self, monkeypatch):
+        calls = []
+        original = tensors.unit_ball_vertices
+        monkeypatch.setattr(tensors, "unit_ball_vertices", lambda space: calls.append(space) or original(space))
+        simplicial = random_simplicial(rng(53), 3)
+        for space in (L3, simplicial):
+            assert factorize(space).defect == 0
+        # a bad unit is refused with the first cone row that fails it
+        message = "^the unit is not an order unit: a cone row is not positive on it$"
+        bad = (
+            (AOUSpace(3, L3.cone, (1, 1, 0)), (0, 0, 1)),
+            (AOUSpace(3, simplicial.cone, vsub((0, 0, 0), simplicial.unit)), (-2, 3, 7)),
+            (AOUSpace(3, Cone.from_inequalities([(1, 0, 0), (0, 1, 0), (0, 0, 1)]), (1, 2, -1)), (0, 0, 1)),
+        )
+        for space, row in bad:
+            with pytest.raises(InputError, match=message) as exc:
+                factorize(space)
+            assert exc.value.certificate == row
+        assert calls == []
 
     def test_recheck_solves_no_order_norm_lp(self, monkeypatch):
         # the recheck reads each residual's norm off the extreme states; the
