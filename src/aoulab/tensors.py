@@ -15,16 +15,7 @@ from itertools import combinations
 from math import comb
 
 from .cones import (
-    Certificate,
-    Cone,
-    _cached,
-    contains,
-    dual,
-    extreme_rays,
-    int_hrep,
-    int_vrep,
-    is_simplicial,
-    member,
+    Certificate, Cone, _cached, contains, dual, extreme_rays, int_hrep, int_vrep, is_simplicial, member
 )
 from .errors import InputError, InvariantViolation, ShapeError, SizeLimitError
 from .linalg import (
@@ -415,8 +406,9 @@ def _best_psi(space: AOUSpace, phi_rows: list[Vec], vectors: list[Vec]):
     rhs = [-x for x in ae]
     names = [("positive", last, a) for a in range(len(hrows))]
     defect: dict = {}
+    keep = set(unit_ball_half(space))
     for vi, v in enumerate(vectors):
-        if next(c for c in v if c) < 0:
+        if v not in keep:
             continue
         w = [dot(f, v) for f in phi_rows]
         for a, row in enumerate(hrows):
@@ -452,15 +444,19 @@ def _best_psi(space: AOUSpace, phi_rows: list[Vec], vectors: list[Vec]):
             _, vi, a, sign = name
             dfc = [vadd(x, vscale(mu * sign * dot(f, vectors[vi]), hrows[a])) for x, f in zip(dfc, phi_rows)]
     multipliers = [(("unit", r), x) for r, x in enumerate(vsub(dfc[last], pos)) if x]
-    # the dual cone, generated by the nonzero cone rows; an H-cone's shares its DD
-    cone = dual(space.cone) if space.cone.inequalities is not None else Cone.from_generators(hrows, d)
     live = [a for a, row in enumerate(hrows) if any(row)]
     for j in range(last):
-        cert = member(cone, vsub(vadd(pos, dfc[j]), dfc[last]))
+        cert = member(_row_cone(space.cone), vsub(vadd(pos, dfc[j]), dfc[last]))
         if cert.verdict != "member":
             raise InvariantViolation("a column's residual functional left the dual cone")
         multipliers += [(("positive", j, live[i]), c) for i, c in cert.decomposition if c]
     return Matrix.from_rows(list(zip(*cols))), t0 + out.value, tuple(multipliers + duals)
+
+
+@_cached
+def _row_cone(cone: Cone) -> Cone:
+    """The dual cone, built once per cone; an H-cone's shares its DD."""
+    return dual(cone) if cone.inequalities is not None else Cone.from_generators(cone.hrep(), cone.dim)
 
 
 def _defect_lower_bound(

@@ -494,6 +494,18 @@ class TestFactorize:
                 assert tensors._defect_lower_bound(space, phi_rows, verts, hrows, multipliers) == value
                 if space is not LS3:
                     assert solve_lp(obj, rows, rhs, senses, nonneg=nonneg).value == value
+        # state sets the greedy loop does not pick, which put another state
+        # in the eliminated last column
+        for space in (lin_space(2), random_non_simplicial(rng(29), 3)):
+            pool = [st.functional for st in extreme_states(space)]
+            verts, hrows = [vec(v) for v in unit_ball_vertices(space)], space.cone.hrep()
+            assert len(pool) == 4
+            for chosen in ([0, 1, 2], [1, 2, 3], [0, 2, 3], [0, 1, 2, 3]):
+                phi_rows = [pool[i] for i in chosen]
+                _, value, multipliers = original(space, phi_rows, verts)
+                obj, rows, rhs, senses, nonneg = psi_lp_without_dedup(space, phi_rows, verts)
+                assert solve_lp(obj, rows, rhs, senses, nonneg=nonneg).value == value
+                assert tensors._defect_lower_bound(space, phi_rows, verts, hrows, multipliers) == value
 
     def test_defect_lp_rows_match_the_index_oracle(self, monkeypatch):
         # the positivity rows of the newest column in order, then the
