@@ -47,13 +47,14 @@ from .errors import (
 from .linalg import (
     Matrix,
     Vec,
+    combine,
     dot,
+    idot,
     integerize,
     is_zero_vec,
     nullspace,
     rank,
     vec,
-    zeros,
 )
 from .psd import ldlt_psd
 
@@ -226,16 +227,12 @@ def int_hrep(cone: Cone) -> list[dd.IntVec]:
     return _dd_other(cone) if cone.inequalities is None else _own_int_rows(cone)
 
 
-def _idot(a: dd.IntVec, b: Sequence[int]) -> int:
-    return sum(x * y for x, y in zip(a, b))
-
-
 @_cached
 def _columns(cone: Cone) -> list[list[int]]:
     """a . g for every integer H-row a, one list per integer generator g of
     a V-cone."""
     rows = int_hrep(cone)
-    return [[_idot(a, g) for a in rows] for g in _own_int_rows(cone)]
+    return [[idot(a, g) for a in rows] for g in _own_int_rows(cone)]
 
 
 def _face_walk(
@@ -330,14 +327,10 @@ class Certificate:
         if _KINDS.get(self.kind) != (self.verdict, cone.kind == SYM_PSD) or len(v) != cone.dim:
             return False
         if self.kind == "conic_decomposition":
-            gens = cone.vrep()
-            total = zeros(cone.dim)
-            for entry in self.decomposition or ():
-                if not _is_term(entry, len(gens)):
-                    return False
-                idx, coeff = entry
-                total = tuple(t + coeff * g for t, g in zip(total, gens[idx]))
-            return total == v
+            gens, terms = cone.vrep(), self.decomposition or ()
+            if not all(_is_term(entry, len(gens)) for entry in terms):
+                return False
+            return combine([c for _, c in terms], [gens[i] for i, _ in terms], cone.dim) == v
         if self.kind == "hrep_evaluation":
             return all(dot(row, v) >= 0 for row in cone.hrep())
         if self.kind == "separating_functional":
@@ -396,7 +389,7 @@ def _generator_member(cone: Cone, v: Vec) -> Certificate:
     rows = int_hrep(cone)
     den = lcm(*(x.denominator for x in v))
     r = [x.numerator * (den // x.denominator) for x in v]
-    slack = [_idot(a, r) for a in rows]
+    slack = [idot(a, r) for a in rows]
     bad = next((a for a, s in zip(rows, slack) if s < 0), None)
     if bad is not None:
         return Certificate("non_member", "separating_functional", witness=vec(bad))
@@ -410,11 +403,11 @@ def _generator_member(cone: Cone, v: Vec) -> Certificate:
         lift_rows = int_hrep(lift)
         p, q = None, 1
         for b in lift_rows:
-            br = -_idot(b[:-1], r)
+            br = -idot(b[:-1], r)
             if b[-1] > 0 and (p is None or br * q > p * b[-1]):
                 p, q = br, b[-1]
         lifted = [q * x for x in r] + [p]
-        more, rest, _ = _face_walk(lift, lifted, [_idot(b, lifted) for b in lift_rows], den * q)
+        more, rest, _ = _face_walk(lift, lifted, [idot(b, lifted) for b in lift_rows], den * q)
         if any(rest):
             raise InvariantViolation("lineality residual left the lifted cone")
         terms += [(inside[k], t) for k, t in more]
@@ -485,7 +478,7 @@ def extreme_rays(cone: Cone) -> list[Vec]:
         rays = sorted(
             g
             for g in dict.fromkeys(int_vrep(cone))
-            if rank([a for a in rows if sum(x * y for x, y in zip(a, g)) == 0]) == cone.dim - 1
+            if rank([a for a in rows if idot(a, g) == 0]) == cone.dim - 1
         )
     return [vec(r) for r in rays]
 
@@ -526,7 +519,7 @@ def contains(outer: Cone, inner: Cone) -> bool:
     if not gens:
         return True
     rows = int_hrep(outer)
-    return all(sum(x * y for x, y in zip(a, g)) >= 0 for g in gens for a in rows)
+    return all(idot(a, g) >= 0 for g in gens for a in rows)
 
 
 def same_cone(a: Cone, b: Cone) -> bool:

@@ -29,13 +29,9 @@ from math import gcd
 from typing import Sequence
 
 from .errors import InputError, ShapeError
-from .linalg import Vec, integerize, vec
+from .linalg import Vec, idot, integerize, vec
 
 IntVec = tuple[int, ...]
-
-
-def _idot(a: IntVec, b: IntVec) -> int:
-    return sum(x * y for x, y in zip(a, b))
 
 
 def _reduce(v: Sequence[int]) -> IntVec:
@@ -45,6 +41,12 @@ def _reduce(v: Sequence[int]) -> IntVec:
     if g == 0:
         return tuple(v)
     return tuple(x // g for x in v)
+
+
+def _project(a: IntVec, v: IntVec, b0: IntVec, pa: int) -> IntVec:
+    """v moved along b0 onto {x : a . x = 0}, where pa = a . b0 > 0."""
+    f = idot(a, v)
+    return _reduce(tuple(pa * x - f * y for x, y in zip(v, b0)))
 
 
 def _is_coprime_int(h) -> bool:
@@ -77,23 +79,19 @@ def dd_pair(halfspaces: Sequence[Sequence], dim: int) -> tuple[list[IntVec], lis
         bit = 1 << idx
         pivot_at = None
         for i, b in enumerate(lineality):
-            if _idot(a, b) != 0:
+            if idot(a, b) != 0:
                 pivot_at = i
                 break
         if pivot_at is not None:
             # A lineality direction crosses the hyperplane: it becomes a ray,
             # everything else is projected along it onto {a . x = 0}.
             b0 = lineality.pop(pivot_at)
-            pa = _idot(a, b0)
+            pa = idot(a, b0)
             if pa < 0:
                 b0 = tuple(-x for x in b0)
                 pa = -pa
-            lineality = [
-                _reduce(tuple(pa * x - _idot(a, b) * y for x, y in zip(b, b0))) for b in lineality
-            ]
-            rays = [
-                _reduce(tuple(pa * x - _idot(a, r) * y for x, y in zip(r, b0))) for r in rays
-            ]
+            lineality = [_project(a, b, b0, pa) for b in lineality]
+            rays = [_project(a, r, b0, pa) for r in rays]
             # projected rays land on the new hyperplane; b0 was orthogonal to
             # every earlier row, strictly positive on this one
             active = [mask | bit for mask in active]
@@ -101,7 +99,7 @@ def dd_pair(halfspaces: Sequence[Sequence], dim: int) -> tuple[list[IntVec], lis
             active.append(bit - 1)
             continue
 
-        vals = [_idot(a, r) for r in rays]
+        vals = [idot(a, r) for r in rays]
         minus = [i for i, v in enumerate(vals) if v < 0]
         if not minus:
             for i, v in enumerate(vals):

@@ -4,6 +4,12 @@ Every decision procedure in this package runs over fractions.Fraction; no
 float ever enters a comparison. Vectors are plain tuples of Fractions,
 matrices are immutable row-major tuples of such tuples.
 
+Dot products run on one kernel that normalizes once per result: dot keeps
+an integer numerator over the lcm of the term denominators and builds one
+Fraction at the end, idot sums integer rows with no Fraction at all, and
+combine takes one dot per coordinate. Matrix.apply and compose go through
+dot. A float or other inexact entry raises ShapeError, as in frac.
+
 rank, nullspace, solve, det and inverse share one fraction-free elimination
 over Python ints: each row is scaled to integers once (the reduced form does
 not change under row scaling; det divides the scales back out), Bareiss
@@ -18,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import InvariantViolation, ShapeError
@@ -49,9 +56,44 @@ def unit_vec(i: int, n: int) -> Vec:
 
 
 def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
+    """a . b over ints and Fractions, always a Fraction."""
     if len(a) != len(b):
         raise ShapeError(f"dot: length {len(a)} vs {len(b)}")
-    return sum((x * y for x, y in zip(a, b)), Fraction(0))
+    num, den = 0, 1
+    try:
+        for x, y in zip(a, b):
+            p = x.numerator * y.numerator
+            if p:
+                q = x.denominator * y.denominator
+                if den % q:
+                    g = gcd(den, q)
+                    num, den = num * (q // g) + p * (den // g), den // g * q
+                else:
+                    num += p * (den // q)
+    except (AttributeError, TypeError):
+        raise ShapeError("dot: exact rational entries expected") from None
+    return Fraction(num, den)
+
+
+def idot(a: Sequence[int], b: Sequence[int]) -> int:
+    """a . b for integer rows, always an int."""
+    if len(a) != len(b):
+        raise ShapeError(f"idot: length {len(a)} vs {len(b)}")
+    try:
+        s = sum(map(mul, a, b))
+        if type(s) is int:
+            return s
+    except TypeError:
+        pass
+    raise ShapeError("idot: integer entries expected")
+
+
+def combine(coeffs: Sequence[Fraction], vectors: Sequence[Sequence[Fraction]], n: int) -> Vec:
+    """sum_i coeffs[i] * vectors[i] over vectors of length n; zeros(n) when
+    there are none."""
+    if len(coeffs) != len(vectors) or any(len(v) != n for v in vectors):
+        raise ShapeError(f"combine: {len(coeffs)} coefficients, {len(vectors)} vectors, length {n}")
+    return tuple(dot(coeffs, col) for col in zip(*vectors)) if vectors else zeros(n)
 
 
 def vadd(a: Vec, b: Vec) -> Vec:

@@ -37,7 +37,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import InvariantViolation, ShapeError
-from .linalg import Vec, dot, frac, integerize, unit_vec, vec, zeros
+from .linalg import Vec, combine, dot, frac, integerize, unit_vec, vec, zeros
 
 LE, EQ, GE = "<=", "=", ">="
 _SENSES = (LE, EQ, GE)
@@ -348,30 +348,17 @@ def verify_outcome(out: LPOutcome) -> None:
                 _check(m_i >= 0, "dual sign on >= row")
             elif s == LE:
                 _check(m_i <= 0, "dual sign on <= row")
-        comb = zeros(n)
-        for m_i, r in zip(mu, rows):
-            comb = tuple(c + m_i * x for c, x in zip(comb, r))
-        _check(comb == sys_.objective, "dual combination != objective")
+        _check(combine(mu, rows, n) == sys_.objective, "dual combination != objective")
         _check(dot(mu, rhs) == out.value, "dual value != primal value")
     elif out.status == INFEASIBLE:
         yv = out.dual_certificate
         _check(yv is not None and len(yv) == len(rows), "missing farkas")
-        comb = zeros(n)
-        total = Fraction(0)
-        for y_i, r, b, s in zip(yv, rows, rhs, senses):
-            if s == GE:
-                _check(y_i >= 0, "farkas sign on >= row")
-                comb = tuple(c + y_i * x for c, x in zip(comb, r))
-                total += y_i * b
-            elif s == LE:
-                _check(y_i >= 0, "farkas sign on <= row")
-                comb = tuple(c - y_i * x for c, x in zip(comb, r))
-                total -= y_i * b
-            else:
-                comb = tuple(c + y_i * x for c, x in zip(comb, r))
-                total += y_i * b
-        _check(comb == zeros(n), "farkas combination != 0")
-        _check(total > 0, "farkas rhs combination not positive")
+        for y_i, s in zip(yv, senses):
+            if s != EQ:
+                _check(y_i >= 0, f"farkas sign on {s} row")
+        signed = [-y_i if s == LE else y_i for y_i, s in zip(yv, senses)]
+        _check(combine(signed, rows, n) == zeros(n), "farkas combination != 0")
+        _check(dot(signed, rhs) > 0, "farkas rhs combination not positive")
     elif out.status == UNBOUNDED:
         _check(out.primal is not None and out.ray is not None, "missing parts")
         feasible(out.primal)

@@ -33,6 +33,7 @@ from .errors import InputError, InvariantViolation, ShapeError, SizeLimitError
 from .linalg import (
     Matrix,
     Vec,
+    combine,
     det,
     dot,
     frac,
@@ -205,10 +206,8 @@ def is_order_ideal(space: AOUSpace, basis: Sequence) -> IdealReport:
             cert = member(down, q)
             if cert.verdict != "member":
                 raise InvariantViolation("meet-cone generator has no dominating ideal element")
-            p = zeros(space.dim)
-            for i, c in cert.decomposition:
-                if i < 2 * len(jb):
-                    p = vadd(p, vscale(c, down_gens[i]))
+            terms = [(i, c) for i, c in cert.decomposition if i < 2 * len(jb)]
+            p = combine([c for _, c in terms], [down_gens[i] for i, _ in terms], space.dim)
             return IdealReport(False, witness=(p, q))
     return IdealReport(True)
 
@@ -289,9 +288,8 @@ def is_order_quotient(m: UnitalMap) -> QuotientReport:
         cert = member(img, w)
         if cert.verdict != "member":
             return QuotientReport(False, witness=vec(w), separating=cert.witness)
-        v = zeros(m.source.dim)
-        for j, c in cert.decomposition:
-            v = vadd(v, vscale(c, behind[j]))
+        terms = cert.decomposition
+        v = combine([c for _, c in terms], [behind[j] for j, _ in terms], m.source.dim)
         for eps in EPS_SCHEDULE:
             lifts[(i, eps)] = v
     return QuotientReport(True, lifts=lifts)
@@ -326,10 +324,7 @@ def extend_unital_positive(
     )
     if unit_coeffs is None:
         raise InputError("the subspace must contain the unit of the big space")
-    implied = zeros(v.dim)
-    for c, x in zip(unit_coeffs, vals):
-        implied = vadd(implied, vscale(c, x))
-    if implied != v.unit:
+    if combine(unit_coeffs, vals, v.dim) != v.unit:
         raise InputError("the given map is not unital on the subspace")
 
     # over M's row-major entries: M x = y as kron_vec(e_r, x) = y_r for the
@@ -543,7 +538,7 @@ def _require_pert_input(t: UnitalMap) -> None:
 def _pert_with_norms(t: UnitalMap) -> tuple[UnitalMap, Fraction, Fraction]:
     """pert plus the two norms its bound check computes: (S, ||t - S||, ||t||)."""
     _require_pert_input(t)
-    states = extreme_states(t.source)
+    functionals = [s.functional for s in extreme_states(t.source)]
     new_rows, masses = [], []
     for r in range(t.target.dim):
         mu = _min_l1_measure(t.source, t.matrix.row(r))
@@ -551,11 +546,7 @@ def _pert_with_norms(t: UnitalMap) -> tuple[UnitalMap, Fraction, Fraction]:
         pos_mass = sum((x for x in mu if x > 0), Fraction(0))
         if pos_mass <= 0:
             raise InvariantViolation("unital row must carry positive mass")
-        row = zeros(t.source.dim)
-        for x, s in zip(mu, states):
-            if x > 0:
-                row = vadd(row, vscale(x / pos_mass, s.functional))
-        new_rows.append(row)
+        new_rows.append(combine([max(x, 0) / pos_mass for x in mu], functionals, t.source.dim))
     s_map = UnitalMap(t.source, t.target, Matrix.from_rows(new_rows))
     if not s_map.unital or not s_map.positive:
         raise InvariantViolation("pert output must be unital positive")
@@ -627,11 +618,10 @@ def _perturb_with_norm(t: UnitalMap) -> tuple[UnitalMap, Fraction, Fraction]:
     _, gap, tnorm = _pert_with_norms(tp)
     _, duals = auerbach_basis(t.source)
     states = extreme_states(t.source)
-    tv_total = zeros(t.source.dim)  # sum of the total-variation functionals
-    for xd in duals:
-        mu = _min_l1_measure(t.source, xd)
-        for x, s in zip(mu, states):
-            tv_total = vadd(tv_total, vscale(abs(x), s.functional))
+    # the sum of the total-variation functionals: each state weighs its total mass
+    measures = [_min_l1_measure(t.source, xd) for xd in duals]
+    mass = [sum(abs(mu[i]) for mu in measures) for i in range(len(states))]
+    tv_total = combine(mass, [s.functional for s in states], t.source.dim)
     s_rows = [
         vadd(t.matrix.row(r), vscale(gap * t.target.unit[r], tv_total))
         for r in range(t.target.dim)

@@ -6,7 +6,8 @@ enumeration and characteristic polynomials instead of double description and
 LDL^T; one exact LP per generator or basis vector instead of facet incidence
 and H-row sign tests; explicit product decompositions instead of the factor
 row test for pi units; Gauss-Jordan over Fractions instead of fraction-free
-integer elimination) so agreement is meaningful.  Some are second routes to a
+integer elimination; a Fraction product and sum per term instead of one
+numerator over a common denominator) so agreement is meaningful.  Some are second routes to a
 verdict that the package decides by one route: pairwise cone equality against
 a battery of partners for single-space nuclearity, the induced map on the
 kernel quotient for order quotients, the epsilon order norm for the
@@ -37,7 +38,7 @@ import aoulab.dd
 from aoulab.cli import _META_KEYS, _VERBS, _plain
 from aoulab.cones import Certificate, Cone, close_and_lineality, extreme_rays, image_cone, member, same_cone
 from aoulab.errors import InvariantViolation, ShapeError
-from aoulab.linalg import Matrix, Vec, dot, frac, integerize, is_zero_vec, unit_vec, vec, zeros
+from aoulab.linalg import Matrix, Vec, frac, integerize, is_zero_vec, unit_vec, vec, zeros
 from aoulab.lp import EQ, GE, INFEASIBLE, OPTIMAL, solve_lp
 from aoulab.maps import UnitalMap, archimedean_quotient
 from aoulab.spaces import AOUSpace, extreme_states, lin_space, linf, order_norm, unit_ball_vertices
@@ -70,7 +71,21 @@ def rand_vec(r: random.Random, n: int, lo: int = -4, hi: int = 4, den: int = 3) 
     return vec([rand_frac(r, lo, hi, den) for _ in range(n)])
 
 
-# -- Fraction elimination: the oracle for the integer kernel in linalg --------
+# -- Fraction arithmetic: the oracles for the integer kernels in linalg -------
+
+
+def fraction_dot(a, b) -> Fraction:
+    """a . b with one Fraction product and one Fraction sum per term: the
+    oracle for linalg's dot kernel, which keeps one integer numerator over a
+    common denominator. The oracles below do their own arithmetic with it."""
+    if len(a) != len(b):
+        raise ShapeError(f"dot: length {len(a)} vs {len(b)}")
+    return sum((x * y for x, y in zip(a, b)), Fraction(0))
+
+
+def fraction_apply(m: Matrix, v) -> Vec:
+    """m v by fraction_dot, row by row."""
+    return tuple(fraction_dot(r, v) for r in m.data)
 
 
 def fraction_eliminate(rows: list[list[Fraction]], ncols: int) -> tuple[list[list[Fraction]], list[int]]:
@@ -172,15 +187,14 @@ def brute_extreme_rays(rows: list[Vec], dim: int) -> set[tuple[int, ...]]:
     have rank dim-1. Enumerate row subsets of size dim-1, take nullspaces.
     """
     out: set[tuple[int, ...]] = set()
-    m = Matrix.from_rows(rows)
     for subset in combinations(range(len(rows)), dim - 1):
         # the empty subset (dim 1) leaves the whole line free
         ns = fraction_nullspace(Matrix.from_rows([rows[i] for i in subset])) if subset else Matrix.identity(dim).data
         if len(ns) != 1:
             continue
         for cand in (ns[0], tuple(-x for x in ns[0])):
-            if all(v >= 0 for v in m.apply(cand)):
-                tight = [r for r in rows if dot(r, cand) == 0]
+            if all(fraction_dot(r, cand) >= 0 for r in rows):
+                tight = [r for r in rows if fraction_dot(r, cand) == 0]
                 if (fraction_rank(Matrix.from_rows(tight)) if tight else 0) == dim - 1:
                     out.add(integerize(cand))
     return out
@@ -274,8 +288,8 @@ def lp_order_unit_failure(space: AOUSpace) -> int | None:
         v = unit_vec(i, space.dim)
         rows, rhs = [], []
         for a in closed.hrep():
-            rows += [(dot(a, space.unit),)] * 2
-            rhs += [-dot(a, v), dot(a, v)]
+            rows += [(fraction_dot(a, space.unit),)] * 2
+            rhs += [-fraction_dot(a, v), fraction_dot(a, v)]
         out = solve_lp((1,), rows, rhs, [GE] * len(rows), nonneg=[True])
         if out.status != OPTIMAL:
             return i
@@ -422,10 +436,10 @@ def psi_lp_without_dedup(space: AOUSpace, phi_rows: list[Vec], vectors: list[Vec
             rhs.append(Fraction(0))
             senses.append(GE)
     for v in vectors:
-        w = tuple(dot(row, v) for row in phi_rows)
+        w = tuple(fraction_dot(row, v) for row in phi_rows)
         for a in hrows:
-            ae = dot(a, space.unit)
-            av = dot(a, v)
+            ae = fraction_dot(a, space.unit)
+            av = fraction_dot(a, v)
             for sign in (1, -1):
                 coeff = [Fraction(0)] * nvars
                 coeff[t_ix] = ae
@@ -453,24 +467,26 @@ def psi_lp_in_generators(space: AOUSpace, phi_rows: list[Vec], vectors: list[Vec
     n, last = len(gens), len(phi_rows) - 1
     nvars = n * last + 2
     states = [st.functional for st in extreme_states(space)]
-    t0 = max(abs(dot(phi_rows[last], v) - dot(s, v)) for s in states for v in vectors)
+    t0 = max(
+        abs(fraction_dot(phi_rows[last], v) - fraction_dot(s, v)) for s in states for v in vectors
+    )
     rows, rhs = [], []
     for a in hrows:
         coeff = [Fraction(0)] * nvars
         for j in range(last):
             for i, g in enumerate(gens):
-                coeff[j * n + i] = -dot(a, g)
+                coeff[j * n + i] = -fraction_dot(a, g)
         rows.append(tuple(coeff))
-        rhs.append(-dot(a, space.unit))
+        rhs.append(-fraction_dot(a, space.unit))
     for v in vectors:
-        w = [dot(f, v) for f in phi_rows]
+        w = [fraction_dot(f, v) for f in phi_rows]
         for a in hrows:
-            ae, av = dot(a, space.unit), dot(a, v)
+            ae, av = fraction_dot(a, space.unit), fraction_dot(a, v)
             for sign in (1, -1):
                 coeff = [Fraction(0)] * nvars
                 for j in range(last):
                     for i, g in enumerate(gens):
-                        coeff[j * n + i] = -sign * (w[j] - w[last]) * dot(a, g)
+                        coeff[j * n + i] = -sign * (w[j] - w[last]) * fraction_dot(a, g)
                 coeff[nvars - 2], coeff[nvars - 1] = ae, -ae
                 rows.append(tuple(coeff))
                 rhs.append(sign * (w[last] * ae - av) - t0 * ae)
@@ -489,7 +505,7 @@ def brute_polytope_vertices(rows: list[Vec], rhs: list[Fraction], dim: int) -> s
         x = fraction_solve(sub, [rhs[i] for i in subset])
         if x is None:
             continue
-        if all(dot(r, x) >= b for r, b in zip(rows, rhs)):
+        if all(fraction_dot(r, x) >= b for r, b in zip(rows, rhs)):
             out.add(x)
     return out
 
@@ -599,7 +615,7 @@ def kernel_quotient_is_order_quotient(m: UnitalMap) -> bool:
         and quotient.dim == m.target.dim
         and fraction_det(induced) != 0
         and same_cone(image_cone(quotient.cone, induced), m.target.cone)
-        and induced.apply(quotient.unit) == m.target.unit
+        and fraction_apply(induced, quotient.unit) == m.target.unit
     )
 
 
@@ -615,7 +631,7 @@ def lp_interval_min(space: AOUSpace, f) -> Fraction:
     rows, rhs = [], []
     for a in space.cone.hrep():
         rows += [a, tuple(-x for x in a)]
-        rhs += [Fraction(0), -dot(a, space.unit)]
+        rhs += [Fraction(0), -fraction_dot(a, space.unit)]
     out = solve_lp(vec(f), rows, rhs, [GE] * len(rows))
     if out.status != OPTIMAL:
         raise InvariantViolation("order interval must be a nonempty polytope")
@@ -628,7 +644,7 @@ def lp_is_isometry(m: UnitalMap) -> bool:
     most 1, and each extreme source state is a convex combination of the
     +-(g o m), one feasibility LP per state."""
     mt = m.matrix.transpose()
-    pulled = [mt.apply(g.functional) for g in extreme_states(m.target)]
+    pulled = [fraction_apply(mt, g.functional) for g in extreme_states(m.target)]
     if any(full_ball_dual_norm(m.source, p) > 1 for p in pulled):
         return False
     points = pulled + [tuple(-x for x in p) for p in pulled]
@@ -689,7 +705,7 @@ def ball_scan_spaces(r: random.Random) -> list[AOUSpace]:
 def full_ball_operator_norm(mat: Matrix, source: AOUSpace, target: AOUSpace) -> Fraction:
     """max ||T x|| over every vertex x of the source ball."""
     return max(
-        (order_norm(target, mat.apply(x)) for x in unit_ball_vertices(source)),
+        (order_norm(target, fraction_apply(mat, x)) for x in unit_ball_vertices(source)),
         default=Fraction(0),
     )
 
@@ -697,7 +713,7 @@ def full_ball_operator_norm(mat: Matrix, source: AOUSpace, target: AOUSpace) -> 
 def full_ball_dual_norm(space: AOUSpace, f) -> Fraction:
     """max |f(x)| over every vertex x of the ball."""
     c = vec(f)
-    return max((abs(dot(c, x)) for x in unit_ball_vertices(space)), default=Fraction(0))
+    return max((abs(fraction_dot(c, x)) for x in unit_ball_vertices(space)), default=Fraction(0))
 
 
 def full_ball_auerbach_scan(space: AOUSpace) -> list[Vec]:

@@ -16,9 +16,11 @@ import aoulab.linalg
 from aoulab.errors import ShapeError
 from aoulab.linalg import (
     Matrix,
+    combine,
     det,
     dot,
     frac,
+    idot,
     integerize,
     inverse,
     nullspace,
@@ -31,6 +33,27 @@ from aoulab.linalg import (
 def test_frac_rejects_floats():
     with pytest.raises(ShapeError):
         frac(0.5)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: dot((0.5,), (Fraction(1),)),
+        lambda: dot((Fraction(1), 0), (2, 0.0)),
+        lambda: dot(("1/2",), (1,)),
+        lambda: Matrix(((Fraction(1), 0.25),)).apply((1, 2)),
+        lambda: Matrix(((Fraction(1),),)) @ Matrix(((0.5,),)),
+        lambda: idot((0.5,), (1,)),
+        lambda: idot((1, 2), (Fraction(1, 2), 0)),
+        lambda: idot(("a",), (2,)),
+        lambda: combine((0.5,), ((1,),), 1),
+        lambda: combine((1,), ((Fraction(1), 0.5),), 2),
+    ],
+)
+def test_dot_kernels_reject_inexact_entries(call):
+    # no float takes part in a decision: a float entry raises, as in frac
+    with pytest.raises(ShapeError):
+        call()
 
 
 def test_frac_parses_strings():

@@ -1,5 +1,6 @@
-"""Property tests of the integer elimination kernel in aoulab.linalg,
-checked against the Fraction Gauss-Jordan oracle in conftest.
+"""Property tests of the integer elimination and dot-product kernels in
+aoulab.linalg, checked against the Fraction Gauss-Jordan and term-by-term
+dot oracles in conftest.
 
 Derandomized with a bounded number of examples, so a run is deterministic
 and takes a few seconds; skipped where hypothesis is not installed."""
@@ -14,6 +15,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from conftest import (  # noqa: E402
     fraction_det,
+    fraction_dot,
     fraction_inverse,
     fraction_nullspace,
     fraction_rank,
@@ -21,7 +23,18 @@ from conftest import (  # noqa: E402
 )
 
 from aoulab.errors import ShapeError  # noqa: E402
-from aoulab.linalg import Matrix, det, inverse, nullspace, rank, solve  # noqa: E402
+from aoulab.linalg import (  # noqa: E402
+    Matrix,
+    combine,
+    det,
+    dot,
+    idot,
+    inverse,
+    nullspace,
+    rank,
+    solve,
+    zeros,
+)
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 
@@ -29,6 +42,8 @@ PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples
 rationals = st.builds(
     Fraction, st.integers(-8, 8), st.sampled_from((1, 2, 3, 5, 10**9 + 7, 2**61 - 1))
 )
+# ints mixed with Fractions, as rows and vectors hold them
+entries = st.one_of(rationals, st.integers(-8, 8))
 
 
 @st.composite
@@ -76,3 +91,73 @@ def test_det_and_inverse_agree_with_the_oracle(m):
             inverse(m)
     else:
         assert d != 0 and inverse(m).data == inv.data
+
+
+@st.composite
+def vector_pairs(draw, elements=entries, max_len=8):
+    n = draw(st.integers(0, max_len))
+    a = draw(st.lists(elements, min_size=n, max_size=n))
+    return tuple(a), tuple(draw(st.lists(elements, min_size=n, max_size=n)))
+
+
+@PROPERTY
+@given(vector_pairs())
+def test_dot_agrees_with_the_oracle(pair):
+    a, b = pair
+    d = dot(a, b)
+    assert type(d) is Fraction
+    assert d == fraction_dot(a, b)
+
+
+@PROPERTY
+@given(vector_pairs(elements=st.integers(-(2**70), 2**70)))
+def test_idot_agrees_with_the_oracle(pair):
+    a, b = pair
+    d = idot(a, b)
+    assert type(d) is int
+    assert d == fraction_dot(a, b)
+
+
+@PROPERTY
+@given(st.integers(0, 4), st.integers(0, 5), st.data())
+def test_combine_agrees_with_the_oracle(k, n, data):
+    coeffs = data.draw(st.lists(entries, min_size=k, max_size=k))
+    vectors = [tuple(data.draw(st.lists(entries, min_size=n, max_size=n))) for _ in range(k)]
+    total = combine(coeffs, vectors, n)
+    assert all(type(x) is Fraction for x in total)
+    assert total == tuple(fraction_dot(coeffs, [v[j] for v in vectors]) for j in range(n))
+
+
+@PROPERTY
+@given(matrices(), st.data())
+def test_apply_and_compose_agree_with_the_oracle(m, data):
+    v = tuple(data.draw(st.lists(entries, min_size=m.cols, max_size=m.cols)))
+    assert m.apply(v) == tuple(fraction_dot(r, v) for r in m.data)
+    # a matrix with no rows has no columns either
+    k = data.draw(st.integers(0, 4)) if m.cols else 0
+    rows = [data.draw(st.lists(entries, min_size=k, max_size=k)) for _ in range(m.cols)]
+    other = Matrix(tuple(map(tuple, rows)))
+    cols = list(zip(*other.data))
+    assert (m @ other).data == tuple(tuple(fraction_dot(r, c) for c in cols) for r in m.data)
+
+
+def test_empty_dot_products():
+    assert dot((), ()) == 0 and type(dot((), ())) is Fraction
+    assert idot((), ()) == 0 and type(idot((), ())) is int
+    assert combine((), (), 3) == zeros(3)
+    assert combine([], [], 0) == ()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: dot((1, 2), (1,)),
+        lambda: idot((1,), ()),
+        lambda: combine((1, 2), ((1,),), 1),
+        lambda: combine((1,), ((1, 2),), 1),
+        lambda: combine((), ((1,),), 1),
+    ],
+)
+def test_dot_kernels_reject_length_mismatches(call):
+    with pytest.raises(ShapeError):
+        call()

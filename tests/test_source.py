@@ -191,6 +191,37 @@ def test_one_cache_mechanism():
     assert not found, found
 
 
+def _is_name_call(node, name: str) -> bool:
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == name
+
+
+def _hand_dot_lines(tree: ast.Module) -> list[int]:
+    """Lines of sum(x * y for x, y in zip(...)): a dot product by hand."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if _is_name_call(node, "sum")
+        and node.args
+        and isinstance(gen := node.args[0], ast.GeneratorExp)
+        and isinstance(gen.elt, ast.BinOp)
+        and isinstance(gen.elt.op, ast.Mult)
+        and any(_is_name_call(comp.iter, "zip") for comp in gen.generators)
+    ]
+
+
+def test_one_dot_product_kernel():
+    # dot products go through linalg's dot and idot, which normalize once
+    # per result and reject inexact entries; a sum of products over a zip
+    # elsewhere builds a Fraction per term and lets a float through
+    found = [
+        f"{file}:{line}"
+        for file, tree in _parse_package().items()
+        if file != "linalg.py"
+        for line in _hand_dot_lines(tree)
+    ]
+    assert not found, found
+
+
 # report verbs whose reports carry no evidence yet: `verify` runs them again
 RERUN_VERBS = (
     "validate",
