@@ -35,8 +35,8 @@ print("pi norm: ", order_norm(pi.realized, z.flatten()))
 print("injective norm:", injective_banach_norm(z))
 
 # the cones differ for this pair, and the toolkit produces the separation:
-# an extreme direction of the injective cone with a Farkas functional
-# proving it escapes the projective cone
+# an extreme direction of the injective cone with a functional, built in
+# closed form from the injective rows, proving it escapes the projective cone
 report = is_nuclear_pairwise(V, W)
 print("\ncones equal:", report.nuclear)
 print("witness coefficients:")
@@ -45,7 +45,7 @@ for row in report.witness.coeffs.data:
 print("separating functional:", report.pi_certificate.witness)
 
 # a finite-dimensional space is nuclear exactly when its cone is simplicial
-# (the paper's local characterization), so one rank test decides it
+# (the paper's local characterization), so counting extreme rays decides it
 for space in (linf(3), lin_space(1), lin_space(2)):
     print(space.label, "nuclear:", is_nuclear_fd(space))
 

@@ -460,9 +460,11 @@ def extreme_rays(cone: Cone) -> list[Vec]:
     basis attached rather than silently reducing.
 
     Both routes read the cone's one double description. An H-cone's rays
-    are the DD's. A V-cone's DD gives its facet rows, and a generator g is
-    extreme iff the rows tight at g have rank dim - 1, the facet incidence
-    test, so no LP is solved."""
+    are the DD's. A V-cone's DD gives its facet rows, and a nonzero
+    generator g is extreme iff no other generator is tight on every row
+    tight at g: one that is lies in g's minimal face, which is then at
+    least two-dimensional. The test compares tight-row bitmasks, so no LP
+    and no elimination runs."""
     cone.require_closed("extreme_rays")
     if cone.inequalities is not None:
         lin, rays = _dd(cone)
@@ -474,12 +476,13 @@ def extreme_rays(cone: Cone) -> list[Vec]:
             f"cone has lineality of dimension {len(lineality)}", lineality=lineality
         )
     if cone.generators is not None:
-        rows = int_hrep(cone)
-        rays = sorted(
-            g
-            for g in dict.fromkeys(int_vrep(cone))
-            if rank([a for a in rows if idot(a, g) == 0]) == cone.dim - 1
-        )
+        # parallel generators share one coprime integer tuple, since a
+        # pointed cone holds no opposite pair; zero generators are left out
+        masks = {}
+        for g, col in zip(_own_int_rows(cone), _columns(cone)):
+            if any(g):
+                masks.setdefault(g, sum(1 << i for i, c in enumerate(col) if c == 0))
+        rays = sorted(g for g, m in masks.items() if all(n & m != m or h == g for h, n in masks.items()))
     return [vec(r) for r in rays]
 
 

@@ -44,7 +44,6 @@ from .linalg import (
     rank,
     solve,
     unit_vec,
-    vadd,
     vec,
     vscale,
     vsub,
@@ -623,7 +622,7 @@ def _perturb_with_norm(t: UnitalMap) -> tuple[UnitalMap, Fraction, Fraction]:
     mass = [sum(abs(mu[i]) for mu in measures) for i in range(len(states))]
     tv_total = combine(mass, [s.functional for s in states], t.source.dim)
     s_rows = [
-        vadd(t.matrix.row(r), vscale(gap * t.target.unit[r], tv_total))
+        combine((1, gap * t.target.unit[r]), (t.matrix.row(r), tv_total), t.source.dim)
         for r in range(t.target.dim)
     ]
     s_map = UnitalMap(t.source, t.target, Matrix.from_rows(s_rows))

@@ -25,7 +25,7 @@ class PsdResult:
 
 
 def _quad_form(a: list[list[Fraction]], x: list[Fraction]) -> Fraction:
-    return sum(x[i] * dot(a[i], x) for i in range(len(x)))
+    return dot(x, [dot(row, x) for row in a])
 
 
 def _ldlt(a: list[list[Fraction]]) -> tuple[bool, list[list[Fraction]], list[Fraction], list[Fraction] | None]:
@@ -60,7 +60,7 @@ def _ldlt(a: list[list[Fraction]]) -> tuple[bool, list[list[Fraction]], list[Fra
     ]
     ok, lower, diag, wit = _ldlt(sub)
     if not ok:
-        top = -sum(a[0][j + 1] * wit[j] for j in range(n - 1)) / d
+        top = -dot(a[0][1:], wit) / d
         return False, [], [], [top] + wit
     return True, _extend(lower, col), [d] + diag, None
 

@@ -2,6 +2,7 @@
 
 Rationals travel as exact "p/q" strings and keys are emitted sorted, so
 every object has one canonical text form and round-trips bit for bit.
+`canonical_json` writes that form for objects and CLI reports alike.
 Only format version 1 exists.
 """
 
@@ -9,6 +10,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .cones import Cone
 from .errors import InputError
@@ -110,11 +112,14 @@ def space_from_dict(d) -> AOUSpace:
     dim = d.get("dim")
     if isinstance(dim, bool) or not isinstance(dim, int) or dim <= 0:
         raise InputError(f"bad dimension {dim!r}")
+    label = d.get("label", "")
+    if not isinstance(label, str):
+        raise InputError(f"space label must be a string, got {label!r}")
     return AOUSpace(
         dim=dim,
         cone=_cone_from_dict(d.get("cone"), dim),
         unit=decode_vec(d.get("unit")),
-        label=str(d.get("label", "")),
+        label=label,
     )
 
 
@@ -178,8 +183,43 @@ def from_dict(d):
     return _FROM[kind](d)
 
 
+def canonical_json(value) -> str:
+    """json.dumps(value, sort_keys=True, indent=2) plus a newline, byte for
+    byte, for values built of dicts with string keys, lists, strings, ints,
+    bools and None; any other value raises TypeError. json.dumps runs its
+    pure-Python encoder whenever it indents; this one joins the text of
+    each container at once."""
+    return _json(value, "\n") + "\n"
+
+
+def _json(x, nl: str) -> str:
+    t = type(x)
+    if t is str:
+        return encode_basestring_ascii(x)
+    if t is list:
+        if not x:
+            return "[]"
+        inner = nl + "  "
+        return "[" + inner + ("," + inner).join([_json(v, inner) for v in x]) + nl + "]"
+    if t is dict:
+        if not x:
+            return "{}"
+        if any(type(k) is not str for k in x):
+            raise TypeError(f"JSON object keys must be strings: {list(x)!r}")
+        inner = nl + "  "
+        items = [encode_basestring_ascii(k) + ": " + _json(x[k], inner) for k in sorted(x)]
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if x is None:
+        return "null"
+    if t is bool:
+        return "true" if x else "false"
+    if t is int:
+        return str(x)
+    raise TypeError(f"not a JSON value: {t.__name__}")
+
+
 def dumps(obj) -> str:
-    return json.dumps(to_dict(obj), sort_keys=True, indent=2) + "\n"
+    return canonical_json(to_dict(obj))
 
 
 def loads(text: str):

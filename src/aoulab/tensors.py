@@ -21,13 +21,15 @@ from .errors import InputError, InvariantViolation, ShapeError, SizeLimitError
 from .linalg import (
     Matrix,
     Vec,
+    combine,
     det,
     dot,
     frac,
+    idot,
+    integerize,
     inverse,
     kron_vec,
     rank,
-    solve,
     vadd,
     vec,
     vscale,
@@ -185,15 +187,21 @@ def member_tensor(ts: TensorSpace, z: TensorElement) -> Certificate:
     return member(ts.realized.cone, z.flatten())
 
 
-def _checked_product_cone(left: AOUSpace, right: AOUSpace, kind: str) -> Cone:
-    """`_product_cone` for a report check, on factors that pass what
-    `tensor_space` asks of them: polyhedral, with extreme states. A
-    certificate `member_tensor` gave verifies against it with the same
-    generator and row indices, and since the realized space is not built,
-    a pi check needs no facet of pi."""
+def _require_tensor_factors(left: AOUSpace, right: AOUSpace) -> None:
+    """What `tensor_space` asks of its factors: polyhedral, with extreme
+    states."""
     for sp in (left, right):
         sp.cone.require_polyhedral("tensor cones")
+    for sp in (left, right):
         extreme_states(sp)
+
+
+def _checked_product_cone(left: AOUSpace, right: AOUSpace, kind: str) -> Cone:
+    """`_product_cone` for a report check, on factors that pass
+    `_require_tensor_factors`. A certificate `member_tensor` gave verifies
+    against it with the same generator and row indices, and since the
+    realized space is not built, a pi check needs no facet of pi."""
+    _require_tensor_factors(left, right)
     return _product_cone(left, right, kind)
 
 
@@ -248,100 +256,143 @@ def injective_banach_norm(z: TensorElement) -> Fraction:
 
 
 @dataclass(frozen=True)
+class Biorthogonal:
+    """The extreme rays g_i of a simplicial cone, scaled to sum to the unit,
+    and the states f_i with f_i(g_j) = delta_ij: every v is
+    sum_i f_i(v) g_i, and v is positive exactly when each f_i(v) is."""
+
+    rays: tuple[Vec, ...]
+    states: tuple[Vec, ...]
+
+
+@_cached
+def _biorthogonal(space: AOUSpace) -> Biorthogonal:
+    """The pair of a space whose cone is simplicial: the rows of the
+    inverse of the ray matrix are biorthogonal to the rays, and the unit's
+    coordinates in the ray basis scale both."""
+    rays = extreme_rays(space.cone)
+    try:
+        duals = inverse(Matrix.from_rows(list(zip(*rays)))).data
+    except ShapeError as exc:
+        raise InvariantViolation("the extreme rays of a simplicial cone are not a basis") from exc
+    alpha = [dot(h, space.unit) for h in duals]
+    if not all(a > 0 for a in alpha):
+        raise InvariantViolation("the unit is not a positive combination of the extreme rays")
+    return Biorthogonal(
+        tuple(vscale(a, g) for a, g in zip(alpha, rays)),
+        tuple(vscale(1 / a, h) for a, h in zip(alpha, duals)),
+    )
+
+
+def _in_cone(rows, gens, v: Vec) -> bool:
+    """v in the cone the rows cut out or, where rows is None, a positive
+    multiple of one of gens: exact on the extreme rays of the cone gens
+    generate, which biorthogonal rays and states are."""
+    if rows is not None:
+        return all(dot(a, v) >= 0 for a in rows)
+    for g in gens:
+        l = next((i for i, x in enumerate(g) if x), None)
+        if l is not None and v[l] / g[l] > 0 and vscale(v[l] / g[l], g) == v:
+            return True
+    return False
+
+
+def _biorthogonal_holds(space: AOUSpace, pair: Biorthogonal) -> bool:
+    """Whether the pair proves the space's cone simplicial, with no double
+    description: dim rays in the cone and dim positive functionals with
+    f_i(g_j) = delta_ij, so every positive v is sum_i f_i(v) g_i with each
+    f_i(v) >= 0. A pair of the wrong size is bad input."""
+    cone, d = space.cone, space.dim
+    cone.require_closed("nuclearity")
+    if len(pair.rays) != d or len(pair.states) != d:
+        raise ShapeError(f"{len(pair.rays)} rays and {len(pair.states)} states in dimension {d}")
+    return (
+        all(dot(f, g) == (i == j) for i, f in enumerate(pair.states) for j, g in enumerate(pair.rays))
+        and all(_in_cone(cone.generators, cone.inequalities, f) for f in pair.states)
+        and all(_in_cone(cone.inequalities, cone.generators, g) for g in pair.rays)
+    )
+
+
+@dataclass(frozen=True)
 class NuclearityReport:
     nuclear: bool
     witness: TensorElement | None = None
     pi_certificate: Certificate | None = None
     epsilon_certificate: Certificate | None = None
-    # nuclear: the conic decomposition over the pi generators of each
-    # epsilon extreme ray, in the order of int_vrep of the epsilon cone
-    pi_decompositions: tuple[tuple[tuple[int, Fraction], ...], ...] | None = None
+    # nuclear: the simplicial factor, "left" or "right", and its pair
+    factor: str | None = None
+    biorthogonal: Biorthogonal | None = None
 
 
 def is_nuclear_pairwise(left: AOUSpace, right: AOUSpace) -> NuclearityReport:
     """Exact equality test of the two tensor cones on left (x) right.
 
-    The pi cone always sits inside the epsilon cone; that inclusion is
-    asserted.  Equality is decided by running every extreme ray of the
-    epsilon cone through a pi membership test, so a negative answer comes
-    with an explicit element of epsilon minus pi and a Farkas witness, and
-    a positive one with each ray's decomposition over the pi generators.
+    pi = epsilon exactly when a factor is simplicial (Aubrun, Lami,
+    Palazuelos & Plavala, Entangleability of cones, GAFA 31, 2021; Barker,
+    Linear and Multilinear Algebra 4, 1976). The evidence for a simplicial
+    factor V, left first, is its biorthogonal pair: each z in epsilon is
+    sum_i g_i (x) (f_i (x) id) z, and each (f_i (x) id) z is positive, so
+    no tensor cone is built.
+
+    Otherwise the witness is the first extreme ray r of the epsilon cone,
+    in its DD's order, parallel to no product generator: an epsilon
+    extreme ray inside pi is a sum of pi generators, each then parallel to
+    it. The sum s of the epsilon rows tight at r vanishes on epsilon only
+    along r, so it is positive on every product generator p, and
+    w = s - (delta / 2) u, for a row u positive at r and delta the least
+    s.p / u.p over the p with u.p > 0, stays positive on them while
+    w.r < 0. No facet of pi is built.
     """
-    eps = tensor_space(left, right, EPSILON)
-    pi = tensor_space(left, right, PI)
-    pi_cone = pi.realized.cone
-    if not contains(eps.realized.cone, pi_cone):
-        raise InvariantViolation("pi generator escapes the epsilon cone")
-    # an epsilon extreme ray inside pi must be parallel to a listed pi
-    # generator (extremality in the ambient cone), so only the unmatched
-    # rays can separate the cones; test those first
-    gen_index: dict = {}
-    for idx, g in enumerate(int_vrep(pi_cone)):
-        gen_index.setdefault(g, idx)
-    rays = int_vrep(eps.realized.cone)
-    decompositions = [()] * len(rays)
-    matched, unmatched = [], []
-    for i, ray in enumerate(rays):
-        (matched if ray in gen_index else unmatched).append(i)
-    for i in unmatched:
-        ray = vec(rays[i])
-        cert = member(pi_cone, ray)
-        if cert.verdict == "non_member":
-            z = TensorElement.from_flat(left, right, ray)
-            eps_cert = member(eps.realized.cone, ray)
-            if eps_cert.verdict != "member":
-                raise InvariantViolation("epsilon extreme ray left its own cone")
-            return NuclearityReport(
-                nuclear=False,
-                witness=z,
-                pi_certificate=cert,
-                epsilon_certificate=eps_cert,
-            )
-        decompositions[i] = cert.decomposition
-    for i in matched:
-        ray = rays[i]
-        idx = gen_index[ray]
-        g = pi_cone.generators[idx]
-        j = next(c for c, x in enumerate(g) if x != 0)
-        cert = Certificate(
-            verdict="member",
-            kind="conic_decomposition",
-            decomposition=((idx, ray[j] / g[j]),),
-        )
-        if not cert.verify(pi_cone, ray):
-            raise InvariantViolation("matched ray decomposition failed to verify")
-        decompositions[i] = cert.decomposition
-    return NuclearityReport(nuclear=True, pi_decompositions=tuple(decompositions))
+    _require_tensor_factors(left, right)
+    for factor, sp in (("left", left), ("right", right)):
+        if is_simplicial(sp.cone):
+            return NuclearityReport(True, factor=factor, biorthogonal=_biorthogonal(sp))
+    eps = tensor_space(left, right, EPSILON).realized.cone
+    pi = tensor_space(left, right, PI).realized.cone
+    gens = int_vrep(pi)
+    products = set(gens)
+    ray = next((r for r in int_vrep(eps) if r not in products), None)
+    if ray is None:
+        raise InvariantViolation("every epsilon extreme ray is a product, yet no factor is simplicial")
+    rows = int_hrep(eps)
+    vals = [idot(a, ray) for a in rows]
+    s = [sum(col) for col in zip(*(a for a, x in zip(rows, vals) if x == 0))]
+    u = rows[next(i for i, x in enumerate(vals) if x > 0)]
+    delta = min(Fraction(idot(s, p), idot(u, p)) for p in gens if idot(u, p) > 0)
+    w = [2 * delta.denominator * x - delta.numerator * y for x, y in zip(s, u)]
+    flat = vec(ray)
+    pi_cert = Certificate("non_member", "separating_functional", witness=vec(integerize(w)))
+    eps_cert = member(eps, flat)
+    if not (pi_cert.verify(pi, flat) and eps_cert.verdict == "member"):
+        raise InvariantViolation("the epsilon extreme ray off the products is not separated from pi")
+    return NuclearityReport(
+        nuclear=False,
+        witness=TensorElement.from_flat(left, right, flat),
+        pi_certificate=pi_cert,
+        epsilon_certificate=eps_cert,
+    )
 
 
 def _nuclearity_holds(left: AOUSpace, right: AOUSpace, report: NuclearityReport) -> bool:
-    """Whether the report's evidence proves its verdict, from the product
-    generators and product-state rows alone.
+    """Whether the report's evidence proves its verdict, with no facet of pi.
 
-    Not nuclear: the witness is in epsilon (row evaluation) and out of pi
-    (a functional nonnegative on every product generator). Nuclear: each
-    epsilon extreme ray, from the DD of the epsilon rows, is the stated
-    combination of pi generators, so epsilon lies in pi, and pi always lies
-    in epsilon. No facet of pi is built and no membership is decided.
+    Nuclear: the named factor's biorthogonal pair (`_biorthogonal_holds`),
+    with no double description. Not nuclear: the witness is in epsilon
+    (row evaluation on the product-state rows) and out of pi (a functional
+    nonnegative on every product generator).
     """
+    if report.nuclear:
+        for sp in (left, right):
+            sp.cone.require_polyhedral("tensor cones")
+        return _biorthogonal_holds(left if report.factor == "left" else right, report.biorthogonal)
     eps = _checked_product_cone(left, right, EPSILON)
     pi = _product_cone(left, right, PI)
-    if not report.nuclear:
-        flat = report.witness.flatten()
-        return (
-            report.pi_certificate.verdict == "non_member"
-            and report.pi_certificate.verify(pi, flat)
-            and report.epsilon_certificate.verdict == "member"
-            and report.epsilon_certificate.verify(eps, flat)
-        )
-    rays = int_vrep(eps)
-    if len(report.pi_decompositions) != len(rays):
-        raise ShapeError(
-            f"{len(report.pi_decompositions)} pi decompositions for {len(rays)} epsilon extreme rays"
-        )
-    return all(
-        Certificate("member", "conic_decomposition", decomposition=terms).verify(pi, ray)
-        for ray, terms in zip(rays, report.pi_decompositions)
+    flat = report.witness.flatten()
+    return (
+        report.pi_certificate.verdict == "non_member"
+        and report.pi_certificate.verify(pi, flat)
+        and report.epsilon_certificate.verdict == "member"
+        and report.epsilon_certificate.verify(eps, flat)
     )
 
 
@@ -351,10 +402,58 @@ def is_nuclear_fd(space: AOUSpace) -> bool:
     The paper's local characterization makes a finite-dimensional AOU space
     nuclear exactly when its cone is simplicial, and pi = epsilon fails for
     every pair of non-simplicial factors (Aubrun, Lami, Palazuelos & Plavala,
-    Entangleability of cones, GAFA 31, 2021), so one rank test decides it.
+    Entangleability of cones, GAFA 31, 2021), so one extreme-ray count
+    decides it.
     """
     space.cone.require_polyhedral("nuclearity")
     return is_simplicial(space.cone)
+
+
+@dataclass(frozen=True)
+class SpaceNuclearity:
+    """The nuclearity of one space with its evidence: the biorthogonal pair
+    of a simplicial cone, or dim + 1 extreme rays, dim of them a basis, of
+    a cone that is not."""
+
+    nuclear: bool
+    biorthogonal: Biorthogonal | None = None
+    rays: tuple[Vec, ...] | None = None
+
+
+def _space_nuclearity(space: AOUSpace) -> SpaceNuclearity:
+    if is_nuclear_fd(space):
+        return SpaceNuclearity(True, biorthogonal=_biorthogonal(space))
+    rays = extreme_rays(space.cone)
+    picked: list[Vec] = []
+    for g in rays:
+        if len(picked) < space.dim and rank(picked + [g]) > len(picked):
+            picked.append(g)
+    picked.append(next(g for g in rays if g not in picked))
+    return SpaceNuclearity(False, rays=tuple(picked))
+
+
+def _space_nuclearity_holds(space: AOUSpace, report: SpaceNuclearity) -> bool:
+    """Whether the evidence proves the verdict on one space. Nuclear: the
+    biorthogonal pair. Not nuclear: dim + 1 rays that span the space, no
+    two on one line, each in the cone with H-rows tight at it of rank
+    dim - 1, so the cone is full-dimensional and each ray spans its own
+    minimal face. A line in the cone would lie in each of those faces, so
+    the cone is pointed, and the rays are dim + 1 distinct extreme rays.
+    A report with the wrong number of rays is bad input."""
+    space.cone.require_closed("nuclearity")
+    if report.nuclear:
+        return _biorthogonal_holds(space, report.biorthogonal)
+    d, rays, rows = space.dim, report.rays, space.cone.hrep()
+    if len(rays) != d + 1:
+        raise ShapeError(f"{len(rays)} rays in dimension {d}, expected {d + 1}")
+    lines = {integerize(s) for g in rays for s in (g, vscale(-1, g))}
+    if len(lines) != 2 * (d + 1) or rank(rays) != d:
+        return False
+    for g in rays:
+        vals = [dot(a, g) for a in rows]
+        if any(x < 0 for x in vals) or rank([a for a, x in zip(rows, vals) if x == 0]) != d - 1:
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -436,13 +535,10 @@ def _best_psi(space: AOUSpace, phi_rows: list[Vec], vectors: list[Vec]):
     cols.append(tuple(e - sum(c[r] for c in cols) for r, e in enumerate(space.unit)))
     # pos: the newest column's cone rows, weighted; dfc[j]: the defect rows' on column j
     duals = [(name, mu) for name, mu in zip(names, out.dual_certificate) if mu]
-    pos, dfc = zeros(d), [zeros(d)] * k
-    for name, mu in duals:
-        if name[0] == "positive":
-            pos = vadd(pos, vscale(mu, hrows[name[2]]))
-        else:
-            _, vi, a, sign = name
-            dfc = [vadd(x, vscale(mu * sign * dot(f, vectors[vi]), hrows[a])) for x, f in zip(dfc, phi_rows)]
+    positive = [(mu, hrows[name[2]]) for name, mu in duals if name[0] == "positive"]
+    pos = combine([mu for mu, _ in positive], [a for _, a in positive], d)
+    defects = [(mu * name[3], vectors[name[1]], hrows[name[2]]) for name, mu in duals if name[0] == "defect"]
+    dfc = [combine([c * dot(f, v) for c, v, _ in defects], [a for *_, a in defects], d) for f in phi_rows]
     multipliers = [(("unit", r), x) for r, x in enumerate(vsub(dfc[last], pos)) if x]
     live = [a for a, row in enumerate(hrows) if any(row)]
     for j in range(last):
@@ -581,19 +677,9 @@ def factorize(space: AOUSpace, eps: Fraction | int = Fraction(1, 10)) -> Factori
     d = space.dim
 
     if is_simplicial(space.cone):
-        rays = extreme_rays(space.cone)
-        basis_cols = Matrix.from_rows(list(zip(*rays))) if d else Matrix.identity(0)
-        alpha = solve(basis_cols, space.unit)
-        if alpha is None or not all(a > 0 for a in alpha):
-            raise InvariantViolation(
-                "factorize: the unit is not a positive combination of the extreme rays"
-            )
-        scaled = [tuple(a * x for x in ray) for a, ray in zip(alpha, rays)]
-        psi_m = Matrix.from_rows(list(zip(*scaled)))
-        try:
-            phi_m = inverse(psi_m)
-        except ShapeError as exc:
-            raise InvariantViolation("factorize: the scaled extreme rays are not a basis") from exc
+        pair = _biorthogonal(space)
+        psi_m = Matrix.from_rows(list(zip(*pair.rays)))
+        phi_m = Matrix.from_rows(pair.states)
         phi = UnitalMap(space, linf(d), phi_m)
         psi = UnitalMap(linf(d), space, psi_m)
         if not (phi.unital and phi.positive and psi.unital and psi.positive):
@@ -652,29 +738,15 @@ def factorize(space: AOUSpace, eps: Fraction | int = Fraction(1, 10)) -> Factori
     )
 
 
-def _column_in_cone(cone: Cone, v: Vec) -> bool:
-    """v in the cone, by the rows of an H-cone or, in a V-cone, as a
-    positive multiple of a generator: exact on the extreme rays, which the
-    columns of a simplicial psi are."""
-    if cone.inequalities is not None:
-        return all(dot(a, v) >= 0 for a in cone.inequalities)
-    for g in cone.generators:
-        l = next(i for i, x in enumerate(g) if x)
-        if v[l] / g[l] > 0 and vscale(v[l] / g[l], g) == v:
-            return True
-    return False
-
-
 def _factorization_holds(space: AOUSpace, eps: Fraction, res: FactorizationResult) -> bool:
     """Whether every claim of a factorize result holds, from its evidence
     and the space alone: no defect LP and no membership test.
 
     With no steps the claim is an exact factorization through linf(dim):
     psi phi = id with phi and psi unital positive, which only a simplicial
-    space has. phi is positive when it is nonnegative on every generator;
-    psi when each column is in the cone, by the rows of an H-cone or, in a
-    V-cone, as a positive multiple of a generator, which each extreme ray
-    is.
+    space has. The columns of psi and the rows of phi are then a
+    biorthogonal pair, checked by `_biorthogonal_holds` with no double
+    description, and the units must match.
 
     With steps the check replays the greedy loop on the space's extreme
     states: the seed scan, then per step the count of states, psi's unit
@@ -699,9 +771,7 @@ def _factorization_holds(space: AOUSpace, eps: Fraction, res: FactorizationResul
             and phi_m.rows == d
             and phi_m.apply(space.unit) == ones
             and psi_m.apply(ones) == space.unit
-            and (psi_m @ phi_m).data == Matrix.identity(d).data
-            and all(x >= 0 for g in space.cone.vrep() for x in phi_m.apply(g))
-            and all(_column_in_cone(space.cone, col) for col in psi_m.transpose().data)
+            and _biorthogonal_holds(space, Biorthogonal(psi_m.transpose().data, phi_m.data))
         )
 
     vectors = unit_ball_vertices(space)

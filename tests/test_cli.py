@@ -16,7 +16,8 @@ from aoulab.cli import _VERBS, _build_parser, main
 from aoulab.cones import Cone
 from aoulab.linalg import Matrix
 from aoulab.maps import UnitalMap
-from aoulab.serialize import dumps
+from aoulab.psd_examples import WitnessReport
+from aoulab.serialize import canonical_json, dumps
 from aoulab.spaces import AOUSpace, lin_space, linf
 from aoulab.tensors import EPSILON, PI, TensorElement
 from conftest import ball_scan_spaces, rand_vec, random_unital_into_linf, rerun_verifies, rng
@@ -303,6 +304,11 @@ class TestVerify:
         code, out = run(["verify", str(report)])
         assert code == 0 and out.strip() == "true"
 
+    @pytest.mark.parametrize("verb", list(_VERBS), ids=round_trip_id)
+    def test_report_bytes_are_json_dumps(self, files, verb):
+        out = fresh_report(files, ROUND_TRIPS[verb])
+        assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+
     def test_tampered_report_fails(self, files, tmp_path):
         code, out = run(["norm", files["linf2.json"], "--vector", "[1,-1]", "--format", "json"])
         d = json.loads(out)
@@ -329,6 +335,9 @@ MALFORMED_CONES = {
 # otherwise pass as dimension 1
 MALFORMED_SPACE_FIELDS = {
     "bool_dim": {"dim": True},
+    "null_label": {"label": None},
+    "list_label": {"label": ["x"]},
+    "bool_label": {"label": True},
 }
 
 
@@ -358,6 +367,19 @@ def test_malformed_field_in_space_file(files, tmp_path, capsys, fields):
     path.write_text(json.dumps(d))
     capsys.readouterr()
     code, out = run(["validate", str(path)])
+    assert_invalid_input(code, out, capsys.readouterr().err)
+
+
+@pytest.mark.parametrize(
+    "fields", list(MALFORMED_SPACE_FIELDS.values()), ids=list(MALFORMED_SPACE_FIELDS)
+)
+def test_malformed_field_in_roundtrip(files, tmp_path, capsys, fields):
+    d = json.loads(open(files["linf1.json"]).read())
+    d.update(fields)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(d))
+    capsys.readouterr()
+    code, out = run(["roundtrip", str(path)])
     assert_invalid_input(code, out, capsys.readouterr().err)
 
 
@@ -469,13 +491,20 @@ MALFORMED_EVIDENCE = {
         ["tensor-member", "{elem}", "--kind", "epsilon"],
         at(["certificate", "payload"])([0]),
     ),
-    "nuclear_one_decomposition_short": (NUCLEAR_PAIR, lambda d: d["pi_decompositions"].pop()),
+    "nuclear_one_state_short": (NUCLEAR_PAIR, lambda d: d["biorthogonal"]["states"].pop()),
+    "nuclear_ray_too_long": (NUCLEAR_PAIR, lambda d: d["biorthogonal"]["rays"][0].append("0")),
+    "nuclear_factor_unknown": (NUCLEAR_PAIR, at(["factor"])("middle")),
+    "nuclear_pair_no_object": (NUCLEAR_PAIR, at(["biorthogonal"])([])),
     "nuclear_flag_a_string": (NUCLEAR_PAIR, at(["nuclear"])("true")),
     "nuclear_keys_of_both_verdicts": (NUCLEAR_PAIR, lambda d: d.__setitem__("witness", d["inputs"]["left"])),
     "nuclear_witness_functional_too_long": (
         ["nuclear-pair", "{lin2}", "{lin2}"],
         lambda d: d["pi_certificate"]["witness"].append("0"),
     ),
+    "nuclear_space_one_ray_short": (["nuclear", "{lin2}"], lambda d: d["rays"].pop()),
+    "nuclear_space_ray_entry_no_rational": (["nuclear", "{lin2}"], at(["rays", 0, 0])("one")),
+    "nuclear_space_keys_of_both_verdicts": (["nuclear", "{linf2}"], at(["rays"])([])),
+    "nuclear_space_state_too_short": (["nuclear", "{linf2}"], lambda d: d["biorthogonal"]["states"][0].pop()),
 }
 
 
@@ -569,6 +598,15 @@ class TestExamples:
         assert d["lin_space_2_square_nuclear"] is False
         assert d["non_nuclearity_witness"]["coeffs"][0] == ["2", "0", "0"]
 
+    def test_suite_is_verified_once(self, monkeypatch):
+        # psd_example_suite verifies each report before it returns them
+        labels = []
+        real = WitnessReport.verify
+        monkeypatch.setattr(WitnessReport, "verify", lambda rep: labels.append(rep.label) or real(rep))
+        code, out = run(["examples", "paper", "--format", "json"])
+        assert code == 0 and json.loads(out)["certificates_verified"] is True
+        assert sorted(labels) == ["bell", "identity", "swap"]
+
     def test_examples_verify_roundtrip(self, tmp_path):
         code, out = run(["examples", "paper", "--format", "json"])
         report = tmp_path / "examples.json"
@@ -611,8 +649,8 @@ class TestNormsFromEvidence:
 
 # -- evidence checks -------------------------------------------------------------
 #
-# verify checks factorize, pert, perturb, tensor-member and nuclear-pair
-# reports from their evidence; `rerun_verifies` (conftest) is the re-run
+# verify checks factorize, pert, perturb, tensor-member, nuclear and
+# nuclear-pair reports from their evidence; `rerun_verifies` (conftest) is the re-run
 # oracle each verdict is held against.
 
 RAY = AOUSpace(1, Cone.from_generators([(3,)]), (2,), label="ray")
@@ -628,7 +666,7 @@ SKEW = UnitalMap(
     linf(2), linf(2), Matrix.from_rows([(Fraction(3, 2), Fraction(-1, 2)), (Fraction(-1, 2), Fraction(3, 2))])
 )
 AVG = UnitalMap(linf(2), linf(1), Matrix.from_rows([(Fraction(1, 2), Fraction(1, 2))]))
-CHECKED_VERBS = ("factorize", "pert", "perturb", "tensor-member", "nuclear-pair")
+CHECKED_VERBS = ("factorize", "pert", "perturb", "tensor-member", "nuclear", "nuclear-pair")
 
 
 def check_cases() -> dict:
@@ -639,6 +677,8 @@ def check_cases() -> dict:
     extra = [scan[3], scan[8], scan[9]] + [sp for sp in scan[12:] if sp.dim <= 3]
     cases = {f"factorize:{name}": ("factorize", [sp]) for name, sp in BASE_SPACES.items()}
     cases |= {f"factorize:scan{i}": ("factorize", [sp]) for i, sp in enumerate(extra)}
+    cases |= {f"nuclear:{name}": ("nuclear", [sp]) for name, sp in BASE_SPACES.items()}
+    cases |= {f"nuclear:scan{i}": ("nuclear", [sp]) for i, sp in enumerate(extra)}
     r = rng(71)
     sources = list(BASE_SPACES.values()) + [sp for sp in scan if sp.dim <= 4]
     maps = {"skew": SKEW, "avg": AVG}
@@ -658,6 +698,7 @@ def check_cases() -> dict:
         ("lin2", "lin2"),
         ("ray", "linf2"),
         ("linf3", "ray"),
+        ("lin2", "lin1"),
     ]
     r = rng(73)
     for a, b in pairs:
@@ -705,6 +746,28 @@ def verify_report(tmp_path, report: dict):
     return run(["verify", str(path)])
 
 
+def nudge(path, delta):
+    """An edit that adds delta to the rational at path."""
+
+    def edit(d):
+        for key in path[:-1]:
+            d = d[key]
+        d[path[-1]] = str(Fraction(d[path[-1]]) + delta)
+
+    return edit
+
+
+def scale(path, c):
+    """An edit that multiplies the vector at path by c."""
+
+    def edit(d):
+        for key in path[:-1]:
+            d = d[key]
+        d[path[-1]] = [str(c * Fraction(x)) for x in d[path[-1]]]
+
+    return edit
+
+
 # edits of a fresh report that leave it well-formed and make a claim false
 WITNESS_ENTRY = at(["certificate", "witness", 0])
 TAMPERS = {
@@ -731,7 +794,15 @@ TAMPERS = {
     "tensor_member_kind": ("tensor-member:pi:linf2,linf2:unit", at(["kind"])("epsilon")),
     "nuclear_flag_true": ("nuclear-pair:linf2,lin1", at(["nuclear"])(False)),
     "nuclear_flag_false": ("nuclear-pair:lin2,lin2", at(["nuclear"])(True)),
-    "nuclear_decomposition": ("nuclear-pair:linf2,lin1", at(["pi_decompositions", 0, 0, 1])("2")),
+    "nuclear_scaled_ray": ("nuclear-pair:lin1,lin2", scale(["biorthogonal", "rays", 1], 2)),
+    "nuclear_state_off": ("nuclear-pair:linf2,lin1", nudge(["biorthogonal", "states", 0, 0], Fraction(1, 7))),
+    "nuclear_flipped_factor": ("nuclear-pair:linf2,lin1", at(["factor"])("right")),
+    "nuclear_space_flag_true": ("nuclear:linf3", at(["nuclear"])(False)),
+    "nuclear_space_flag_false": ("nuclear:lin2", at(["nuclear"])(True)),
+    "nuclear_space_scaled_ray": ("nuclear:lin1", scale(["biorthogonal", "rays", 0], Fraction(1, 2))),
+    "nuclear_space_state_off": ("nuclear:ray", nudge(["biorthogonal", "states", 0, 0], Fraction(1, 7))),
+    "nuclear_space_ray_doubled": ("nuclear:lin2", lambda d: d["rays"].__setitem__(-1, d["rays"][0])),
+    "nuclear_space_ray_inside": ("nuclear:lin2", at(["rays", -1])(["1", "0", "0"])),
     "nuclear_witness": ("nuclear-pair:lin2,lin2", at(["witness", "coeffs", 0, 0])("1")),
 }
 
@@ -742,6 +813,7 @@ class TestEvidenceChecks:
         report = checked_reports[name]
         assert verify_report(tmp_path, report) == (0, "true\n")
         assert rerun_verifies(report)
+        assert canonical_json(report) == json.dumps(report, sort_keys=True, indent=2) + "\n"
 
     def test_cases_reach_both_branches_and_verdicts(self, checked_reports):
         reports = checked_reports.values()
@@ -749,6 +821,8 @@ class TestEvidenceChecks:
         assert 0 in steps and max(steps) >= 2
         assert {d["verdict"] for d in reports if d["verb"] == "tensor-member"} == {"member", "non_member"}
         assert {d["nuclear"] for d in reports if d["verb"] == "nuclear-pair"} == {True, False}
+        assert {d["nuclear"] for d in reports if d["verb"] == "nuclear"} == {True, False}
+        assert {d["factor"] for d in reports if d["verb"] == "nuclear-pair" and d["nuclear"]} == {"left", "right"}
         assert {d["distance"] != "0" for d in reports if d["verb"] == "pert"} == {True, False}
 
     @pytest.mark.parametrize("name", list(TAMPERS))
@@ -776,6 +850,10 @@ class TestEvidenceChecks:
             (aoulab.maps, "_perturb_with_norm"),
             (aoulab.tensors, "factorize"),
             (aoulab.tensors, "is_nuclear_pairwise"),
+            (aoulab.tensors, "_space_nuclearity"),
+            (aoulab.tensors, "_biorthogonal"),
+            (aoulab.tensors, "is_simplicial"),
+            (aoulab.tensors, "extreme_rays"),
             (aoulab.tensors, "member_tensor"),
             (aoulab.tensors, "_best_psi"),
             (aoulab.cli, "_run_tensor_member"),

@@ -40,6 +40,7 @@ from conftest import (
     lp_is_pointed,
     lp_member,
     rand_vec,
+    rank_extreme_rays,
     rng,
 )
 
@@ -318,10 +319,35 @@ class TestExtremeRays:
                         extreme_rays(cone)
         assert seen[True] > 20 and seen[False] > 5
 
+    def test_incidence_test_matches_the_rank_oracle(self):
+        # dims 1-5 with duplicate, positive-multiple and zero generators (a
+        # Cone built directly keeps zeros) and, every third cone, all
+        # generators inside the hyperplane of the last coordinate
+        r = rng(4343)
+        seen = {True: 0, False: 0}
+        for dim in range(1, 6):
+            for trial in range(18):
+                gens = [rand_vec(r, dim, lo=-2, hi=3, den=1) for _ in range(r.randint(1, dim + 3))]
+                if trial % 3 == 0 and dim > 1:
+                    gens = [g[:-1] + (Fraction(0),) for g in gens]
+                extra = [tuple(r.randint(1, 3) * x for x in r.choice(gens)) for _ in range(2)]
+                extra += [r.choice(gens), (Fraction(0),) * dim]
+                gens += extra
+                r.shuffle(gens)
+                cone = Cone(dim=dim, generators=tuple(gens))
+                pointed = lp_is_pointed(Cone.from_generators(gens, dim))
+                seen[pointed] += 1
+                if pointed:
+                    assert extreme_rays(cone) == rank_extreme_rays(cone)
+                else:
+                    with pytest.raises(NotPointedError):
+                        extreme_rays(cone)
+        assert seen[True] > 30 and seen[False] > 5
+
     def test_vrep_duplicate_parallel_and_zero_generators(self):
         gens = [(0, 0, 0), (1, 0, 0), (1, 0, 0), (2, 0, 0), (0, 3, 0), (0, 1, 0), (1, 1, 1), (0, 0, 0)]
         cone = Cone(dim=3, generators=tuple(vec(g) for g in gens))
-        assert extreme_rays(cone) == lp_extreme_rays(cone)
+        assert extreme_rays(cone) == lp_extreme_rays(cone) == rank_extreme_rays(cone)
         assert extreme_rays(cone) == [vec((0, 1, 0)), vec((1, 0, 0)), vec((1, 1, 1))]
 
     def test_vrep_lower_dimensional_pointed(self):

@@ -10,6 +10,7 @@ from aoulab.errors import InputError
 from aoulab.linalg import Matrix
 from aoulab.maps import UnitalMap
 from aoulab.serialize import (
+    canonical_json,
     dumps,
     element_from_dict,
     element_to_dict,
@@ -123,3 +124,49 @@ class TestRejection:
         d["cone"] = {"rep": "oracle"}
         with pytest.raises(InputError):
             space_from_dict(d)
+
+
+class TestCanonicalJson:
+    VALUES = [
+        {},
+        [],
+        "",
+        {"b": {}, "a": [[]], "": []},
+        [1, "2", None, True, False, [], {}],
+        {"z": 1, "\u00e9": 2, "A": 3, "a b": {"y": [{"x": None}]}},
+        "h\u00e9llo \u2713 \u2028 \U0001f600 \ud800",
+        "\x00\x01\x1f\x7f \" \\ / \t\n\r\b\f",
+        {"\x00key\n": "\u00ff"},
+        10**200,
+        -(2**64) - 1,
+        0,
+        True,
+        False,
+        None,
+    ]
+
+    @pytest.mark.parametrize("value", VALUES, ids=range(len(VALUES)))
+    def test_matches_json_dumps(self, value):
+        assert canonical_json(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+    def test_objects_match_json_dumps(self):
+        cone = Cone.from_generators([(Fraction(1, 3), 0), (Fraction(2, 7), Fraction(5, 2))], 2)
+        objects = [
+            AOUSpace(2, cone, (Fraction(1, 3), 1), label="\u00e9t\u00e9 \u2713"),
+            lin_space(2),
+            sym_space(2),
+            UnitalMap(linf(2), linf(1), Matrix.from_rows([(Fraction(1, 2), Fraction(1, 2))])),
+            TensorElement(linf(2), lin_space(1), Matrix.from_rows([(1, -2), (0, 3)])),
+        ]
+        for obj in objects:
+            d = json.loads(dumps(obj))
+            assert dumps(obj) == json.dumps(d, sort_keys=True, indent=2) + "\n"
+
+    @pytest.mark.parametrize(
+        "value",
+        [1.5, (1, 2), {1: "a"}, {"a": 1, 2: "b"}, Fraction(1, 2), {"a": {1, 2}}, b"x", [float("nan")]],
+        ids=["float", "tuple", "int_key", "mixed_keys", "fraction", "set", "bytes", "nested_float"],
+    )
+    def test_rejects_values_json_would_not_read_back(self, value):
+        with pytest.raises(TypeError):
+            canonical_json(value)

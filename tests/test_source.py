@@ -196,23 +196,29 @@ def _is_name_call(node, name: str) -> bool:
 
 
 def _hand_dot_lines(tree: ast.Module) -> list[int]:
-    """Lines of sum(x * y for x, y in zip(...)): a dot product by hand."""
+    """Lines of a dot product or linear combination by hand: a sum of
+    products over a zip or a range, such as sum(x * y for x, y in zip(a, b))
+    or sum(a[i] * b[i] for i in range(n)), and vadd(..., vscale(...))."""
     return [
         node.lineno
         for node in ast.walk(tree)
-        if _is_name_call(node, "sum")
-        and node.args
-        and isinstance(gen := node.args[0], ast.GeneratorExp)
-        and isinstance(gen.elt, ast.BinOp)
-        and isinstance(gen.elt.op, ast.Mult)
-        and any(_is_name_call(comp.iter, "zip") for comp in gen.generators)
+        if (
+            _is_name_call(node, "sum")
+            and node.args
+            and isinstance(gen := node.args[0], ast.GeneratorExp)
+            and isinstance(gen.elt, ast.BinOp)
+            and isinstance(gen.elt.op, ast.Mult)
+            and any(_is_name_call(comp.iter, "zip") or _is_name_call(comp.iter, "range") for comp in gen.generators)
+        )
+        or (_is_name_call(node, "vadd") and any(_is_name_call(arg, "vscale") for arg in node.args))
     ]
 
 
 def test_one_dot_product_kernel():
-    # dot products go through linalg's dot and idot, which normalize once
-    # per result and reject inexact entries; a sum of products over a zip
-    # elsewhere builds a Fraction per term and lets a float through
+    # dot products and linear combinations go through linalg's dot, idot
+    # and combine, which normalize once per result and reject inexact
+    # entries; a sum of products or a vadd of a vscale elsewhere builds a
+    # Fraction per term and lets a float through
     found = [
         f"{file}:{line}"
         for file, tree in _parse_package().items()
@@ -220,6 +226,20 @@ def test_one_dot_product_kernel():
         for line in _hand_dot_lines(tree)
     ]
     assert not found, found
+
+
+def test_hand_dot_products_are_found():
+    # the guard above sees each form it names
+    forms = [
+        "sum(x * y for x, y in zip(a, b))",
+        "sum(a[i] * b[i] for i in range(n))",
+        "sum(x[i] * dot(a[i], x) for i in range(len(x)))",
+        "acc = vadd(acc, vscale(mu, row))",
+        "[vadd(x, vscale(c, r)) for x in xs]",
+    ]
+    for form in forms:
+        assert _hand_dot_lines(ast.parse(form)) == [1], form
+    assert _hand_dot_lines(ast.parse("sum(abs(x) for x in range(n)) + vadd(a, b)")) == []
 
 
 # report verbs whose reports carry no evidence yet: `verify` runs them again
@@ -233,7 +253,6 @@ RERUN_VERBS = (
     "extend",
     "auerbach",
     "tensor-norm",
-    "nuclear",
     "examples",
 )
 

@@ -11,9 +11,11 @@ import pytest
 from conftest import (
     battery_nuclearity,
     epsilon_order_norm,
+    fraction_inverse,
     fraction_rank,
     kernel_quotient_is_order_quotient,
     lp_pi_order_unit,
+    pi_membership_witness,
     psi_lp_in_generators,
     psi_lp_without_dedup,
     rand_frac,
@@ -21,7 +23,7 @@ from conftest import (
     rng,
 )
 
-from aoulab.cones import Cone, is_simplicial, member
+from aoulab.cones import Cone, extreme_rays, is_simplicial, member
 from aoulab.errors import InputError, InvariantViolation, NotPointedError, ShapeError, SizeLimitError
 from aoulab.linalg import Matrix, det, dot, vec, vsub
 from aoulab.lp import EQ, GE, solve_lp
@@ -52,7 +54,14 @@ from aoulab.spaces import (
 from aoulab.tensors import (
     EPSILON,
     PI,
+    Biorthogonal,
+    SpaceNuclearity,
     TensorElement,
+    _biorthogonal,
+    _biorthogonal_holds,
+    _nuclearity_holds,
+    _space_nuclearity,
+    _space_nuclearity_holds,
     factorize,
     injective_banach_norm,
     is_nuclear_fd,
@@ -292,8 +301,9 @@ class TestNuclearity:
         assert rep.epsilon_certificate.verdict == "member"
         assert rep.epsilon_certificate.verify(eps.realized.cone, flat)
         assert rep.pi_certificate.verdict == "non_member"
+        assert rep.pi_certificate.kind == "separating_functional"
         assert rep.pi_certificate.verify(pi.realized.cone, flat)
-        # the Farkas functional also kills the witness directly
+        # the closed-form functional also kills the witness directly
         sep = rep.pi_certificate.witness
         assert dot(sep, flat) < 0
         assert all(dot(sep, g) >= 0 for g in pi.realized.cone.generators)
@@ -302,6 +312,103 @@ class TestNuclearity:
         rep = is_nuclear_pairwise(LS3, LS2)
         assert not rep.nuclear
         assert rep.witness.coeffs.data == LS3_WITNESS
+
+    @pytest.mark.parametrize("left, right", [(LS2, LS2), (LS3, LS2), (LS2, LS3)], ids=["ls2,ls2", "ls3,ls2", "ls2,ls3"])
+    def test_witness_is_the_first_ray_outside_pi(self, left, right):
+        # the membership oracle reads pi's facets; the closed form must pick
+        # the same ray and separate it from every product generator
+        rep = is_nuclear_pairwise(left, right)
+        assert rep.witness.flatten() == pi_membership_witness(left, right)
+        pi = tensor_space(left, right, PI).realized.cone
+        assert member(pi, rep.witness.flatten()).verdict == "non_member"
+        assert _nuclearity_holds(left, right, rep)
+
+    @pytest.mark.parametrize("left, right", [(L2, LS2), (LS2, L3), (LS1, LS2), (L2, L3)], ids=["l2,ls2", "ls2,l3", "ls1,ls2", "l2,l3"])
+    def test_simplicial_factor_gives_its_pair(self, left, right):
+        rep = is_nuclear_pairwise(left, right)
+        factor = left if is_simplicial(left.cone) else right
+        assert rep.nuclear and rep.factor == ("left" if factor is left else "right")
+        assert rep.biorthogonal == _biorthogonal(factor)
+        assert rep.witness is rep.pi_certificate is rep.epsilon_certificate is None
+        assert pi_membership_witness(left, right) is None
+        assert _nuclearity_holds(left, right, rep)
+
+    def test_simplicial_factor_runs_no_tensor_dd(self, dd_calls):
+        # one DD per factor, its own; no epsilon cone, no pi facets
+        left, right = linf(2), lin_space(2)
+        assert is_nuclear_pairwise(left, right).nuclear
+        assert sorted(dd_calls) == [2, 4]
+        assert ("tensor_space", right, EPSILON) not in left._derived
+        assert ("tensor_space", right, PI) not in left._derived
+
+    def test_non_nuclear_pair_builds_no_pi_facets(self, dd_calls):
+        left, right = lin_space(3), lin_space(2)
+        assert not is_nuclear_pairwise(left, right).nuclear
+        pi = tensor_space(left, right, PI).realized.cone
+        assert "_dd" not in pi._derived
+        # the two factors' DDs and the epsilon cone's, on its 8 x 4 rows
+        assert sorted(dd_calls) == [4, 8, 32]
+
+    def test_biorthogonal_pair(self):
+        r = rng(37)
+        for space in [L2, L3, linf(4), LS1] + [random_simplicial(r, d) for d in (2, 3, 3, 4)]:
+            pair = _biorthogonal(space)
+            rays = extreme_rays(space.cone)
+            assert len(pair.rays) == len(pair.states) == space.dim
+            # each scaled ray is a positive multiple of an extreme ray, and
+            # together they sum to the unit
+            for g, ray in zip(pair.rays, rays):
+                c = next(x / y for x, y in zip(g, ray) if y)
+                assert c > 0 and g == tuple(c * y for y in ray)
+            assert tuple(map(sum, zip(*pair.rays))) == space.unit
+            # the states are the rows of the inverse of the scaled ray matrix
+            inv = fraction_inverse(Matrix.from_rows(list(zip(*pair.rays))))
+            assert pair.states == inv.data
+            assert _biorthogonal_holds(space, pair)
+
+    def test_biorthogonal_check_rejects_tampered_pairs(self):
+        pair = _biorthogonal(LS1)
+        scaled = Biorthogonal((tuple(2 * x for x in pair.rays[0]),) + pair.rays[1:], pair.states)
+        off = Biorthogonal(pair.rays, ((pair.states[0][0] + Fraction(1, 7),) + pair.states[0][1:],) + pair.states[1:])
+        # (1, 0) lies inside the cone, so its biorthogonal partner (0, 1)
+        # is not positive on the ray (1, -1)
+        inner = Biorthogonal((vec((1, 0)), vec((1, 1))), (vec((1, -1)), vec((0, 1))))
+        for bad in (scaled, off, inner):
+            assert not _biorthogonal_holds(LS1, bad)
+        with pytest.raises(ShapeError):
+            _biorthogonal_holds(LS1, Biorthogonal(pair.rays[:1], pair.states[:1]))
+
+    def test_space_nuclearity_evidence(self):
+        r = rng(41)
+        spaces = [L2, L3, LS1, LS2, LS3] + [random_simplicial(r, 3), random_non_simplicial(r, 3)]
+        for space in spaces:
+            rep = _space_nuclearity(space)
+            assert rep.nuclear is is_nuclear_fd(space)
+            assert _space_nuclearity_holds(space, rep)
+            if rep.nuclear:
+                assert rep.biorthogonal == _biorthogonal(space) and rep.rays is None
+                continue
+            # dim + 1 of the extreme rays, the first dim a basis
+            assert len(rep.rays) == space.dim + 1
+            assert set(rep.rays) <= set(extreme_rays(space.cone))
+            assert fraction_rank(Matrix.from_rows(rep.rays[:-1])) == space.dim
+            # a ray doubled, a ray inside the cone, or one ray short
+            doubled = rep.rays[:-1] + (rep.rays[0],)
+            inner = rep.rays[:-1] + (space.unit,)
+            for bad in (doubled, inner):
+                assert not _space_nuclearity_holds(space, SpaceNuclearity(False, rays=bad))
+            with pytest.raises(ShapeError):
+                _space_nuclearity_holds(space, SpaceNuclearity(False, rays=rep.rays[:-1]))
+
+    def test_non_nuclear_evidence_needs_a_pointed_full_cone(self):
+        # Q^1 as a cone: +1 and -1 pass the tight-rank test, but lie on one line
+        line = AOUSpace(1, Cone.from_generators([(1,), (-1,)]), (1,))
+        rays = ((Fraction(1),), (Fraction(-1),))
+        assert not _space_nuclearity_holds(line, SpaceNuclearity(False, rays=rays))
+        # two independent rays of the half-plane {x0 >= 0} with its line
+        half = AOUSpace(2, Cone.from_inequalities([(1, 0)]), (1, 0))
+        rays = ((Fraction(0), Fraction(1)), (Fraction(0), Fraction(-1)), (Fraction(1), Fraction(0)))
+        assert not _space_nuclearity_holds(half, SpaceNuclearity(False, rays=rays))
 
     def test_fd_battery_matches_simpliciality(self):
         for space in (linf(1), L2, L3, linf(4), LS1, LS2, LS3):
