@@ -32,7 +32,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Sequence
 
 from . import dd
@@ -48,6 +48,7 @@ from .linalg import (
     Matrix,
     Vec,
     combine,
+    common_den,
     dot,
     idot,
     integerize,
@@ -387,8 +388,7 @@ def _generator_member(cone: Cone, v: Vec) -> Certificate:
     """Membership in a V-cone from its integer H-rep, in integers: v is
     scaled by the common denominator of its entries."""
     rows = int_hrep(cone)
-    den = lcm(*(x.denominator for x in v))
-    r = [x.numerator * (den // x.denominator) for x in v]
+    r, den = common_den(v)
     slack = [idot(a, r) for a in rows]
     bad = next((a for a, s in zip(rows, slack) if s < 0), None)
     if bad is not None:
@@ -440,9 +440,19 @@ def dual(cone: Cone) -> Cone:
 
 @_cached
 def _lineality(cone: Cone) -> list[Vec]:
-    """Basis of the lineality of the closure: the common kernel of its rows."""
+    """Basis of the lineality of the closure: the common kernel of its rows,
+    for the certificates of non-pointed cones; `_pointed` decides."""
     rows = cone.inequalities if cone.inequalities is not None else int_hrep(cone)
     return nullspace(rows) if rows else list(Matrix.identity(cone.dim).data)
+
+
+@_cached
+def _pointed(cone: Cone) -> bool:
+    """Whether the closure holds no line, read off the one DD: an H-cone's
+    lineality basis is empty, or a V-cone's facet rows have full rank."""
+    if cone.generators is None:
+        return not _dd(cone)[0]
+    return rank(int_hrep(cone)) == cone.dim
 
 
 def close_and_lineality(cone: Cone) -> tuple[Cone, list[Vec]]:
@@ -464,33 +474,35 @@ def extreme_rays(cone: Cone) -> list[Vec]:
     generator g is extreme iff no other generator is tight on every row
     tight at g: one that is lies in g's minimal face, which is then at
     least two-dimensional. The test compares tight-row bitmasks, so no LP
-    and no elimination runs."""
+    and no rank per generator runs."""
     cone.require_closed("extreme_rays")
-    if cone.inequalities is not None:
-        lin, rays = _dd(cone)
-        lineality = [vec(l) for l in lin]
-    else:
-        lineality = _lineality(cone)
-    if lineality:
+    return [vec(r) for r in _int_extreme_rays(cone)]
+
+
+@_cached
+def _int_extreme_rays(cone: Cone) -> list[dd.IntVec]:
+    """extreme_rays as coprime integer tuples."""
+    if not _pointed(cone):
+        lineality = _lineality(cone) if cone.generators is not None else [vec(l) for l in _dd(cone)[0]]
         raise NotPointedError(
             f"cone has lineality of dimension {len(lineality)}", lineality=lineality
         )
-    if cone.generators is not None:
-        # parallel generators share one coprime integer tuple, since a
-        # pointed cone holds no opposite pair; zero generators are left out
-        masks = {}
-        for g, col in zip(_own_int_rows(cone), _columns(cone)):
-            if any(g):
-                masks.setdefault(g, sum(1 << i for i, c in enumerate(col) if c == 0))
-        rays = sorted(g for g, m in masks.items() if all(n & m != m or h == g for h, n in masks.items()))
-    return [vec(r) for r in rays]
+    if cone.generators is None:
+        return _dd(cone)[1]
+    # parallel generators share one coprime integer tuple, since a pointed
+    # cone holds no opposite pair; zero generators are left out
+    masks = {}
+    for g, col in zip(_own_int_rows(cone), _columns(cone)):
+        if any(g):
+            masks.setdefault(g, sum(1 << i for i, c in enumerate(col) if c == 0))
+    return sorted(g for g, m in masks.items() if all(n & m != m or h == g for h, n in masks.items()))
 
 
 def is_simplicial(cone: Cone) -> bool:
     """Pointed, closed, full-dimensional, with exactly dim extreme rays that
     are linearly independent. Validation failures raise typed errors."""
     cone.require_closed("is_simplicial")
-    rays = extreme_rays(cone)  # raises NotPointedError when not pointed
+    rays = _int_extreme_rays(cone)  # raises NotPointedError when not pointed
     full = rank(rays) == cone.dim
     if not full:
         raise InputError("is_simplicial requires a full-dimensional cone")
@@ -532,4 +544,4 @@ def same_cone(a: Cone, b: Cone) -> bool:
 
 def is_pointed(cone: Cone) -> bool:
     cone.require_closed("is_pointed")
-    return not _lineality(cone)
+    return _pointed(cone)

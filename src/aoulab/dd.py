@@ -24,12 +24,11 @@ in sign everywhere else, so the bitmask bookkeeping is exact.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
 from .errors import InputError, ShapeError
-from .linalg import Vec, idot, integerize, vec
+from .linalg import idot, integerize, vec
 
 IntVec = tuple[int, ...]
 
@@ -139,8 +138,10 @@ def dd_pair(halfspaces: Sequence[Sequence], dim: int) -> tuple[list[IntVec], lis
 
 def polytope_vertices(
     rows: Sequence[Sequence], rhs: Sequence, dim: int
-) -> list[Vec]:
-    """Vertices of the polytope {x : row_i . x >= rhs_i}, by homogenization.
+) -> list[tuple[IntVec, int]]:
+    """Vertices of the polytope {x : row_i . x >= rhs_i}, by homogenization:
+    one pair (x, t) per extreme ray of the homogenized cone, in the DD's
+    order, with x a tuple of ints and t > 0, and the vertex x / t.
 
     Raises InputError when the set is unbounded (a recession direction is
     attached as the certificate). The empty polytope returns [].
@@ -153,15 +154,8 @@ def polytope_vertices(
             "unbounded feasible set (contains a line)",
             certificate=[vec(l) for l in lin],
         )
-    verts: list[Vec] = []
-    for r in rays:
-        t = r[-1]
+    verts = [(r[:-1], r[-1]) for r in rays if any(r)]
+    for x, t in verts:
         if t == 0:
-            if all(x == 0 for x in r):
-                continue
-            raise InputError(
-                "unbounded feasible set (recession direction)",
-                certificate=vec(r[:-1]),
-            )
-        verts.append(tuple(Fraction(x, t) for x in r[:-1]))
-    return sorted(set(verts))
+            raise InputError("unbounded feasible set (recession direction)", certificate=vec(x))
+    return verts

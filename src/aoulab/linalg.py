@@ -1,29 +1,35 @@
-"""Exact rational vectors and matrices.
+"""Exact rational vectors and matrices, and the integer kernels under them.
 
-Every decision procedure in this package runs over fractions.Fraction; no
-float ever enters a comparison. Vectors are plain tuples of Fractions,
-matrices are immutable row-major tuples of such tuples.
+No float ever enters a comparison. The public types are tuples of
+fractions.Fraction for vectors (vec passes one that is all Fractions as it
+is) and immutable row-major tuples of such tuples for matrices. Under them
+the package decides in integers: common_den writes a rational vector as
+integer numerators over one positive denominator, and such rows are
+compared by cross-multiplication; Fractions are built for returned values.
 
 Dot products run on one kernel that normalizes once per result: dot keeps
 an integer numerator over the lcm of the term denominators and builds one
 Fraction at the end, idot sums integer rows with no Fraction at all, and
 combine takes one dot per coordinate. Matrix.apply and compose go through
-dot. A float or other inexact entry raises ShapeError, as in frac.
+dot, and kron_vec works over a common denominator too. A float or other
+inexact entry raises ShapeError, as in frac.
 
 rank, nullspace, solve, det and inverse share one fraction-free elimination
 over Python ints: each row is scaled to integers once (the reduced form does
 not change under row scaling; det divides the scales back out), Bareiss
 steps keep every entry an exact minor, and Fractions are built only from the
 final pivot rows. rank builds none, and takes rows that are already integer
-as they are. quotient_matrix turns a kernel basis into a surjection that
-kills exactly that kernel.
+as they are; idet and max_abs_det (the largest |det| over k-tuples of rows
+with positive scales) run on integer rows. quotient_matrix turns a kernel
+basis into a surjection that kills exactly that kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, prod
+from itertools import combinations
+from math import gcd, lcm, prod
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -44,15 +50,21 @@ def frac(x) -> Fraction:
 
 
 def vec(xs: Iterable) -> Vec:
+    """A tuple of Fractions; one that is already so is returned as it is."""
+    if type(xs) is tuple and all(type(x) is Fraction for x in xs):
+        return xs
     return tuple(frac(x) for x in xs)
 
 
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
 def zeros(n: int) -> Vec:
-    return (Fraction(0),) * n
+    return (_ZERO,) * n
 
 
 def unit_vec(i: int, n: int) -> Vec:
-    return tuple(Fraction(1 if j == i else 0) for j in range(n))
+    return tuple(_ONE if j == i else _ZERO for j in range(n))
 
 
 def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
@@ -113,12 +125,21 @@ def kron_vec(a: Sequence[Fraction], b: Sequence[Fraction]) -> Vec:
 
     Tensor coordinates use this layout, and so do LPs over the entries m of
     an unknown matrix M, read row by row: (M x)_r = kron_vec(e_r, x) . m and
-    a . (M g) = kron_vec(a, g) . m."""
-    return tuple(x * y for x in a for y in b)
+    a . (M g) = kron_vec(a, g) . m. Over a common denominator, with one
+    Fraction per nonzero entry."""
+    (an, ad), (bn, bd) = common_den(a), common_den(b)
+    return tuple([Fraction(x * y, ad * bd) if x and y else _ZERO for x in an for y in bn])
 
 
 def is_zero_vec(a: Sequence[Fraction]) -> bool:
     return all(x == 0 for x in a)
+
+
+def common_den(a: Sequence[Fraction]) -> tuple[list[int], int]:
+    """(numerators, den) with a = numerators / den, den the lcm of the
+    entries' denominators; ints pass as Fractions over 1."""
+    den = lcm(*(x.denominator for x in a))
+    return [x.numerator * (den // x.denominator) for x in a], den
 
 
 def integerize(a: Sequence[Fraction]) -> tuple[int, ...]:
@@ -128,16 +149,8 @@ def integerize(a: Sequence[Fraction]) -> tuple[int, ...]:
     halfspace normals. The zero vector maps to itself. Ints and Fractions
     pass as they are, as in _int_rows; other entries go through frac.
     """
-    a = [x if isinstance(x, (int, Fraction)) else frac(x) for x in a]
-    den = 1
-    for x in a:
-        d = x.denominator
-        if d != 1:
-            den = den * d // gcd(den, d)
-    ints = [x.numerator * (den // x.denominator) for x in a]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
+    ints = common_den([x if isinstance(x, (int, Fraction)) else frac(x) for x in a])[0]
+    g = gcd(*ints)
     return tuple(v // g for v in ints) if g else (0,) * len(ints)
 
 
@@ -207,19 +220,8 @@ def _int_rows(rows: Iterable[Sequence]) -> tuple[list[list[int]], list[int]]:
 
     Ints and Fractions both carry numerator and denominator, so rows that
     are already integer pass with scale 1 and no Fraction is built."""
-    out, scales = [], []
-    for row in rows:
-        den = 1
-        for x in row:
-            d = x.denominator
-            if d != 1:
-                den = den * d // gcd(den, d)
-        if den == 1:
-            out.append([x.numerator for x in row])
-        else:
-            out.append([x.numerator * (den // x.denominator) for x in row])
-        scales.append(den)
-    return out, scales
+    pairs = [common_den(row) for row in rows]
+    return [p for p, _ in pairs], [d for _, d in pairs]
 
 
 def _bareiss(rows: list[list[int]], ncols: int, back: bool) -> tuple[list[int], int, int]:
@@ -317,16 +319,33 @@ def nullspace(m: Matrix | Sequence[Sequence[int]]) -> list[Vec]:
     return basis
 
 
+def idet(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix: Bareiss on a copy."""
+    work = [list(r) for r in rows]
+    pivots, d, sign = _bareiss(work, len(work), back=False)
+    return sign * d if len(pivots) == len(work) else 0
+
+
+def max_abs_det(rows: Sequence[Sequence[int]], scales: Sequence[int], k: int) -> tuple[int, ...] | None:
+    """The first k-tuple of indices, in combinations order, whose rows
+    divided by their positive scales have the largest |det|; None when all
+    are 0. Each |idet| / prod(scales) is compared crosswise, in integers."""
+    best, best_abs, best_den = None, 0, 1
+    for tup in combinations(range(len(rows)), k):
+        d = abs(idet([rows[i] for i in tup]))
+        den = prod(scales[i] for i in tup)
+        if d * best_den > best_abs * den:
+            best, best_abs, best_den = tup, d, den
+    return best
+
+
 def det(m: Matrix) -> Fraction:
-    """Exact determinant: Bareiss on the row-scaled integer matrix, whose
+    """Exact determinant: idet of the row-scaled integer matrix, whose
     determinant is det(m) times the product of the row scales."""
     if m.rows != m.cols:
         raise ShapeError("det: square matrix required")
     rows, scales = _int_rows(m.data)
-    pivots, d, sign = _bareiss(rows, m.cols, back=False)
-    if len(pivots) != m.rows:
-        return Fraction(0)
-    return Fraction(sign * d, prod(scales))
+    return Fraction(idet(rows), prod(scales))
 
 
 def inverse(m: Matrix) -> Matrix:

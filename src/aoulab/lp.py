@@ -37,7 +37,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import InvariantViolation, ShapeError
-from .linalg import Vec, combine, dot, frac, integerize, unit_vec, vec, zeros
+from .linalg import _ONE, _ZERO, Vec, combine, dot, frac, integerize, unit_vec, vec, zeros
 
 LE, EQ, GE = "<=", "=", ">="
 _SENSES = (LE, EQ, GE)
@@ -71,9 +71,6 @@ class LPOutcome:
         except InvariantViolation:
             return False
         return True
-
-
-_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 def _pivot(tab: list[list[Fraction]], basis: list[int], r: int, j: int) -> None:

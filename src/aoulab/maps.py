@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 from math import comb
 from typing import Sequence
 
@@ -34,12 +33,14 @@ from .linalg import (
     Matrix,
     Vec,
     combine,
-    det,
+    common_den,
     dot,
     frac,
+    idot,
     inverse,
     is_zero_vec,
     kron_vec,
+    max_abs_det,
     quotient_matrix,
     rank,
     solve,
@@ -52,12 +53,14 @@ from .linalg import (
 from .lp import EQ, GE, OPTIMAL, solve_lp
 from .spaces import (
     AOUSpace,
+    _ball_half_rows,
+    _ball_rows,
+    _int_states,
     archimedeanize,
     extreme_states,
     order_interval_vertices,
     order_norm,
     unit_ball_half,
-    unit_ball_vertices,
 )
 
 
@@ -369,9 +372,15 @@ def interval_min(space: AOUSpace, f) -> Fraction:
 
 def dual_norm(space: AOUSpace, f) -> Fraction:
     """Norm of a functional against the order norm: max |f| on the unit
-    ball, one vertex of each +- pair, since |f(-x)| = |f(x)|."""
-    c = _coeffs(space, f)
-    return max((abs(dot(c, x)) for x in unit_ball_half(space)), default=Fraction(0))
+    ball, one vertex of each +- pair, since |f(-x)| = |f(x)|, compared in
+    integers over the ball's rows; one Fraction is built, the result."""
+    nums, den = common_den(_coeffs(space, f))
+    best, best_den = 0, 1
+    for x, t in _ball_half_rows(space):
+        v = abs(idot(nums, x))
+        if v * best_den > best * t:
+            best, best_den = v, t
+    return Fraction(best, best_den * den)
 
 
 def norm_bound_equiv(space: AOUSpace, f, eps) -> bool:
@@ -433,31 +442,27 @@ def auerbach_basis(space: AOUSpace) -> tuple[list[Vec], list[Vec]]:
     """
     if space.dim > AUERBACH_DIM_CAP:
         raise SizeLimitError(f"auerbach_basis capped at dimension {AUERBACH_DIM_CAP}")
-    verts = list(reversed(unit_ball_half(space)))
-    scan = comb(len(verts), space.dim)
+    half = _ball_half_rows(space)[::-1]
+    scan = comb(len(half), space.dim)
     if scan > AUERBACH_SCAN_CAP:
         raise SizeLimitError(
-            f"auerbach_basis: scan of C({len(verts)}, {space.dim}) = {scan} determinants "
+            f"auerbach_basis: scan of C({len(half)}, {space.dim}) = {scan} determinants "
             f"exceeds AUERBACH_SCAN_CAP = {AUERBACH_SCAN_CAP}"
         )
-    best = None
-    best_abs = Fraction(0)
-    for tup in combinations(verts, space.dim):
-        d = abs(det(Matrix.from_rows(tup)))
-        if d > best_abs:
-            best_abs = d
-            best = tup
-    if best is None or best_abs == 0:
+    best = max_abs_det([x for x, _ in half], [t for _, t in half], space.dim)
+    if best is None:
         raise InvariantViolation("ball vertices failed to span; space not validated?")
-    basis = [vec(x) for x in best]
+    basis = [unit_ball_half(space)[-1 - i] for i in best]
     duals = list(inverse(Matrix.from_rows(basis).transpose()).data)
-    rows = [(a, dot(a, space.unit)) for a in int_hrep(space.cone)]
-    for i, (x, xd) in enumerate(zip(basis, duals)):
-        if any(abs(dot(a, x)) > ae for a, ae in rows) or dual_norm(space, xd) != 1:
+    # in integers: x = x' / t, e = U / D and x* = n / d
+    unit, den = common_den(space.unit)
+    rows = [(a, idot(a, unit)) for a in int_hrep(space.cone)]
+    for i, xd in zip(best, duals):
+        (x, t), (n, d) = half[i], common_den(xd)
+        if any(den * abs(idot(a, x)) > t * au for a, au in rows) or dual_norm(space, xd) != 1:
             raise InvariantViolation("Auerbach unit-norm identity failed")
-        for j, y in enumerate(basis):
-            if dot(xd, y) != (1 if i == j else 0):
-                raise InvariantViolation("Auerbach biorthogonality failed")
+        if any(idot(n, half[j][0]) != (d * half[j][1] if j == i else 0) for j in best):
+            raise InvariantViolation("Auerbach biorthogonality failed")
     return basis, duals
 
 
@@ -474,24 +479,43 @@ def _min_l1_measure(space: AOUSpace, f: Vec) -> list[Fraction]:
     minimizer exactly when mu_j > 0 only where s_j(x) = 1 and mu_j < 0 only
     where s_j(x) = -1, and a minimizer exists. So mu is read off one conic
     decomposition of f over the states that are +-1 at x, each taken with
-    that sign, and its mass is checked to be f(x).
+    that sign, and its mass is checked to be f(x). When the states number
+    dim, they are a basis of the dual and mu is the one solution of
+    sum mu_j s_j = f, so no decomposition is searched.
     """
     states = extreme_states(space)
-    x = max(unit_ball_vertices(space), key=lambda v: dot(f, v))
-    signed = [(j, sign) for j, s in enumerate(states) if abs(sign := dot(s.functional, x)) == 1]
-    cone = Cone.from_generators(
-        [vscale(sign, states[j].functional) for j, sign in signed], dim=space.dim
-    )
-    cert = member(cone, f)
-    if cert.verdict != "member":
-        raise InvariantViolation("states span the dual; f must decompose at its maximizer")
-    mu = [Fraction(0)] * len(states)
-    for i, c in cert.decomposition:
-        j, sign = signed[i]
-        mu[j] = sign * c
-    if sum(map(abs, mu)) != dot(f, x):
-        raise InvariantViolation("tight decomposition must have the dual norm as its mass")
-    return mu
+    nums, den = common_den(f)
+    best = None
+    for x, t in _ball_rows(space):
+        v = idot(nums, x)
+        if best is None or v * best[2] > best[1] * t:
+            best = x, v, t
+    x, fx, t = best
+    if len(states) == space.dim:
+        # the states are a basis of the dual, so mu is unique
+        mu = solve(Matrix(tuple(zip(*(s.functional for s in states)))), f)
+        if mu is None:
+            raise InvariantViolation("simplicial states must span the dual")
+    else:
+        # s(x / t) = D r . x / (s t) for the state r D / s, with e = U / D
+        unit_den = common_den(space.unit)[1]
+        vals = [(unit_den * idot(r, x), s * t) for r, s in _int_states(space)]
+        signed = [(j, 1 if v > 0 else -1) for j, (v, st) in enumerate(vals) if abs(v) == st]
+        gens = [states[j].functional for j, _ in signed]
+        cone = Cone.from_generators(
+            [vscale(-1, g) if sign < 0 else g for g, (_, sign) in zip(gens, signed)], dim=space.dim
+        )
+        cert = member(cone, f)
+        if cert.verdict != "member":
+            raise InvariantViolation("states span the dual; f must decompose at its maximizer")
+        mu = [Fraction(0)] * len(states)
+        for i, c in cert.decomposition:
+            j, sign = signed[i]
+            mu[j] = sign * c
+    # the mass sum |mu_j| is mu . sign(mu)
+    if dot(mu, [(m > 0) - (m < 0) for m in mu]) != Fraction(fx, t * den):
+        raise InvariantViolation("the measure must have the dual norm as its mass")
+    return list(mu)
 
 
 def _is_standard_linf(space: AOUSpace) -> bool:

@@ -4,22 +4,33 @@ Rationals travel as exact "p/q" strings and keys are emitted sorted, so
 every object has one canonical text form and round-trips bit for bit.
 `canonical_json` writes that form for objects and CLI reports alike.
 Only format version 1 exists.
+
+A file may hold a rational as a JSON int or as a string that
+fractions.Fraction reads: blanks around the whole, an optional sign, then
+digits (any Unicode decimal digits, single underscores between them) and
+either /digits, with no sign or blank inside, or a decimal form such as
+".5" or "1e-2". So "2/4", "-0", "+3", " 1", "1_0", "0.5" and
+"1e2" decode, to 1/2, 0, 3, 1, 10, 1/2 and 100. "3/-4", " 3 / 4", "1/0",
+"", "0x10", JSON floats and booleans are invalid input. The canonical
+-?digits(/digits)? form, the only one written, takes the fast path.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 from .cones import Cone
 from .errors import InputError
-from .linalg import Matrix, Vec, frac, vec
+from .linalg import Matrix, Vec, frac
 from .maps import UnitalMap
 from .spaces import AOUSpace
 from .tensors import TensorElement
 
 VERSION = 1
+_CANONICAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
 def _enc_frac(x: Fraction) -> str:
@@ -27,9 +38,14 @@ def _enc_frac(x: Fraction) -> str:
 
 
 def decode_frac(s) -> Fraction:
+    """A JSON int, or a string in the grammar of the module docstring; the
+    canonical form is read with int() and one Fraction."""
     if isinstance(s, bool) or not isinstance(s, (str, int)):
         raise InputError(f"expected a rational encoded as a string, got {s!r}")
     try:
+        if type(s) is str and _CANONICAL.fullmatch(s):
+            p, _, q = s.partition("/")
+            return Fraction(int(p), int(q)) if q else Fraction(int(p))
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad rational {s!r}") from exc
@@ -42,7 +58,7 @@ def _enc_vec(v: Vec) -> list:
 def decode_vec(items) -> Vec:
     if not isinstance(items, list):
         raise InputError("expected a list of rationals")
-    return vec([decode_frac(x) for x in items])
+    return tuple([decode_frac(x) for x in items])
 
 
 def decode_rows(items) -> list:

@@ -10,15 +10,25 @@ Everything is exact. The order norm is computed twice, by LP against the
 cone rows and as the maximum of |f(v)| over extreme states, and the two
 routes must agree; disagreement is an internal error, never a rounding
 question.
+
+The geometry stays in the integers of the cone's one double description
+until a public function returns. A state is an integer extreme ray r of the
+dual cone over r . U, for the unit e = U / D; a vertex of [0, e] is a pair
+(x, t) of one homogenized DD, and a ball vertex (2 D x - t U, t D). maps and
+tensors compare these rows by cross-multiplication; extreme_states and the
+vertex lists build one Fraction per returned coordinate, once, cached.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from . import dd
-from .cones import Cone, _cached, close_and_lineality, dual, extreme_rays, image_cone, int_hrep
+from .cones import (
+    Cone, _cached, _int_extreme_rays, _pointed, close_and_lineality, dual, image_cone, int_hrep
+)
 from .errors import (
     InputError,
     InvariantViolation,
@@ -27,7 +37,7 @@ from .errors import (
     ShapeError,
     SizeLimitError,
 )
-from .linalg import Matrix, Vec, dot, is_zero_vec, quotient_matrix, unit_vec, vec
+from .linalg import Matrix, Vec, common_den, dot, idot, is_zero_vec, quotient_matrix, unit_vec, vec
 from .lp import GE, INFEASIBLE, LPOutcome, solve_lp
 from .psd import ldlt_psd
 from .cones import SYM_PSD, pack_sym, unpack_sym
@@ -192,36 +202,57 @@ def extreme_states(space: AOUSpace) -> list[StateVector]:
     NotPointedError, an InputError carrying the lineality basis: its states
     vanish on the lineality, so they cannot separate points.
     """
+    den = common_den(space.unit)[1]
+    return [StateVector(_fracs([den * x for x in r], s)) for r, s in _int_states(space)]
+
+
+@_cached
+def _int_states(space: AOUSpace) -> list[tuple[dd.IntVec, int]]:
+    """The extreme states r D / s, in their sorted order, as pairs (r, s):
+    r an integer extreme ray of the dual cone, s = r . U > 0 for e = U / D.
+    Pointedness of the cone and of its dual are read off the one DD and one
+    rank; a lineality basis is eliminated only for an error."""
     if space.cone.kind == SYM_PSD:
         raise PolyhedralRequired(
             "sym_psd spaces have infinitely many extreme states; "
             "use the dedicated PSD oracles"
         )
-    _, lineality = close_and_lineality(space.cone)
-    if lineality:
+    if not _pointed(space.cone):
         raise NotPointedError(
             "cone is not pointed (it contains a line); states do not separate points",
-            lineality=lineality,
+            lineality=close_and_lineality(space.cone)[1],
         )
     try:
-        rays = extreme_rays(dual(space.cone))
+        rays = _int_extreme_rays(dual(space.cone))
     except NotPointedError as e:
         raise InputError(
             "dual cone is not pointed (cone not full-dimensional); "
             "states do not separate points",
             certificate=e.lineality,
         ) from e
+    unit = common_den(space.unit)[0]
     states = []
-    for f in rays:
-        fe = dot(f, space.unit)
-        if fe <= 0:
+    for r in rays:
+        s = idot(r, unit)
+        if s <= 0:
+            f = vec(r)
             raise InputError(
                 f"dual ray {f} vanishes or is negative on the unit; not an interior unit",
                 certificate=f,
             )
-        states.append(StateVector(tuple(x / fe for x in f)))
-    states.sort(key=lambda s: s.functional)
-    return states
+        states.append((r, s))
+    return _sorted_pairs(states)
+
+
+def _sorted_pairs(pairs: list[tuple[dd.IntVec, int]]) -> list[tuple[dd.IntVec, int]]:
+    """Pairs (x, t), t > 0, in the order of x / t: integer keys over lcm(t)."""
+    den = lcm(*(t for _, t in pairs))
+    return sorted(pairs, key=lambda p: [x * (den // p[1]) for x in p[0]])
+
+
+def _fracs(nums, den: int) -> Vec:
+    """nums / den, one Fraction per coordinate."""
+    return tuple([Fraction(x, den) for x in nums])
 
 
 def kadison_embed(space: AOUSpace):
@@ -246,27 +277,53 @@ def kadison_embed(space: AOUSpace):
 
 
 @_cached
-def order_interval_vertices(space: AOUSpace) -> list[Vec]:
-    """Vertices of [0, e] = {v : v in cone, e - v in cone}; InputError when
-    e is not an order unit."""
-    # coprime integer rows, and an integral a.e as an int, reach the DD as
-    # they are; a.e <= 0 on a nonzero row is an `order_unit_failures` row
+def _interval_pairs(space: AOUSpace) -> list[tuple[dd.IntVec, int]]:
+    """The vertices x / t of [0, e] = {v : v in cone, e - v in cone} as the
+    integer pairs (x, t) of one homogenized DD, which the order interval and
+    the unit ball both read, in the vertices' sorted order; InputError when
+    e is not an order unit. With e = U / D the rows a . v >= 0 and
+    -D a . v >= -a . U are integer; a . U <= 0 on a nonzero row is an
+    `order_unit_failures` row."""
+    unit, den = common_den(space.unit)
     rows, rhs = [], []
     for a in int_hrep(space.cone):
-        ae = dot(a, space.unit)
-        if ae <= 0 and any(a):
+        au = idot(a, unit)
+        if au <= 0 and any(a):
             raise _not_an_order_unit(a)
-        rows += (a, tuple(-x for x in a))
-        rhs += (0, -ae.numerator if ae.denominator == 1 else -ae)
-    return dd.polytope_vertices(rows, rhs, space.dim)
+        rows += (a, tuple(-den * x for x in a))
+        rhs += (0, -au)
+    return _sorted_pairs(dd.polytope_vertices(rows, rhs, space.dim))
+
+
+@_cached
+def _ball_rows(space: AOUSpace) -> list[tuple[dd.IntVec, int]]:
+    """The vertices of the order-norm unit ball [-e, e] = 2 [0, e] - e as
+    pairs (2 D x - t U, t D), numerators over a positive denominator, for
+    the interval vertices x / t and e = U / D. The map p -> 2p - e is
+    increasing in every coordinate, so they keep the sorted order."""
+    unit, den = common_den(space.unit)
+    return [
+        (tuple([2 * den * c - t * u for c, u in zip(x, unit)]), t * den) for x, t in _interval_pairs(space)
+    ]
+
+
+@_cached
+def _ball_half_rows(space: AOUSpace) -> list[tuple[dd.IntVec, int]]:
+    """The `_ball_rows` of `unit_ball_half`."""
+    return [(x, t) for x, t in _ball_rows(space) if next(c for c in x if c) > 0]
+
+
+@_cached
+def order_interval_vertices(space: AOUSpace) -> list[Vec]:
+    """Vertices of [0, e] = {v : v in cone, e - v in cone}, sorted;
+    InputError when e is not an order unit."""
+    return [_fracs(x, t) for x, t in _interval_pairs(space)]
 
 
 @_cached
 def unit_ball_vertices(space: AOUSpace) -> list[Vec]:
-    """Vertices of the order-norm unit ball [-e, e] = 2 [0, e] - e: the
-    interval vertices under p -> 2p - e, which is increasing in every
-    coordinate and so keeps their sorted order."""
-    return [tuple(2 * x - u for x, u in zip(p, space.unit)) for p in order_interval_vertices(space)]
+    """Vertices of the order-norm unit ball [-e, e], sorted."""
+    return [_fracs(x, t) for x, t in _ball_rows(space)]
 
 
 @_cached
@@ -278,7 +335,7 @@ def unit_ball_half(space: AOUSpace) -> list[Vec]:
     0, the midpoint of -e and e, is never one. A scan that cannot tell x
     from -x (||T(-x)|| = ||T x||, |f(-x)| = |f(x)|, |det| under a sign
     flip) needs only this half."""
-    return [x for x in unit_ball_vertices(space) if next(c for c in x if c) > 0]
+    return [_fracs(x, t) for x, t in _ball_half_rows(space)]
 
 
 # -- builders --------------------------------------------------------------
@@ -291,7 +348,7 @@ def linf(n: int) -> AOUSpace:
     if n < 1:
         raise InputError("linf(n) needs n >= 1")
     cone = Cone.from_generators([unit_vec(i, n) for i in range(n)], dim=n)
-    return AOUSpace(n, cone, (1,) * n, label=f"linf({n})")
+    return AOUSpace(n, cone, (Fraction(1),) * n, label=f"linf({n})")
 
 
 def lin_space(n: int) -> AOUSpace:
@@ -304,9 +361,8 @@ def lin_space(n: int) -> AOUSpace:
         raise InputError("lin_space(n) needs n >= 1")
     if n > LIN_SPACE_CAP:
         raise SizeLimitError(f"lin_space capped at n <= {LIN_SPACE_CAP} (2^n rows)")
-    rows = []
-    for mask in range(1 << n):
-        rows.append(tuple([Fraction(1)] + [Fraction(-1 if mask >> i & 1 else 1) for i in range(n)]))
+    one, minus = Fraction(1), Fraction(-1)
+    rows = [(one,) + tuple(minus if mask >> i & 1 else one for i in range(n)) for mask in range(1 << n)]
     cone = Cone.from_inequalities(rows, dim=n + 1)
     return AOUSpace(n + 1, cone, unit_vec(0, n + 1), label=f"lin_space({n})")
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import comb
 
 from .cones import (
@@ -22,13 +21,13 @@ from .linalg import (
     Matrix,
     Vec,
     combine,
-    det,
     dot,
     frac,
     idot,
     integerize,
     inverse,
     kron_vec,
+    max_abs_det,
     rank,
     vadd,
     vec,
@@ -40,6 +39,7 @@ from .lp import GE, OPTIMAL, solve_lp
 from .maps import UnitalMap
 from .spaces import (
     AOUSpace,
+    _int_states,
     _not_an_order_unit,
     extreme_states,
     linf,
@@ -510,11 +510,12 @@ def _best_psi(space: AOUSpace, phi_rows: list[Vec], vectors: list[Vec]):
         if v not in keep:
             continue
         w = [dot(f, v) for f in phi_rows]
+        diffs = [w[last] - x for x in w[:last]]
         for a, row in enumerate(hrows):
-            for sign in (1, -1):
-                coeff = tuple(-sign * (w[j] - w[last]) * x for j in range(last) for x in ag[a])
-                key = (coeff + (ae[a], -ae[a]), sign * (w[last] * ae[a] - dot(row, v)))
-                defect.setdefault(key, ("defect", vi, a, sign))
+            coeff = tuple(c * x for c in diffs for x in ag[a])
+            b = w[last] * ae[a] - dot(row, v)
+            for sign, c, rhs_b in ((1, coeff, b), (-1, tuple(-x for x in coeff), -b)):
+                defect.setdefault((c + (ae[a], -ae[a]), rhs_b), ("defect", vi, a, sign))
     t0 = max((b / c[-2] for c, b in defect if c[-2]), default=Fraction(0))
     rows += [c for c, _ in defect]
     rhs += [b - t0 * c[-2] for c, b in defect]
@@ -609,21 +610,19 @@ def _names_a_row(name: tuple, bounds: dict) -> bool:
     )
 
 
-def _seed_states(pool: list[Vec], d: int) -> list[int]:
-    """The d states with the largest |det| (the first such tuple), so phi
-    starts injective; SizeLimitError past FACTORIZE_SCAN_CAP determinants."""
+def _seed_states(space: AOUSpace) -> list[int]:
+    """The dim states with the largest |det| (the first such tuple), so phi
+    starts injective; SizeLimitError past FACTORIZE_SCAN_CAP determinants.
+    The states r D / s of `_int_states` have |det| = D^dim |idet(r)| / prod(s)."""
+    pool, d = _int_states(space), space.dim
     scan = comb(len(pool), d)
     if scan > FACTORIZE_SCAN_CAP:
         raise SizeLimitError(
             f"factorize: seed scan of C({len(pool)}, {d}) = {scan} determinants "
             f"exceeds FACTORIZE_SCAN_CAP = {FACTORIZE_SCAN_CAP}"
         )
-    best_det, seed = None, None
-    for combo in combinations(range(len(pool)), d):
-        dv = abs(det(Matrix.from_rows([pool[i] for i in combo])))
-        if best_det is None or dv > best_det:
-            best_det, seed = dv, combo
-    return list(seed) if seed is not None and best_det else list(range(min(d, len(pool))))
+    seed = max_abs_det([r for r, _ in pool], [s for _, s in pool], d)
+    return list(seed) if seed is not None else list(range(min(d, len(pool))))
 
 
 def _residual_norms(pool: list[Vec], psi_phi: Matrix, half: list[Vec]) -> tuple[list[Vec], list[Fraction]]:
@@ -697,7 +696,7 @@ def factorize(space: AOUSpace, eps: Fraction | int = Fraction(1, 10)) -> Factori
         )
 
     pool = [s.functional for s in extreme_states(space)]
-    chosen = _seed_states(pool, d)
+    chosen = _seed_states(space)
     half = list(reversed(unit_ball_half(space)))
     schedule: list[tuple[int, Fraction]] = []
     steps: list[DefectStep] = []
@@ -783,7 +782,7 @@ def _factorization_holds(space: AOUSpace, eps: Fraction, res: FactorizationResul
         raise ShapeError(f"{len(res.steps)} steps for a schedule of {len(res.schedule)}")
     hrows = space.cone.hrep()
     half = list(reversed(unit_ball_half(space)))
-    chosen = _seed_states(pool, d)
+    chosen = _seed_states(space)
     limit = min(len(pool), FACTORIZE_STATE_CAP)
     best = None
     for n, (step, (k, defect)) in enumerate(zip(res.steps, res.schedule)):

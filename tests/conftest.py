@@ -23,7 +23,11 @@ hand instead of through `kron_vec`, and the last one takes the start defect
 off the extreme states instead of the cone rows.  The full-ball scans
 (operator norm, dual norm, Auerbach |det| scan by Fraction elimination)
 visit every vertex of the unit ball, where the package takes one vertex of
-each +- pair.  `rerun_verifies` confirms a CLI report by running its verb
+each +- pair.  The Fraction routes of the geometry (`fraction_states`,
+`fraction_interval_vertices`, `fraction_ball_vertices` and
+`fraction_max_det`, for the Auerbach and factorize seed scans) divide
+Fraction rays and vertices and take Fraction determinants, where the package keeps the DD's integer rows and
+builds one Fraction per returned coordinate.  `rerun_verifies` confirms a CLI report by running its verb
 again and comparing the results through a JSON round trip, where `verify`
 checks the evidence of the six verbs that carry it.
 """
@@ -43,6 +47,7 @@ from aoulab.cones import (
     Certificate,
     Cone,
     close_and_lineality,
+    dual,
     extreme_rays,
     image_cone,
     int_hrep,
@@ -521,6 +526,12 @@ def psi_lp_in_generators(space: AOUSpace, phi_rows: list[Vec], vectors: list[Vec
     return vec(obj), rows, rhs, [GE] * len(rows), [True] * nvars
 
 
+def as_vertices(pairs) -> list[Vec]:
+    """The integer pairs (x, t) of `dd.polytope_vertices` as the sorted
+    vertices x / t."""
+    return sorted(tuple(Fraction(c, t) for c in x) for x, t in pairs)
+
+
 def brute_polytope_vertices(rows: list[Vec], rhs: list[Fraction], dim: int) -> set[Vec]:
     """Vertices of {x : rows . x >= rhs} by basis enumeration."""
     out: set[Vec] = set()
@@ -765,6 +776,48 @@ def full_ball_auerbach_scan(space: AOUSpace) -> list[Vec]:
         if d > best_abs:
             best, best_abs = tup, d
     return list(best)
+
+
+# -- Fraction routes of the integer geometry ---------------------------------
+
+
+def fraction_states(space: AOUSpace) -> list[Vec]:
+    """Each extreme ray f of the dual cone divided by f(e), sorted."""
+    rays = extreme_rays(dual(space.cone))
+    return sorted(tuple(x / fraction_dot(f, space.unit) for x in f) for f in rays)
+
+
+def fraction_interval_vertices(space: AOUSpace) -> list[Vec]:
+    """The vertices of [0, e], from the Fraction rows a.v >= 0 and
+    -a.v >= -a.e over the H-rep, sorted."""
+    rows, rhs = [], []
+    for a in space.cone.hrep():
+        rows += [a, tuple(-x for x in a)]
+        rhs += [Fraction(0), -fraction_dot(a, space.unit)]
+    return as_vertices(aoulab.dd.polytope_vertices(rows, rhs, space.dim))
+
+
+def fraction_ball_vertices(space: AOUSpace) -> list[Vec]:
+    """[-e, e] = 2 [0, e] - e, vertex by vertex."""
+    return [tuple(2 * x - u for x, u in zip(p, space.unit)) for p in fraction_interval_vertices(space)]
+
+
+def fraction_max_det(vectors: list[Vec], k: int) -> tuple[int, ...] | None:
+    """The first k-tuple of indices, in combinations order, with the largest
+    nonzero |det| by Fraction elimination; None when all are 0."""
+    best, best_abs = None, Fraction(0)
+    for tup in combinations(range(len(vectors)), k):
+        d = abs(fraction_det(Matrix.from_rows([vectors[i] for i in tup])))
+        if d > best_abs:
+            best, best_abs = tup, d
+    return best
+
+
+def fraction_half_auerbach_scan(space: AOUSpace) -> list[Vec]:
+    """The Auerbach |det| scan over the ball half whose first nonzero
+    coordinate is positive, in reverse sorted order."""
+    half = [x for x in fraction_ball_vertices(space) if next(c for c in x if c) > 0][::-1]
+    return [half[i] for i in fraction_max_det(half, space.dim)]
 
 
 # -- the re-run oracle for CLI reports ------------------------------------------

@@ -30,7 +30,7 @@ from aoulab.errors import (
     ShapeError,
     StrictConeError,
 )
-from aoulab.linalg import Matrix, dot, integerize, vec
+from aoulab.linalg import Matrix, dot, integerize, nullspace, vec
 from aoulab.spaces import AOUSpace, extreme_states, lin_space, linf
 from aoulab.tensors import PI, tensor_space
 from conftest import (
@@ -418,6 +418,24 @@ class TestOneDoubleDescription:
         extreme_states(space)
         space.cone.vrep()
         assert len(dd_calls) == 1
+
+    def test_cold_states_run_one_dd_and_no_nullspace(self, dd_calls, monkeypatch):
+        # both pointedness facts come from the shared DD and one integer
+        # rank; a lineality basis is eliminated only for an error
+        calls = []
+
+        def counted(m):
+            calls.append(m)
+            return nullspace(m)
+
+        monkeypatch.setattr(aoulab.cones, "nullspace", counted)
+        for space in (lin_space(3), linf(3), self.v_space()):
+            dd_calls.clear()
+            extreme_states(space)
+            assert len(dd_calls) == 1 and calls == []
+        with pytest.raises(NotPointedError):
+            extreme_states(AOUSpace(2, Cone.from_inequalities([(1, 0)]), (1, 0)))
+        assert len(calls) == 1
 
     def test_second_contains_integerizes_nothing(self, monkeypatch):
         calls = []

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from conftest import brute_extreme_rays, brute_polytope_vertices, rand_frac, rand_vec, rng
+from conftest import as_vertices, brute_extreme_rays, brute_polytope_vertices, rand_frac, rand_vec, rng
 
 import aoulab.dd
 from aoulab.cones import Cone, extreme_rays
@@ -110,7 +110,7 @@ def test_rays_satisfy_rows_exactly():
 def test_polytope_vertices_square():
     rows = [[1, 0], [-1, 0], [0, 1], [0, -1]]
     rhs = [0, -1, 0, -1]
-    vs = polytope_vertices(rows, [Fraction(x) for x in rhs], 2)
+    vs = as_vertices(polytope_vertices(rows, [Fraction(x) for x in rhs], 2))
     assert set(vs) == {vec([0, 0]), vec([0, 1]), vec([1, 0]), vec([1, 1])}
 
 
@@ -125,7 +125,7 @@ def test_polytope_vertices_random_vs_oracle():
             e[j] = Fraction(1)
             rows += [vec(e), vec([-x for x in e])]
             rhs += [Fraction(-4), Fraction(-4)]
-        vs = polytope_vertices(rows, rhs, dim)
+        vs = as_vertices(polytope_vertices(rows, rhs, dim))
         assert set(vs) == brute_polytope_vertices(rows, rhs, dim)
 
 

@@ -1,0 +1,113 @@
+"""Property tests of the integer geometry in aoulab.spaces and aoulab.maps:
+extreme states, order-interval and unit-ball vertices, dual norms, the
+Auerbach and factorize-seed |det| scans and the minimal signed measures,
+each checked against its Fraction route or full-ball scan in conftest.
+
+The random spaces are V-rep and H-rep cones over rows (1, v), with units of
+mixed denominators up to about 10^20. Derandomized with a bounded number of
+examples, so a run is deterministic; skipped where hypothesis is not
+installed."""
+
+from fractions import Fraction
+from math import comb
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from conftest import (  # noqa: E402
+    fraction_ball_vertices,
+    fraction_dot,
+    fraction_half_auerbach_scan,
+    fraction_interval_vertices,
+    fraction_max_det,
+    fraction_rank,
+    fraction_states,
+    full_ball_auerbach_scan,
+    full_ball_dual_norm,
+    lp_min_l1_measure,
+)
+
+from aoulab.cones import Cone  # noqa: E402
+from aoulab.linalg import Matrix  # noqa: E402
+from aoulab.maps import _min_l1_measure, auerbach_basis, dual_norm  # noqa: E402
+from aoulab.spaces import (  # noqa: E402
+    AOUSpace,
+    extreme_states,
+    order_interval_vertices,
+    unit_ball_half,
+    unit_ball_vertices,
+)
+from aoulab.tensors import _seed_states  # noqa: E402
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+
+denominators = st.sampled_from((1, 2, 3, 7, 10**9 + 7, 10**20, 10**20 + 39))
+rationals = st.builds(Fraction, st.integers(-6, 6), denominators)
+positives = st.builds(Fraction, st.integers(1, 6), denominators)
+
+
+@st.composite
+def spaces(draw):
+    """A pointed full-dimensional cone over k rows (1, v) that span, as
+    generators with the unit a positive combination of them, or as
+    inequalities with a unit whose first coordinate outweighs the rest on
+    every row."""
+    dim = draw(st.integers(2, 4))
+    k = draw(st.integers(dim, dim + 2))
+    rows = [(Fraction(1),) + tuple(draw(rationals) for _ in range(dim - 1)) for _ in range(k)]
+    assume(fraction_rank(Matrix.from_rows(rows)) == dim)
+    if draw(st.booleans()):
+        weights = [draw(positives) for _ in rows]
+        unit = tuple(fraction_dot(weights, col) for col in zip(*rows))
+        return AOUSpace(dim, Cone.from_generators(rows), unit)
+    rest = tuple(draw(rationals) for _ in range(dim - 1))
+    lead = draw(positives) + sum(abs(fraction_dot(row[1:], rest)) for row in rows)
+    return AOUSpace(dim, Cone.from_inequalities(rows), (lead,) + rest)
+
+
+@PROPERTY
+@given(spaces())
+def test_states_and_vertices_match_the_fraction_routes(sp):
+    assert [s.functional for s in extreme_states(sp)] == fraction_states(sp)
+    assert order_interval_vertices(sp) == fraction_interval_vertices(sp)
+    ball = unit_ball_vertices(sp)
+    assert ball == fraction_ball_vertices(sp)
+    assert unit_ball_half(sp) == [x for x in ball if next(c for c in x if c) > 0]
+
+
+@PROPERTY
+@given(spaces(), st.lists(rationals, min_size=4, max_size=4))
+def test_dual_norm_and_measure_match_the_oracles(sp, coords):
+    f = tuple(coords[: sp.dim])
+    norm = dual_norm(sp, f)
+    assert norm == full_ball_dual_norm(sp, f)
+    states = extreme_states(sp)
+    mu = _min_l1_measure(sp, f)
+    oracle = lp_min_l1_measure(states, f)
+    assert sum(map(abs, mu)) == sum(map(abs, oracle)) == norm
+    assert tuple(fraction_dot(mu, col) for col in zip(*(s.functional for s in states))) == f
+    if len(states) == sp.dim:
+        # the states are a basis of the dual: the measure is unique
+        assert mu == oracle
+
+
+@PROPERTY
+@given(spaces())
+def test_factorize_seed_matches_the_fraction_scan(sp):
+    states = [s.functional for s in extreme_states(sp)]
+    assume(comb(len(states), sp.dim) <= 120)
+    assert tuple(_seed_states(sp)) == fraction_max_det(states, sp.dim)
+
+
+@PROPERTY
+@given(spaces())
+def test_auerbach_scan_matches_the_fraction_scans(sp):
+    half = unit_ball_half(sp)
+    assume(comb(len(half), sp.dim) <= 120)
+    basis, _ = auerbach_basis(sp)
+    assert basis == fraction_half_auerbach_scan(sp)
+    if comb(2 * len(half), sp.dim) <= 500:
+        assert basis == full_ball_auerbach_scan(sp)

@@ -8,6 +8,7 @@ import pytest
 from conftest import (
     ball_scan_spaces,
     extension_lp_rows,
+    fraction_dot,
     fraction_rank,
     fraction_solve,
     full_ball_auerbach_scan,
@@ -645,6 +646,27 @@ class TestMinimalMeasure:
                     for x in verts
                     if dot(f, x) == top
                 )
+
+    def test_simplicial_measure_is_one_solve(self, monkeypatch):
+        # dim states are a basis of the dual, so the measure is unique: the
+        # LP's, found with no conic decomposition
+        def refuse(*args):
+            raise AssertionError("a decomposition was searched")
+
+        monkeypatch.setattr(aoulab.maps, "member", refuse)
+        r = rng(3319)
+        spaces = [linf(n) for n in range(1, 5)] + [lin_space(1)]
+        while len(spaces) < 10:
+            dim = r.randint(2, 4)
+            gens = [rand_vec(r, dim, den=10**20 + 39) for _ in range(dim)]
+            if fraction_rank(Matrix.from_rows(gens)) == dim:
+                weights = [Fraction(r.randint(1, 5), r.choice((1, 3, 10**20))) for _ in gens]
+                unit = tuple(fraction_dot(weights, col) for col in zip(*gens))
+                spaces.append(AOUSpace(dim, Cone.from_generators(gens), unit))
+        for sp in spaces:
+            for _ in range(3):
+                f = rand_vec(r, sp.dim, den=7)
+                assert aoulab.maps._min_l1_measure(sp, f) == lp_min_l1_measure(extreme_states(sp), f)
 
     def test_zero_functional_has_no_mass(self):
         assert aoulab.maps._min_l1_measure(lin_space(2), (0, 0, 0)) == [0] * 4

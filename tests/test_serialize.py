@@ -1,16 +1,19 @@
 """JSON round-trips must be bit exact and reject malformed input loudly."""
 
+import io
 import json
 from fractions import Fraction
 
 import pytest
 
+from aoulab.cli import main
 from aoulab.cones import Cone
 from aoulab.errors import InputError
 from aoulab.linalg import Matrix
 from aoulab.maps import UnitalMap
 from aoulab.serialize import (
     canonical_json,
+    decode_frac,
     dumps,
     element_from_dict,
     element_to_dict,
@@ -170,3 +173,68 @@ class TestCanonicalJson:
     def test_rejects_values_json_would_not_read_back(self, value):
         with pytest.raises(TypeError):
             canonical_json(value)
+
+
+class TestRationalGrammar:
+    """The rationals a file may hold: every string fractions.Fraction reads,
+    and JSON ints. The canonical -?digits(/digits)? form is only the common
+    case; the other rows pin what the decoder keeps accepting and
+    rejecting."""
+
+    ACCEPTED = [
+        ("2/4", Fraction(1, 2)),
+        ("-0", Fraction(0)),
+        ("+3", Fraction(3)),
+        (" 1", Fraction(1)),
+        ("1_0", Fraction(10)),
+        ("٣", Fraction(3)),
+        ("0.5", Fraction(1, 2)),
+        ("1e2", Fraction(100)),
+        ("-12/08", Fraction(-3, 2)),
+        ("7", Fraction(7)),
+        (7, Fraction(7)),
+        (-3, Fraction(-3)),
+        (10**30, Fraction(10**30)),
+    ]
+    REJECTED = ["3/-4", " 3 / 4", "1/0", "", "0x10", 1.5, True]
+
+    @staticmethod
+    def _space(entry) -> dict:
+        # the entry is a generator coordinate, where every rational is valid
+        rows = [["1", "0"], ["0", "1"], ["1", entry]]
+        return {"version": 1, "type": "space", "dim": 2, "label": "", "unit": ["1", "1"],
+                "cone": {"rep": "generators", "rows": rows}}
+
+    @staticmethod
+    def _cli(tmp_path, verb, d):
+        path = tmp_path / f"{verb}.json"
+        path.write_text(json.dumps(d))
+        buf = io.StringIO()
+        return main([verb, "--format", "json", str(path)], out=buf), buf.getvalue()
+
+    @pytest.mark.parametrize("entry,value", ACCEPTED, ids=[repr(e) for e, _ in ACCEPTED])
+    def test_accepted(self, entry, value, tmp_path):
+        got = decode_frac(entry)
+        assert type(got) is Fraction and got == value
+        d = self._space(entry)
+        code, text = self._cli(tmp_path, "validate", d)
+        assert code == 0
+        report = json.loads(text)
+        assert report["inputs"]["space"]["cone"]["rows"][2] == ["1", str(value)]
+        code, text = self._cli(tmp_path, "roundtrip", d)
+        assert code == 0 and json.loads(text) == self._space(str(value))
+        report["inputs"]["space"]["cone"]["rows"][2][1] = entry
+        assert self._cli(tmp_path, "verify", report)[0] == 0
+
+    @pytest.mark.parametrize("entry", REJECTED, ids=[repr(e) for e in REJECTED])
+    def test_rejected(self, entry, tmp_path, capsys):
+        with pytest.raises(InputError):
+            decode_frac(entry)
+        d = self._space(entry)
+        assert self._cli(tmp_path, "validate", d)[0] == 2
+        assert self._cli(tmp_path, "roundtrip", d)[0] == 2
+        code, text = self._cli(tmp_path, "validate", self._space("1/2"))
+        report = json.loads(text)
+        report["inputs"]["space"]["cone"]["rows"][2][1] = entry
+        assert self._cli(tmp_path, "verify", report)[0] == 2
+        assert "aoulab: invalid input: " in capsys.readouterr().err
