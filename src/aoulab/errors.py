@@ -50,3 +50,12 @@ class SizeLimitError(InputError):
 
 class InvariantViolation(AoulabError):
     """An internal exactness invariant failed; indicates a bug, never bad input."""
+
+
+def require_holds(holds: bool, construction: str, *spaces) -> None:
+    """The one check a construction ends with: raise InvariantViolation,
+    naming the construction and the labels of its spaces, unless its result
+    passed the checker that `verify` runs."""
+    if not holds:
+        names = ", ".join(s.label or f"{s.dim}-dim space" for s in spaces)
+        raise InvariantViolation(f"{construction}({names}): result fails its check")

@@ -15,8 +15,8 @@ membership, plus one exact LP: the extension's feasibility.  The witness
 of a non-ideal, the lifts of an order quotient and the minimal measures
 behind the perturbations are read off verified conic decompositions.  The
 order-norm LPs are left to `operator_norm` alone: the perturbations read
-their norms off their own minimal measures and rank-one correction, and
-the Auerbach basis its unit norms off the cone rows and its dual basis.  No
+their norms off their own minimal measures and row dual norms, and the
+Auerbach basis its unit norms off the cone rows and its dual basis.  No
 numeric tolerance appears anywhere.
 """
 
@@ -28,7 +28,7 @@ from math import comb
 from typing import Sequence
 
 from .cones import Cone, _cached, close_and_lineality, contains, image_cone, int_hrep, member, same_cone
-from .errors import InputError, InvariantViolation, ShapeError, SizeLimitError
+from .errors import InputError, InvariantViolation, ShapeError, SizeLimitError, require_holds
 from .linalg import (
     Matrix,
     Vec,
@@ -546,20 +546,28 @@ def pert(t: UnitalMap) -> UnitalMap:
     The norm of a map into linf(k) is the largest dual norm of its rows, so
     ||t|| is the largest row mass sum |mu_j|, which `_min_l1_measure` checks
     to be that row's dual norm, and ||t - S|| the largest dual norm of a row
-    of t - S: no order-norm LP.
+    of t - S: no order-norm LP. `_pert_holds`, the check `verify` runs,
+    checks the result before it is returned.
     """
     return _pert_with_norms(t)[0]
 
 
-def _require_pert_input(t: UnitalMap) -> None:
+def _require_unital(t: UnitalMap, verb: str) -> None:
     if not t.unital:
-        raise InputError("pert requires a unital map")
+        raise InputError(f"{verb} requires a unital map")
+
+
+def _require_pert_input(t: UnitalMap) -> None:
+    _require_unital(t, "pert")
     if not _is_standard_linf(t.target):
         raise InputError("pert target must carry the coordinatewise order with unit (1,..,1)")
 
 
 def _pert_with_norms(t: UnitalMap) -> tuple[UnitalMap, Fraction, Fraction]:
-    """pert plus the two norms its bound check computes: (S, ||t - S||, ||t||)."""
+    """pert plus the two norms its bound states: (S, ||t - S||, ||t||),
+    checked by `_pert_holds`. That check also fixes maps of norm one: for
+    ||t|| = 1 the bound forces ||t - S|| = 0, and the order norm is a norm,
+    so S = t."""
     _require_pert_input(t)
     functionals = [s.functional for s in extreme_states(t.source)]
     new_rows, masses = [], []
@@ -571,14 +579,9 @@ def _pert_with_norms(t: UnitalMap) -> tuple[UnitalMap, Fraction, Fraction]:
             raise InvariantViolation("unital row must carry positive mass")
         new_rows.append(combine([max(x, 0) / pos_mass for x in mu], functionals, t.source.dim))
     s_map = UnitalMap(t.source, t.target, Matrix.from_rows(new_rows))
-    if not s_map.unital or not s_map.positive:
-        raise InvariantViolation("pert output must be unital positive")
     gap = _norm_into(t.source, map(vsub, t.matrix.data, s_map.matrix.data))
     tnorm = max(masses)
-    if gap > tnorm - 1:
-        raise InvariantViolation(f"pert bound violated: ||t-S|| = {gap} > {tnorm - 1}")
-    if tnorm == 1 and s_map.matrix.data != t.matrix.data:
-        raise InvariantViolation("pert must fix maps of norm one")
+    require_holds(_pert_holds(t, s_map, gap, tnorm), "pert", t.source, t.target)
     return s_map, gap, tnorm
 
 
@@ -622,18 +625,17 @@ def perturb(t: UnitalMap) -> tuple[UnitalMap, Fraction]:
     ||t - S|| <= dim(source) * (||t|| - 1) = bound, exactly.
 
     The Kadison embedding is isometric, so ||t|| equals the norm of the
-    pushed map tp that pert computes; its ||tp - pert(tp)|| is the gap. The
-    final bound check needs ||t - S|| for the rank-one t - S =
-    -gap e (x) tv_total, which is gap ||tv_total||*, since ||e (x) f|| =
-    ||e|| ||f||* and ||e|| = 1: no order-norm LP.
+    pushed map tp that pert computes; its ||tp - pert(tp)|| is the gap.
+    `_perturb_holds`, the check `verify` runs, checks S, the bound and
+    ||t|| before they are returned: no order-norm LP.
     """
     return _perturb_with_norm(t)[:2]
 
 
 def _perturb_with_norm(t: UnitalMap) -> tuple[UnitalMap, Fraction, Fraction]:
-    """perturb plus the norm it computes: (S, bound, ||t||)."""
-    if not t.unital:
-        raise InputError("perturb requires a unital map")
+    """perturb plus the norm it computes: (S, bound, ||t||), checked by
+    `_perturb_holds`."""
+    _require_unital(t, "perturb")
     from .spaces import kadison_embed
 
     emb = kadison_embed(t.target)
@@ -650,22 +652,9 @@ def _perturb_with_norm(t: UnitalMap) -> tuple[UnitalMap, Fraction, Fraction]:
         for r in range(t.target.dim)
     ]
     s_map = UnitalMap(t.source, t.target, Matrix.from_rows(s_rows))
-    if not s_map.positive:
-        raise InvariantViolation("perturb output must be positive")
     bound = t.source.dim * (tnorm - 1)
-    if _correction_norm(t, s_map, gap, tv_total) > bound:
-        raise InvariantViolation("perturb bound violated")
+    require_holds(_perturb_holds(t, s_map, bound, tnorm), "perturb", t.source, t.target)
     return s_map, bound, tnorm
-
-
-def _correction_norm(t: UnitalMap, s_map: UnitalMap, gap: Fraction, tv_total: Vec) -> Fraction:
-    """||t - S|| for perturb's S, after checking row by row that t - S is
-    exactly -gap e (x) tv_total: gap ||tv_total||*. The target has
-    extreme states, each 1 on e, so ||e|| = 1."""
-    for row, s_row, u in zip(t.matrix.data, s_map.matrix.data, t.target.unit):
-        if vsub(row, s_row) != vscale(-gap * u, tv_total):
-            raise InvariantViolation("perturb correction is not -gap e (x) tv_total")
-    return gap * dual_norm(t.source, tv_total)
 
 
 def _perturb_holds(t: UnitalMap, s_map: UnitalMap, bound: Fraction, norm: Fraction) -> bool:
@@ -674,8 +663,7 @@ def _perturb_holds(t: UnitalMap, s_map: UnitalMap, bound: Fraction, norm: Fracti
     Composed with the Kadison embedding of the target, a map keeps its
     norm and its positivity, so each claim is read off the functionals
     g o t, g o S and g o (t - S) over the target's extreme states g."""
-    if not t.unital:
-        raise InputError("perturb requires a unital map")
+    _require_unital(t, "perturb")
     evaluate = Matrix.from_rows(g.functional for g in extreme_states(t.target))
     diff = Matrix.from_rows(map(vsub, t.matrix.data, s_map.matrix.data))
     return (

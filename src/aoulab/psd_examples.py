@@ -289,53 +289,37 @@ def block_positive(m: Matrix) -> BlockPositivityReport:
     return BlockPositivityReport(verdict="undecided")
 
 
-def _member_psd_verdict(m: Matrix) -> TensorVerdict:
-    if not ldlt_psd(m).is_psd:
-        raise InvariantViolation("expected a PSD matrix")
-    return TensorVerdict(claim="member", cone="psd", kind="psd_factorization")
-
-
-def _non_psd_verdict(m: Matrix, cone: str = "psd") -> TensorVerdict:
-    rep = ldlt_psd(m)
-    if rep.is_psd:
-        raise InvariantViolation("expected a non-PSD matrix")
-    d = vec(rep.witness)
-    kind = "negative_direction" if cone == "psd" else "psd_superset"
-    return TensorVerdict(
-        claim="non_member", cone=cone, kind=kind, direction=d, value=dot(d, m.apply(d))
-    )
-
-
 def psd_example_suite() -> list[WitnessReport]:
     """The two boundary examples and the identity, fully certified.
 
     Bell is PSD yet outside the pi cone (partial transpose witness); Swap
     is block positive, by the identity (x (x) y)^T S (x (x) y) = (x.y)^2,
-    yet not PSD.  The identity matrix belongs to all three cones.
+    yet not PSD.  The identity matrix belongs to all three cones.  Swap's
+    one LDL^T gives the direction d, d^T Swap d < 0, behind its two
+    non-member verdicts and, as Swap = PT(Bell), behind Bell's pi one.
+    Each report's closing `verify` is the one check; it runs the one
+    LDL^T of Bell and of the identity.
     """
-    bell_pt = partial_transpose(BELL)
-    if bell_pt.data != SWAP.data:
-        raise InvariantViolation("partial transpose of Bell must be Swap")
-    swap_rep = ldlt_psd(SWAP)
-    if swap_rep.is_psd:
+    d = ldlt_psd(SWAP).witness
+    if d is None:
         raise InvariantViolation("Swap must not be PSD")
-    d = vec(swap_rep.witness)
-    bell_pi = TensorVerdict(
-        claim="non_member",
-        cone="pi",
-        kind="partial_transpose_witness",
-        direction=d,
-        value=dot(d, SWAP.apply(d)),
-        functional=partial_transpose(Matrix.from_rows([[a * b for b in d] for a in d])),
-    )
+    value = dot(d, SWAP.apply(d))
+    psd_member = TensorVerdict(claim="member", cone="psd", kind="psd_factorization")
     i2 = Matrix.identity(2)
     reports = [
         WitnessReport(
             label="bell",
             matrix=BELL,
             verdicts={
-                "psd": _member_psd_verdict(BELL),
-                "pi": bell_pi,
+                "psd": psd_member,
+                "pi": TensorVerdict(
+                    claim="non_member",
+                    cone="pi",
+                    kind="partial_transpose_witness",
+                    direction=d,
+                    value=value,
+                    functional=partial_transpose(Matrix.from_rows([[a * b for b in d] for a in d])),
+                ),
                 "epsilon": TensorVerdict(
                     claim="member", cone="epsilon", kind="gram_shift", shift=Fraction(0)
                 ),
@@ -345,8 +329,8 @@ def psd_example_suite() -> list[WitnessReport]:
             label="swap",
             matrix=SWAP,
             verdicts={
-                "psd": _non_psd_verdict(SWAP),
-                "pi": _non_psd_verdict(SWAP, cone="pi"),
+                "psd": TensorVerdict("non_member", "psd", "negative_direction", direction=d, value=value),
+                "pi": TensorVerdict("non_member", "pi", "psd_superset", direction=d, value=value),
                 "epsilon": TensorVerdict(
                     claim="member",
                     cone="epsilon",
@@ -359,7 +343,7 @@ def psd_example_suite() -> list[WitnessReport]:
             label="identity",
             matrix=I4,
             verdicts={
-                "psd": _member_psd_verdict(I4),
+                "psd": psd_member,
                 "pi": TensorVerdict(
                     claim="member",
                     cone="pi",

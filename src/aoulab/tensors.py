@@ -16,7 +16,7 @@ from math import comb
 from .cones import (
     Certificate, Cone, _cached, contains, dual, extreme_rays, int_hrep, int_vrep, is_simplicial, member
 )
-from .errors import InputError, InvariantViolation, ShapeError, SizeLimitError
+from .errors import InputError, InvariantViolation, ShapeError, SizeLimitError, require_holds
 from .linalg import (
     Matrix,
     Vec,
@@ -341,36 +341,36 @@ def is_nuclear_pairwise(left: AOUSpace, right: AOUSpace) -> NuclearityReport:
     along r, so it is positive on every product generator p, and
     w = s - (delta / 2) u, for a row u positive at r and delta the least
     s.p / u.p over the p with u.p > 0, stays positive on them while
-    w.r < 0. No facet of pi is built.
+    w.r < 0. No facet of pi is built. `_nuclearity_holds`, the check
+    `verify` runs, checks the report before it is returned.
     """
     _require_tensor_factors(left, right)
     for factor, sp in (("left", left), ("right", right)):
         if is_simplicial(sp.cone):
-            return NuclearityReport(True, factor=factor, biorthogonal=_biorthogonal(sp))
-    eps = tensor_space(left, right, EPSILON).realized.cone
-    pi = tensor_space(left, right, PI).realized.cone
-    gens = int_vrep(pi)
-    products = set(gens)
-    ray = next((r for r in int_vrep(eps) if r not in products), None)
-    if ray is None:
-        raise InvariantViolation("every epsilon extreme ray is a product, yet no factor is simplicial")
-    rows = int_hrep(eps)
-    vals = [idot(a, ray) for a in rows]
-    s = [sum(col) for col in zip(*(a for a, x in zip(rows, vals) if x == 0))]
-    u = rows[next(i for i, x in enumerate(vals) if x > 0)]
-    delta = min(Fraction(idot(s, p), idot(u, p)) for p in gens if idot(u, p) > 0)
-    w = [2 * delta.denominator * x - delta.numerator * y for x, y in zip(s, u)]
-    flat = vec(ray)
-    pi_cert = Certificate("non_member", "separating_functional", witness=vec(integerize(w)))
-    eps_cert = member(eps, flat)
-    if not (pi_cert.verify(pi, flat) and eps_cert.verdict == "member"):
-        raise InvariantViolation("the epsilon extreme ray off the products is not separated from pi")
-    return NuclearityReport(
-        nuclear=False,
-        witness=TensorElement.from_flat(left, right, flat),
-        pi_certificate=pi_cert,
-        epsilon_certificate=eps_cert,
-    )
+            report = NuclearityReport(True, factor=factor, biorthogonal=_biorthogonal(sp))
+            break
+    else:
+        eps = tensor_space(left, right, EPSILON).realized.cone
+        gens = int_vrep(tensor_space(left, right, PI).realized.cone)
+        products = set(gens)
+        ray = next((r for r in int_vrep(eps) if r not in products), None)
+        if ray is None:
+            raise InvariantViolation("every epsilon extreme ray is a product, yet no factor is simplicial")
+        rows = int_hrep(eps)
+        vals = [idot(a, ray) for a in rows]
+        s = [sum(col) for col in zip(*(a for a, x in zip(rows, vals) if x == 0))]
+        u = rows[next(i for i, x in enumerate(vals) if x > 0)]
+        delta = min(Fraction(idot(s, p), idot(u, p)) for p in gens if idot(u, p) > 0)
+        w = [2 * delta.denominator * x - delta.numerator * y for x, y in zip(s, u)]
+        flat = vec(ray)
+        report = NuclearityReport(
+            nuclear=False,
+            witness=TensorElement.from_flat(left, right, flat),
+            pi_certificate=Certificate("non_member", "separating_functional", witness=vec(integerize(w))),
+            epsilon_certificate=member(eps, flat),
+        )
+    require_holds(_nuclearity_holds(left, right, report), "is_nuclear_pairwise", left, right)
+    return report
 
 
 def _nuclearity_holds(left: AOUSpace, right: AOUSpace, report: NuclearityReport) -> bool:
@@ -421,15 +421,19 @@ class SpaceNuclearity:
 
 
 def _space_nuclearity(space: AOUSpace) -> SpaceNuclearity:
+    """`is_nuclear_fd` with its evidence, checked by `_space_nuclearity_holds`."""
     if is_nuclear_fd(space):
-        return SpaceNuclearity(True, biorthogonal=_biorthogonal(space))
-    rays = extreme_rays(space.cone)
-    picked: list[Vec] = []
-    for g in rays:
-        if len(picked) < space.dim and rank(picked + [g]) > len(picked):
-            picked.append(g)
-    picked.append(next(g for g in rays if g not in picked))
-    return SpaceNuclearity(False, rays=tuple(picked))
+        report = SpaceNuclearity(True, biorthogonal=_biorthogonal(space))
+    else:
+        rays = extreme_rays(space.cone)
+        picked: list[Vec] = []
+        for g in rays:
+            if len(picked) < space.dim and rank(picked + [g]) > len(picked):
+                picked.append(g)
+        picked.append(next(g for g in rays if g not in picked))
+        report = SpaceNuclearity(False, rays=tuple(picked))
+    require_holds(_space_nuclearity_holds(space, report), "nuclearity", space)
+    return report
 
 
 def _space_nuclearity_holds(space: AOUSpace, report: SpaceNuclearity) -> bool:
@@ -654,17 +658,17 @@ def factorize(space: AOUSpace, eps: Fraction | int = Fraction(1, 10)) -> Factori
     factorization through any linf(k'), since such a phi' is A phi_S, phi_S
     all m states and A row-stochastic.
 
-    The LP and the tightness check that recomputes the defect take one vertex
-    of each +- pair, since the residual of -v is minus that of v. The check
-    reads that half in reverse sorted order, the order in which the sorted
-    ball first meets each pair, so the worst residual it picks is the full
-    scan's up to sign, and the next state, chosen by |f(residual)|, is the
-    same. Each residual's order norm is the largest |s(residual)| over the
-    extreme states s already in hand (Paulsen & Tomforde, Vector spaces with
-    an order unit, 2009): no order-norm LP runs, and the check does not rest
-    on the defect LP it checks. Each greedy step keeps its psi and dual
-    multipliers proving its optimum (`DefectStep`), the evidence
-    `_factorization_holds` checks a result against.
+    The LP and the residuals that pick the next state take one vertex of
+    each +- pair, since the residual of -v is minus that of v. They read
+    that half in reverse sorted order, the order in which the sorted ball
+    first meets each pair, so the worst residual is the full scan's up to
+    sign, and the next state, chosen by |f(residual)|, is the same. Each
+    residual's order norm is the largest |s(residual)| over the extreme
+    states s already in hand (Paulsen & Tomforde, Vector spaces with an
+    order unit, 2009): no order-norm LP runs. Each greedy step keeps its psi
+    and dual multipliers proving its optimum (`DefectStep`), the evidence
+    `_factorization_holds`, the check `verify` runs, checks the result
+    against before it is returned.
     """
     eps = frac(eps)
     if eps < 0:
@@ -677,64 +681,47 @@ def factorize(space: AOUSpace, eps: Fraction | int = Fraction(1, 10)) -> Factori
 
     if is_simplicial(space.cone):
         pair = _biorthogonal(space)
-        psi_m = Matrix.from_rows(list(zip(*pair.rays)))
-        phi_m = Matrix.from_rows(pair.states)
-        phi = UnitalMap(space, linf(d), phi_m)
-        psi = UnitalMap(linf(d), space, psi_m)
-        if not (phi.unital and phi.positive and psi.unital and psi.positive):
-            raise InvariantViolation("factorize: simplicial phi or psi is not unital positive")
-        if (psi_m @ phi_m).data != Matrix.identity(d).data:
-            raise InvariantViolation("factorize: simplicial psi . phi is not the identity")
-        return FactorizationResult(
-            phi=phi,
-            psi=psi,
+        res = FactorizationResult(
+            phi=UnitalMap(space, linf(d), Matrix.from_rows(pair.states)),
+            psi=UnitalMap(linf(d), space, Matrix.from_rows(list(zip(*pair.rays)))),
             defect=Fraction(0),
             success=True,
             states_used=d,
             schedule=((d, Fraction(0)),),
             exhausted=False,
         )
-
-    pool = [s.functional for s in extreme_states(space)]
-    chosen = _seed_states(space)
-    half = list(reversed(unit_ball_half(space)))
-    schedule: list[tuple[int, Fraction]] = []
-    steps: list[DefectStep] = []
-    best: tuple[Fraction, Matrix, list[Vec]] | None = None
-    while True:
-        phi_rows = [pool[i] for i in chosen]
-        psi_m, defect, multipliers = _best_psi(space, phi_rows, unit_ball_vertices(space))
-        # the LP bound is tight: recompute the defect from the solution
-        residuals, norms = _residual_norms(pool, psi_m @ Matrix.from_rows(phi_rows), half)
-        recomputed = max(norms, default=Fraction(0))
-        if recomputed != defect:
-            raise InvariantViolation("defect LP bound is not tight")
-        schedule.append((len(chosen), defect))
-        steps.append(DefectStep(psi_m.data, multipliers))
-        if best is None or defect < best[0]:
-            best = (defect, psi_m, phi_rows)
-        if defect <= eps or len(chosen) >= min(len(pool), FACTORIZE_STATE_CAP):
-            break
-        chosen.append(_next_state(pool, chosen, residuals, norms))
-
-    defect, psi_m, phi_rows = best
-    k = len(phi_rows)
-    phi = UnitalMap(space, linf(k), Matrix.from_rows(phi_rows))
-    psi = UnitalMap(linf(k), space, psi_m)
-    if not (phi.unital and phi.positive):
-        raise InvariantViolation("factorize: phi into linf(k) is not unital positive")
-    if not (psi.unital and psi.positive):
-        raise InvariantViolation("factorize: psi from linf(k) is not unital positive")
-    return FactorizationResult(
-        phi=phi,
-        psi=psi,
-        defect=defect,
-        success=defect <= eps,
-        states_used=k,
-        schedule=tuple(schedule),
-        exhausted=len(chosen) >= min(len(pool), FACTORIZE_STATE_CAP),
-        steps=tuple(steps),
-    )
+    else:
+        pool = [s.functional for s in extreme_states(space)]
+        chosen = _seed_states(space)
+        half = list(reversed(unit_ball_half(space)))
+        schedule: list[tuple[int, Fraction]] = []
+        steps: list[DefectStep] = []
+        best: tuple[Fraction, Matrix, list[Vec]] | None = None
+        while True:
+            phi_rows = [pool[i] for i in chosen]
+            psi_m, defect, multipliers = _best_psi(space, phi_rows, unit_ball_vertices(space))
+            schedule.append((len(chosen), defect))
+            steps.append(DefectStep(psi_m.data, multipliers))
+            if best is None or defect < best[0]:
+                best = (defect, psi_m, phi_rows)
+            if defect <= eps or len(chosen) >= min(len(pool), FACTORIZE_STATE_CAP):
+                break
+            residuals, norms = _residual_norms(pool, psi_m @ Matrix.from_rows(phi_rows), half)
+            chosen.append(_next_state(pool, chosen, residuals, norms))
+        defect, psi_m, phi_rows = best
+        k = len(phi_rows)
+        res = FactorizationResult(
+            phi=UnitalMap(space, linf(k), Matrix.from_rows(phi_rows)),
+            psi=UnitalMap(linf(k), space, psi_m),
+            defect=defect,
+            success=defect <= eps,
+            states_used=k,
+            schedule=tuple(schedule),
+            exhausted=len(chosen) >= min(len(pool), FACTORIZE_STATE_CAP),
+            steps=tuple(steps),
+        )
+    require_holds(_factorization_holds(space, eps, res), "factorize", space)
+    return res
 
 
 def _factorization_holds(space: AOUSpace, eps: Fraction, res: FactorizationResult) -> bool:

@@ -25,7 +25,8 @@ off the extreme states instead of the cone rows.  The full-ball scans
 visit every vertex of the unit ball, where the package takes one vertex of
 each +- pair.  The Fraction routes of the geometry (`fraction_states`,
 `fraction_interval_vertices`, `fraction_ball_vertices` and
-`fraction_max_det`, for the Auerbach and factorize seed scans) divide
+`fraction_max_det`, for the Auerbach and factorize seed scans, and
+`fraction_next_state`, for factorize's greedy pick) divide
 Fraction rays and vertices and take Fraction determinants, where the package keeps the DD's integer rows and
 builds one Fraction per returned coordinate.  `rerun_verifies` confirms a CLI report by running its verb
 again and comparing the results through a JSON round trip, where `verify`
@@ -810,6 +811,24 @@ def fraction_max_det(vectors: list[Vec], k: int) -> tuple[int, ...] | None:
         d = abs(fraction_det(Matrix.from_rows([vectors[i] for i in tup])))
         if d > best_abs:
             best, best_abs = tup, d
+    return best
+
+
+def fraction_next_state(space: AOUSpace, pool: list[Vec], chosen: list[int], psi_phi: Matrix) -> int:
+    """The state factorize adds next, by a Fraction scan of the full sorted
+    ball: the first residual psi phi(v) - v of largest order norm, the
+    largest |s(residual)| over the states s in pool, then the first state
+    not chosen with the largest |s(residual)|."""
+    worst, worst_norm = None, Fraction(-1)
+    for v in fraction_ball_vertices(space):
+        residual = tuple(fraction_dot(row, v) - x for row, x in zip(psi_phi.data, v))
+        norm = max(abs(fraction_dot(s, residual)) for s in pool)
+        if norm > worst_norm:
+            worst, worst_norm = residual, norm
+    best, best_value = None, Fraction(-1)
+    for i, s in enumerate(pool):
+        if i not in chosen and abs(fraction_dot(s, worst)) > best_value:
+            best, best_value = i, abs(fraction_dot(s, worst))
     return best
 
 

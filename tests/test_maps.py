@@ -760,34 +760,22 @@ SQUARE_ROWS = AOUSpace(
 
 
 class TestNormsFromEvidence:
-    # pert and perturb read their norms off their minimal measures and
-    # rank-one correction, auerbach its unit norms off the cone rows and the
-    # dual basis; the LP routes of operator_norm and order_norm are the
-    # oracles
+    # pert and perturb read their norms off their minimal measures and row
+    # dual norms, auerbach its unit norms off the cone rows and the dual
+    # basis; the LP routes of operator_norm and order_norm are the oracles
 
     @staticmethod
-    def check_against_operator_norm(t, monkeypatch):
-        corrections = []
-        original = aoulab.maps._correction_norm
-
-        def recording(t, s_map, gap, tv_total):
-            corrections.append((s_map, original(t, s_map, gap, tv_total)))
-            return corrections[-1][1]
-
+    def check_against_operator_norm(t):
         tn = operator_norm(t)
         if aoulab.maps._is_standard_linf(t.target):
             s, gap, norm = aoulab.maps._pert_with_norms(t)
             assert norm == tn
             assert gap == operator_norm(matrix_diff(t, s), t.source, t.target) <= tn - 1
-        with monkeypatch.context() as patch:
-            patch.setattr(aoulab.maps, "_correction_norm", recording)
-            s, bound, norm = aoulab.maps._perturb_with_norm(t)
+        s, bound, norm = aoulab.maps._perturb_with_norm(t)
         assert norm == tn and bound == t.source.dim * (tn - 1)
-        [(s_map, correction)] = corrections
-        assert s_map is s
-        assert correction == operator_norm(matrix_diff(t, s), t.source, t.target) <= bound
+        assert operator_norm(matrix_diff(t, s), t.source, t.target) <= bound
 
-    def test_perturbation_norms_on_the_acceptance_maps(self, monkeypatch):
+    def test_perturbation_norms_on_the_acceptance_maps(self):
         # the random maps of the perturbation acceptance test
         r = rng(601)
         battery = (L2, L3, lin_space(1), lin_space(2))
@@ -796,15 +784,15 @@ class TestNormsFromEvidence:
             t = random_unital_into_linf(r, battery[kept % len(battery)], r.randint(1, 3))
             if not 1 < operator_norm(t) <= 3:
                 continue
-            self.check_against_operator_norm(t, monkeypatch)
+            self.check_against_operator_norm(t)
             kept += 1
 
-    def test_perturbation_norms_on_group_merges(self, monkeypatch):
+    def test_perturbation_norms_on_group_merges(self):
         for t in group_merge_maps(rng(7321), 10):
-            self.check_against_operator_norm(t, monkeypatch)
+            self.check_against_operator_norm(t)
             assert aoulab.maps._pert_with_norms(t)[1:] == (0, 1)
 
-    def test_perturb_correction_into_non_coordinate_targets(self, monkeypatch):
+    def test_perturb_correction_into_non_coordinate_targets(self):
         # ||e (x) f|| = ||f||* needs ||e|| = 1 in the target, not linf
         r = rng(6047)
         checked = 0
@@ -815,7 +803,7 @@ class TestNormsFromEvidence:
             rows = [[x + d * c for x, c in zip(row, sigma)] for row, d in zip(raw.data, defect)]
             t = UnitalMap(src, tgt, Matrix.from_rows(rows))
             if operator_norm(t) > 1:
-                self.check_against_operator_norm(t, monkeypatch)
+                self.check_against_operator_norm(t)
                 checked += 1
         assert checked == 12
 
@@ -845,22 +833,32 @@ class TestNormsFromEvidence:
         with pytest.raises(InvariantViolation, match="unit-norm"):
             auerbach_basis(sp)
 
-    def test_perturbed_correction_row_breaks_the_final_check(self, monkeypatch):
-        original = aoulab.maps._correction_norm
-
-        def tampered(t, s_map, gap, tv_total):
-            rows = [list(row) for row in s_map.matrix.data]
-            rows[-1][0] += Fraction(1, 7)
-            return original(t, UnitalMap(t.source, t.target, Matrix.from_rows(rows)), gap, tv_total)
-
-        monkeypatch.setattr(aoulab.maps, "_correction_norm", tampered)
-        with pytest.raises(InvariantViolation, match="correction"):
-            perturb(SYMMETRIC)
+    @pytest.mark.parametrize(
+        "t, off",
+        [
+            # ||t - S|| = gap ||tv_total||* meets the bound 2 exactly
+            (SYMMETRIC, Fraction(1, 7)),
+            # gap 1/7, and S = t with the row (15/14, -1/14) is not positive
+            (UnitalMap(L2, L2, Matrix.from_rows([(Fraction(15, 14), Fraction(-1, 14)), (0, 1)])), Fraction(-1, 7)),
+        ],
+        ids=["bound", "positivity"],
+    )
+    def test_gap_off_by_a_seventh_breaks_the_perturb_check(self, monkeypatch, t, off):
+        # pert's own check passes on its true gap; _perturb_holds sees the
+        # S perturb builds from the tampered one
+        original = aoulab.maps._pert_with_norms
+        monkeypatch.setattr(
+            aoulab.maps,
+            "_pert_with_norms",
+            lambda t: (lambda s, gap, norm: (s, gap + off, norm))(*original(t)),
+        )
+        with pytest.raises(InvariantViolation, match=r"^perturb\(linf\(2\), linf\(2\)\): result fails its check$"):
+            perturb(t)
 
     @pytest.mark.parametrize(
         "space", [L1, RAY, ORTHANT_ROWS, SQUARE_ROWS], ids=["linf1", "ray", "orthant", "square"]
     )
-    def test_degenerate_spaces(self, space, monkeypatch):
+    def test_degenerate_spaces(self, space):
         basis, duals = auerbach_basis(space)
         assert [order_norm(space, x) for x in basis] == [1] * space.dim
         assert [full_ball_dual_norm(space, xd) for xd in duals] == [1] * space.dim
@@ -869,7 +867,7 @@ class TestNormsFromEvidence:
         states = [s.functional for s in extreme_states(space)]
         for rows in ([states[0]], [states[0], states[-1]], [vsub(vscale(2, states[0]), states[-1])]):
             t = UnitalMap(space, linf(len(rows)), Matrix.from_rows(rows))
-            self.check_against_operator_norm(t, monkeypatch)
+            self.check_against_operator_norm(t)
 
 
 def test_witnesses_lifts_and_measures_solve_no_lp(monkeypatch):

@@ -195,6 +195,36 @@ def _is_name_call(node, name: str) -> bool:
     return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == name
 
 
+# each construction and the checker `verify` runs on its result
+CHECKED_CONSTRUCTIONS = {
+    ("maps.py", "_pert_with_norms"): "_pert_holds",
+    ("maps.py", "_perturb_with_norm"): "_perturb_holds",
+    ("tensors.py", "factorize"): "_factorization_holds",
+    ("tensors.py", "is_nuclear_pairwise"): "_nuclearity_holds",
+    ("tensors.py", "_space_nuclearity"): "_space_nuclearity_holds",
+}
+
+
+def test_one_check_per_construction():
+    # a construction checks its result by one call to its checker and reads
+    # no .unital or .positive flag, so no second check of the same claims
+    # comes back beside the one verify runs
+    trees = _parse_package()
+    found = []
+    for (file, name), checker in CHECKED_CONSTRUCTIONS.items():
+        [fn] = [node for node in trees[file].body if isinstance(node, ast.FunctionDef) and node.name == name]
+        nodes = list(ast.walk(fn))
+        calls = [n.func.id for n in nodes if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)]
+        if [c for c in calls if c.startswith("_") and c.endswith("_holds")] != [checker]:
+            found.append(f"{file}: {name} does not call {checker} once, and no other checker")
+        found += [
+            f"{file}:{n.lineno} {name} reads .{n.attr}"
+            for n in nodes
+            if isinstance(n, ast.Attribute) and n.attr in ("unital", "positive")
+        ]
+    assert not found, found
+
+
 def _hand_dot_lines(tree: ast.Module) -> list[int]:
     """Lines of a dot product or linear combination by hand: a sum of
     products over a zip or a range, such as sum(x * y for x, y in zip(a, b))

@@ -12,6 +12,7 @@ from conftest import (
     battery_nuclearity,
     epsilon_order_norm,
     fraction_inverse,
+    fraction_next_state,
     fraction_rank,
     kernel_quotient_is_order_quotient,
     lp_pi_order_unit,
@@ -25,9 +26,10 @@ from conftest import (
 
 from aoulab.cones import Cone, extreme_rays, is_simplicial, member
 from aoulab.errors import InputError, InvariantViolation, NotPointedError, ShapeError, SizeLimitError
-from aoulab.linalg import Matrix, det, dot, vec, vsub
+from aoulab.linalg import Matrix, det, dot, vec, vscale, vsub
 from aoulab.lp import EQ, GE, solve_lp
-from aoulab.maps import UnitalMap, check_map, is_order_quotient, operator_norm
+import aoulab.maps
+from aoulab.maps import UnitalMap, check_map, is_order_quotient, operator_norm, pert
 from aoulab.psd_examples import (
     BELL,
     I4,
@@ -691,10 +693,43 @@ class TestFactorize:
 
         monkeypatch.setattr(tensors, "_residual_norms", recording)
         res = factorize(space)
-        assert len(rounds) == len(res.schedule) >= 1
-        for (residuals, norms), (_, defect) in zip(rounds, res.schedule):
+        # the loop takes residuals on each step but the last, to pick the
+        # next state; the check then replays every step on the same psi
+        n = len(res.schedule)
+        assert n >= 1 and len(rounds) == 2 * n - 1
+        assert rounds[: n - 1] == rounds[n - 1 : 2 * n - 2]
+        for residuals, norms in rounds:
             assert norms == [order_norm(space, v) for v in residuals]
+        for (_, norms), (_, defect) in zip(rounds[n - 1 :], res.schedule):
             assert max(norms) == defect
+
+    def test_next_state_matches_the_fraction_scan(self):
+        # _factorization_holds replays the greedy pick with the same
+        # _next_state as factorize, so the pick is pinned to the oracle: on
+        # each step's psi, and on seeded random psi phi and state sets
+        r = rng(29)
+        spaces = [LS2, LS3] + [random_non_simplicial(r, 3) for _ in range(3)]
+        spaces.append(self.random_non_simplicial_space(rng(4127)))
+        picks = 0
+        for space in spaces:
+            pool = [st.functional for st in extreme_states(space)]
+            half = list(reversed(unit_ball_half(space)))
+
+            def check(chosen, psi_phi):
+                got = tensors._next_state(pool, chosen, *tensors._residual_norms(pool, psi_phi, half))
+                assert got == fraction_next_state(space, pool, chosen, psi_phi)
+                return got
+
+            chosen = tensors._seed_states(space)
+            for step in factorize(space).steps[:-1]:
+                chosen.append(check(chosen, Matrix.from_rows(step.psi) @ Matrix.from_rows([pool[i] for i in chosen])))
+                picks += 1
+            for _ in range(5):
+                k = r.randint(1, len(pool) - 1)
+                psi_phi = Matrix.from_rows([rand_vec(r, space.dim, -2, 2, 2) for _ in range(space.dim)])
+                check(r.sample(range(len(pool)), k), psi_phi)
+                picks += 1
+        assert picks >= 40
 
     @pytest.mark.parametrize("off", [Fraction(1, 7), Fraction(-1, 7)])
     def test_defect_off_by_a_seventh_breaks_the_recheck(self, monkeypatch, off):
@@ -704,7 +739,7 @@ class TestFactorize:
             "_best_psi",
             lambda *args: (lambda psi, value, duals: (psi, value + off, duals))(*original(*args)),
         )
-        with pytest.raises(InvariantViolation, match="not tight"):
+        with pytest.raises(InvariantViolation, match=r"^factorize\(lin_space\(2\)\): result fails its check$"):
             factorize(LS2)
 
     @pytest.mark.parametrize(
@@ -726,6 +761,51 @@ class TestFactorize:
         with pytest.raises(InputError, match="eps must be nonnegative"):
             factorize(space, eps=Fraction(-1, 10))
         assert factorize(space, eps=0).defect >= 0
+
+
+def swap_two_states(monkeypatch):
+    original = tensors._biorthogonal
+    monkeypatch.setattr(
+        tensors,
+        "_biorthogonal",
+        lambda space: (lambda p: Biorthogonal(p.rays, (p.states[1], p.states[0]) + p.states[2:]))(original(space)),
+    )
+
+
+def flip_the_separating_functional(monkeypatch):
+    original = tensors.integerize
+    monkeypatch.setattr(tensors, "integerize", lambda w: vscale(-1, original(w)))
+
+
+def double_the_first_ray(monkeypatch):
+    original = tensors.extreme_rays
+    monkeypatch.setattr(tensors, "extreme_rays", lambda cone: [vscale(2, original(cone)[0])] + original(cone))
+
+
+def double_the_measures(monkeypatch):
+    # S is unchanged, but ||t|| is read as twice the true row mass
+    original = aoulab.maps._min_l1_measure
+    monkeypatch.setattr(aoulab.maps, "_min_l1_measure", lambda space, f: [2 * x for x in original(space, f)])
+
+
+@pytest.mark.parametrize(
+    "tamper, construct, name",
+    [
+        (swap_two_states, lambda: factorize(L3), r"factorize\(linf\(3\)\)"),
+        (swap_two_states, lambda: is_nuclear_pairwise(L2, LS2), r"is_nuclear_pairwise\(linf\(2\), lin_space\(2\)\)"),
+        (flip_the_separating_functional, lambda: is_nuclear_pairwise(LS2, LS2), r"is_nuclear_pairwise\(lin_space\(2\), lin_space\(2\)\)"),
+        (swap_two_states, lambda: _space_nuclearity(L3), r"nuclearity\(linf\(3\)\)"),
+        (double_the_first_ray, lambda: _space_nuclearity(LS2), r"nuclearity\(lin_space\(2\)\)"),
+        (double_the_measures, lambda: pert(UnitalMap(L2, L2, Matrix.identity(2))), r"pert\(linf\(2\), linf\(2\)\)"),
+    ],
+    ids=["factorize-simplicial", "nuclear-pair-simplicial", "nuclear-pair-witness", "nuclear-simplicial", "nuclear-rays", "pert"],
+)
+def test_a_broken_construction_fails_its_check(monkeypatch, tamper, construct, name):
+    # each construction ends with the checker verify runs, which sees the
+    # tampered result and names what was computed
+    tamper(monkeypatch)
+    with pytest.raises(InvariantViolation, match=f"^{name}: result fails its check$"):
+        construct()
 
 
 class TestTamperedVerdicts:
