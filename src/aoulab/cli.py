@@ -72,9 +72,9 @@ from .tensors import (
     NuclearityReport,
     SpaceNuclearity,
     TensorElement,
-    _checked_product_cone,
     _factorization_holds,
     _nuclearity_holds,
+    _product_cone,
     _space_nuclearity,
     _space_nuclearity_holds,
     factorize,
@@ -306,7 +306,7 @@ def _check_tensor_member(z, kind, result) -> bool:
     return (
         result["kind"] == kind
         and result["verdict"] == cert.verdict
-        and cert.verify(_checked_product_cone(z.left, z.right, kind), z.flatten())
+        and cert.verify(_product_cone(z.left, z.right, kind), z.flatten())
     )
 
 

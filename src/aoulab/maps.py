@@ -2,7 +2,8 @@
 
 The map-level toolkit: unitality/positivity/embedding/isometry checks (a
 unital map's isometry flag is its embedding flag, a non-unital map's one
-cone equality between dual balls), order ideals and their quotients,
+cone equality between dual balls), order ideals and their quotients
+from one image cone in V/J, the quotient's cone exactly when it is pointed,
 order-quotient recognition by cone equality, unital positive extension by
 LP feasibility, the order-interval minimum and the norm-bound
 biconditional for functionals, Auerbach bases from ball vertices, and the
@@ -27,7 +28,10 @@ from fractions import Fraction
 from math import comb
 from typing import Sequence
 
-from .cones import Cone, _cached, close_and_lineality, contains, image_cone, int_hrep, member, same_cone
+from .cones import (
+    SYM_PSD, Certificate, Cone, _cached, _lineality, _pointed, image_cone, int_hrep, int_vrep, member,
+    same_cone,
+)
 from .errors import InputError, InvariantViolation, ShapeError, SizeLimitError, require_holds
 from .linalg import (
     Matrix,
@@ -45,6 +49,7 @@ from .linalg import (
     rank,
     solve,
     unit_vec,
+    vadd,
     vec,
     vscale,
     vsub,
@@ -56,10 +61,11 @@ from .spaces import (
     _ball_half_rows,
     _ball_rows,
     _int_states,
-    archimedeanize,
+    _not_an_order_unit,
     extreme_states,
     order_interval_vertices,
     order_norm,
+    order_unit_failures,
     unit_ball_half,
 )
 
@@ -89,7 +95,16 @@ class UnitalMap:
     @property
     @_cached
     def positive(self) -> bool:
-        return contains(self.target.cone, image_cone(self.source.cone, self.matrix))
+        """In integers, for m = M / d over one denominator: every target
+        H-row is nonnegative on M g for every integer source generator g.
+        A sym_psd target has no H-rep: each image takes the PSD test."""
+        target = self.target.cone
+        if target.kind == SYM_PSD:
+            return all(member(target, self.apply(g)).verdict == "member" for g in self.source.cone.vrep())
+        nums, n = common_den([x for row in self.matrix.data for x in row])[0], self.source.dim
+        rows = [nums[i : i + n] for i in range(0, len(nums), n)]
+        images = [[idot(r, g) for r in rows] for g in int_vrep(self.source.cone)]
+        return all(idot(a, x) >= 0 for a in int_hrep(target) for x in images)
 
     def apply(self, v) -> Vec:
         return self.matrix.apply(vec(v))
@@ -173,80 +188,90 @@ class IdealReport:
     witness: tuple[Vec, Vec] | None = None  # (p, q): 0 <= q <= p, p in J, q not
 
 
-def _in_span(basis: Sequence[Vec], v: Vec) -> bool:
-    if not basis:
-        return is_zero_vec(v)
-    return solve(Matrix.from_rows(basis).transpose(), v) is not None
+def _preimage(cert: Certificate, behind: list[Vec], dim: int) -> Vec:
+    """The generators behind the terms of a decomposition over an
+    `image_cone`, combined: a source element >= 0 mapped onto the
+    decomposed vector."""
+    terms = cert.decomposition
+    return combine([c for _, c in terms], [behind[j] for j, _ in terms], dim)
+
+
+def _ideal(space: AOUSpace, basis: Sequence) -> tuple[IdealReport, Matrix | None, Cone | None]:
+    """`is_order_ideal`, with q = `quotient_matrix` of the first independent
+    basis vectors and the image q(C), mapped from the cone's generators: J
+    is an ideal when q(C) is pointed, and otherwise the witness lies behind
+    -l and l for the first lineality basis vector l. J = V has no q."""
+    space.cone.require_polyhedral("is_order_ideal")
+    independent: list[Vec] = []
+    for b in map(vec, basis):
+        if len(b) != space.dim:
+            raise ShapeError("ideal basis vector of wrong length")
+        if rank(independent + [b]) > len(independent):
+            independent.append(b)
+    if len(independent) == space.dim:
+        return IdealReport(True), None, None
+    q = quotient_matrix(independent, space.dim)
+    image = image_cone(space.cone, q)
+    if _pointed(image):
+        return IdealReport(True), q, image
+    behind = [g for g in space.cone.vrep() if not is_zero_vec(q.apply(g))]
+    line = _lineality(image)[0]
+    c1, c2 = (_preimage(member(image, w), behind, space.dim) for w in (vscale(-1, line), line))
+    return IdealReport(False, witness=(vadd(c1, c2), c1)), q, image
 
 
 def is_order_ideal(space: AOUSpace, basis: Sequence) -> IdealReport:
-    """Decide whether span(basis) is an order ideal: p in J and 0 <= q <= p
-    force q in J.
-
-    Equivalent cone form: every generator of cone /\\ (J - cone) must lie in
-    J. Checking only positive elements of J would be unsound without a
-    decomposition property, so the intersection cone is computed in full.
-    A generator q outside J is the witness's q. It lies in J - cone, so its
-    conic decomposition over +-basis and the negated cone generators splits
-    it as q = p - c: the +-basis terms sum to p in J, and p - q = c lies in
-    the cone.
+    """Decide whether J = span(basis) is an order ideal: p in J and
+    0 <= q <= p force q in J. It is one exactly when the image q(C) of the
+    cone in V/J is pointed, which one double description of the images of
+    the generators decides. (=>) If q(c1) = -q(c2) != 0, then p = c1 + c2
+    lies in J and 0 <= c1 <= p with c1 not in J: decomposing -l and l over
+    the images, for a line l of q(C), gives such c1 and c2, the witness.
+    (<=) If p is in J and 0 <= c <= p, then q(c) and -q(c) = q(p - c) both
+    lie in q(C), so q(c) = 0.
     """
-    space.cone.require_polyhedral("is_order_ideal")
-    jb = [vec(b) for b in basis]
-    for b in jb:
-        if len(b) != space.dim:
-            raise ShapeError("ideal basis vector of wrong length")
-    jb = [b for b in jb if not is_zero_vec(b)]
-    # J - cone as generators: +-basis and negated cone generators
-    down_gens = [x for b in jb for x in (b, tuple(-y for y in b))]
-    down_gens += [tuple(-x for x in g) for g in space.cone.vrep()]
-    down = Cone.from_generators(down_gens, dim=space.dim)
-    meet_rows = list(space.cone.hrep()) + list(down.hrep())
-    meet = Cone.from_inequalities(meet_rows, dim=space.dim)
-    for q in meet.vrep():
-        if not _in_span(jb, q):
-            cert = member(down, q)
-            if cert.verdict != "member":
-                raise InvariantViolation("meet-cone generator has no dominating ideal element")
-            terms = [(i, c) for i, c in cert.decomposition if i < 2 * len(jb)]
-            p = combine([c for _, c in terms], [down_gens[i] for i, _ in terms], space.dim)
-            return IdealReport(False, witness=(p, q))
-    return IdealReport(True)
+    return _ideal(space, basis)[0]
 
 
 def archimedean_quotient(space: AOUSpace, basis: Sequence) -> tuple[AOUSpace, UnitalMap]:
-    """Quotient by an order ideal: project, then Archimedeanize the image.
-
-    The returned map is unital, positive and surjective onto a validated
-    space. Raises when the basis does not span an order ideal (with the
-    (p, q) witness attached) or when the ideal swallows the unit.
+    """The Archimedean quotient V/J by an order ideal J = span(basis)
+    (Paulsen & Tomforde, Vector spaces with an order unit, 2009): the cone
+    q(C), with unit q(e), for q = `quotient_matrix`. J is an order ideal
+    exactly when q(C) is pointed: if q(c1) = -q(c2) != 0 then
+    0 <= c1 <= c1 + c2 in J with c1 not in J, and if 0 <= c <= p in J then
+    q(c) and -q(c) = q(p - c) lie in q(C). Finitely generated, q(C) is
+    closed, so nothing is left to Archimedeanize. Raises when J is not an
+    order ideal (with the (p, q) witness attached), swallows the unit, or
+    leaves q(e) no order unit; `_quotient_holds` checks the result.
     """
-    report = is_order_ideal(space, basis)
+    report, q, image = _ideal(space, basis)
     if not report.is_ideal:
         raise InputError("not an order ideal", certificate=report.witness)
-    jb = [vec(b) for b in basis]
-    jb = [b for b in jb if not is_zero_vec(b)]
-    # reduce to an independent spanning set
-    independent: list[Vec] = []
-    for b in jb:
-        if rank(Matrix.from_rows(independent + [b])) == len(independent) + 1:
-            independent.append(b)
-    if _in_span(independent, space.unit):
+    unit = q.apply(space.unit) if q is not None else ()
+    if is_zero_vec(unit):
         raise InputError("order ideal contains the unit; quotient collapses")
-    proj = quotient_matrix(independent, space.dim)
-    closed, _ = close_and_lineality(space.cone)
-    mid = AOUSpace(
-        proj.rows,
-        image_cone(closed, proj),
-        proj.apply(space.unit),
-        label=f"{space.label}/J" if space.label else "",
+    bad = order_unit_failures(int_hrep(image), unit)
+    if bad:
+        raise _not_an_order_unit(bad[0])
+    quotient = AOUSpace(q.rows, image, unit, label=f"{space.label}/J" if space.label else "")
+    qmap = UnitalMap(space, quotient, q)
+    require_holds(_quotient_holds(basis, qmap), "archimedean_quotient", space)
+    return quotient, qmap
+
+
+def _quotient_holds(basis: Sequence, qmap: UnitalMap) -> bool:
+    """Whether qmap maps onto V/J, J = span(basis): q kills J with rank
+    dim V - dim J = the target's dim, it is unital, the target cone is q(C)
+    (its generators are images of generators, and q is positive), pointed."""
+    q, jb, target = qmap.matrix, [vec(b) for b in basis], qmap.target.cone
+    return (
+        all(is_zero_vec(q.apply(b)) for b in jb)
+        and rank(q) == qmap.target.dim == qmap.source.dim - rank(jb)
+        and qmap.unital
+        and set(target.generators) <= {q.apply(g) for g in qmap.source.cone.vrep()}
+        and qmap.positive
+        and _pointed(target)
     )
-    arch, q2 = archimedeanize(mid)
-    full = q2 @ proj
-    qmap = UnitalMap(space, arch, full)
-    if not qmap.unital or not qmap.positive or rank(full) != arch.dim:
-        raise InvariantViolation("quotient map must be unital positive surjective")
-    return arch, qmap
 
 
 @dataclass(frozen=True)
@@ -281,17 +306,15 @@ def is_order_quotient(m: UnitalMap) -> QuotientReport:
     if rank(m.matrix) != m.target.dim:
         raise InputError("order-quotient test requires a surjective map")
 
-    closed_src, _ = close_and_lineality(m.source.cone)
-    img = image_cone(closed_src, m.matrix)
+    img = image_cone(m.source.cone, m.matrix)
     # the source generators behind img's, dropping zero images as image_cone does
-    behind = [g for g in closed_src.vrep() if not is_zero_vec(m.matrix.apply(g))]
+    behind = [g for g in m.source.cone.vrep() if not is_zero_vec(m.matrix.apply(g))]
     lifts = {}
     for i, w in enumerate(m.target.cone.vrep()):
         cert = member(img, w)
         if cert.verdict != "member":
             return QuotientReport(False, witness=vec(w), separating=cert.witness)
-        terms = cert.decomposition
-        v = combine([c for _, c in terms], [behind[j] for j, _ in terms], m.source.dim)
+        v = _preimage(cert, behind, m.source.dim)
         for eps in EPS_SCHEDULE:
             lifts[(i, eps)] = v
     return QuotientReport(True, lifts=lifts)

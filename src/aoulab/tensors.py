@@ -145,9 +145,15 @@ def _assert_pi_aou(ts_realized: AOUSpace, left: AOUSpace, right: AOUSpace) -> No
             raise InvariantViolation("factor unit fails the order unit test")
 
 
+@_cached
 def _product_cone(left: AOUSpace, right: AOUSpace, kind: str) -> Cone:
     """The epsilon cone, cut out by the products f (x) g of extreme states,
-    or the pi cone, generated by the products v (x) w of cone generators."""
+    or the pi cone, generated by the products v (x) w of cone generators;
+    cached by left under (right, kind), as `tensor_space` is, so a check
+    reads the cones its construction built. A certificate `member_tensor`
+    gave verifies against it with the same generator and row indices, and
+    a pi check needs no facet of pi."""
+    _require_tensor_factors(left, right)
     dim = left.dim * right.dim
     if kind == EPSILON:
         rows = [
@@ -166,8 +172,6 @@ def tensor_space(left: AOUSpace, right: AOUSpace, kind: str) -> TensorSpace:
     under (right, kind), so it lives as long as the left factor."""
     if kind not in (EPSILON, PI):
         raise InputError(f"unknown tensor cone kind {kind!r}")
-    for sp in (left, right):
-        sp.cone.require_polyhedral("tensor cones")
     realized = AOUSpace(
         dim=left.dim * right.dim,
         cone=_product_cone(left, right, kind),
@@ -194,15 +198,6 @@ def _require_tensor_factors(left: AOUSpace, right: AOUSpace) -> None:
         sp.cone.require_polyhedral("tensor cones")
     for sp in (left, right):
         extreme_states(sp)
-
-
-def _checked_product_cone(left: AOUSpace, right: AOUSpace, kind: str) -> Cone:
-    """`_product_cone` for a report check, on factors that pass
-    `_require_tensor_factors`. A certificate `member_tensor` gave verifies
-    against it with the same generator and row indices, and since the
-    realized space is not built, a pi check needs no facet of pi."""
-    _require_tensor_factors(left, right)
-    return _product_cone(left, right, kind)
 
 
 def tensor_map(s: UnitalMap, t: UnitalMap, kind: str) -> UnitalMap:
@@ -385,7 +380,7 @@ def _nuclearity_holds(left: AOUSpace, right: AOUSpace, report: NuclearityReport)
         for sp in (left, right):
             sp.cone.require_polyhedral("tensor cones")
         return _biorthogonal_holds(left if report.factor == "left" else right, report.biorthogonal)
-    eps = _checked_product_cone(left, right, EPSILON)
+    eps = _product_cone(left, right, EPSILON)
     pi = _product_cone(left, right, PI)
     flat = report.witness.flatten()
     return (
@@ -447,14 +442,15 @@ def _space_nuclearity_holds(space: AOUSpace, report: SpaceNuclearity) -> bool:
     space.cone.require_closed("nuclearity")
     if report.nuclear:
         return _biorthogonal_holds(space, report.biorthogonal)
-    d, rays, rows = space.dim, report.rays, space.cone.hrep()
+    # coprime integer rays keep their signs on the integer H-rows
+    d, rays, rows = space.dim, [integerize(g) for g in report.rays], int_hrep(space.cone)
     if len(rays) != d + 1:
         raise ShapeError(f"{len(rays)} rays in dimension {d}, expected {d + 1}")
-    lines = {integerize(s) for g in rays for s in (g, vscale(-1, g))}
+    lines = set(rays) | {tuple(-x for x in g) for g in rays}
     if len(lines) != 2 * (d + 1) or rank(rays) != d:
         return False
     for g in rays:
-        vals = [dot(a, g) for a in rows]
+        vals = [idot(a, g) for a in rows]
         if any(x < 0 for x in vals) or rank([a for a, x in zip(rows, vals) if x == 0]) != d - 1:
             return False
     return True

@@ -12,7 +12,9 @@ numerator over a common denominator) so agreement is meaningful.  Some are secon
 verdict that the package decides by one route: pairwise cone equality against
 a battery of partners for single-space nuclearity, and pi membership of
 every epsilon extreme ray for pairwise nuclearity, where the package reads
-it off simpliciality, the induced map on the
+it off simpliciality, the meet cone /\\ (J - cone) for order
+ideals and the Archimedeanization of the projected cone for quotients,
+where the package reads the image cone in V/J, the induced map on the
 kernel quotient for order quotients, the epsilon order norm for the
 injective norm, one LP over the cone rows for the minimum of a
 functional on the order interval, one LP per source state for the
@@ -48,6 +50,7 @@ from aoulab.cones import (
     Certificate,
     Cone,
     close_and_lineality,
+    contains,
     dual,
     extreme_rays,
     image_cone,
@@ -56,11 +59,15 @@ from aoulab.cones import (
     member,
     same_cone,
 )
-from aoulab.errors import InvariantViolation, ShapeError
-from aoulab.linalg import Matrix, Vec, frac, integerize, is_zero_vec, unit_vec, vec, zeros
+from aoulab.errors import InputError, InvariantViolation, ShapeError
+from aoulab.linalg import (
+    Matrix, Vec, combine, frac, integerize, is_zero_vec, quotient_matrix, unit_vec, vec, zeros
+)
 from aoulab.lp import EQ, GE, INFEASIBLE, OPTIMAL, solve_lp
-from aoulab.maps import UnitalMap, archimedean_quotient
-from aoulab.spaces import AOUSpace, extreme_states, lin_space, linf, order_norm, unit_ball_vertices
+from aoulab.maps import IdealReport, UnitalMap
+from aoulab.spaces import (
+    AOUSpace, archimedeanize, extreme_states, lin_space, linf, order_norm, unit_ball_vertices
+)
 from aoulab.tensors import EPSILON, PI, TensorElement, kron_vec, tensor_space
 
 
@@ -655,12 +662,70 @@ def solve_factor(target: Matrix, through: Matrix) -> Matrix | None:
     return cand if (cand @ through).data == target.data else None
 
 
+def _in_fraction_span(basis: list[Vec], v: Vec) -> bool:
+    if not basis:
+        return is_zero_vec(v)
+    return fraction_solve(Matrix.from_rows(basis).transpose(), v) is not None
+
+
+def meet_is_order_ideal(space: AOUSpace, basis) -> IdealReport:
+    """Order ideal by the meet cone /\\ (J - cone), where the package reads
+    pointedness of the image cone in V/J: every generator of the meet must
+    lie in J. A generator q outside J lies in J - cone, so its conic
+    decomposition over +-basis and the negated cone generators splits it as
+    q = p - c with p in J and c in the cone, the witness (p, q)."""
+    jb = [b for b in map(vec, basis) if not is_zero_vec(b)]
+    down_gens = [x for b in jb for x in (b, tuple(-y for y in b))]
+    down_gens += [tuple(-x for x in g) for g in space.cone.vrep()]
+    down = Cone.from_generators(down_gens, dim=space.dim)
+    meet = Cone.from_inequalities(list(space.cone.hrep()) + list(down.hrep()), dim=space.dim)
+    for q in meet.vrep():
+        if not _in_fraction_span(jb, q):
+            terms = [(i, c) for i, c in member(down, q).decomposition if i < 2 * len(jb)]
+            p = combine([c for _, c in terms], [down_gens[i] for i, _ in terms], space.dim)
+            return IdealReport(False, witness=(p, q))
+    return IdealReport(True)
+
+
+def archimedeanized_quotient(space: AOUSpace, basis) -> tuple[AOUSpace, UnitalMap]:
+    """V/J by projecting the closed cone and Archimedeanizing the image,
+    where the package takes the image itself: the ideal test of
+    `meet_is_order_ideal`, then `archimedeanize`, and positivity by cone
+    inclusion of the image."""
+    if not meet_is_order_ideal(space, basis).is_ideal:
+        raise InputError("not an order ideal")
+    independent: list[Vec] = []
+    for b in map(vec, basis):
+        if fraction_rank(Matrix.from_rows(independent + [b])) == len(independent) + 1:
+            independent.append(b)
+    if _in_fraction_span(independent, space.unit):
+        raise InputError("order ideal contains the unit; quotient collapses")
+    proj = quotient_matrix(independent, space.dim)
+    closed, _ = close_and_lineality(space.cone)
+    mid = AOUSpace(
+        proj.rows,
+        image_cone(closed, proj),
+        fraction_apply(proj, space.unit),
+        label=f"{space.label}/J" if space.label else "",
+    )
+    arch, q2 = archimedeanize(mid)
+    full = q2 @ proj
+    qmap = UnitalMap(space, arch, full)
+    if (
+        fraction_apply(full, space.unit) != arch.unit
+        or not contains(arch.cone, image_cone(space.cone, full))
+        or fraction_rank(full) != arch.dim
+    ):
+        raise InvariantViolation("quotient map must be unital positive surjective")
+    return arch, qmap
+
+
 def kernel_quotient_is_order_quotient(m: UnitalMap) -> bool:
     """Order-quotient test through the first isomorphism theorem: ker m of a
     unital positive surjection is an order ideal, and m is an order quotient
     exactly when the map it induces on the Archimedean quotient by ker m is
     a unital order isomorphism onto the target."""
-    quotient, q = archimedean_quotient(m.source, fraction_nullspace(m.matrix))
+    quotient, q = archimedeanized_quotient(m.source, fraction_nullspace(m.matrix))
     induced = solve_factor(m.matrix, q.matrix)
     return (
         induced is not None

@@ -6,6 +6,7 @@ from math import comb
 
 import pytest
 from conftest import (
+    archimedeanized_quotient,
     ball_scan_spaces,
     extension_lp_rows,
     fraction_dot,
@@ -19,6 +20,7 @@ from conftest import (
     lp_is_isometry,
     lp_member,
     lp_min_l1_measure,
+    meet_is_order_ideal,
     rand_frac,
     rand_vec,
     random_unital_into_linf,
@@ -49,6 +51,7 @@ from aoulab.maps import (
     pert,
     perturb,
 )
+from aoulab.serialize import to_dict
 from aoulab.spaces import (
     AOUSpace,
     dual_augmented,
@@ -87,6 +90,11 @@ def group_merge_maps(r, count):
             rows.append(tuple(row))
         maps.append(UnitalMap(linf(n), linf(len(blocks)), Matrix.from_rows(rows)))
     return maps
+
+
+# the half-plane x1 >= 0 and the wedge x1 >= |x2|, each with a line in its cone
+HALF_PLANE = AOUSpace(2, Cone.from_inequalities([(1, 0)]), (1, 0), label="half-plane")
+WEDGE = AOUSpace(3, Cone.from_inequalities([(1, 1, 0), (1, -1, 0)]), (1, 0, 0), label="wedge")
 
 
 def in_span(basis, v):
@@ -197,12 +205,12 @@ class TestCheckMap:
 
     def test_flags_are_computed_once(self, monkeypatch):
         calls = []
-        apply, contains = Matrix.apply, aoulab.maps.contains
+        apply, int_hrep = Matrix.apply, aoulab.maps.int_hrep
         monkeypatch.setattr(Matrix, "apply", lambda m, v: calls.append("apply") or apply(m, v))
-        monkeypatch.setattr(aoulab.maps, "contains", lambda a, b: calls.append("contains") or contains(a, b))
+        monkeypatch.setattr(aoulab.maps, "int_hrep", lambda cone: calls.append("int_hrep") or int_hrep(cone))
         m = UnitalMap(L2, L1, Matrix.from_rows([(Fraction(1, 2), Fraction(1, 2))]))
         assert m.unital and m.positive
-        assert "apply" in calls and calls.count("contains") == 1
+        assert "apply" in calls and calls.count("int_hrep") == 1
         calls.clear()
         assert m.unital and m.positive
         assert calls == []
@@ -213,9 +221,25 @@ class TestCheckMap:
             UnitalMap(L2, strict, Matrix.identity(2)).positive
 
 
+def assert_witness(space, basis, witness):
+    # 0 <= q <= p, p in J and q not, by membership LPs
+    p, q = witness
+    assert in_span(basis, p) and not in_span(basis, q)
+    assert lp_member(space.cone, q).verdict == "member"
+    assert lp_member(space.cone, vsub(p, q)).verdict == "member"
+
+
+def assert_same_quotient(space, basis):
+    # the quotient and its map serialize as the Archimedeanization oracle's
+    got, want = archimedean_quotient(space, basis), archimedeanized_quotient(space, basis)
+    assert [to_dict(x) for x in got] == [to_dict(x) for x in want]
+
+
 class TestOrderIdeal:
     def test_zero_ideal(self):
-        assert is_order_ideal(L2, []).is_ideal
+        for basis in ([], [(0, 0)]):
+            assert is_order_ideal(L2, basis).is_ideal
+            assert_same_quotient(L2, basis)
 
     def test_diagonal_line_in_linf3(self):
         assert is_order_ideal(L3, [(1, -1, 0)]).is_ideal
@@ -237,12 +261,14 @@ class TestOrderIdeal:
         assert is_order_ideal(L2, [(1, 0), (0, 1)]).is_ideal
 
     def test_witnesses_on_random_subspaces(self):
-        # 0 <= q <= p with p in J and q not, checked by membership LPs;
-        # bases may repeat a vector, hold a multiple of one, or hold zero
+        # 0 <= q <= p with p in J and q not, checked by membership LPs, and
+        # every verdict the meet-cone oracle's; an ideal that leaves out the
+        # unit has the oracle's quotient. Bases may repeat a vector, hold a
+        # multiple of one, or hold zero
         r = rng(6121)
-        spaces = [linf(n) for n in (2, 3, 4)] + [lin_space(n) for n in (1, 2)]
+        spaces = [linf(n) for n in (2, 3, 4)] + [lin_space(n) for n in (1, 2, 3)] + [HALF_PLANE, WEDGE]
         verdicts = []
-        for _ in range(80):
+        for _ in range(120):
             sp = r.choice(spaces)
             basis = [
                 tuple(r.randint(-1, 1) for _ in range(sp.dim))
@@ -257,14 +283,42 @@ class TestOrderIdeal:
                 basis.insert(r.randrange(len(basis) + 1), (0,) * sp.dim)
             rep = is_order_ideal(sp, basis)
             verdicts.append(rep.is_ideal)
+            assert rep.is_ideal == meet_is_order_ideal(sp, basis).is_ideal
             if rep.is_ideal:
+                if not in_span(basis, sp.unit):
+                    assert_same_quotient(sp, basis)
                 continue
-            p, q = rep.witness
-            assert in_span(basis, p) and not in_span(basis, q)
-            assert lp_member(sp.cone, q).verdict == "member"
-            assert lp_member(sp.cone, vsub(p, q)).verdict == "member"
+            assert_witness(sp, basis, rep.witness)
         # a subspace that meets the cone only in 0 is an ideal
         assert verdicts.count(True) >= 10 and verdicts.count(False) >= 10
+
+    def test_proper_subspace_holding_the_unit(self):
+        basis = [(1, 1, 1), (1, 0, 0)]
+        rep = is_order_ideal(L3, basis)
+        assert not rep.is_ideal and not meet_is_order_ideal(L3, basis).is_ideal
+        assert_witness(L3, basis, rep.witness)
+        with pytest.raises(InputError, match="not an order ideal") as exc:
+            archimedean_quotient(L3, basis)
+        assert exc.value.certificate == rep.witness
+
+    def test_redundant_basis_vectors(self):
+        # duplicate, parallel and zero vectors leave J and its quotient as they are
+        for sp, line in ((L3, (1, -1, 0)), (WEDGE, (0, 0, 1))):
+            redundant = [line, (0,) * sp.dim, line, vscale(-2, line)]
+            got = [to_dict(x) for x in archimedean_quotient(sp, redundant)]
+            assert got == [to_dict(x) for x in archimedean_quotient(sp, [line])]
+            assert_same_quotient(sp, redundant)
+
+    def test_one_dd_per_quotient(self, dd_calls):
+        # the image cone's DD decides the ideal and carries the quotient; a
+        # rejected kernel adds the DD of its lineality lift, over which
+        # member decomposes the line behind the witness
+        archimedean_quotient(linf(4), [(1, 0, 0, 0), (0, 0, 1, 0)])
+        assert len(dd_calls) == 1
+        dd_calls.clear()
+        with pytest.raises(InputError, match="not an order ideal"):
+            archimedean_quotient(linf(4), [(1, 1, 0, 0)])
+        assert len(dd_calls) == 2
 
 
 class TestArchimedeanQuotient:
@@ -291,7 +345,8 @@ class TestArchimedeanQuotient:
             archimedean_quotient(L2, [(1, 1)])
 
     def test_ideal_containing_unit_rejected(self):
-        with pytest.raises(InputError):
+        # J = V is an ideal whose quotient collapses
+        with pytest.raises(InputError, match="contains the unit"):
             archimedean_quotient(L2, [(1, 0), (0, 1)])
 
 

@@ -197,6 +197,7 @@ def _is_name_call(node, name: str) -> bool:
 
 # each construction and the checker `verify` runs on its result
 CHECKED_CONSTRUCTIONS = {
+    ("maps.py", "archimedean_quotient"): "_quotient_holds",
     ("maps.py", "_pert_with_norms"): "_pert_holds",
     ("maps.py", "_perturb_with_norm"): "_perturb_holds",
     ("tensors.py", "factorize"): "_factorization_holds",

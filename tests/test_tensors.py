@@ -29,7 +29,7 @@ from aoulab.errors import InputError, InvariantViolation, NotPointedError, Shape
 from aoulab.linalg import Matrix, det, dot, vec, vscale, vsub
 from aoulab.lp import EQ, GE, solve_lp
 import aoulab.maps
-from aoulab.maps import UnitalMap, check_map, is_order_quotient, operator_norm, pert
+from aoulab.maps import UnitalMap, archimedean_quotient, check_map, is_order_quotient, operator_norm, pert
 from aoulab.psd_examples import (
     BELL,
     I4,
@@ -788,6 +788,18 @@ def double_the_measures(monkeypatch):
     monkeypatch.setattr(aoulab.maps, "_min_l1_measure", lambda space, f: [2 * x for x in original(space, f)])
 
 
+def skew_the_quotient_matrix(monkeypatch):
+    # q's first entry off by 1/7: q no longer kills J, yet its image is a
+    # pointed cone with an order unit, so only the check sees it
+    original = aoulab.maps.quotient_matrix
+
+    def skewed(kernel, dim):
+        q = original(kernel, dim)
+        return Matrix(((q.data[0][0] + Fraction(1, 7),) + q.data[0][1:],) + q.data[1:])
+
+    monkeypatch.setattr(aoulab.maps, "quotient_matrix", skewed)
+
+
 @pytest.mark.parametrize(
     "tamper, construct, name",
     [
@@ -797,8 +809,9 @@ def double_the_measures(monkeypatch):
         (swap_two_states, lambda: _space_nuclearity(L3), r"nuclearity\(linf\(3\)\)"),
         (double_the_first_ray, lambda: _space_nuclearity(LS2), r"nuclearity\(lin_space\(2\)\)"),
         (double_the_measures, lambda: pert(UnitalMap(L2, L2, Matrix.identity(2))), r"pert\(linf\(2\), linf\(2\)\)"),
+        (skew_the_quotient_matrix, lambda: archimedean_quotient(linf(4), [(1, 0, 0, 0)]), r"archimedean_quotient\(linf\(4\)\)"),
     ],
-    ids=["factorize-simplicial", "nuclear-pair-simplicial", "nuclear-pair-witness", "nuclear-simplicial", "nuclear-rays", "pert"],
+    ids=["factorize-simplicial", "nuclear-pair-simplicial", "nuclear-pair-witness", "nuclear-simplicial", "nuclear-rays", "pert", "quotient"],
 )
 def test_a_broken_construction_fails_its_check(monkeypatch, tamper, construct, name):
     # each construction ends with the checker verify runs, which sees the
