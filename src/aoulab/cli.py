@@ -9,11 +9,14 @@ dual norms over the unit ball and the target's extreme states,
 `tensor-member` and `nuclear-pair` from their certificates against the
 product generators and product-state rows, and `nuclear` and a nuclear
 `nuclear-pair` from a simplicial cone's biorthogonal rays and states, or
-from extreme rays past the dimension.  `verify` re-runs every other verb
-and compares the result with the report's.  Exit codes: 0 the
-computation ran (whatever the verdict; `verify` exits 3 on a report that
-does not hold), 1 usage error, 2 invalid input, 3 internal invariant
-breach.
+from extreme rays past the dimension.  Each of those checks is one
+decoder, which reads the stored result back by the type hints of the
+library's result types, plus one library checker: a `_*_holds`, or for
+`tensor-member` the certificate's own `verify`.  `verify`
+re-runs every other verb and compares the result with the report's.
+Exit codes: 0 the computation ran (whatever the verdict; `verify` exits 3
+on a report that does not hold), 1 usage error, 2 invalid input, 3
+internal invariant breach.
 """
 
 from __future__ import annotations
@@ -23,6 +26,8 @@ import dataclasses
 import functools
 import json
 import sys
+import types
+import typing
 from fractions import Fraction
 from typing import Callable
 
@@ -66,8 +71,6 @@ from .spaces import (
 from .tensors import (
     EPSILON,
     PI,
-    Biorthogonal,
-    DefectStep,
     FactorizationResult,
     NuclearityReport,
     SpaceNuclearity,
@@ -110,7 +113,7 @@ def _plain(obj):
             if not f.name.startswith("_"):
                 out[f.name] = _plain(getattr(obj, f.name))
         return out
-    return repr(obj)
+    raise InvariantViolation(f"a report cannot carry a {type(obj).__name__}")
 
 
 def _read(path: str) -> str:
@@ -186,18 +189,19 @@ def _run_examples(_which):
 
 # -- checks: a stored result against the decoded inputs, with no re-run -------
 #
-# A check takes the decoded arguments in table order and the report's result
-# fields, decodes those strictly, and returns whether every claim holds.  A
-# result with missing or extra keys, or a value of the wrong type or shape,
-# is invalid input; a well-formed claim that does not hold gives False.
+# A check declares the key shapes its result may take, decodes the result
+# with `_decoder`, which inverts `_plain` by the result types' type hints,
+# and returns what its library checker says.  A result with missing or extra
+# keys, or a value of the wrong type or shape, is invalid input; a
+# well-formed claim that does not hold gives False.
+
+_hints = functools.cache(typing.get_type_hints)
+_form = functools.cache(lambda tp: (typing.get_origin(tp), typing.get_args(tp)))
 
 
-def _keys(result: dict, *shapes: tuple[str, ...]) -> tuple[str, ...]:
-    """The key set of result, which must be one of shapes."""
-    for shape in shapes:
-        if sorted(result) == sorted(shape):
-            return shape
-    raise InputError(f"result keys {sorted(result)} are not one of {[sorted(s) for s in shapes]}")
+class _Refuted(Exception):
+    """An embedded map or tensor element that is not the canonical one
+    rebuilt around the inputs' spaces: a claim that does not hold."""
 
 
 def _rational(x) -> Fraction:
@@ -208,84 +212,71 @@ def _rational(x) -> Fraction:
     return value
 
 
-def _integer(x) -> int:
-    if type(x) is not int:
-        raise InputError(f"expected an integer, got {x!r}")
-    return x
+def _decoder(dim: int | None = None, **rebuild) -> Callable:
+    """The inverse of `_plain` for one check: decode(spec, d, *shapes)
+    reads the object d, whose key set must be one of shapes (by default
+    spec's), decoding each value by its type hint in spec, a dict of hints
+    or a dataclass, which it then builds.  Every vector (a tuple of
+    rationals) must have length dim where dim is given.  A map or tensor
+    element embedded under the key k is rebuild[k] of its matrix, and
+    raises _Refuted unless the report holds its canonical form.  A value
+    `_plain` cannot have rendered from its hint is invalid input, as is a
+    null in d itself, where no checked runner returns None (`_fields_of`
+    drops None fields); only objects nested in d store None as null."""
 
+    def decode(spec, d, *shapes):
+        if isinstance(d, dict) and any(v is None for v in d.values()):
+            raise InputError(f"a result stores no null, got {d!r}")
+        return fields(spec, d, shapes)
 
-def _flag(x) -> bool:
-    if not isinstance(x, bool):
-        raise InputError(f"expected true or false, got {x!r}")
-    return x
+    def fields(spec, d, shapes=()):
+        hints = _hints(spec) if isinstance(spec, type) else spec
+        keys = [sorted(s) for s in shapes or (hints,)]
+        if not isinstance(d, dict) or sorted(d) not in keys:
+            raise InputError(f"expected an object with one of the key sets {keys}, got {d!r}")
+        out = {k: value(hints[k], v, k) for k, v in d.items()}
+        return spec(**out) if hints is not spec else out
 
+    def value(tp, x, key):
+        if tp is Fraction:
+            return _rational(x)
+        origin, args = _form(tp)
+        if origin in (typing.Union, types.UnionType):  # X | None
+            return None if x is None else value(args[0], x, key)
+        if tp is tuple or origin is tuple:
+            if not isinstance(x, list):
+                raise InputError(f"expected a list, got {x!r}")
+            if not args:  # a row name, which starts with its kind
+                if not x or type(x[0]) is not str:
+                    raise InputError(f"a row name starts with its kind, got {x!r}")
+                return tuple(x)
+            if args == (Fraction, ...):  # a vector
+                if dim is not None and len(x) != dim:
+                    raise InputError(f"a vector has length {len(x)}, expected {dim}")
+                return tuple(map(_rational, x))
+            if args[-1] is Ellipsis:
+                return tuple(value(args[0], v, key) for v in x)
+            if len(x) != len(args):
+                raise InputError(f"expected {len(args)} entries, got {x!r}")
+            return tuple(value(t, v, key) for t, v in zip(args, x))
+        if tp in (bool, int, str, dict):
+            if type(x) is not tp:
+                raise InputError(f"expected a {tp.__name__}, got {x!r}")
+            return x
+        if tp in (UnitalMap, TensorElement):
+            if not isinstance(x, dict):
+                raise InputError(f"expected an embedded object, got {x!r}")
+            rows = decode_rows(x.get("matrix" if tp is UnitalMap else "coeffs"))
+            obj = rebuild[key](Matrix.from_rows(rows))
+            if to_dict(obj) != x:
+                raise _Refuted
+            return obj
+        # any other hint is a dataclass, rendered with its name
+        if not isinstance(x, dict) or x.get("object") != tp.__name__:
+            raise InputError(f"expected a {tp.__name__}, got {x!r}")
+        return fields(tp, {k: v for k, v in x.items() if k != "object"})
 
-def _list(x, what: str) -> list:
-    if not isinstance(x, list):
-        raise InputError(f"{what} must be a list, got {x!r}")
-    return x
-
-
-def _rationals(x, what: str, n: int | None = None) -> tuple:
-    """Rationals, n of them where n is given."""
-    out = tuple(_rational(v) for v in _list(x, what))
-    if n is not None and len(out) != n:
-        raise InputError(f"{what} has length {len(out)}, expected {n}")
-    return out
-
-
-def _vectors(x, what: str, n: int) -> tuple:
-    return tuple(_rationals(v, what, n) for v in _list(x, what))
-
-
-def _pair(x, what: str) -> list:
-    if len(_list(x, what)) != 2:
-        raise InputError(f"{what} must be a pair, got {x!r}")
-    return x
-
-
-def _on(stored, field: str, rebuild):
-    """A map or tensor element a result embeds, rebuilt from its matrix
-    field around the inputs' spaces, or None when the stored object is not
-    the rebuilt one's canonical form."""
-    if not isinstance(stored, dict):
-        raise InputError(f"expected an embedded object, got {stored!r}")
-    obj = rebuild(Matrix.from_rows(decode_rows(stored.get(field))))
-    return obj if to_dict(obj) == stored else None
-
-
-def _object(d, name: str, keys: tuple[str, ...]) -> dict:
-    """A dataclass as `_plain` renders it: its fields and "object": name."""
-    if not isinstance(d, dict) or sorted(d) != sorted(keys + ("object",)) or d["object"] != name:
-        raise InputError(f"expected a {name} with the fields {list(keys)}, got {d!r}")
-    return d
-
-
-def _certificate(d, dim: int) -> Certificate:
-    """A certificate about a vector of length dim."""
-    _object(d, "Certificate", ("decomposition", "kind", "payload", "verdict", "witness"))
-    if not isinstance(d["verdict"], str) or not isinstance(d["kind"], str):
-        raise InputError("certificate verdict and kind must be strings")
-    if d["payload"] is not None and not isinstance(d["payload"], dict):
-        raise InputError("certificate payload must be an object")
-    witness = None if d["witness"] is None else _rationals(d["witness"], "witness")
-    if witness is not None and len(witness) != dim:
-        raise InputError(f"certificate witness has length {len(witness)}, expected {dim}")
-    return Certificate(
-        d["verdict"],
-        d["kind"],
-        None if d["decomposition"] is None else _terms(d["decomposition"]),
-        witness,
-        d["payload"],
-    )
-
-
-def _terms(x) -> tuple:
-    """Conic decomposition terms [index, coefficient]."""
-    return tuple(
-        (_integer(i), _rational(c))
-        for i, c in (_pair(t, "decomposition term") for t in _list(x, "decomposition"))
-    )
+    return decode
 
 
 def _map_check(key: str, holds):
@@ -293,91 +284,53 @@ def _map_check(key: str, holds):
     key (the distance or the bound) and the norm of t."""
 
     def check(t, result) -> bool:
-        _keys(result, (key, "map", "norm"))
-        s_map = _on(result["map"], "matrix", lambda m: UnitalMap(t.source, t.target, m))
-        return s_map is not None and holds(t, s_map, _rational(result[key]), _rational(result["norm"]))
+        decode = _decoder(map=lambda m: UnitalMap(t.source, t.target, m))
+        r = decode({"map": UnitalMap, key: Fraction, "norm": Fraction}, result)
+        return holds(t, r["map"], r[key], r["norm"])
 
     return check
 
 
 def _check_tensor_member(z, kind, result) -> bool:
-    _keys(result, ("certificate", "kind", "verdict"))
-    cert = _certificate(result["certificate"], z.left.dim * z.right.dim)
+    decode = _decoder(z.left.dim * z.right.dim)
+    r = decode({"certificate": Certificate, "kind": str, "verdict": str}, result)
+    cert = r["certificate"]
     return (
-        result["kind"] == kind
-        and result["verdict"] == cert.verdict
+        r["kind"] == kind
+        and r["verdict"] == cert.verdict
         and cert.verify(_product_cone(z.left, z.right, kind), z.flatten())
     )
 
 
-def _biorthogonal(d, dim: int) -> Biorthogonal:
-    _object(d, "Biorthogonal", ("rays", "states"))
-    return Biorthogonal(_vectors(d["rays"], "ray", dim), _vectors(d["states"], "state", dim))
-
-
 def _check_nuclear_pair(left, right, result) -> bool:
-    shape = _keys(
+    factor = result.get("factor")
+    if factor not in ("left", "right", None):
+        raise InputError(f"factor must be left or right, got {factor!r}")
+    # a biorthogonal pair is about the named factor, a certificate about the tensor
+    dim = left.dim * right.dim if factor is None else (left if factor == "left" else right).dim
+    decode = _decoder(dim, witness=lambda c: TensorElement(left, right, c))
+    report = decode(
+        NuclearityReport,
         result,
         ("biorthogonal", "factor", "nuclear"),
         ("epsilon_certificate", "nuclear", "pi_certificate", "witness"),
     )
-    nuclear = _flag(result["nuclear"])
-    if "witness" in shape:
-        z = _on(result["witness"], "coeffs", lambda c: TensorElement(left, right, c))
-        dim = left.dim * right.dim
-        pi_cert, eps_cert = (_certificate(result[k], dim) for k in ("pi_certificate", "epsilon_certificate"))
-        report = NuclearityReport(False, z, pi_cert, eps_cert)
-        return not nuclear and z is not None and _nuclearity_holds(left, right, report)
-    factor = result["factor"]
-    if factor not in ("left", "right"):
-        raise InputError(f"factor must be left or right, got {factor!r}")
-    pair = _biorthogonal(result["biorthogonal"], (left if factor == "left" else right).dim)
-    return nuclear and _nuclearity_holds(left, right, NuclearityReport(True, factor=factor, biorthogonal=pair))
+    return report.nuclear == (report.witness is None) and _nuclearity_holds(left, right, report)
 
 
 def _check_nuclear(space, result) -> bool:
-    shape = _keys(result, ("biorthogonal", "nuclear"), ("nuclear", "rays"))
-    nuclear = _flag(result["nuclear"])
-    if "rays" in shape:
-        report = SpaceNuclearity(False, rays=_vectors(result["rays"], "ray", space.dim))
-        return not nuclear and _space_nuclearity_holds(space, report)
-    pair = _biorthogonal(result["biorthogonal"], space.dim)
-    return nuclear and _space_nuclearity_holds(space, SpaceNuclearity(True, biorthogonal=pair))
-
-
-def _step(d) -> DefectStep:
-    _object(d, "DefectStep", ("multipliers", "psi"))
-    psi = tuple(_rationals(row, "psi row") for row in _list(d["psi"], "psi"))
-    multipliers = []
-    for m in _list(d["multipliers"], "multipliers"):
-        name, mu = _pair(m, "multiplier")
-        if not _list(name, "row name") or not isinstance(name[0], str):
-            raise InputError(f"a row name starts with its kind, got {name!r}")
-        multipliers.append((tuple(name), _rational(mu)))
-    return DefectStep(psi, tuple(multipliers))
+    decode = _decoder(space.dim)
+    report = decode(SpaceNuclearity, result, ("biorthogonal", "nuclear"), ("nuclear", "rays"))
+    return report.nuclear == (report.rays is None) and _space_nuclearity_holds(space, report)
 
 
 def _check_factorize(space, eps, result) -> bool:
-    _keys(result, ("defect", "exhausted", "phi", "psi", "schedule", "states_used", "steps", "success"))
-    phi = _on(result["phi"], "matrix", lambda m: UnitalMap(space, linf(m.rows), m))
-    psi = None if phi is None else _on(result["psi"], "matrix", lambda m: UnitalMap(phi.target, space, m))
-    if phi is None or psi is None:
-        return False
-    schedule = tuple(
-        (_integer(k), _rational(defect))
-        for k, defect in (_pair(p, "schedule entry") for p in _list(result["schedule"], "schedule"))
+    coordinates = functools.cache(linf)  # phi's target is psi's source
+    decode = _decoder(
+        phi=lambda m: UnitalMap(space, coordinates(m.rows), m),
+        psi=lambda m: UnitalMap(coordinates(m.cols), space, m),
     )
-    res = FactorizationResult(
-        phi=phi,
-        psi=psi,
-        defect=_rational(result["defect"]),
-        success=_flag(result["success"]),
-        states_used=_integer(result["states_used"]),
-        schedule=schedule,
-        exhausted=_flag(result["exhausted"]),
-        steps=tuple(_step(d) for d in _list(result["steps"], "steps")),
-    )
-    return _factorization_holds(space, eps, res)
+    return _factorization_holds(space, eps, decode(FactorizationResult, result))
 
 
 # -- the verb table ------------------------------------------------------------
@@ -640,7 +593,10 @@ def _cmd_verify(args, out) -> int:
     check = _VERBS[verb].check
     # `_plain` yields only what JSON parses back to itself, so the re-run
     # result compares with the stored one directly
-    verified = check(*inputs, stored) if check else stored == _result(verb, inputs)
+    try:
+        verified = check(*inputs, stored) if check else stored == _result(verb, inputs)
+    except _Refuted:
+        verified = False
     _emit(
         {"version": VERSION, "type": "report", "verb": "verify",
          "inputs": {"report": report.get("verb")}, "verified": verified},

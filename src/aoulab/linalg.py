@@ -364,13 +364,15 @@ def inverse(m: Matrix) -> Matrix:
 
 def quotient_matrix(kernel: Sequence[Vec], dim: int) -> Matrix:
     """A surjection Q^dim -> Q^(dim - k) whose kernel is exactly the span of
-    the k independent kernel vectors: complete them to a basis with
-    standard vectors, invert, and keep the rows dual to the completion."""
-    basis = list(kernel)
-    for i in range(dim):
-        cand = basis + [unit_vec(i, dim)]
-        if rank(cand) == len(cand):
-            basis = cand
-    if len(basis) != dim:
-        raise InvariantViolation("kernel completion failed to reach a basis")
-    return Matrix(inverse(Matrix.from_rows(basis).transpose()).data[len(kernel):])
+    the k independent kernel vectors. One Gauss-Jordan elimination of
+    [K^T | I] finds, as its pivot columns past k, the first standard vectors
+    that complete the kernel to a basis B, and leaves (B^T)^-1 in place of
+    I; its rows past k are dual to the completion."""
+    k = len(kernel)
+    rows, scales = _int_rows([v[i] for v in kernel] for i in range(dim))
+    for i, (row, s) in enumerate(zip(rows, scales)):
+        row.extend(s if j == i else 0 for j in range(dim))
+    pivots, d, _ = _bareiss(rows, k + dim, back=True)
+    if pivots[:k] != list(range(k)):
+        raise InvariantViolation("quotient_matrix: the kernel vectors are dependent")
+    return Matrix(tuple(tuple(Fraction(x, d) for x in row[k:]) for row in rows[k:]))

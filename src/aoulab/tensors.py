@@ -745,6 +745,8 @@ def _factorization_holds(space: AOUSpace, eps: Fraction, res: FactorizationResul
     space.cone.require_closed("factorization")
     d = space.dim
     phi_m, psi_m = res.phi.matrix, res.psi.matrix
+    if phi_m.rows != psi_m.cols:
+        raise ShapeError(f"phi maps into dimension {phi_m.rows}, psi out of {psi_m.cols}")
     if not res.steps:
         ones = (Fraction(1),) * d
         return (

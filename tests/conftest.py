@@ -185,6 +185,22 @@ def fraction_inverse(m: Matrix) -> Matrix | None:
     return Matrix.from_rows([r[n:] for r in rows]) if len(pivots) == n else None
 
 
+def rank_completed_quotient_matrix(kernel, dim: int) -> Matrix:
+    """`quotient_matrix` by one rank test per standard vector: e_i joins the
+    basis B when it is independent of the vectors before it, and the rows
+    of (B^T)^-1 past the kernel are the quotient. Dependent kernel vectors
+    never complete to a basis."""
+    basis = [vec(v) for v in kernel]
+    for i in range(dim):
+        cand = basis + [unit_vec(i, dim)]
+        if fraction_rank(Matrix.from_rows(cand)) == len(cand):
+            basis = cand
+    inv = fraction_inverse(Matrix.from_rows(basis).transpose()) if len(basis) == dim else None
+    if inv is None:
+        raise InvariantViolation("kernel completion failed to reach a basis")
+    return Matrix(inv.data[len(kernel):])
+
+
 def fraction_det(m: Matrix) -> Fraction:
     """Product of the pivots of forward elimination over Fractions, with a
     sign flip per row swap."""

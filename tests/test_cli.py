@@ -12,8 +12,9 @@ import aoulab.cones
 import aoulab.maps
 import aoulab.spaces
 import aoulab.tensors
-from aoulab.cli import _VERBS, _build_parser, main
+from aoulab.cli import _VERBS, _build_parser, _plain, main
 from aoulab.cones import Cone
+from aoulab.errors import InvariantViolation
 from aoulab.linalg import Matrix
 from aoulab.maps import UnitalMap
 from aoulab.psd_examples import WitnessReport
@@ -213,6 +214,12 @@ class TestReports:
             ]
         )
         assert code == 2
+
+
+def test_plain_refuses_what_no_check_reads_back():
+    # a report holds only values the decoder inverts; anything else is a bug
+    with pytest.raises(InvariantViolation, match="float"):
+        _plain({"norm": 0.5})
 
 
 class TestRoundtrip:
@@ -807,6 +814,17 @@ TAMPERS = {
 }
 
 
+# edits of an embedded map or tensor element outside its matrix: the object
+# rebuilt around the inputs' spaces is not the stored one, a false claim
+EMBEDDED_TAMPERS = {
+    "pert_map_source_label": ("pert:skew", at(["map", "source", "label"])("other")),
+    "perturb_map_target_unit": ("perturb:skew", at(["map", "target", "unit"])(["1", "2"])),
+    "factorize_phi_entry_an_int": ("factorize:lin2", at(["phi", "matrix", 0, 0])(1)),
+    "factorize_psi_extra_key": ("factorize:lin2", at(["psi", "extra"])(1)),
+    "nuclear_witness_left_label": ("nuclear-pair:lin2,lin2", at(["witness", "left", "label"])("other")),
+}
+
+
 class TestEvidenceChecks:
     @pytest.mark.parametrize("name", list(CHECK_CASES))
     def test_fresh_report_passes_check_and_oracle(self, checked_reports, tmp_path, name):
@@ -833,6 +851,32 @@ class TestEvidenceChecks:
         assert report != checked_reports[case]
         assert verify_report(tmp_path, report) == (3, "false\n")
         assert not rerun_verifies(report)
+
+    @pytest.mark.parametrize("name", list(EMBEDDED_TAMPERS))
+    def test_embedded_object_off_its_canonical_form_is_false(self, checked_reports, tmp_path, name):
+        case, edit = EMBEDDED_TAMPERS[name]
+        report = json.loads(json.dumps(checked_reports[case]))
+        edit(report)
+        assert verify_report(tmp_path, report) == (3, "false\n")
+        assert not rerun_verifies(report)
+
+    def test_decoder_inverts_plain(self, checked_reports, tmp_path, monkeypatch):
+        # what each check decodes renders back to the stored result fields
+        decoded = []
+        real = aoulab.cli._decoder
+
+        def spy(*args, **kwargs):
+            decode = real(*args, **kwargs)
+            return lambda *a: decoded.append(decode(*a)) or decoded[-1]
+
+        monkeypatch.setattr(aoulab.cli, "_decoder", spy)
+        for name, report in checked_reports.items():
+            decoded.clear()
+            assert verify_report(tmp_path, report) == (0, "true\n"), name
+            [result] = decoded
+            fields = vars(result) if dataclasses.is_dataclass(result) else result
+            stored = {k: v for k, v in report.items() if k not in ("version", "type", "verb", "inputs")}
+            assert _plain({k: v for k, v in fields.items() if v is not None}) == stored, name
 
     def test_checks_run_no_search(self, checked_reports, tmp_path, monkeypatch):
         # no LP, no membership decision, no minimal measure and none of the
@@ -863,3 +907,88 @@ class TestEvidenceChecks:
             monkeypatch.setitem(_VERBS, verb, dataclasses.replace(_VERBS[verb], run=refuse))
         for name, report in checked_reports.items():
             assert verify_report(tmp_path, report) == (0, "true\n"), name
+
+
+# -- a generated malformed-report sweep ------------------------------------------
+#
+# One fresh report per checked verb and branch.  Every result object (the
+# result and each object nested in it) loses each key in turn and gains an
+# extra one, every value turns null, and every leaf takes values of the
+# wrong type: each edit must be invalid input.  An embedded map or tensor
+# element is a leaf here, since an edit inside it is checked against its
+# canonical form and gives a claim that does not hold; the free-form
+# certificate payload is left out, and a certificate's optional evidence
+# may be null.
+
+SWEEP_CASES = {
+    "factorize:simplicial": "factorize:linf2",
+    "factorize:greedy": "factorize:lin2",
+    "pert": "pert:skew",
+    "perturb": "perturb:skew",
+    "tensor-member:pi:member": "tensor-member:pi:linf2,linf2:unit",
+    "tensor-member:pi:non_member": "tensor-member:pi:linf2,linf2:negated",
+    "tensor-member:epsilon:member": "tensor-member:epsilon:linf2,linf2:unit",
+    "tensor-member:epsilon:non_member": "tensor-member:epsilon:lin1,lin2:negated",
+    "nuclear-pair:nuclear": "nuclear-pair:linf2,lin1",
+    "nuclear-pair:not_nuclear": "nuclear-pair:lin2,lin2",
+    "nuclear:nuclear": "nuclear:linf2",
+    "nuclear:not_nuclear": "nuclear:lin2",
+}
+
+
+NULLABLE = {"Certificate": ("decomposition", "witness", "payload")}
+
+
+def wrong_values(leaf) -> list:
+    """Values of the wrong type for a leaf: a float, a scalar wrapped in a
+    list, null, and, where an int or a rational belongs, a bool and the
+    non-canonical "2/2"."""
+    values = [0.5, [leaf]] + ([] if leaf is None else [None])
+    rational = isinstance(leaf, str) and leaf.lstrip("-").replace("/", "", 1).isdigit()
+    if rational or type(leaf) is int:
+        values += [True, "2/2"]
+    if type(leaf) is bool:
+        values.append(int(leaf))
+    return values
+
+
+def malformed_edits(node, path=()):
+    """(path, edit) for every malformed edit of a result's objects and leaves."""
+    if isinstance(node, dict) and "type" not in node:
+        for key in node:
+            yield (*path, key, "dropped"), lambda d, p=(*path, key): locate(d, p[:-1]).pop(p[-1])
+        yield (*path, "extra"), lambda d, p=path: locate(d, p).__setitem__("extra", "1")
+        for key, value in node.items():
+            if isinstance(value, (dict, list)) and key not in NULLABLE.get(node.get("object"), ()):
+                yield (*path, key, None), lambda d, p=(*path, key): locate(d, p[:-1]).__setitem__(p[-1], None)
+            if key != "payload":
+                yield from malformed_edits(value, (*path, key))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from malformed_edits(value, (*path, i))
+    else:
+        for value in wrong_values(node):
+            yield (*path, value), lambda d, p=path, v=value: locate(d, p[:-1]).__setitem__(p[-1], v)
+
+
+def locate(d, path):
+    for key in path:
+        d = d[key]
+    return d
+
+
+@pytest.mark.parametrize("name", list(SWEEP_CASES))
+def test_every_malformed_edit_is_invalid_input(checked_reports, tmp_path, capsys, name):
+    report = checked_reports[SWEEP_CASES[name]]
+    result = {k: v for k, v in report.items() if k not in ("version", "type", "verb", "inputs")}
+    edits = list(malformed_edits(result))
+    found = []
+    for where, edit in edits:
+        edited = json.loads(json.dumps(report))
+        edit(edited)
+        capsys.readouterr()
+        code, out = verify_report(tmp_path, edited)
+        err = capsys.readouterr().err
+        if (code, out, err.startswith("aoulab: invalid input: "), err.count("\n")) != (2, "", True, 1):
+            found.append((where, code, out, err))
+    assert len(edits) > 10 and not found, found

@@ -10,10 +10,11 @@ from conftest import (
     fraction_nullspace,
     fraction_rank,
     fraction_solve,
+    rank_completed_quotient_matrix,
 )
 
 import aoulab.linalg
-from aoulab.errors import ShapeError
+from aoulab.errors import InvariantViolation, ShapeError
 from aoulab.linalg import (
     Matrix,
     combine,
@@ -24,10 +25,12 @@ from aoulab.linalg import (
     integerize,
     inverse,
     nullspace,
+    quotient_matrix,
     rank,
     solve,
     vec,
 )
+from aoulab.spaces import lin_space, linf
 
 
 def test_frac_rejects_floats():
@@ -278,3 +281,31 @@ def test_nullspace_vectors_are_a_kernel_basis():
             assert all(x == 0 for x in m.apply(v))
         if basis:
             assert fraction_rank(Matrix.from_rows(basis)) == len(basis)
+
+
+def test_quotient_matrix_matches_the_rank_loop(monkeypatch):
+    # random kernels, some dependent, in the dimensions of linf(1..5) and
+    # lin_space(1..3): one elimination completes each the way the rank
+    # test per standard vector does
+    eliminations = []
+    real = aoulab.linalg._bareiss
+    monkeypatch.setattr(aoulab.linalg, "_bareiss", lambda *a, **kw: eliminations.append(1) or real(*a, **kw))
+    r = random.Random(23)
+    dims = [linf(n).dim for n in range(1, 6)] + [lin_space(n).dim for n in range(1, 4)]
+    outcomes = set()
+    for dim in dims:
+        for _ in range(60):
+            kernel = [tuple(row) for row in random_matrix(r, r.randint(0, dim), dim)]
+            try:
+                expected = rank_completed_quotient_matrix(kernel, dim)
+            except InvariantViolation:
+                expected = None
+            eliminations.clear()
+            if expected is None:
+                with pytest.raises(InvariantViolation):
+                    quotient_matrix(kernel, dim)
+            else:
+                assert quotient_matrix(kernel, dim).data == expected.data
+            assert len(eliminations) == 1
+            outcomes.add(expected is None)
+    assert outcomes == {True, False}

@@ -226,6 +226,81 @@ def test_one_check_per_construction():
     assert not found, found
 
 
+def _check_column_faults(tree: ast.Module) -> list[str]:
+    """Faults of the check column of cli's `_VERBS` table: a check that
+    reaches no library checker or more than one, or that decodes by hand
+    (decode_frac, decode_rows, decode_vec or isinstance) rather than through
+    the decoder. A check is a function of the module, or a call of one with
+    the checker as an argument. A library checker is a `_*_holds` of maps
+    or tensors, or a certificate's `.verify`."""
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    library = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module in ("maps", "tensors")
+        for alias in node.names
+    }
+    [table] = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["_VERBS"]
+    ]
+    faults = []
+    for verb, row in zip(table.keys, table.values):
+        checks = [kw.value for kw in row.keywords if kw.arg == "check"] + row.args[3:]
+        if not checks:
+            continue
+        [check] = checks
+        reached = [check] if isinstance(check, ast.Name) else [check.func, *check.args]
+        nodes = [n for r in reached for n in ast.walk(defs.get(getattr(r, "id", None), r))]
+        names = {n.id for n in nodes if isinstance(n, ast.Name)}
+        holds = {n for n in names if n.startswith("_") and n.endswith("_holds")}
+        holds |= {".verify" for n in nodes if isinstance(n, ast.Attribute) and n.attr == "verify"}
+        if len(holds) != 1 or not holds <= library | {".verify"}:
+            faults.append(f"{verb.value}: reaches the checkers {sorted(holds)}, not one library checker")
+        by_hand = names & {"decode_frac", "decode_rows", "decode_vec", "isinstance"}
+        faults += [f"{verb.value}: decodes with {n}" for n in sorted(by_hand)]
+    return faults
+
+
+def test_each_check_is_one_decode_and_one_library_checker():
+    # verify's checks decode through cli._decoder alone and then ask one
+    # library checker, so a claim is checked once and decoded one way
+    path = PACKAGE / "cli.py"
+    assert _check_column_faults(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_check_column_faults_are_found():
+    # the guard above sees a check with a second checker, one with none and
+    # one that decodes by hand, and takes a certificate's verify alone
+    source = """
+from .maps import _pert_holds, _perturb_holds
+def _both(t, result):
+    return _pert_holds(t, result) and _perturb_holds(t, result)
+def _by_hand(t, result):
+    return isinstance(result, dict) and _pert_holds(t, decode_frac(result["norm"]))
+def _certificate(z, cert):
+    return cert.verify(cone, z)
+def _holds_and_certificate(t, cert):
+    return _pert_holds(t, cert) and cert.verify(cone, t)
+_VERBS = {
+    "a": _Verb("a", (), run, _both),
+    "b": _Verb("b", (), run, check=_none()),
+    "c": _Verb("c", (), run, _by_hand),
+    "d": _Verb("d", (), run),
+    "e": _Verb("e", (), run, _certificate),
+    "f": _Verb("f", (), run, _holds_and_certificate),
+}
+"""
+    assert _check_column_faults(ast.parse(source)) == [
+        "a: reaches the checkers ['_pert_holds', '_perturb_holds'], not one library checker",
+        "b: reaches the checkers [], not one library checker",
+        "c: decodes with decode_frac",
+        "c: decodes with isinstance",
+        "f: reaches the checkers ['.verify', '_pert_holds'], not one library checker",
+    ]
+
+
 def _hand_dot_lines(tree: ast.Module) -> list[int]:
     """Lines of a dot product or linear combination by hand: a sum of
     products over a zip or a range, such as sum(x * y for x, y in zip(a, b))
