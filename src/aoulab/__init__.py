@@ -1,8 +1,8 @@
 """Exact computation for finite-dimensional Archimedean order unit spaces.
 
-Everything runs over the rationals: cones carry double-description
-certificates, norms and states come out of exact linear programs with
-self-verifying dual evidence, and every yes/no answer (membership,
+Everything runs over the rationals: each cone's one double description
+gives its states and extreme rays, order norms come out of exact linear
+programs with self-verifying dual evidence, and every yes/no answer (membership,
 nuclearity, quotient, factorization) ships a certificate that re-checks by
 substitution.
 """

@@ -332,7 +332,10 @@ def extend_unital_positive(
     contain the unit of w2 (with value the unit of v). Feasibility is one
     exact LP over the matrix entries; with a simplicial target cone a
     solution always exists, and infeasibility (reported with the LP's
-    refutation certificate) means the preconditions fail.
+    refutation certificate) means the preconditions fail. `solve_lp`
+    checks its solution by substitution, and that proves every claim: the
+    equality rows are M b_i = y_i and M e = e', and the >= rows are
+    a . (M g) >= 0 over every generator g of w2 and H-row a of v.
     """
     basis = [vec(b) for b in w1_basis]
     vals = [vec(x) for x in values]
@@ -375,10 +378,7 @@ def extend_unital_positive(
             certificate=out.dual_certificate,
         )
     matrix = Matrix.from_rows(out.primal[r * nw : (r + 1) * nw] for r in range(nv))
-    ext = UnitalMap(w2, v, matrix)
-    if not ext.unital or not ext.positive:
-        raise InvariantViolation("extension LP returned a non-solution")
-    return ext
+    return UnitalMap(w2, v, matrix)
 
 
 # -- functional geometry -------------------------------------------------------

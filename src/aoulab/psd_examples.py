@@ -294,9 +294,11 @@ def psd_example_suite() -> list[WitnessReport]:
 
     Bell is PSD yet outside the pi cone (partial transpose witness); Swap
     is block positive, by the identity (x (x) y)^T S (x (x) y) = (x.y)^2,
-    yet not PSD.  The identity matrix belongs to all three cones.  Swap's
-    one LDL^T gives the direction d, d^T Swap d < 0, behind its two
-    non-member verdicts and, as Swap = PT(Bell), behind Bell's pi one.
+    yet not PSD.  Bell = vv^T, v = (1, 0, 0, 1), has the same block form
+    (x.y)^2, so one square is both epsilon verdicts.  The identity matrix
+    belongs to all three cones.  Swap's one LDL^T gives the direction d,
+    d^T Swap d < 0, behind its two non-member verdicts and, as
+    Swap = PT(Bell), behind Bell's pi one.
     Each report's closing `verify` is the one check; it runs the one
     LDL^T of Bell and of the identity.
     """
@@ -306,6 +308,7 @@ def psd_example_suite() -> list[WitnessReport]:
     value = dot(d, SWAP.apply(d))
     psd_member = TensorVerdict(claim="member", cone="psd", kind="psd_factorization")
     i2 = Matrix.identity(2)
+    xy_squared = TensorVerdict("member", "epsilon", "polynomial_identity", sos=(vec((1, 0, 0, 1)),))
     reports = [
         WitnessReport(
             label="bell",
@@ -320,9 +323,7 @@ def psd_example_suite() -> list[WitnessReport]:
                     value=value,
                     functional=partial_transpose(Matrix.from_rows([[a * b for b in d] for a in d])),
                 ),
-                "epsilon": TensorVerdict(
-                    claim="member", cone="epsilon", kind="gram_shift", shift=Fraction(0)
-                ),
+                "epsilon": xy_squared,
             },
         ),
         WitnessReport(
@@ -331,12 +332,7 @@ def psd_example_suite() -> list[WitnessReport]:
             verdicts={
                 "psd": TensorVerdict("non_member", "psd", "negative_direction", direction=d, value=value),
                 "pi": TensorVerdict("non_member", "pi", "psd_superset", direction=d, value=value),
-                "epsilon": TensorVerdict(
-                    claim="member",
-                    cone="epsilon",
-                    kind="polynomial_identity",
-                    sos=(vec((1, 0, 0, 1)),),
-                ),
+                "epsilon": xy_squared,
             },
         ),
         WitnessReport(

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import comb
 
 from .cones import (
-    Certificate, Cone, _cached, contains, dual, extreme_rays, int_hrep, int_vrep, is_simplicial, member
+    Certificate, Cone, _cached, dual, extreme_rays, int_hrep, int_vrep, is_simplicial, member
 )
 from .errors import InputError, InvariantViolation, ShapeError, SizeLimitError, require_holds
 from .linalg import (
@@ -103,48 +103,6 @@ class TensorSpace:
     realized: AOUSpace
 
 
-def _assert_epsilon_aou(space: AOUSpace) -> None:
-    """The epsilon cone is closed by construction; pointedness is the rows
-    spanning the dual, and since every row pairs to 1 with the unit, the
-    order unit property reduces to that pairing being positive."""
-    cone = space.cone
-    if cone.has_strict_rows:
-        raise InvariantViolation("epsilon cone must be closed")
-    if rank(Matrix.from_rows(cone.inequalities)) != space.dim:
-        raise InvariantViolation("epsilon cone is not pointed")
-    if order_unit_failures(cone.inequalities, space.unit):
-        raise InvariantViolation("epsilon unit fails the order unit test")
-
-
-def _assert_pi_aou(ts_realized: AOUSpace, left: AOUSpace, right: AOUSpace) -> None:
-    """Finitely generated, hence closed; pointedness is certified by a
-    strictly positive product functional.  The product unit is an order unit
-    because each factor unit is one of its own cone, which is the row test of
-    `validate`: for r e_V +- v and s e_W +- w positive,
-
-        (r e + v) (x) (s e + w) + (r e - v) (x) (s e - w) = 2 r s e (x) e + 2 v (x) w
-
-    (and the same with w -> -w) puts 2 r s e_V (x) e_W +- 2 v (x) w in the pi
-    cone, and simple tensors span V (x) W.  A factor unit off the interior is
-    bad input that `extreme_states` rejects first, so the row test is an
-    invariant."""
-    if ts_realized.cone.has_strict_rows:
-        raise InvariantViolation("pi cone must be closed")
-    f0 = vec([0] * left.dim)
-    for st in extreme_states(left):
-        f0 = tuple(a + b for a, b in zip(f0, st.functional))
-    g0 = vec([0] * right.dim)
-    for st in extreme_states(right):
-        g0 = tuple(a + b for a, b in zip(g0, st.functional))
-    phi = kron_vec(f0, g0)
-    for g in ts_realized.cone.generators:
-        if dot(phi, g) <= 0:
-            raise InvariantViolation("pi cone is not pointed")
-    for sp in (left, right):
-        if order_unit_failures(sp.cone.hrep(), sp.unit):
-            raise InvariantViolation("factor unit fails the order unit test")
-
-
 @_cached
 def _product_cone(left: AOUSpace, right: AOUSpace, kind: str) -> Cone:
     """The epsilon cone, cut out by the products f (x) g of extreme states,
@@ -169,7 +127,21 @@ def _product_cone(left: AOUSpace, right: AOUSpace, kind: str) -> Cone:
 @_cached
 def tensor_space(left: AOUSpace, right: AOUSpace, kind: str) -> TensorSpace:
     """The epsilon or pi tensor space of left and right, cached by left
-    under (right, kind), so it lives as long as the left factor."""
+    under (right, kind), so it lives as long as the left factor.
+
+    Both are AOU spaces with unit e_V (x) e_W. The one check is the factor
+    row test of `validate` the proofs rest on; a factor unit off the
+    interior is bad input that `extreme_states` refuses first. Epsilon: the
+    rows f (x) g are closed, span the dual, as each factor's extreme states
+    span its own, and pair to f(e) g(e) = 1 with the unit. Pi: finitely
+    generated, hence closed; (sum f) (x) (sum g) over the extreme states is
+    positive on every nonzero generator v (x) w, so pi is pointed; and for
+    r e_V +- v and s e_W +- w positive,
+
+        (r e + v) (x) (s e + w) + (r e - v) (x) (s e - w) = 2 r s e (x) e + 2 v (x) w
+
+    (and the same with w -> -w) puts r s e_V (x) e_W +- v (x) w in pi, so
+    e_V (x) e_W is an order unit, as simple tensors span V (x) W."""
     if kind not in (EPSILON, PI):
         raise InputError(f"unknown tensor cone kind {kind!r}")
     realized = AOUSpace(
@@ -178,10 +150,9 @@ def tensor_space(left: AOUSpace, right: AOUSpace, kind: str) -> TensorSpace:
         unit=kron_vec(left.unit, right.unit),
         label=f"{kind}({left.label},{right.label})",
     )
-    if kind == EPSILON:
-        _assert_epsilon_aou(realized)
-    else:
-        _assert_pi_aou(realized, left, right)
+    for sp in (left, right):
+        if order_unit_failures(int_hrep(sp.cone), sp.unit):
+            raise InvariantViolation("factor unit fails the order unit test")
     return TensorSpace(left, right, kind, realized)
 
 
@@ -201,36 +172,18 @@ def _require_tensor_factors(left: AOUSpace, right: AOUSpace) -> None:
 
 
 def tensor_map(s: UnitalMap, t: UnitalMap, kind: str) -> UnitalMap:
+    """S (x) T between the kind's tensor spaces, for factors whose computed
+    flags say unital and positive. It is unital, (S (x) T)(e (x) e) =
+    Se (x) Te, and positive: on pi, v (x) w maps to the product Sv (x) Tw of
+    positive elements; on epsilon, a target row f (x) g pulls back to
+    (f o S) (x) (g o T), a product of positive functionals, hence a
+    nonnegative combination of source rows f' (x) g'."""
     for m, name in ((s, "left"), (t, "right")):
         if not m.unital or not m.positive:
             raise InputError(f"{name} factor must be unital and positive")
     src = tensor_space(s.source, t.source, kind)
     tgt = tensor_space(s.target, t.target, kind)
-    m = UnitalMap(src.realized, tgt.realized, Matrix.kron(s.matrix, t.matrix))
-    if not m.unital:
-        raise InvariantViolation("tensor of unital maps lost the unit")
-    if kind == PI:
-        # positivity on pi holds iff every product generator maps into the
-        # target cone; the generator list is exactly the product list
-        if not m.positive:
-            raise InvariantViolation("tensor map is not positive on the pi cone")
-    else:
-        # dual route: (S (x) T)^T (f (x) g) = (S^T f) (x) (T^T g), so it is
-        # enough that each factor pulls extreme target states into the conic
-        # hull of source states
-        for factor in (s, t):
-            hull = Cone.from_generators(
-                [st.functional for st in extreme_states(factor.source)],
-                factor.source.dim,
-            )
-            mt = factor.matrix.transpose()
-            pulled = Cone.from_generators(
-                [mt.apply(st.functional) for st in extreme_states(factor.target)],
-                factor.source.dim,
-            )
-            if not contains(hull, pulled):
-                raise InvariantViolation("tensor map is not positive on the epsilon cone")
-    return m
+    return UnitalMap(src.realized, tgt.realized, Matrix.kron(s.matrix, t.matrix))
 
 
 def injective_banach_norm(z: TensorElement) -> Fraction:
@@ -243,8 +196,9 @@ def injective_banach_norm(z: TensorElement) -> Fraction:
     normalized product states.  No epsilon space is built.
     """
     best = Fraction(0)
+    coeffs_t = z.coeffs.transpose()
     for f in extreme_states(z.left):
-        row = z.coeffs.transpose().apply(f.functional)
+        row = coeffs_t.apply(f.functional)
         for g in extreme_states(z.right):
             best = max(best, abs(dot(row, g.functional)))
     return best

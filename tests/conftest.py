@@ -18,11 +18,14 @@ where the package reads the image cone in V/J, the induced map on the
 kernel quotient for order quotients, the epsilon order norm for the
 injective norm, one LP over the cone rows for the minimum of a
 functional on the order interval, one LP per source state for the
-isometry of a map, and one LP for the minimal-mass signed measure of a
-functional over the states.  The LP builders (`extension_lp_rows`,
-`psi_lp_without_dedup`, `psi_lp_in_generators`) index the matrix entries by
-hand instead of through `kron_vec`, and the last one takes the start defect
-off the extreme states instead of the cone rows.  The full-ball scans
+isometry of a map, one LP for the minimal-mass signed measure of a
+functional over the states, and the pull-back of each factor's extreme
+states for the positivity of a tensor map on epsilon, which the package
+proves in `tensor_map`'s docstring and does not check.  The LP builders
+(`extension_lp_rows`, `psi_lp_without_dedup`, `psi_lp_in_generators`)
+index the matrix entries by hand instead of through `kron_vec`, and the
+last one takes the start defect off the extreme states instead of the
+cone rows.  The full-ball scans
 (operator norm, dual norm, Auerbach |det| scan by Fraction elimination)
 visit every vertex of the unit ball, where the package takes one vertex of
 each +- pair.  The Fraction routes of the geometry (`fraction_states`,
@@ -433,6 +436,21 @@ def lp_pi_order_unit(left: AOUSpace, right: AOUSpace) -> None:
                 expect = tuple(r * s * u + sgn * x for u, x in zip(unit, b_flat))
                 if tuple(total) != expect:
                     raise InvariantViolation("pi unit fails the order unit test")
+
+
+def epsilon_pullback_positive(s: UnitalMap, t: UnitalMap) -> bool:
+    """S (x) T is positive on the epsilon cones by its factors, with no
+    flag of the tensor map: it pulls a row f (x) g back to
+    (S^T f) (x) (T^T g), so it is enough that each factor pulls every
+    extreme target state into the cone the source states generate, one LP
+    per pulled state (`lp_contains`)."""
+    for m in (s, t):
+        hull = Cone.from_generators([st.functional for st in extreme_states(m.source)], m.source.dim)
+        mt = m.matrix.transpose()
+        pulled = [mt.apply(st.functional) for st in extreme_states(m.target)]
+        if not lp_contains(hull, Cone.from_generators(pulled, m.source.dim)):
+            return False
+    return True
 
 
 def extension_lp_rows(w2: AOUSpace, basis: list[Vec], vals: list[Vec], v: AOUSpace):

@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -355,7 +356,7 @@ def assert_invalid_input(code, out, err):
 
 @pytest.mark.parametrize("cone", list(MALFORMED_CONES.values()), ids=list(MALFORMED_CONES))
 def test_malformed_cone_in_space_file(files, tmp_path, capsys, cone):
-    d = json.loads(open(files["linf1.json"]).read())
+    d = json.loads(Path(files["linf1.json"]).read_text())
     d["cone"] = cone
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(d))
@@ -368,7 +369,7 @@ def test_malformed_cone_in_space_file(files, tmp_path, capsys, cone):
     "fields", list(MALFORMED_SPACE_FIELDS.values()), ids=list(MALFORMED_SPACE_FIELDS)
 )
 def test_malformed_field_in_space_file(files, tmp_path, capsys, fields):
-    d = json.loads(open(files["linf1.json"]).read())
+    d = json.loads(Path(files["linf1.json"]).read_text())
     d.update(fields)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(d))
@@ -381,7 +382,7 @@ def test_malformed_field_in_space_file(files, tmp_path, capsys, fields):
     "fields", list(MALFORMED_SPACE_FIELDS.values()), ids=list(MALFORMED_SPACE_FIELDS)
 )
 def test_malformed_field_in_roundtrip(files, tmp_path, capsys, fields):
-    d = json.loads(open(files["linf1.json"]).read())
+    d = json.loads(Path(files["linf1.json"]).read_text())
     d.update(fields)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(d))

@@ -5,22 +5,26 @@ import dataclasses
 import gc
 import time
 import weakref
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from conftest import (
     battery_nuclearity,
     epsilon_order_norm,
+    epsilon_pullback_positive,
     fraction_inverse,
     fraction_next_state,
     fraction_rank,
     kernel_quotient_is_order_quotient,
+    lp_is_pointed,
     lp_pi_order_unit,
     pi_membership_witness,
     psi_lp_in_generators,
     psi_lp_without_dedup,
     rand_frac,
     rand_vec,
+    random_unital_into_linf,
     rng,
 )
 
@@ -29,6 +33,7 @@ from aoulab.errors import InputError, InvariantViolation, NotPointedError, Shape
 from aoulab.linalg import Matrix, det, dot, vec, vscale, vsub
 from aoulab.lp import EQ, GE, solve_lp
 import aoulab.maps
+import aoulab.psd_examples
 from aoulab.maps import UnitalMap, archimedean_quotient, check_map, is_order_quotient, operator_norm, pert
 from aoulab.psd_examples import (
     BELL,
@@ -113,6 +118,19 @@ def random_non_simplicial(r, d):
             return space
 
 
+def random_factor(r):
+    """linf(1..3), lin_space(1..2), a simplicial V-space or a non-simplicial
+    3-dim V-cone: small enough that a pair's pi facet DD is quick."""
+    pick = r.randrange(4)
+    if pick == 0:
+        return linf(r.randint(1, 3))
+    if pick == 1:
+        return lin_space(r.randint(1, 2))
+    if pick == 2:
+        return random_simplicial(r, r.randint(2, 3))
+    return random_non_simplicial(r, 3)
+
+
 class TestTensorSpace:
     def test_kron_vec_convention(self):
         # row-major pairing: kron(A, B) applied to v (x) w is Av (x) Bw
@@ -167,6 +185,19 @@ class TestTensorSpace:
             lp_pi_order_unit(left, right)
             ts = tensor_space(left, right, PI)
             assert ts.realized.unit == kron_vec(left.unit, right.unit)
+
+    def test_random_pairs_validate_and_agree_with_the_lp_oracles(self):
+        # tensor_space proves both spaces AOU in its docstring; here both
+        # realized spaces validate, and the LPs confirm pi's pointedness
+        # and unit
+        r = rng(61)
+        for _ in range(24):
+            left, right = random_factor(r), random_factor(r)
+            for kind in (EPSILON, PI):
+                rep = validate(tensor_space(left, right, kind).realized)
+                assert rep.order_unit and rep.archimedean and rep.pointed
+            assert lp_is_pointed(tensor_space(left, right, PI).realized.cone)
+            lp_pi_order_unit(left, right)
 
     def test_pi_rejects_factor_units_off_the_interior(self, monkeypatch):
         on_facet = AOUSpace(2, linf(2).cone, (1, 0))
@@ -439,6 +470,47 @@ class TestTensorMap:
             m = tensor_map(identity_map(L2), identity_map(L3), kind)
             assert m.matrix.data == Matrix.identity(6).data
             assert m.unital and m.positive
+
+    @staticmethod
+    def random_factor_map(r, source):
+        """The identity of source, or a unital positive map into linf(1..2)."""
+        if r.randrange(3) == 0:
+            return identity_map(source)
+        while not (m := random_unital_into_linf(r, source, r.randint(1, 2), spread=1)).positive:
+            pass
+        return m
+
+    def test_random_factor_maps_give_unital_positive_maps(self):
+        # tensor_map proves its result unital and positive in its
+        # docstring; here the flags and the epsilon pull-back confirm it
+        r = rng(67)
+        for _ in range(16):
+            s = self.random_factor_map(r, random_factor(r))
+            t = self.random_factor_map(r, random_factor(r))
+            assert epsilon_pullback_positive(s, t)
+            for kind in (EPSILON, PI):
+                m = tensor_map(s, t, kind)
+                assert m.unital and m.positive
+
+    def test_warm_tensor_map_runs_no_dd(self, dd_calls):
+        # with the factors and both tensor spaces built, the map is its
+        # Kronecker product: no cone of the result is built or converted
+        s = identity_map(LS2)
+        t = UnitalMap(L2, L3, Matrix.from_rows([(1, 0), (0, 1), (Fraction(1, 2), Fraction(1, 2))]))
+        for kind in (EPSILON, PI):
+            assert s.unital and s.positive and t.unital and t.positive
+            tensor_space(s.source, t.source, kind)
+            tensor_space(s.target, t.target, kind)
+            dd_calls.clear()
+            m = tensor_map(s, t, kind)
+            assert dd_calls == []
+            assert m.matrix.data == Matrix.kron(s.matrix, t.matrix).data
+
+    def test_lin_space_three_square_builds_no_pi_facets(self):
+        ls3 = lin_space(3)
+        m = tensor_map(identity_map(ls3), identity_map(ls3), PI)
+        assert m.matrix.data == Matrix.identity(16).data
+        assert "_dd" not in m.target.cone._derived
 
     def test_requires_positive_unital_factors(self):
         skew = UnitalMap(L2, L2, Matrix.from_rows([(2, -1), (0, 1)]))
@@ -927,6 +999,16 @@ class TestPsdExampleSuite:
         assert claims["identity"] == {"psd": "member", "pi": "member", "epsilon": "member"}
         for rep in suite.values():
             assert rep.verify()
+
+    def test_one_ldlt_per_matrix(self, monkeypatch):
+        # Bell's epsilon verdict is a sum of squares, so its one LDL^T is
+        # the psd verdict's
+        calls = []
+        original = aoulab.psd_examples.ldlt_psd
+        monkeypatch.setattr(aoulab.psd_examples, "ldlt_psd", lambda m: calls.append(m.data) or original(m))
+        psd_example_suite()
+        i2 = Matrix.identity(2).data
+        assert Counter(calls) == {SWAP.data: 1, BELL.data: 1, I4.data: 1, i2: 2}
 
     def test_bell_witness_values(self):
         suite = {rep.label: rep for rep in psd_example_suite()}
