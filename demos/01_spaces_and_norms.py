@@ -31,7 +31,7 @@ print("norm of (1, -2, 1/2):", order_norm(V, (1, -2, Fraction(1, 2))))
 W = lin_space(2)
 print("\nlin_space(2) states:")
 for s in extreme_states(W):
-    print("  ", s.functional)
+    print("  ", s)
 
 # the unit ball of the order norm is a polytope; its vertices drive the
 # exact operator norm computations later

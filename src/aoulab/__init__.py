@@ -71,7 +71,6 @@ from .psd_examples import (
 from .serialize import dumps, from_dict, loads, to_dict
 from .spaces import (
     AOUSpace,
-    StateVector,
     ValidationReport,
     archimedeanize,
     dual_augmented,

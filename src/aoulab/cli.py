@@ -77,7 +77,6 @@ from .tensors import (
     TensorElement,
     _factorization_holds,
     _nuclearity_holds,
-    _product_cone,
     _space_nuclearity,
     _space_nuclearity_holds,
     factorize,
@@ -298,7 +297,7 @@ def _check_tensor_member(z, kind, result) -> bool:
     return (
         r["kind"] == kind
         and r["verdict"] == cert.verdict
-        and cert.verify(_product_cone(z.left, z.right, kind), z.flatten())
+        and cert.verify(tensor_space(z.left, z.right, kind).realized.cone, z.flatten())
     )
 
 
@@ -415,7 +414,7 @@ _VERBS = {
     "states": _Verb(
         "extreme states of the space",
         (_space(),),
-        lambda space: {"states": [s.functional for s in extreme_states(space)]},
+        lambda space: {"states": extreme_states(space)},
     ),
     "archimedeanize": _Verb(
         "Archimedeanization and its projection", (_space(),), _run_archimedeanize

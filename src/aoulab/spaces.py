@@ -6,10 +6,11 @@ order unit, is the cone closed), Archimedeanization (close the cone, quotient
 out the lineality of the closure), the order norm, extreme states, and the
 evaluation embedding into linf over the extreme states.
 
-Everything is exact. The order norm is computed twice, by LP against the
-cone rows and as the maximum of |f(v)| over extreme states, and the two
-routes must agree; disagreement is an internal error, never a rounding
-question.
+Everything is exact, and each value has one route. The order norm is one
+LP over the cone rows, proved optimal by its duality certificate; that it
+is the largest |f(v)| over the extreme states (Paulsen & Tomforde, Vector
+spaces with an order unit, 2009) is a test oracle, not a second
+computation. A state is returned as the plain vector of its coefficients.
 
 The geometry stays in the integers of the cone's one double description
 until a public function returns. A state is an integer extreme ray r of the
@@ -31,14 +32,13 @@ from .cones import (
 )
 from .errors import (
     InputError,
-    InvariantViolation,
     NotPointedError,
     PolyhedralRequired,
     ShapeError,
     SizeLimitError,
 )
 from .linalg import Matrix, Vec, common_den, dot, idot, is_zero_vec, quotient_matrix, unit_vec, vec
-from .lp import GE, INFEASIBLE, LPOutcome, solve_lp
+from .lp import GE, INFEASIBLE, solve_lp
 from .psd import ldlt_psd
 from .cones import SYM_PSD, pack_sym, unpack_sym
 
@@ -66,35 +66,11 @@ class AOUSpace:
 
 
 @dataclass(frozen=True)
-class StateVector:
-    """A positive functional normalized to 1 on the unit."""
-
-    functional: Vec
-
-    def __call__(self, v) -> Fraction:
-        return dot(self.functional, vec(v))
-
-
-@dataclass(frozen=True)
 class ValidationReport:
     order_unit: bool
     archimedean: bool
     pointed: bool
     certificates: dict
-
-
-def _norm_outcome(space: AOUSpace, v: Vec) -> LPOutcome:
-    """min r subject to r*e + v and r*e - v in the closed cone, r >= 0."""
-    rows = []
-    rhs = []
-    for a in space.cone.hrep():
-        ae = dot(a, space.unit)
-        av = dot(a, v)
-        rows.append((ae,))
-        rhs.append(-av)
-        rows.append((ae,))
-        rhs.append(av)
-    return solve_lp((1,), rows, rhs, [GE] * len(rows), nonneg=[True])
 
 
 def order_unit_failures(rows, unit: Vec) -> list[Vec]:
@@ -107,11 +83,18 @@ def order_unit_failures(rows, unit: Vec) -> list[Vec]:
     return [a for a in rows if dot(a, unit) <= 0 and not is_zero_vec(a)]
 
 
-def _not_an_order_unit(row) -> InputError:
-    """Bad input: a nonzero row a of the closed cone with a.e <= 0."""
-    return InputError(
-        "the unit is not an order unit: a cone row is not positive on it", certificate=vec(row)
-    )
+_LINE_IN_CONE = "cone is not pointed (it contains a line); states do not separate points"
+
+
+def _require_order_unit(cone: Cone, unit: Vec) -> None:
+    """The order-unit gate: InputError, with the first nonzero row a of the
+    closed cone's `int_hrep` with a.e <= 0 as certificate, unless unit is an
+    order unit of the cone."""
+    bad = order_unit_failures(int_hrep(cone), unit)
+    if bad:
+        raise InputError(
+            "the unit is not an order unit: a cone row is not positive on it", certificate=vec(bad[0])
+        )
 
 
 def validate(space: AOUSpace) -> ValidationReport:
@@ -149,53 +132,70 @@ def archimedeanize(space: AOUSpace) -> tuple[AOUSpace, Matrix]:
 
     Returns the Archimedean space and the quotient matrix q. For an already
     closed pointed cone this is the identity. A unit that is not an order
-    unit of the closure is bad input. The result must validate as
-    Archimedean with a pointed cone; failure to do so is an internal error.
+    unit of the closure C is bad input. Otherwise the result is an AOU
+    space, with nothing left to check: q(C) is finitely generated, hence
+    closed, so Archimedean. It is pointed: q(c1) = -q(c2) puts c1 + c2 in
+    ker q, the lineality of C, so -c1 = c2 - (c1 + c2) lies in C, and
+    q(c1) = 0. And q(e) is an order unit: r e +- v in C gives
+    r q(e) +- q(v) in q(C), and q is onto.
     """
     space.cone.require_polyhedral("archimedeanize")
     closed, lin = close_and_lineality(space.cone)
-    bad = order_unit_failures(int_hrep(closed), space.unit)
-    if bad:
-        raise _not_an_order_unit(bad[0])
+    _require_order_unit(closed, space.unit)
     if not lin:
         return AOUSpace(space.dim, closed, space.unit, space.label), Matrix.identity(space.dim)
     q = quotient_matrix(lin, space.dim)
     new_cone = image_cone(closed, q)
     new_unit = q.apply(space.unit)
     arch = AOUSpace(q.rows, new_cone, new_unit, label=f"{space.label}/arch" if space.label else "")
-    report = validate(arch)
-    if not (report.order_unit and report.archimedean and report.pointed):
-        raise InvariantViolation("archimedeanization did not produce a valid AOU space")
     return arch, q
 
 
 def order_norm(space: AOUSpace, v) -> Fraction:
-    """inf{r : -r*e <= v <= r*e}, exact.
+    """inf{r : -r*e <= v <= r*e}, exact; polyhedral cones only.
 
-    Computed by LP over the cone rows and cross-checked against the maximum
-    of |f(v)| over the extreme states; polyhedral cones only.
+    One LP over the closed cone rows a: r e +- v lies in the cone exactly
+    when r a.e >= |a.v| for every a, and `solve_lp` proves its optimum by
+    its duality certificate. The value is a norm only on an AOU space, so
+    a dominated v is still refused when the cone has a line
+    (NotPointedError, with the lineality) or a cone row is not positive on
+    the unit (the order-unit gate). A pointed cone with every row positive
+    on e is full-dimensional with e interior, so these are the spaces
+    `extreme_states` refuses; on the others the LP value is the largest
+    |f(v)| over the extreme states f (Paulsen & Tomforde, Vector spaces
+    with an order unit, 2009), which the tests check.
     """
     space.cone.require_polyhedral("order_norm")
     v = vec(v)
     if len(v) != space.dim:
         raise ShapeError(f"vector length {len(v)} != space dim {space.dim}")
-    out = _norm_outcome(space, v)
+    # min r subject to r*e + v and r*e - v in the closed cone, r >= 0
+    rows = []
+    rhs = []
+    for a in space.cone.hrep():
+        ae = dot(a, space.unit)
+        av = dot(a, v)
+        rows.append((ae,))
+        rhs.append(-av)
+        rows.append((ae,))
+        rhs.append(av)
+    out = solve_lp((1,), rows, rhs, [GE] * len(rows), nonneg=[True])
     if out.status == INFEASIBLE:
         raise InputError(
             "vector is not dominated by the unit (not an order unit?)",
             certificate=out.dual_certificate,
         )
-    r = out.value
-    states = extreme_states(space)
-    by_states = max((abs(s(v)) for s in states), default=Fraction(0))
-    if r != by_states:
-        raise InvariantViolation(f"order norm routes disagree: lp={r}, states={by_states}")
-    return r
+    closed, lineality = close_and_lineality(space.cone)
+    if lineality:
+        raise NotPointedError(_LINE_IN_CONE, lineality=lineality)
+    _require_order_unit(closed, space.unit)
+    return out.value
 
 
 @_cached
-def extreme_states(space: AOUSpace) -> list[StateVector]:
-    """Extreme rays of the dual cone, normalized to 1 on the unit.
+def extreme_states(space: AOUSpace) -> list[Vec]:
+    """Extreme rays of the dual cone, normalized to 1 on the unit, as the
+    vectors of their coefficients.
 
     Every state is a convex combination of these, so state-quantified
     conditions reduce to this finite list. A cone with lineality raises
@@ -203,7 +203,7 @@ def extreme_states(space: AOUSpace) -> list[StateVector]:
     vanish on the lineality, so they cannot separate points.
     """
     den = common_den(space.unit)[1]
-    return [StateVector(_fracs([den * x for x in r], s)) for r, s in _int_states(space)]
+    return [_fracs([den * x for x in r], s) for r, s in _int_states(space)]
 
 
 @_cached
@@ -218,10 +218,7 @@ def _int_states(space: AOUSpace) -> list[tuple[dd.IntVec, int]]:
             "use the dedicated PSD oracles"
         )
     if not _pointed(space.cone):
-        raise NotPointedError(
-            "cone is not pointed (it contains a line); states do not separate points",
-            lineality=close_and_lineality(space.cone)[1],
-        )
+        raise NotPointedError(_LINE_IN_CONE, lineality=close_and_lineality(space.cone)[1])
     try:
         rays = _int_extreme_rays(dual(space.cone))
     except NotPointedError as e:
@@ -257,20 +254,15 @@ def _fracs(nums, den: int) -> Vec:
 
 def kadison_embed(space: AOUSpace):
     """v |-> (f_1(v), ..., f_k(v)) over the extreme states, into linf(k).
-
-    Unital, positive, and an order embedding; preserves the order norm by
-    construction (both sides are the same maximum). Returns a UnitalMap.
+    Returns a UnitalMap, with nothing left to check: it is unital, as each
+    f_i(e) = 1, positive, as each f_i is, and an order embedding, as the
+    closed cone is the set where every extreme state is >= 0. It keeps the
+    order norm, both sides being the largest |f_i(v)|.
     """
     from .maps import UnitalMap
 
     states = extreme_states(space)
-    k = len(states)
-    m = Matrix.from_rows([s.functional for s in states])
-    target = linf(k)
-    emb = UnitalMap(space, target, m)
-    if not emb.unital or not emb.positive:
-        raise InvariantViolation("evaluation embedding must be unital and positive")
-    return emb
+    return UnitalMap(space, linf(len(states)), Matrix.from_rows(states))
 
 
 # -- interval and ball geometry ------------------------------------------
@@ -284,14 +276,12 @@ def _interval_pairs(space: AOUSpace) -> list[tuple[dd.IntVec, int]]:
     e is not an order unit. With e = U / D the rows a . v >= 0 and
     -D a . v >= -a . U are integer; a . U <= 0 on a nonzero row is an
     `order_unit_failures` row."""
+    _require_order_unit(space.cone, space.unit)
     unit, den = common_den(space.unit)
     rows, rhs = [], []
     for a in int_hrep(space.cone):
-        au = idot(a, unit)
-        if au <= 0 and any(a):
-            raise _not_an_order_unit(a)
         rows += (a, tuple(-den * x for x in a))
-        rhs += (0, -au)
+        rhs += (0, -idot(a, unit))
     return _sorted_pairs(dd.polytope_vertices(rows, rhs, space.dim))
 
 

@@ -40,7 +40,7 @@ from .maps import UnitalMap
 from .spaces import (
     AOUSpace,
     _int_states,
-    _not_an_order_unit,
+    _require_order_unit,
     extreme_states,
     linf,
     order_unit_failures,
@@ -104,32 +104,16 @@ class TensorSpace:
 
 
 @_cached
-def _product_cone(left: AOUSpace, right: AOUSpace, kind: str) -> Cone:
-    """The epsilon cone, cut out by the products f (x) g of extreme states,
-    or the pi cone, generated by the products v (x) w of cone generators;
-    cached by left under (right, kind), as `tensor_space` is, so a check
-    reads the cones its construction built. A certificate `member_tensor`
-    gave verifies against it with the same generator and row indices, and
-    a pi check needs no facet of pi."""
-    _require_tensor_factors(left, right)
-    dim = left.dim * right.dim
-    if kind == EPSILON:
-        rows = [
-            kron_vec(f.functional, g.functional)
-            for f in extreme_states(left)
-            for g in extreme_states(right)
-        ]
-        return Cone.from_inequalities(rows, dim=dim)
-    gens = [kron_vec(v, w) for v in left.cone.vrep() for w in right.cone.vrep()]
-    return Cone.from_generators(gens, dim)
-
-
-@_cached
 def tensor_space(left: AOUSpace, right: AOUSpace, kind: str) -> TensorSpace:
     """The epsilon or pi tensor space of left and right, cached by left
-    under (right, kind), so it lives as long as the left factor.
+    under (right, kind), so it lives as long as the left factor: a check
+    reads the cone its construction built, and a certificate
+    `member_tensor` gave verifies against it with the same generator and
+    row indices.
 
-    Both are AOU spaces with unit e_V (x) e_W. The one check is the factor
+    The epsilon cone is cut out by the products f (x) g of extreme states,
+    the pi cone generated by the products v (x) w of cone generators. Both
+    are AOU spaces with unit e_V (x) e_W. The one check is the factor
     row test of `validate` the proofs rest on; a factor unit off the
     interior is bad input that `extreme_states` refuses first. Epsilon: the
     rows f (x) g are closed, span the dual, as each factor's extreme states
@@ -144,9 +128,17 @@ def tensor_space(left: AOUSpace, right: AOUSpace, kind: str) -> TensorSpace:
     e_V (x) e_W is an order unit, as simple tensors span V (x) W."""
     if kind not in (EPSILON, PI):
         raise InputError(f"unknown tensor cone kind {kind!r}")
+    _require_tensor_factors(left, right)
+    dim = left.dim * right.dim
+    if kind == EPSILON:
+        rows = [kron_vec(f, g) for f in extreme_states(left) for g in extreme_states(right)]
+        cone = Cone.from_inequalities(rows, dim=dim)
+    else:
+        gens = [kron_vec(v, w) for v in left.cone.vrep() for w in right.cone.vrep()]
+        cone = Cone.from_generators(gens, dim)
     realized = AOUSpace(
-        dim=left.dim * right.dim,
-        cone=_product_cone(left, right, kind),
+        dim=dim,
+        cone=cone,
         unit=kron_vec(left.unit, right.unit),
         label=f"{kind}({left.label},{right.label})",
     )
@@ -198,9 +190,9 @@ def injective_banach_norm(z: TensorElement) -> Fraction:
     best = Fraction(0)
     coeffs_t = z.coeffs.transpose()
     for f in extreme_states(z.left):
-        row = coeffs_t.apply(f.functional)
+        row = coeffs_t.apply(f)
         for g in extreme_states(z.right):
-            best = max(best, abs(dot(row, g.functional)))
+            best = max(best, abs(dot(row, g)))
     return best
 
 
@@ -334,8 +326,8 @@ def _nuclearity_holds(left: AOUSpace, right: AOUSpace, report: NuclearityReport)
         for sp in (left, right):
             sp.cone.require_polyhedral("tensor cones")
         return _biorthogonal_holds(left if report.factor == "left" else right, report.biorthogonal)
-    eps = _product_cone(left, right, EPSILON)
-    pi = _product_cone(left, right, PI)
+    eps = tensor_space(left, right, EPSILON).realized.cone
+    pi = tensor_space(left, right, PI).realized.cone
     flat = report.witness.flatten()
     return (
         report.pi_certificate.verdict == "non_member"
@@ -624,9 +616,7 @@ def factorize(space: AOUSpace, eps: Fraction | int = Fraction(1, 10)) -> Factori
     if eps < 0:
         raise InputError(f"factorize: eps must be nonnegative, got {eps}")
     space.cone.require_polyhedral("factorization")
-    bad = order_unit_failures(int_hrep(space.cone), space.unit)
-    if bad:
-        raise _not_an_order_unit(bad[0])
+    _require_order_unit(space.cone, space.unit)
     d = space.dim
 
     if is_simplicial(space.cone):
@@ -641,7 +631,7 @@ def factorize(space: AOUSpace, eps: Fraction | int = Fraction(1, 10)) -> Factori
             exhausted=False,
         )
     else:
-        pool = [s.functional for s in extreme_states(space)]
+        pool = extreme_states(space)
         chosen = _seed_states(space)
         half = list(reversed(unit_ball_half(space)))
         schedule: list[tuple[int, Fraction]] = []
@@ -713,7 +703,7 @@ def _factorization_holds(space: AOUSpace, eps: Fraction, res: FactorizationResul
         )
 
     vectors = unit_ball_vertices(space)
-    pool = [s.functional for s in extreme_states(space)]
+    pool = extreme_states(space)
     if len(pool) == d:
         # a simplicial space factors exactly, with no greedy step
         return False

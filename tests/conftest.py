@@ -12,11 +12,13 @@ numerator over a common denominator) so agreement is meaningful.  Some are secon
 verdict that the package decides by one route: pairwise cone equality against
 a battery of partners for single-space nuclearity, and pi membership of
 every epsilon extreme ray for pairwise nuclearity, where the package reads
-it off simpliciality, the meet cone /\\ (J - cone) for order
-ideals and the Archimedeanization of the projected cone for quotients,
-where the package reads the image cone in V/J, the induced map on the
-kernel quotient for order quotients, the epsilon order norm for the
-injective norm, one LP over the cone rows for the minimum of a
+it off simpliciality, the largest |f(v)| over the extreme states for the
+order norm, where the package solves one LP, f(e) - 2 min f over [0, e]
+for the dual norm, `validate` for the spaces `archimedeanize` builds,
+the meet cone /\\ (J - cone) for order ideals and the Archimedeanization
+of the projected cone for quotients, where the package reads the image
+cone in V/J, the induced map on the kernel quotient for order quotients,
+the epsilon order norm for the injective norm, one LP over the cone rows for the minimum of a
 functional on the order interval, one LP per source state for the
 isometry of a map, one LP for the minimal-mass signed measure of a
 functional over the states, and the pull-back of each factor's extreme
@@ -67,9 +69,9 @@ from aoulab.linalg import (
     Matrix, Vec, combine, frac, integerize, is_zero_vec, quotient_matrix, unit_vec, vec, zeros
 )
 from aoulab.lp import EQ, GE, INFEASIBLE, OPTIMAL, solve_lp
-from aoulab.maps import IdealReport, UnitalMap
+from aoulab.maps import IdealReport, UnitalMap, interval_min
 from aoulab.spaces import (
-    AOUSpace, archimedeanize, extreme_states, lin_space, linf, order_norm, unit_ball_vertices
+    AOUSpace, archimedeanize, extreme_states, lin_space, linf, order_norm, unit_ball_vertices, validate
 )
 from aoulab.tensors import EPSILON, PI, TensorElement, kron_vec, tensor_space
 
@@ -86,6 +88,17 @@ def dd_calls(monkeypatch) -> list:
 
     monkeypatch.setattr(aoulab.dd, "dd_pair", counted)
     return calls
+
+
+def refused_norms() -> list[tuple[AOUSpace, Vec]]:
+    """(space, v) pairs whose v the unit dominates, yet order_norm refuses:
+    the orthant with its unit on a facet, the half-plane {x1 >= 0}, whose
+    lineality is (0, 1), and the ray cone((1, 0)), not full-dimensional."""
+    return [
+        (AOUSpace(2, Cone.from_generators([(1, 0), (0, 1)]), (1, 0)), (1, 0)),
+        (AOUSpace(2, Cone.from_inequalities([(1, 0)]), (1, 0)), (1, 0)),
+        (AOUSpace(2, Cone.from_generators([(1, 0)], dim=2), (1, 0)), (Fraction(1, 2), 0)),
+    ]
 
 
 def rng(seed: int) -> random.Random:
@@ -445,9 +458,9 @@ def epsilon_pullback_positive(s: UnitalMap, t: UnitalMap) -> bool:
     extreme target state into the cone the source states generate, one LP
     per pulled state (`lp_contains`)."""
     for m in (s, t):
-        hull = Cone.from_generators([st.functional for st in extreme_states(m.source)], m.source.dim)
+        hull = Cone.from_generators(extreme_states(m.source), m.source.dim)
         mt = m.matrix.transpose()
-        pulled = [mt.apply(st.functional) for st in extreme_states(m.target)]
+        pulled = [mt.apply(st) for st in extreme_states(m.target)]
         if not lp_contains(hull, Cone.from_generators(pulled, m.source.dim)):
             return False
     return True
@@ -539,7 +552,7 @@ def psi_lp_in_generators(space: AOUSpace, phi_rows: list[Vec], vectors: list[Vec
     gens, hrows = extreme_rays(space.cone), space.cone.hrep()
     n, last = len(gens), len(phi_rows) - 1
     nvars = n * last + 2
-    states = [st.functional for st in extreme_states(space)]
+    states = extreme_states(space)
     t0 = max(
         abs(fraction_dot(phi_rows[last], v) - fraction_dot(s, v)) for s in states for v in vectors
     )
@@ -618,7 +631,7 @@ def psd_by_descartes(m: Matrix) -> bool:
 def random_unital_into_linf(r, source, k, spread=4):
     """Random unital map into linf(k): rows are signed state mixtures with
     total weight one."""
-    states = [s.functional for s in extreme_states(source)]
+    states = extreme_states(source)
     rows = []
     for _ in range(k):
         w = [Fraction(r.randint(-spread, spread), r.randint(1, 3)) for _ in states]
@@ -775,6 +788,29 @@ def epsilon_order_norm(z: TensorElement) -> Fraction:
     return order_norm(tensor_space(z.left, z.right, EPSILON).realized, z.flatten())
 
 
+# -- the second routes the package dropped from its values --------------------
+
+
+def states_order_norm(space: AOUSpace, v) -> Fraction:
+    """The largest |f(v)| over the extreme states f, the order norm of an
+    AOU space (Paulsen & Tomforde, Vector spaces with an order unit, 2009),
+    where the package solves one LP over the cone rows."""
+    return max((abs(fraction_dot(f, v)) for f in extreme_states(space)), default=Fraction(0))
+
+
+def interval_dual_norm(space: AOUSpace, f) -> Fraction:
+    """f(e) - 2 min f over [0, e], the interval side of the norm bound,
+    where the package reads max |f| over one half of the unit ball."""
+    return fraction_dot(f, space.unit) - 2 * interval_min(space, f)
+
+
+def is_aou(space: AOUSpace) -> bool:
+    """validate's order-unit, Archimedean and pointed flags, all three:
+    what `archimedeanize` proves of its result and no longer checks."""
+    rep = validate(space)
+    return rep.order_unit and rep.archimedean and rep.pointed
+
+
 
 def lp_interval_min(space: AOUSpace, f) -> Fraction:
     """min f over the order interval [0, e] by one LP over the cone rows,
@@ -795,7 +831,7 @@ def lp_is_isometry(m: UnitalMap) -> bool:
     most 1, and each extreme source state is a convex combination of the
     +-(g o m), one feasibility LP per state."""
     mt = m.matrix.transpose()
-    pulled = [fraction_apply(mt, g.functional) for g in extreme_states(m.target)]
+    pulled = [fraction_apply(mt, g) for g in extreme_states(m.target)]
     if any(full_ball_dual_norm(m.source, p) > 1 for p in pulled):
         return False
     points = pulled + [tuple(-x for x in p) for p in pulled]
@@ -803,7 +839,7 @@ def lp_is_isometry(m: UnitalMap) -> bool:
     cols = Matrix.from_rows(points).transpose()
     for f in extreme_states(m.source):
         rows = [cols.row(i) for i in range(n)] + [(Fraction(1),) * k]
-        out = solve_lp((0,) * k, rows, list(f.functional) + [1], [EQ] * (n + 1), nonneg=[True] * k)
+        out = solve_lp((0,) * k, rows, list(f) + [1], [EQ] * (n + 1), nonneg=[True] * k)
         if out.status != OPTIMAL:
             return False
     return True
@@ -819,7 +855,7 @@ def lp_min_l1_measure(states: list, f: Vec) -> list[Fraction]:
     rows = []
     for i in range(n):
         rows.append(
-            tuple(s.functional[i] for s in states) + tuple(-s.functional[i] for s in states)
+            tuple(s[i] for s in states) + tuple(-s[i] for s in states)
         )
     out = solve_lp(
         (Fraction(1),) * (2 * k),

@@ -22,7 +22,7 @@ from aoulab.psd_examples import WitnessReport
 from aoulab.serialize import canonical_json, dumps
 from aoulab.spaces import AOUSpace, lin_space, linf
 from aoulab.tensors import EPSILON, PI, TensorElement
-from conftest import ball_scan_spaces, rand_vec, random_unital_into_linf, rerun_verifies, rng
+from conftest import ball_scan_spaces, rand_vec, random_unital_into_linf, refused_norms, rerun_verifies, rng
 
 
 def run(argv):
@@ -418,6 +418,16 @@ def test_non_pointed_space_is_invalid_input(files, capsys, name, verb):
     assert code == 2 and out == ""
     assert err[0] == "aoulab: invalid input: cone is not pointed (it contains a line); states do not separate points"
     assert json.loads(err[1].removeprefix("aoulab: certificate: ")) == lineality
+
+
+@pytest.mark.parametrize("case", range(3), ids=["unit_on_facet", "half_plane", "ray"])
+def test_norm_of_a_dominated_vector_in_a_bad_space_is_invalid_input(files, capsys, case):
+    space, v = refused_norms()[case]
+    path = files["write"](f"refused{case}.json", space)
+    capsys.readouterr()
+    code, out = run(["norm", path, "--vector", json.dumps([str(x) for x in v])])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err.startswith("aoulab: invalid input: ")
 
 
 # spaces whose unit is not an order unit, with the one cone row each

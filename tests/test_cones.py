@@ -473,7 +473,7 @@ class TestOneDoubleDescription:
             assert all_fractions(cone.vrep()) and all_fractions(cone.hrep())
             assert all_fractions(extreme_rays(cone))
         for space in (self.v_space(), lin_space(2)):
-            assert all_fractions(s.functional for s in extreme_states(space))
+            assert all_fractions(extreme_states(space))
         for cone in (Cone.from_inequalities([(1, 0, 0)]), Cone.from_generators([(1, 0), (-1, 0), (0, 1)])):
             with pytest.raises(NotPointedError) as exc:
                 extreme_rays(cone)

@@ -71,7 +71,7 @@ def spaces(draw):
 @PROPERTY
 @given(spaces())
 def test_states_and_vertices_match_the_fraction_routes(sp):
-    assert [s.functional for s in extreme_states(sp)] == fraction_states(sp)
+    assert extreme_states(sp) == fraction_states(sp)
     assert order_interval_vertices(sp) == fraction_interval_vertices(sp)
     ball = unit_ball_vertices(sp)
     assert ball == fraction_ball_vertices(sp)
@@ -88,7 +88,7 @@ def test_dual_norm_and_measure_match_the_oracles(sp, coords):
     mu = _min_l1_measure(sp, f)
     oracle = lp_min_l1_measure(states, f)
     assert sum(map(abs, mu)) == sum(map(abs, oracle)) == norm
-    assert tuple(fraction_dot(mu, col) for col in zip(*(s.functional for s in states))) == f
+    assert tuple(fraction_dot(mu, col) for col in zip(*states)) == f
     if len(states) == sp.dim:
         # the states are a basis of the dual: the measure is unique
         assert mu == oracle
@@ -97,7 +97,7 @@ def test_dual_norm_and_measure_match_the_oracles(sp, coords):
 @PROPERTY
 @given(spaces())
 def test_factorize_seed_matches_the_fraction_scan(sp):
-    states = [s.functional for s in extreme_states(sp)]
+    states = extreme_states(sp)
     assume(comb(len(states), sp.dim) <= 120)
     assert tuple(_seed_states(sp)) == fraction_max_det(states, sp.dim)
 

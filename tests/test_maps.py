@@ -133,7 +133,7 @@ class TestCheckMap:
         r = rng(404)
         seen = set()
         for sp in (L2, L3, lin_space(1), lin_space(2)):
-            states = [s.functional for s in extreme_states(sp)]
+            states = extreme_states(sp)
             for trial in range(26):
                 k = r.randint(1, 3)
                 if trial % 2:
@@ -454,7 +454,7 @@ class TestExtensionLP:
         for w2 in (L3, lin_space(2)):
             s = extreme_states(w2)[0]
             for v in (L2, L3, lin_space(1), lin_space(2)):
-                yield w2, [w2.unit, b], [v.unit, tuple(s(b) * x for x in v.unit)], v
+                yield w2, [w2.unit, b], [v.unit, tuple(dot(s, b) * x for x in v.unit)], v
 
     def test_rows_match_the_index_oracle(self, monkeypatch):
         posed = []
@@ -685,7 +685,7 @@ class TestMinimalMeasure:
         # that are +-1, with the weight's sign, at a vertex maximizing f
         r = rng(3313)
         for sp in ball_scan_spaces(r):
-            states = [s.functional for s in extreme_states(sp)]
+            states = extreme_states(sp)
             verts = unit_ball_vertices(sp)
             for _ in range(3):
                 f = rand_vec(r, sp.dim)
@@ -772,13 +772,13 @@ class TestPerturb:
         checked = 0
         for _ in range(30):
             src, tgt = pairs[r.randrange(len(pairs))]
-            states = [s.functional for s in extreme_states(tgt)]
+            states = extreme_states(tgt)
             # random unital map: columns correct the unit defect through a state
             raw = Matrix.from_rows(
                 [[rand_frac(r, -2, 2, 2) for _ in range(src.dim)] for _ in range(tgt.dim)]
             )
             defect = vsub(tgt.unit, raw.apply(src.unit))
-            sigma = extreme_states(src)[0].functional
+            sigma = extreme_states(src)[0]
             rows = [
                 tuple(raw.data[i][j] + defect[i] * sigma[j] for j in range(src.dim))
                 for i in range(tgt.dim)
@@ -852,7 +852,7 @@ class TestNormsFromEvidence:
         r = rng(6047)
         checked = 0
         for src, tgt in [(L2, lin_space(1)), (lin_space(1), lin_space(2)), (lin_space(2), lin_space(2))] * 4:
-            sigma = extreme_states(src)[0].functional
+            sigma = extreme_states(src)[0]
             raw = Matrix.from_rows([rand_vec(r, src.dim, -2, 2, 2) for _ in range(tgt.dim)])
             defect = vsub(tgt.unit, raw.apply(src.unit))
             rows = [[x + d * c for x, c in zip(row, sigma)] for row, d in zip(raw.data, defect)]
@@ -919,7 +919,7 @@ class TestNormsFromEvidence:
         assert [full_ball_dual_norm(space, xd) for xd in duals] == [1] * space.dim
         # rows that are states make a unital positive map into linf(k); the
         # row 2 s_1 - s_k is unital too, and not positive when s_1 != s_k
-        states = [s.functional for s in extreme_states(space)]
+        states = extreme_states(space)
         for rows in ([states[0]], [states[0], states[-1]], [vsub(vscale(2, states[0]), states[-1])]):
             t = UnitalMap(space, linf(len(rows)), Matrix.from_rows(rows))
             self.check_against_operator_norm(t)

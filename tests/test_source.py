@@ -226,6 +226,83 @@ def test_one_check_per_construction():
     assert not found, found
 
 
+# each function that keeps one route to its value, and the second routes it
+# may not reach: a package function by name, or an attribute written ".name"
+ONE_ROUTE = {
+    ("spaces.py", "order_norm"): {"extreme_states", "_int_states"},
+    ("maps.py", "norm_bound_equiv"): {"interval_min", "order_interval_vertices"},
+    ("spaces.py", "archimedeanize"): {"validate"},
+    ("spaces.py", "kadison_embed"): {".unital", ".positive"},
+}
+
+
+def _second_routes(trees: dict, file: str, name: str, banned: set) -> list[str]:
+    """The banned names the module-level function `name` of `file` reaches:
+    a name it reads, or an attribute, in it or in any module-level function
+    of the package it names, followed to any depth."""
+    defs: dict = {}
+    for tree in trees.values():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defs.setdefault(node.name, []).append(node)
+    todo = [node for node in trees[file].body if isinstance(node, ast.FunctionDef) and node.name == name]
+    seen, found = set(), set()
+    while todo:
+        fn = todo.pop()
+        if fn in seen:
+            continue
+        seen.add(fn)
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Name):
+                todo += defs.get(node.id, [])
+                found |= {node.id} & banned
+            elif isinstance(node, ast.Attribute):
+                found |= {"." + node.attr} & banned
+    return sorted(found)
+
+
+def test_one_route_per_value():
+    # a value computed once, its proof in the docstring, reaches none of
+    # the routes that used to compute it a second time; the tests keep them
+    # as oracles
+    trees = _parse_package()
+    found = [
+        f"{file}: {name} reaches {route}"
+        for (file, name), banned in ONE_ROUTE.items()
+        for route in _second_routes(trees, file, name, banned)
+    ]
+    assert not found, found
+
+
+def test_second_routes_are_found():
+    # the guard above sees a call, a call through a helper, a function
+    # passed along and an attribute read, and passes a function with none
+    source = """
+def _states(space):
+    return extreme_states(space)
+def order_norm(space, v):
+    return max(abs(dot(s, v)) for s in _states(space))
+def norm_bound_equiv(space, f, eps):
+    return min(map(interval_min, [space]))
+def archimedeanize(space):
+    return space, identity(space.dim)
+def kadison_embed(space):
+    emb = embed(space)
+    return emb if emb.unital else None
+def validate(space):
+    return order_norm(space, space.unit)
+"""
+    trees = {"x.py": ast.parse(source)}
+    assert {
+        name: _second_routes(trees, "x.py", name, banned) for (_, name), banned in ONE_ROUTE.items()
+    } == {
+        "order_norm": ["extreme_states"],
+        "norm_bound_equiv": ["interval_min"],
+        "archimedeanize": [],
+        "kadison_embed": [".unital"],
+    }
+
+
 def _check_column_faults(tree: ast.Module) -> list[str]:
     """Faults of the check column of cli's `_VERBS` table: a check that
     reaches no library checker or more than one, or that decodes by hand

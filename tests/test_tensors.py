@@ -642,7 +642,7 @@ class TestFactorize:
         assert factorize(lin_space(2)).schedule == ((3, Fraction(1)), (4, Fraction(1, 2)))
         assert sizes == [21, 21]
         space = lin_space(2)
-        pool = [st.functional for st in extreme_states(space)]
+        pool = extreme_states(space)
         verts = unit_ball_vertices(space)
         assert [len(psi_lp_without_dedup(space, pool[:k], verts)[1]) for k in (3, 4)] == [63, 67]
         assert [len(psi_lp_in_generators(space, pool[:k], verts)[1]) for k in (3, 4)] == [52, 52]
@@ -678,7 +678,7 @@ class TestFactorize:
         # state sets the greedy loop does not pick, which put another state
         # in the eliminated last column
         for space in (lin_space(2), random_non_simplicial(rng(29), 3)):
-            pool = [st.functional for st in extreme_states(space)]
+            pool = extreme_states(space)
             verts, hrows = [vec(v) for v in unit_ball_vertices(space)], space.cone.hrep()
             assert len(pool) == 4
             for chosen in ([0, 1, 2], [1, 2, 3], [0, 2, 3], [0, 1, 2, 3]):
@@ -700,7 +700,7 @@ class TestFactorize:
         monkeypatch.setattr(tensors, "solve_lp", spy)
         r = rng(29)
         for space in (lin_space(2), random_non_simplicial(r, 3)):
-            pool = [st.functional for st in extreme_states(space)]
+            pool = extreme_states(space)
             verts = [vec(v) for v in unit_ball_vertices(space)]
             m = len(space.cone.hrep())
             for k in (3, 4):
@@ -784,7 +784,7 @@ class TestFactorize:
         spaces.append(self.random_non_simplicial_space(rng(4127)))
         picks = 0
         for space in spaces:
-            pool = [st.functional for st in extreme_states(space)]
+            pool = extreme_states(space)
             half = list(reversed(unit_ball_half(space)))
 
             def check(chosen, psi_phi):
