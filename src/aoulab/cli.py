@@ -35,55 +35,19 @@ from .cones import Certificate
 from .errors import InputError, InvariantViolation
 from .linalg import Matrix
 from .maps import (
-    UnitalMap,
-    _pert_holds,
-    _pert_with_norms,
-    _perturb_holds,
-    _perturb_with_norm,
-    archimedean_quotient,
-    auerbach_basis,
-    check_map,
-    extend_unital_positive,
+    UnitalMap, _pert_holds, _pert_with_norms, _perturb_holds, _perturb_with_norm, archimedean_quotient,
+    auerbach_basis, check_map, extend_unital_positive,
 )
 from .psd_examples import psd_example_suite
 from .serialize import (
-    VERSION,
-    canonical_json,
-    decode_frac,
-    decode_rows,
-    decode_vec,
-    dumps,
-    element_from_dict,
-    loads,
-    map_from_dict,
-    space_from_dict,
-    to_dict,
+    VERSION, canonical_json, decode_frac, decode_rows, decode_vec, dumps, element_from_dict, loads,
+    map_from_dict, space_from_dict, to_dict,
 )
-from .spaces import (
-    AOUSpace,
-    archimedeanize,
-    extreme_states,
-    lin_space,
-    linf,
-    order_norm,
-    validate,
-)
+from .spaces import AOUSpace, archimedeanize, extreme_states, lin_space, linf, order_norm, validate
 from .tensors import (
-    EPSILON,
-    PI,
-    FactorizationResult,
-    NuclearityReport,
-    SpaceNuclearity,
-    TensorElement,
-    _factorization_holds,
-    _nuclearity_holds,
-    _space_nuclearity,
-    _space_nuclearity_holds,
-    factorize,
-    injective_banach_norm,
-    is_nuclear_pairwise,
-    member_tensor,
-    tensor_space,
+    EPSILON, PI, FactorizationResult, NuclearityReport, SpaceNuclearity, TensorElement, _factorization_holds,
+    _nuclearity_holds, _space_nuclearity, _space_nuclearity_holds, factorize, injective_banach_norm,
+    is_nuclear_pairwise, member_tensor, tensor_space,
 )
 
 EXIT_OK, EXIT_USAGE, EXIT_INPUT, EXIT_BREACH = 0, 1, 2, 3
@@ -194,9 +158,6 @@ def _run_examples(_which):
 # keys, or a value of the wrong type or shape, is invalid input; a
 # well-formed claim that does not hold gives False.
 
-_hints = functools.cache(typing.get_type_hints)
-_form = functools.cache(lambda tp: (typing.get_origin(tp), typing.get_args(tp)))
-
 
 class _Refuted(Exception):
     """An embedded map or tensor element that is not the canonical one
@@ -209,6 +170,85 @@ def _rational(x) -> Fraction:
     if not isinstance(x, str) or str(value) != x:
         raise InputError(f"expected a rational in canonical form, got {x!r}")
     return value
+
+
+def _expect(ok, what: str, x):
+    """x, unless ok is false: then invalid input, a value `_plain` cannot
+    have rendered."""
+    if not ok:
+        raise InputError(f"expected {what}, got {x!r}")
+    return x
+
+
+def _list(x) -> list:
+    return _expect(isinstance(x, list), "a list", x)
+
+
+def _rebuilt(make, x, where: str):
+    """make of the matrix embedded in the object x under where; _Refuted
+    unless x is its canonical form."""
+    rows = decode_rows(_expect(isinstance(x, dict), "an embedded object", x).get(where))
+    obj = make(Matrix.from_rows(rows))
+    if to_dict(obj) != x:
+        raise _Refuted
+    return obj
+
+
+@functools.cache
+def _value_decoder(tp) -> Callable:
+    """The closure that inverts `_plain` for one type hint, built once per
+    hint: decode(x, key, (dim, rebuild)) reads the value x stored under key."""
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if tp is Fraction:
+        return lambda x, key, ctx: _rational(x)
+    if origin in (typing.Union, types.UnionType):  # X | None
+        inner = _value_decoder(args[0])
+        return lambda x, key, ctx: None if x is None else inner(x, key, ctx)
+    what = f"a {tp.__name__}" if isinstance(tp, type) else ""
+    if tp in (bool, int, str, dict):
+        return lambda x, key, ctx: _expect(type(x) is tp, what, x)
+    if tp in (UnitalMap, TensorElement):
+        where = "matrix" if tp is UnitalMap else "coeffs"
+        return lambda x, key, ctx: _rebuilt(ctx[1][key], x, where)
+    if tp is tuple:  # a row name, which starts with its kind
+        return lambda x, key, ctx: tuple(_expect(_list(x) and type(x[0]) is str, "a row name", x))
+    if args == (Fraction, ...):  # a vector, of length dim where dim is given
+        return lambda x, key, ctx: tuple(
+            map(_rational, _expect(ctx[0] in (None, len(_list(x))), "a vector", x))
+        )
+    if origin is tuple and args[-1] is Ellipsis:
+        item = _value_decoder(args[0])
+        return lambda x, key, ctx: tuple([item(v, key, ctx) for v in _list(x)])
+    if origin is tuple:
+        items, what = tuple(map(_value_decoder, args)), f"{len(args)} entries"
+        return lambda x, key, ctx: tuple(
+            [f(v, key, ctx) for f, v in zip(items, _expect(len(_list(x)) == len(items), what, x))]
+        )
+    fields = _fields_decoder(tp)  # any other hint is a dataclass, rendered with its name
+
+    def dataclass(x, key, ctx):
+        _expect(isinstance(x, dict) and x.get("object") == tp.__name__, what, x)
+        return fields({k: v for k, v in x.items() if k != "object"}, (), ctx)
+
+    return dataclass
+
+
+@functools.cache
+def _fields_decoder(spec) -> Callable:
+    """The closure that decodes an object by spec, a dataclass or the
+    (key, hint) pairs of a dict of hints, built once per spec: the key set
+    of d must be one of shapes (by default spec's)."""
+    hints = typing.get_type_hints(spec) if isinstance(spec, type) else dict(spec)
+    decoders, default = {k: _value_decoder(tp) for k, tp in hints.items()}, [sorted(hints)]
+
+    def decode(d, shapes, ctx):
+        keys = [sorted(s) for s in shapes] or default
+        if not isinstance(d, dict) or sorted(d) not in keys:
+            raise InputError(f"expected an object with one of the key sets {keys}, got {d!r}")
+        out = {k: decoders[k](v, k, ctx) for k, v in d.items()}
+        return spec(**out) if isinstance(spec, type) else out
+
+    return decode
 
 
 def _decoder(dim: int | None = None, **rebuild) -> Callable:
@@ -226,54 +266,8 @@ def _decoder(dim: int | None = None, **rebuild) -> Callable:
     def decode(spec, d, *shapes):
         if isinstance(d, dict) and any(v is None for v in d.values()):
             raise InputError(f"a result stores no null, got {d!r}")
-        return fields(spec, d, shapes)
-
-    def fields(spec, d, shapes=()):
-        hints = _hints(spec) if isinstance(spec, type) else spec
-        keys = [sorted(s) for s in shapes or (hints,)]
-        if not isinstance(d, dict) or sorted(d) not in keys:
-            raise InputError(f"expected an object with one of the key sets {keys}, got {d!r}")
-        out = {k: value(hints[k], v, k) for k, v in d.items()}
-        return spec(**out) if hints is not spec else out
-
-    def value(tp, x, key):
-        if tp is Fraction:
-            return _rational(x)
-        origin, args = _form(tp)
-        if origin in (typing.Union, types.UnionType):  # X | None
-            return None if x is None else value(args[0], x, key)
-        if tp is tuple or origin is tuple:
-            if not isinstance(x, list):
-                raise InputError(f"expected a list, got {x!r}")
-            if not args:  # a row name, which starts with its kind
-                if not x or type(x[0]) is not str:
-                    raise InputError(f"a row name starts with its kind, got {x!r}")
-                return tuple(x)
-            if args == (Fraction, ...):  # a vector
-                if dim is not None and len(x) != dim:
-                    raise InputError(f"a vector has length {len(x)}, expected {dim}")
-                return tuple(map(_rational, x))
-            if args[-1] is Ellipsis:
-                return tuple(value(args[0], v, key) for v in x)
-            if len(x) != len(args):
-                raise InputError(f"expected {len(args)} entries, got {x!r}")
-            return tuple(value(t, v, key) for t, v in zip(args, x))
-        if tp in (bool, int, str, dict):
-            if type(x) is not tp:
-                raise InputError(f"expected a {tp.__name__}, got {x!r}")
-            return x
-        if tp in (UnitalMap, TensorElement):
-            if not isinstance(x, dict):
-                raise InputError(f"expected an embedded object, got {x!r}")
-            rows = decode_rows(x.get("matrix" if tp is UnitalMap else "coeffs"))
-            obj = rebuild[key](Matrix.from_rows(rows))
-            if to_dict(obj) != x:
-                raise _Refuted
-            return obj
-        # any other hint is a dataclass, rendered with its name
-        if not isinstance(x, dict) or x.get("object") != tp.__name__:
-            raise InputError(f"expected a {tp.__name__}, got {x!r}")
-        return fields(tp, {k: v for k, v in x.items() if k != "object"})
+        key = spec if isinstance(spec, type) else tuple(spec.items())
+        return _fields_decoder(key)(d, shapes, (dim, rebuild))
 
     return decode
 

@@ -3,27 +3,26 @@
 A Cone is either polyhedral, given by generators (V-rep) or by inequality
 rows with optional strict flags (H-rep), or the cone of positive
 semidefinite symmetric n x n matrices stored as packed upper-triangle
-vectors (kind sym_psd). Cones are frozen, so what is derived from their
-fields stays valid. sym_psd cones refuse conversion with a typed error and
-delegate membership to the exact LDL^T test.
+vectors (kind sym_psd), which refuses conversion with a typed error and
+decides membership by the exact LDL^T test. Cones are frozen; a value
+derived from a frozen object (cone, space, map) is computed once by
+`_cached` and kept in its _derived dict, the package's one cache.
 
-A value derived from a frozen object (cone, space, map) is computed once
-by `_cached` and kept in the object's _derived dict, the package's one
-cache. A polyhedral cone runs double description on its own rows at most
-once and keeps the result, coprime integer tuples. Everything derived reads
-that one pair: the other representation (vrep() of an H-cone, hrep() of a
-V-cone), extreme_rays, contains, is_pointed and close_and_lineality. dual()
-hands the pair to the dual cone, whose DD input is the same rows. The
-cone's own rows are integerized once as well, for the DD and for
-int_vrep/int_hrep. Work stays in integers; Fractions are built only for
-what public functions return.
+A polyhedral cone's data are its own rows as coprime integer tuples, each
+with the positive scale that gives back the row as it was given. The
+public constructors split rational rows so, once; the package's builders
+pass integer rows and scales directly. Everything else reads the integers:
+the double description, run at most once per cone and shared with its dual
+(same rows), int_vrep and int_hrep, membership and certificates, extreme
+rays, pointedness and containment. hrep() and vrep() are Fraction views
+for callers outside the library, built once.
 
 Every membership answer is a Certificate that re-verifies by substitution:
 a conic decomposition over named generators, a violated inequality row, a
-separating functional that is nonnegative on all generators and negative on
-the query, or an exact PSD factorization / negative direction. Membership
-solves no LP: an H-cone evaluates its rows, and a V-cone reads the integer
-H-rep of its one DD, where the first violated row separates and a
+separating functional nonnegative on all generators and negative on the
+query, or an exact PSD factorization / negative direction. No LP decides
+membership: an H-cone evaluates its rows, and a V-cone reads the facet
+rows of its one DD, where the first violated row separates and a
 Caratheodory face walk over the generators decomposes a member.
 """
 
@@ -32,31 +31,16 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
 from math import gcd
 from typing import Sequence
 
 from . import dd
+from .dd import IntVec
 from .errors import (
-    InputError,
-    InvariantViolation,
-    NotPointedError,
-    PolyhedralRequired,
-    ShapeError,
-    StrictConeError,
+    InputError, InvariantViolation, NotPointedError, PolyhedralRequired, ShapeError, StrictConeError,
 )
-from .linalg import (
-    Matrix,
-    Vec,
-    combine,
-    common_den,
-    dot,
-    idot,
-    integerize,
-    is_zero_vec,
-    nullspace,
-    rank,
-    vec,
-)
+from .linalg import Matrix, Vec, combine, common_den, dot, idot, nullspace, rank, vec
 from .psd import ldlt_psd
 
 POLYHEDRAL = "polyhedral"
@@ -110,44 +94,38 @@ def _cached(fn):
 @dataclass(frozen=True, eq=False)
 class Cone:
     """dim-dimensional cone; exactly one representation is primal at build
-    time, the other is derived lazily from the cone's double description."""
+    time, held as coprime integer rows, with scales[i] > 0 the rational that
+    gives back row i as it was given (None: every scale is 1). The other is
+    derived lazily from the cone's double description."""
 
     dim: int
-    generators: tuple[Vec, ...] | None = None
-    inequalities: tuple[Vec, ...] | None = None
+    generators: tuple[IntVec, ...] | None = None
+    inequalities: tuple[IntVec, ...] | None = None
     strict: tuple[bool, ...] | None = None
     kind: str = POLYHEDRAL
     psd_side: int | None = None
+    scales: tuple[Fraction | int, ...] | None = None
     _derived: dict = field(default_factory=dict, repr=False)
+
+    def __post_init__(self):
+        if self.inequalities is not None and self.strict is None:
+            object.__setattr__(self, "strict", (False,) * len(self.inequalities))
 
     @classmethod
     def from_generators(cls, gens: Sequence[Sequence], dim: int | None = None) -> "Cone":
-        gv = tuple(vec(g) for g in gens)
-        if dim is None:
-            if not gv:
-                raise ShapeError("dim required for an empty generator list")
-            dim = len(gv[0])
-        for g in gv:
-            if len(g) != dim:
-                raise ShapeError("generator length mismatch")
-        return cls(dim=dim, generators=tuple(g for g in gv if not is_zero_vec(g)))
+        dim, rows, scales = _split(gens, dim, "generator")
+        rows, scales = _nonzero(rows, scales)
+        return cls(dim=dim, generators=rows, scales=scales)
 
     @classmethod
     def from_inequalities(
         cls, rows: Sequence[Sequence], strict: Sequence[bool] | None = None, dim: int | None = None
     ) -> "Cone":
-        rv = tuple(vec(r) for r in rows)
-        if dim is None:
-            if not rv:
-                raise ShapeError("dim required for an empty row list")
-            dim = len(rv[0])
-        for r in rv:
-            if len(r) != dim:
-                raise ShapeError("row length mismatch")
+        dim, rv, scales = _split(rows, dim, "row")
         st = tuple(bool(s) for s in strict) if strict is not None else (False,) * len(rv)
         if len(st) != len(rv):
             raise ShapeError("strict flags must align with rows")
-        return cls(dim=dim, inequalities=rv, strict=st)
+        return cls(dim=dim, inequalities=rv, strict=st, scales=scales)
 
     @classmethod
     def sym_psd(cls, n: int) -> "Cone":
@@ -177,55 +155,104 @@ class Cone:
         if self.has_strict_rows:
             raise StrictConeError("close_and_lineality first: cone has strict rows")
 
+    @property
+    def rows(self) -> tuple[IntVec, ...]:
+        """The cone's own integer rows, generators or inequalities."""
+        return self.generators if self.generators is not None else self.inequalities
+
     def vrep(self) -> tuple[Vec, ...]:
-        """Generators; lines appear as +- pairs. Strict cones must be closed
-        first (their generator form would silently change the set)."""
+        """Generators as Fractions; lines appear as +- pairs. Strict cones
+        must be closed first (their generator form would silently change
+        the set)."""
         self.require_closed("generator representation")
-        return self.generators if self.generators is not None else self._from_dd()
+        return view(self, self.generators is not None)
 
     def hrep(self) -> tuple[Vec, ...]:
-        """Closed inequality rows (no strict flags)."""
+        """Closed inequality rows (no strict flags) as Fractions."""
         self.require_closed("inequality representation")
-        return self.inequalities if self.inequalities is not None else self._from_dd()
+        return view(self, self.inequalities is not None)
 
-    @_cached
-    def _from_dd(self) -> tuple[Vec, ...]:
-        """The derived representation as Fractions."""
-        return tuple(vec(v) for v in _dd_other(self))
+
+def _split(rows: Sequence[Sequence], dim: int | None, what: str):
+    """(dim, coprime integer rows, scales) of rational rows: row i is the
+    integer row times scales[i]. Rows of ints, as the decoder hands them
+    over, build a Fraction only for a gcd above 1."""
+    out, scales = [], []
+    for r in rows:
+        nums, den = (r, 1) if all(type(x) is int for x in r) else common_den(vec(r))
+        if dim is None:
+            dim = len(nums)
+        if len(nums) != dim:
+            raise ShapeError(f"{what} length mismatch")
+        g = gcd(*nums)
+        out.append(tuple([x // g for x in nums]) if g > 1 else tuple(nums))
+        scales.append(1 if g in (0, den) else Fraction(g, den))
+    if dim is None:
+        raise ShapeError(f"dim required for an empty {what} list")
+    return dim, tuple(out), _scales(scales)
+
+
+def _nonzero(rows: tuple[IntVec, ...], scales: tuple | None):
+    """(rows, scales) without the zero rows, which generate nothing."""
+    keep = [i for i, r in enumerate(rows) if any(r)]
+    if len(keep) == len(rows):
+        return rows, scales
+    return tuple(rows[i] for i in keep), scales and _scales(scales[i] for i in keep)
+
+
+def _scales(scales) -> tuple | None:
+    """Row scales as a cone keeps them: None when every one is 1."""
+    scales = tuple(scales)
+    return scales if any(s != 1 for s in scales) else None
 
 
 @_cached
-def _own_int_rows(cone: Cone) -> list[dd.IntVec]:
-    """The cone's own rows (generators or inequalities) as coprime integer
-    tuples."""
-    rows = cone.generators if cone.generators is not None else cone.inequalities
-    return [integerize(r) for r in rows]
+def view(cone: Cone, own: bool) -> tuple[Vec, ...]:
+    """A representation as Fractions, for callers outside the library: the
+    own rows at the scale they were given (strict flags aside, as
+    serialization writes them), or the DD's at scale 1."""
+    if not own:
+        return tuple(vec(v) for v in _dd_other(cone))
+    return tuple(_own_row(cone, i) for i in range(len(cone.rows)))
+
+
+def _own_row(cone: Cone, i: int) -> Vec:
+    """Row i of the cone's own rows at its given scale, as Fractions."""
+    s = cone.scales[i] if cone.scales else 1
+    return tuple([Fraction(x * s.numerator, s.denominator) for x in cone.rows[i]])
 
 
 @_cached
-def _dd(cone: Cone) -> tuple[list[dd.IntVec], list[dd.IntVec]]:
-    """dd_pair of the cone's own rows (generators or inequalities): the
-    generator form of an H-cone, the dual cone, so the facet rows, of a
-    V-cone."""
-    return dd.dd_pair(_own_int_rows(cone), cone.dim)
+def _dd(cone: Cone) -> tuple[list[IntVec], list[IntVec]]:
+    """dd_pair of the cone's own rows: the generator form of an H-cone, the
+    dual cone, so the facet rows, of a V-cone."""
+    return dd.dd_pair(cone.rows, cone.dim)
 
 
-def _dd_other(cone: Cone) -> list[dd.IntVec]:
+def _dd_other(cone: Cone) -> list[IntVec]:
     """The representation the DD derives, lines as +- pairs."""
     lin, rays = _dd(cone)
     return rays + [x for l in lin for x in (l, tuple(-v for v in l))]
 
 
-def int_vrep(cone: Cone) -> list[dd.IntVec]:
-    """vrep() as coprime integer tuples; an H-cone's are its DD's own."""
+def int_vrep(cone: Cone) -> Sequence[IntVec]:
+    """vrep() as coprime integer tuples: a V-cone's own rows, an H-cone's
+    its DD's."""
     cone.require_closed("generator representation")
-    return _dd_other(cone) if cone.generators is None else _own_int_rows(cone)
+    return _dd_other(cone) if cone.generators is None else cone.generators
 
 
-def int_hrep(cone: Cone) -> list[dd.IntVec]:
-    """hrep() as coprime integer tuples; a V-cone's are its DD's own."""
+def vrep_scales(cone: Cone) -> tuple | None:
+    """The scales that turn int_vrep into vrep(): a V-cone's own, None for
+    the DD rays of an H-cone."""
+    return cone.scales if cone.generators is not None else None
+
+
+def int_hrep(cone: Cone) -> Sequence[IntVec]:
+    """hrep() as coprime integer tuples: an H-cone's own rows, a V-cone's
+    its DD's."""
     cone.require_closed("inequality representation")
-    return _dd_other(cone) if cone.inequalities is None else _own_int_rows(cone)
+    return _dd_other(cone) if cone.inequalities is None else cone.inequalities
 
 
 @_cached
@@ -233,7 +260,7 @@ def _columns(cone: Cone) -> list[list[int]]:
     """a . g for every integer H-row a, one list per integer generator g of
     a V-cone."""
     rows = int_hrep(cone)
-    return [[idot(a, g) for a in rows] for g in _own_int_rows(cone)]
+    return [[idot(a, g) for a in rows] for g in cone.generators]
 
 
 def _face_walk(
@@ -250,7 +277,7 @@ def _face_walk(
     Returns the terms (generator index, t) in units of the integer
     generators and the residual r / den where no such generator is left:
     zero, or a point of the lineality."""
-    own = _own_int_rows(cone)
+    own = cone.generators
     terms = []
     while any(slack):
         tight = [i for i, s in enumerate(slack) if s == 0]
@@ -285,8 +312,7 @@ def _lineality_lift(cone: Cone) -> tuple[Cone, list[int]]:
     """The pointed cone over (g, 1) for the integer generators g of a V-cone
     that lie in its lineality, and their indices."""
     inside = [j for j, col in enumerate(_columns(cone)) if not any(col)]
-    own = _own_int_rows(cone)
-    return Cone.from_generators([own[j] + (1,) for j in inside], dim=cone.dim + 1), inside
+    return Cone(cone.dim + 1, generators=tuple(cone.generators[j] + (1,) for j in inside)), inside
 
 
 # the verdict each kind of evidence supports, and whether its cone is PSD
@@ -328,12 +354,15 @@ class Certificate:
         if _KINDS.get(self.kind) != (self.verdict, cone.kind == SYM_PSD) or len(v) != cone.dim:
             return False
         if self.kind == "conic_decomposition":
-            gens, terms = cone.vrep(), self.decomposition or ()
+            # c units of vrep()[i] are c * s units of the integer generator
+            gens, s, terms = int_vrep(cone), vrep_scales(cone), self.decomposition or ()
             if not all(_is_term(entry, len(gens)) for entry in terms):
                 return False
-            return combine([c for _, c in terms], [gens[i] for i, _ in terms], cone.dim) == v
+            coeffs = [c * s[i] if s else c for i, c in terms]
+            return combine(coeffs, [gens[i] for i, _ in terms], cone.dim) == v
         if self.kind == "hrep_evaluation":
-            return all(dot(row, v) >= 0 for row in cone.hrep())
+            r = common_den(v)[0]
+            return all(idot(a, r) >= 0 for a in int_hrep(cone))
         if self.kind == "separating_functional":
             w = self.witness
             if w is None or len(w) != cone.dim or dot(w, v) >= 0:
@@ -341,8 +370,8 @@ class Certificate:
             if cone.generators is not None:
                 return all(dot(w, g) >= 0 for g in cone.generators)
             # w must be one of the rows, named by the index member stores
-            rows, i = cone.inequalities, (self.payload or {}).get("row_index")
-            return type(i) is int and 0 <= i < len(rows) and rows[i] == w
+            i = (self.payload or {}).get("row_index")
+            return type(i) is int and 0 <= i < len(cone.inequalities) and _own_row(cone, i) == w
         if self.kind == "psd_factorization":
             return ldlt_psd(unpack_sym(v, cone.psd_side)).is_psd
         x = self.witness  # negative_direction
@@ -372,10 +401,11 @@ def member(cone: Cone, v: Sequence[Fraction]) -> Certificate:
     if cone.has_strict_rows:
         raise StrictConeError("membership undefined with strict rows; close the cone first")
     if cone.inequalities is not None:
+        r = common_den(v)[0]
         for i, row in enumerate(cone.inequalities):
-            if dot(row, v) < 0:
+            if idot(row, r) < 0:
                 return Certificate(
-                    "non_member", "separating_functional", witness=row, payload={"row_index": i}
+                    "non_member", "separating_functional", witness=_own_row(cone, i), payload={"row_index": i}
                 )
         return Certificate("member", "hrep_evaluation")
     cert = _generator_member(cone, v)
@@ -411,14 +441,10 @@ def _generator_member(cone: Cone, v: Vec) -> Certificate:
         if any(rest):
             raise InvariantViolation("lineality residual left the lifted cone")
         terms += [(inside[k], t) for k, t in more]
-    # t units of the integer generator are t * own / g units of g
-    own = _own_int_rows(cone)
-    decomp = []
-    for j, t in sorted(terms):
-        g = cone.generators[j]
-        l = next(i for i, x in enumerate(g) if x)
-        decomp.append((j, t * own[j][l] / g[l]))
-    return Certificate("member", "conic_decomposition", decomposition=tuple(decomp))
+    # t units of the integer generator are t / s units of vrep()[j] = s g
+    s = cone.scales
+    decomp = tuple((j, t / s[j] if s else t) for j, t in sorted(terms))
+    return Certificate("member", "conic_decomposition", decomposition=decomp)
 
 
 def dual(cone: Cone) -> Cone:
@@ -431,9 +457,10 @@ def dual(cone: Cone) -> Cone:
     if cone.kind == SYM_PSD:
         return cone
     if cone.generators is not None:
-        out = Cone.from_inequalities(cone.generators, dim=cone.dim)
+        out = Cone(cone.dim, inequalities=cone.generators, scales=cone.scales)
     else:
-        out = Cone.from_generators(cone.inequalities, dim=cone.dim)
+        rows, scales = _nonzero(cone.inequalities, cone.scales)
+        out = Cone(cone.dim, generators=rows, scales=scales)
     out._derived[_dd.__name__] = _dd(cone)
     return out
 
@@ -459,7 +486,7 @@ def close_and_lineality(cone: Cone) -> tuple[Cone, list[Vec]]:
     """Drop strict flags; return the closure and a basis of its lineality."""
     cone.require_polyhedral("close_and_lineality")
     if cone.has_strict_rows:
-        cone = Cone.from_inequalities(cone.inequalities, dim=cone.dim)
+        cone = Cone(cone.dim, inequalities=cone.inequalities, scales=cone.scales)
     return cone, _lineality(cone)
 
 
@@ -480,7 +507,7 @@ def extreme_rays(cone: Cone) -> list[Vec]:
 
 
 @_cached
-def _int_extreme_rays(cone: Cone) -> list[dd.IntVec]:
+def _int_extreme_rays(cone: Cone) -> list[IntVec]:
     """extreme_rays as coprime integer tuples."""
     if not _pointed(cone):
         lineality = _lineality(cone) if cone.generators is not None else [vec(l) for l in _dd(cone)[0]]
@@ -492,7 +519,7 @@ def _int_extreme_rays(cone: Cone) -> list[dd.IntVec]:
     # parallel generators share one coprime integer tuple, since a pointed
     # cone holds no opposite pair; zero generators are left out
     masks = {}
-    for g, col in zip(_own_int_rows(cone), _columns(cone)):
+    for g, col in zip(cone.generators, _columns(cone)):
         if any(g):
             masks.setdefault(g, sum(1 << i for i, c in enumerate(col) if c == 0))
     return sorted(g for g, m in masks.items() if all(n & m != m or h == g for h, n in masks.items()))
@@ -511,12 +538,26 @@ def is_simplicial(cone: Cone) -> bool:
 
 def image_cone(cone: Cone, m: Matrix) -> Cone:
     """Forward image of a closed polyhedral cone: map the generators, drop
-    zero images. The result may be non-pointed; that is the caller's concern."""
+    zero images. The result may be non-pointed; that is the caller's concern.
+
+    In integers, for m = M / d over one denominator: the image of the
+    generator s g, g coprime, is M g s / d, kept as the coprime row
+    M g / h with scale h s / d, h the gcd of M g; so vrep() of the image
+    is m applied to vrep() of the cone."""
     cone.require_polyhedral("image_cone")
     if m.cols != cone.dim:
         raise ShapeError(f"matrix expects dim {m.cols}, cone has {cone.dim}")
-    images = [m.apply(g) for g in cone.vrep()]
-    return Cone.from_generators([g for g in images if not is_zero_vec(g)], dim=m.rows)
+    nums, den = common_den([x for row in m.data for x in row])
+    mrows = [nums[i : i + m.cols] for i in range(0, len(nums), m.cols)]
+    rows, scales = [], []
+    for g, s in zip(int_vrep(cone), vrep_scales(cone) or repeat(1)):
+        img = [idot(r, g) for r in mrows]
+        h = gcd(*img)
+        if h:
+            p, q = h * s.numerator, den * s.denominator
+            rows.append(tuple([x // h for x in img]))
+            scales.append(1 if p == q else Fraction(p, q))
+    return Cone(m.rows, generators=tuple(rows), scales=_scales(scales))
 
 
 def contains(outer: Cone, inner: Cone) -> bool:
@@ -529,7 +570,7 @@ def contains(outer: Cone, inner: Cone) -> bool:
     if outer.dim != inner.dim:
         raise ShapeError(f"contains: cone dims {outer.dim} and {inner.dim} differ")
     if outer.kind == SYM_PSD:
-        return all(member(outer, g).verdict == "member" for g in inner.vrep())
+        return all(member(outer, g).verdict == "member" for g in int_vrep(inner))
     gens = int_vrep(inner)
     if not gens:
         return True

@@ -34,18 +34,18 @@ IntVec = tuple[int, ...]
 
 
 def _reduce(v: Sequence[int]) -> IntVec:
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-    if g == 0:
-        return tuple(v)
-    return tuple(x // g for x in v)
+    """v over the gcd of its entries; the zero vector as it is."""
+    g = gcd(*v)
+    return tuple([x // g for x in v]) if g > 1 else tuple(v)
 
 
 def _project(a: IntVec, v: IntVec, b0: IntVec, pa: int) -> IntVec:
-    """v moved along b0 onto {x : a . x = 0}, where pa = a . b0 > 0."""
+    """v moved along b0 onto {x : a . x = 0}, where pa = a . b0 > 0; a v
+    already on it is returned as it is (it is coprime, as every DD ray)."""
     f = idot(a, v)
-    return _reduce(tuple(pa * x - f * y for x, y in zip(v, b0)))
+    if not f:
+        return v
+    return _reduce([pa * x - f * y for x, y in zip(v, b0)])
 
 
 def _is_coprime_int(h) -> bool:
@@ -109,18 +109,16 @@ def dd_pair(halfspaces: Sequence[Sequence], dim: int) -> tuple[list[IntVec], lis
         new_rays: list[IntVec] = []
         new_active: list[int] = []
         for p in plus:
+            ap, vp, rp = active[p], vals[p], rays[p]
             for q in minus:
-                z = active[p] & active[q]
-                adjacent = True
-                for k in range(len(rays)):
-                    if k != p and k != q and (active[k] & z) == z:
-                        adjacent = False
+                z = ap & active[q]
+                # adjacent unless a third ray is tight on every row tight at both
+                for k, mask in enumerate(active):
+                    if mask & z == z and k != p and k != q:
                         break
-                if not adjacent:
-                    continue
-                comb = tuple(vals[p] * x - vals[q] * y for x, y in zip(rays[q], rays[p]))
-                new_rays.append(_reduce(comb))
-                new_active.append(z | bit)
+                else:
+                    new_rays.append(_reduce([vp * x - vals[q] * y for x, y in zip(rays[q], rp)]))
+                    new_active.append(z | bit)
         kept_rays = []
         kept_active = []
         for i, v in enumerate(vals):

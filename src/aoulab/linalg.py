@@ -2,26 +2,24 @@
 
 No float ever enters a comparison. The public types are tuples of
 fractions.Fraction for vectors (vec passes one that is all Fractions as it
-is) and immutable row-major tuples of such tuples for matrices. Under them
-the package decides in integers: common_den writes a rational vector as
-integer numerators over one positive denominator, and such rows are
-compared by cross-multiplication; Fractions are built for returned values.
+is) and immutable row-major tuples of such tuples for matrices. Cones,
+spaces and maps keep integers under them; common_den (numerators over one
+positive denominator) and integerize (coprime, same direction) turn
+rational input into integers once, where it enters.
 
-Dot products run on one kernel that normalizes once per result: dot keeps
-an integer numerator over the lcm of the term denominators and builds one
-Fraction at the end, idot sums integer rows with no Fraction at all, and
-combine takes one dot per coordinate. Matrix.apply and compose go through
-dot, and kron_vec works over a common denominator too. A float or other
-inexact entry raises ShapeError, as in frac.
+dot keeps an integer numerator over the lcm of the term denominators and
+builds one Fraction at the end, idot sums integer rows with no Fraction,
+and combine takes one dot per coordinate; Matrix.apply, compose and
+kron_vec go through the same arithmetic. A float or other inexact entry
+raises ShapeError, as in frac.
 
-rank, nullspace, solve, det and inverse share one fraction-free elimination
-over Python ints: each row is scaled to integers once (the reduced form does
-not change under row scaling; det divides the scales back out), Bareiss
-steps keep every entry an exact minor, and Fractions are built only from the
-final pivot rows. rank builds none, and takes rows that are already integer
-as they are; idet and max_abs_det (the largest |det| over k-tuples of rows
-with positive scales) run on integer rows. quotient_matrix turns a kernel
-basis into a surjection that kills exactly that kernel.
+rank, nullspace, solve, det and inverse share one fraction-free Bareiss
+elimination over Python ints: each row is scaled to integers once (a row
+of ints as it is), every entry stays an exact minor, and Fractions are
+built only from the final pivot rows; rank builds none. idet and
+max_abs_det (the largest |det| over k-tuples of rows with positive scales)
+run on integer rows. quotient_matrix turns a kernel basis into a
+surjection that kills exactly that kernel.
 """
 
 from __future__ import annotations
@@ -217,10 +215,9 @@ class Matrix:
 
 def _int_rows(rows: Iterable[Sequence]) -> tuple[list[list[int]], list[int]]:
     """Each row times the lcm of its denominators: (integer rows, scales).
-
-    Ints and Fractions both carry numerator and denominator, so rows that
-    are already integer pass with scale 1 and no Fraction is built."""
-    pairs = [common_den(row) for row in rows]
+    A row of ints is copied with scale 1; other rows of ints and Fractions
+    go through common_den."""
+    pairs = [(list(row), 1) if all(type(x) is int for x in row) else common_den(row) for row in rows]
     return [p for p, _ in pairs], [d for _, d in pairs]
 
 

@@ -2,26 +2,23 @@
 
 The map-level toolkit: unitality/positivity/embedding/isometry checks (a
 unital map's isometry flag is its embedding flag, a non-unital map's one
-cone equality between dual balls), order ideals and their quotients
-from one image cone in V/J, the quotient's cone exactly when it is pointed,
-order-quotient recognition by cone equality, unital positive extension by
-LP feasibility, the order-interval minimum and the norm-bound
-biconditional for functionals, Auerbach bases from ball vertices, and the
-two perturbation constructions that turn a unital map with norm close to 1
-into a nearby positive map, with exact bounds.  Each value and verdict is
-computed by one route, with its proof in the docstring: the norm-bound
-biconditional is its dual-norm side alone, and a minimal measure is not
-weighed again against the dual norm.  The tests keep the second routes as
-oracles.
+cone equality between dual balls), order ideals and their quotients from
+one image cone in V/J, order-quotient recognition by cone equality, unital
+positive extension by LP feasibility, the order-interval minimum and the
+norm-bound biconditional for functionals, Auerbach bases from ball
+vertices, and the two perturbations that turn a unital map with norm close
+to 1 into a nearby positive map, with exact bounds.  Each value and verdict
+has one route, its proof in the docstring; the tests keep the second
+routes as oracles.  The witness of a non-ideal, the lifts of an order
+quotient and the minimal measures are read off verified conic
+decompositions; the one LP is the extension's, and order-norm LPs are left
+to `operator_norm`.
 
-Everything here reduces to vertex enumerations and cone equality or
-membership, plus one exact LP: the extension's feasibility.  The witness
-of a non-ideal, the lifts of an order quotient and the minimal measures
-behind the perturbations are read off verified conic decompositions.  The
-order-norm LPs are left to `operator_norm` alone: the perturbations read
-their norms off their own minimal measures and row dual norms, and the
-Auerbach basis its unit norms off the cone rows and its dual basis.  No
-numeric tolerance appears anywhere.
+A map keeps its matrix as integer numerators over one denominator, cached
+once: positivity is a sign test of the target's integer rows on the images
+of the source's integer generators, the pull-back cone has the coprime
+rows M^T a, and the isometry test's dual balls and the minimal measures'
+row cones are built from the integer states of `spaces`.
 """
 
 from __future__ import annotations
@@ -32,43 +29,19 @@ from math import comb
 from typing import Sequence
 
 from .cones import (
-    SYM_PSD, Certificate, Cone, _cached, _lineality, _pointed, image_cone, int_hrep, int_vrep, member,
-    same_cone,
+    SYM_PSD, Certificate, Cone, _cached, _lineality, _pointed, _scales, image_cone, int_hrep, int_vrep,
+    member, same_cone,
 )
+from .dd import _reduce
 from .errors import InputError, InvariantViolation, ShapeError, SizeLimitError, require_holds
 from .linalg import (
-    Matrix,
-    Vec,
-    combine,
-    common_den,
-    dot,
-    frac,
-    idot,
-    inverse,
-    is_zero_vec,
-    kron_vec,
-    max_abs_det,
-    quotient_matrix,
-    rank,
-    solve,
-    unit_vec,
-    vadd,
-    vec,
-    vscale,
-    vsub,
-    zeros,
+    Matrix, Vec, combine, common_den, dot, frac, idot, inverse, is_zero_vec, kron_vec, max_abs_det,
+    quotient_matrix, rank, solve, unit_vec, vadd, vec, vscale, vsub, zeros,
 )
 from .lp import EQ, GE, OPTIMAL, solve_lp
 from .spaces import (
-    AOUSpace,
-    _ball_half_rows,
-    _ball_rows,
-    _int_states,
-    _require_order_unit,
-    extreme_states,
-    order_interval_vertices,
-    order_norm,
-    unit_ball_half,
+    AOUSpace, _ball_half_rows, _ball_rows, _int_states, _int_unit, _require_order_unit, extreme_states,
+    order_interval_vertices, order_norm, unit_ball_half,
 )
 
 
@@ -102,9 +75,8 @@ class UnitalMap:
         A sym_psd target has no H-rep: each image takes the PSD test."""
         target = self.target.cone
         if target.kind == SYM_PSD:
-            return all(member(target, self.apply(g)).verdict == "member" for g in self.source.cone.vrep())
-        nums, n = common_den([x for row in self.matrix.data for x in row])[0], self.source.dim
-        rows = [nums[i : i + n] for i in range(0, len(nums), n)]
+            return all(member(target, self.apply(g)).verdict == "member" for g in int_vrep(self.source.cone))
+        rows = _int_matrix(self)[0]
         images = [[idot(r, g) for r in rows] for g in int_vrep(self.source.cone)]
         return all(idot(a, x) >= 0 for a in int_hrep(target) for x in images)
 
@@ -115,6 +87,15 @@ class UnitalMap:
         if inner.target is not self.source and inner.target.dim != self.source.dim:
             raise ShapeError("composition dimension mismatch")
         return UnitalMap(inner.source, self.target, self.matrix @ inner.matrix)
+
+
+@_cached
+def _int_matrix(m: UnitalMap) -> tuple[list[tuple[int, ...]], int]:
+    """The matrix as (M, d): rows of integer numerators over one positive
+    denominator, m = M / d."""
+    nums, den = common_den([x for row in m.matrix.data for x in row])
+    n = m.source.dim
+    return [tuple(nums[i : i + n]) for i in range(0, len(nums), n)], den
 
 
 def _coeffs(space: AOUSpace, f) -> Vec:
@@ -136,10 +117,11 @@ class MapReport:
 
 
 def _pullback_cone(m: UnitalMap) -> Cone:
-    """{v : m(v) in target cone}, as inequality rows pulled through m."""
-    mt = m.matrix.transpose()
-    rows = [mt.apply(a) for a in m.target.cone.hrep()]
-    return Cone.from_inequalities(rows, dim=m.source.dim)
+    """{v : m(v) in target cone}: each integer target row a pulled back to
+    the row M^T a, made coprime, for m = M / d."""
+    cols = list(zip(*_int_matrix(m)[0]))
+    rows = tuple(_reduce([idot(c, a) for c in cols]) for a in int_hrep(m.target.cone))
+    return Cone(m.source.dim, inequalities=rows)
 
 
 def _is_isometry(m: UnitalMap) -> bool:
@@ -151,15 +133,20 @@ def _is_isometry(m: UnitalMap) -> bool:
     over extreme target states. Two seminorms agree iff their dual balls
     do, so m is an isometry iff the hulls are equal: one cone equality
     between their height-1 lifts, the cones generated by the (p, 1).
+
+    In integers: a state r D / s lifts to (r D, s), and g o m, for the
+    target state g = r D' / s and m = M / d, to (M^T r D', d s).
     """
-    mt = m.matrix.transpose()
+    rows, d = _int_matrix(m)
+    cols, dt, ds = list(zip(*rows)), _int_unit(m.target)[1], _int_unit(m.source)[1]
 
-    def lifted_hull(points: list[Vec]) -> Cone:
-        lifts = [p + (1,) for q in points for p in (q, tuple(-x for x in q))]
-        return Cone.from_generators(lifts, dim=m.source.dim + 1)
+    def lifted_hull(pairs) -> Cone:
+        lifts = [_reduce(p + (s,)) for q, s in pairs for p in (q, tuple(-x for x in q))]
+        return Cone(m.source.dim + 1, generators=tuple(lifts))
 
-    pulled = [mt.apply(g) for g in extreme_states(m.target)]
-    return same_cone(lifted_hull(pulled), lifted_hull(extreme_states(m.source)))
+    pulled = [(tuple(dt * idot(c, r) for c in cols), d * s) for r, s in _int_states(m.target)]
+    own = [(tuple(ds * x for x in r), s) for r, s in _int_states(m.source)]
+    return same_cone(lifted_hull(pulled), lifted_hull(own))
 
 
 def check_map(m: UnitalMap) -> MapReport:
@@ -251,8 +238,8 @@ def archimedean_quotient(space: AOUSpace, basis: Sequence) -> tuple[AOUSpace, Un
     unit = q.apply(space.unit) if q is not None else ()
     if is_zero_vec(unit):
         raise InputError("order ideal contains the unit; quotient collapses")
-    _require_order_unit(image, unit)
     quotient = AOUSpace(q.rows, image, unit, label=f"{space.label}/J" if space.label else "")
+    _require_order_unit(image, quotient)
     qmap = UnitalMap(space, quotient, q)
     require_holds(_quotient_holds(basis, qmap), "archimedean_quotient", space)
     return quotient, qmap
@@ -267,7 +254,7 @@ def _quotient_holds(basis: Sequence, qmap: UnitalMap) -> bool:
         all(is_zero_vec(q.apply(b)) for b in jb)
         and rank(q) == qmap.target.dim == qmap.source.dim - rank(jb)
         and qmap.unital
-        and set(target.generators) <= {q.apply(g) for g in qmap.source.cone.vrep()}
+        and set(target.vrep()) <= {q.apply(g) for g in qmap.source.cone.vrep()}
         and qmap.positive
         and _pointed(target)
     )
@@ -470,14 +457,14 @@ def auerbach_basis(space: AOUSpace) -> tuple[list[Vec], list[Vec]]:
         raise InvariantViolation("ball vertices failed to span; space not validated?")
     basis = [unit_ball_half(space)[-1 - i] for i in best]
     duals = list(inverse(Matrix.from_rows(basis).transpose()).data)
-    # in integers: x = x' / t, e = U / D and x* = n / d
-    unit, den = common_den(space.unit)
+    # in integers: x = x' / t and e = U / D
+    unit, den = _int_unit(space)
     rows = [(a, idot(a, unit)) for a in int_hrep(space.cone)]
     for i, xd in zip(best, duals):
-        (x, t), (n, d) = half[i], common_den(xd)
+        x, t = half[i]
         if any(den * abs(idot(a, x)) > t * au for a, au in rows) or dual_norm(space, xd) != 1:
             raise InvariantViolation("Auerbach unit-norm identity failed")
-        if any(idot(n, half[j][0]) != (d * half[j][1] if j == i else 0) for j in best):
+        if any(dot(xd, half[j][0]) != (half[j][1] if j == i else 0) for j in best):
             raise InvariantViolation("Auerbach biorthogonality failed")
     return basis, duals
 
@@ -507,18 +494,20 @@ def _min_l1_measure(space: AOUSpace, f: Vec) -> list[Fraction]:
         if mu is None:
             raise InvariantViolation("simplicial states must span the dual")
         return list(mu)
-    nums = common_den(f)[0]
-    best = None
+    nums, best = common_den(f)[0], None
     for x, t in _ball_rows(space):
         v = idot(nums, x)
         if best is None or v * best[2] > best[1] * t:
             best = x, v, t
     x, _, t = best
     # s(x / t) = D r . x / (s t) for the state r D / s, with e = U / D
-    unit_den = common_den(space.unit)[1]
-    vals = [(unit_den * idot(r, x), s * t) for r, s in _int_states(space)]
+    unit_den, pairs = _int_unit(space)[1], _int_states(space)
+    vals = [(unit_den * idot(r, x), s * t) for r, s in pairs]
     signed = [(j, 1 if v > 0 else -1) for j, (v, st) in enumerate(vals) if abs(v) == st]
-    cone = Cone.from_generators([vscale(sign, states[j]) for j, sign in signed], dim=space.dim)
+    # the generator sign * states[j] is the coprime row sign * r at scale D / s
+    gens = tuple(tuple(sign * c for c in pairs[j][0]) for j, sign in signed)
+    scales = _scales(Fraction(unit_den, pairs[j][1]) for j, _ in signed)
+    cone = Cone(space.dim, generators=gens, scales=scales)
     cert = member(cone, f)
     if cert.verdict != "member":
         raise InvariantViolation("states span the dual; f must decompose at its maximizer")
@@ -536,13 +525,12 @@ def _is_standard_linf(space: AOUSpace) -> bool:
     orthant, and then all of it exactly when each e_i is a positive
     multiple of a row, as nonnegative vectors combine to e_i only through
     multiples of e_i."""
-    cone = space.cone
-    cone.require_closed("pert")
-    rows = cone.generators if cone.generators is not None else cone.inequalities
+    space.cone.require_closed("pert")
+    rows = space.cone.rows
     if space.unit != (Fraction(1),) * space.dim or any(x < 0 for row in rows for x in row):
         return False
-    axes = {next(i for i, x in enumerate(row) if x) for row in rows if sum(map(bool, row)) == 1}
-    return len(axes) == space.dim
+    # a coprime nonnegative integer row with one nonzero entry is some e_i
+    return len({row.index(1) for row in rows if sum(row) == 1}) == space.dim
 
 
 def pert(t: UnitalMap) -> UnitalMap:

@@ -22,7 +22,7 @@ import re
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
-from .cones import Cone
+from .cones import Cone, view
 from .errors import InputError
 from .linalg import Matrix, Vec, frac
 from .maps import UnitalMap
@@ -31,10 +31,11 @@ from .tensors import TensorElement
 
 VERSION = 1
 _CANONICAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+_INTEGER = re.compile(r"-?[0-9]+")
 
 
-def _enc_frac(x: Fraction) -> str:
-    return str(frac(x))
+def _enc_frac(x: Fraction | int) -> str:
+    return str(x) if type(x) is int else str(frac(x))
 
 
 def decode_frac(s) -> Fraction:
@@ -61,10 +62,19 @@ def decode_vec(items) -> Vec:
     return tuple([decode_frac(x) for x in items])
 
 
-def decode_rows(items) -> list:
+def decode_rows(items, row=decode_vec) -> list:
     if not isinstance(items, list):
         raise InputError("expected a list of rows")
-    return [decode_vec(row) for row in items]
+    return [row(r) for r in items]
+
+
+def _cone_row(items) -> tuple:
+    """A cone row: one whose entries are all integers, JSON ints or
+    canonical strings, as a tuple of ints, which the cone takes as it is."""
+    if isinstance(items, list) and all(type(x) is int or type(x) is str and _INTEGER.fullmatch(x)
+                                       for x in items):
+        return tuple([int(x) for x in items])
+    return decode_vec(items)
 
 
 def _check_header(d, expected_type: str) -> None:
@@ -79,13 +89,11 @@ def _check_header(d, expected_type: str) -> None:
 def _cone_to_dict(cone: Cone) -> dict:
     if not cone.is_polyhedral:
         return {"rep": "sym_psd", "n": cone.psd_side}
+    # integer rows at scale 1 are written as they are
+    rows = [_enc_vec(r) for r in (view(cone, True) if cone.scales else cone.rows)]
     if cone.generators is not None:
-        return {"rep": "generators", "rows": [_enc_vec(g) for g in cone.generators]}
-    return {
-        "rep": "inequalities",
-        "rows": [_enc_vec(r) for r in cone.inequalities],
-        "strict": list(cone.strict),
-    }
+        return {"rep": "generators", "rows": rows}
+    return {"rep": "inequalities", "rows": rows, "strict": list(cone.strict)}
 
 
 def _cone_from_dict(d, dim: int) -> Cone:
@@ -101,14 +109,14 @@ def _cone_from_dict(d, dim: int) -> Cone:
             raise InputError("sym_psd side does not match the space dimension")
         return cone
     if rep == "generators":
-        return Cone.from_generators(decode_rows(d.get("rows")), dim)
+        return Cone.from_generators(decode_rows(d.get("rows"), _cone_row), dim)
     if rep == "inequalities":
         strict = d.get("strict")
         if strict is not None and not (
             isinstance(strict, list) and all(isinstance(s, bool) for s in strict)
         ):
             raise InputError("strict flags must be a list of booleans")
-        return Cone.from_inequalities(decode_rows(d.get("rows")), strict=strict, dim=dim)
+        return Cone.from_inequalities(decode_rows(d.get("rows"), _cone_row), strict=strict, dim=dim)
     raise InputError(f"unknown cone representation {rep!r}")
 
 

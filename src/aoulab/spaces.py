@@ -1,23 +1,22 @@
 """Ordered vector spaces with a distinguished order unit.
 
 An AOUSpace bundles an ambient dimension, a cone and a unit vector. The
-operations here are the order-theoretic core: validation (is the unit an
-order unit, is the cone closed), Archimedeanization (close the cone, quotient
-out the lineality of the closure), the order norm, extreme states, and the
-evaluation embedding into linf over the extreme states.
+operations here are the order-theoretic core: validation, Archimedeanization
+(close the cone, quotient out the lineality of the closure), the order
+norm, extreme states, the order interval and unit ball, and the evaluation
+embedding into linf over the extreme states.
 
-Everything is exact, and each value has one route. The order norm is one
-LP over the cone rows, proved optimal by its duality certificate; that it
-is the largest |f(v)| over the extreme states (Paulsen & Tomforde, Vector
-spaces with an order unit, 2009) is a test oracle, not a second
-computation. A state is returned as the plain vector of its coefficients.
-
-The geometry stays in the integers of the cone's one double description
-until a public function returns. A state is an integer extreme ray r of the
-dual cone over r . U, for the unit e = U / D; a vertex of [0, e] is a pair
-(x, t) of one homogenized DD, and a ball vertex (2 D x - t U, t D). maps and
-tensors compare these rows by cross-multiplication; extreme_states and the
-vertex lists build one Fraction per returned coordinate, once, cached.
+Each value has one route. The order norm is one LP over the cone rows,
+proved optimal by its duality certificate; that it is the largest |f(v)|
+over the extreme states (Paulsen & Tomforde, Vector spaces with an order
+unit, 2009) is a test oracle. A space caches its unit e as (U, D),
+e = U / D, and works on its cone's integer rows: the order-unit test of
+validate and of the gate `_require_order_unit` is the sign of a . U; a
+state is an integer extreme ray r of the dual cone over r . U; a vertex of
+[0, e] is a pair (x, t) of one homogenized DD, and a ball vertex
+(2 D x - t U, t D). maps and tensors compare these by cross-multiplication;
+extreme_states and the vertex lists build one Fraction per returned
+coordinate, once, cached.
 """
 
 from __future__ import annotations
@@ -28,19 +27,13 @@ from math import lcm
 
 from . import dd
 from .cones import (
-    Cone, _cached, _int_extreme_rays, _pointed, close_and_lineality, dual, image_cone, int_hrep
+    SYM_PSD, Cone, _cached, _int_extreme_rays, _pointed, _scales, close_and_lineality, dual, image_cone,
+    int_hrep, pack_sym, unpack_sym,
 )
-from .errors import (
-    InputError,
-    NotPointedError,
-    PolyhedralRequired,
-    ShapeError,
-    SizeLimitError,
-)
+from .errors import InputError, NotPointedError, PolyhedralRequired, ShapeError, SizeLimitError
 from .linalg import Matrix, Vec, common_den, dot, idot, is_zero_vec, quotient_matrix, unit_vec, vec
 from .lp import GE, INFEASIBLE, solve_lp
 from .psd import ldlt_psd
-from .cones import SYM_PSD, pack_sym, unpack_sym
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,27 +66,36 @@ class ValidationReport:
     certificates: dict
 
 
-def order_unit_failures(rows, unit: Vec) -> list[Vec]:
-    """The nonzero rows a with a.e <= 0.
+@_cached
+def _int_unit(space: AOUSpace) -> tuple[list[int], int]:
+    """The unit e as (U, D): integer numerators over one positive
+    denominator, e = U / D."""
+    return common_den(space.unit)
+
+
+def order_unit_failures(rows, unit: list[int]) -> list[int]:
+    """The indices of the nonzero integer rows a with a.U <= 0, for a unit
+    e = U / D.
 
     The unit e is an order unit of the closed cone {x : Ax >= 0} iff there
     are none: rows with a.e > 0 bound |a.v| by a multiple of a.e, and a row
     with a.e <= 0 cannot dominate a basis direction i with a_i != 0.
     """
-    return [a for a in rows if dot(a, unit) <= 0 and not is_zero_vec(a)]
+    return [i for i, a in enumerate(rows) if idot(a, unit) <= 0 and any(a)]
 
 
 _LINE_IN_CONE = "cone is not pointed (it contains a line); states do not separate points"
 
 
-def _require_order_unit(cone: Cone, unit: Vec) -> None:
-    """The order-unit gate: InputError, with the first nonzero row a of the
-    closed cone's `int_hrep` with a.e <= 0 as certificate, unless unit is an
-    order unit of the cone."""
-    bad = order_unit_failures(int_hrep(cone), unit)
+def _require_order_unit(cone: Cone, space: AOUSpace) -> None:
+    """The order-unit gate for the unit of space and the closed cone:
+    InputError, with row i of the cone's hrep(), at the scale the cone
+    holds it, as certificate for the first index i `order_unit_failures`
+    finds, unless the unit is an order unit of the cone."""
+    bad = order_unit_failures(int_hrep(cone), _int_unit(space)[0])
     if bad:
         raise InputError(
-            "the unit is not an order unit: a cone row is not positive on it", certificate=vec(bad[0])
+            "the unit is not an order unit: a cone row is not positive on it", certificate=cone.hrep()[bad[0]]
         )
 
 
@@ -119,11 +121,12 @@ def validate(space: AOUSpace) -> ValidationReport:
     archimedean = not space.cone.has_strict_rows
     closed, lineality = close_and_lineality(space.cone)
     pointed = not lineality
-    bad = order_unit_failures(closed.hrep(), space.unit)
+    rows = int_hrep(closed)
+    bad = order_unit_failures(rows, _int_unit(space)[0])
     order_unit = not bad
     if bad:
-        i = min(next(j for j, x in enumerate(a) if x != 0) for a in bad)
-        certificates[f"order_unit_basis_{i}"] = next(a for a in bad if a[i] != 0)
+        i = min(next(j for j, x in enumerate(rows[k]) if x != 0) for k in bad)
+        certificates[f"order_unit_basis_{i}"] = closed.hrep()[next(k for k in bad if rows[k][i])]
     return ValidationReport(order_unit, archimedean, pointed, certificates)
 
 
@@ -141,7 +144,7 @@ def archimedeanize(space: AOUSpace) -> tuple[AOUSpace, Matrix]:
     """
     space.cone.require_polyhedral("archimedeanize")
     closed, lin = close_and_lineality(space.cone)
-    _require_order_unit(closed, space.unit)
+    _require_order_unit(closed, space)
     if not lin:
         return AOUSpace(space.dim, closed, space.unit, space.label), Matrix.identity(space.dim)
     q = quotient_matrix(lin, space.dim)
@@ -188,7 +191,7 @@ def order_norm(space: AOUSpace, v) -> Fraction:
     closed, lineality = close_and_lineality(space.cone)
     if lineality:
         raise NotPointedError(_LINE_IN_CONE, lineality=lineality)
-    _require_order_unit(closed, space.unit)
+    _require_order_unit(closed, space)
     return out.value
 
 
@@ -202,7 +205,7 @@ def extreme_states(space: AOUSpace) -> list[Vec]:
     NotPointedError, an InputError carrying the lineality basis: its states
     vanish on the lineality, so they cannot separate points.
     """
-    den = common_den(space.unit)[1]
+    den = _int_unit(space)[1]
     return [_fracs([den * x for x in r], s) for r, s in _int_states(space)]
 
 
@@ -227,7 +230,7 @@ def _int_states(space: AOUSpace) -> list[tuple[dd.IntVec, int]]:
             "states do not separate points",
             certificate=e.lineality,
         ) from e
-    unit = common_den(space.unit)[0]
+    unit = _int_unit(space)[0]
     states = []
     for r in rays:
         s = idot(r, unit)
@@ -276,8 +279,8 @@ def _interval_pairs(space: AOUSpace) -> list[tuple[dd.IntVec, int]]:
     e is not an order unit. With e = U / D the rows a . v >= 0 and
     -D a . v >= -a . U are integer; a . U <= 0 on a nonzero row is an
     `order_unit_failures` row."""
-    _require_order_unit(space.cone, space.unit)
-    unit, den = common_den(space.unit)
+    _require_order_unit(space.cone, space)
+    unit, den = _int_unit(space)
     rows, rhs = [], []
     for a in int_hrep(space.cone):
         rows += (a, tuple(-den * x for x in a))
@@ -291,7 +294,7 @@ def _ball_rows(space: AOUSpace) -> list[tuple[dd.IntVec, int]]:
     pairs (2 D x - t U, t D), numerators over a positive denominator, for
     the interval vertices x / t and e = U / D. The map p -> 2p - e is
     increasing in every coordinate, so they keep the sorted order."""
-    unit, den = common_den(space.unit)
+    unit, den = _int_unit(space)
     return [
         (tuple([2 * den * c - t * u for c, u in zip(x, unit)]), t * den) for x, t in _interval_pairs(space)
     ]
@@ -337,7 +340,7 @@ def linf(n: int) -> AOUSpace:
     """Coordinatewise order on Q^n with unit (1, ..., 1)."""
     if n < 1:
         raise InputError("linf(n) needs n >= 1")
-    cone = Cone.from_generators([unit_vec(i, n) for i in range(n)], dim=n)
+    cone = Cone(n, generators=tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
     return AOUSpace(n, cone, (Fraction(1),) * n, label=f"linf({n})")
 
 
@@ -351,9 +354,8 @@ def lin_space(n: int) -> AOUSpace:
         raise InputError("lin_space(n) needs n >= 1")
     if n > LIN_SPACE_CAP:
         raise SizeLimitError(f"lin_space capped at n <= {LIN_SPACE_CAP} (2^n rows)")
-    one, minus = Fraction(1), Fraction(-1)
-    rows = [(one,) + tuple(minus if mask >> i & 1 else one for i in range(n)) for mask in range(1 << n)]
-    cone = Cone.from_inequalities(rows, dim=n + 1)
+    rows = tuple((1,) + tuple(-1 if mask >> i & 1 else 1 for i in range(n)) for mask in range(1 << n))
+    cone = Cone(n + 1, inequalities=rows)
     return AOUSpace(n + 1, cone, unit_vec(0, n + 1), label=f"lin_space({n})")
 
 
@@ -369,12 +371,13 @@ def dual_augmented(space: AOUSpace) -> AOUSpace:
     """V* + Q with cone {(f, t) : f(v) + t >= 0 for all 0 <= v <= e}.
 
     One inequality row (p, 1) per vertex p of the order interval suffices,
-    since the interval is their convex hull. Unit = (0, ..., 0, 1): the
+    since the interval is their convex hull: for the vertex x / t, the
+    coprime row (x, t) at scale 1 / t. Unit = (0, ..., 0, 1): the
     constant-one functional slot.
     """
     space.cone.require_polyhedral("dual_augmented")
-    verts = order_interval_vertices(space)
-    rows = [tuple(list(p) + [Fraction(1)]) for p in verts]
-    cone = Cone.from_inequalities(rows, dim=space.dim + 1)
+    pairs = _interval_pairs(space)
+    rows = tuple(x + (t,) for x, t in pairs)
+    cone = Cone(space.dim + 1, inequalities=rows, scales=_scales(Fraction(1, t) for _, t in pairs))
     unit = unit_vec(space.dim, space.dim + 1)
     return AOUSpace(space.dim + 1, cone, unit, label=f"dual_augmented({space.label})")

@@ -14,38 +14,20 @@ from fractions import Fraction
 from math import comb
 
 from .cones import (
-    Certificate, Cone, _cached, dual, extreme_rays, int_hrep, int_vrep, is_simplicial, member
+    Certificate, Cone, _cached, _scales, dual, extreme_rays, int_hrep, int_vrep, is_simplicial, member,
+    vrep_scales,
 )
+from .dd import _reduce
 from .errors import InputError, InvariantViolation, ShapeError, SizeLimitError, require_holds
 from .linalg import (
-    Matrix,
-    Vec,
-    combine,
-    dot,
-    frac,
-    idot,
-    integerize,
-    inverse,
-    kron_vec,
-    max_abs_det,
-    rank,
-    vadd,
-    vec,
-    vscale,
-    vsub,
-    zeros,
+    Matrix, Vec, combine, dot, frac, idot, integerize, inverse, kron_vec, max_abs_det, rank, vadd, vec,
+    vscale, vsub, zeros,
 )
 from .lp import GE, OPTIMAL, solve_lp
 from .maps import UnitalMap
 from .spaces import (
-    AOUSpace,
-    _int_states,
-    _require_order_unit,
-    extreme_states,
-    linf,
-    order_unit_failures,
-    unit_ball_half,
-    unit_ball_vertices,
+    AOUSpace, _int_states, _int_unit, _require_order_unit, extreme_states, linf, order_unit_failures,
+    unit_ball_half, unit_ball_vertices,
 )
 
 EPSILON = "epsilon"
@@ -125,17 +107,26 @@ def tensor_space(left: AOUSpace, right: AOUSpace, kind: str) -> TensorSpace:
         (r e + v) (x) (s e + w) + (r e - v) (x) (s e - w) = 2 r s e (x) e + 2 v (x) w
 
     (and the same with w -> -w) puts r s e_V (x) e_W +- v (x) w in pi, so
-    e_V (x) e_W is an order unit, as simple tensors span V (x) W."""
+    e_V (x) e_W is an order unit, as simple tensors span V (x) W.
+
+    Both cones are built from integer rows in `kron_vec`'s layout: a
+    product of coprime rows is coprime, as gcd_ij(a_i b_j) = gcd(a) gcd(b),
+    at the product of their scales; the state r D / s is r at scale D / s."""
     if kind not in (EPSILON, PI):
         raise InputError(f"unknown tensor cone kind {kind!r}")
     _require_tensor_factors(left, right)
     dim = left.dim * right.dim
     if kind == EPSILON:
-        rows = [kron_vec(f, g) for f in extreme_states(left) for g in extreme_states(right)]
-        cone = Cone.from_inequalities(rows, dim=dim)
+        lp, rp = _int_states(left), _int_states(right)
+        den = _int_unit(left)[1] * _int_unit(right)[1]
+        rows = tuple(tuple([x * y for x in f for y in g]) for f, _ in lp for g, _ in rp)
+        scales = _scales(Fraction(den, s * t) for _, s in lp for _, t in rp)
+        cone = Cone(dim, inequalities=rows, scales=scales)
     else:
-        gens = [kron_vec(v, w) for v in left.cone.vrep() for w in right.cone.vrep()]
-        cone = Cone.from_generators(gens, dim)
+        lg, rg = int_vrep(left.cone), int_vrep(right.cone)
+        ls, rs = (vrep_scales(sp.cone) or (1,) * len(g) for sp, g in ((left, lg), (right, rg)))
+        gens = tuple(tuple([x * y for x in v for y in w]) for v in lg for w in rg)
+        cone = Cone(dim, generators=gens, scales=_scales(a * b for a in ls for b in rs))
     realized = AOUSpace(
         dim=dim,
         cone=cone,
@@ -143,9 +134,10 @@ def tensor_space(left: AOUSpace, right: AOUSpace, kind: str) -> TensorSpace:
         label=f"{kind}({left.label},{right.label})",
     )
     for sp in (left, right):
-        if order_unit_failures(int_hrep(sp.cone), sp.unit):
+        if order_unit_failures(int_hrep(sp.cone), _int_unit(sp)[0]):
             raise InvariantViolation("factor unit fails the order unit test")
     return TensorSpace(left, right, kind, realized)
+
 
 
 def member_tensor(ts: TensorSpace, z: TensorElement) -> Certificate:
@@ -160,7 +152,7 @@ def _require_tensor_factors(left: AOUSpace, right: AOUSpace) -> None:
     for sp in (left, right):
         sp.cone.require_polyhedral("tensor cones")
     for sp in (left, right):
-        extreme_states(sp)
+        _int_states(sp)
 
 
 def tensor_map(s: UnitalMap, t: UnitalMap, kind: str) -> UnitalMap:
@@ -307,7 +299,7 @@ def is_nuclear_pairwise(left: AOUSpace, right: AOUSpace) -> NuclearityReport:
         report = NuclearityReport(
             nuclear=False,
             witness=TensorElement.from_flat(left, right, flat),
-            pi_certificate=Certificate("non_member", "separating_functional", witness=vec(integerize(w))),
+            pi_certificate=Certificate("non_member", "separating_functional", witness=vec(_reduce(w))),
             epsilon_certificate=member(eps, flat),
         )
     require_holds(_nuclearity_holds(left, right, report), "is_nuclear_pairwise", left, right)
@@ -499,7 +491,7 @@ def _best_psi(space: AOUSpace, phi_rows: list[Vec], vectors: list[Vec]):
 @_cached
 def _row_cone(cone: Cone) -> Cone:
     """The dual cone, built once per cone; an H-cone's shares its DD."""
-    return dual(cone) if cone.inequalities is not None else Cone.from_generators(cone.hrep(), cone.dim)
+    return dual(cone) if cone.inequalities is not None else Cone(cone.dim, generators=tuple(int_hrep(cone)))
 
 
 def _defect_lower_bound(
@@ -616,7 +608,7 @@ def factorize(space: AOUSpace, eps: Fraction | int = Fraction(1, 10)) -> Factori
     if eps < 0:
         raise InputError(f"factorize: eps must be nonnegative, got {eps}")
     space.cone.require_polyhedral("factorization")
-    _require_order_unit(space.cone, space.unit)
+    _require_order_unit(space.cone, space)
     d = space.dim
 
     if is_simplicial(space.cone):

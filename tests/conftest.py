@@ -35,7 +35,11 @@ each +- pair.  The Fraction routes of the geometry (`fraction_states`,
 `fraction_max_det`, for the Auerbach and factorize seed scans, and
 `fraction_next_state`, for factorize's greedy pick) divide
 Fraction rays and vertices and take Fraction determinants, where the package keeps the DD's integer rows and
-builds one Fraction per returned coordinate.  `rerun_verifies` confirms a CLI report by running its verb
+builds one Fraction per returned coordinate.  The Fraction routes of the
+integer cones, spaces and maps (`fraction_validate`, `fraction_member`,
+`fraction_verify`, `fraction_positive`) read the Fraction views hrep() and
+vrep() with a Fraction dot per row, where the package reads the coprime
+integer rows with their scales.  `rerun_verifies` confirms a CLI report by running its verb
 again and comparing the results through a JSON round trip, where `verify`
 checks the evidence of the six verbs that carry it.
 """
@@ -71,7 +75,8 @@ from aoulab.linalg import (
 from aoulab.lp import EQ, GE, INFEASIBLE, OPTIMAL, solve_lp
 from aoulab.maps import IdealReport, UnitalMap, interval_min
 from aoulab.spaces import (
-    AOUSpace, archimedeanize, extreme_states, lin_space, linf, order_norm, unit_ball_vertices, validate
+    AOUSpace, ValidationReport, archimedeanize, extreme_states, lin_space, linf, order_norm,
+    unit_ball_vertices, validate,
 )
 from aoulab.tensors import EPSILON, PI, TensorElement, kron_vec, tensor_space
 
@@ -936,6 +941,56 @@ def fraction_interval_vertices(space: AOUSpace) -> list[Vec]:
 def fraction_ball_vertices(space: AOUSpace) -> list[Vec]:
     """[-e, e] = 2 [0, e] - e, vertex by vertex."""
     return [tuple(2 * x - u for x, u in zip(p, space.unit)) for p in fraction_interval_vertices(space)]
+
+
+def fraction_validate(space: AOUSpace) -> ValidationReport:
+    """validate over the Fraction rows hrep() of the closed cone: a row a
+    fails the unit when a.e <= 0 by a Fraction dot."""
+    closed, lineality = close_and_lineality(space.cone)
+    bad = [a for a in closed.hrep() if fraction_dot(a, space.unit) <= 0 and any(a)]
+    certificates = {}
+    if bad:
+        i = min(next(j for j, x in enumerate(a) if x) for a in bad)
+        certificates[f"order_unit_basis_{i}"] = next(a for a in bad if a[i])
+    return ValidationReport(not bad, not space.cone.has_strict_rows, not lineality, certificates)
+
+
+def fraction_member(cone: Cone, v) -> Certificate:
+    """Membership in an H-cone by a Fraction dot of each row of hrep()."""
+    v = vec(v)
+    for i, row in enumerate(cone.hrep()):
+        if fraction_dot(row, v) < 0:
+            return Certificate("non_member", "separating_functional", witness=row, payload={"row_index": i})
+    return Certificate("member", "hrep_evaluation")
+
+
+def fraction_verify(cert: Certificate, cone: Cone, v) -> bool:
+    """A polyhedral certificate checked over the Fraction views: the
+    decomposition summed term by term over vrep(), the rows of hrep()
+    evaluated, the separating functional dotted with vrep() or compared
+    with the row of hrep() it names."""
+    v = vec(v)
+    if cert.kind == "conic_decomposition":
+        gens = cone.vrep()
+        total = [Fraction(0)] * cone.dim
+        for i, c in cert.decomposition:
+            total = [x + c * g for x, g in zip(total, gens[i])]
+        return all(c >= 0 for _, c in cert.decomposition) and tuple(total) == v
+    if cert.kind == "hrep_evaluation":
+        return all(fraction_dot(row, v) >= 0 for row in cone.hrep())
+    w = cert.witness
+    if fraction_dot(w, v) >= 0:
+        return False
+    if cone.generators is not None:
+        return all(fraction_dot(w, g) >= 0 for g in cone.vrep())
+    return cone.hrep()[cert.payload["row_index"]] == w
+
+
+def fraction_positive(m: UnitalMap) -> bool:
+    """Every Fraction row of the target's hrep() nonnegative on the image
+    of every Fraction generator of the source's vrep()."""
+    images = [fraction_apply(m.matrix, g) for g in m.source.cone.vrep()]
+    return all(fraction_dot(a, x) >= 0 for a in m.target.cone.hrep() for x in images)
 
 
 def fraction_max_det(vectors: list[Vec], k: int) -> tuple[int, ...] | None:

@@ -133,7 +133,7 @@ def _agreement_cones(r):
         gens += [g, tuple(Fraction(r.randint(1, 3), r.randint(1, 2)) * x for x in g)]
         gens = [vec(x) for x in gens if any(x)]
         gens.insert(r.randint(0, len(gens)), vec([0] * dim))
-        cones.append(Cone(dim=dim, generators=tuple(gens)))
+        cones.append(Cone(dim=dim, generators=tuple(integerize(g) for g in gens)))
     return cones
 
 
@@ -334,7 +334,7 @@ class TestExtremeRays:
                 extra += [r.choice(gens), (Fraction(0),) * dim]
                 gens += extra
                 r.shuffle(gens)
-                cone = Cone(dim=dim, generators=tuple(gens))
+                cone = Cone(dim=dim, generators=tuple(integerize(g) for g in gens))
                 pointed = lp_is_pointed(Cone.from_generators(gens, dim))
                 seen[pointed] += 1
                 if pointed:
@@ -346,7 +346,7 @@ class TestExtremeRays:
 
     def test_vrep_duplicate_parallel_and_zero_generators(self):
         gens = [(0, 0, 0), (1, 0, 0), (1, 0, 0), (2, 0, 0), (0, 3, 0), (0, 1, 0), (1, 1, 1), (0, 0, 0)]
-        cone = Cone(dim=3, generators=tuple(vec(g) for g in gens))
+        cone = Cone(dim=3, generators=tuple(integerize(g) for g in gens))
         assert extreme_rays(cone) == lp_extreme_rays(cone) == rank_extreme_rays(cone)
         assert extreme_rays(cone) == [vec((0, 1, 0)), vec((1, 0, 0)), vec((1, 1, 1))]
 
@@ -438,19 +438,18 @@ class TestOneDoubleDescription:
         assert len(calls) == 1
 
     def test_second_contains_integerizes_nothing(self, monkeypatch):
+        # a cone holds its integer rows from the start, so neither the
+        # first contains, which runs the DDs, nor the second integerizes
         calls = []
 
-        def counted(a):
-            calls.append(a)
-            return integerize(a)
+        def counted(fn):
+            return lambda *a: calls.append(fn.__name__) or fn(*a)
 
-        for mod in (aoulab.cones, aoulab.dd):
-            monkeypatch.setattr(mod, "integerize", counted)
         a = Cone.from_generators([(1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1)])
         b = Cone.from_generators([(2, 1, 1), (1, 0, 0)])
+        monkeypatch.setattr(aoulab.dd, "integerize", counted(integerize))
+        monkeypatch.setattr(aoulab.cones, "common_den", counted(aoulab.cones.common_den))
         assert contains(a, b) and not contains(b, a)
-        assert calls
-        calls.clear()
         assert contains(a, b) and not contains(b, a)
         assert calls == []
 

@@ -132,3 +132,23 @@ def test_polytope_vertices_random_vs_oracle():
 def test_polytope_unbounded_reported():
     with pytest.raises(InputError):
         polytope_vertices([vec([1, 0])], [Fraction(0)], 2)
+
+
+def test_integer_rows_match_brute_force():
+    # the kernel on integer rows as cones hand them over, coprime or not,
+    # with duplicates and rows that vanish on earlier rays: the rays of a
+    # pointed cone against subset search, the lineality against the rows
+    r = rng(4177)
+    seen = 0
+    for trial in range(60):
+        dim = r.randint(2, 4)
+        k = r.randint(dim, dim + 4)
+        rows = [tuple(r.randint(1, 3) * r.randint(-2, 2) for _ in range(dim)) for _ in range(k)]
+        rows += [rows[0], tuple(2 * x for x in rows[-1])]
+        lin, rays = dd_pair(rows, dim)
+        assert all(all(dot(a, l) == 0 for a in rows) for l in lin)
+        assert all(all(dot(a, x) >= 0 for a in rows) for x in rays)
+        if not lin:
+            seen += 1
+            assert set(rays) == brute_extreme_rays([vec(a) for a in rows], dim)
+    assert seen > 20

@@ -10,7 +10,7 @@ import pstats
 
 from aoulab.cli import main
 from aoulab.serialize import dumps
-from aoulab.spaces import extreme_states, lin_space
+from aoulab.spaces import extreme_states, lin_space, unit_ball_vertices, validate
 
 
 def fractions_built(fn) -> int:
@@ -30,9 +30,22 @@ def test_cold_states_build_one_fraction_per_coordinate():
     assert fractions_built(lambda: extreme_states(lin_space(3))) <= 40
 
 
+def test_cold_structure_request_builds_only_returned_coordinates():
+    # a fresh lin_space(3) and its states, ball and validate: 8 states and
+    # 8 ball vertices of 4 coordinates each, and no Fraction besides
+    def request():
+        sp = lin_space(3)
+        return extreme_states(sp), unit_ball_vertices(sp), validate(sp)
+
+    request()
+    assert fractions_built(request) <= 64
+
+
 def test_floor_request_budget(tmp_path):
     # the cheapest report and its verify: `states` of lin_space(1), whose
-    # two states of two coordinates come out of the decoded file
+    # two states of two coordinates come out of the decoded file, once for
+    # the report and once for its re-run, and the unit's two entries, once
+    # per decode; the cone's integer rows are decoded as ints
     space, report = tmp_path / "space.json", tmp_path / "report.json"
     space.write_text(dumps(lin_space(1)))
 
@@ -43,4 +56,4 @@ def test_floor_request_budget(tmp_path):
         assert main(["verify", str(report)], out=io.StringIO()) == 0
 
     request()
-    assert fractions_built(request) <= 20
+    assert fractions_built(request) <= 12

@@ -447,3 +447,65 @@ def test_every_verb_is_checked_or_rerun():
 
     checked = [verb for verb, spec in _VERBS.items() if spec.check is not None]
     assert sorted(checked + list(RERUN_VERBS)) == sorted(_VERBS)
+
+
+# where rational input becomes integers: each call of integerize or
+# common_den, by the function that makes it, and the input it takes
+INTEGERIZE_SITES = {
+    ("cones.py", "_split"): "the rows given to Cone.from_generators and from_inequalities",
+    ("cones.py", "Certificate.verify"): "the vector a certificate is checked on",
+    ("cones.py", "member"): "the vector whose membership is asked",
+    ("cones.py", "_generator_member"): "the same vector, for a V-cone",
+    ("cones.py", "image_cone"): "the matrix a cone is mapped by",
+    ("dd.py", "dd_pair"): "rows that are not coprime integer tuples, dd_pair's input contract",
+    ("linalg.py", "integerize"): "its own argument",
+    ("linalg.py", "kron_vec"): "the two rational vectors it multiplies",
+    ("linalg.py", "_int_rows"): "the Fraction rows of a Matrix, for the elimination kernels",
+    ("lp.py", "solve_lp"): "the Farkas multipliers of an infeasible LP, an LP outcome",
+    ("maps.py", "_int_matrix"): "a map's matrix, once per map",
+    ("maps.py", "dual_norm"): "the functional whose norm is asked",
+    ("maps.py", "_min_l1_measure"): "the functional whose minimal measure is asked",
+    ("spaces.py", "_int_unit"): "a space's unit, once per space",
+    ("tensors.py", "_space_nuclearity_holds"): "the rays of a report under check",
+}
+
+
+def _integerize_sites(trees: dict) -> set[tuple[str, str]]:
+    """(file, function) for each call of integerize or common_den by name;
+    a method is named Class.method, and a nested function counts for the
+    module-level one that holds it."""
+    found = set()
+    for file, tree in trees.items():
+        todo = [("", node) for node in tree.body]
+        while todo:
+            prefix, node = todo.pop()
+            if isinstance(node, ast.ClassDef):
+                todo += [(node.name + ".", n) for n in node.body]
+            elif isinstance(node, ast.FunctionDef):
+                if any(_is_name_call(n, name) for n in ast.walk(node) for name in ("integerize", "common_den")):
+                    found.add((file, prefix + node.name))
+    return found
+
+
+def test_integerize_only_on_public_inputs():
+    # cones, spaces and maps hold integers; a call outside these sites
+    # would turn a Fraction the package built back into integers
+    sites, allowed = _integerize_sites(_parse_package()), set(INTEGERIZE_SITES)
+    assert sites == allowed, (sorted(sites - allowed), sorted(allowed - sites))
+
+
+def test_integerize_sites_are_found():
+    # the guard above sees a planted call in a function, a method and a
+    # nested function, and passes code with none
+    source = """
+def states(space):
+    return [integerize(f) for f in extreme_states(space)]
+class Box:
+    def rows(self):
+        def inner():
+            return common_den(self.unit)
+        return inner()
+def clean(space):
+    return idot(space.unit, space.unit)
+"""
+    assert _integerize_sites({"x.py": ast.parse(source)}) == {("x.py", "states"), ("x.py", "Box.rows")}

@@ -165,6 +165,17 @@ class TestArchimedeanize:
                 archimedeanize(sp)
             assert exc.value.certificate == row
 
+    def test_one_certificate_for_a_bad_unit(self, tmp_path):
+        # validate, archimedeanize and order_norm all name the row (0, 1/3)
+        # at the scale the cone holds it, not its coprime form (0, 1)
+        sp = AOUSpace(2, Cone.from_inequalities([("1/2", 0), (0, "1/3")]), (1, 0))
+        row = (Fraction(0), Fraction(1, 3))
+        assert validate(sp).certificates == {"order_unit_basis_1": row}
+        for refuse in (lambda: archimedeanize(sp), lambda: order_norm(sp, (1, 0))):
+            with pytest.raises(InputError) as exc:
+                refuse()
+            assert exc.value.certificate == row and type(exc.value.certificate[1]) is Fraction
+
     def test_universal_property_randomized(self):
         # any unital positive map into an Archimedean space factors exactly
         # through the quotient

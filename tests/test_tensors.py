@@ -50,6 +50,7 @@ from aoulab.psd_examples import (
 from aoulab import tensors
 from aoulab.spaces import (
     AOUSpace,
+    _int_states,
     extreme_states,
     lin_space,
     linf,
@@ -213,8 +214,8 @@ class TestTensorSpace:
                         tensor_space(left, right, kind)
         # past a state check that accepted it, the factor row test rejects
         # the unit on a facet by itself
-        states = {id(on_facet): extreme_states(linf(2))}
-        monkeypatch.setattr(tensors, "extreme_states", lambda sp: states.get(id(sp)) or extreme_states(sp))
+        states = {id(on_facet): _int_states(linf(2))}
+        monkeypatch.setattr(tensors, "_int_states", lambda sp: states.get(id(sp)) or _int_states(sp))
         with pytest.raises(InvariantViolation, match="factor unit fails the order unit test"):
             tensor_space(on_facet, linf(2), PI)
 
@@ -845,8 +846,8 @@ def swap_two_states(monkeypatch):
 
 
 def flip_the_separating_functional(monkeypatch):
-    original = tensors.integerize
-    monkeypatch.setattr(tensors, "integerize", lambda w: vscale(-1, original(w)))
+    original = tensors._reduce
+    monkeypatch.setattr(tensors, "_reduce", lambda w: vscale(-1, original(w)))
 
 
 def double_the_first_ray(monkeypatch):
