@@ -35,19 +35,55 @@ from .cones import Certificate
 from .errors import InputError, InvariantViolation
 from .linalg import Matrix
 from .maps import (
-    UnitalMap, _pert_holds, _pert_with_norms, _perturb_holds, _perturb_with_norm, archimedean_quotient,
-    auerbach_basis, check_map, extend_unital_positive,
+    UnitalMap,
+    _pert_holds,
+    _pert_with_norms,
+    _perturb_holds,
+    _perturb_with_norm,
+    archimedean_quotient,
+    auerbach_basis,
+    check_map,
+    extend_unital_positive,
 )
 from .psd_examples import psd_example_suite
 from .serialize import (
-    VERSION, canonical_json, decode_frac, decode_rows, decode_vec, dumps, element_from_dict, loads,
-    map_from_dict, space_from_dict, to_dict,
+    VERSION,
+    canonical_json,
+    decode_frac,
+    decode_rows,
+    decode_vec,
+    dumps,
+    element_from_dict,
+    loads,
+    map_from_dict,
+    space_from_dict,
+    to_dict,
 )
-from .spaces import AOUSpace, archimedeanize, extreme_states, lin_space, linf, order_norm, validate
+from .spaces import (
+    AOUSpace,
+    archimedeanize,
+    extreme_states,
+    lin_space,
+    linf,
+    order_norm,
+    validate,
+)
 from .tensors import (
-    EPSILON, PI, FactorizationResult, NuclearityReport, SpaceNuclearity, TensorElement, _factorization_holds,
-    _nuclearity_holds, _space_nuclearity, _space_nuclearity_holds, factorize, injective_banach_norm,
-    is_nuclear_pairwise, member_tensor, tensor_space,
+    EPSILON,
+    PI,
+    FactorizationResult,
+    NuclearityReport,
+    SpaceNuclearity,
+    TensorElement,
+    _factorization_holds,
+    _nuclearity_holds,
+    _space_nuclearity,
+    _space_nuclearity_holds,
+    factorize,
+    injective_banach_norm,
+    is_nuclear_pairwise,
+    member_tensor,
+    tensor_space,
 )
 
 EXIT_OK, EXIT_USAGE, EXIT_INPUT, EXIT_BREACH = 0, 1, 2, 3

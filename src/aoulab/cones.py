@@ -5,17 +5,18 @@ rows with optional strict flags (H-rep), or the cone of positive
 semidefinite symmetric n x n matrices stored as packed upper-triangle
 vectors (kind sym_psd), which refuses conversion with a typed error and
 decides membership by the exact LDL^T test. Cones are frozen; a value
-derived from a frozen object (cone, space, map) is computed once by
+derived from a frozen object (cone, space, map, matrix) is computed once by
 `_cached` and kept in its _derived dict, the package's one cache.
 
 A polyhedral cone's data are its own rows as coprime integer tuples, each
-with the positive scale that gives back the row as it was given. The
-public constructors split rational rows so, once; the package's builders
-pass integer rows and scales directly. Everything else reads the integers:
-the double description, run at most once per cone and shared with its dual
-(same rows), int_vrep and int_hrep, membership and certificates, extreme
-rays, pointedness and containment. hrep() and vrep() are Fraction views
-for callers outside the library, built once.
+with the positive scale that gives back the row as it was given. Rows
+given otherwise, rational or with a common factor, are split so once, when
+the cone is built; the package's builders pass coprime rows and scales.
+Everything else reads the integers: the double description, run at most
+once per cone and shared with its dual (same rows), int_vrep and int_hrep,
+membership and certificates, extreme rays, pointedness and containment.
+hrep() and vrep() are Fraction views for callers outside the library,
+built once.
 
 Every membership answer is a Certificate that re-verifies by substitution:
 a conic decomposition over named generators, a violated inequality row, a
@@ -36,11 +37,26 @@ from math import gcd
 from typing import Sequence
 
 from . import dd
-from .dd import IntVec
+from .dd import IntVec, _is_coprime_int
 from .errors import (
-    InputError, InvariantViolation, NotPointedError, PolyhedralRequired, ShapeError, StrictConeError,
+    InputError,
+    InvariantViolation,
+    NotPointedError,
+    PolyhedralRequired,
+    ShapeError,
+    StrictConeError,
 )
-from .linalg import Matrix, Vec, combine, common_den, dot, idot, nullspace, rank, vec
+from .linalg import (
+    Matrix,
+    Vec,
+    combine,
+    common_den,
+    dot,
+    idot,
+    nullspace,
+    rank,
+    vec,
+)
 from .psd import ldlt_psd
 
 POLYHEDRAL = "polyhedral"
@@ -108,8 +124,22 @@ class Cone:
     _derived: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        if self.inequalities is not None and self.strict is None:
-            object.__setattr__(self, "strict", (False,) * len(self.inequalities))
+        # own rows given otherwise than as coprime integer tuples, as a
+        # direct construction may give them, are split here, once
+        own = self.generators is not None
+        name = "generators" if own else "inequalities"
+        rows = getattr(self, name)
+        if rows is not None and not all(map(_is_coprime_int, rows)):
+            rows, scales = _split(rows, self.dim, "generator" if own else "row")[1:]
+            if self.scales:
+                scales = _scales(a * b for a, b in zip(self.scales, scales or repeat(1)))
+            object.__setattr__(self, name, rows)
+            object.__setattr__(self, "scales", scales)
+        if self.inequalities is not None:
+            st = (False,) * len(rows) if self.strict is None else tuple(map(bool, self.strict))
+            if len(st) != len(rows):
+                raise ShapeError("strict flags must align with rows")
+            object.__setattr__(self, "strict", st)
 
     @classmethod
     def from_generators(cls, gens: Sequence[Sequence], dim: int | None = None) -> "Cone":
@@ -122,10 +152,7 @@ class Cone:
         cls, rows: Sequence[Sequence], strict: Sequence[bool] | None = None, dim: int | None = None
     ) -> "Cone":
         dim, rv, scales = _split(rows, dim, "row")
-        st = tuple(bool(s) for s in strict) if strict is not None else (False,) * len(rv)
-        if len(st) != len(rv):
-            raise ShapeError("strict flags must align with rows")
-        return cls(dim=dim, inequalities=rv, strict=st, scales=scales)
+        return cls(dim=dim, inequalities=rv, strict=strict, scales=scales)
 
     @classmethod
     def sym_psd(cls, n: int) -> "Cone":
@@ -536,6 +563,15 @@ def is_simplicial(cone: Cone) -> bool:
     return len(rays) == cone.dim
 
 
+@_cached
+def _int_matrix(m: Matrix) -> tuple[list[IntVec], int]:
+    """m as (M, d): rows of integer numerators over one positive
+    denominator, m = M / d."""
+    nums, den = common_den([x for row in m.data for x in row])
+    n = m.cols
+    return [tuple(nums[i * n : i * n + n]) for i in range(m.rows)], den
+
+
 def image_cone(cone: Cone, m: Matrix) -> Cone:
     """Forward image of a closed polyhedral cone: map the generators, drop
     zero images. The result may be non-pointed; that is the caller's concern.
@@ -547,8 +583,7 @@ def image_cone(cone: Cone, m: Matrix) -> Cone:
     cone.require_polyhedral("image_cone")
     if m.cols != cone.dim:
         raise ShapeError(f"matrix expects dim {m.cols}, cone has {cone.dim}")
-    nums, den = common_den([x for row in m.data for x in row])
-    mrows = [nums[i : i + m.cols] for i in range(0, len(nums), m.cols)]
+    mrows, den = _int_matrix(m)
     rows, scales = [], []
     for g, s in zip(int_vrep(cone), vrep_scales(cone) or repeat(1)):
         img = [idot(r, g) for r in mrows]

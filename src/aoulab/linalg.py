@@ -24,7 +24,7 @@ surjection that kills exactly that kernel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm, prod
@@ -157,6 +157,7 @@ class Matrix:
     """Immutable exact matrix, row major."""
 
     data: tuple[Vec, ...]
+    _derived: dict = field(default_factory=dict, repr=False, compare=False)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable]) -> "Matrix":
@@ -215,9 +216,10 @@ class Matrix:
 
 def _int_rows(rows: Iterable[Sequence]) -> tuple[list[list[int]], list[int]]:
     """Each row times the lcm of its denominators: (integer rows, scales).
-    A row of ints is copied with scale 1; other rows of ints and Fractions
-    go through common_den."""
-    pairs = [(list(row), 1) if all(type(x) is int for x in row) else common_den(row) for row in rows]
+
+    Ints and Fractions both carry numerator and denominator, so rows that
+    are already integer pass with scale 1 and no Fraction is built."""
+    pairs = [common_den(row) for row in rows]
     return [p for p, _ in pairs], [d for _, d in pairs]
 
 

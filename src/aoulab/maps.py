@@ -14,11 +14,12 @@ quotient and the minimal measures are read off verified conic
 decompositions; the one LP is the extension's, and order-norm LPs are left
 to `operator_norm`.
 
-A map keeps its matrix as integer numerators over one denominator, cached
-once: positivity is a sign test of the target's integer rows on the images
-of the source's integer generators, the pull-back cone has the coprime
-rows M^T a, and the isometry test's dual balls and the minimal measures'
-row cones are built from the integer states of `spaces`.
+A map reads its matrix as integer numerators over one denominator, cached
+once per matrix by `cones._int_matrix`, as `image_cone` does: positivity
+is a sign test of the target's integer rows on the images of the
+source's integer generators, the pull-back cone has the coprime rows
+M^T a, and the isometry test's dual balls and the minimal measures' row
+cones are built from the integer states of `spaces`.
 """
 
 from __future__ import annotations
@@ -29,19 +30,45 @@ from math import comb
 from typing import Sequence
 
 from .cones import (
-    SYM_PSD, Certificate, Cone, _cached, _lineality, _pointed, _scales, image_cone, int_hrep, int_vrep,
-    member, same_cone,
+    SYM_PSD, Certificate, Cone, _cached, _int_matrix, _lineality, _pointed, _scales, image_cone, int_hrep,
+    int_vrep, member, same_cone,
 )
 from .dd import _reduce
 from .errors import InputError, InvariantViolation, ShapeError, SizeLimitError, require_holds
 from .linalg import (
-    Matrix, Vec, combine, common_den, dot, frac, idot, inverse, is_zero_vec, kron_vec, max_abs_det,
-    quotient_matrix, rank, solve, unit_vec, vadd, vec, vscale, vsub, zeros,
+    Matrix,
+    Vec,
+    combine,
+    common_den,
+    dot,
+    frac,
+    idot,
+    inverse,
+    is_zero_vec,
+    kron_vec,
+    max_abs_det,
+    quotient_matrix,
+    rank,
+    solve,
+    unit_vec,
+    vadd,
+    vec,
+    vscale,
+    vsub,
+    zeros,
 )
 from .lp import EQ, GE, OPTIMAL, solve_lp
 from .spaces import (
-    AOUSpace, _ball_half_rows, _ball_rows, _int_states, _int_unit, _require_order_unit, extreme_states,
-    order_interval_vertices, order_norm, unit_ball_half,
+    AOUSpace,
+    _ball_half_rows,
+    _ball_rows,
+    _int_states,
+    _int_unit,
+    _require_order_unit,
+    extreme_states,
+    order_interval_vertices,
+    order_norm,
+    unit_ball_half,
 )
 
 
@@ -76,7 +103,7 @@ class UnitalMap:
         target = self.target.cone
         if target.kind == SYM_PSD:
             return all(member(target, self.apply(g)).verdict == "member" for g in int_vrep(self.source.cone))
-        rows = _int_matrix(self)[0]
+        rows = _int_matrix(self.matrix)[0]
         images = [[idot(r, g) for r in rows] for g in int_vrep(self.source.cone)]
         return all(idot(a, x) >= 0 for a in int_hrep(target) for x in images)
 
@@ -87,15 +114,6 @@ class UnitalMap:
         if inner.target is not self.source and inner.target.dim != self.source.dim:
             raise ShapeError("composition dimension mismatch")
         return UnitalMap(inner.source, self.target, self.matrix @ inner.matrix)
-
-
-@_cached
-def _int_matrix(m: UnitalMap) -> tuple[list[tuple[int, ...]], int]:
-    """The matrix as (M, d): rows of integer numerators over one positive
-    denominator, m = M / d."""
-    nums, den = common_den([x for row in m.matrix.data for x in row])
-    n = m.source.dim
-    return [tuple(nums[i : i + n]) for i in range(0, len(nums), n)], den
 
 
 def _coeffs(space: AOUSpace, f) -> Vec:
@@ -119,7 +137,7 @@ class MapReport:
 def _pullback_cone(m: UnitalMap) -> Cone:
     """{v : m(v) in target cone}: each integer target row a pulled back to
     the row M^T a, made coprime, for m = M / d."""
-    cols = list(zip(*_int_matrix(m)[0]))
+    cols = list(zip(*_int_matrix(m.matrix)[0]))
     rows = tuple(_reduce([idot(c, a) for c in cols]) for a in int_hrep(m.target.cone))
     return Cone(m.source.dim, inequalities=rows)
 
@@ -137,7 +155,7 @@ def _is_isometry(m: UnitalMap) -> bool:
     In integers: a state r D / s lifts to (r D, s), and g o m, for the
     target state g = r D' / s and m = M / d, to (M^T r D', d s).
     """
-    rows, d = _int_matrix(m)
+    rows, d = _int_matrix(m.matrix)
     cols, dt, ds = list(zip(*rows)), _int_unit(m.target)[1], _int_unit(m.source)[1]
 
     def lifted_hull(pairs) -> Cone:

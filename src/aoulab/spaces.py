@@ -30,7 +30,13 @@ from .cones import (
     SYM_PSD, Cone, _cached, _int_extreme_rays, _pointed, _scales, close_and_lineality, dual, image_cone,
     int_hrep, pack_sym, unpack_sym,
 )
-from .errors import InputError, NotPointedError, PolyhedralRequired, ShapeError, SizeLimitError
+from .errors import (
+    InputError,
+    NotPointedError,
+    PolyhedralRequired,
+    ShapeError,
+    SizeLimitError,
+)
 from .linalg import Matrix, Vec, common_den, dot, idot, is_zero_vec, quotient_matrix, unit_vec, vec
 from .lp import GE, INFEASIBLE, solve_lp
 from .psd import ldlt_psd

@@ -20,14 +20,35 @@ from .cones import (
 from .dd import _reduce
 from .errors import InputError, InvariantViolation, ShapeError, SizeLimitError, require_holds
 from .linalg import (
-    Matrix, Vec, combine, dot, frac, idot, integerize, inverse, kron_vec, max_abs_det, rank, vadd, vec,
-    vscale, vsub, zeros,
+    Matrix,
+    Vec,
+    combine,
+    dot,
+    frac,
+    idot,
+    integerize,
+    inverse,
+    kron_vec,
+    max_abs_det,
+    rank,
+    vadd,
+    vec,
+    vscale,
+    vsub,
+    zeros,
 )
 from .lp import GE, OPTIMAL, solve_lp
 from .maps import UnitalMap
 from .spaces import (
-    AOUSpace, _int_states, _int_unit, _require_order_unit, extreme_states, linf, order_unit_failures,
-    unit_ball_half, unit_ball_vertices,
+    AOUSpace,
+    _int_states,
+    _int_unit,
+    _require_order_unit,
+    extreme_states,
+    linf,
+    order_unit_failures,
+    unit_ball_half,
+    unit_ball_vertices,
 )
 
 EPSILON = "epsilon"

@@ -133,7 +133,7 @@ def _agreement_cones(r):
         gens += [g, tuple(Fraction(r.randint(1, 3), r.randint(1, 2)) * x for x in g)]
         gens = [vec(x) for x in gens if any(x)]
         gens.insert(r.randint(0, len(gens)), vec([0] * dim))
-        cones.append(Cone(dim=dim, generators=tuple(integerize(g) for g in gens)))
+        cones.append(Cone(dim=dim, generators=tuple(gens)))
     return cones
 
 
@@ -261,6 +261,11 @@ class TestImageCone:
         assert same_cone(img, halfplane)
         assert not is_pointed(img)
 
+    def test_dimension_zero(self):
+        # the zero space's cone maps to a cone of zero images, which is {0}
+        img = image_cone(Cone.from_generators([], dim=0), Matrix(((),)))
+        assert (img.dim, img.vrep()) == (1, ())
+
     def test_identity_image(self):
         for cone in (orthant(3), WEDGE):
             assert same_cone(image_cone(cone, Matrix.identity(cone.dim)), cone)
@@ -334,7 +339,7 @@ class TestExtremeRays:
                 extra += [r.choice(gens), (Fraction(0),) * dim]
                 gens += extra
                 r.shuffle(gens)
-                cone = Cone(dim=dim, generators=tuple(integerize(g) for g in gens))
+                cone = Cone(dim=dim, generators=tuple(gens))
                 pointed = lp_is_pointed(Cone.from_generators(gens, dim))
                 seen[pointed] += 1
                 if pointed:
@@ -346,9 +351,22 @@ class TestExtremeRays:
 
     def test_vrep_duplicate_parallel_and_zero_generators(self):
         gens = [(0, 0, 0), (1, 0, 0), (1, 0, 0), (2, 0, 0), (0, 3, 0), (0, 1, 0), (1, 1, 1), (0, 0, 0)]
-        cone = Cone(dim=3, generators=tuple(integerize(g) for g in gens))
+        cone = Cone(dim=3, generators=tuple(vec(g) for g in gens))
         assert extreme_rays(cone) == lp_extreme_rays(cone) == rank_extreme_rays(cone)
         assert extreme_rays(cone) == [vec((0, 1, 0)), vec((1, 0, 0)), vec((1, 1, 1))]
+
+    def test_direct_construction_splits_rows_that_are_not_coprime_integers(self):
+        # a cone's own rows are coprime integer tuples however it is built:
+        # (2, 0, 0) is held as (1, 0, 0) at scale 2, and the ray survives
+        cone = Cone(dim=3, generators=((1, 0, 0), (2, 0, 0), (0, Fraction(1, 2), 0)))
+        assert cone.generators == ((1, 0, 0), (1, 0, 0), (0, 1, 0))
+        assert cone.vrep() == (vec((1, 0, 0)), vec((2, 0, 0)), vec((0, "1/2", 0)))
+        assert extreme_rays(cone) == [vec((0, 1, 0)), vec((1, 0, 0))]
+        h = Cone(dim=2, inequalities=((Fraction(1, 3), 0), (0, 4)))
+        assert (h.inequalities, h.strict) == (((1, 0), (0, 1)), (False, False))
+        assert h.hrep() == (vec(("1/3", 0)), vec((0, 4)))
+        with pytest.raises(ShapeError, match="strict flags must align"):
+            Cone(dim=2, inequalities=((1, 0),), strict=(True, False))
 
     def test_vrep_lower_dimensional_pointed(self):
         # a 2-D wedge inside the plane x3 = 0 of Q^3: its H-rep carries the

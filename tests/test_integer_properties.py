@@ -107,6 +107,19 @@ def test_views_return_the_given_rows(pair):
 
 @PROPERTY
 @given(cones())
+def test_a_direct_construction_holds_the_same_rows(pair):
+    # rows handed to Cone itself, as Fractions or as integers with a common
+    # factor, are split as the public constructors split them
+    cone, given = pair
+    if cone.generators is not None:
+        direct = Cone(cone.dim, generators=tuple(r for r in given if any(r)))
+    else:
+        direct = Cone(cone.dim, inequalities=tuple(given))
+    assert (direct.rows, direct.scales, direct.strict) == (cone.rows, cone.scales, cone.strict)
+
+
+@PROPERTY
+@given(cones())
 def test_integer_rows_describe_the_same_cone(pair):
     cone, _ = pair
     if cone.generators is not None:

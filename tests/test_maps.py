@@ -344,6 +344,16 @@ class TestArchimedeanQuotient:
         with pytest.raises(InputError):
             archimedean_quotient(L2, [(1, 1)])
 
+    def test_the_quotient_matrix_is_put_in_integers_once(self, monkeypatch):
+        # image_cone and the quotient map's positivity read one integer
+        # form of q, cached on the matrix
+        sizes = []
+        for mod in (aoulab.cones, aoulab.maps):
+            original = mod.common_den
+            monkeypatch.setattr(mod, "common_den", lambda a, f=original: sizes.append(len(a)) or f(a))
+        sp, q = archimedean_quotient(L3, [(1, 0, 0)])
+        assert sizes == [6] and q.positive and sizes == [6]
+
     def test_ideal_containing_unit_rejected(self):
         # J = V is an ideal whose quotient collapses
         with pytest.raises(InputError, match="contains the unit"):

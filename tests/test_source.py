@@ -452,17 +452,16 @@ def test_every_verb_is_checked_or_rerun():
 # where rational input becomes integers: each call of integerize or
 # common_den, by the function that makes it, and the input it takes
 INTEGERIZE_SITES = {
-    ("cones.py", "_split"): "the rows given to Cone.from_generators and from_inequalities",
+    ("cones.py", "_split"): "the rows given to Cone.from_generators, from_inequalities or Cone itself",
     ("cones.py", "Certificate.verify"): "the vector a certificate is checked on",
     ("cones.py", "member"): "the vector whose membership is asked",
     ("cones.py", "_generator_member"): "the same vector, for a V-cone",
-    ("cones.py", "image_cone"): "the matrix a cone is mapped by",
+    ("cones.py", "_int_matrix"): "a matrix, once per matrix, for image_cone and maps",
     ("dd.py", "dd_pair"): "rows that are not coprime integer tuples, dd_pair's input contract",
     ("linalg.py", "integerize"): "its own argument",
     ("linalg.py", "kron_vec"): "the two rational vectors it multiplies",
     ("linalg.py", "_int_rows"): "the Fraction rows of a Matrix, for the elimination kernels",
     ("lp.py", "solve_lp"): "the Farkas multipliers of an infeasible LP, an LP outcome",
-    ("maps.py", "_int_matrix"): "a map's matrix, once per map",
     ("maps.py", "dual_norm"): "the functional whose norm is asked",
     ("maps.py", "_min_l1_measure"): "the functional whose minimal measure is asked",
     ("spaces.py", "_int_unit"): "a space's unit, once per space",
