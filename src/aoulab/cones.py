@@ -9,14 +9,16 @@ derived from a frozen object (cone, space, map, matrix) is computed once by
 `_cached` and kept in its _derived dict, the package's one cache.
 
 A polyhedral cone's data are its own rows as coprime integer tuples, each
-with the positive scale that gives back the row as it was given. Rows
-given otherwise, rational or with a common factor, are split so once, when
-the cone is built; the package's builders pass coprime rows and scales.
-Everything else reads the integers: the double description, run at most
-once per cone and shared with its dual (same rows), int_vrep and int_hrep,
-membership and certificates, extreme rays, pointedness and containment.
-hrep() and vrep() are Fraction views for callers outside the library,
-built once.
+with the positive scale that gives back the row as it was given. The rows
+are split so in one place, Cone.__post_init__, however the cone is built,
+one pass per row; the constructors only infer the dimension and drop zero
+generators. Below it nothing checks the rows again: the double
+description trusts them, and a caller of `dd.dd_pair` that breaks the
+contract gets a valid but non-canonical description. Everything else reads
+the integers: the double description, run at most once per cone and
+shared with its dual (same rows), int_vrep and int_hrep, membership and
+certificates, extreme rays, pointedness and containment. hrep() and vrep()
+are Fraction views for callers outside the library, built once.
 
 Every membership answer is a Certificate that re-verifies by substitution:
 a conic decomposition over named generators, a violated inequality row, a
@@ -34,10 +36,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
 from math import gcd
+from operator import mul
 from typing import Sequence
 
 from . import dd
-from .dd import IntVec, _is_coprime_int
+from .dd import IntVec
 from .errors import (
     InputError,
     InvariantViolation,
@@ -124,15 +127,15 @@ class Cone:
     _derived: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        # own rows given otherwise than as coprime integer tuples, as a
-        # direct construction may give them, are split here, once
+        # the one place where own rows become coprime integer tuples, with
+        # their scales multiplied into any given
         own = self.generators is not None
         name = "generators" if own else "inequalities"
         rows = getattr(self, name)
-        if rows is not None and not all(map(_is_coprime_int, rows)):
-            rows, scales = _split(rows, self.dim, "generator" if own else "row")[1:]
+        if rows is not None:
+            rows, scales = _split(rows, self.dim, "generator" if own else "row")
             if self.scales:
-                scales = _scales(a * b for a, b in zip(self.scales, scales or repeat(1)))
+                scales = _scales(map(mul, self.scales, scales) if scales else self.scales)
             object.__setattr__(self, name, rows)
             object.__setattr__(self, "scales", scales)
         if self.inequalities is not None:
@@ -143,16 +146,19 @@ class Cone:
 
     @classmethod
     def from_generators(cls, gens: Sequence[Sequence], dim: int | None = None) -> "Cone":
-        dim, rows, scales = _split(gens, dim, "generator")
-        rows, scales = _nonzero(rows, scales)
-        return cls(dim=dim, generators=rows, scales=scales)
+        gens = tuple(gens)
+        cone = cls(dim=_dim(gens, dim, "generator"), generators=gens)
+        if all(map(any, cone.generators)):
+            return cone
+        rows, scales = _nonzero(cone.generators, cone.scales)
+        return cls(dim=cone.dim, generators=rows, scales=scales)
 
     @classmethod
     def from_inequalities(
         cls, rows: Sequence[Sequence], strict: Sequence[bool] | None = None, dim: int | None = None
     ) -> "Cone":
-        dim, rv, scales = _split(rows, dim, "row")
-        return cls(dim=dim, inequalities=rv, strict=strict, scales=scales)
+        rows = tuple(rows)
+        return cls(dim=_dim(rows, dim, "row"), inequalities=rows, strict=strict)
 
     @classmethod
     def sym_psd(cls, n: int) -> "Cone":
@@ -200,23 +206,26 @@ class Cone:
         return view(self, self.inequalities is not None)
 
 
-def _split(rows: Sequence[Sequence], dim: int | None, what: str):
-    """(dim, coprime integer rows, scales) of rational rows: row i is the
-    integer row times scales[i]. Rows of ints, as the decoder hands them
-    over, build a Fraction only for a gcd above 1."""
+def _dim(rows: tuple[Sequence, ...], dim: int | None, what: str) -> int:
+    """dim as given, or else the length of the first row."""
+    if dim is None and not rows:
+        raise ShapeError(f"dim required for an empty {what} list")
+    return len(rows[0]) if dim is None else dim
+
+
+def _split(rows: Sequence[Sequence], dim: int, what: str):
+    """(coprime integer rows, scales) of rational rows of length dim: row i
+    is the integer row times scales[i]. Rows of ints, as the decoder hands
+    them over, build a Fraction only for a gcd above 1."""
     out, scales = [], []
     for r in rows:
         nums, den = (r, 1) if all(type(x) is int for x in r) else common_den(vec(r))
-        if dim is None:
-            dim = len(nums)
         if len(nums) != dim:
             raise ShapeError(f"{what} length mismatch")
         g = gcd(*nums)
         out.append(tuple([x // g for x in nums]) if g > 1 else tuple(nums))
         scales.append(1 if g in (0, den) else Fraction(g, den))
-    if dim is None:
-        raise ShapeError(f"dim required for an empty {what} list")
-    return dim, tuple(out), _scales(scales)
+    return tuple(out), _scales(scales)
 
 
 def _nonzero(rows: tuple[IntVec, ...], scales: tuple | None):

@@ -15,8 +15,14 @@ deduplicated, lexicographically sorted), so outputs are stable across runs.
 Adjacency during ray splitting uses the combinatorial test on active sets,
 held as bitmasks over processed rows.
 
-All arithmetic is integer: inputs are scaled to coprime integers and the
-update rules clear denominators, which keeps this fast without giving up
+All arithmetic is integer. The rows come in as coprime integer tuples: a
+cone's are split so once, where the cone is built (`cones.Cone`), and
+polytope_vertices reduces its own homogenized rows, so dd_pair trusts its
+input and scales nothing. A caller that breaks the contract with integer
+rows that have a common factor still gets a valid description, only not
+the canonical one (a row and its multiple are not merged); a Fraction
+entry raises ShapeError once the kernel evaluates its row. The update
+rules clear denominators, which keeps this fast without giving up
 exactness. New rays have no accidental zero activities because the two
 parents sit strictly on opposite sides of the inserted hyperplane and agree
 in sign everywhere else, so the bitmask bookkeeping is exact.
@@ -28,7 +34,7 @@ from math import gcd
 from typing import Sequence
 
 from .errors import InputError, ShapeError
-from .linalg import idot, integerize, vec
+from .linalg import idot, vec
 
 IntVec = tuple[int, ...]
 
@@ -48,27 +54,16 @@ def _project(a: IntVec, v: IntVec, b0: IntVec, pa: int) -> IntVec:
     return _reduce([pa * x - f * y for x, y in zip(v, b0)])
 
 
-def _is_coprime_int(h) -> bool:
-    """h is a tuple of ints with gcd 1 (or all zero), so integerize(h) == h."""
-    return type(h) is tuple and all(type(x) is int for x in h) and gcd(*h) <= 1
-
-
-def dd_pair(halfspaces: Sequence[Sequence], dim: int) -> tuple[list[IntVec], list[IntVec]]:
-    """Minimal (lineality basis, extreme rays) of {x : h . x >= 0 for all h}.
-
-    Rows that are already coprime integer tuples, as `cones` passes a
-    cone's own rows, are taken as they are; others are integerized."""
-    rows: list[IntVec] = []
-    seen = set()
+def dd_pair(halfspaces: Sequence[IntVec], dim: int) -> tuple[list[IntVec], list[IntVec]]:
+    """Minimal (lineality basis, extreme rays) of {x : h . x >= 0 for all h},
+    for coprime integer rows h, deduplicated and sorted here."""
+    distinct = set()
     for h in halfspaces:
-        hv = h if _is_coprime_int(h) else integerize(h)
-        if len(hv) != dim:
-            raise ShapeError(f"halfspace length {len(hv)} != dim {dim}")
-        if all(x == 0 for x in hv) or hv in seen:
-            continue
-        seen.add(hv)
-        rows.append(hv)
-    rows.sort()
+        if len(h) != dim:
+            raise ShapeError(f"halfspace length {len(h)} != dim {dim}")
+        if any(h):
+            distinct.add(tuple(h))
+    rows = sorted(distinct)
 
     lineality: list[IntVec] = [tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)]
     rays: list[IntVec] = []
@@ -76,11 +71,7 @@ def dd_pair(halfspaces: Sequence[Sequence], dim: int) -> tuple[list[IntVec], lis
 
     for idx, a in enumerate(rows):
         bit = 1 << idx
-        pivot_at = None
-        for i, b in enumerate(lineality):
-            if idot(a, b) != 0:
-                pivot_at = i
-                break
+        pivot_at = next((i for i, b in enumerate(lineality) if idot(a, b)), None)
         if pivot_at is not None:
             # A lineality direction crosses the hyperplane: it becomes a ray,
             # everything else is projected along it onto {a . x = 0}.
@@ -100,15 +91,9 @@ def dd_pair(halfspaces: Sequence[Sequence], dim: int) -> tuple[list[IntVec], lis
 
         vals = [idot(a, r) for r in rays]
         minus = [i for i, v in enumerate(vals) if v < 0]
-        if not minus:
-            for i, v in enumerate(vals):
-                if v == 0:
-                    active[i] |= bit
-            continue
-        plus = [i for i, v in enumerate(vals) if v > 0]
         new_rays: list[IntVec] = []
         new_active: list[int] = []
-        for p in plus:
+        for p in [i for i, v in enumerate(vals) if v > 0]:
             ap, vp, rp = active[p], vals[p], rays[p]
             for q in minus:
                 z = ap & active[q]
@@ -119,33 +104,27 @@ def dd_pair(halfspaces: Sequence[Sequence], dim: int) -> tuple[list[IntVec], lis
                 else:
                     new_rays.append(_reduce([vp * x - vals[q] * y for x, y in zip(rays[q], rp)]))
                     new_active.append(z | bit)
-        kept_rays = []
-        kept_active = []
-        for i, v in enumerate(vals):
-            if v > 0:
-                kept_rays.append(rays[i])
-                kept_active.append(active[i])
-            elif v == 0:
-                kept_rays.append(rays[i])
-                kept_active.append(active[i] | bit)
-        rays = kept_rays + new_rays
-        active = kept_active + new_active
+        # the rays with a . r >= 0 stay, those on the hyperplane tight on it
+        keep = [i for i, v in enumerate(vals) if v >= 0]
+        rays = [rays[i] for i in keep] + new_rays
+        active = [active[i] if vals[i] else active[i] | bit for i in keep] + new_active
 
     return sorted(lineality), sorted(rays)
 
 
 def polytope_vertices(
-    rows: Sequence[Sequence], rhs: Sequence, dim: int
+    rows: Sequence[Sequence[int]], rhs: Sequence[int], dim: int
 ) -> list[tuple[IntVec, int]]:
-    """Vertices of the polytope {x : row_i . x >= rhs_i}, by homogenization:
-    one pair (x, t) per extreme ray of the homogenized cone, in the DD's
-    order, with x a tuple of ints and t > 0, and the vertex x / t.
+    """Vertices of the polytope {x : row_i . x >= rhs_i}, for integer rows
+    and rhs, by homogenization: one pair (x, t) per extreme ray of the
+    cone of the rows (row_i, -rhs_i), reduced here to coprime integers, in
+    the DD's order, with x a tuple of ints and t > 0, and the vertex x / t.
 
     Raises InputError when the set is unbounded (a recession direction is
     attached as the certificate). The empty polytope returns [].
     """
-    hom = [tuple(r) + (-b,) for r, b in zip(rows, rhs)]
-    hom.append(tuple([0] * dim + [1]))
+    hom = [_reduce((*r, -b)) for r, b in zip(rows, rhs)]
+    hom.append((0,) * dim + (1,))
     lin, rays = dd_pair(hom, dim + 1)
     if lin:
         raise InputError(

@@ -194,6 +194,14 @@ class IdealReport:
     witness: tuple[Vec, Vec] | None = None  # (p, q): 0 <= q <= p, p in J, q not
 
 
+def _behind(cone: Cone, m: Matrix) -> list[Vec]:
+    """The generators of cone.vrep() that m does not kill, in order: those
+    behind the generators of `image_cone(cone, m)`, picked from the integer
+    rows it reads."""
+    mrows = _int_matrix(m)[0]
+    return [g for g, r in zip(cone.vrep(), int_vrep(cone)) if any(idot(a, r) for a in mrows)]
+
+
 def _preimage(cert: Certificate, behind: list[Vec], dim: int) -> Vec:
     """The generators behind the terms of a decomposition over an
     `image_cone`, combined: a source element >= 0 mapped onto the
@@ -220,7 +228,7 @@ def _ideal(space: AOUSpace, basis: Sequence) -> tuple[IdealReport, Matrix | None
     image = image_cone(space.cone, q)
     if _pointed(image):
         return IdealReport(True), q, image
-    behind = [g for g in space.cone.vrep() if not is_zero_vec(q.apply(g))]
+    behind = _behind(space.cone, q)
     line = _lineality(image)[0]
     c1, c2 = (_preimage(member(image, w), behind, space.dim) for w in (vscale(-1, line), line))
     return IdealReport(False, witness=(vadd(c1, c2), c1)), q, image
@@ -311,8 +319,7 @@ def is_order_quotient(m: UnitalMap) -> QuotientReport:
         raise InputError("order-quotient test requires a surjective map")
 
     img = image_cone(m.source.cone, m.matrix)
-    # the source generators behind img's, dropping zero images as image_cone does
-    behind = [g for g in m.source.cone.vrep() if not is_zero_vec(m.matrix.apply(g))]
+    behind = _behind(m.source.cone, m.matrix)
     lifts = {}
     for i, w in enumerate(m.target.cone.vrep()):
         cert = member(img, w)

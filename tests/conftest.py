@@ -39,7 +39,9 @@ builds one Fraction per returned coordinate.  The Fraction routes of the
 integer cones, spaces and maps (`fraction_validate`, `fraction_member`,
 `fraction_verify`, `fraction_positive`) read the Fraction views hrep() and
 vrep() with a Fraction dot per row, where the package reads the coprime
-integer rows with their scales.  `rerun_verifies` confirms a CLI report by running its verb
+integer rows with their scales.  `own_rows_oracle` splits a cone's rows
+by Fraction arithmetic and `integerize`, as the constructors did before
+the split moved into `Cone.__post_init__`.  `rerun_verifies` confirms a CLI report by running its verb
 again and comparing the results through a JSON round trip, where `verify`
 checks the evidence of the six verbs that carry it.
 """
@@ -592,6 +594,33 @@ def as_vertices(pairs) -> list[Vec]:
     return sorted(tuple(Fraction(c, t) for c in x) for x, t in pairs)
 
 
+def own_rows_oracle(rows, dim: int, scales=None, drop_zero: bool = False):
+    """(own rows, scales, own view, DD) of the cone built from rows (and
+    given scales) by the route the package took before the split moved
+    into Cone.__post_init__, by Fraction arithmetic: each row integerized,
+    its scale the ratio of a nonzero entry to the integer one (1 for a zero
+    row) times its given scale, None when every scale is 1; zero rows left
+    out when drop_zero (from_generators); the own view the rows as given
+    times the given scales; the DD that of the integerized rows, which
+    dd_pair took as they are."""
+    rows = [vec(r) for r in rows]
+    given = scales or [1] * len(rows)
+    keep = [i for i, r in enumerate(rows) if any(r) or not drop_zero]
+    ints = tuple(integerize(rows[i]) for i in keep)
+    out = [
+        given[i] * next((x / y for x, y in zip(rows[i], h) if y), Fraction(1)) for i, h in zip(keep, ints)
+    ]
+    view = tuple(tuple(given[i] * x for x in rows[i]) for i in keep)
+    return ints, (tuple(out) if any(s != 1 for s in out) else None), view, aoulab.dd.dd_pair(ints, dim)
+
+
+def rational_polytope_vertices(rows, rhs, dim: int) -> list[tuple[tuple[int, ...], int]]:
+    """`dd.polytope_vertices` of rational rows: each a . x >= b is handed
+    over as the integer inequality it is a positive multiple of."""
+    ints = [integerize(tuple(a) + (-frac(b),)) for a, b in zip(rows, rhs)]
+    return aoulab.dd.polytope_vertices([h[:-1] for h in ints], [-h[-1] for h in ints], dim)
+
+
 def brute_polytope_vertices(rows: list[Vec], rhs: list[Fraction], dim: int) -> set[Vec]:
     """Vertices of {x : rows . x >= rhs} by basis enumeration."""
     out: set[Vec] = set()
@@ -935,7 +964,7 @@ def fraction_interval_vertices(space: AOUSpace) -> list[Vec]:
     for a in space.cone.hrep():
         rows += [a, tuple(-x for x in a)]
         rhs += [Fraction(0), -fraction_dot(a, space.unit)]
-    return as_vertices(aoulab.dd.polytope_vertices(rows, rhs, space.dim))
+    return as_vertices(rational_polytope_vertices(rows, rhs, space.dim))
 
 
 def fraction_ball_vertices(space: AOUSpace) -> list[Vec]:

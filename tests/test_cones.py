@@ -6,10 +6,10 @@ from fractions import Fraction
 import pytest
 
 import aoulab.cones
-import aoulab.dd
 from aoulab.cones import (
     Certificate,
     Cone,
+    _dd,
     close_and_lineality,
     contains,
     dual,
@@ -30,7 +30,7 @@ from aoulab.errors import (
     ShapeError,
     StrictConeError,
 )
-from aoulab.linalg import Matrix, dot, integerize, nullspace, vec
+from aoulab.linalg import Matrix, dot, nullspace, vec
 from aoulab.spaces import AOUSpace, extreme_states, lin_space, linf
 from aoulab.tensors import PI, tensor_space
 from conftest import (
@@ -39,6 +39,7 @@ from conftest import (
     lp_extreme_rays,
     lp_is_pointed,
     lp_member,
+    own_rows_oracle,
     rand_vec,
     rank_extreme_rays,
     rng,
@@ -407,6 +408,63 @@ class TestExtremeRays:
         assert extreme_rays(v) == via_h
 
 
+def contract_rows(r, dim: int) -> list[tuple]:
+    """Seeded rows of length dim as a caller may hand them over: Fractions
+    with denominators up to 10^20, ints with a common factor, zero rows
+    (ints or Fractions) and positive multiples of earlier rows."""
+    rows = []
+    for _ in range(r.randint(1, 6)):
+        kind = r.randrange(4)
+        if kind == 0:
+            row = tuple(Fraction(r.randint(-(10**20), 10**20), r.randint(1, 10**20)) for _ in range(dim))
+        elif kind == 1:
+            k = r.randint(2, 12)
+            row = tuple(k * r.randint(-5, 5) for _ in range(dim))
+        elif kind == 2 or not rows:
+            row = tuple(r.choice((0, Fraction(0))) for _ in range(dim))
+        else:
+            c = r.choice((r.randint(1, 9), Fraction(r.randint(1, 10**12), r.randint(1, 10**12))))
+            row = tuple(c * x for x in r.choice(rows))
+        rows.append(row)
+    return rows
+
+
+class TestRowContract:
+    # a cone's own rows become coprime integer tuples with scales in one
+    # place, however the cone is built; the route the package took before,
+    # splitting in the constructors, is the oracle
+
+    def check(self, cone, rows, dim, scales=None, drop_zero=False):
+        ints, out, own_view, (lin, rays) = own_rows_oracle(rows, dim, scales, drop_zero)
+        other = tuple(vec(v) for v in rays + [x for l in lin for x in (l, tuple(-v for v in l))])
+        assert (cone.dim, cone.rows, cone.scales, _dd(cone)) == (dim, ints, out, (lin, rays))
+        assert all(type(x) is int for row in cone.rows for x in row)
+        v_cone = cone.generators is not None
+        assert (cone.vrep(), cone.hrep()) == ((own_view, other) if v_cone else (other, own_view))
+
+    def test_constructors_and_direct_cones_split_as_before(self):
+        r = rng(2809)
+        for trial in range(120):
+            dim = r.randint(1, 4)
+            rows = contract_rows(r, dim)
+            given = tuple(r.choice((1, Fraction(r.randint(1, 10**6), r.randint(1, 10**6)))) for _ in rows)
+            self.check(Cone.from_generators(rows, dim if trial % 2 else None), rows, dim, drop_zero=True)
+            self.check(Cone.from_inequalities(rows, dim=dim if trial % 2 else None), rows, dim)
+            self.check(Cone(dim, generators=tuple(rows)), rows, dim)
+            self.check(Cone(dim, inequalities=tuple(rows)), rows, dim)
+            self.check(Cone(dim, generators=tuple(rows), scales=given), rows, dim, scales=given)
+            self.check(Cone(dim, inequalities=tuple(rows), scales=given), rows, dim, scales=given)
+
+    def test_empty_row_lists(self):
+        for dim in (0, 1):
+            self.check(Cone.from_generators([], dim), [], dim, drop_zero=True)
+            self.check(Cone.from_inequalities([], dim=dim), [], dim)
+            self.check(Cone(dim, generators=()), [], dim)
+            self.check(Cone(dim, inequalities=()), [], dim)
+        with pytest.raises(ShapeError, match="dim required"):
+            Cone.from_generators([])
+
+
 class TestOneDoubleDescription:
     # a cone runs dd_pair on its own rows at most once, and its dual, whose
     # DD input is the same rows, reuses that run
@@ -457,7 +515,8 @@ class TestOneDoubleDescription:
 
     def test_second_contains_integerizes_nothing(self, monkeypatch):
         # a cone holds its integer rows from the start, so neither the
-        # first contains, which runs the DDs, nor the second integerizes
+        # first contains, which runs the DDs, nor the second integerizes;
+        # the DD itself scales nothing
         calls = []
 
         def counted(fn):
@@ -465,7 +524,6 @@ class TestOneDoubleDescription:
 
         a = Cone.from_generators([(1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1)])
         b = Cone.from_generators([(2, 1, 1), (1, 0, 0)])
-        monkeypatch.setattr(aoulab.dd, "integerize", counted(integerize))
         monkeypatch.setattr(aoulab.cones, "common_den", counted(aoulab.cones.common_den))
         assert contains(a, b) and not contains(b, a)
         assert contains(a, b) and not contains(b, a)

@@ -1,12 +1,14 @@
 from fractions import Fraction
 
 import pytest
-from conftest import as_vertices, brute_extreme_rays, brute_polytope_vertices, rand_frac, rand_vec, rng
+from conftest import (
+    as_vertices, brute_extreme_rays, brute_polytope_vertices, rand_frac, rand_vec, rational_polytope_vertices, rng
+)
 
 import aoulab.dd
-from aoulab.cones import Cone, extreme_rays
+from aoulab.cones import Cone, _dd, extreme_rays
 from aoulab.dd import dd_pair, polytope_vertices
-from aoulab.errors import InputError, NotPointedError
+from aoulab.errors import InputError, NotPointedError, ShapeError
 from aoulab.linalg import dot, integerize, vec
 
 
@@ -48,31 +50,46 @@ def test_full_space_and_origin():
 
 
 def test_duplicate_and_scaled_rows_ignored():
-    lin, rays = dd_pair([[1, 1], ["1/2", "1/2"], [2, 2], [1, -1]], 2)
-    assert sorted(rays) == [(1, -1), (1, 1)]
+    # the cone splits "1/2" and 2 off its rows, so the DD sees one row (1, 1)
+    cone = Cone.from_inequalities([[1, 1], ["1/2", "1/2"], [2, 2], [1, -1]])
+    assert cone.inequalities == ((1, 1), (1, 1), (1, 1), (1, -1))
+    assert cone.scales == (1, Fraction(1, 2), 2, 1)
+    assert _dd(cone) == ([], [(1, -1), (1, 1)])
+    assert cone.vrep() == (vec((1, -1)), vec((1, 1)))
 
 
 def test_coprime_integer_tuples_taken_as_they_are(monkeypatch):
-    calls = []
-    real = aoulab.dd.integerize
+    handed = []
+    real = aoulab.dd.dd_pair
 
-    def counted(h):
-        calls.append(h)
-        return real(h)
+    def recorded(rows, dim):
+        handed.append(rows)
+        return real(rows, dim)
 
-    monkeypatch.setattr(aoulab.dd, "integerize", counted)
+    monkeypatch.setattr(aoulab.dd, "dd_pair", recorded)
     gens = [(1, 0, 0), (0, 2, 0), (0, 0, Fraction(1, 3)), (1, 1, 1)]
     rows = [(1, 1, 1), (1, -1, 0), (0, 1, -1), ("2", 0, 1)]
-    # a cone's first hrep()/vrep() hands dd_pair its own rows as coprime
-    # integer tuples, which need no second integerize
-    Cone.from_generators(gens).hrep()
-    Cone.from_inequalities(rows).vrep()
-    assert calls == []
-    # anything else still is scaled: non-coprime, bool or Fraction entries
-    plain = dd_pair([(1, 1), (1, -1)], 2)
+    # a cone's first hrep()/vrep() hands dd_pair its own rows, the coprime
+    # integer tuples it split them into when it was built
+    cones = [Cone.from_generators(gens), Cone.from_inequalities(rows)]
+    cones[0].hrep()
+    cones[1].vrep()
+    assert [c.rows for c in cones] == [((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)), (*rows[:3], (2, 0, 1))]
+    assert all(h is c.rows for h, c in zip(handed, cones))
+    # anything else is split by the cone first: non-coprime, bool or
+    # Fraction entries, directly given or through from_inequalities
+    plain = real([(1, 1), (1, -1)], 2)
     for scaled in ([(2, 2), (3, -3)], [(True, True), (1, -1)], [vec((1, 1)), vec((1, -1))]):
-        assert dd_pair(scaled, 2) == plain
-    assert calls == [(2, 2), (3, -3), (True, True), vec((1, 1)), vec((1, -1))]
+        for cone in (Cone.from_inequalities(scaled), Cone(2, inequalities=tuple(scaled))):
+            assert cone.inequalities == ((1, 1), (1, -1))
+            assert _dd(cone) == plain
+    assert all(type(x) is int for rows in handed for row in rows for x in row)
+
+
+def test_fraction_row_raises_shape_error():
+    # dd_pair trusts its rows to be integers and does not scale them
+    with pytest.raises(ShapeError, match="integer entries"):
+        dd_pair([(Fraction(1, 2), 1), (1, -1)], 2)
 
 
 def test_roundtrip_hrep_vrep():
@@ -88,7 +105,7 @@ def test_random_cones_match_brute_force():
     for trial in range(40):
         dim = r.randint(2, 4)
         rows = [rand_vec(r, dim) for _ in range(r.randint(dim, 7))]
-        lin, rays = dd_pair(rows, dim)
+        lin, rays = dd_pair([integerize(x) for x in rows], dim)
         if lin:
             continue  # oracle assumes pointed
         expected = brute_extreme_rays([vec(x) for x in rows], dim)
@@ -100,7 +117,7 @@ def test_rays_satisfy_rows_exactly():
     for trial in range(30):
         dim = r.randint(2, 5)
         rows = [rand_vec(r, dim) for _ in range(6)]
-        lin, rays = dd_pair(rows, dim)
+        lin, rays = dd_pair([integerize(x) for x in rows], dim)
         for ray in rays:
             assert all(dot(vec(row), vec(ray)) >= 0 for row in rows)
         for l in lin:
@@ -110,7 +127,7 @@ def test_rays_satisfy_rows_exactly():
 def test_polytope_vertices_square():
     rows = [[1, 0], [-1, 0], [0, 1], [0, -1]]
     rhs = [0, -1, 0, -1]
-    vs = as_vertices(polytope_vertices(rows, [Fraction(x) for x in rhs], 2))
+    vs = as_vertices(polytope_vertices(rows, rhs, 2))
     assert set(vs) == {vec([0, 0]), vec([0, 1]), vec([1, 0]), vec([1, 1])}
 
 
@@ -125,13 +142,13 @@ def test_polytope_vertices_random_vs_oracle():
             e[j] = Fraction(1)
             rows += [vec(e), vec([-x for x in e])]
             rhs += [Fraction(-4), Fraction(-4)]
-        vs = as_vertices(polytope_vertices(rows, rhs, dim))
+        vs = as_vertices(rational_polytope_vertices(rows, rhs, dim))
         assert set(vs) == brute_polytope_vertices(rows, rhs, dim)
 
 
 def test_polytope_unbounded_reported():
     with pytest.raises(InputError):
-        polytope_vertices([vec([1, 0])], [Fraction(0)], 2)
+        polytope_vertices([(1, 0)], [0], 2)
 
 
 def test_integer_rows_match_brute_force():

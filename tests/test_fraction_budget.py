@@ -10,7 +10,7 @@ import pstats
 
 from aoulab.cli import main
 from aoulab.serialize import dumps
-from aoulab.spaces import extreme_states, lin_space, unit_ball_vertices, validate
+from aoulab.spaces import extreme_states, lin_space, linf, unit_ball_vertices, validate
 
 
 def fractions_built(fn) -> int:
@@ -57,3 +57,18 @@ def test_floor_request_budget(tmp_path):
 
     request()
     assert fractions_built(request) <= 12
+
+
+def test_refused_quotient_budget(tmp_path, capsys):
+    # `quotient linf(4) --kernel [[1,1,0,0]]` is refused with its (p, q)
+    # witness; the generators behind the image cone are picked from its
+    # integer rows, with no Fraction image per generator
+    space = tmp_path / "space.json"
+    space.write_text(dumps(linf(4)))
+
+    def request():
+        assert main(["quotient", str(space), "--kernel", "[[1,1,0,0]]"], out=io.StringIO()) == 2
+
+    request()
+    assert fractions_built(request) <= 63
+    assert "not an order ideal" in capsys.readouterr().err

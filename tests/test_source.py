@@ -452,12 +452,11 @@ def test_every_verb_is_checked_or_rerun():
 # where rational input becomes integers: each call of integerize or
 # common_den, by the function that makes it, and the input it takes
 INTEGERIZE_SITES = {
-    ("cones.py", "_split"): "the rows given to Cone.from_generators, from_inequalities or Cone itself",
+    ("cones.py", "_split"): "a cone's own rows, in Cone.__post_init__, however the cone is built",
     ("cones.py", "Certificate.verify"): "the vector a certificate is checked on",
     ("cones.py", "member"): "the vector whose membership is asked",
     ("cones.py", "_generator_member"): "the same vector, for a V-cone",
     ("cones.py", "_int_matrix"): "a matrix, once per matrix, for image_cone and maps",
-    ("dd.py", "dd_pair"): "rows that are not coprime integer tuples, dd_pair's input contract",
     ("linalg.py", "integerize"): "its own argument",
     ("linalg.py", "kron_vec"): "the two rational vectors it multiplies",
     ("linalg.py", "_int_rows"): "the Fraction rows of a Matrix, for the elimination kernels",
@@ -469,10 +468,15 @@ INTEGERIZE_SITES = {
 }
 
 
-def _integerize_sites(trees: dict) -> set[tuple[str, str]]:
-    """(file, function) for each call of integerize or common_den by name;
-    a method is named Class.method, and a nested function counts for the
-    module-level one that holds it."""
+def _call_sites(trees: dict, names: tuple[str, ...]) -> set[tuple[str, str]]:
+    """(file, function) for each call of one of names, bare or as an
+    attribute; a method is named Class.method, and a nested function
+    counts for the module-level one that holds it."""
+
+    def calls(node) -> bool:
+        f = node.func if isinstance(node, ast.Call) else None
+        return (isinstance(f, ast.Name) and f.id in names) or (isinstance(f, ast.Attribute) and f.attr in names)
+
     found = set()
     for file, tree in trees.items():
         todo = [("", node) for node in tree.body]
@@ -481,15 +485,18 @@ def _integerize_sites(trees: dict) -> set[tuple[str, str]]:
             if isinstance(node, ast.ClassDef):
                 todo += [(node.name + ".", n) for n in node.body]
             elif isinstance(node, ast.FunctionDef):
-                if any(_is_name_call(n, name) for n in ast.walk(node) for name in ("integerize", "common_den")):
+                if any(calls(n) for n in ast.walk(node)):
                     found.add((file, prefix + node.name))
     return found
+
+
+INTEGERIZING = ("integerize", "common_den")
 
 
 def test_integerize_only_on_public_inputs():
     # cones, spaces and maps hold integers; a call outside these sites
     # would turn a Fraction the package built back into integers
-    sites, allowed = _integerize_sites(_parse_package()), set(INTEGERIZE_SITES)
+    sites, allowed = _call_sites(_parse_package(), INTEGERIZING), set(INTEGERIZE_SITES)
     assert sites == allowed, (sorted(sites - allowed), sorted(allowed - sites))
 
 
@@ -507,4 +514,29 @@ class Box:
 def clean(space):
     return idot(space.unit, space.unit)
 """
-    assert _integerize_sites({"x.py": ast.parse(source)}) == {("x.py", "states"), ("x.py", "Box.rows")}
+    assert _call_sites({"x.py": ast.parse(source)}, INTEGERIZING) == {("x.py", "states"), ("x.py", "Box.rows")}
+
+
+def test_rows_are_split_in_one_place():
+    # a cone's own rows become coprime integer tuples in Cone.__post_init__
+    # alone, and the DD runs only on rows under that contract: a cone's own
+    # rows, or the homogenized rows polytope_vertices reduces itself
+    trees = _parse_package()
+    assert _call_sites(trees, ("_split",)) == {("cones.py", "Cone.__post_init__")}
+    assert _call_sites(trees, ("dd_pair",)) == {("cones.py", "_dd"), ("dd.py", "polytope_vertices")}
+
+
+def test_call_sites_are_found():
+    # the guard above sees a bare call, an attribute call and a call in a
+    # method, and not a name that is only read
+    source = """
+def _dd(cone):
+    return dd.dd_pair(cone.rows, cone.dim)
+class Cone:
+    def __post_init__(self):
+        _split(self.rows)
+def other(cone):
+    return _split, dd_pair
+"""
+    trees = {"x.py": ast.parse(source)}
+    assert _call_sites(trees, ("_split", "dd_pair")) == {("x.py", "_dd"), ("x.py", "Cone.__post_init__")}

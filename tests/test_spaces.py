@@ -5,10 +5,10 @@ from fractions import Fraction
 
 import pytest
 from conftest import (
-    as_vertices, ball_scan_spaces, lp_order_unit_failure, rand_frac, rand_vec, refused_norms, rng
+    as_vertices, ball_scan_spaces, lp_order_unit_failure, rand_frac, rand_vec, rational_polytope_vertices,
+    refused_norms, rng,
 )
 
-import aoulab.dd
 from aoulab.cones import Cone, close_and_lineality, member, same_cone
 from aoulab.errors import InputError, NotPointedError, PolyhedralRequired, ShapeError, SizeLimitError
 from aoulab.linalg import Matrix, dot, vec
@@ -413,7 +413,7 @@ class TestIntervalAndBall:
                 ae = dot(a, sp.unit)
                 rows += [a, tuple(-x for x in a)]
                 rhs += [-ae, -ae]
-            assert unit_ball_vertices(sp) == as_vertices(aoulab.dd.polytope_vertices(rows, rhs, sp.dim))
+            assert unit_ball_vertices(sp) == as_vertices(rational_polytope_vertices(rows, rhs, sp.dim))
 
     def test_ball_half_holds_one_vertex_of_each_pair(self):
         # half and -half split the ball: together all of it, no vertex in both
