@@ -31,7 +31,6 @@ from .errors import (
     ShapeError,
     SizeLimitError,
     StrictConeError,
-    UsageError,
 )
 from .linalg import Matrix, Vec, det, dot, frac, integerize, inverse, nullspace, rank, solve, vec
 from .lp import EQ, GE, INFEASIBLE, LE, OPTIMAL, UNBOUNDED, LPOutcome, solve_lp

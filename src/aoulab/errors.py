@@ -1,16 +1,14 @@
 """Typed errors shared across the package.
 
-The split matters for the command line front end: UsageError maps to exit
-code 1, InputError to 2, InvariantViolation to 3. Everything else is a bug.
+The split matters for the command line front end: InputError maps to exit
+code 2 and InvariantViolation to 3. Exit code 1 is a malformed command
+line, which `cli._Parser.error` refuses before any of these can be raised.
+Everything else is a bug.
 """
 
 
 class AoulabError(Exception):
     """Base class for all package errors."""
-
-
-class UsageError(AoulabError):
-    """The caller asked for something malformed (bad verb, bad file shape)."""
 
 
 class InputError(AoulabError):

@@ -30,8 +30,8 @@ from math import comb
 from typing import Sequence
 
 from .cones import (
-    SYM_PSD, Certificate, Cone, _cached, _int_matrix, _lineality, _pointed, _scales, image_cone, int_hrep,
-    int_vrep, member, same_cone,
+    SYM_PSD, Certificate, Cone, _cached, _int_matrix, _lineality, _pointed, _scales, contains, image_cone,
+    int_hrep, int_vrep, member, same_cone,
 )
 from .dd import _reduce
 from .errors import InputError, InvariantViolation, ShapeError, SizeLimitError, require_holds
@@ -170,7 +170,9 @@ def _is_isometry(m: UnitalMap) -> bool:
 def check_map(m: UnitalMap) -> MapReport:
     """Unital / positive / order-embedding / isometry flags, all exact.
 
-    The embedding test compares the pullback cone with the source cone. A
+    The embedding test compares the pullback cone with the source cone.
+    The pullback contains the source exactly when the map is positive, as
+    a . (M g) = (M^T a) . g, so only the other inclusion is tested. A
     unital map is an isometry for the order norms exactly when it is an
     order embedding: ||v|| <= r means r e +- v >= 0, which a unital order
     embedding carries both ways, and v >= 0 exactly when ||r e - v|| <= r
@@ -179,8 +181,9 @@ def check_map(m: UnitalMap) -> MapReport:
     maps take the dual-ball isometry test.
     """
     unital = m.unital
+    pullback = _pullback_cone(m)
     positive = m.positive
-    embedding = same_cone(_pullback_cone(m), m.source.cone)
+    embedding = positive and contains(m.source.cone, pullback)
     isometry = embedding if unital else _is_isometry(m)
     return MapReport(unital, positive, embedding, isometry)
 

@@ -9,12 +9,13 @@ embedding into linf over the extreme states.
 Each value has one route. The order norm is one LP over the cone rows,
 proved optimal by its duality certificate; that it is the largest |f(v)|
 over the extreme states (Paulsen & Tomforde, Vector spaces with an order
-unit, 2009) is a test oracle. A space caches its unit e as (U, D),
-e = U / D, and works on its cone's integer rows: the order-unit test of
-validate and of the gate `_require_order_unit` is the sign of a . U; a
-state is an integer extreme ray r of the dual cone over r . U; a vertex of
-[0, e] is a pair (x, t) of one homogenized DD, and a ball vertex
-(2 D x - t U, t D). maps and tensors compare these by cross-multiplication;
+unit, 2009) is a test oracle. A unit that is not an order unit is refused
+in one place, the gate `_require_order_unit`. A space caches its unit e as
+(U, D), e = U / D, and works on its cone's integer rows: the order-unit
+test of validate and of the gate is the sign of a . U; a state is an
+integer extreme ray r of the dual cone over r . U; a vertex of [0, e] is a
+pair (x, t) of one homogenized DD, and a ball vertex (2 D x - t U, t D).
+maps and tensors compare these by cross-multiplication;
 extreme_states and the vertex lists build one Fraction per returned
 coordinate, once, cached.
 """
@@ -27,8 +28,8 @@ from math import lcm
 
 from . import dd
 from .cones import (
-    SYM_PSD, Cone, _cached, _int_extreme_rays, _pointed, _scales, close_and_lineality, dual, image_cone,
-    int_hrep, pack_sym, unpack_sym,
+    SYM_PSD, Cone, _cached, _int_extreme_rays, _lineality, _pointed, _scales, close_and_lineality, dual,
+    image_cone, int_hrep, pack_sym, unpack_sym, view,
 )
 from .errors import (
     InputError,
@@ -38,7 +39,7 @@ from .errors import (
     SizeLimitError,
 )
 from .linalg import Matrix, Vec, common_den, dot, idot, is_zero_vec, quotient_matrix, unit_vec, vec
-from .lp import GE, INFEASIBLE, solve_lp
+from .lp import GE, solve_lp
 from .psd import ldlt_psd
 
 
@@ -94,14 +95,24 @@ _LINE_IN_CONE = "cone is not pointed (it contains a line); states do not separat
 
 
 def _require_order_unit(cone: Cone, space: AOUSpace) -> None:
-    """The order-unit gate for the unit of space and the closed cone:
-    InputError, with row i of the cone's hrep(), at the scale the cone
-    holds it, as certificate for the first index i `order_unit_failures`
-    finds, unless the unit is an order unit of the cone."""
-    bad = order_unit_failures(int_hrep(cone), _int_unit(space)[0])
+    """The order-unit gate, the one place that refuses a unit: InputError,
+    with row i of the closure's H-rows, at the scale the cone holds it, as
+    certificate for the first index i `order_unit_failures` finds, unless
+    the unit is an order unit of the closure of cone. A strict H-cone's
+    closure has its own rows, read as they are, so no closed cone and no
+    lineality basis is built.
+
+    Every other test of the unit follows from this one (Gordan's theorem):
+    a pointed closed cone whose nonzero H-rows are all positive on e is
+    full-dimensional with e in its interior, so its dual is pointed, and
+    every dual extreme ray, a nonnegative combination of those rows, and
+    every biorthogonal coordinate of e in a simplicial cone is positive on
+    e."""
+    own = cone.inequalities is not None
+    bad = order_unit_failures(cone.inequalities if own else int_hrep(cone), _int_unit(space)[0])
     if bad:
         raise InputError(
-            "the unit is not an order unit: a cone row is not positive on it", certificate=cone.hrep()[bad[0]]
+            "the unit is not an order unit: a cone row is not positive on it", certificate=view(cone, own)[bad[0]]
         )
 
 
@@ -161,24 +172,26 @@ def archimedeanize(space: AOUSpace) -> tuple[AOUSpace, Matrix]:
 
 
 def order_norm(space: AOUSpace, v) -> Fraction:
-    """inf{r : -r*e <= v <= r*e}, exact; polyhedral cones only.
+    """inf{r : -r*e <= v <= r*e}, exact; closed polyhedral cones only.
 
-    One LP over the closed cone rows a: r e +- v lies in the cone exactly
-    when r a.e >= |a.v| for every a, and `solve_lp` proves its optimum by
-    its duality certificate. The value is a norm only on an AOU space, so
-    a dominated v is still refused when the cone has a line
-    (NotPointedError, with the lineality) or a cone row is not positive on
-    the unit (the order-unit gate). A pointed cone with every row positive
-    on e is full-dimensional with e interior, so these are the spaces
-    `extreme_states` refuses; on the others the LP value is the largest
-    |f(v)| over the extreme states f (Paulsen & Tomforde, Vector spaces
-    with an order unit, 2009), which the tests check.
+    The value is a norm only on an AOU space, so the space is refused
+    first: a cone with a line (NotPointedError, with the lineality), then
+    a unit that `_require_order_unit` refuses. Past that gate every H-row
+    a has a.e > 0, so the one LP over the rows, r a.e >= |a.v| for every
+    a, is feasible, and `solve_lp` proves its optimum by its duality
+    certificate. Its value is the largest |f(v)| over the extreme states f
+    (Paulsen & Tomforde, Vector spaces with an order unit, 2009), which
+    the tests check.
     """
-    space.cone.require_polyhedral("order_norm")
+    space.cone.require_closed("order_norm")
     v = vec(v)
     if len(v) != space.dim:
         raise ShapeError(f"vector length {len(v)} != space dim {space.dim}")
-    # min r subject to r*e + v and r*e - v in the closed cone, r >= 0
+    lineality = _lineality(space.cone)
+    if lineality:
+        raise NotPointedError(_LINE_IN_CONE, lineality=lineality)
+    _require_order_unit(space.cone, space)
+    # min r subject to r*e + v and r*e - v in the cone, r >= 0
     rows = []
     rhs = []
     for a in space.cone.hrep():
@@ -188,17 +201,7 @@ def order_norm(space: AOUSpace, v) -> Fraction:
         rhs.append(-av)
         rows.append((ae,))
         rhs.append(av)
-    out = solve_lp((1,), rows, rhs, [GE] * len(rows), nonneg=[True])
-    if out.status == INFEASIBLE:
-        raise InputError(
-            "vector is not dominated by the unit (not an order unit?)",
-            certificate=out.dual_certificate,
-        )
-    closed, lineality = close_and_lineality(space.cone)
-    if lineality:
-        raise NotPointedError(_LINE_IN_CONE, lineality=lineality)
-    _require_order_unit(closed, space)
-    return out.value
+    return solve_lp((1,), rows, rhs, [GE] * len(rows), nonneg=[True]).value
 
 
 @_cached
@@ -219,8 +222,10 @@ def extreme_states(space: AOUSpace) -> list[Vec]:
 def _int_states(space: AOUSpace) -> list[tuple[dd.IntVec, int]]:
     """The extreme states r D / s, in their sorted order, as pairs (r, s):
     r an integer extreme ray of the dual cone, s = r . U > 0 for e = U / D.
-    Pointedness of the cone and of its dual are read off the one DD and one
-    rank; a lineality basis is eliminated only for an error."""
+    Pointedness is read off the one DD and, for a V-cone, one rank; a
+    lineality basis is eliminated only for an error. A pointed cone then
+    passes `_require_order_unit` or is refused there, and past the gate
+    the dual is pointed with every ray positive on e (Gordan's theorem)."""
     if space.cone.kind == SYM_PSD:
         raise PolyhedralRequired(
             "sym_psd spaces have infinitely many extreme states; "
@@ -228,26 +233,9 @@ def _int_states(space: AOUSpace) -> list[tuple[dd.IntVec, int]]:
         )
     if not _pointed(space.cone):
         raise NotPointedError(_LINE_IN_CONE, lineality=close_and_lineality(space.cone)[1])
-    try:
-        rays = _int_extreme_rays(dual(space.cone))
-    except NotPointedError as e:
-        raise InputError(
-            "dual cone is not pointed (cone not full-dimensional); "
-            "states do not separate points",
-            certificate=e.lineality,
-        ) from e
+    _require_order_unit(space.cone, space)
     unit = _int_unit(space)[0]
-    states = []
-    for r in rays:
-        s = idot(r, unit)
-        if s <= 0:
-            f = vec(r)
-            raise InputError(
-                f"dual ray {f} vanishes or is negative on the unit; not an interior unit",
-                certificate=f,
-            )
-        states.append((r, s))
-    return _sorted_pairs(states)
+    return _sorted_pairs([(r, idot(r, unit)) for r in _int_extreme_rays(dual(space.cone))])
 
 
 def _sorted_pairs(pairs: list[tuple[dd.IntVec, int]]) -> list[tuple[dd.IntVec, int]]:
@@ -285,10 +273,11 @@ def _interval_pairs(space: AOUSpace) -> list[tuple[dd.IntVec, int]]:
     e is not an order unit. With e = U / D the rows a . v >= 0 and
     -D a . v >= -a . U are integer; a . U <= 0 on a nonzero row is an
     `order_unit_failures` row."""
+    cone_rows = int_hrep(space.cone)
     _require_order_unit(space.cone, space)
     unit, den = _int_unit(space)
     rows, rhs = [], []
-    for a in int_hrep(space.cone):
+    for a in cone_rows:
         rows += (a, tuple(-den * x for x in a))
         rhs += (0, -idot(a, unit))
     return _sorted_pairs(dd.polytope_vertices(rows, rhs, space.dim))

@@ -46,7 +46,6 @@ from .spaces import (
     _require_order_unit,
     extreme_states,
     linf,
-    order_unit_failures,
     unit_ball_half,
     unit_ball_vertices,
 )
@@ -54,7 +53,6 @@ from .spaces import (
 EPSILON = "epsilon"
 PI = "pi"
 
-FACTORIZE_STATE_CAP = 64
 # most d x d determinants the seed scan of factorize may take (C(states, d))
 FACTORIZE_SCAN_CAP = 20_000
 # most entries (rows x columns, in the LP's standard form) of one defect LP:
@@ -116,14 +114,17 @@ def tensor_space(left: AOUSpace, right: AOUSpace, kind: str) -> TensorSpace:
 
     The epsilon cone is cut out by the products f (x) g of extreme states,
     the pi cone generated by the products v (x) w of cone generators. Both
-    are AOU spaces with unit e_V (x) e_W. The one check is the factor
-    row test of `validate` the proofs rest on; a factor unit off the
-    interior is bad input that `extreme_states` refuses first. Epsilon: the
-    rows f (x) g are closed, span the dual, as each factor's extreme states
-    span its own, and pair to f(e) g(e) = 1 with the unit. Pi: finitely
-    generated, hence closed; (sum f) (x) (sum g) over the extreme states is
-    positive on every nonzero generator v (x) w, so pi is pointed; and for
-    r e_V +- v and s e_W +- w positive,
+    are AOU spaces with unit e_V (x) e_W. The one check is on the
+    factors, in `_require_tensor_factors`: closed pointed cones, whose
+    states pass the order-unit gate `_require_order_unit`. The proofs rest
+    on what that gate tests, every nonzero factor H-row positive on its
+    unit, which by Gordan's theorem puts the unit in the interior of a
+    full-dimensional cone. Epsilon: the rows f (x) g are closed, span the
+    dual, as each factor's extreme states span its own, and pair to
+    f(e) g(e) = 1 with the unit. Pi: finitely generated, hence closed;
+    (sum f) (x) (sum g) over the extreme states is positive on every
+    nonzero generator v (x) w, so pi is pointed; and for r e_V +- v and
+    s e_W +- w positive,
 
         (r e + v) (x) (s e + w) + (r e - v) (x) (s e - w) = 2 r s e (x) e + 2 v (x) w
 
@@ -154,11 +155,7 @@ def tensor_space(left: AOUSpace, right: AOUSpace, kind: str) -> TensorSpace:
         unit=kron_vec(left.unit, right.unit),
         label=f"{kind}({left.label},{right.label})",
     )
-    for sp in (left, right):
-        if order_unit_failures(int_hrep(sp.cone), _int_unit(sp)[0]):
-            raise InvariantViolation("factor unit fails the order unit test")
     return TensorSpace(left, right, kind, realized)
-
 
 
 def member_tensor(ts: TensorSpace, z: TensorElement) -> Certificate:
@@ -168,10 +165,11 @@ def member_tensor(ts: TensorSpace, z: TensorElement) -> Certificate:
 
 
 def _require_tensor_factors(left: AOUSpace, right: AOUSpace) -> None:
-    """What `tensor_space` asks of its factors: polyhedral, with extreme
-    states."""
+    """What `tensor_space` asks of its factors: closed polyhedral cones,
+    with extreme states, so pointed and with a unit past the order-unit
+    gate `_require_order_unit`."""
     for sp in (left, right):
-        sp.cone.require_polyhedral("tensor cones")
+        sp.cone.require_closed("tensor cones")
     for sp in (left, right):
         _int_states(sp)
 
@@ -223,15 +221,17 @@ class Biorthogonal:
 def _biorthogonal(space: AOUSpace) -> Biorthogonal:
     """The pair of a space whose cone is simplicial: the rows of the
     inverse of the ray matrix are biorthogonal to the rays, and the unit's
-    coordinates in the ray basis scale both."""
+    coordinates in the ray basis scale both. A unit the order-unit gate
+    `_require_order_unit` refuses is bad input; past it every coordinate
+    is positive, as each row of the inverse is a facet row of the cone,
+    positive on the interior point e."""
+    _require_order_unit(space.cone, space)
     rays = extreme_rays(space.cone)
     try:
         duals = inverse(Matrix.from_rows(list(zip(*rays)))).data
     except ShapeError as exc:
         raise InvariantViolation("the extreme rays of a simplicial cone are not a basis") from exc
     alpha = [dot(h, space.unit) for h in duals]
-    if not all(a > 0 for a in alpha):
-        raise InvariantViolation("the unit is not a positive combination of the extreme rays")
     return Biorthogonal(
         tuple(vscale(a, g) for a, g in zip(alpha, rays)),
         tuple(vscale(1 / a, h) for a, h in zip(alpha, duals)),
@@ -613,6 +613,13 @@ def factorize(space: AOUSpace, eps: Fraction | int = Fraction(1, 10)) -> Factori
     factorization through any linf(k'), since such a phi' is A phi_S, phi_S
     all m states and A row-stochastic.
 
+    The loop needs no cap on the number of states: the two size caps stop
+    every space with m > 64 states before its first step. In dimension
+    d <= 2, m = d. For 3 <= d <= m - 3 the seed scan takes
+    C(m, d) >= C(65, 3) = 43 680 determinants, past FACTORIZE_SCAN_CAP.
+    For d >= m - 2 >= 63 the first defect LP has at least m >= 65 cone rows
+    and at least 63 * 62 lambda columns, past FACTORIZE_LP_CAP.
+
     The LP and the residuals that pick the next state take one vertex of
     each +- pair, since the residual of -v is minus that of v. They read
     that half in reverse sorted order, the order in which the sorted ball
@@ -628,7 +635,7 @@ def factorize(space: AOUSpace, eps: Fraction | int = Fraction(1, 10)) -> Factori
     eps = frac(eps)
     if eps < 0:
         raise InputError(f"factorize: eps must be nonnegative, got {eps}")
-    space.cone.require_polyhedral("factorization")
+    space.cone.require_closed("factorization")
     _require_order_unit(space.cone, space)
     d = space.dim
 
@@ -657,7 +664,7 @@ def factorize(space: AOUSpace, eps: Fraction | int = Fraction(1, 10)) -> Factori
             steps.append(DefectStep(psi_m.data, multipliers))
             if best is None or defect < best[0]:
                 best = (defect, psi_m, phi_rows)
-            if defect <= eps or len(chosen) >= min(len(pool), FACTORIZE_STATE_CAP):
+            if defect <= eps or len(chosen) >= len(pool):
                 break
             residuals, norms = _residual_norms(pool, psi_m @ Matrix.from_rows(phi_rows), half)
             chosen.append(_next_state(pool, chosen, residuals, norms))
@@ -670,7 +677,7 @@ def factorize(space: AOUSpace, eps: Fraction | int = Fraction(1, 10)) -> Factori
             success=defect <= eps,
             states_used=k,
             schedule=tuple(schedule),
-            exhausted=len(chosen) >= min(len(pool), FACTORIZE_STATE_CAP),
+            exhausted=len(chosen) >= len(pool),
             steps=tuple(steps),
         )
     require_holds(_factorization_holds(space, eps, res), "factorize", space)
@@ -725,7 +732,6 @@ def _factorization_holds(space: AOUSpace, eps: Fraction, res: FactorizationResul
     hrows = space.cone.hrep()
     half = list(reversed(unit_ball_half(space)))
     chosen = _seed_states(space)
-    limit = min(len(pool), FACTORIZE_STATE_CAP)
     best = None
     for n, (step, (k, defect)) in enumerate(zip(res.steps, res.schedule)):
         phi_rows = [pool[i] for i in chosen]
@@ -743,7 +749,7 @@ def _factorization_holds(space: AOUSpace, eps: Fraction, res: FactorizationResul
             return False
         if best is None or defect < best[0]:
             best = (defect, psi, phi_rows)
-        stop = defect <= eps or k >= limit
+        stop = defect <= eps or k >= len(pool)
         if stop != (n == len(res.steps) - 1):
             return False
         if not stop:
@@ -753,7 +759,7 @@ def _factorization_holds(space: AOUSpace, eps: Fraction, res: FactorizationResul
         res.defect == defect
         and res.success == (defect <= eps)
         and res.states_used == len(phi_rows)
-        and res.exhausted == (len(chosen) >= limit)
+        and res.exhausted == (len(chosen) >= len(pool))
         and phi_m.data == tuple(phi_rows)
         and psi_m.data == psi.data
     )

@@ -443,13 +443,31 @@ BAD_UNIT_SPACES = {
 }
 
 
-@pytest.mark.parametrize("name", list(BAD_UNIT_SPACES))
-@pytest.mark.parametrize("verb", ["auerbach", "factorize", "archimedeanize"])
+# the verbs that need states or a simplicial pair see only the pointed
+# cones: the quadrant in Q^3 is refused there for its line first
+BAD_UNIT_CASES = [
+    pytest.param(verb, name, id=f"{verb}-{name}")
+    for verb, names in (
+        ("auerbach", list(BAD_UNIT_SPACES)),
+        ("factorize", list(BAD_UNIT_SPACES)),
+        ("archimedeanize", list(BAD_UNIT_SPACES)),
+        ("states", ["unit_on_facet", "unit_outside"]),
+        ("nuclear", ["unit_on_facet", "unit_outside"]),
+        ("nuclear-pair", ["unit_on_facet", "unit_outside"]),
+    )
+    for name in names
+]
+
+
+@pytest.mark.parametrize("verb, name", BAD_UNIT_CASES)
 def test_unit_that_is_no_order_unit_is_invalid_input(files, capsys, name, verb):
+    # one gate refuses the unit for every verb, with the same message and
+    # row; nuclear-pair meets the bad factor on the right, past a
+    # simplicial left one
     space, row = BAD_UNIT_SPACES[name]
     path = files["write"](f"{name}.json", space)
     capsys.readouterr()
-    code, out = run([verb, path])
+    code, out = run([verb, files["linf2.json"], path] if verb == "nuclear-pair" else [verb, path])
     err = capsys.readouterr().err.splitlines()
     assert code == 2 and out == ""
     assert err[0] == "aoulab: invalid input: the unit is not an order unit: a cone row is not positive on it"

@@ -30,8 +30,15 @@ from conftest import (
 import aoulab.cones
 import aoulab.maps
 import aoulab.spaces
-from aoulab.cones import Cone, extreme_rays, member, same_cone
-from aoulab.errors import InputError, InvariantViolation, ShapeError, SizeLimitError, StrictConeError
+from aoulab.cones import Cone, contains, extreme_rays, member, same_cone
+from aoulab.errors import (
+    InputError,
+    InvariantViolation,
+    PolyhedralRequired,
+    ShapeError,
+    SizeLimitError,
+    StrictConeError,
+)
 from aoulab.linalg import Matrix, dot, vec, vscale, vsub
 from aoulab.lp import solve_lp
 from aoulab.maps import (
@@ -60,6 +67,7 @@ from aoulab.spaces import (
     lin_space,
     linf,
     order_norm,
+    sym_space,
     unit_ball_vertices,
     validate,
 )
@@ -153,6 +161,28 @@ class TestCheckMap:
                 assert rep.isometry == rep.order_embedding == lp_is_isometry(m)
                 seen.add((rep.positive, rep.isometry))
         assert seen == {(True, True), (True, False), (False, False)}
+
+    def test_embedding_takes_one_inclusion_past_positivity(self, monkeypatch):
+        # the pull-back contains the source exactly when the map is
+        # positive, so one contains call decides a positive map's embedding
+        # flag and none a map that is not positive; a PSD target has no
+        # pull-back cone and stays refused
+        calls = []
+
+        def counted(outer, inner):
+            calls.append((outer, inner))
+            return contains(outer, inner)
+
+        monkeypatch.setattr(aoulab.maps, "contains", counted)
+        identity = UnitalMap(L2, L2, Matrix.identity(2))
+        for m, flags in ((identity, (True, True)), (AVG, (True, False)), (SYMMETRIC, (False, False))):
+            calls.clear()
+            rep = check_map(m)
+            assert (rep.positive, rep.order_embedding) == flags
+            assert [outer for outer, _ in calls] == ([m.source.cone] if rep.positive else [])
+        psd = UnitalMap(L1, sym_space(2), Matrix.from_rows([(1,), (0,), (1,)]))
+        with pytest.raises(PolyhedralRequired):
+            check_map(psd)
 
     def test_isometry_of_non_unital_maps(self):
         # -id keeps every norm but reverses the order; 2 id keeps the order

@@ -540,3 +540,31 @@ def other(cone):
 """
     trees = {"x.py": ast.parse(source)}
     assert _call_sites(trees, ("_split", "dd_pair")) == {("x.py", "_dd"), ("x.py", "Cone.__post_init__")}
+
+
+def test_one_order_unit_gate():
+    # the order-unit row test refuses a unit in _require_order_unit alone;
+    # validate reads it to report, and every other test of the unit
+    # (dual rays, tensor factors, biorthogonal coordinates, an infeasible
+    # norm LP) follows from the gate by Gordan's theorem
+    assert _call_sites(_parse_package(), ("order_unit_failures",)) == {
+        ("spaces.py", "validate"),
+        ("spaces.py", "_require_order_unit"),
+    }
+
+
+def test_order_unit_test_call_sites_are_found():
+    # the guard above sees a second test of the factor units in a loop,
+    # through a module attribute, and not a name that is only read
+    source = """
+def _require_order_unit(cone, space):
+    bad = order_unit_failures(int_hrep(cone), _int_unit(space)[0])
+def tensor_space(left, right, kind):
+    for sp in (left, right):
+        if spaces.order_unit_failures(int_hrep(sp.cone), _int_unit(sp)[0]):
+            raise InvariantViolation("factor unit fails the order unit test")
+def gate():
+    return order_unit_failures
+"""
+    trees = {"x.py": ast.parse(source)}
+    assert _call_sites(trees, ("order_unit_failures",)) == {("x.py", "_require_order_unit"), ("x.py", "tensor_space")}

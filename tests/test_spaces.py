@@ -9,6 +9,7 @@ from conftest import (
     refused_norms, rng,
 )
 
+import aoulab.cones
 from aoulab.cones import Cone, close_and_lineality, member, same_cone
 from aoulab.errors import InputError, NotPointedError, PolyhedralRequired, ShapeError, SizeLimitError
 from aoulab.linalg import Matrix, dot, vec
@@ -92,6 +93,19 @@ class TestValidate:
         i = int(key.rsplit("_", 1)[1])
         assert i == lp_order_unit_failure(sp)
         assert a in cone.hrep() and dot(a, sp.unit) <= 0 and a[i] != 0
+
+    def test_states_of_a_strict_cone_meet_the_gate_on_its_own_rows(self, monkeypatch):
+        # the closure of a strict H-cone has the cone's own rows: the gate
+        # refuses the unit on the row it holds as (0, 1) at scale 2, as it
+        # was given, and builds no closed cone and no lineality basis
+        def no_nullspace(m):
+            raise AssertionError("lineality basis built")
+
+        monkeypatch.setattr(aoulab.cones, "nullspace", no_nullspace)
+        sp = AOUSpace(2, Cone.from_inequalities([(1, 0), (0, 2)], strict=[True, False]), (1, 0))
+        with pytest.raises(InputError, match="the unit is not an order unit") as info:
+            extreme_states(sp)
+        assert info.value.certificate == (0, 2)
 
     def test_order_unit_against_norm_lps_randomized(self):
         r = rng(31337)

@@ -50,7 +50,6 @@ from aoulab.psd_examples import (
 from aoulab import tensors
 from aoulab.spaces import (
     AOUSpace,
-    _int_states,
     extreme_states,
     lin_space,
     linf,
@@ -200,7 +199,7 @@ class TestTensorSpace:
             assert lp_is_pointed(tensor_space(left, right, PI).realized.cone)
             lp_pi_order_unit(left, right)
 
-    def test_pi_rejects_factor_units_off_the_interior(self, monkeypatch):
+    def test_pi_rejects_factor_units_off_the_interior(self):
         on_facet = AOUSpace(2, linf(2).cone, (1, 0))
         outside = AOUSpace(2, linf(2).cone, (1, -1))
         flat = AOUSpace(2, Cone.from_generators([(1, 0)], dim=2), (1, 0))
@@ -212,12 +211,6 @@ class TestTensorSpace:
                 for kind in (PI, EPSILON):
                     with pytest.raises(InputError):
                         tensor_space(left, right, kind)
-        # past a state check that accepted it, the factor row test rejects
-        # the unit on a facet by itself
-        states = {id(on_facet): _int_states(linf(2))}
-        monkeypatch.setattr(tensors, "_int_states", lambda sp: states.get(id(sp)) or _int_states(sp))
-        with pytest.raises(InvariantViolation, match="factor unit fails the order unit test"):
-            tensor_space(on_facet, linf(2), PI)
 
     def test_pi_spaces_and_nuclearity_solve_no_tensor_lp(self, monkeypatch):
         def no_lp(*args, **kwargs):
