@@ -300,39 +300,39 @@ def _columns(cone: Cone) -> list[list[int]]:
 
 
 def _face_walk(
-    cone: Cone, r: list[int], slack: list[int], den: int
-) -> tuple[list[tuple[int, Fraction]], list[int], int]:
-    """Caratheodory walk from r / den, a point of the V-cone, with slack the
-    values of int_hrep(cone) at r.
+    gens: Sequence[IntVec], cols: list[list[int]], r: list[int], slack: list[int], den: int
+) -> tuple[list[tuple[int, Fraction]], list[int], int] | None:
+    """Caratheodory walk over the integer generators gens from r / den, a
+    point of the cone C cut out by some integer rows, with cols[j] the
+    values of those rows at gens[j] and slack their values at r. Every
+    generator must lie in C, so every column is nonnegative.
 
     Each step takes the first generator g that is tight on every row tight
-    at the residual and lies outside the lineality, so g is in the
-    residual's minimal face, and subtracts t g for the largest t that keeps
-    the residual in the cone, by an exact ratio test. The first row that
-    turns tight leaves the face smaller, so there are at most dim steps.
-    Returns the terms (generator index, t) in units of the integer
-    generators and the residual r / den where no such generator is left:
-    zero, or a point of the lineality."""
-    own = cone.generators
+    at the residual and has a nonzero column, so g lies in the residual's
+    minimal face F of C and outside its lineality, and subtracts t g for
+    the largest t that keeps the residual in C, by an exact ratio test. The
+    first row that turns tight leaves the face smaller, so there are at
+    most dim steps. Returns the terms (generator index, t) in units of
+    gens and the residual r / den where no row is slack: zero, or a point
+    of the lineality. Returns None when the walk stalls, when no generator
+    is left for a residual with a slack row; that cannot happen when gens
+    generate C, since then F is generated by the generators it contains,
+    and they do not all lie in the lineality, as the residual does not."""
     terms = []
     while any(slack):
         tight = [i for i, s in enumerate(slack) if s == 0]
         j, col = next(
-            (
-                (j, col)
-                for j, col in enumerate(_columns(cone))
-                if any(col) and all(col[i] == 0 for i in tight)
-            ),
+            ((j, col) for j, col in enumerate(cols) if any(col) and all(col[i] == 0 for i in tight)),
             (None, None),
         )
         if j is None:
-            raise InvariantViolation("no generator in the minimal face of a point of the cone")
+            return None
         p, q = None, 1
         for s, c in zip(slack, col):
             if c > 0 and (p is None or s * q < p * c):
                 p, q = s, c
         terms.append((j, Fraction(p, den * q)))
-        r = [q * x - p * y for x, y in zip(r, own[j])]
+        r = [q * x - p * y for x, y in zip(r, gens[j])]
         slack = [q * s - p * c for s, c in zip(slack, col)]
         den *= q
         g = gcd(den, *r)
@@ -459,7 +459,10 @@ def _generator_member(cone: Cone, v: Vec) -> Certificate:
     bad = next((a for a, s in zip(rows, slack) if s < 0), None)
     if bad is not None:
         return Certificate("non_member", "separating_functional", witness=vec(bad))
-    terms, r, den = _face_walk(cone, r, slack, den)
+    walk = _face_walk(cone.generators, _columns(cone), r, slack, den)
+    if walk is None:
+        raise InvariantViolation("no generator in the minimal face of a point of the cone")
+    terms, r, den = walk
     if any(r):
         # the residual lies in the lineality: walk in the pointed cone over
         # (g, 1), g the generators inside the lineality, from its lowest
@@ -473,10 +476,10 @@ def _generator_member(cone: Cone, v: Vec) -> Certificate:
             if b[-1] > 0 and (p is None or br * q > p * b[-1]):
                 p, q = br, b[-1]
         lifted = [q * x for x in r] + [p]
-        more, rest, _ = _face_walk(lift, lifted, [idot(b, lifted) for b in lift_rows], den * q)
-        if any(rest):
+        walk = _face_walk(lift.generators, _columns(lift), lifted, [idot(b, lifted) for b in lift_rows], den * q)
+        if walk is None or any(walk[1]):
             raise InvariantViolation("lineality residual left the lifted cone")
-        terms += [(inside[k], t) for k, t in more]
+        terms += [(inside[k], t) for k, t in walk[0]]
     # t units of the integer generator are t / s units of vrep()[j] = s g
     s = cone.scales
     decomp = tuple((j, t / s[j] if s else t) for j, t in sorted(terms))
@@ -608,7 +611,9 @@ def contains(outer: Cone, inner: Cone) -> bool:
     """outer >= inner for closed cones, inner polyhedral.
 
     A polyhedral outer cone is decided by integer sign tests: every H-row
-    of outer must be nonnegative on every V-generator of inner. A sym_psd
+    of outer must be nonnegative on every V-generator of inner. That reads
+    the DD of a V-cone outer and of an H-cone inner, so an equality by
+    contains both ways runs both DDs; `same_cone` runs one. A sym_psd
     outer cone has no H-rep, so each generator goes through the exact PSD
     test."""
     if outer.dim != inner.dim:
@@ -623,8 +628,43 @@ def contains(outer: Cone, inner: Cone) -> bool:
 
 
 def same_cone(a: Cone, b: Cone) -> bool:
-    """Set equality of closed polyhedral cones: contains, both ways."""
-    return contains(a, b) and contains(b, a)
+    """Set equality of closed polyhedral cones from one double description.
+
+    Call a V-cone argument the inner cone, b when both are, and the other
+    the outer cone. When the outer cone is pointed, only its DD runs.
+    inner <= outer is the sign test of `contains`, on the columns of the
+    outer H-rows at the inner generators. outer <= inner holds iff every
+    generator of the outer V-rep (a V-cone's own, an H-cone's DD rays) is
+    a nonnegative combination of the inner generators. A generator that is
+    an inner one is its own decomposition; any other is decomposed by
+    `_face_walk` over those columns, and the decomposition is verified by
+    substitution before True is returned. The walk cannot stall when the
+    cones are equal: every face of the outer cone is then generated by the
+    inner generators it contains. So a stalled walk proves the cones
+    differ, and with inner <= outer that is outer not <= inner.
+
+    Two H-cones, with no generators on either side to walk over, and a
+    non-pointed outer cone, where a walk may end at a point of the
+    lineality that it does not decompose, take contains both ways."""
+    outer, inner = (b, a) if b.generators is None else (a, b)
+    gens = inner.generators
+    if gens is None or outer.dim != inner.dim or outer.kind == SYM_PSD or not is_pointed(outer):
+        return contains(a, b) and contains(b, a)
+    rows = int_hrep(outer)
+    cols = [[idot(r, g) for r in rows] for g in gens]
+    if any(c < 0 for col in cols for c in col):
+        return False
+    own = set(gens)
+    for v in int_vrep(outer):
+        if v in own:
+            continue
+        walk = _face_walk(gens, cols, list(v), [idot(r, v) for r in rows], 1)
+        if walk is None:
+            return False
+        terms = walk[0]
+        if combine([t for _, t in terms], [gens[j] for j, _ in terms], outer.dim) != v:
+            raise InvariantViolation("conic decomposition failed re-verification")
+    return True
 
 
 def is_pointed(cone: Cone) -> bool:

@@ -26,12 +26,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from itertools import repeat
+from math import comb, gcd
 from typing import Sequence
 
 from .cones import (
     SYM_PSD, Certificate, Cone, _cached, _int_matrix, _lineality, _pointed, _scales, contains, image_cone,
-    int_hrep, int_vrep, member, same_cone,
+    int_hrep, int_vrep, member, same_cone, vrep_scales,
 )
 from .dd import _reduce
 from .errors import InputError, InvariantViolation, ShapeError, SizeLimitError, require_holds
@@ -43,6 +44,7 @@ from .linalg import (
     dot,
     frac,
     idot,
+    integerize,
     inverse,
     is_zero_vec,
     kron_vec,
@@ -150,7 +152,10 @@ def _is_isometry(m: UnitalMap) -> bool:
     that of the pulled-back seminorm v -> ||m(v)|| is the hull of +-(g o m)
     over extreme target states. Two seminorms agree iff their dual balls
     do, so m is an isometry iff the hulls are equal: one cone equality
-    between their height-1 lifts, the cones generated by the (p, 1).
+    between their height-1 lifts, the cones generated by the (p, 1). Both
+    hulls are V-cones, pointed as every lift has positive height, so
+    `same_cone` runs one DD, of the pulled-back hull, and decomposes each
+    pulled-back lift over the source's lifts, verified by substitution.
 
     In integers: a state r D / s lifts to (r D, s), and g o m, for the
     target state g = r D' / s and m = M / d, to (M^T r D', d s).
@@ -277,13 +282,30 @@ def archimedean_quotient(space: AOUSpace, basis: Sequence) -> tuple[AOUSpace, Un
 def _quotient_holds(basis: Sequence, qmap: UnitalMap) -> bool:
     """Whether qmap maps onto V/J, J = span(basis): q kills J with rank
     dim V - dim J = the target's dim, it is unital, the target cone is q(C)
-    (its generators are images of generators, and q is positive), pointed."""
-    q, jb, target = qmap.matrix, [vec(b) for b in basis], qmap.target.cone
+    (its generators are images of generators, and q is positive), pointed.
+
+    In integers, for q = M / d over one denominator: a vector is its
+    coprime integer row with its positive scale in lowest terms, so the
+    image of the generator s g, g coprime, is the row M g / h at the scale
+    h s / d, h the gcd of M g, and a target generator is its own integer
+    row at its own scale."""
+    mrows, d = _int_matrix(qmap.matrix)
+    jb = [integerize(b) for b in basis]
+    source, target = qmap.source.cone, qmap.target.cone
+    images = set()
+    for g, s in zip(int_vrep(source), vrep_scales(source) or repeat(1)):
+        img = [idot(a, g) for a in mrows]
+        h = gcd(*img)
+        if h:
+            p, q = h * s.numerator, d * s.denominator
+            k = gcd(p, q)
+            images.add((tuple([x // h for x in img]), p // k, q // k))
+    gens = {(g, s.numerator, s.denominator) for g, s in zip(int_vrep(target), vrep_scales(target) or repeat(1))}
     return (
-        all(is_zero_vec(q.apply(b)) for b in jb)
-        and rank(q) == qmap.target.dim == qmap.source.dim - rank(jb)
+        not any(idot(a, b) for a in mrows for b in jb)
+        and rank(mrows) == qmap.target.dim == qmap.source.dim - rank(jb)
         and qmap.unital
-        and set(target.vrep()) <= {q.apply(g) for g in qmap.source.cone.vrep()}
+        and gens <= images
         and qmap.positive
         and _pointed(target)
     )

@@ -375,8 +375,13 @@ class SpaceNuclearity:
 
 
 def _space_nuclearity(space: AOUSpace) -> SpaceNuclearity:
-    """`is_nuclear_fd` with its evidence, checked by `_space_nuclearity_holds`."""
-    if is_nuclear_fd(space):
+    """`is_nuclear_fd` with its evidence, checked by `_space_nuclearity_holds`.
+    A unit the order-unit gate `_require_order_unit` refuses is bad input,
+    whichever way the cone decides; the gate runs past `is_nuclear_fd`'s
+    own refusals of a cone with a line or of lower dimension."""
+    nuclear = is_nuclear_fd(space)
+    _require_order_unit(space.cone, space)
+    if nuclear:
         report = SpaceNuclearity(True, biorthogonal=_biorthogonal(space))
     else:
         rays = extreme_rays(space.cone)

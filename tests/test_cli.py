@@ -432,10 +432,12 @@ def test_norm_of_a_dominated_vector_in_a_bad_space_is_invalid_input(files, capsy
 
 # spaces whose unit is not an order unit, with the one cone row each
 # reports: the orthant with a unit on a facet and with one outside the cone,
-# and {x0 >= 0, x1 >= 0} in Q^3, whose closure has a line, with unit (1, 0, 0)
+# the non-simplicial cone of lin_space(2) with a unit on a facet, and
+# {x0 >= 0, x1 >= 0} in Q^3, whose closure has a line, with unit (1, 0, 0)
 BAD_UNIT_SPACES = {
     "unit_on_facet": (AOUSpace(2, linf(2).cone, (1, 0)), ["0", "1"]),
     "unit_outside": (AOUSpace(2, linf(2).cone, (1, -1)), ["0", "1"]),
+    "lin2_unit_on_facet": (AOUSpace(3, lin_space(2).cone, (1, 1, 0)), ["1", "-1", "1"]),
     "quadrant_in_q3": (
         AOUSpace(3, Cone.from_inequalities([(1, 0, 0), (0, 1, 0)]), (1, 0, 0)),
         ["0", "1", "0"],
@@ -451,9 +453,9 @@ BAD_UNIT_CASES = [
         ("auerbach", list(BAD_UNIT_SPACES)),
         ("factorize", list(BAD_UNIT_SPACES)),
         ("archimedeanize", list(BAD_UNIT_SPACES)),
-        ("states", ["unit_on_facet", "unit_outside"]),
-        ("nuclear", ["unit_on_facet", "unit_outside"]),
-        ("nuclear-pair", ["unit_on_facet", "unit_outside"]),
+        ("states", ["unit_on_facet", "unit_outside", "lin2_unit_on_facet"]),
+        ("nuclear", ["unit_on_facet", "unit_outside", "lin2_unit_on_facet"]),
+        ("nuclear-pair", ["unit_on_facet", "unit_outside", "lin2_unit_on_facet"]),
     )
     for name in names
 ]

@@ -684,6 +684,95 @@ def test_same_cone_across_representations():
     assert not contains(Cone.from_generators([(1, 0)], dim=2), orthant(2))
 
 
+class TestSameCone:
+    @staticmethod
+    def noisy(r, rays, dim):
+        """rays with a zero generator, a duplicate, a parallel multiple and
+        a redundant sum thrown in at random places: the same cone."""
+        gens = list(rays)
+        for extra in ((0,) * dim, rays[0], tuple(3 * x for x in rays[-1]), tuple(map(sum, zip(*rays)))):
+            gens.insert(r.randint(0, len(gens)), extra)
+        return Cone(dim, generators=tuple(gens))
+
+    def test_against_lp_oracle_randomized(self):
+        # seeded pairs over all four representation pairs: equal cones
+        # with noisy generators, a cone and a strict subcone, unrelated
+        # cones, pointed or not, each compared both ways with the LPs
+        r = rng(3030)
+        seen = set()
+        for _ in range(160):
+            dim = r.randint(1, 4)
+            gens = [rand_vec(r, dim, lo=-2, hi=2, den=2) for _ in range(r.randint(1, dim + 3))]
+            a = Cone.from_generators(gens, dim)
+            if a.generators and r.random() < 0.5:
+                a = Cone.from_inequalities(a.hrep(), dim=dim)
+            pick = r.randrange(3)
+            if pick == 0 or not a.generators or not is_pointed(a):
+                b = Cone.from_generators([rand_vec(r, dim, lo=-2, hi=2) for _ in range(r.randint(1, dim + 2))], dim)
+            else:
+                rays = [tuple(map(int, g)) for g in extreme_rays(a)]
+                if pick == 1 and len(rays) > 1:
+                    rays.pop(r.randrange(len(rays)))  # b is a strict subcone
+                b = self.noisy(r, rays, dim) if rays else Cone(dim, generators=())
+            if r.random() < 0.3 and b.generators:
+                b = Cone.from_inequalities(b.hrep(), dim=dim)
+            want = lp_contains(a, b) and lp_contains(b, a)
+            for x, y in ((a, b), (b, a)):
+                # fresh copies, so no DD of an earlier call is cached
+                x, y = (Cone(c.dim, c.generators, c.inequalities, scales=c.scales) for c in (x, y))
+                assert same_cone(x, y) == want
+                seen.add((x.generators is None, y.generators is None, is_pointed(x) and is_pointed(y), want))
+        assert {(hx, hy) for hx, hy, _, _ in seen} == {(True, True), (True, False), (False, True), (False, False)}
+        assert {(p, w) for _, _, p, w in seen} == {(True, True), (True, False), (False, True), (False, False)}
+
+    @pytest.mark.parametrize("hrep", [False, True])
+    def test_round_trip_runs_no_dd_beyond_the_cones_own(self, dd_calls, hrep):
+        # the V-cone has a non-extreme generator, so one decomposition
+        # takes a face walk; the rebuilt cone's DD never runs
+        cone = Cone.from_generators([(1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1), (2, 1, 1)])
+        if hrep:
+            cone = Cone.from_inequalities(cone.hrep())
+        dd_calls.clear()
+        assert same_cone(cone, Cone.from_generators(extreme_rays(cone))) is True
+        assert len(dd_calls) == 1
+
+    @pytest.mark.parametrize("hrep", [False, True])
+    def test_dropped_extreme_ray_is_caught(self, hrep):
+        # the same round trip with one extreme ray left out: every
+        # generator of the subcone lies in the cone, so with the cone first
+        # only the walk from the dropped ray's generator finds the difference
+        gens = [(1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1), (2, 1, 1)]
+        cone = Cone.from_generators(gens)
+        if hrep:
+            cone = Cone.from_inequalities(cone.hrep())
+        rays = extreme_rays(cone)
+        for i in range(len(rays)):
+            tampered = Cone.from_generators(rays[:i] + rays[i + 1 :])
+            assert contains(cone, tampered)
+            assert same_cone(cone, tampered) is False
+            assert same_cone(tampered, cone) is False
+
+    def test_faulty_ray_list_is_caught_from_the_own_generators(self):
+        # a V-cone whose extreme-ray list lost a ray, as a faulty DD would
+        # give it: the round trip rebuilds a strict subcone, which the walks
+        # from the cone's own generators find, where a lookup of the same
+        # list among the rebuilt generators could not
+        gens = [(1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1), (2, 1, 1)]
+        for i in range(4):
+            cone = Cone.from_generators(gens)
+            rays = aoulab.cones._int_extreme_rays(cone)
+            cone._derived["_int_extreme_rays"] = rays[:i] + rays[i + 1 :]
+            assert same_cone(cone, Cone.from_generators(extreme_rays(cone))) is False
+
+    def test_non_pointed_and_h_cones_keep_both_inclusions(self, dd_calls):
+        # a half-plane against its generators: a non-pointed outer cone
+        # runs contains both ways, so both DDs; so do two H-cones
+        half = Cone.from_inequalities([(1, 0)])
+        assert same_cone(half, Cone.from_generators([(1, 0), (0, 1), (0, -1)]))
+        assert len(dd_calls) == 2
+        assert same_cone(Cone.from_inequalities([(1, 0), (0, 1)]), Cone.from_inequalities([(0, 1), (1, 0), (1, 1)]))
+
+
 def test_contains_against_membership_lps_randomized():
     r = rng(5151)
     verdicts = set()

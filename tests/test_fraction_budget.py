@@ -9,6 +9,7 @@ import io
 import pstats
 
 from aoulab.cli import main
+from aoulab.maps import archimedean_quotient
 from aoulab.serialize import dumps
 from aoulab.spaces import extreme_states, lin_space, linf, unit_ball_vertices, validate
 
@@ -72,3 +73,15 @@ def test_refused_quotient_budget(tmp_path, capsys):
     request()
     assert fractions_built(request) <= 63
     assert "not an order ideal" in capsys.readouterr().err
+
+
+def test_archimedean_quotient_budget():
+    # archimedean_quotient(linf(4), [e1, e3]) and the check of its result:
+    # the checker maps the generators and the kernel in integers, so the
+    # Fractions left are linf(4)'s unit, the kernel basis (8), q (8) and
+    # the quotient's unit, mapped for the quotient and for the unital flag
+    def request():
+        return archimedean_quotient(linf(4), [(1, 0, 0, 0), (0, 0, 1, 0)])
+
+    request()
+    assert fractions_built(request) <= 21

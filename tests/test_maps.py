@@ -9,6 +9,7 @@ from conftest import (
     archimedeanized_quotient,
     ball_scan_spaces,
     extension_lp_rows,
+    fraction_apply,
     fraction_dot,
     fraction_rank,
     fraction_solve,
@@ -201,6 +202,25 @@ class TestCheckMap:
             if not m.unital:
                 assert check_map(m).isometry == lp_is_isometry(m)
 
+    def test_non_unital_isometry_equality_runs_one_dd(self, monkeypatch, dd_calls):
+        # the cone equality between the two lifted hulls runs the DD of
+        # one hull only, whether the map is an isometry or not
+        real, runs = aoulab.maps.same_cone, []
+
+        def counted(a, b):
+            before = len(dd_calls)
+            out = real(a, b)
+            runs.append((out, len(dd_calls) - before))
+            return out
+
+        monkeypatch.setattr(aoulab.maps, "same_cone", counted)
+        for sp in (L2, lin_space(1), lin_space(2)):
+            eye = Matrix.identity(sp.dim).data
+            for k in (-1, 2):
+                rep = check_map(UnitalMap(sp, sp, Matrix.from_rows([[k * x for x in row] for row in eye])))
+                assert not rep.unital and rep.isometry == (k == -1)
+        assert runs == [(True, 1), (False, 1)] * 3
+
     def test_isometry_test_solves_no_lp(self, monkeypatch):
         # the dual-ball test is one cone equality: no LP, no dual norm
         def forbidden(*args, **kwargs):
@@ -383,6 +403,28 @@ class TestArchimedeanQuotient:
             monkeypatch.setattr(mod, "common_den", lambda a, f=original: sizes.append(len(a)) or f(a))
         sp, q = archimedean_quotient(L3, [(1, 0, 0)])
         assert sizes == [6] and q.positive and sizes == [6]
+
+    def test_quotient_check_against_fraction_images_randomized(self):
+        # the checker compares integer rows at their scales; the oracle maps
+        # vrep() in Fractions. Orthants with scaled generators, and the
+        # quotient with one target generator kept, doubled or cut to a third
+        r = rng(2727)
+        seen = set()
+        for _ in range(30):
+            n = r.randint(2, 4)
+            gens = [[Fraction(r.randint(1, 3), r.randint(1, 3)) * (i == j) for j in range(n)] for i in range(n)]
+            sp = AOUSpace(n, Cone.from_generators(gens), (1,) * n)
+            basis = [[int(i == j) for j in range(n)] for i in r.sample(range(n), r.randint(1, n - 1))]
+            quotient, qmap = archimedean_quotient(sp, basis)
+            tgt = list(quotient.cone.vrep())
+            i = r.randrange(len(tgt))
+            for k in (1, 2, Fraction(1, 3)):
+                cone = Cone.from_generators(tgt[:i] + [vscale(k, tgt[i])] + tgt[i + 1 :])
+                m = UnitalMap(sp, AOUSpace(quotient.dim, cone, quotient.unit), qmap.matrix)
+                want = set(cone.vrep()) <= {fraction_apply(qmap.matrix, g) for g in sp.cone.vrep()}
+                assert aoulab.maps._quotient_holds(basis, m) == want == (k == 1)
+                seen.add(want)
+        assert seen == {True, False}
 
     def test_ideal_containing_unit_rejected(self):
         # J = V is an ideal whose quotient collapses

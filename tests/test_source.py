@@ -463,6 +463,7 @@ INTEGERIZE_SITES = {
     ("lp.py", "solve_lp"): "the Farkas multipliers of an infeasible LP, an LP outcome",
     ("maps.py", "dual_norm"): "the functional whose norm is asked",
     ("maps.py", "_min_l1_measure"): "the functional whose minimal measure is asked",
+    ("maps.py", "_quotient_holds"): "the kernel basis a quotient was asked for",
     ("spaces.py", "_int_unit"): "a space's unit, once per space",
     ("tensors.py", "_space_nuclearity_holds"): "the rays of a report under check",
 }
