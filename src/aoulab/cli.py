@@ -2,18 +2,20 @@
 
 Every verb loads its inputs, runs one library operation, and emits a report
 that embeds both the inputs and the result, so `verify` can confirm the
-report from the report alone.  Six verbs are checked from the evidence
+report from the report alone.  Seven verbs are checked from the evidence
 their reports carry, with no search run again: `factorize` from each
 greedy step's psi and defect-LP dual multipliers, `pert` and `perturb` from
 dual norms over the unit ball and the target's extreme states,
-`tensor-member` and `nuclear-pair` from their certificates against the
-product generators and product-state rows, and `nuclear` and a nuclear
-`nuclear-pair` from a simplicial cone's biorthogonal rays and states, or
-from extreme rays past the dimension.  Each of those checks is one
-decoder, which reads the stored result back by the type hints of the
-library's result types, plus one library checker: a `_*_holds`, or for
-`tensor-member` the certificate's own `verify`.  `verify`
-re-runs every other verb and compares the result with the report's.
+`auerbach` from biorthogonality, the cone rows at the basis and the dual
+norms of the duals, `tensor-member` and `nuclear-pair` from their
+certificates against the product generators and product-state rows, and
+`nuclear` and a nuclear `nuclear-pair` from a simplicial cone's
+biorthogonal rays and states, or from extreme rays past the dimension.
+Each of those checks is one decoder, which reads the stored result back by
+the type hints of the library's result types, plus one library checker: a
+`_*_holds`, or for `tensor-member` the certificate's own `verify`.
+`verify` re-runs every other verb and compares the result with the
+report's.
 Exit codes: 0 the computation ran (whatever the verdict; `verify` exits 3
 on a report that does not hold), 1 usage error, 2 invalid input, 3
 internal invariant breach.
@@ -33,9 +35,10 @@ from typing import Callable
 
 from .cones import Certificate
 from .errors import InputError, InvariantViolation
-from .linalg import Matrix
+from .linalg import Matrix, Vec
 from .maps import (
     UnitalMap,
+    _auerbach_holds,
     _pert_holds,
     _pert_with_norms,
     _perturb_holds,
@@ -48,6 +51,7 @@ from .maps import (
 from .psd_examples import psd_example_suite
 from .serialize import (
     VERSION,
+    _enc_frac,
     canonical_json,
     decode_frac,
     decode_rows,
@@ -99,7 +103,7 @@ def _plain(obj):
     if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
         return obj
     if isinstance(obj, Fraction):
-        return str(obj)
+        return _enc_frac(obj)
     if isinstance(obj, (AOUSpace, UnitalMap, TensorElement)):
         return to_dict(obj)
     if isinstance(obj, (tuple, list)):
@@ -133,7 +137,7 @@ def _load_typed(path: str, want, what: str):
 def _parse_json_flag(text: str, what: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise InputError(f"bad {what}: {exc}") from exc
 
 
@@ -353,6 +357,11 @@ def _check_nuclear(space, result) -> bool:
     return report.nuclear == (report.rays is None) and _space_nuclearity_holds(space, report)
 
 
+def _check_auerbach(space, result) -> bool:
+    r = _decoder(space.dim)({"basis": tuple[Vec, ...], "duals": tuple[Vec, ...]}, result)
+    return _auerbach_holds(space, r["basis"], r["duals"])
+
+
 def _check_factorize(space, eps, result) -> bool:
     coordinates = functools.cache(linf)  # phi's target is psi's source
     decode = _decoder(
@@ -485,6 +494,7 @@ _VERBS = {
         "Auerbach system of the unit ball",
         (_space(),),
         lambda space: dict(zip(("basis", "duals"), auerbach_basis(space))),
+        _check_auerbach,
     ),
     "tensor-member": _Verb(
         "membership of a tensor element in one tensor cone",
@@ -591,8 +601,8 @@ def _build_parser() -> argparse.ArgumentParser:
         ("roundtrip", "canonical serialization of a file", "path"),
         (
             "verify",
-            "confirm a report: factorize, pert, perturb, tensor-member, nuclear and "
-            "nuclear-pair from the evidence they carry, any other verb by running it again",
+            "confirm a report: factorize, pert, perturb, auerbach, tensor-member, nuclear "
+            "and nuclear-pair from the evidence they carry, any other verb by running it again",
             "report",
         ),
     ):
@@ -608,7 +618,7 @@ def _cmd_roundtrip(args, out) -> int:
 def _cmd_verify(args, out) -> int:
     try:
         report = json.loads(_read(args.report))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise InputError(f"malformed report: {exc}") from exc
     if not isinstance(report, dict) or report.get("type") != "report":
         raise InputError("not a report file")

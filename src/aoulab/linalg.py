@@ -17,16 +17,15 @@ rank, nullspace, solve, det and inverse share one fraction-free Bareiss
 elimination over Python ints: each row is scaled to integers once (a row
 of ints as it is), every entry stays an exact minor, and Fractions are
 built only from the final pivot rows; rank builds none. idet and
-max_abs_det (the largest |det| over k-tuples of rows with positive scales)
-run on integer rows. quotient_matrix turns a kernel basis into a
-surjection that kills exactly that kernel.
+max_det_exchange (a basis among rows with positive scales whose |det| no
+single exchange raises) run on integer rows. quotient_matrix turns a
+kernel basis into a surjection that kills exactly that kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 from math import gcd, lcm, prod
 from operator import mul
 from typing import Iterable, Sequence
@@ -325,17 +324,39 @@ def idet(rows: Sequence[Sequence[int]]) -> int:
     return sign * d if len(pivots) == len(work) else 0
 
 
-def max_abs_det(rows: Sequence[Sequence[int]], scales: Sequence[int], k: int) -> tuple[int, ...] | None:
-    """The first k-tuple of indices, in combinations order, whose rows
-    divided by their positive scales have the largest |det|; None when all
-    are 0. Each |idet| / prod(scales) is compared crosswise, in integers."""
-    best, best_abs, best_den = None, 0, 1
-    for tup in combinations(range(len(rows)), k):
-        d = abs(idet([rows[i] for i in tup]))
-        den = prod(scales[i] for i in tup)
-        if d * best_den > best_abs * den:
-            best, best_abs, best_den = tup, d, den
-    return best
+def max_det_exchange(rows: Sequence[Sequence[int]], scales: Sequence[int]) -> list[int]:
+    """Indices, increasing, of a basis among the rows divided by their
+    positive scales whose |det| no exchange of one row raises (the maxvol
+    iteration of Goreinov & Tyrtyshnikov, Contemp. Math. 280, 2001).
+
+    It starts from the first independent rows. For the basis B and its
+    dual functionals f_i, f_i(y) = det(B with y in slot i) / det(B)
+    (Cramer), so while some row y has |f_i(y)| > 1 for a slot i, the
+    largest such swap is made, the first row and then the first slot on
+    ties, slots in increasing index order. |det| grows at every swap and
+    takes finitely many values, so the loop ends, with |f_i(y)| <= 1 for
+    every row y and slot i. In integers: for the basis rows x_i / t_i,
+    [X^T | I] reduces to [p I | A] with A = p (X^T)^-1, and
+    f_i(y / s) = t_i (A y)_i / (p s), so |t_i (A y)_i| / s is compared
+    crosswise with |p| and then with the best swap so far. InvariantViolation
+    when the rows do not span."""
+    n, k = len(rows), len(rows[0])
+    basis = _bareiss([list(col) for col in zip(*rows)], n, back=False)[0]
+    if len(basis) != k:
+        raise InvariantViolation("max_det_exchange: the rows do not span")
+    while True:
+        cols = zip(*(rows[b] for b in basis))
+        work = [list(col) + [int(i == j) for j in range(k)] for i, col in enumerate(cols)]
+        best, num, den = None, abs(_bareiss(work, k, back=True)[1]), 1
+        for j, (y, s) in enumerate(zip(rows, scales)):
+            for i, b in enumerate(basis):
+                v = abs(idot(work[i][k:], y)) * scales[b]
+                if v * den > num * s:
+                    best, num, den = (j, i), v, s
+        if best is None:
+            return basis
+        basis[best[1]] = best[0]
+        basis.sort()
 
 
 def det(m: Matrix) -> Fraction:

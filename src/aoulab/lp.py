@@ -325,14 +325,12 @@ def verify_outcome(out: LPOutcome) -> None:
     n = len(sys_.objective)
 
     def feasible(x: Vec) -> None:
+        # the message is built for a failing row alone, so a value past the
+        # int/str digit limit is never written out on a row that holds
         for r, b, s in zip(rows, rhs, senses):
             v = dot(r, x)
-            if s == LE:
-                _check(v <= b, f"row {r} . x = {v} </= {b}")
-            elif s == GE:
-                _check(v >= b, f"row {r} . x = {v} >/= {b}")
-            else:
-                _check(v == b, f"row {r} . x = {v} != {b}")
+            if not (v <= b if s == LE else v >= b if s == GE else v == b):
+                _check(False, f"row {r} . x = {v}, not {s} {b}")
 
     if out.status == OPTIMAL:
         _check(out.primal is not None and out.dual_certificate is not None, "missing parts")

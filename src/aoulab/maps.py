@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
-from math import comb, gcd
+from math import gcd
 from typing import Sequence
 
 from .cones import (
@@ -35,7 +35,7 @@ from .cones import (
     int_hrep, int_vrep, member, same_cone, vrep_scales,
 )
 from .dd import _reduce
-from .errors import InputError, InvariantViolation, ShapeError, SizeLimitError, require_holds
+from .errors import InputError, InvariantViolation, ShapeError, require_holds
 from .linalg import (
     Matrix,
     Vec,
@@ -48,7 +48,7 @@ from .linalg import (
     inverse,
     is_zero_vec,
     kron_vec,
-    max_abs_det,
+    max_det_exchange,
     quotient_matrix,
     rank,
     solve,
@@ -472,51 +472,47 @@ def operator_norm(m, source: AOUSpace | None = None, target: AOUSpace | None = N
     )
 
 
-AUERBACH_DIM_CAP = 6
-# most determinants the scan over ball-vertex tuples may take (C(verts, dim))
-AUERBACH_SCAN_CAP = 20_000
-
-
 def auerbach_basis(space: AOUSpace) -> tuple[list[Vec], list[Vec]]:
     """A basis of unit vectors whose dual basis is also made of unit
-    functionals, found by maximizing |det| over tuples of ball vertices.
+    functionals: ball vertices whose |det| no exchange of one vertex for
+    another raises (`linalg.max_det_exchange`).
 
-    Flipping the sign of a vertex keeps |det|, and a tuple holding both x
-    and -x has det 0, so the scan takes one vertex of each +- pair:
-    C(n/2, dim) tuples for n ball vertices instead of C(n, dim). It reads
-    the half in reverse sorted order, the order in which a scan of the
-    reversed full ball first meets each pair, so ties break the same way.
-
-    Biorthogonality and all 2*dim unit-norm identities are verified exactly
-    before returning, with no order-norm LP: ||x_i|| <= 1 because
-    |a . x_i| <= a . e on every cone row a, so e +- x_i >= 0, and
-    ||x_i|| >= x_i*(x_i) / ||x_i*||* = 1 by biorthogonality and the dual
-    norm check.
+    Auerbach's lemma needs no more (Lindenstrauss & Tzafriri, Classical
+    Banach Spaces I, 1977): the dual functional x_i* is
+    det(x_1, .., x, .., x_n) / det(x_1, .., x_n), x in slot i, so with no
+    swap left |x_i*| <= 1 at every ball vertex, hence on the ball, their
+    hull, and x_i*(x_i) = 1; a vertex x_i has norm 1. Flipping the sign of
+    a vertex keeps |det|, so the exchange reads one vertex of each +- pair,
+    in reverse sorted order, the order in which a scan of the reversed full
+    ball first meets each pair. `_auerbach_holds`, the check `verify` runs,
+    checks the result before it is returned.
     """
-    if space.dim > AUERBACH_DIM_CAP:
-        raise SizeLimitError(f"auerbach_basis capped at dimension {AUERBACH_DIM_CAP}")
     half = _ball_half_rows(space)[::-1]
-    scan = comb(len(half), space.dim)
-    if scan > AUERBACH_SCAN_CAP:
-        raise SizeLimitError(
-            f"auerbach_basis: scan of C({len(half)}, {space.dim}) = {scan} determinants "
-            f"exceeds AUERBACH_SCAN_CAP = {AUERBACH_SCAN_CAP}"
-        )
-    best = max_abs_det([x for x, _ in half], [t for _, t in half], space.dim)
-    if best is None:
-        raise InvariantViolation("ball vertices failed to span; space not validated?")
-    basis = [unit_ball_half(space)[-1 - i] for i in best]
+    picked = max_det_exchange([x for x, _ in half], [t for _, t in half])
+    basis = [unit_ball_half(space)[-1 - i] for i in picked]
     duals = list(inverse(Matrix.from_rows(basis).transpose()).data)
-    # in integers: x = x' / t and e = U / D
-    unit, den = _int_unit(space)
-    rows = [(a, idot(a, unit)) for a in int_hrep(space.cone)]
-    for i, xd in zip(best, duals):
-        x, t = half[i]
-        if any(den * abs(idot(a, x)) > t * au for a, au in rows) or dual_norm(space, xd) != 1:
-            raise InvariantViolation("Auerbach unit-norm identity failed")
-        if any(dot(xd, half[j][0]) != (half[j][1] if j == i else 0) for j in best):
-            raise InvariantViolation("Auerbach biorthogonality failed")
+    require_holds(_auerbach_holds(space, basis, duals), "auerbach", space)
     return basis, duals
+
+
+def _auerbach_holds(space: AOUSpace, basis: Sequence[Vec], duals: Sequence[Vec]) -> bool:
+    """Whether basis and duals are an Auerbach system: dim vectors x_i and
+    dim functionals x_i*, biorthogonal, all of norm 1, with no search and
+    no order-norm LP. ||x_i|| <= 1 because |a . x_i| <= a . e on every cone
+    row a, so e +- x_i >= 0; ||x_i*||* <= 1 because |x_i*| <= 1 at every
+    ball vertex, one of each +- pair, and the ball is their hull; and
+    1 = x_i*(x_i) <= ||x_i*||* ||x_i|| makes both norms 1. Compared in
+    integers, with x_i = X / t, x_i* = F / u and e = U / D. The ball comes
+    first, so a unit that is not an order unit is bad input, as for the
+    construction."""
+    half, (unit, den) = _ball_half_rows(space), _int_unit(space)
+    xs, fs = [common_den(x) for x in basis], [common_den(f) for f in duals]
+    return (
+        len(xs) == len(fs) == space.dim
+        and all(idot(F, X) == (u * t if i == j else 0) for i, (F, u) in enumerate(fs) for j, (X, t) in enumerate(xs))
+        and all(den * abs(idot(a, X)) <= t * idot(a, unit) for a in int_hrep(space.cone) for X, t in xs)
+        and all(abs(idot(F, x)) <= u * s for F, u in fs for x, s in half)
+    )
 
 
 # -- perturbation toward positivity --------------------------------------------

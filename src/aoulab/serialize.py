@@ -23,7 +23,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 from .cones import Cone, view
-from .errors import InputError
+from .errors import InputError, SizeLimitError
 from .linalg import Matrix, Vec, frac
 from .maps import UnitalMap
 from .spaces import AOUSpace
@@ -35,7 +35,13 @@ _INTEGER = re.compile(r"-?[0-9]+")
 
 
 def _enc_frac(x: Fraction | int) -> str:
-    return str(x) if type(x) is int else str(frac(x))
+    """The canonical text of a rational; SizeLimitError past Python's limit
+    on the digits of an int written as text, which is shared by the whole
+    process and so left as it is."""
+    try:
+        return str(x) if type(x) is int else str(frac(x))
+    except ValueError as exc:
+        raise SizeLimitError(f"a rational too long to write: {exc}") from exc
 
 
 def decode_frac(s) -> Fraction:
@@ -73,7 +79,10 @@ def _cone_row(items) -> tuple:
     canonical strings, as a tuple of ints, which the cone takes as it is."""
     if isinstance(items, list) and all(type(x) is int or type(x) is str and _INTEGER.fullmatch(x)
                                        for x in items):
-        return tuple([int(x) for x in items])
+        try:
+            return tuple([int(x) for x in items])
+        except ValueError:
+            pass  # a string past the int digit limit, which decode_frac refuses
     return decode_vec(items)
 
 
@@ -249,6 +258,6 @@ def dumps(obj) -> str:
 def loads(text: str):
     try:
         d = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed, or an int past the digit limit
         raise InputError(f"malformed JSON: {exc}") from exc
     return from_dict(d)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
 from .cones import (
     Certificate, Cone, _cached, _scales, dual, extreme_rays, int_hrep, int_vrep, is_simplicial, member,
@@ -29,7 +28,7 @@ from .linalg import (
     integerize,
     inverse,
     kron_vec,
-    max_abs_det,
+    max_det_exchange,
     rank,
     vadd,
     vec,
@@ -53,8 +52,6 @@ from .spaces import (
 EPSILON = "epsilon"
 PI = "pi"
 
-# most d x d determinants the seed scan of factorize may take (C(states, d))
-FACTORIZE_SCAN_CAP = 20_000
 # most entries (rows x columns, in the LP's standard form) of one defect LP:
 # lin_space(3)'s largest is 57 x 101 = 5 757, while a 4-dim space with 8
 # states poses 271 x 291 = 78 861 at its first step (308 x 337 posed over
@@ -377,10 +374,10 @@ class SpaceNuclearity:
 def _space_nuclearity(space: AOUSpace) -> SpaceNuclearity:
     """`is_nuclear_fd` with its evidence, checked by `_space_nuclearity_holds`.
     A unit the order-unit gate `_require_order_unit` refuses is bad input,
-    whichever way the cone decides; the gate runs past `is_nuclear_fd`'s
+    whichever way the cone decides: `_biorthogonal` runs the gate on a
+    simplicial cone and the checker on any other, past `is_nuclear_fd`'s
     own refusals of a cone with a line or of lower dimension."""
     nuclear = is_nuclear_fd(space)
-    _require_order_unit(space.cone, space)
     if nuclear:
         report = SpaceNuclearity(True, biorthogonal=_biorthogonal(space))
     else:
@@ -402,8 +399,10 @@ def _space_nuclearity_holds(space: AOUSpace, report: SpaceNuclearity) -> bool:
     dim - 1, so the cone is full-dimensional and each ray spans its own
     minimal face. A line in the cone would lie in each of those faces, so
     the cone is pointed, and the rays are dim + 1 distinct extreme rays.
-    A report with the wrong number of rays is bad input."""
+    A report with the wrong number of rays is bad input, as is a unit the
+    order-unit gate refuses, which `_space_nuclearity` refuses too."""
     space.cone.require_closed("nuclearity")
+    _require_order_unit(space.cone, space)
     if report.nuclear:
         return _biorthogonal_holds(space, report.biorthogonal)
     # coprime integer rays keep their signs on the integer H-rows
@@ -575,18 +574,12 @@ def _names_a_row(name: tuple, bounds: dict) -> bool:
 
 
 def _seed_states(space: AOUSpace) -> list[int]:
-    """The dim states with the largest |det| (the first such tuple), so phi
-    starts injective; SizeLimitError past FACTORIZE_SCAN_CAP determinants.
-    The states r D / s of `_int_states` have |det| = D^dim |idet(r)| / prod(s)."""
-    pool, d = _int_states(space), space.dim
-    scan = comb(len(pool), d)
-    if scan > FACTORIZE_SCAN_CAP:
-        raise SizeLimitError(
-            f"factorize: seed scan of C({len(pool)}, {d}) = {scan} determinants "
-            f"exceeds FACTORIZE_SCAN_CAP = {FACTORIZE_SCAN_CAP}"
-        )
-    seed = max_abs_det([r for r, _ in pool], [s for _, s in pool], d)
-    return list(seed) if seed is not None else list(range(min(d, len(pool))))
+    """dim states whose |det| no exchange of one state raises
+    (`linalg.max_det_exchange`), so phi starts injective. The states
+    r D / s of `_int_states` are the rows r / s times D, which scales every
+    det alike."""
+    pool = _int_states(space)
+    return max_det_exchange([r for r, _ in pool], [s for _, s in pool])
 
 
 def _residual_norms(pool: list[Vec], psi_phi: Matrix, half: list[Vec]) -> tuple[list[Vec], list[Fraction]]:
@@ -618,12 +611,20 @@ def factorize(space: AOUSpace, eps: Fraction | int = Fraction(1, 10)) -> Factori
     factorization through any linf(k'), since such a phi' is A phi_S, phi_S
     all m states and A row-stochastic.
 
-    The loop needs no cap on the number of states: the two size caps stop
-    every space with m > 64 states before its first step. In dimension
-    d <= 2, m = d. For 3 <= d <= m - 3 the seed scan takes
-    C(m, d) >= C(65, 3) = 43 680 determinants, past FACTORIZE_SCAN_CAP.
-    For d >= m - 2 >= 63 the first defect LP has at least m >= 65 cone rows
-    and at least 63 * 62 lambda columns, past FACTORIZE_LP_CAP.
+    The loop needs no cap on the number of states: FACTORIZE_LP_CAP stops
+    every space with m > 64 states at its first defect LP, before it is
+    solved. Such a space is not simplicial, so d >= 3. The d seed states
+    are independent, so v -> D(v), the d - 1 differences phi(v)_last -
+    phi(v)_j, has rank d - 1 (its kernel is the line of e, where
+    independent states agree), and the kept ball vertices, which span,
+    have d - 1 images D(v) on distinct lines. For each such v, each of the
+    m facet rows a and each sign the LP has a row whose psi part is
+    +-D(v) (x) (a . g)_g over the generators g: all distinct, since a
+    rank-one tensor fixes the lines of its factors and (a . g)_g, nonzero
+    and nonnegative, determines a, the generators spanning. With the m
+    positivity rows, which leave t out, that makes at least
+    (2d - 1) m >= 325 rows, each with its slack column, so more than
+    325^2 = 105 625 standard-form entries.
 
     The LP and the residuals that pick the next state take one vertex of
     each +- pair, since the residual of -v is minus that of v. They read
@@ -700,7 +701,7 @@ def _factorization_holds(space: AOUSpace, eps: Fraction, res: FactorizationResul
     description, and the units must match.
 
     With steps the check replays the greedy loop on the space's extreme
-    states: the seed scan, then per step the count of states, psi's unit
+    states: the seed exchange, then per step the count of states, psi's unit
     and positivity rows, its defect as the largest |s(residual)| over the
     states and the half ball (the order norm, Paulsen & Tomforde, Vector
     spaces with an order unit, 2009), the multipliers' lower bound on the

@@ -30,9 +30,12 @@ last one takes the start defect off the extreme states instead of the
 cone rows.  The full-ball scans
 (operator norm, dual norm, Auerbach |det| scan by Fraction elimination)
 visit every vertex of the unit ball, where the package takes one vertex of
-each +- pair.  The Fraction routes of the geometry (`fraction_states`,
+each +- pair; the |det| scans are the maxima the package's single-vertex
+exchange is compared with, and `no_swap_raises_det` tests its local
+maximality by a Fraction determinant per swap. `auerbach_oracle` decides
+an Auerbach claim by the states' order norms and full-ball dual norms.  The Fraction routes of the geometry (`fraction_states`,
 `fraction_interval_vertices`, `fraction_ball_vertices` and
-`fraction_max_det`, for the Auerbach and factorize seed scans, and
+`fraction_max_det`, for the factorize seed scan, and
 `fraction_next_state`, for factorize's greedy pick) divide
 Fraction rays and vertices and take Fraction determinants, where the package keeps the DD's integer rows and
 builds one Fraction per returned coordinate.  The Fraction routes of the
@@ -43,7 +46,7 @@ integer rows with their scales.  `own_rows_oracle` splits a cone's rows
 by Fraction arithmetic and `integerize`, as the constructors did before
 the split moved into `Cone.__post_init__`.  `rerun_verifies` confirms a CLI report by running its verb
 again and comparing the results through a JSON round trip, where `verify`
-checks the evidence of the six verbs that carry it.
+checks the evidence of the seven verbs that carry it.
 """
 
 from __future__ import annotations
@@ -1051,11 +1054,31 @@ def fraction_next_state(space: AOUSpace, pool: list[Vec], chosen: list[int], psi
     return best
 
 
-def fraction_half_auerbach_scan(space: AOUSpace) -> list[Vec]:
-    """The Auerbach |det| scan over the ball half whose first nonzero
-    coordinate is positive, in reverse sorted order."""
-    half = [x for x in fraction_ball_vertices(space) if next(c for c in x if c) > 0][::-1]
-    return [half[i] for i in fraction_max_det(half, space.dim)]
+def no_swap_raises_det(candidates: list[Vec], basis: list[Vec]) -> bool:
+    """Whether no candidate put in place of one basis vector gives a larger
+    |det|, by Fraction elimination of every swapped matrix, where the
+    package reads the ratio of the two determinants off one inverse."""
+    best = abs(fraction_det(Matrix.from_rows(basis)))
+    return all(
+        abs(fraction_det(Matrix.from_rows(basis[:i] + [y] + basis[i + 1 :]))) <= best
+        for y in candidates
+        for i in range(len(basis))
+    )
+
+
+def auerbach_oracle(space: AOUSpace, basis, duals) -> bool:
+    """Whether basis and duals are an Auerbach system: dim of each,
+    biorthogonal by Fraction dots, each vector of order norm 1 as the
+    largest |f(x)| over the extreme states and each functional of dual norm
+    1 over the full ball, where the package reads the vectors' norms off
+    the cone rows and the duals' over one vertex of each +- pair."""
+    if not len(basis) == len(duals) == space.dim:
+        return False
+    return (
+        all(fraction_dot(f, x) == (i == j) for i, f in enumerate(duals) for j, x in enumerate(basis))
+        and all(states_order_norm(space, x) == 1 for x in basis)
+        and all(full_ball_dual_norm(space, f) == 1 for f in duals)
+    )
 
 
 # -- the re-run oracle for CLI reports ------------------------------------------

@@ -476,6 +476,54 @@ def test_unit_that_is_no_order_unit_is_invalid_input(files, capsys, name, verb):
     assert json.loads(err[1].removeprefix("aoulab: certificate: ")) == row
 
 
+def test_nuclear_report_about_a_bad_unit_is_invalid_input(files, tmp_path, capsys):
+    # the checker runs the gate the construction runs: lin_space(2)'s
+    # not-nuclear report, moved to a unit on a facet, is refused as
+    # `aoulab nuclear` refuses that space
+    report = json.loads(run(["nuclear", files["lin2.json"], "--format", "json"])[1])
+    report["inputs"]["space"]["unit"] = ["1", "1", "0"]
+    path = tmp_path / "moved.json"
+    path.write_text(json.dumps(report))
+    capsys.readouterr()
+    code, out = run(["verify", str(path)])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2 and out == ""
+    assert err[0] == "aoulab: invalid input: the unit is not an order unit: a cone row is not positive on it"
+
+
+# integers past Python's int/str limit (4300 digits unless a process sets
+# another), which the front end neither lifts nor lets end in a traceback
+LONG = "1" + "0" * 5000
+
+
+@pytest.mark.parametrize("form, message", [("string", "bad rational"), ("json_int", "malformed JSON")])
+@pytest.mark.parametrize("verb", ["validate", "states"])
+def test_cone_row_past_the_digit_limit_is_invalid_input(files, capsys, verb, form, message):
+    d = json.loads(dumps(linf(2)))
+    d["cone"]["rows"][0][0] = LONG
+    text = json.dumps(d) if form == "string" else json.dumps(d).replace(f'"{LONG}"', LONG)
+    path = files["write"](f"long_{form}.json", text)
+    capsys.readouterr()
+    code, out = run([verb, path])
+    err = capsys.readouterr().err
+    assert_invalid_input(code, out, err)
+    assert err.startswith(f"aoulab: invalid input: {message}")
+
+
+def test_result_past_the_digit_limit_is_a_size_limit(files, capsys):
+    # ||v|| = 10^3000 / 10^-3000 has 6001 digits: computed exactly, and
+    # refused where the report is written
+    tiny = "1/1" + "0" * 3000
+    d = json.loads(dumps(linf(2)))
+    d["unit"] = [tiny, tiny]
+    path = files["write"]("tiny_unit.json", json.dumps(d))
+    capsys.readouterr()
+    code, out = run(["norm", path, "--vector", json.dumps(["1" + "0" * 3000, "0"])])
+    err = capsys.readouterr().err
+    assert_invalid_input(code, out, err)
+    assert err.startswith("aoulab: invalid input: a rational too long to write: ")
+
+
 def at(path):
     """An edit that replaces the value at path (keys and indices) with the
     last item."""
@@ -543,6 +591,9 @@ MALFORMED_EVIDENCE = {
     "nuclear_space_ray_entry_no_rational": (["nuclear", "{lin2}"], at(["rays", 0, 0])("one")),
     "nuclear_space_keys_of_both_verdicts": (["nuclear", "{linf2}"], at(["rays"])([])),
     "nuclear_space_state_too_short": (["nuclear", "{linf2}"], lambda d: d["biorthogonal"]["states"][0].pop()),
+    "auerbach_basis_vector_too_long": (["auerbach", "{lin2}"], lambda d: d["basis"][0].append("0")),
+    "auerbach_dual_entry_no_rational": (["auerbach", "{linf2}"], at(["duals", 1, 0])("half")),
+    "auerbach_duals_missing": (["auerbach", "{linf2}"], lambda d: d.pop("duals")),
 }
 
 
@@ -687,9 +738,9 @@ class TestNormsFromEvidence:
 
 # -- evidence checks -------------------------------------------------------------
 #
-# verify checks factorize, pert, perturb, tensor-member, nuclear and
-# nuclear-pair reports from their evidence; `rerun_verifies` (conftest) is the re-run
-# oracle each verdict is held against.
+# verify checks factorize, pert, perturb, auerbach, tensor-member, nuclear
+# and nuclear-pair reports from their evidence; `rerun_verifies` (conftest)
+# is the re-run oracle each verdict is held against.
 
 RAY = AOUSpace(1, Cone.from_generators([(3,)]), (2,), label="ray")
 BASE_SPACES = {
@@ -704,7 +755,7 @@ SKEW = UnitalMap(
     linf(2), linf(2), Matrix.from_rows([(Fraction(3, 2), Fraction(-1, 2)), (Fraction(-1, 2), Fraction(3, 2))])
 )
 AVG = UnitalMap(linf(2), linf(1), Matrix.from_rows([(Fraction(1, 2), Fraction(1, 2))]))
-CHECKED_VERBS = ("factorize", "pert", "perturb", "tensor-member", "nuclear", "nuclear-pair")
+CHECKED_VERBS = ("factorize", "pert", "perturb", "auerbach", "tensor-member", "nuclear", "nuclear-pair")
 
 
 def check_cases() -> dict:
@@ -717,6 +768,8 @@ def check_cases() -> dict:
     cases |= {f"factorize:scan{i}": ("factorize", [sp]) for i, sp in enumerate(extra)}
     cases |= {f"nuclear:{name}": ("nuclear", [sp]) for name, sp in BASE_SPACES.items()}
     cases |= {f"nuclear:scan{i}": ("nuclear", [sp]) for i, sp in enumerate(extra)}
+    cases |= {f"auerbach:{name}": ("auerbach", [sp]) for name, sp in BASE_SPACES.items()}
+    cases |= {f"auerbach:scan{i}": ("auerbach", [sp]) for i, sp in enumerate(scan)}
     r = rng(71)
     sources = list(BASE_SPACES.values()) + [sp for sp in scan if sp.dim <= 4]
     maps = {"skew": SKEW, "avg": AVG}
@@ -842,6 +895,14 @@ TAMPERS = {
     "nuclear_space_ray_doubled": ("nuclear:lin2", lambda d: d["rays"].__setitem__(-1, d["rays"][0])),
     "nuclear_space_ray_inside": ("nuclear:lin2", at(["rays", -1])(["1", "0", "0"])),
     "nuclear_witness": ("nuclear-pair:lin2,lin2", at(["witness", "coeffs", 0, 0])("1")),
+    "auerbach_basis_entry": ("auerbach:lin2", nudge(["basis", 0, 0], Fraction(1, 7))),
+    "auerbach_dual_scaled": ("auerbach:linf3", scale(["duals", 1], Fraction(8, 7))),
+    "auerbach_basis_reordered": ("auerbach:linf2", lambda d: d["basis"].reverse()),
+    # still biorthogonal: the row check sees ||2 x_1|| = 2
+    "auerbach_doubled_pair": (
+        "auerbach:lin2",
+        lambda d: (scale(["basis", 0], 2)(d), scale(["duals", 0], Fraction(1, 2))(d)),
+    ),
 }
 
 
@@ -923,6 +984,8 @@ class TestEvidenceChecks:
             (aoulab.maps, "_min_l1_measure"),
             (aoulab.maps, "_pert_with_norms"),
             (aoulab.maps, "_perturb_with_norm"),
+            (aoulab.maps, "auerbach_basis"),
+            (aoulab.maps, "max_det_exchange"),
             (aoulab.tensors, "factorize"),
             (aoulab.tensors, "is_nuclear_pairwise"),
             (aoulab.tensors, "_space_nuclearity"),
@@ -964,6 +1027,7 @@ SWEEP_CASES = {
     "nuclear-pair:not_nuclear": "nuclear-pair:lin2,lin2",
     "nuclear:nuclear": "nuclear:linf2",
     "nuclear:not_nuclear": "nuclear:lin2",
+    "auerbach": "auerbach:lin2",
 }
 
 

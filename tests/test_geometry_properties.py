@@ -1,7 +1,8 @@
 """Property tests of the integer geometry in aoulab.spaces and aoulab.maps:
 extreme states, order-interval and unit-ball vertices, dual norms, the
-Auerbach and factorize-seed |det| scans and the minimal signed measures,
-each checked against its Fraction route or full-ball scan in conftest.
+Auerbach basis and factorize seed, local maxima of |det|, and the minimal
+signed measures, each checked against its Fraction route, full-ball scan or
+swap test in conftest.
 
 The random spaces are V-rep and H-rep cones over rows (1, v), with units of
 mixed denominators up to about 10^20. Derandomized with a bounded number of
@@ -9,7 +10,6 @@ examples, so a run is deterministic; skipped where hypothesis is not
 installed."""
 
 from fractions import Fraction
-from math import comb
 
 import pytest
 
@@ -18,16 +18,15 @@ from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from conftest import (  # noqa: E402
+    auerbach_oracle,
     fraction_ball_vertices,
     fraction_dot,
-    fraction_half_auerbach_scan,
     fraction_interval_vertices,
-    fraction_max_det,
     fraction_rank,
     fraction_states,
-    full_ball_auerbach_scan,
     full_ball_dual_norm,
     lp_min_l1_measure,
+    no_swap_raises_det,
 )
 
 from aoulab.cones import Cone  # noqa: E402
@@ -96,18 +95,19 @@ def test_dual_norm_and_measure_match_the_oracles(sp, coords):
 
 @PROPERTY
 @given(spaces())
-def test_factorize_seed_matches_the_fraction_scan(sp):
+def test_factorize_seed_is_a_local_max_det(sp):
+    # dim independent states that no single swap for another state improves
     states = extreme_states(sp)
-    assume(comb(len(states), sp.dim) <= 120)
-    assert tuple(_seed_states(sp)) == fraction_max_det(states, sp.dim)
+    seed = [states[i] for i in _seed_states(sp)]
+    assert fraction_rank(Matrix.from_rows(seed)) == sp.dim
+    assert no_swap_raises_det(states, seed)
 
 
 @PROPERTY
 @given(spaces())
-def test_auerbach_scan_matches_the_fraction_scans(sp):
-    half = unit_ball_half(sp)
-    assume(comb(len(half), sp.dim) <= 120)
-    basis, _ = auerbach_basis(sp)
-    assert basis == fraction_half_auerbach_scan(sp)
-    if comb(2 * len(half), sp.dim) <= 500:
-        assert basis == full_ball_auerbach_scan(sp)
+def test_auerbach_basis_is_a_local_max_det(sp):
+    # an Auerbach system of ball vertices that no single swap for another
+    # vertex improves, checked over the full Fraction ball
+    basis, duals = auerbach_basis(sp)
+    assert auerbach_oracle(sp, basis, duals)
+    assert no_swap_raises_det(fraction_ball_vertices(sp), basis)

@@ -1,11 +1,13 @@
 """Properties of the package source itself."""
 
 import ast
+import re
 from pathlib import Path
 
 import aoulab
 
 PACKAGE = Path(aoulab.__file__).resolve().parent
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_no_assert_statements():
@@ -198,6 +200,7 @@ def _is_name_call(node, name: str) -> bool:
 # each construction and the checker `verify` runs on its result
 CHECKED_CONSTRUCTIONS = {
     ("maps.py", "archimedean_quotient"): "_quotient_holds",
+    ("maps.py", "auerbach_basis"): "_auerbach_holds",
     ("maps.py", "_pert_with_norms"): "_pert_holds",
     ("maps.py", "_perturb_with_norm"): "_perturb_holds",
     ("tensors.py", "factorize"): "_factorization_holds",
@@ -434,7 +437,6 @@ RERUN_VERBS = (
     "quotient",
     "check-map",
     "extend",
-    "auerbach",
     "tensor-norm",
     "examples",
 )
@@ -462,6 +464,7 @@ INTEGERIZE_SITES = {
     ("linalg.py", "_int_rows"): "the Fraction rows of a Matrix, for the elimination kernels",
     ("lp.py", "solve_lp"): "the Farkas multipliers of an infeasible LP, an LP outcome",
     ("maps.py", "dual_norm"): "the functional whose norm is asked",
+    ("maps.py", "_auerbach_holds"): "the basis and duals of an Auerbach system under check",
     ("maps.py", "_min_l1_measure"): "the functional whose minimal measure is asked",
     ("maps.py", "_quotient_holds"): "the kernel basis a quotient was asked for",
     ("spaces.py", "_int_unit"): "a space's unit, once per space",
@@ -569,3 +572,35 @@ def gate():
 """
     trees = {"x.py": ast.parse(source)}
     assert _call_sites(trees, ("order_unit_failures",)) == {("x.py", "_require_order_unit"), ("x.py", "tensor_space")}
+
+
+CAP_NAME = re.compile(r"\b[A-Z][A-Z0-9_]*_CAP\b")
+
+
+def _documented_caps(text: str) -> set[str]:
+    """The *_CAP names of README's size-cap bullet, the one that starts
+    "- The only size caps", up to the next bullet or blank line."""
+    lines = text.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("- The only size caps"))
+    end = next((i for i in range(start + 1, len(lines)) if not lines[i] or lines[i].startswith("- ")), len(lines))
+    return set(CAP_NAME.findall("\n".join(lines[start:end])))
+
+
+def test_readme_documents_exactly_the_caps():
+    # every module-level *_CAP constant is in README's size-cap bullet, and
+    # README names no other, so no cap is added or removed without the docs
+    caps = {name for tree in _parse_package().values() for name, _ in _module_level_names(tree) if name.endswith("_CAP")}
+    text = README.read_text(encoding="utf-8")
+    assert _documented_caps(text) == caps
+    assert set(CAP_NAME.findall(text)) == caps
+
+
+def test_documented_caps_are_found():
+    # the guard above reads the bullet alone, across its wrapped lines
+    text = """- Other: `OLD_CAP` here.
+- The only size caps are `A_CAP` and
+  `B2_CAP`, nothing else.
+- Next: `C_CAP`.
+"""
+    assert _documented_caps(text) == {"A_CAP", "B2_CAP"}
+    assert _documented_caps(text.replace("\n- Next", "\n\n- Next")) == {"A_CAP", "B2_CAP"}

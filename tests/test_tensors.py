@@ -14,6 +14,7 @@ from conftest import (
     epsilon_order_norm,
     epsilon_pullback_positive,
     fraction_inverse,
+    fraction_max_det,
     fraction_next_state,
     fraction_rank,
     kernel_quotient_is_order_quotient,
@@ -427,6 +428,14 @@ class TestNuclearity:
             with pytest.raises(ShapeError):
                 _space_nuclearity_holds(space, SpaceNuclearity(False, rays=rep.rays[:-1]))
 
+    def test_evidence_about_a_bad_unit_is_bad_input(self):
+        # the checker runs the gate _space_nuclearity runs: lin_space(2)'s
+        # report does not hold for its cone with a unit on a facet
+        moved = AOUSpace(3, LS2.cone, (1, 1, 0))
+        with pytest.raises(InputError, match="not an order unit") as exc:
+            _space_nuclearity_holds(moved, _space_nuclearity(LS2))
+        assert exc.value.certificate == (1, -1, 1)
+
     def test_non_nuclear_evidence_needs_a_pointed_full_cone(self):
         # Q^1 as a cone: +1 and -1 pass the tight-rank test, but lie on one line
         line = AOUSpace(1, Cone.from_generators([(1,), (-1,)]), (1,))
@@ -561,12 +570,27 @@ class TestFactorize:
             factorize(space)
         assert exc.value.lineality == [(0, 1)]
 
-    def test_seed_scan_over_budget_raises_at_once(self):
-        # lin_space(5) has 32 extreme states in dimension 6: C(32, 6) = 906192
-        start = time.perf_counter()
-        with pytest.raises(SizeLimitError, match=r"C\(32, 6\) = 906192"):
-            factorize(lin_space(5))
-        assert time.perf_counter() - start < 1
+    def test_more_states_than_the_lp_budget_raises_at_once(self, monkeypatch):
+        # lin_space(5) and lin_space(6), 32 and 64 states in dimension 6 and
+        # 7: the first defect LP is refused before it is solved (at least
+        # (2d - 1) m rows, factorize's docstring), with no |det| scan before it
+        def unsolved(*args, **kwargs):
+            raise AssertionError("an LP over the budget was solved")
+
+        monkeypatch.setattr(tensors, "solve_lp", unsolved)
+        for n, rows, entries in ((5, 353, 142965), (6, 833, 755531)):
+            space = lin_space(n)
+            start = time.perf_counter()
+            with pytest.raises(SizeLimitError, match=rf"^factorize: defect LP of {rows} rows over {n + 1} states "
+                               rf"has {entries} standard-form entries, over FACTORIZE_LP_CAP = 50000$"):
+                factorize(space)
+            assert time.perf_counter() - start < 1
+            assert rows >= (2 * space.dim - 1) * 2**n
+
+    def test_seed_is_the_scan_on_the_workload_space(self):
+        # lin_space(2) is the greedy case the benchmark's reports run
+        states = extreme_states(LS2)
+        assert tuple(tensors._seed_states(LS2)) == fraction_max_det(states, 3) == (0, 1, 2)
 
     # 4-dim, V-rep, 8 extreme states: its first defect LP, over 4 states, is
     # 271 rows by 291 standard-form columns; posed over psi's entries it was
