@@ -6,6 +6,8 @@ Quotients of ordered spaces only behave when the kernel is an order ideal
 and the quotient cone is re-closed. Both steps are certified here.
 """
 
+from fractions import Fraction
+
 from aoulab import (
     archimedean_quotient,
     check_map,
@@ -13,6 +15,7 @@ from aoulab import (
     is_order_ideal,
     is_order_quotient,
     linf,
+    member,
 )
 
 V = linf(3)
@@ -30,7 +33,15 @@ quotient, q = archimedean_quotient(V, [(0, 1, -1)])
 print("\nquotient dimension:", quotient.dim)
 report = is_order_quotient(q)
 print("projection is an order quotient:", report.is_quotient)
-print("positive lifts recorded for", len(report.lifts), "generator/eps pairs")
+# one exact lift v >= 0 per target generator, so v + eps e >= 0 for every
+# eps > 0; a few eps are checked here
+eps_pairs = [
+    (v, eps)
+    for v in report.lifts
+    for eps in (Fraction(1), Fraction(1, 2), Fraction(1, 4), Fraction(1, 8))
+    if member(q.source.cone, [x + eps * u for x, u in zip(v, q.source.unit)]).verdict == "member"
+]
+print("positive lifts recorded for", len(eps_pairs), "generator/eps pairs")
 
 # unital positive maps extend from unital subspaces; the solver returns the
 # extension or an exact infeasibility certificate

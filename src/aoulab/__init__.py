@@ -60,8 +60,6 @@ from .psd_examples import (
     BlockPositivityReport,
     TensorVerdict,
     WitnessReport,
-    biquadratic_form,
-    bilinear_square,
     block_positive,
     partial_transpose,
     psd_example_suite,

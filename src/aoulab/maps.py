@@ -314,12 +314,9 @@ def _quotient_holds(basis: Sequence, qmap: UnitalMap) -> bool:
 @dataclass(frozen=True)
 class QuotientReport:
     is_quotient: bool
-    lifts: dict | None = None  # (generator index, eps) -> positive lift
+    lifts: tuple[Vec, ...] | None = None  # one positive lift per target generator, in vrep() order
     witness: Vec | None = None  # target generator with no positive preimage
     separating: Vec | None = None
-
-
-EPS_SCHEDULE = (Fraction(1), Fraction(1, 2), Fraction(1, 4), Fraction(1, 8))
 
 
 def is_order_quotient(m: UnitalMap) -> QuotientReport:
@@ -336,7 +333,7 @@ def is_order_quotient(m: UnitalMap) -> QuotientReport:
     one carries, for each target generator w, the combination v of the
     source generators behind the terms of w's conic decomposition over the
     image: m(v) = w and v >= 0, so v lifts w exactly and v + eps e >= 0 for
-    every eps in EPS_SCHEDULE.
+    every eps > 0. The lifts come in the order of the target's vrep().
     """
     if not m.unital or not m.positive:
         raise InputError("order-quotient test requires a unital positive map")
@@ -345,15 +342,13 @@ def is_order_quotient(m: UnitalMap) -> QuotientReport:
 
     img = image_cone(m.source.cone, m.matrix)
     behind = _behind(m.source.cone, m.matrix)
-    lifts = {}
-    for i, w in enumerate(m.target.cone.vrep()):
+    lifts = []
+    for w in m.target.cone.vrep():
         cert = member(img, w)
         if cert.verdict != "member":
             return QuotientReport(False, witness=vec(w), separating=cert.witness)
-        v = _preimage(cert, behind, m.source.dim)
-        for eps in EPS_SCHEDULE:
-            lifts[(i, eps)] = v
-    return QuotientReport(True, lifts=lifts)
+        lifts.append(_preimage(cert, behind, m.source.dim))
+    return QuotientReport(True, lifts=tuple(lifts))
 
 
 # -- extension ---------------------------------------------------------------

@@ -5,7 +5,10 @@ Three cones appear: the PSD cone, the pi cone generated by Kronecker
 products of PSD pairs, and the epsilon cone of block-positive matrices
 (nonnegative on all simple tensors x (x) y).  pi sits inside PSD sits
 inside epsilon.  Membership claims are decided by LDL^T factorizations,
-partial-transpose functionals, and exact polynomial identities; a general
+partial-transpose functionals, and one linear test for sums of squares:
+the block form m -> (x (x) y)^T m (x (x) y) has the Segre relation's span
+as its kernel on symmetric 4x4 matrices, so two matrices have the same
+block form exactly when they differ by a multiple of it.  A general
 block-positivity query gets a three-valued answer whose positive verdicts
 always carry substitution-checkable evidence.
 """
@@ -68,62 +71,22 @@ def partial_transpose(m: Matrix) -> Matrix:
     return Matrix.from_rows(out)
 
 
-# -- tiny exact polynomial engine over the variables x0, x1, y0, y1 -------
-
-Poly = dict
-
-
-def _padd(p: Poly, mono: tuple, c: Fraction) -> None:
-    if c == 0:
-        return
-    nc = p.get(mono, Fraction(0)) + c
-    if nc == 0:
-        p.pop(mono, None)
-    else:
-        p[mono] = nc
-
-
-def biquadratic_form(m: Matrix) -> Poly:
-    """(x (x) y)^T m (x (x) y) as a polynomial in x0, x1, y0, y1."""
-    _require_sym4(m)
-    p: Poly = {}
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                for l in range(2):
-                    mono = [0, 0, 0, 0]
-                    mono[i] += 1
-                    mono[k] += 1
-                    mono[2 + j] += 1
-                    mono[2 + l] += 1
-                    _padd(p, tuple(mono), m.data[2 * i + j][2 * k + l])
-    return p
-
-
-def bilinear_square(c: Vec) -> Poly:
-    """(sum_{ij} c_{2i+j} x_i y_j)^2 as a polynomial."""
-    c = vec(c)
-    p: Poly = {}
-    for a in range(4):
-        for b in range(4):
-            ia, ja = divmod(a, 2)
-            ib, jb = divmod(b, 2)
-            mono = [0, 0, 0, 0]
-            mono[ia] += 1
-            mono[ib] += 1
-            mono[2 + ja] += 1
-            mono[2 + jb] += 1
-            _padd(p, tuple(mono), c[a] * c[b])
-    return p
-
-
 def sos_matches(m: Matrix, squares: tuple[Vec, ...]) -> bool:
-    """Does the block form of m equal the given sum of bilinear squares?"""
-    total: Poly = {}
-    for c in squares:
-        for mono, coeff in bilinear_square(c).items():
-            _padd(total, mono, coeff)
-    return total == biquadratic_form(m)
+    """Does the block form of m equal the given sum of bilinear squares?
+
+    The block form m -> (x (x) y)^T m (x (x) y) is linear on symmetric 4x4
+    matrices and sends c c^T to the square (c . (x (x) y))^2.  It maps their
+    10 entries onto the 9 monomials x_i x_k y_j y_l and sends the Segre
+    relation R to 0, so its kernel is span(R).  The forms match exactly
+    when D = m - sum c c^T is a multiple t R of R, and as R[0][3] = -1/2,
+    t = -2 D[0][3].  A square with other than four entries is a ShapeError.
+    """
+    _require_sym4(m)
+    squares = [vec(c) for c in squares]
+    if any(len(c) != 4 for c in squares):
+        raise ShapeError("a bilinear square needs four coefficients")
+    rest = [[x - sum(c[i] * c[j] for c in squares) for j, x in enumerate(row)] for i, row in enumerate(m.data)]
+    return not any(any(row) for row in _segre_shift(Matrix.from_rows(rest), 2 * rest[0][3]).data)
 
 
 # -- verdicts --------------------------------------------------------------
@@ -144,7 +107,22 @@ _KINDS = {
 @dataclass(frozen=True)
 class TensorVerdict:
     """One membership claim about a 4x4 symmetric matrix, with enough data
-    to re-check it from scratch."""
+    to re-check it from scratch.
+
+    The pi cone is generated by the products pp^T (x) qq^T = zz^T of simple
+    tensors z = p (x) q, and <W, zz^T> is the block form of W at (p, q).
+    The three direction kinds share one test, d^T w d == value < 0, with
+    w = m, or w = PT(m) for partial_transpose_witness; what makes that
+    test enough holds for every d, so nothing else is checked:
+    - negative_direction: a negative value refutes PSD;
+    - psd_superset: d^T m d = <dd^T, m>, and the block form of dd^T is
+      (d . (x (x) y))^2 >= 0, so dd^T is nonnegative on pi;
+    - partial_transpose_witness: d^T PT(m) d = <PT(dd^T), m>, and the
+      partial transpose keeps the block form, so PT(dd^T) has the same
+      square (Horodecki, Horodecki & Horodecki, Phys. Lett. A 223, 1996).
+    gram_shift needs only the LDL^T of m + t R: the block form of the Segre
+    relation R is the constant 0, so m and m + t R agree on simple tensors.
+    """
 
     claim: str  # "member" | "non_member"
     cone: str  # "psd" | "pi" | "epsilon"
@@ -153,13 +131,13 @@ class TensorVerdict:
     value: Fraction | None = None
     shift: Fraction | None = None
     sos: tuple[Vec, ...] | None = None
-    functional: Matrix | None = None
     products: tuple[tuple[Matrix, Matrix], ...] | None = None
 
     def verify(self, m: Matrix) -> bool:
         """True when the evidence proves the claim for m; a claim or cone
         its kind cannot support, missing evidence or malformed evidence
-        gives False."""
+        (a direction or square without four entries, a product that is not
+        a pair of 2x2 matrices) gives False."""
         if self.kind not in _KINDS:
             return False
         claim, cone, evidence = _KINDS[self.kind]
@@ -176,53 +154,21 @@ class TensorVerdict:
     def _verify(self, m: Matrix) -> bool:
         if self.kind == "psd_factorization":
             return ldlt_psd(m).is_psd
-        if self.kind == "negative_direction":
-            v = dot(self.direction, m.apply(self.direction))
-            return v == self.value and v < 0
-        if self.kind == "partial_transpose_witness":
-            # d^T PT(m) d < 0 while <PT(dd^T), P (x) Q> = (d.(p (x) q))^2 >= 0
-            # on every product of PSD matrices, so PT(dd^T) separates m
-            # from the pi cone
-            d = self.direction
-            pt = partial_transpose(m)
-            v = dot(d, pt.apply(d))
-            if not (v == self.value and v < 0):
-                return False
-            w = partial_transpose(
-                Matrix.from_rows([[a * b for b in d] for a in d])
-            )
-            if self.functional is not None and w.data != self.functional.data:
-                return False
-            return sos_matches(w, (d,))
         if self.kind == "gram_shift":
-            # m + t*R is PSD and R vanishes on simple tensors, so the block
-            # form of m is a sum of squares on simple tensors
-            if not ldlt_psd(_segre_shift(m, self.shift)).is_psd:
-                return False
-            return biquadratic_form(SEGRE_RELATION) == {}
+            return ldlt_psd(_segre_shift(m, self.shift)).is_psd
         if self.kind == "polynomial_identity":
             return sos_matches(m, self.sos)
         if self.kind == "product_decomposition":
-            total = [[Fraction(0)] * 4 for _ in range(4)]
-            for p, q in self.products:
-                if {p.rows, p.cols, q.rows, q.cols} != {2}:
-                    return False
-                if not ldlt_psd(p).is_psd or not ldlt_psd(q).is_psd:
-                    return False
-                kr = p.kron(q)
-                for i in range(4):
-                    for j in range(4):
-                        total[i][j] += kr.data[i][j]
-            return Matrix.from_rows(total).data == m.data
-        # psd_superset: the functional M -> d^T M d is nonnegative on every
-        # simple product (d^T (pp^T (x) qq^T) d = (d.(p (x) q))^2, checked
-        # below), hence on pi, yet negative on m
+            factors = [f for pair in self.products if isinstance(pair, tuple) and len(pair) == 2 for f in pair]
+            if len(factors) != 2 * len(self.products) or any(
+                not isinstance(f, Matrix) or (f.rows, f.cols) != (2, 2) or not ldlt_psd(f).is_psd for f in factors
+            ):
+                return False
+            krons = [p.kron(q).data for p, q in self.products]
+            return all(sum((k[i][j] for k in krons), Fraction(0)) == m.data[i][j] for i in range(4) for j in range(4))
         d = self.direction
-        v = dot(d, m.apply(d))
-        if not (v == self.value and v < 0):
-            return False
-        outer = Matrix.from_rows([[a * b for b in d] for a in d])
-        return sos_matches(outer, (d,))
+        w = partial_transpose(m) if self.kind == "partial_transpose_witness" else m
+        return dot(d, w.apply(d)) == self.value < 0
 
 
 @dataclass(frozen=True)
@@ -245,6 +191,8 @@ class BlockPositivityReport:
 _GRID = tuple(
     frac(v) for v in (-2, -1, Fraction(-1, 2), 0, Fraction(1, 2), 1, 2)
 )
+# the nonzero grid points of the plane, in the order the search visits them
+_PAIRS = tuple((a, b) for a in _GRID for b in _GRID if a or b)
 # the Gram shifts tried after the two informed guesses: -33/2, ..., 33/2
 _SHIFTS = tuple(Fraction(k, 2) for k in range(-33, 34))
 
@@ -269,23 +217,12 @@ def block_positive(m: Matrix) -> BlockPositivityReport:
         if ldlt_psd(_segre_shift(m, t)).is_psd:
             ev = TensorVerdict(claim="member", cone="epsilon", kind="gram_shift", shift=t)
             return BlockPositivityReport(verdict="certified_member", evidence=ev)
-    for x0 in _GRID:
-        for x1 in _GRID:
-            if x0 == 0 and x1 == 0:
-                continue
-            x = (x0, x1)
-            for y0 in _GRID:
-                for y1 in _GRID:
-                    if y0 == 0 and y1 == 0:
-                        continue
-                    y = (y0, y1)
-                    z = tuple(a * b for a in x for b in y)
-                    v = dot(z, m.apply(z))
-                    if v < 0:
-                        return BlockPositivityReport(
-                            verdict="certified_non_member",
-                            counterexample=(x, y, v),
-                        )
+    for x in _PAIRS:
+        for y in _PAIRS:
+            z = tuple(a * b for a in x for b in y)
+            v = dot(z, m.apply(z))
+            if v < 0:
+                return BlockPositivityReport(verdict="certified_non_member", counterexample=(x, y, v))
     return BlockPositivityReport(verdict="undecided")
 
 
@@ -321,7 +258,6 @@ def psd_example_suite() -> list[WitnessReport]:
                     kind="partial_transpose_witness",
                     direction=d,
                     value=value,
-                    functional=partial_transpose(Matrix.from_rows([[a * b for b in d] for a in d])),
                 ),
                 "epsilon": xy_squared,
             },

@@ -46,11 +46,19 @@ integer rows with their scales.  `own_rows_oracle` splits a cone's rows
 by Fraction arithmetic and `integerize`, as the constructors did before
 the split moved into `Cone.__post_init__`.  `rerun_verifies` confirms a CLI report by running its verb
 again and comparing the results through a JSON round trip, where `verify`
-checks the evidence of the seven verbs that carry it.
+checks the evidence of the seven verbs that carry it.  The block form of a
+4x4 matrix on the 2 (x) 2 square is expanded as a polynomial in x0, x1,
+y0, y1 (`biquadratic_form`, `sum_of_bilinear_squares`), where
+`psd_examples.sos_matches` tests one linear identity, and
+`blockwise_transpose` transposes the 2x2 blocks, where the package's
+partial transpose moves entries by index.  `evidence_oracle` decides
+whether a PSD-example verdict's evidence proves its claim from those two
+and characteristic polynomials, for the sweep of `evidence_edits`.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -663,6 +671,144 @@ def psd_by_descartes(m: Matrix) -> bool:
     cs = charpoly(m)
     n = m.rows
     return all((-1) ** (n - k) * cs[k] >= 0 for k in range(n + 1))
+
+
+# -- the block form as a polynomial: the oracle for psd_examples.sos_matches --
+
+def _padd(p: dict, mono: tuple, c: Fraction) -> None:
+    if c == 0:
+        return
+    nc = p.get(mono, Fraction(0)) + c
+    if nc == 0:
+        p.pop(mono, None)
+    else:
+        p[mono] = nc
+
+
+def biquadratic_form(m: Matrix) -> dict:
+    """(x (x) y)^T m (x (x) y) as a polynomial in x0, x1, y0, y1: a dict
+    from exponent tuples to nonzero Fraction coefficients."""
+    p = {}
+    for i in range(2):
+        for j in range(2):
+            for k in range(2):
+                for l in range(2):
+                    mono = [0, 0, 0, 0]
+                    mono[i] += 1
+                    mono[k] += 1
+                    mono[2 + j] += 1
+                    mono[2 + l] += 1
+                    _padd(p, tuple(mono), m.data[2 * i + j][2 * k + l])
+    return p
+
+
+def sum_of_bilinear_squares(squares) -> dict:
+    """sum over c of (sum_{ij} c_{2i+j} x_i y_j)^2 as a polynomial."""
+    p = {}
+    for c in squares:
+        c = vec(c)
+        for a in range(4):
+            for b in range(4):
+                ia, ja = divmod(a, 2)
+                ib, jb = divmod(b, 2)
+                mono = [0, 0, 0, 0]
+                mono[ia] += 1
+                mono[ib] += 1
+                mono[2 + ja] += 1
+                mono[2 + jb] += 1
+                _padd(p, tuple(mono), c[a] * c[b])
+    return p
+
+
+def blockwise_transpose(m: Matrix) -> Matrix:
+    """The partial transpose of a 4x4 matrix on the 2 (x) 2 square, as the
+    transpose of each of its four 2x2 blocks."""
+    blocks = [[[row[2 * bc:2 * bc + 2] for row in m.data[2 * br:2 * br + 2]] for bc in range(2)] for br in range(2)]
+    return Matrix.from_rows(
+        [[blocks[br][bc][c][r] for bc in range(2) for c in range(2)] for br in range(2) for r in range(2)]
+    )
+
+
+# -- edits of PSD-example evidence, and the oracle that decides them ---------
+
+_SEVENTH = Fraction(1, 7)
+
+
+def _number_edits(x):
+    return [e for e in (x + _SEVENTH, x - _SEVENTH, -x) if e != x]
+
+
+def _vector_edits(v):
+    """Each entry +-1/7 and sign-flipped, and each two unequal neighbours
+    swapped."""
+    out = [v[:i] + (e,) + v[i + 1:] for i, x in enumerate(v) for e in _number_edits(x)]
+    return out + [v[:i] + (v[i + 1], v[i]) + v[i + 2:] for i in range(len(v) - 1) if v[i] != v[i + 1]]
+
+
+def _symmetric_edits(m):
+    """Each entry on or above the diagonal +-1/7 and sign-flipped, with its
+    mirror, so the matrix stays symmetric."""
+    out = []
+    for i in range(m.rows):
+        for j in range(i, m.rows):
+            for e in _number_edits(m.data[i][j]):
+                rows = [list(row) for row in m.data]
+                rows[i][j] = rows[j][i] = e
+                out.append(Matrix.from_rows(rows))
+    return out
+
+
+def evidence_edits(v, m):
+    """(verdict, matrix) pairs, one per edit of one rational leaf of the
+    evidence or one term dropped from a sum; a psd_factorization's evidence
+    is the matrix itself."""
+    if v.kind == "psd_factorization":
+        return [(v, e) for e in _symmetric_edits(m)]
+    if v.kind == "gram_shift":
+        return [(dataclasses.replace(v, shift=e), m) for e in _number_edits(v.shift)]
+    if v.kind == "polynomial_identity":
+        sos = v.sos
+        edits = [sos[:i] + (e,) + sos[i + 1:] for i, c in enumerate(sos) for e in _vector_edits(c)]
+        edits += [sos[:i] + sos[i + 1:] for i in range(len(sos))]
+        return [(dataclasses.replace(v, sos=e), m) for e in edits]
+    if v.kind == "product_decomposition":
+        prods = v.products
+        edits = [
+            prods[:i] + (pair[:k] + (e,) + pair[k + 1:],) + prods[i + 1:]
+            for i, pair in enumerate(prods)
+            for k, f in enumerate(pair)
+            for e in _symmetric_edits(f)
+        ]
+        edits += [prods[:i] + prods[i + 1:] for i in range(len(prods))]
+        return [(dataclasses.replace(v, products=e), m) for e in edits]
+    return [(dataclasses.replace(v, direction=e), m) for e in _vector_edits(v.direction)] + [
+        (dataclasses.replace(v, value=e), m) for e in _number_edits(v.value)
+    ]
+
+
+def evidence_oracle(v, m) -> bool:
+    """Whether the evidence proves v's claim for m, decided without
+    psd_examples: characteristic polynomials for PSD, the polynomial
+    engine for sums of squares, Fraction dots for the directions."""
+    if v.kind == "psd_factorization":
+        return psd_by_descartes(m)
+    if v.kind == "gram_shift":
+        # z1 z2 - z0 z3, the quadric that vanishes on simple tensors
+        segre = {(0, 3): Fraction(-1, 2), (3, 0): Fraction(-1, 2), (1, 2): Fraction(1, 2), (2, 1): Fraction(1, 2)}
+        shifted = [[x + v.shift * segre.get((i, j), 0) for j, x in enumerate(row)] for i, row in enumerate(m.data)]
+        return psd_by_descartes(Matrix.from_rows(shifted))
+    if v.kind == "polynomial_identity":
+        return biquadratic_form(m) == sum_of_bilinear_squares(v.sos)
+    if v.kind == "product_decomposition":
+        if not all(psd_by_descartes(f) for pair in v.products for f in pair):
+            return False
+        total = [
+            [sum((p.data[i // 2][j // 2] * q.data[i % 2][j % 2] for p, q in v.products), Fraction(0)) for j in range(4)]
+            for i in range(4)
+        ]
+        return Matrix.from_rows(total).data == m.data
+    w = blockwise_transpose(m) if v.kind == "partial_transpose_witness" else m
+    return fraction_dot(v.direction, fraction_apply(w, v.direction)) == v.value < 0
 
 
 def random_unital_into_linf(r, source, k, spread=4):

@@ -7,7 +7,8 @@ in the docstring; the routes that used to recompute it are the oracles here.
 - `kadison_embed` against its unital and positive flags and the order
   norms on both sides;
 - `_min_l1_measure` against the dual norm, as its mass;
-- `block_positive` members against their certificate's verify.
+- `block_positive` members against their certificate's verify, and each
+  edit of the certificate's Gram shift against `conftest.evidence_oracle`.
 
 The random spaces are linf and lin_space, the epsilon and pi spaces of small
 factor pairs, simplicial V-spaces, V-rep and H-rep cones over rows (1, v)
@@ -25,6 +26,8 @@ from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from conftest import (  # noqa: E402
+    evidence_edits,
+    evidence_oracle,
     fraction_apply,
     fraction_dot,
     fraction_rank,
@@ -175,6 +178,8 @@ def test_every_block_positive_member_verifies(m):
     rep = block_positive(m)
     if rep.verdict == "certified_member":
         assert rep.evidence.verify(m)
+        for edited, _ in evidence_edits(rep.evidence, m):
+            assert edited.verify(m) is evidence_oracle(edited, m)
     if rep.verdict == "certified_non_member":
         x, y, value = rep.counterexample
         z = tuple(a * b for a in x for b in y)

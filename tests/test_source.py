@@ -2,6 +2,7 @@
 
 import ast
 import re
+import types
 from pathlib import Path
 
 import aoulab
@@ -105,6 +106,32 @@ def test_no_unreferenced_public_names():
         if not name.startswith("_") and name not in exported and name not in referenced
     ]
     assert not found, found
+
+
+# every name `import aoulab` gives, so that adding or removing a public name
+# shows in this test's diff
+PUBLIC_API = {
+    "AOUSpace", "AoulabError", "BELL", "BlockPositivityReport", "Certificate", "Cone", "DefectStep",
+    "EPSILON", "EQ", "FactorizationResult", "GE", "I4", "INFEASIBLE", "InputError", "InvariantViolation",
+    "LE", "LPOutcome", "MapReport", "Matrix", "NotPointedError", "NuclearityReport", "OPTIMAL", "PI",
+    "PolyhedralRequired", "PsdResult", "QuotientReport", "SEGRE_RELATION", "SWAP", "ShapeError",
+    "SizeLimitError", "StrictConeError", "TensorElement", "TensorSpace", "TensorVerdict", "UNBOUNDED",
+    "UnitalMap", "ValidationReport", "Vec", "WitnessReport", "archimedean_quotient", "archimedeanize",
+    "auerbach_basis", "block_positive", "check_map", "contains", "det", "dot", "dual", "dual_augmented",
+    "dual_norm", "dumps", "extend_unital_positive", "extreme_rays", "extreme_states", "factorize", "frac",
+    "from_dict", "image_cone", "injective_banach_norm", "integerize", "interval_min", "inverse",
+    "is_nuclear_fd", "is_nuclear_pairwise", "is_order_ideal", "is_order_quotient", "is_pointed",
+    "is_simplicial", "kadison_embed", "kron_vec", "ldlt_psd", "lin_space", "linf", "loads", "member",
+    "member_tensor", "norm_bound_equiv", "nullspace", "operator_norm", "order_interval_vertices",
+    "order_norm", "pack_sym", "partial_transpose", "pert", "perturb", "psd_example_suite", "rank",
+    "same_cone", "solve", "solve_lp", "sos_matches", "sym_dim", "sym_space", "tensor_map", "tensor_space",
+    "to_dict", "unit_ball_vertices", "unpack_sym", "validate", "vec",
+}
+
+
+def test_public_api_is_the_listed_names():
+    exported = {n for n, v in vars(aoulab).items() if not n.startswith("_") and not isinstance(v, types.ModuleType)}
+    assert exported == PUBLIC_API, (sorted(exported - PUBLIC_API), sorted(PUBLIC_API - exported))
 
 
 def test_no_global_statements():

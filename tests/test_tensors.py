@@ -11,8 +11,14 @@ from fractions import Fraction
 import pytest
 from conftest import (
     battery_nuclearity,
+    biquadratic_form,
+    blockwise_transpose,
     epsilon_order_norm,
     epsilon_pullback_positive,
+    evidence_edits,
+    evidence_oracle,
+    fraction_apply,
+    fraction_dot,
     fraction_inverse,
     fraction_max_det,
     fraction_next_state,
@@ -27,6 +33,7 @@ from conftest import (
     rand_vec,
     random_unital_into_linf,
     rng,
+    sum_of_bilinear_squares,
 )
 
 from aoulab.cones import Cone, extreme_rays, is_simplicial, member
@@ -42,7 +49,6 @@ from aoulab.psd_examples import (
     SEGRE_RELATION,
     SWAP,
     TensorVerdict,
-    biquadratic_form,
     block_positive,
     partial_transpose,
     psd_example_suite,
@@ -960,6 +966,100 @@ class TestTamperedVerdicts:
         assert not TensorVerdict("member", "pi", "product_decomposition", products=((one, one),)).verify(I4)
         assert not TensorVerdict("member", "psd", "unknown_kind").verify(I4)
         assert not TensorVerdict("member", "epsilon", "gram_shift", shift=Fraction(0)).verify(Matrix.identity(3))
+        # directions and squares have four entries, products are pairs of
+        # 2x2 matrices, for every kind that carries them; a short square
+        # or a lone factor used to raise, a long square to pass on its
+        # first four entries
+        bad_vectors = [vec(x) for x in ((1, 0, 0), (0, 1, -1), (1, 0, 0, 1, 5), (1, 0, 0, 1, 0), (0, 1, -1, 0, 0))]
+        i2 = Matrix.identity(2)
+        bad_products = [
+            ((i2,),),
+            ((i2, i2, i2),),
+            ((i2, i2.data),),
+            ((i2, None),),
+            (i2,),
+            ((Matrix.identity(1), Matrix.identity(4)),),
+            ((i2, Matrix.from_rows([(1, 0, 0), (0, 1, 0)])),),
+            ((i2, i2), (i2,)),
+        ]
+        checked = set()
+        for rep in self.SUITE.values():
+            for v in rep.verdicts.values():
+                assert v.verify(rep.matrix)
+                if v.direction is not None:
+                    edits = [dataclasses.replace(v, direction=d) for d in bad_vectors]
+                elif v.sos is not None:
+                    edits = [dataclasses.replace(v, sos=(c,)) for c in bad_vectors]
+                    edits += [dataclasses.replace(v, sos=v.sos + (c,)) for c in bad_vectors]
+                elif v.products is not None:
+                    edits = [dataclasses.replace(v, products=p) for p in bad_products]
+                else:
+                    continue
+                checked.add(v.kind)
+                for bad in edits:
+                    assert bad.verify(rep.matrix) is False
+        assert checked == {
+            "negative_direction",
+            "partial_transpose_witness",
+            "psd_superset",
+            "polynomial_identity",
+            "product_decomposition",
+        }
+        assert TensorVerdict("member", "epsilon", "polynomial_identity", sos=(vec((1, 0, 0)),)).verify(SWAP) is False
+        assert TensorVerdict("member", "epsilon", "polynomial_identity", sos=(vec((1, 0, 0, 1, 5)),)).verify(SWAP) is False
+        assert TensorVerdict("member", "pi", "product_decomposition", products=((i2,),)).verify(I4) is False
+
+    def test_every_evidence_edit_agrees_with_an_oracle(self):
+        # every suite verdict, and the Gram shifts block_positive finds for
+        # sum c c^T + t R over seeded squares c and half-integers t
+        suite = [(v, rep.matrix) for rep in self.SUITE.values() for v in rep.verdicts.values()]
+        cases = list(suite)
+        r = rng(4133)
+        for _ in range(40):
+            squares = [rand_vec(r, 4) for _ in range(r.randint(1, 3))]
+            t = Fraction(r.randint(-12, 12), 2)
+            m = Matrix.from_rows(
+                [[sum(c[i] * c[j] for c in squares) + t * SEGRE_RELATION.data[i][j] for j in range(4)]
+                 for i in range(4)]
+            )
+            rep = block_positive(m)
+            assert rep.verdict == "certified_member"
+            cases.append((rep.evidence, m))
+        seen = Counter()
+        for v, m in cases:
+            assert v.verify(m) and evidence_oracle(v, m)
+            for edited, em in evidence_edits(v, m):
+                want = evidence_oracle(edited, em)
+                assert edited.verify(em) is want, (edited, em)
+                seen[(edited.kind, want)] += 1
+        # 298 edits by (kind, the oracle's verdict), verify agreeing on each:
+        # 242 make the claim false
+        assert seen == {
+            ("psd_factorization", True): 26,
+            ("psd_factorization", False): 21,
+            ("negative_direction", True): 1,
+            ("negative_direction", False): 15,
+            ("partial_transpose_witness", True): 1,
+            ("partial_transpose_witness", False): 15,
+            ("psd_superset", True): 1,
+            ("psd_superset", False): 15,
+            ("product_decomposition", False): 17,
+            ("gram_shift", True): 23,
+            ("gram_shift", False): 91,
+            ("polynomial_identity", True): 4,
+            ("polynomial_identity", False): 68,
+        }
+        # each suite direction on each suite matrix, with its value there:
+        # a value that is not negative proves nothing
+        moved = Counter()
+        for v, _ in suite:
+            for m in (BELL, SWAP, I4) if v.direction is not None else ():
+                w = blockwise_transpose(m) if v.kind == "partial_transpose_witness" else m
+                there = dataclasses.replace(v, value=fraction_dot(v.direction, fraction_apply(w, v.direction)))
+                want = evidence_oracle(there, m)
+                assert there.verify(m) is want
+                moved[want] += 1
+        assert moved == {True: 3, False: 6}
 
 
 class TestPartialTranspose:
@@ -996,6 +1096,48 @@ class TestBlockForms:
         # form is the same square; the identity matrix genuinely differs
         assert sos_matches(BELL, (vec((1, 0, 0, 1)),))
         assert not sos_matches(I4, (vec((1, 0, 0, 1)),))
+
+    def test_sos_matches_agrees_with_the_polynomial_engine(self):
+        # true cases: sum c c^T + t R over 0-3 squares c; false ones: the
+        # same with one entry and its mirror moved (never a multiple of R),
+        # and a random symmetric matrix
+        r = rng(4111)
+        seen = Counter()
+        for _ in range(300):
+            squares = tuple(rand_vec(r, 4) for _ in range(r.randint(0, 3)))
+            t = rand_frac(r)
+            shifted = [
+                [sum((c[i] * c[j] for c in squares), Fraction(0)) + t * SEGRE_RELATION.data[i][j] for j in range(4)]
+                for i in range(4)
+            ]
+            moved = [list(row) for row in shifted]
+            i, j = r.randint(0, 3), r.randint(0, 3)
+            moved[i][j] = moved[j][i] = moved[i][j] + rand_frac(r, 1, 4)
+            upper = [[rand_frac(r) for _ in range(4)] for _ in range(4)]
+            noise = [[upper[min(i, j)][max(i, j)] for j in range(4)] for i in range(4)]
+            for rows, expected in ((shifted, True), (moved, False), (noise, None)):
+                m = Matrix.from_rows(rows)
+                want = biquadratic_form(m) == sum_of_bilinear_squares(squares)
+                assert expected in (None, want)
+                assert sos_matches(m, squares) == want
+                seen[want] += 1
+        assert seen[True] == 300 and seen[False] == 600
+
+    def test_the_identities_behind_the_direction_and_shift_kinds(self):
+        # TensorVerdict's docstring proves these once for every d, where a
+        # check per verdict used to run them: dd^T and its partial
+        # transpose have the block form (d . (x (x) y))^2, and the Segre
+        # relation's is 0, so a Gram shift leaves the block form as it is
+        assert biquadratic_form(SEGRE_RELATION) == {}
+        r = rng(4127)
+        for _ in range(200):
+            d, t = rand_vec(r, 4), rand_frac(r)
+            outer = Matrix.from_rows([[a * b for b in d] for a in d])
+            square = sum_of_bilinear_squares((d,))
+            assert biquadratic_form(outer) == square
+            assert biquadratic_form(blockwise_transpose(outer)) == square
+            shifted = [[x + t * rel for x, rel in zip(row, rels)] for row, rels in zip(outer.data, SEGRE_RELATION.data)]
+            assert biquadratic_form(Matrix.from_rows(shifted)) == square
 
     def test_identity_is_sum_of_four_squares(self):
         squares = tuple(
