@@ -135,9 +135,9 @@ class TensorVerdict:
 
     def verify(self, m: Matrix) -> bool:
         """True when the evidence proves the claim for m; a claim or cone
-        its kind cannot support, missing evidence or malformed evidence
-        (a direction or square without four entries, a product that is not
-        a pair of 2x2 matrices) gives False."""
+        its kind cannot support, or evidence missing or malformed (a
+        direction or square without four entries, a product not a pair of
+        2x2 matrices, a shift or value not an exact rational) gives False."""
         if self.kind not in _KINDS:
             return False
         claim, cone, evidence = _KINDS[self.kind]
@@ -148,14 +148,14 @@ class TensorVerdict:
         try:
             _require_sym4(m)
             return self._verify(m)
-        except (InputError, InvariantViolation):
+        except (InputError, InvariantViolation, ValueError, ZeroDivisionError):
             return False
 
     def _verify(self, m: Matrix) -> bool:
         if self.kind == "psd_factorization":
             return ldlt_psd(m).is_psd
         if self.kind == "gram_shift":
-            return ldlt_psd(_segre_shift(m, self.shift)).is_psd
+            return ldlt_psd(_segre_shift(m, frac(self.shift))).is_psd
         if self.kind == "polynomial_identity":
             return sos_matches(m, self.sos)
         if self.kind == "product_decomposition":
@@ -168,7 +168,7 @@ class TensorVerdict:
             return all(sum((k[i][j] for k in krons), Fraction(0)) == m.data[i][j] for i in range(4) for j in range(4))
         d = self.direction
         w = partial_transpose(m) if self.kind == "partial_transpose_witness" else m
-        return dot(d, w.apply(d)) == self.value < 0
+        return dot(d, w.apply(d)) == frac(self.value) < 0
 
 
 @dataclass(frozen=True)

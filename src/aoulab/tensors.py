@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cones import (
-    Certificate, Cone, _cached, _scales, dual, extreme_rays, int_hrep, int_vrep, is_simplicial, member,
+    Certificate, Cone, _cached, _scales, extreme_rays, int_hrep, int_vrep, is_simplicial, member,
     vrep_scales,
 )
 from .dd import _reduce
@@ -21,7 +21,6 @@ from .errors import InputError, InvariantViolation, ShapeError, SizeLimitError, 
 from .linalg import (
     Matrix,
     Vec,
-    combine,
     dot,
     frac,
     idot,
@@ -30,7 +29,6 @@ from .linalg import (
     kron_vec,
     max_det_exchange,
     rank,
-    vadd,
     vec,
     vscale,
     vsub,
@@ -46,7 +44,6 @@ from .spaces import (
     extreme_states,
     linf,
     unit_ball_half,
-    unit_ball_vertices,
 )
 
 EPSILON = "epsilon"
@@ -422,12 +419,12 @@ def _space_nuclearity_holds(space: AOUSpace, report: SpaceNuclearity) -> bool:
 @dataclass(frozen=True)
 class DefectStep:
     """One greedy step of `factorize`: the defect LP's optimal psi (row
-    major, dim x k) and nonzero dual multipliers proving it optimal, each
-    on a named row of the LP over psi's entries and the bound t. A name is
-    ("unit", r), the unit coordinate r of psi(1) = e; ("positive", j, a),
-    cone row a of `hrep()` on psi(e_j); or ("defect", v, a, sign), cone row
-    a of t (a . e) >= sign a . (psi phi(v) - v) at vertex v of
-    `unit_ball_vertices`. The bound row t >= 0 is left out."""
+    major, dim x k) and the nonzero dual multipliers of the LP `_best_psi`
+    solved, each on a named row: ("positive", a), cone row a of `hrep()`
+    on psi's newest column, or ("defect", v, a, sign), t (a . e) >= sign
+    a . (psi phi(v) - v) at vertex v of `unit_ball_half`. The check reads
+    the other columns' dual rows at the generators of `int_vrep`: an
+    H-cone's from the DD `extreme_states` runs, a V-cone's own."""
 
     psi: tuple[Vec, ...]
     multipliers: tuple[tuple[tuple, Fraction], ...]
@@ -447,31 +444,28 @@ class FactorizationResult:
 
 def _best_psi(space: AOUSpace, phi_rows: list[Vec], vectors: list[Vec]):
     """One LP: the unital positive psi: linf(k) -> space minimizing the worst
-    order norm of psi(phi(v)) - v over the unit-ball vertices; returns psi,
-    the optimum and nonzero multipliers on the rows `DefectStep` names.
+    order norm of psi(phi(v)) - v over the ball vertices given, one of each
+    +- pair; returns psi, the optimum and the LP's nonzero dual multipliers
+    on the rows `DefectStep` names.
 
     Column j < k-1 of psi is sum_i lam_ij g_i over the extreme rays g_i,
     lam >= 0, and column k-1 is e minus the others, whose cone rows stay.
     The bound t = t0 + u+ - u-, t0 the defect at lam = 0, meets t (a . e)
-    >= +-a . (psi phi(v) - v) for each cone row a and one v of each +- pair,
-    each row once, so every rhs is <= 0 and no phase 1 runs.  The unit
-    multipliers solve column k-1's dual equation; column j's positive ones
-    decompose over the cone rows its residual functional, whose value at
-    g_i is the reduced cost of lam_ij.  SizeLimitError, unsolved, past
-    FACTORIZE_LP_CAP standard-form entries."""
+    >= +-a . (psi phi(v) - v) for each cone row a and each v, each row
+    once, so every rhs is <= 0 and no phase 1 runs. SizeLimitError past
+    FACTORIZE_LP_CAP standard-form entries; before any row is built when
+    `factorize`'s (2d - 1) m rows pass it, m distinct nonzero cone rows."""
     d, k = space.dim, len(phi_rows)
     gens, hrows = extreme_rays(space.cone), space.cone.hrep()
     n, last = len(gens), k - 1
+    _require_lp_fits((2 * d - 1) * len({a for a in hrows if any(a)}), n * last + 2, k, "at least ")
     ag = [[dot(a, g) for g in gens] for a in hrows]
     ae = [dot(a, space.unit) for a in hrows]
     rows = [tuple(-x for _ in range(last) for x in row) + (0, 0) for row in ag]
     rhs = [-x for x in ae]
-    names = [("positive", last, a) for a in range(len(hrows))]
+    names = [("positive", a) for a in range(len(hrows))]
     defect: dict = {}
-    keep = set(unit_ball_half(space))
     for vi, v in enumerate(vectors):
-        if v not in keep:
-            continue
         w = [dot(f, v) for f in phi_rows]
         diffs = [w[last] - x for x in w[:last]]
         for a, row in enumerate(hrows):
@@ -483,13 +477,7 @@ def _best_psi(space: AOUSpace, phi_rows: list[Vec], vectors: list[Vec]):
     rows += [c for c, _ in defect]
     rhs += [b - t0 * c[-2] for c, b in defect]
     names += defect.values()
-    # standard form: lam, u+, u- and each row's slack are one column each
-    entries = len(rows) * (n * last + 2 + len(rows))
-    if entries > FACTORIZE_LP_CAP:
-        raise SizeLimitError(
-            f"factorize: defect LP of {len(rows)} rows over {k} states has {entries} "
-            f"standard-form entries, over FACTORIZE_LP_CAP = {FACTORIZE_LP_CAP}"
-        )
+    _require_lp_fits(len(rows), n * last + 2, k)
     obj = zeros(n * last) + (Fraction(1), Fraction(-1))
     out = solve_lp(obj, rows, rhs, [GE] * len(rows), nonneg=[True] * (n * last + 2))
     if out.status != OPTIMAL:
@@ -497,66 +485,56 @@ def _best_psi(space: AOUSpace, phi_rows: list[Vec], vectors: list[Vec]):
     gmat = Matrix.from_rows(list(zip(*gens)))
     cols = [gmat.apply(out.primal[j * n : (j + 1) * n]) for j in range(last)]
     cols.append(tuple(e - sum(c[r] for c in cols) for r, e in enumerate(space.unit)))
-    # pos: the newest column's cone rows, weighted; dfc[j]: the defect rows' on column j
-    duals = [(name, mu) for name, mu in zip(names, out.dual_certificate) if mu]
-    positive = [(mu, hrows[name[2]]) for name, mu in duals if name[0] == "positive"]
-    pos = combine([mu for mu, _ in positive], [a for _, a in positive], d)
-    defects = [(mu * name[3], vectors[name[1]], hrows[name[2]]) for name, mu in duals if name[0] == "defect"]
-    dfc = [combine([c * dot(f, v) for c, v, _ in defects], [a for *_, a in defects], d) for f in phi_rows]
-    multipliers = [(("unit", r), x) for r, x in enumerate(vsub(dfc[last], pos)) if x]
-    live = [a for a, row in enumerate(hrows) if any(row)]
-    for j in range(last):
-        cert = member(_row_cone(space.cone), vsub(vadd(pos, dfc[j]), dfc[last]))
-        if cert.verdict != "member":
-            raise InvariantViolation("a column's residual functional left the dual cone")
-        multipliers += [(("positive", j, live[i]), c) for i, c in cert.decomposition if c]
-    return Matrix.from_rows(list(zip(*cols))), t0 + out.value, tuple(multipliers + duals)
+    duals = tuple((name, mu) for name, mu in zip(names, out.dual_certificate) if mu)
+    return Matrix.from_rows(list(zip(*cols))), t0 + out.value, duals
 
 
-@_cached
-def _row_cone(cone: Cone) -> Cone:
-    """The dual cone, built once per cone; an H-cone's shares its DD."""
-    return dual(cone) if cone.inequalities is not None else Cone(cone.dim, generators=tuple(int_hrep(cone)))
+def _require_lp_fits(rows: int, cols: int, k: int, least: str = "") -> None:
+    """SizeLimitError when rows rows over cols columns, plus a slack per
+    row, pass FACTORIZE_LP_CAP entries; least marks lower bounds."""
+    if rows * (cols + rows) > FACTORIZE_LP_CAP:
+        raise SizeLimitError(
+            f"factorize: defect LP of {least}{rows} rows over {k} states has {least}{rows * (cols + rows)} "
+            f"standard-form entries, over FACTORIZE_LP_CAP = {FACTORIZE_LP_CAP}"
+        )
 
 
 def _defect_lower_bound(
     space: AOUSpace, phi_rows: list[Vec], vectors: list[Vec], hrows, multipliers
 ) -> Fraction | None:
     """The lower bound on the defect LP's optimum that the named multipliers
-    prove, by weak duality, or None when they prove none: a multiplier of
-    the wrong sign, or a combination of the rows that is not 0 on psi's
-    entries and at most 1 on t (the objective, up to the bound row
-    t >= 0). Each row is rebuilt from its name; a name of no row is bad
-    input (InputError)."""
-    d, k = space.dim, len(phi_rows)
-    bounds = {"unit": (d,), "positive": (k, len(hrows)), "defect": (len(vectors), len(hrows), None)}
-    acc = [[Fraction(0)] * k for _ in range(d)]
-    t_coeff = bound = Fraction(0)
+    prove by weak duality of the LP `_best_psi` solves, or None when they
+    prove none; a name of no row is bad input (InputError). With P the
+    positivity and D the defect rows, each rebuilt from its name, and
+    w = phi(v), each mu must be >= 0, sum_D mu (a . e) <= 1 (t, bounded by
+    both signs, is >= 0), and for each column j < k-1
+
+        F_j = sum_P mu a + sum_D mu sign (w_j - w_{k-1}) a
+
+    >= 0 at each generator g of `int_vrep`, F_j . g the reduced cost of
+    lam_gj. The bound, -sum_P mu (a . e) + sum_D mu sign (w_{k-1} (a . e)
+    - a . v), holds for every unital positive psi: its columns j < k-1 are
+    positive, so combinations of those generators, an H-cone's from the DD
+    `extreme_states` runs and a V-cone's own, so no search runs."""
+    last = len(phi_rows) - 1
+    bounds = {"positive": (len(hrows),), "defect": (len(vectors), len(hrows), None)}
+    funcs, t_coeff, bound = [zeros(space.dim)] * last, Fraction(0), Fraction(0)
     for name, mu in multipliers:
         if not _names_a_row(name, bounds):
             raise InputError(f"multiplier names no row of the defect LP: {list(name)!r}")
-        kind, idx = name[0], name[1:]
-        if kind == "unit":
-            (r,) = idx
-            acc[r] = [x + mu for x in acc[r]]
-            bound += mu * space.unit[r]
-            continue
         if mu < 0:
             return None
-        if kind == "positive":
-            j, a = idx
-            for i in range(d):
-                acc[i][j] += mu * hrows[a][i]
-            continue
-        vi, a, sign = idx
-        row, v = hrows[a], vectors[vi]
-        w = [dot(f, v) for f in phi_rows]
-        for i in range(d):
-            for j in range(k):
-                acc[i][j] -= mu * sign * row[i] * w[j]
-        t_coeff += mu * dot(row, space.unit)
-        bound -= mu * sign * dot(row, v)
-    if any(any(r) for r in acc) or t_coeff > 1:
+        a = hrows[name[1] if name[0] == "positive" else name[2]]
+        ae = dot(a, space.unit)
+        if name[0] == "positive":
+            scales, bound = [mu] * last, bound - mu * ae
+        else:
+            v, sign = vectors[name[1]], name[3]
+            w = [dot(f, v) for f in phi_rows]
+            scales = [mu * sign * (x - w[last]) for x in w[:last]]
+            t_coeff, bound = t_coeff + mu * ae, bound + mu * sign * (w[last] * ae - dot(a, v))
+        funcs = [[x + c * y for x, y in zip(f, a)] for f, c in zip(funcs, scales)]
+    if t_coeff > 1 or any(dot(f, g) < 0 for f in funcs for g in int_vrep(space.cone)):
         return None
     return bound
 
@@ -613,10 +591,10 @@ def factorize(space: AOUSpace, eps: Fraction | int = Fraction(1, 10)) -> Factori
 
     The loop needs no cap on the number of states: FACTORIZE_LP_CAP stops
     every space with m > 64 states at its first defect LP, before it is
-    solved. Such a space is not simplicial, so d >= 3. The d seed states
+    built. Such a space is not simplicial, so d >= 3. The d seed states
     are independent, so v -> D(v), the d - 1 differences phi(v)_last -
     phi(v)_j, has rank d - 1 (its kernel is the line of e, where
-    independent states agree), and the kept ball vertices, which span,
+    independent states agree), and the half ball's vertices, which span,
     have d - 1 images D(v) on distinct lines. For each such v, each of the
     m facet rows a and each sign the LP has a row whose psi part is
     +-D(v) (x) (a . g)_g over the generators g: all distinct, since a
@@ -634,9 +612,9 @@ def factorize(space: AOUSpace, eps: Fraction | int = Fraction(1, 10)) -> Factori
     residual's order norm is the largest |s(residual)| over the extreme
     states s already in hand (Paulsen & Tomforde, Vector spaces with an
     order unit, 2009): no order-norm LP runs. Each greedy step keeps its psi
-    and dual multipliers proving its optimum (`DefectStep`), the evidence
-    `_factorization_holds`, the check `verify` runs, checks the result
-    against before it is returned.
+    and the LP's own dual multipliers proving its optimum (`DefectStep`),
+    the evidence `_factorization_holds`, the check `verify` runs, checks
+    the result against before it is returned.
     """
     eps = frac(eps)
     if eps < 0:
@@ -665,7 +643,7 @@ def factorize(space: AOUSpace, eps: Fraction | int = Fraction(1, 10)) -> Factori
         best: tuple[Fraction, Matrix, list[Vec]] | None = None
         while True:
             phi_rows = [pool[i] for i in chosen]
-            psi_m, defect, multipliers = _best_psi(space, phi_rows, unit_ball_vertices(space))
+            psi_m, defect, multipliers = _best_psi(space, phi_rows, unit_ball_half(space))
             schedule.append((len(chosen), defect))
             steps.append(DefectStep(psi_m.data, multipliers))
             if best is None or defect < best[0]:
@@ -728,7 +706,7 @@ def _factorization_holds(space: AOUSpace, eps: Fraction, res: FactorizationResul
             and _biorthogonal_holds(space, Biorthogonal(psi_m.transpose().data, phi_m.data))
         )
 
-    vectors = unit_ball_vertices(space)
+    vectors = unit_ball_half(space)
     pool = extreme_states(space)
     if len(pool) == d:
         # a simplicial space factors exactly, with no greedy step
@@ -736,7 +714,7 @@ def _factorization_holds(space: AOUSpace, eps: Fraction, res: FactorizationResul
     if len(res.schedule) != len(res.steps):
         raise ShapeError(f"{len(res.steps)} steps for a schedule of {len(res.schedule)}")
     hrows = space.cone.hrep()
-    half = list(reversed(unit_ball_half(space)))
+    half = vectors[::-1]
     chosen = _seed_states(space)
     best = None
     for n, (step, (k, defect)) in enumerate(zip(res.steps, res.schedule)):

@@ -27,7 +27,9 @@ proves in `tensor_map`'s docstring and does not check.  The LP builders
 (`extension_lp_rows`, `psi_lp_without_dedup`, `psi_lp_in_generators`)
 index the matrix entries by hand instead of through `kron_vec`, and the
 last one takes the start defect off the extreme states instead of the
-cone rows.  The full-ball scans
+cone rows; `defect_bound_oracle` decides factorize's multipliers by weak
+duality over that last LP's rows, where the package sums one functional
+per column and tests it at the cone's generators.  The full-ball scans
 (operator norm, dual norm, Auerbach |det| scan by Fraction elimination)
 visit every vertex of the unit ball, where the package takes one vertex of
 each +- pair; the |det| scans are the maxima the package's single-vertex
@@ -570,10 +572,7 @@ def psi_lp_in_generators(space: AOUSpace, phi_rows: list[Vec], vectors: list[Vec
     gens, hrows = extreme_rays(space.cone), space.cone.hrep()
     n, last = len(gens), len(phi_rows) - 1
     nvars = n * last + 2
-    states = extreme_states(space)
-    t0 = max(
-        abs(fraction_dot(phi_rows[last], v) - fraction_dot(s, v)) for s in states for v in vectors
-    )
+    t0 = psi_lp_start_defect(space, phi_rows, vectors)
     rows, rhs = [], []
     for a in hrows:
         coeff = [Fraction(0)] * nvars
@@ -597,6 +596,72 @@ def psi_lp_in_generators(space: AOUSpace, phi_rows: list[Vec], vectors: list[Vec
     obj = [Fraction(0)] * nvars
     obj[nvars - 2], obj[nvars - 1] = Fraction(1), Fraction(-1)
     return vec(obj), rows, rhs, [GE] * len(rows), [True] * nvars
+
+
+def psi_lp_start_defect(space: AOUSpace, phi_rows: list[Vec], vectors: list[Vec]) -> Fraction:
+    """The t0 of `psi_lp_in_generators`: the largest |s(x_{k-1} e - v)|
+    over the extreme states s and the vectors v."""
+    last = phi_rows[-1]
+    return max(abs(fraction_dot(last, v) - fraction_dot(s, v)) for s in extreme_states(space) for v in vectors)
+
+
+def defect_bound_oracle(space: AOUSpace, phi_rows: list[Vec], vectors: list[Vec]):
+    """proves(multipliers, defect): whether the named multipliers prove
+    `defect` optimal for the LP `psi_lp_in_generators` poses over the
+    vectors, by weak duality over its rows, one multiplier y per row:
+    ("positive", a) names the a-th row, ("defect", v, a, sign) the row of
+    vector v, cone row a and sign. Each named multiplier scales its row's
+    inequality, so each must be >= 0; the multipliers a name repeats add
+    up. Every bounded t is >= 0, so the row u+ - u- >= -t0 may join with
+    nu = 1 - (y's weight on u+). The claim holds when nu >= 0,
+    y^T A + nu (0, .., 0, 1, -1) <= c column by column and
+    b . y - t0 nu + t0 == defect."""
+    obj, rows, rhs, _, _ = psi_lp_in_generators(space, phi_rows, vectors)
+    t0, m = psi_lp_start_defect(space, phi_rows, vectors), len(space.cone.hrep())
+
+    def proves(multipliers, defect) -> bool:
+        y = [Fraction(0)] * len(rows)
+        for name, mu in multipliers:
+            if name[0] == "positive":
+                y[name[1]] += mu
+            else:
+                _, v, a, sign = name
+                y[m + 2 * (v * m + a) + (sign == -1)] += mu
+        used = [(yr, row, b) for yr, row, b in zip(y, rows, rhs) if yr]
+        nu = 1 - sum(yr * row[-2] for yr, row, _ in used)
+        cols = [sum(yr * row[c] for yr, row, _ in used) for c in range(len(obj))]
+        cols[-2], cols[-1] = cols[-2] + nu, cols[-1] - nu
+        return (
+            all(mu >= 0 for _, mu in multipliers)
+            and nu >= 0
+            and all(x <= c for x, c in zip(cols, obj))
+            and sum(yr * b for yr, _, b in used) - t0 * nu + t0 == defect
+        )
+
+    return proves
+
+
+def multiplier_edits(multipliers, n_vectors: int, n_rows: int):
+    """Each edit of one named multiplier of a factorize step: +-1/7, x 8/7,
+    its sign flipped, dropped, its vertex or cone row index moved by one
+    within range, a defect row's sign flipped, and split in two on the
+    same row: into halves, the one edit that keeps the proof, and into
+    mu + 1/7 and -1/7, whose sum is mu but whose second term flips its
+    row."""
+    for i, (name, mu) in enumerate(multipliers):
+        rest = (multipliers[:i], multipliers[i + 1 :])
+        for x in (mu + Fraction(1, 7), mu - Fraction(1, 7), mu * Fraction(8, 7), -mu):
+            yield rest[0] + ((name, x),) + rest[1]
+        yield rest[0] + rest[1]
+        for x, y in ((mu / 2, mu / 2), (mu + Fraction(1, 7), Fraction(-1, 7))):
+            yield rest[0] + ((name, x), (name, y)) + rest[1]
+        limits = (n_rows,) if name[0] == "positive" else (n_vectors, n_rows)
+        for at, n in enumerate(limits, start=1):
+            for step in (1, -1):
+                if 0 <= name[at] + step < n:
+                    yield rest[0] + ((name[:at] + (name[at] + step,) + name[at + 1 :], mu),) + rest[1]
+        if name[0] == "defect":
+            yield rest[0] + ((name[:3] + (-name[3],), mu),) + rest[1]
 
 
 def as_vertices(pairs) -> list[Vec]:

@@ -551,11 +551,11 @@ MALFORMED_EVIDENCE = {
     "multiplier_no_rational": (FACTORIZE_LIN2, at(["steps", 0, "multipliers", 0, 1])("x")),
     "multiplier_not_canonical": (FACTORIZE_LIN2, at(["steps", 0, "multipliers", 0, 1])("2/2")),
     "vertex_out_of_range": (FACTORIZE_LIN2, at(LAST_NAME)(["defect", 99, 0, 1])),
-    "cone_row_out_of_range": (FACTORIZE_LIN2, at(FIRST_NAME)(["positive", 0, 4])),
+    "cone_row_out_of_range": (FACTORIZE_LIN2, at(FIRST_NAME)(["positive", 4])),
     "unit_coordinate_out_of_range": (FACTORIZE_LIN2, at(FIRST_NAME)(["unit", 3])),
     "sign_out_of_range": (FACTORIZE_LIN2, at(LAST_NAME)(["defect", 1, 0, 2])),
     "unknown_row_kind": (FACTORIZE_LIN2, at(FIRST_NAME)(["slack", 0])),
-    "bool_row_index": (FACTORIZE_LIN2, at(FIRST_NAME)(["unit", True])),
+    "bool_row_index": (FACTORIZE_LIN2, at(FIRST_NAME)(["positive", True])),
     "schedule_entry_no_pair": (FACTORIZE_LIN2, lambda d: d["schedule"][0].append("1")),
     "steps_missing": (FACTORIZE_LIN2, lambda d: d.pop("steps")),
     "extra_result_key": (FACTORIZE_LIN2, at(["extra"])(1)),

@@ -263,6 +263,10 @@ ONE_ROUTE = {
     ("maps.py", "norm_bound_equiv"): {"interval_min", "order_interval_vertices"},
     ("spaces.py", "archimedeanize"): {"validate"},
     ("spaces.py", "kadison_embed"): {".unital", ".positive"},
+    # the defect LP's own duals are the evidence, and the check solves and
+    # searches nothing
+    ("tensors.py", "_best_psi"): {"member"},
+    ("tensors.py", "_factorization_holds"): {"solve_lp", "member", "_best_psi"},
 }
 
 
@@ -321,6 +325,12 @@ def kadison_embed(space):
     return emb if emb.unital else None
 def validate(space):
     return order_norm(space, space.unit)
+def _row_cone(cone):
+    return cone, member
+def _best_psi(space, phi_rows, vectors):
+    return _row_cone(space.cone)
+def _factorization_holds(space, eps, res):
+    return res.steps and _best_psi(space, [], [])
 """
     trees = {"x.py": ast.parse(source)}
     assert {
@@ -330,6 +340,8 @@ def validate(space):
         "norm_bound_equiv": ["interval_min"],
         "archimedeanize": [],
         "kadison_embed": [".unital"],
+        "_best_psi": ["member"],
+        "_factorization_holds": ["_best_psi", "member"],
     }
 
 

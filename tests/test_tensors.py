@@ -13,6 +13,7 @@ from conftest import (
     battery_nuclearity,
     biquadratic_form,
     blockwise_transpose,
+    defect_bound_oracle,
     epsilon_order_norm,
     epsilon_pullback_positive,
     evidence_edits,
@@ -26,6 +27,7 @@ from conftest import (
     kernel_quotient_is_order_quotient,
     lp_is_pointed,
     lp_pi_order_unit,
+    multiplier_edits,
     pi_membership_witness,
     psi_lp_in_generators,
     psi_lp_without_dedup,
@@ -578,20 +580,26 @@ class TestFactorize:
 
     def test_more_states_than_the_lp_budget_raises_at_once(self, monkeypatch):
         # lin_space(5) and lin_space(6), 32 and 64 states in dimension 6 and
-        # 7: the first defect LP is refused before it is solved (at least
-        # (2d - 1) m rows, factorize's docstring), with no |det| scan before it
+        # 7: the first defect LP is refused before any row is built, on the
+        # (2d - 1) m rows of factorize's docstring, with no |det| scan before
+        # it; the LPs have 353 and 833 rows
         def unsolved(*args, **kwargs):
             raise AssertionError("an LP over the budget was solved")
 
+        def unbuilt(*args):
+            raise AssertionError("a row of an LP over the budget was built")
+
         monkeypatch.setattr(tensors, "solve_lp", unsolved)
-        for n, rows, entries in ((5, 353, 142965), (6, 833, 755531)):
+        monkeypatch.setattr(tensors, "dot", unbuilt)
+        for n, gens, entries in ((5, 10, 142208), (6, 12, 753792)):
             space = lin_space(n)
+            rows = (2 * space.dim - 1) * 2**n
             start = time.perf_counter()
-            with pytest.raises(SizeLimitError, match=rf"^factorize: defect LP of {rows} rows over {n + 1} states "
-                               rf"has {entries} standard-form entries, over FACTORIZE_LP_CAP = 50000$"):
+            with pytest.raises(SizeLimitError, match=rf"^factorize: defect LP of at least {rows} rows over {n + 1} "
+                               rf"states has at least {entries} standard-form entries, over FACTORIZE_LP_CAP = 50000$"):
                 factorize(space)
             assert time.perf_counter() - start < 1
-            assert rows >= (2 * space.dim - 1) * 2**n
+            assert entries == rows * (rows + gens * n + 2) and len(extreme_rays(space.cone)) == gens
 
     def test_seed_is_the_scan_on_the_workload_space(self):
         # lin_space(2) is the greedy case the benchmark's reports run
@@ -689,14 +697,14 @@ class TestFactorize:
         for space in [LS2, LS3] + [random_non_simplicial(r, 3) for _ in range(3)]:
             steps.clear()
             assert len(factorize(space).schedule) == len(steps) >= 2
-            verts, hrows = unit_ball_vertices(space), space.cone.hrep()
+            verts, half, hrows = unit_ball_vertices(space), unit_ball_half(space), space.cone.hrep()
             for phi_rows, psi, value, multipliers in steps:
                 obj, rows, rhs, senses, nonneg = psi_lp_without_dedup(space, phi_rows, verts)
                 x = tuple(e for row in psi.data for e in row) + (value,)
                 assert dot(obj, x) == value >= 0
                 for row, b, sense in zip(rows, rhs, senses):
                     assert dot(row, x) == b if sense == EQ else dot(row, x) >= b
-                assert tensors._defect_lower_bound(space, phi_rows, verts, hrows, multipliers) == value
+                assert tensors._defect_lower_bound(space, phi_rows, half, hrows, multipliers) == value
                 if space is not LS3:
                     assert solve_lp(obj, rows, rhs, senses, nonneg=nonneg).value == value
         # state sets the greedy loop does not pick, which put another state
@@ -711,6 +719,50 @@ class TestFactorize:
                 obj, rows, rhs, senses, nonneg = psi_lp_without_dedup(space, phi_rows, verts)
                 assert solve_lp(obj, rows, rhs, senses, nonneg=nonneg).value == value
                 assert tensors._defect_lower_bound(space, phi_rows, verts, hrows, multipliers) == value
+
+    @staticmethod
+    def v_square() -> AOUSpace:
+        # a fresh V-cone: the cone over the square with corners (+-1, 0)
+        # and (0, +-1)
+        return AOUSpace(3, Cone.from_generators([(1, 1, 0), (1, -1, 0), (1, 0, 1), (1, 0, -1)]), (1, 0, 0))
+
+    def test_cold_v_cone_factorize_runs_two_dds(self, dd_calls):
+        # the cone's, which gives its states and H-rows, and the unit
+        # ball's; the check reads the cone's own generators, and no dual
+        # cone is built for the multipliers
+        res = factorize(self.v_square())
+        assert res.schedule == ((3, Fraction(1)), (4, Fraction(1, 2)))
+        assert dd_calls == [4, 9]
+
+    def test_every_multiplier_edit_agrees_with_weak_duality(self, monkeypatch):
+        # each multiplier of each step edited (conftest.multiplier_edits);
+        # the oracle recomputes weak duality over psi_lp_in_generators' rows
+        phis = []
+        original = tensors._best_psi
+
+        def recording(space, phi_rows, verts):
+            phis.append(phi_rows)
+            return original(space, phi_rows, verts)
+
+        monkeypatch.setattr(tensors, "_best_psi", recording)
+        r = rng(29)
+        seen = Counter()
+        for space in [LS2, LS3, self.v_square()] + [random_non_simplicial(r, 3) for _ in range(3)]:
+            phis.clear()
+            res = factorize(space)
+            half, m = unit_ball_half(space), len(space.cone.hrep())
+            for s, (step, phi_rows, (_, defect)) in enumerate(zip(res.steps, phis, res.schedule, strict=True)):
+                proves = defect_bound_oracle(space, phi_rows, half)
+                assert proves(step.multipliers, defect)
+                for edited in multiplier_edits(step.multipliers, len(half), m):
+                    steps = res.steps[:s] + (dataclasses.replace(step, multipliers=edited),) + res.steps[s + 1 :]
+                    want = proves(edited, defect)
+                    holds = tensors._factorization_holds(space, Fraction(1, 10), dataclasses.replace(res, steps=steps))
+                    assert holds is want, (space.label, s, edited)
+                    seen[want] += 1
+        # 732 edits of 68 multipliers; only the 68 splits into halves keep
+        # the proof
+        assert seen == {False: 664, True: 68}
 
     def test_defect_lp_rows_match_the_index_oracle(self, monkeypatch):
         # the positivity rows of the newest column in order, then the
@@ -738,8 +790,8 @@ class TestFactorize:
 
     def test_simplicial_branch_enumerates_no_ball(self, monkeypatch):
         calls = []
-        original = tensors.unit_ball_vertices
-        monkeypatch.setattr(tensors, "unit_ball_vertices", lambda space: calls.append(space) or original(space))
+        original = tensors.unit_ball_half
+        monkeypatch.setattr(tensors, "unit_ball_half", lambda space: calls.append(space) or original(space))
         simplicial = random_simplicial(rng(53), 3)
         for space in (L3, simplicial):
             assert factorize(space).defect == 0
@@ -1008,6 +1060,18 @@ class TestTamperedVerdicts:
         assert TensorVerdict("member", "epsilon", "polynomial_identity", sos=(vec((1, 0, 0)),)).verify(SWAP) is False
         assert TensorVerdict("member", "epsilon", "polynomial_identity", sos=(vec((1, 0, 0, 1, 5)),)).verify(SWAP) is False
         assert TensorVerdict("member", "pi", "product_decomposition", products=((i2,),)).verify(I4) is False
+        # a shift or value that is no exact rational proves nothing: a bad
+        # string used to raise TypeError, a float value to take part in the
+        # decision; a string that is a rational is read as one
+        ev = block_positive(BELL).evidence
+        assert dataclasses.replace(ev, shift=str(ev.shift)).verify(BELL)
+        neg = self.SUITE["swap"].verdicts["psd"]
+        assert dataclasses.replace(neg, value=str(neg.value)).verify(SWAP)
+        for bad in ("x", "1/0", float(ev.shift)):
+            assert dataclasses.replace(ev, shift=bad).verify(BELL) is False
+        for bad in ("x", "1/0", float(neg.value)):
+            assert dataclasses.replace(neg, value=bad).verify(SWAP) is False
+        assert TensorVerdict("member", "epsilon", "gram_shift", shift="1/2").verify(SWAP) is False
 
     def test_every_evidence_edit_agrees_with_an_oracle(self):
         # every suite verdict, and the Gram shifts block_positive finds for
