@@ -205,15 +205,15 @@ def block_positive(m: Matrix) -> BlockPositivityReport:
     rational simple tensor with negative value.  Neither search is
     complete, so "undecided" is a possible honest answer.  A member's
     gram_shift verdict holds by the search that found it: its verify is
-    the LDL^T of m + t*R that has just come out PSD.
+    the LDL^T of m + t*R that has just come out PSD.  R's diagonal is
+    zero, so a negative diagonal entry of m survives every shift and no
+    shift is tried.
     """
     _require_sym4(m)
     candidates = (Fraction(0), 2 * (m.data[0][3] - m.data[1][2])) + _SHIFTS
-    seen = set()
-    for t in candidates:
-        if t in seen:
-            continue
-        seen.add(t)
+    if any(m.data[i][i] < 0 for i in range(4)):
+        candidates = ()
+    for t in dict.fromkeys(candidates):
         if ldlt_psd(_segre_shift(m, t)).is_psd:
             ev = TensorVerdict(claim="member", cone="epsilon", kind="gram_shift", shift=t)
             return BlockPositivityReport(verdict="certified_member", evidence=ev)

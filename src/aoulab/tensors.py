@@ -422,9 +422,11 @@ class DefectStep:
     major, dim x k) and the nonzero dual multipliers of the LP `_best_psi`
     solved, each on a named row: ("positive", a), cone row a of `hrep()`
     on psi's newest column, or ("defect", v, a, sign), t (a . e) >= sign
-    a . (psi phi(v) - v) at vertex v of `unit_ball_half`. The check reads
-    the other columns' dual rows at the generators of `int_vrep`: an
-    H-cone's from the DD `extreme_states` runs, a V-cone's own."""
+    a . (psi phi(v) - v) at vertex v of `unit_ball_half`. The step holds
+    no defect: `_greedy` reads it off psi's residuals, and the multipliers
+    prove it optimal, the other columns' dual rows read at the generators
+    of `int_vrep`: an H-cone's from the DD `extreme_states` runs, a
+    V-cone's own."""
 
     psi: tuple[Vec, ...]
     multipliers: tuple[tuple[tuple, Fraction], ...]
@@ -442,11 +444,12 @@ class FactorizationResult:
     steps: tuple[DefectStep, ...] = ()
 
 
-def _best_psi(space: AOUSpace, phi_rows: list[Vec], vectors: list[Vec]):
+def _best_psi(space: AOUSpace, phi_rows: list[Vec], vectors: list[Vec]) -> DefectStep:
     """One LP: the unital positive psi: linf(k) -> space minimizing the worst
     order norm of psi(phi(v)) - v over the ball vertices given, one of each
-    +- pair; returns psi, the optimum and the LP's nonzero dual multipliers
-    on the rows `DefectStep` names.
+    +- pair, as a `DefectStep`: psi and the LP's nonzero dual multipliers
+    on the rows it names. The optimum itself is not read; it is psi's
+    residual norm, which those multipliers prove optimal.
 
     Column j < k-1 of psi is sum_i lam_ij g_i over the extreme rays g_i,
     lam >= 0, and column k-1 is e minus the others, whose cone rows stay.
@@ -486,7 +489,7 @@ def _best_psi(space: AOUSpace, phi_rows: list[Vec], vectors: list[Vec]):
     cols = [gmat.apply(out.primal[j * n : (j + 1) * n]) for j in range(last)]
     cols.append(tuple(e - sum(c[r] for c in cols) for r, e in enumerate(space.unit)))
     duals = tuple((name, mu) for name, mu in zip(names, out.dual_certificate) if mu)
-    return Matrix.from_rows(list(zip(*cols))), t0 + out.value, duals
+    return DefectStep(tuple(zip(*cols)), duals)
 
 
 def _require_lp_fits(rows: int, cols: int, k: int, least: str = "") -> None:
@@ -604,17 +607,10 @@ def factorize(space: AOUSpace, eps: Fraction | int = Fraction(1, 10)) -> Factori
     (2d - 1) m >= 325 rows, each with its slack column, so more than
     325^2 = 105 625 standard-form entries.
 
-    The LP and the residuals that pick the next state take one vertex of
-    each +- pair, since the residual of -v is minus that of v. They read
-    that half in reverse sorted order, the order in which the sorted ball
-    first meets each pair, so the worst residual is the full scan's up to
-    sign, and the next state, chosen by |f(residual)|, is the same. Each
-    residual's order norm is the largest |s(residual)| over the extreme
-    states s already in hand (Paulsen & Tomforde, Vector spaces with an
-    order unit, 2009): no order-norm LP runs. Each greedy step keeps its psi
-    and the LP's own dual multipliers proving its optimum (`DefectStep`),
-    the evidence `_factorization_holds`, the check `verify` runs, checks
-    the result against before it is returned.
+    The greedy loop is `_greedy`, the one `_factorization_holds` replays:
+    each step's psi and the LP's own dual multipliers (`DefectStep`, from
+    `_best_psi`) are checked as the loop takes them, so the result holds
+    when the loop returns it, with no second pass.
     """
     eps = frac(eps)
     if eps < 0:
@@ -623,49 +619,86 @@ def factorize(space: AOUSpace, eps: Fraction | int = Fraction(1, 10)) -> Factori
     _require_order_unit(space.cone, space)
     d = space.dim
 
-    if is_simplicial(space.cone):
-        pair = _biorthogonal(space)
-        res = FactorizationResult(
-            phi=UnitalMap(space, linf(d), Matrix.from_rows(pair.states)),
-            psi=UnitalMap(linf(d), space, Matrix.from_rows(list(zip(*pair.rays)))),
-            defect=Fraction(0),
-            success=True,
-            states_used=d,
-            schedule=((d, Fraction(0)),),
-            exhausted=False,
-        )
-    else:
-        pool = extreme_states(space)
-        chosen = _seed_states(space)
-        half = list(reversed(unit_ball_half(space)))
-        schedule: list[tuple[int, Fraction]] = []
-        steps: list[DefectStep] = []
-        best: tuple[Fraction, Matrix, list[Vec]] | None = None
-        while True:
-            phi_rows = [pool[i] for i in chosen]
-            psi_m, defect, multipliers = _best_psi(space, phi_rows, unit_ball_half(space))
-            schedule.append((len(chosen), defect))
-            steps.append(DefectStep(psi_m.data, multipliers))
-            if best is None or defect < best[0]:
-                best = (defect, psi_m, phi_rows)
-            if defect <= eps or len(chosen) >= len(pool):
-                break
-            residuals, norms = _residual_norms(pool, psi_m @ Matrix.from_rows(phi_rows), half)
-            chosen.append(_next_state(pool, chosen, residuals, norms))
-        defect, psi_m, phi_rows = best
-        k = len(phi_rows)
-        res = FactorizationResult(
-            phi=UnitalMap(space, linf(k), Matrix.from_rows(phi_rows)),
-            psi=UnitalMap(linf(k), space, psi_m),
-            defect=defect,
-            success=defect <= eps,
-            states_used=k,
-            schedule=tuple(schedule),
-            exhausted=len(chosen) >= len(pool),
-            steps=tuple(steps),
-        )
+    if not is_simplicial(space.cone):
+        half = unit_ball_half(space)
+        res = _greedy(space, eps, lambda n, phi_rows: _best_psi(space, phi_rows, half))
+        require_holds(res is not None, "factorize", space)
+        return res
+    pair = _biorthogonal(space)
+    res = FactorizationResult(
+        phi=UnitalMap(space, linf(d), Matrix.from_rows(pair.states)),
+        psi=UnitalMap(linf(d), space, Matrix.from_rows(list(zip(*pair.rays)))),
+        defect=Fraction(0),
+        success=True,
+        states_used=d,
+        schedule=((d, Fraction(0)),),
+        exhausted=False,
+    )
     require_holds(_factorization_holds(space, eps, res), "factorize", space)
     return res
+
+
+def _greedy(space: AOUSpace, eps: Fraction, step_at) -> FactorizationResult | None:
+    """The greedy loop of `factorize`, with each step checked as it is
+    taken; None when a step fails. step_at(n, phi_rows) gives step n's
+    `DefectStep` for the states phi_rows, or None when there is none.
+
+    The loop starts from the seed exchange (`_seed_states`) on the space's
+    extreme states. Per step psi must be dim x k (ShapeError otherwise),
+    unital and positive on each column by the cone rows. Its defect is the
+    largest |s(residual)| over the states s and the residuals psi(phi(v))
+    - v over the half ball (the order norm, Paulsen & Tomforde, Vector
+    spaces with an order unit, 2009; the residual of -v is minus that of
+    v), and the step's multipliers must bound the defect LP below by that
+    defect (`_defect_lower_bound`), so it is the LP optimum. The loop stops
+    once the defect is at most eps or every state is chosen; otherwise the
+    state most violated by the worst residual comes next (`_next_state`).
+    The half is read in reverse sorted order, the order in which the sorted
+    ball first meets each pair, so the worst residual is the full scan's up
+    to sign, and the pick is the same. The result is the best step's phi
+    and psi, the first of equal defects.
+    """
+    d, pool, vectors, hrows = space.dim, extreme_states(space), unit_ball_half(space), space.cone.hrep()
+    half = vectors[::-1]
+    chosen = _seed_states(space)
+    schedule: list[tuple[int, Fraction]] = []
+    steps: list[DefectStep] = []
+    best = None
+    while True:
+        phi_rows, k = [pool[i] for i in chosen], len(chosen)
+        step = step_at(len(steps), phi_rows)
+        if step is None:
+            return None
+        psi = Matrix.from_rows(step.psi)
+        if (psi.rows, psi.cols) != (d, k):
+            raise ShapeError(f"step {len(steps)}: psi is {psi.rows}x{psi.cols}, expected {d}x{k}")
+        if psi.apply((Fraction(1),) * k) != space.unit or any(
+            dot(a, col) < 0 for col in psi.transpose().data for a in hrows
+        ):
+            return None
+        residuals, norms = _residual_norms(pool, psi @ Matrix.from_rows(phi_rows), half)
+        defect = max(norms)
+        if _defect_lower_bound(space, phi_rows, vectors, hrows, step.multipliers) != defect:
+            return None
+        schedule.append((k, defect))
+        steps.append(step)
+        if best is None or defect < best[0]:
+            best = (defect, psi, phi_rows)
+        if defect <= eps or k >= len(pool):
+            break
+        chosen.append(_next_state(pool, chosen, residuals, norms))
+    defect, psi, phi_rows = best
+    k = len(phi_rows)
+    return FactorizationResult(
+        phi=UnitalMap(space, linf(k), Matrix.from_rows(phi_rows)),
+        psi=UnitalMap(linf(k), space, psi),
+        defect=defect,
+        success=defect <= eps,
+        states_used=k,
+        schedule=tuple(schedule),
+        exhausted=len(chosen) >= len(pool),
+        steps=tuple(steps),
+    )
 
 
 def _factorization_holds(space: AOUSpace, eps: Fraction, res: FactorizationResult) -> bool:
@@ -678,14 +711,11 @@ def _factorization_holds(space: AOUSpace, eps: Fraction, res: FactorizationResul
     biorthogonal pair, checked by `_biorthogonal_holds` with no double
     description, and the units must match.
 
-    With steps the check replays the greedy loop on the space's extreme
-    states: the seed exchange, then per step the count of states, psi's unit
-    and positivity rows, its defect as the largest |s(residual)| over the
-    states and the half ball (the order norm, Paulsen & Tomforde, Vector
-    spaces with an order unit, 2009), the multipliers' lower bound on the
-    LP optimum, which must meet that defect, the stopping rule and the next
-    state. The best step must be the reported phi and psi. A psi of the
-    wrong shape or a multiplier naming no row is bad input.
+    With steps, which a simplicial space's result has none of, the check
+    runs `_greedy` on the stored steps, so each is checked as factorize
+    checked it, and the loop must end with the last step and give every
+    field of the result. A psi of the wrong shape, a schedule of another
+    length than the steps or a multiplier naming no row is bad input.
     """
     eps = frac(eps)
     if eps < 0:
@@ -705,45 +735,14 @@ def _factorization_holds(space: AOUSpace, eps: Fraction, res: FactorizationResul
             and psi_m.apply(ones) == space.unit
             and _biorthogonal_holds(space, Biorthogonal(psi_m.transpose().data, phi_m.data))
         )
-
-    vectors = unit_ball_half(space)
-    pool = extreme_states(space)
-    if len(pool) == d:
-        # a simplicial space factors exactly, with no greedy step
+    if len(extreme_states(space)) == d:
         return False
     if len(res.schedule) != len(res.steps):
         raise ShapeError(f"{len(res.steps)} steps for a schedule of {len(res.schedule)}")
-    hrows = space.cone.hrep()
-    half = vectors[::-1]
-    chosen = _seed_states(space)
-    best = None
-    for n, (step, (k, defect)) in enumerate(zip(res.steps, res.schedule)):
-        phi_rows = [pool[i] for i in chosen]
-        psi = Matrix.from_rows(step.psi)
-        if (psi.rows, psi.cols) != (d, len(chosen)):
-            raise ShapeError(f"step {n}: psi is {psi.rows}x{psi.cols}, expected {d}x{len(chosen)}")
-        if k != len(chosen) or psi.apply((Fraction(1),) * k) != space.unit:
-            return False
-        if any(dot(a, col) < 0 for col in psi.transpose().data for a in hrows):
-            return False
-        residuals, norms = _residual_norms(pool, psi @ Matrix.from_rows(phi_rows), half)
-        if max(norms) != defect:
-            return False
-        if _defect_lower_bound(space, phi_rows, vectors, hrows, step.multipliers) != defect:
-            return False
-        if best is None or defect < best[0]:
-            best = (defect, psi, phi_rows)
-        stop = defect <= eps or k >= len(pool)
-        if stop != (n == len(res.steps) - 1):
-            return False
-        if not stop:
-            chosen.append(_next_state(pool, chosen, residuals, norms))
-    defect, psi, phi_rows = best
+    got = _greedy(space, eps, lambda n, _: res.steps[n] if n < len(res.steps) else None)
+    fields = ("defect", "success", "states_used", "schedule", "exhausted", "steps")
     return (
-        res.defect == defect
-        and res.success == (defect <= eps)
-        and res.states_used == len(phi_rows)
-        and res.exhausted == (len(chosen) >= len(pool))
-        and phi_m.data == tuple(phi_rows)
-        and psi_m.data == psi.data
+        got is not None
+        and all(getattr(got, f) == getattr(res, f) for f in fields)
+        and (got.phi.matrix.data, got.psi.matrix.data) == (phi_m.data, psi_m.data)
     )

@@ -40,7 +40,9 @@ an Auerbach claim by the states' order norms and full-ball dual norms.  The Frac
 `fraction_max_det`, for the factorize seed scan, and
 `fraction_next_state`, for factorize's greedy pick) divide
 Fraction rays and vertices and take Fraction determinants, where the package keeps the DD's integer rows and
-builds one Fraction per returned coordinate.  The Fraction routes of the
+builds one Fraction per returned coordinate; `greedy_oracle` recomputes
+factorize's schedule, best step and flags from a report's psi by those
+routes over the full ball.  The Fraction routes of the
 integer cones, spaces and maps (`fraction_validate`, `fraction_member`,
 `fraction_verify`, `fraction_positive`) read the Fraction views hrep() and
 vrep() with a Fraction dot per row, where the package reads the coprime
@@ -53,7 +55,9 @@ checks the evidence of the seven verbs that carry it.  The block form of a
 y0, y1 (`biquadratic_form`, `sum_of_bilinear_squares`), where
 `psd_examples.sos_matches` tests one linear identity, and
 `blockwise_transpose` transposes the 2x2 blocks, where the package's
-partial transpose moves entries by index.  `evidence_oracle` decides
+partial transpose moves entries by index; `grid_counterexample` scans
+`block_positive`'s grid with a Fraction product per term, where the
+package takes `dot` of z and m z.  `evidence_oracle` decides
 whether a PSD-example verdict's evidence proves its claim from those two
 and characteristic polynomials, for the sweep of `evidence_edits`.
 """
@@ -93,7 +97,7 @@ from aoulab.spaces import (
     AOUSpace, ValidationReport, archimedeanize, extreme_states, lin_space, linf, order_norm,
     unit_ball_vertices, validate,
 )
-from aoulab.tensors import EPSILON, PI, TensorElement, kron_vec, tensor_space
+from aoulab.tensors import EPSILON, PI, TensorElement, _seed_states, kron_vec, tensor_space
 
 
 @pytest.fixture()
@@ -664,6 +668,34 @@ def multiplier_edits(multipliers, n_vectors: int, n_rows: int):
             yield rest[0] + ((name[:3] + (-name[3],), mu),) + rest[1]
 
 
+def greedy_oracle(space: AOUSpace, eps, steps):
+    """factorize's greedy loop recomputed from the psi of the given steps,
+    as (schedule, (psi, phi_rows) of the first step of least defect,
+    success, states_used, exhausted); None when the steps end before the
+    loop stops or run past it. The seed is `tensors._seed_states` (pinned
+    to `fraction_max_det`), each defect the largest order norm
+    (`states_order_norm`) of psi phi(v) - v over every vertex of the ball
+    by Fraction products, and each pick `fraction_next_state`, where the
+    package reads one vertex of each +- pair, and checks the multipliers
+    too."""
+    pool, verts = extreme_states(space), unit_ball_vertices(space)
+    chosen, schedule = list(_seed_states(space)), []
+    for n, step in enumerate(steps):
+        phi_rows = [pool[i] for i in chosen]
+        psi_phi = Matrix.from_rows([[fraction_dot(row, col) for col in zip(*phi_rows)] for row in step.psi])
+        residuals = [tuple(x - y for x, y in zip(fraction_apply(psi_phi, v), v)) for v in verts]
+        defect = max(states_order_norm(space, res) for res in residuals)
+        schedule.append((len(chosen), defect))
+        if defect <= eps or len(chosen) >= len(pool):
+            if n != len(steps) - 1:
+                return None
+            best = min(range(len(schedule)), key=lambda i: schedule[i][1])
+            k, least = schedule[best]
+            return tuple(schedule), (steps[best].psi, phi_rows[:k]), least <= eps, k, len(chosen) >= len(pool)
+        chosen.append(fraction_next_state(space, pool, chosen, psi_phi))
+    return None
+
+
 def as_vertices(pairs) -> list[Vec]:
     """The integer pairs (x, t) of `dd.polytope_vertices` as the sorted
     vertices x / t."""
@@ -783,6 +815,22 @@ def sum_of_bilinear_squares(squares) -> dict:
                 mono[2 + jb] += 1
                 _padd(p, tuple(mono), c[a] * c[b])
     return p
+
+
+def grid_counterexample(m: Matrix):
+    """The first simple tensor x (x) y on `block_positive`'s grid, x over
+    the nonzero pairs of {-2, -1, -1/2, 0, 1/2, 1, 2} and y under it, with
+    z^T m z < 0 for z = x (x) y, as (x, y, z^T m z) by a Fraction product
+    per term; None when there is none."""
+    grid = [Fraction(v) for v in (-2, -1, Fraction(-1, 2), 0, Fraction(1, 2), 1, 2)]
+    pairs = [(a, b) for a in grid for b in grid if a or b]
+    for x in pairs:
+        for y in pairs:
+            z = [a * b for a in x for b in y]
+            value = sum(z[i] * m.data[i][j] * z[j] for i in range(4) for j in range(4))
+            if value < 0:
+                return x, y, value
+    return None
 
 
 def blockwise_transpose(m: Matrix) -> Matrix:

@@ -13,7 +13,7 @@ import aoulab.cones
 import aoulab.maps
 import aoulab.spaces
 import aoulab.tensors
-from aoulab.cli import _VERBS, _build_parser, _plain, main
+from aoulab.cli import _EVIDENCE_KEYS, _META_KEYS, _VERBS, _build_parser, _plain, main
 from aoulab.cones import Cone
 from aoulab.errors import InvariantViolation
 from aoulab.linalg import Matrix
@@ -297,9 +297,9 @@ def round_trip_id(verb):
     return f"argv{list(ROUND_TRIPS).index(verb)}" if verb in ROUND_TRIPS else verb
 
 
-def fresh_report(files, argv) -> str:
+def fresh_report(files, argv, fmt="json") -> str:
     sub = {f"{{{name[:-5]}}}": path for name, path in files.items() if name.endswith(".json")}
-    code, out = run([sub.get(a, a) for a in argv] + ["--format", "json"])
+    code, out = run([sub.get(a, a) for a in argv] + ["--format", fmt])
     assert code == 0
     return out
 
@@ -316,6 +316,33 @@ class TestVerify:
     def test_report_bytes_are_json_dumps(self, files, verb):
         out = fresh_report(files, ROUND_TRIPS[verb])
         assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+
+    @pytest.mark.parametrize("verb", list(_VERBS), ids=round_trip_id)
+    def test_text_report_is_the_json_result(self, files, verb):
+        # the text form is the JSON report without its meta and evidence
+        # keys: a lone string, bool or int alone, else one line per key in
+        # sorted order with its value as sorted JSON
+        report = json.loads(fresh_report(files, ROUND_TRIPS[verb]))
+        result = {k: v for k, v in report.items() if k not in _META_KEYS + _EVIDENCE_KEYS}
+        value = next(iter(result.values())) if len(result) == 1 else None
+        if isinstance(value, str):
+            want = f"{value}\n"
+        elif isinstance(value, (bool, int)):
+            want = f"{json.dumps(value)}\n"
+        else:
+            want = "".join(f"{key}: {json.dumps(result[key], sort_keys=True)}\n" for key in sorted(result))
+        assert fresh_report(files, ROUND_TRIPS[verb], "text") == want
+
+    def test_report_that_is_no_json_is_invalid_input(self, tmp_path):
+        report = tmp_path / "report.json"
+        report.write_text('{"type": "report",')
+        assert main(["verify", str(report)]) == 2
+
+    def test_report_of_another_version_is_invalid_input(self, files, tmp_path):
+        d = json.loads(fresh_report(files, ROUND_TRIPS["validate"]))
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps({**d, "version": 2}))
+        assert main(["verify", str(report)]) == 2
 
     def test_tampered_report_fails(self, files, tmp_path):
         code, out = run(["norm", files["linf2.json"], "--vector", "[1,-1]", "--format", "json"])
@@ -695,6 +722,21 @@ class TestExamples:
         code, out = run(["examples", "paper", "--format", "json"])
         assert code == 0 and json.loads(out)["certificates_verified"] is True
         assert sorted(labels) == ["bell", "identity", "swap"]
+
+    def test_examples_that_do_not_match_exit_three(self, monkeypatch):
+        # the suite's claims for Bell turned around: the report is written,
+        # and says so
+        original = aoulab.cli.psd_example_suite
+
+        def turned():
+            reports = original()
+            bell = reports[0]
+            verdicts = {cone: dataclasses.replace(v, claim="non_member") for cone, v in bell.verdicts.items()}
+            return [dataclasses.replace(bell, verdicts=verdicts)] + reports[1:]
+
+        monkeypatch.setattr(aoulab.cli, "psd_example_suite", turned)
+        code, out = run(["examples", "paper", "--format", "json"])
+        assert code == 3 and json.loads(out)["all_match"] is False
 
     def test_examples_verify_roundtrip(self, tmp_path):
         code, out = run(["examples", "paper", "--format", "json"])

@@ -290,6 +290,15 @@ class TestSymPsd:
         assert cert.verdict == "non_member" and cert.kind == "negative_direction"
         assert cert.verify(c, v)
 
+    def test_contains_in_a_psd_outer_cone(self):
+        # the PSD cone has no H-rep: each generator takes the exact PSD test
+        def cone(*matrices):
+            return Cone.from_generators([pack_sym(Matrix.from_rows(m)) for m in matrices])
+
+        psd = Cone.sym_psd(2)
+        assert contains(psd, cone([(1, 0), (0, 0)], [(1, 1), (1, 1)], [(0, 0), (0, 1)]))
+        assert not contains(psd, cone([(1, 0), (0, 0)], [(1, 2), (2, 1)], [(0, 0), (0, 1)]))
+
     def test_polyhedral_ops_rejected(self):
         c = Cone.sym_psd(2)
         for op in (extreme_rays, is_simplicial, close_and_lineality):

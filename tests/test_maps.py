@@ -122,6 +122,15 @@ class TestCheckMap:
             True,
         )
 
+    def test_positive_into_a_psd_target(self):
+        # a sym_psd target has no H-rep: the image of each source generator
+        # takes the PSD test; both maps send (1, 1) to the identity
+        target = AOUSpace(3, Cone.sym_psd(2), (1, 0, 1))
+        diagonal = UnitalMap(L2, target, Matrix.from_rows([(1, 0), (0, 0), (0, 1)]))
+        skew = UnitalMap(L2, target, Matrix.from_rows([(1, 0), (1, -1), (0, 1)]))
+        assert diagonal.unital and skew.unital
+        assert diagonal.positive and not skew.positive
+
     def test_kadison_of_lin_space_1(self):
         rep = check_map(kadison_embed(lin_space(1)))
         assert rep.unital and rep.positive and rep.order_embedding and rep.isometry

@@ -267,6 +267,9 @@ ONE_ROUTE = {
     # searches nothing
     ("tensors.py", "_best_psi"): {"member"},
     ("tensors.py", "_factorization_holds"): {"solve_lp", "member", "_best_psi"},
+    # the greedy loop factorize and its check share takes its steps from
+    # its caller, and checks each with no search
+    ("tensors.py", "_greedy"): {"solve_lp", "member", "_best_psi"},
 }
 
 
@@ -308,9 +311,29 @@ def test_one_route_per_value():
     assert not found, found
 
 
+# the one greedy loop, the functions that run it, and the greedy picks
+# only it makes
+GREEDY_LOOP = ("_greedy", ("factorize", "_factorization_holds"), ("_seed_states", "_next_state"))
+
+
+def _loop_forks(trees: dict, file: str) -> list[str]:
+    """The runners of `file` that do not reach the loop, and the functions
+    of `file` other than the loop that make a greedy pick."""
+    loop, runners, picks = GREEDY_LOOP
+    found = [f"{name} does not reach {loop}" for name in runners if not _second_routes(trees, file, name, {loop})]
+    return found + [f"{name} makes a greedy pick" for f, name in sorted(_call_sites(trees, picks)) if f == file and name != loop]
+
+
+def test_one_greedy_loop():
+    # factorize and its check run the same loop, so the two cannot drift
+    # apart; no other function seeds or picks states
+    assert _loop_forks(_parse_package(), "tensors.py") == []
+
+
 def test_second_routes_are_found():
-    # the guard above sees a call, a call through a helper, a function
-    # passed along and an attribute read, and passes a function with none
+    # the route guard sees a call, a call through a helper, a function
+    # passed along and an attribute read, and passes a function with none;
+    # the loop guard sees a check that picks states by a loop of its own
     source = """
 def _states(space):
     return extreme_states(space)
@@ -330,7 +353,11 @@ def _row_cone(cone):
 def _best_psi(space, phi_rows, vectors):
     return _row_cone(space.cone)
 def _factorization_holds(space, eps, res):
-    return res.steps and _best_psi(space, [], [])
+    return res.steps and _best_psi(space, [], []) and _next_state([], [], [], [])
+def _greedy(space, eps, step_at):
+    return step_at(0, _states(space))
+def factorize(space, eps):
+    return _greedy(space, eps, lambda n, rows: _best_psi(space, rows, []))
 """
     trees = {"x.py": ast.parse(source)}
     assert {
@@ -342,7 +369,13 @@ def _factorization_holds(space, eps, res):
         "kadison_embed": [".unital"],
         "_best_psi": ["member"],
         "_factorization_holds": ["_best_psi", "member"],
+        "_greedy": [],
     }
+    assert _loop_forks(trees, "x.py") == [
+        "_factorization_holds does not reach _greedy",
+        "_factorization_holds makes a greedy pick",
+    ]
+
 
 
 def _check_column_faults(tree: ast.Module) -> list[str]:

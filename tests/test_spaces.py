@@ -75,6 +75,12 @@ class TestValidate:
         assert not rep.order_unit
         assert rep.certificates  # the violating row is attached
 
+    def test_singular_psd_unit_is_no_order_unit(self):
+        # diag(1, 0) is PSD but singular, so no multiple of it dominates
+        # diag(0, 1)
+        rep = validate(AOUSpace(3, Cone.sym_psd(2), (1, 0, 0)))
+        assert not rep.order_unit and rep.certificates == {"order_unit": "singular unit"}
+
     def test_unit_on_a_facet_row_certificate(self):
         # lin_space(1) is {a0 >= |a1|}; (1, 1) lies on the facet a0 - a1 = 0
         sp = AOUSpace(2, lin_space(1).cone, (1, 1))

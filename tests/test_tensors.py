@@ -24,6 +24,8 @@ from conftest import (
     fraction_max_det,
     fraction_next_state,
     fraction_rank,
+    grid_counterexample,
+    greedy_oracle,
     kernel_quotient_is_order_quotient,
     lp_is_pointed,
     lp_pi_order_unit,
@@ -35,6 +37,7 @@ from conftest import (
     rand_vec,
     random_unital_into_linf,
     rng,
+    states_order_norm,
     sum_of_bilinear_squares,
 )
 
@@ -71,6 +74,7 @@ from aoulab.tensors import (
     EPSILON,
     PI,
     Biorthogonal,
+    DefectStep,
     SpaceNuclearity,
     TensorElement,
     _biorthogonal,
@@ -681,44 +685,48 @@ class TestFactorize:
 
     def test_defect_lp_value_matches_undeduplicated_rows(self, monkeypatch):
         # at every greedy step the optimum is the full-ball LP's over psi's
-        # entries: the step's psi with t at the optimum meets every row of
-        # that LP, and the step's multipliers bound it below by the same
-        # value (weak duality). Except on lin_space(3), whose five full-ball
-        # LPs take about 10 s, that LP is also solved
-        steps = []
+        # entries: the step's psi with t at the scheduled defect meets every
+        # row of that LP, and the step's multipliers bound it below by the
+        # same value (weak duality). Except on lin_space(3), whose five
+        # full-ball LPs take about 10 s, that LP is also solved
+        phis = []
         original = tensors._best_psi
 
         def recording(space, phi_rows, verts):
-            steps.append((phi_rows, *original(space, phi_rows, verts)))
-            return steps[-1][1:]
+            phis.append(phi_rows)
+            return original(space, phi_rows, verts)
 
         monkeypatch.setattr(tensors, "_best_psi", recording)
         r = rng(29)
         for space in [LS2, LS3] + [random_non_simplicial(r, 3) for _ in range(3)]:
-            steps.clear()
-            assert len(factorize(space).schedule) == len(steps) >= 2
+            phis.clear()
+            res = factorize(space)
+            assert len(res.schedule) == len(phis) >= 2
             verts, half, hrows = unit_ball_vertices(space), unit_ball_half(space), space.cone.hrep()
-            for phi_rows, psi, value, multipliers in steps:
+            for phi_rows, step, (_, value) in zip(phis, res.steps, res.schedule, strict=True):
                 obj, rows, rhs, senses, nonneg = psi_lp_without_dedup(space, phi_rows, verts)
-                x = tuple(e for row in psi.data for e in row) + (value,)
+                x = tuple(e for row in step.psi for e in row) + (value,)
                 assert dot(obj, x) == value >= 0
                 for row, b, sense in zip(rows, rhs, senses):
                     assert dot(row, x) == b if sense == EQ else dot(row, x) >= b
-                assert tensors._defect_lower_bound(space, phi_rows, half, hrows, multipliers) == value
+                assert tensors._defect_lower_bound(space, phi_rows, half, hrows, step.multipliers) == value
                 if space is not LS3:
                     assert solve_lp(obj, rows, rhs, senses, nonneg=nonneg).value == value
         # state sets the greedy loop does not pick, which put another state
-        # in the eliminated last column
+        # in the eliminated last column: the solved full-ball LP's value is
+        # psi's worst residual norm and the multipliers' bound
         for space in (lin_space(2), random_non_simplicial(rng(29), 3)):
             pool = extreme_states(space)
             verts, hrows = [vec(v) for v in unit_ball_vertices(space)], space.cone.hrep()
             assert len(pool) == 4
             for chosen in ([0, 1, 2], [1, 2, 3], [0, 2, 3], [0, 1, 2, 3]):
                 phi_rows = [pool[i] for i in chosen]
-                _, value, multipliers = original(space, phi_rows, verts)
+                step = original(space, phi_rows, verts)
                 obj, rows, rhs, senses, nonneg = psi_lp_without_dedup(space, phi_rows, verts)
-                assert solve_lp(obj, rows, rhs, senses, nonneg=nonneg).value == value
-                assert tensors._defect_lower_bound(space, phi_rows, verts, hrows, multipliers) == value
+                value = solve_lp(obj, rows, rhs, senses, nonneg=nonneg).value
+                psi_phi = Matrix.from_rows(step.psi) @ Matrix.from_rows(phi_rows)
+                assert max(states_order_norm(space, vsub(psi_phi.apply(v), v)) for v in verts) == value
+                assert tensors._defect_lower_bound(space, phi_rows, verts, hrows, step.multipliers) == value
 
     @staticmethod
     def v_square() -> AOUSpace:
@@ -839,16 +847,21 @@ class TestFactorize:
             rounds.append(original(pool, psi_phi, half))
             return rounds[-1]
 
+        seeds = []
+        original_seed = tensors._seed_states
         monkeypatch.setattr(tensors, "_residual_norms", recording)
+        monkeypatch.setattr(tensors, "_seed_states", lambda space: seeds.append(space) or original_seed(space))
         res = factorize(space)
-        # the loop takes residuals on each step but the last, to pick the
-        # next state; the check then replays every step on the same psi
+        # the loop seeds once and takes residuals once per step, for its
+        # defect and the next pick; the check replays the same n rounds on
+        # the stored psi
         n = len(res.schedule)
-        assert n >= 1 and len(rounds) == 2 * n - 1
-        assert rounds[: n - 1] == rounds[n - 1 : 2 * n - 2]
+        assert n >= 1 and len(rounds) == n and seeds == [space]
+        assert tensors._factorization_holds(space, Fraction(1, 10), res)
+        assert len(rounds) == 2 * n and rounds[:n] == rounds[n:]
         for residuals, norms in rounds:
             assert norms == [order_norm(space, v) for v in residuals]
-        for (_, norms), (_, defect) in zip(rounds[n - 1 :], res.schedule):
+        for (_, norms), (_, defect) in zip(rounds, res.schedule):
             assert max(norms) == defect
 
     def test_next_state_matches_the_fraction_scan(self):
@@ -879,14 +892,58 @@ class TestFactorize:
                 picks += 1
         assert picks >= 40
 
+    def test_greedy_oracle_agrees_on_the_factorize_battery(self):
+        # every fresh report holds, and the oracle recomputes its schedule,
+        # best step and flags from its psi alone
+        r = rng(29)
+        spaces = [LS2, LS3, self.v_square()] + [random_non_simplicial(r, 3) for _ in range(3)]
+        spaces.append(self.random_non_simplicial_space(rng(4127)))
+        for space in spaces:
+            for eps in (Fraction(1, 10), Fraction(1, 2), Fraction(1)):
+                res = factorize(space, eps)
+                assert tensors._factorization_holds(space, eps, res)
+                schedule, (psi, phi_rows), success, used, exhausted = greedy_oracle(space, eps, res.steps)
+                assert (schedule, success, used, exhausted) == (res.schedule, res.success, res.states_used, res.exhausted)
+                assert (psi, tuple(phi_rows)) == (res.psi.matrix.data, res.phi.matrix.data)
+                assert min(defect for _, defect in schedule) == res.defect
+
+    def test_false_claims_of_the_greedy_loop(self):
+        # a step given to a simplicial report, a psi column moved out of the
+        # cone with psi still unital, a step appended after the stop and the
+        # last step dropped: no claim holds, and the oracle sees the steps
+        # stop too late or too soon
+        eps = Fraction(1, 10)
+        exact = factorize(L3)
+        given = dataclasses.replace(exact, steps=(DefectStep(exact.psi.matrix.data, ()),))
+        assert not tensors._factorization_holds(L3, eps, given)
+        res = factorize(LS2)
+        first = res.steps[0]
+        cols = [list(c) for c in zip(*first.psi)]
+        cols[0], cols[-1] = [-x for x in cols[0]], [x + 2 * y for x, y in zip(cols[-1], cols[0])]
+        assert any(dot(a, cols[0]) < 0 for a in LS2.cone.hrep())
+        moved = DefectStep(tuple(zip(*cols)), first.multipliers)
+        tampered = {
+            "out of the cone": dataclasses.replace(res, steps=(moved,) + res.steps[1:]),
+            "after the stop": dataclasses.replace(res, steps=res.steps + res.steps[-1:], schedule=res.schedule + res.schedule[-1:]),
+            "last dropped": dataclasses.replace(res, steps=res.steps[:-1], schedule=res.schedule[:-1]),
+        }
+        for name, claim in tampered.items():
+            assert not tensors._factorization_holds(LS2, eps, claim), name
+        assert greedy_oracle(LS2, eps, res.steps) is not None
+        assert greedy_oracle(LS2, eps, tampered["after the stop"].steps) is None
+        assert greedy_oracle(LS2, eps, tampered["last dropped"].steps) is None
+
     @pytest.mark.parametrize("off", [Fraction(1, 7), Fraction(-1, 7)])
     def test_defect_off_by_a_seventh_breaks_the_recheck(self, monkeypatch, off):
+        # every multiplier scaled by 1 + off proves a bound off by a seventh
+        # of the defect
         original = tensors._best_psi
-        monkeypatch.setattr(
-            tensors,
-            "_best_psi",
-            lambda *args: (lambda psi, value, duals: (psi, value + off, duals))(*original(*args)),
-        )
+
+        def scaled(*args):
+            step = original(*args)
+            return DefectStep(step.psi, tuple((name, mu * (1 + off)) for name, mu in step.multipliers))
+
+        monkeypatch.setattr(tensors, "_best_psi", scaled)
         with pytest.raises(InvariantViolation, match=r"^factorize\(lin_space\(2\)\): result fails its check$"):
             factorize(LS2)
 
@@ -1266,6 +1323,33 @@ class TestPsdExampleSuite:
         z = kron_vec(x, y)
         m = Matrix.from_rows([(-1, 0, 0, 0), (0, -1, 0, 0), (0, 0, -1, 0), (0, 0, 0, -1)])
         assert dot(z, m.apply(z)) == value < 0
+
+    def test_negative_diagonal_skips_every_shift(self, monkeypatch):
+        # R's diagonal is zero, so no Gram shift mends a negative diagonal
+        # entry: no LDL^T runs, and the grid search gives the Fraction
+        # scan's counterexample
+        calls = []
+        original = aoulab.psd_examples.ldlt_psd
+        monkeypatch.setattr(aoulab.psd_examples, "ldlt_psd", lambda m: calls.append(m) or original(m))
+        r = rng(31)
+        matrices = [Matrix.from_rows([(-1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])]
+        for _ in range(6):
+            upper = {(i, j): rand_frac(r) for i in range(4) for j in range(i, 4)}
+            i = r.randrange(4)
+            upper[i, i] = -abs(upper[i, i]) - 1
+            matrices.append(Matrix.from_rows([[upper[min(i, j), max(i, j)] for j in range(4)] for i in range(4)]))
+        for m in matrices:
+            rep = block_positive(m)
+            assert rep.verdict == "certified_non_member"
+            assert rep.counterexample == grid_counterexample(m)
+        assert calls == []
+
+    def test_block_positive_can_be_undecided(self):
+        # no shift tried makes m + t R PSD and no grid tensor is negative
+        m = Matrix.from_rows([(4, 1, 3, -1), (1, 2, 3, 1), (3, 3, 5, 3), (-1, 1, 3, 2)])
+        rep = block_positive(m)
+        assert (rep.verdict, rep.evidence, rep.counterexample) == ("undecided", None, None)
+        assert grid_counterexample(m) is None
 
     def test_swap_minus_two_relations_is_bell(self):
         shifted = Matrix.from_rows(
