@@ -17,8 +17,10 @@ description trusts them, and a caller of `dd.dd_pair` that breaks the
 contract gets a valid but non-canonical description. Everything else reads
 the integers: the double description, run at most once per cone and
 shared with its dual (same rows), int_vrep and int_hrep, membership and
-certificates, extreme rays, pointedness and containment. hrep() and vrep()
-are Fraction views for callers outside the library, built once.
+certificates, extreme rays, pointedness (a line is refused in one place,
+`_require_pointed`), containment and a space's order interval, which
+resumes it. hrep() and vrep() are Fraction views for callers outside the
+library, built once.
 
 Every membership answer is a Certificate that re-verifies by substitution:
 a conic decomposition over named generators, a violated inequality row, a
@@ -512,6 +514,17 @@ def _lineality(cone: Cone) -> list[Vec]:
     return nullspace(rows) if rows else list(Matrix.identity(cone.dim).data)
 
 
+_LINE_IN_CONE = "cone is not pointed (it contains a line); states do not separate points"
+
+
+def _require_pointed(cone: Cone) -> None:
+    """NotPointedError with `_lineality`'s basis unless `_pointed`: the one
+    refusal of a line for extreme rays, states and the order interval
+    (`order_norm` raises it from `_lineality` alone, so as to run no DD)."""
+    if not _pointed(cone):
+        raise NotPointedError(_LINE_IN_CONE, lineality=_lineality(cone))
+
+
 @_cached
 def _pointed(cone: Cone) -> bool:
     """Whether the closure holds no line, read off the one DD: an H-cone's
@@ -532,8 +545,8 @@ def close_and_lineality(cone: Cone) -> tuple[Cone, list[Vec]]:
 @_cached
 def extreme_rays(cone: Cone) -> list[Vec]:
     """Minimal generating set (coprime integer coordinates) of a pointed
-    closed cone. Non-pointed input raises NotPointedError with the lineality
-    basis attached rather than silently reducing.
+    closed cone. Non-pointed input is refused by `_require_pointed` rather
+    than silently reduced.
 
     Both routes read the cone's one double description. An H-cone's rays
     are the DD's. A V-cone's DD gives its facet rows, and a nonzero
@@ -548,11 +561,7 @@ def extreme_rays(cone: Cone) -> list[Vec]:
 @_cached
 def _int_extreme_rays(cone: Cone) -> list[IntVec]:
     """extreme_rays as coprime integer tuples."""
-    if not _pointed(cone):
-        lineality = _lineality(cone) if cone.generators is not None else [vec(l) for l in _dd(cone)[0]]
-        raise NotPointedError(
-            f"cone has lineality of dimension {len(lineality)}", lineality=lineality
-        )
+    _require_pointed(cone)
     if cone.generators is None:
         return _dd(cone)[1]
     # parallel generators share one coprime integer tuple, since a pointed

@@ -10,22 +10,27 @@ rows, shares the result with its dual cone, and keeps the integers; callers
 build Fractions only where they return them.
 
 The incremental algorithm starts from the full space (lineality = standard
-basis) and inserts halfspaces in a deterministic order (normalized,
-deduplicated, lexicographically sorted), so outputs are stable across runs.
-Adjacency during ray splitting uses the combinatorial test on active sets,
-held as bitmasks over processed rows.
+basis) and inserts halfspaces in a deterministic order (deduplicated,
+lexicographically sorted), so outputs are stable across runs. Adjacency
+during ray splitting uses the combinatorial test on active sets, held as
+bitmasks over processed rows, after the count test: two rays with fewer
+than dim - len(lineality) - 2 common tight rows are not adjacent. Both
+hold for any rows that cut out the current cone, redundant ones included,
+so the loop can also resume from a pointed cone known by its extreme rays
+and their bitmasks (Fukuda & Prodon, Double description method revisited,
+1996): `resume` inserts further rows only, which is how `spaces` cuts the
+order interval out of C x R+ without a second DD from scratch.
 
-All arithmetic is integer. The rows come in as coprime integer tuples: a
-cone's are split so once, where the cone is built (`cones.Cone`), and
-polytope_vertices reduces its own homogenized rows, so dd_pair trusts its
-input and scales nothing. A caller that breaks the contract with integer
-rows that have a common factor still gets a valid description, only not
-the canonical one (a row and its multiple are not merged); a Fraction
-entry raises ShapeError once the kernel evaluates its row. The update
-rules clear denominators, which keeps this fast without giving up
-exactness. New rays have no accidental zero activities because the two
-parents sit strictly on opposite sides of the inserted hyperplane and agree
-in sign everywhere else, so the bitmask bookkeeping is exact.
+All arithmetic is integer. The rows come in as coprime integer tuples, as
+a cone splits them once, where it is built (`cones.Cone`), so dd_pair
+trusts its input and scales nothing. A caller that breaks the contract
+with integer rows that have a common factor still gets a valid
+description, only not the canonical one (a row and its multiple are not
+merged); a Fraction entry raises ShapeError once the kernel evaluates its
+row. The update rules clear denominators, which keeps this fast without
+giving up exactness. New rays have no accidental zero activities because
+the two parents sit strictly on opposite sides of the inserted hyperplane
+and agree in sign everywhere else, so the bitmask bookkeeping is exact.
 """
 
 from __future__ import annotations
@@ -33,8 +38,8 @@ from __future__ import annotations
 from math import gcd
 from typing import Sequence
 
-from .errors import InputError, ShapeError
-from .linalg import idot, vec
+from .errors import ShapeError
+from .linalg import idot
 
 IntVec = tuple[int, ...]
 
@@ -57,19 +62,29 @@ def _project(a: IntVec, v: IntVec, b0: IntVec, pa: int) -> IntVec:
 def dd_pair(halfspaces: Sequence[IntVec], dim: int) -> tuple[list[IntVec], list[IntVec]]:
     """Minimal (lineality basis, extreme rays) of {x : h . x >= 0 for all h},
     for coprime integer rows h, deduplicated and sorted here."""
+    lineality = [tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)]
+    return _insert(halfspaces, dim, 0, lineality, [], [])
+
+
+def resume(halfspaces: Sequence[IntVec], dim: int, rays: list[IntVec], active: list[int], done: int) -> list[IntVec]:
+    """The extreme rays of {x in cone(rays) : h . x >= 0 for all h}, for
+    the extreme rays of a pointed cone cut out by done rows and active[i]
+    the bitmask of those tight at rays[i]; the rows h take the next bits."""
+    return _insert(halfspaces, dim, done, [], rays, active)[1]
+
+
+def _insert(
+    halfspaces: Sequence[IntVec], dim: int, done: int, lineality: list[IntVec], rays: list[IntVec], active: list[int]
+) -> tuple[list[IntVec], list[IntVec]]:
+    """The distinct nonzero rows, sorted, cut span(lineality) + cone(rays)
+    one by one; returns its sorted (lineality, rays)."""
     distinct = set()
     for h in halfspaces:
         if len(h) != dim:
             raise ShapeError(f"halfspace length {len(h)} != dim {dim}")
         if any(h):
             distinct.add(tuple(h))
-    rows = sorted(distinct)
-
-    lineality: list[IntVec] = [tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)]
-    rays: list[IntVec] = []
-    active: list[int] = []  # tight-row bitmask per ray, over processed rows
-
-    for idx, a in enumerate(rows):
+    for idx, a in enumerate(sorted(distinct), done):
         bit = 1 << idx
         pivot_at = next((i for i, b in enumerate(lineality) if idot(a, b)), None)
         if pivot_at is not None:
@@ -89,6 +104,9 @@ def dd_pair(halfspaces: Sequence[IntVec], dim: int) -> tuple[list[IntVec], list[
             active.append(bit - 1)
             continue
 
+        # adjacent rays span a face of dimension len(lineality) + 2, so the
+        # rows tight at both have rank dim - len(lineality) - 2 at least
+        need = dim - len(lineality) - 2
         vals = [idot(a, r) for r in rays]
         minus = [i for i, v in enumerate(vals) if v < 0]
         new_rays: list[IntVec] = []
@@ -97,6 +115,8 @@ def dd_pair(halfspaces: Sequence[IntVec], dim: int) -> tuple[list[IntVec], list[
             ap, vp, rp = active[p], vals[p], rays[p]
             for q in minus:
                 z = ap & active[q]
+                if z.bit_count() < need:
+                    continue
                 # adjacent unless a third ray is tight on every row tight at both
                 for k, mask in enumerate(active):
                     if mask & z == z and k != p and k != q:
@@ -110,29 +130,3 @@ def dd_pair(halfspaces: Sequence[IntVec], dim: int) -> tuple[list[IntVec], list[
         active = [active[i] if vals[i] else active[i] | bit for i in keep] + new_active
 
     return sorted(lineality), sorted(rays)
-
-
-def polytope_vertices(
-    rows: Sequence[Sequence[int]], rhs: Sequence[int], dim: int
-) -> list[tuple[IntVec, int]]:
-    """Vertices of the polytope {x : row_i . x >= rhs_i}, for integer rows
-    and rhs, by homogenization: one pair (x, t) per extreme ray of the
-    cone of the rows (row_i, -rhs_i), reduced here to coprime integers, in
-    the DD's order, with x a tuple of ints and t > 0, and the vertex x / t.
-
-    Raises InputError when the set is unbounded (a recession direction is
-    attached as the certificate). The empty polytope returns [].
-    """
-    hom = [_reduce((*r, -b)) for r, b in zip(rows, rhs)]
-    hom.append((0,) * dim + (1,))
-    lin, rays = dd_pair(hom, dim + 1)
-    if lin:
-        raise InputError(
-            "unbounded feasible set (contains a line)",
-            certificate=[vec(l) for l in lin],
-        )
-    verts = [(r[:-1], r[-1]) for r in rays if any(r)]
-    for x, t in verts:
-        if t == 0:
-            raise InputError("unbounded feasible set (recession direction)", certificate=vec(x))
-    return verts

@@ -207,12 +207,16 @@ def block_positive(m: Matrix) -> BlockPositivityReport:
     gram_shift verdict holds by the search that found it: its verify is
     the LDL^T of m + t*R that has just come out PSD.  R's diagonal is
     zero, so a negative diagonal entry of m survives every shift and no
-    shift is tried.
+    shift is tried, and a zero one needs its row of m + t*R zero (as in any
+    PSD matrix): only that t, if any, is tried.
     """
     _require_sym4(m)
-    candidates = (Fraction(0), 2 * (m.data[0][3] - m.data[1][2])) + _SHIFTS
-    if any(m.data[i][i] < 0 for i in range(4)):
-        candidates = ()
+    zero = [i for i in range(4) if m.data[i][i] == 0]
+    candidates = () if any(m.data[i][i] < 0 for i in range(4)) else [
+        t
+        for t in (Fraction(0), 2 * (m.data[0][3] - m.data[1][2])) + _SHIFTS
+        if not any(m.data[i][j] + t * SEGRE_RELATION.data[i][j] for i in zero for j in range(4))
+    ]
     for t in dict.fromkeys(candidates):
         if ldlt_psd(_segre_shift(m, t)).is_psd:
             ev = TensorVerdict(claim="member", cone="epsilon", kind="gram_shift", shift=t)

@@ -14,7 +14,8 @@ in one place, the gate `_require_order_unit`. A space caches its unit e as
 (U, D), e = U / D, and works on its cone's integer rows: the order-unit
 test of validate and of the gate is the sign of a . U; a state is an
 integer extreme ray r of the dual cone over r . U; a vertex of [0, e] is a
-pair (x, t) of one homogenized DD, and a ball vertex (2 D x - t U, t D).
+pair (x, t) of the cone's own DD, resumed, and a ball vertex
+(2 D x - t U, t D). A line in the cone is refused by `_require_pointed`.
 maps and tensors compare these by cross-multiplication;
 extreme_states and the vertex lists build one Fraction per returned
 coordinate, once, cached.
@@ -28,8 +29,8 @@ from math import lcm
 
 from . import dd
 from .cones import (
-    SYM_PSD, Cone, _cached, _int_extreme_rays, _lineality, _pointed, _scales, close_and_lineality, dual,
-    image_cone, int_hrep, pack_sym, unpack_sym, view,
+    _LINE_IN_CONE, SYM_PSD, Cone, _cached, _columns, _int_extreme_rays, _lineality, _require_pointed, _scales,
+    close_and_lineality, dual, image_cone, int_hrep, pack_sym, unpack_sym, view,
 )
 from .errors import (
     InputError,
@@ -89,9 +90,6 @@ def order_unit_failures(rows, unit: list[int]) -> list[int]:
     with a.e <= 0 cannot dominate a basis direction i with a_i != 0.
     """
     return [i for i, a in enumerate(rows) if idot(a, unit) <= 0 and any(a)]
-
-
-_LINE_IN_CONE = "cone is not pointed (it contains a line); states do not separate points"
 
 
 def _require_order_unit(cone: Cone, space: AOUSpace) -> None:
@@ -222,8 +220,7 @@ def extreme_states(space: AOUSpace) -> list[Vec]:
 def _int_states(space: AOUSpace) -> list[tuple[dd.IntVec, int]]:
     """The extreme states r D / s, in their sorted order, as pairs (r, s):
     r an integer extreme ray of the dual cone, s = r . U > 0 for e = U / D.
-    Pointedness is read off the one DD and, for a V-cone, one rank; a
-    lineality basis is eliminated only for an error. A pointed cone then
+    A line in the cone is refused by `_require_pointed`. A pointed cone then
     passes `_require_order_unit` or is refused there, and past the gate
     the dual is pointed with every ray positive on e (Gordan's theorem)."""
     if space.cone.kind == SYM_PSD:
@@ -231,8 +228,7 @@ def _int_states(space: AOUSpace) -> list[tuple[dd.IntVec, int]]:
             "sym_psd spaces have infinitely many extreme states; "
             "use the dedicated PSD oracles"
         )
-    if not _pointed(space.cone):
-        raise NotPointedError(_LINE_IN_CONE, lineality=close_and_lineality(space.cone)[1])
+    _require_pointed(space.cone)
     _require_order_unit(space.cone, space)
     unit = _int_unit(space)[0]
     return _sorted_pairs([(r, idot(r, unit)) for r in _int_extreme_rays(dual(space.cone))])
@@ -267,20 +263,28 @@ def kadison_embed(space: AOUSpace):
 
 @_cached
 def _interval_pairs(space: AOUSpace) -> list[tuple[dd.IntVec, int]]:
-    """The vertices x / t of [0, e] = {v : v in cone, e - v in cone} as the
-    integer pairs (x, t) of one homogenized DD, which the order interval and
-    the unit ball both read, in the vertices' sorted order; InputError when
-    e is not an order unit. With e = U / D the rows a . v >= 0 and
-    -D a . v >= -a . U are integer; a . U <= 0 on a nonzero row is an
-    `order_unit_failures` row."""
-    cone_rows = int_hrep(space.cone)
-    _require_order_unit(space.cone, space)
+    """The vertices x / t of [0, e] = {v : v in cone, e - v in cone}, sorted,
+    as the integer pairs (x, t) the order interval and the unit ball read,
+    past `_require_order_unit` and `_require_pointed`: the extreme rays of
+    C x R+ cut by the rows (-D a, a . U), e = U / D, for the H-rows a of C.
+    C x R+ has the rays (g, 0), g extreme in C, tight on t >= 0 and on the
+    a with a . g = 0 (`_columns` of a V-cone), and (0, ..., 0, 1), tight on
+    every a, so `dd.resume` inserts the m new rows only. Every ray left has
+    t > 0, as a . v = 0 for all a puts v in C's lineality, 0."""
+    cone = space.cone
+    rows = int_hrep(cone)
+    _require_order_unit(cone, space)
+    _require_pointed(cone)
     unit, den = _int_unit(space)
-    rows, rhs = [], []
-    for a in cone_rows:
-        rows += (a, tuple(-den * x for x in a))
-        rhs += (0, -idot(a, unit))
-    return _sorted_pairs(dd.polytope_vertices(rows, rhs, space.dim))
+    rays, top = _int_extreme_rays(cone), 1 << len(rows)
+    if cone.generators is None:
+        cols = [[idot(a, g) for a in rows] for g in rays]
+    else:
+        cols = list(map(dict(zip(cone.generators, _columns(cone))).get, rays))
+    active = [sum(1 << i for i, c in enumerate(col) if c == 0) | top for col in cols] + [top - 1]
+    lifted = [g + (0,) for g in rays] + [(0,) * space.dim + (1,)]
+    cut = [tuple(-den * x for x in a) + (idot(a, unit),) for a in rows]
+    return _sorted_pairs([(r[:-1], r[-1]) for r in dd.resume(cut, space.dim + 1, lifted, active, len(rows) + 1)])
 
 
 @_cached

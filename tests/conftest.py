@@ -57,7 +57,10 @@ y0, y1 (`biquadratic_form`, `sum_of_bilinear_squares`), where
 `blockwise_transpose` transposes the 2x2 blocks, where the package's
 partial transpose moves entries by index; `grid_counterexample` scans
 `block_positive`'s grid with a Fraction product per term, where the
-package takes `dot` of z and m z.  `evidence_oracle` decides
+package takes `dot` of z and m z, and `unfiltered_block_positive` tries
+every Gram shift, where the package skips those m's diagonal rules out.
+`polytope_vertices` runs one homogenized DD from scratch, where the
+package's order interval resumes the cone's own DD.  `evidence_oracle` decides
 whether a PSD-example verdict's evidence proves its claim from those two
 and characteristic polynomials, for the sweep of `evidence_edits`.
 """
@@ -92,6 +95,7 @@ from aoulab.linalg import (
     Matrix, Vec, combine, frac, integerize, is_zero_vec, quotient_matrix, unit_vec, vec, zeros
 )
 from aoulab.lp import EQ, GE, INFEASIBLE, OPTIMAL, solve_lp
+from aoulab.psd import ldlt_psd
 from aoulab.maps import IdealReport, UnitalMap, interval_min
 from aoulab.spaces import (
     AOUSpace, ValidationReport, archimedeanize, extreme_states, lin_space, linf, order_norm,
@@ -111,6 +115,21 @@ def dd_calls(monkeypatch) -> list:
         return real(rows, dim)
 
     monkeypatch.setattr(aoulab.dd, "dd_pair", counted)
+    return calls
+
+
+@pytest.fixture()
+def dd_resumes(monkeypatch) -> list:
+    """One entry per `dd.resume` call made while the test runs: the number
+    of rows it inserts."""
+    calls = []
+    real = aoulab.dd.resume
+
+    def counted(rows, *args):
+        calls.append(len(rows))
+        return real(rows, *args)
+
+    monkeypatch.setattr(aoulab.dd, "resume", counted)
     return calls
 
 
@@ -697,7 +716,7 @@ def greedy_oracle(space: AOUSpace, eps, steps):
 
 
 def as_vertices(pairs) -> list[Vec]:
-    """The integer pairs (x, t) of `dd.polytope_vertices` as the sorted
+    """The integer pairs (x, t) of `polytope_vertices` as the sorted
     vertices x / t."""
     return sorted(tuple(Fraction(c, t) for c in x) for x, t in pairs)
 
@@ -722,11 +741,24 @@ def own_rows_oracle(rows, dim: int, scales=None, drop_zero: bool = False):
     return ints, (tuple(out) if any(s != 1 for s in out) else None), view, aoulab.dd.dd_pair(ints, dim)
 
 
+def polytope_vertices(rows, rhs, dim: int) -> list[tuple[tuple[int, ...], int]]:
+    """Vertices of the polytope {x : row_i . x >= rhs_i}, for integer rows
+    and rhs, from scratch: one homogenized DD of the coprime rows
+    (row_i, -rhs_i) and t >= 0, one pair (x, t), t > 0, per extreme ray, in
+    the DD's order, with the vertex x / t. This is the route the package's
+    order interval took before it resumed the cone's own DD. The set must
+    be bounded; an empty one gives []."""
+    hom = [integerize((*r, -b)) for r, b in zip(rows, rhs)]
+    lin, rays = aoulab.dd.dd_pair(hom + [(0,) * dim + (1,)], dim + 1)
+    assert not lin and all(r[-1] > 0 for r in rays), "unbounded polytope"
+    return [(r[:-1], r[-1]) for r in rays]
+
+
 def rational_polytope_vertices(rows, rhs, dim: int) -> list[tuple[tuple[int, ...], int]]:
-    """`dd.polytope_vertices` of rational rows: each a . x >= b is handed
+    """`polytope_vertices` of rational rows: each a . x >= b is handed
     over as the integer inequality it is a positive multiple of."""
     ints = [integerize(tuple(a) + (-frac(b),)) for a, b in zip(rows, rhs)]
-    return aoulab.dd.polytope_vertices([h[:-1] for h in ints], [-h[-1] for h in ints], dim)
+    return polytope_vertices([h[:-1] for h in ints], [-h[-1] for h in ints], dim)
 
 
 def brute_polytope_vertices(rows: list[Vec], rhs: list[Fraction], dim: int) -> set[Vec]:
@@ -831,6 +863,21 @@ def grid_counterexample(m: Matrix):
             if value < 0:
                 return x, y, value
     return None
+
+
+def unfiltered_block_positive(m: Matrix):
+    """`block_positive`'s search with no filter on m's diagonal, as
+    (verdict, shift, counterexample): every Gram shift t in its order,
+    0, 2 (m_03 - m_12) and k / 2 for |k| <= 33, once each, m + t R tested by
+    LDL^T, then `grid_counterexample`."""
+    relation = {(0, 3): Fraction(-1, 2), (3, 0): Fraction(-1, 2), (1, 2): Fraction(1, 2), (2, 1): Fraction(1, 2)}
+    shifts = [Fraction(0), 2 * (m.data[0][3] - m.data[1][2])] + [Fraction(k, 2) for k in range(-33, 34)]
+    for t in dict.fromkeys(shifts):
+        shifted = Matrix.from_rows([[m.data[i][j] + t * relation.get((i, j), 0) for j in range(4)] for i in range(4)])
+        if ldlt_psd(shifted).is_psd:
+            return "certified_member", t, None
+    found = grid_counterexample(m)
+    return ("undecided" if found is None else "certified_non_member"), None, found
 
 
 def blockwise_transpose(m: Matrix) -> Matrix:
@@ -1219,14 +1266,19 @@ def fraction_states(space: AOUSpace) -> list[Vec]:
     return sorted(tuple(x / fraction_dot(f, space.unit) for x in f) for f in rays)
 
 
-def fraction_interval_vertices(space: AOUSpace) -> list[Vec]:
-    """The vertices of [0, e], from the Fraction rows a.v >= 0 and
-    -a.v >= -a.e over the H-rep, sorted."""
+def interval_rows(space: AOUSpace) -> tuple[list[Vec], list[Fraction]]:
+    """[0, e] as the Fraction rows a.v >= 0 and -a.v >= -a.e over the
+    H-rep: (rows, rhs)."""
     rows, rhs = [], []
     for a in space.cone.hrep():
         rows += [a, tuple(-x for x in a)]
         rhs += [Fraction(0), -fraction_dot(a, space.unit)]
-    return as_vertices(rational_polytope_vertices(rows, rhs, space.dim))
+    return rows, rhs
+
+
+def fraction_interval_vertices(space: AOUSpace) -> list[Vec]:
+    """The vertices of [0, e], from scratch over `interval_rows`, sorted."""
+    return as_vertices(rational_polytope_vertices(*interval_rows(space), space.dim))
 
 
 def fraction_ball_vertices(space: AOUSpace) -> list[Vec]:

@@ -419,7 +419,9 @@ def test_malformed_field_in_roundtrip(files, tmp_path, capsys, fields):
 
 
 # spaces whose cone contains a line, with the lineality basis each reports:
-# all of Q^3 from five generators, and the half-plane {x1 >= 0}
+# all of Q^3 from five generators, the half-plane {x1 >= 0}, and the
+# H-cone {x0 + x1 + x2 >= 0, x0 - x1 + 2 x2 >= 0}, whose rows' kernel is
+# spanned by (-3/2, 1/2, 1)
 NON_POINTED_SPACES = {
     "whole_space": (
         AOUSpace(
@@ -430,15 +432,22 @@ NON_POINTED_SPACES = {
         [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
     ),
     "half_plane": (AOUSpace(2, Cone.from_generators([(1, 0), (0, 1), (0, -1)]), (1, 0)), [["0", "1"]]),
+    "h_cone_line": (
+        AOUSpace(3, Cone.from_inequalities([(1, 1, 1), (1, -1, 2)]), (1, 0, 0)),
+        [["-3/2", "1/2", "1"]],
+    ),
 }
 
 
 @pytest.mark.parametrize("name", list(NON_POINTED_SPACES))
-@pytest.mark.parametrize("verb", ["states", "nuclear-pair"])
+@pytest.mark.parametrize("verb", ["states", "nuclear-pair", "nuclear", "factorize", "auerbach", "norm"])
 def test_non_pointed_space_is_invalid_input(files, capsys, name, verb):
+    # every verb that needs the cone pointed refuses a line one way: one
+    # message, and _lineality's basis as the certificate
     space, lineality = NON_POINTED_SPACES[name]
     path = files["write"](f"{name}.json", space)
     argv = [verb, path] + ([files["linf2.json"]] if verb == "nuclear-pair" else [])
+    argv += ["--vector", json.dumps(["1"] * space.dim)] if verb == "norm" else []
     capsys.readouterr()
     code, out = run(argv)
     err = capsys.readouterr().err.splitlines()

@@ -2,14 +2,16 @@ from fractions import Fraction
 
 import pytest
 from conftest import (
-    as_vertices, brute_extreme_rays, brute_polytope_vertices, rand_frac, rand_vec, rational_polytope_vertices, rng
+    as_vertices, brute_extreme_rays, brute_polytope_vertices, polytope_vertices, rand_frac, rand_vec,
+    rational_polytope_vertices, rng,
 )
 
 import aoulab.dd
 from aoulab.cones import Cone, _dd, extreme_rays
-from aoulab.dd import dd_pair, polytope_vertices
-from aoulab.errors import InputError, NotPointedError, ShapeError
+from aoulab.dd import dd_pair
+from aoulab.errors import NotPointedError, ShapeError
 from aoulab.linalg import dot, integerize, vec
+from aoulab.spaces import AOUSpace, order_interval_vertices
 
 
 def test_orthant_rays():
@@ -146,9 +148,15 @@ def test_polytope_vertices_random_vs_oracle():
         assert set(vs) == brute_polytope_vertices(rows, rhs, dim)
 
 
-def test_polytope_unbounded_reported():
-    with pytest.raises(InputError):
-        polytope_vertices([(1, 0)], [0], 2)
+def test_interval_with_a_line_is_refused_before_the_resume(dd_resumes):
+    # [0, e] is unbounded exactly when the cone holds a line: the half-plane
+    # {x0 >= 0}, as a V-cone and as an H-cone, is refused by the pointedness
+    # test, with the lineality (0, 1), before any row of e - C is inserted
+    for cone in (Cone.from_generators([(1, 0), (0, 1), (0, -1)]), Cone.from_inequalities([(1, 0)])):
+        with pytest.raises(NotPointedError) as exc:
+            order_interval_vertices(AOUSpace(2, cone, (1, 0)))
+        assert exc.value.lineality == [vec((0, 1))]
+    assert dd_resumes == []
 
 
 def test_integer_rows_match_brute_force():

@@ -595,11 +595,22 @@ def clean(space):
 
 def test_rows_are_split_in_one_place():
     # a cone's own rows become coprime integer tuples in Cone.__post_init__
-    # alone, and the DD runs only on rows under that contract: a cone's own
-    # rows, or the homogenized rows polytope_vertices reduces itself
+    # alone, and the DD runs from scratch only on a cone's own rows, at most
+    # once per cone; the one other DD, the order interval's, resumes it
     trees = _parse_package()
     assert _call_sites(trees, ("_split",)) == {("cones.py", "Cone.__post_init__")}
-    assert _call_sites(trees, ("dd_pair",)) == {("cones.py", "_dd"), ("dd.py", "polytope_vertices")}
+    assert _call_sites(trees, ("dd_pair",)) == {("cones.py", "_dd")}
+    assert _call_sites(trees, ("resume",)) == {("spaces.py", "_interval_pairs")}
+
+
+def test_one_refusal_of_a_line():
+    # a cone with a line is refused by _require_pointed alone, with one
+    # message and _lineality's basis; order_norm raises the same error from
+    # _lineality, so that an H-cone's norm runs no DD
+    assert _call_sites(_parse_package(), ("NotPointedError",)) == {
+        ("cones.py", "_require_pointed"),
+        ("spaces.py", "order_norm"),
+    }
 
 
 def test_call_sites_are_found():

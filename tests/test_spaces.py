@@ -2,17 +2,19 @@
 
 import dataclasses
 from fractions import Fraction
+from itertools import product
+from math import comb
 
 import pytest
 from conftest import (
-    as_vertices, ball_scan_spaces, lp_order_unit_failure, rand_frac, rand_vec, rational_polytope_vertices,
-    refused_norms, rng,
+    as_vertices, ball_scan_spaces, brute_polytope_vertices, interval_rows, lp_order_unit_failure, rand_frac,
+    rand_vec, rational_polytope_vertices, refused_norms, rng,
 )
 
 import aoulab.cones
 from aoulab.cones import Cone, close_and_lineality, member, same_cone
 from aoulab.errors import InputError, NotPointedError, PolyhedralRequired, ShapeError, SizeLimitError
-from aoulab.linalg import Matrix, dot, vec
+from aoulab.linalg import Matrix, dot, integerize, rank, vec
 from aoulab.maps import UnitalMap
 from aoulab.spaces import (
     AOUSpace,
@@ -27,6 +29,7 @@ from aoulab.spaces import (
     sym_space,
     unit_ball_half,
     unit_ball_vertices,
+    _interval_pairs,
     validate,
 )
 from aoulab.tensors import EPSILON, PI, tensor_space
@@ -414,13 +417,15 @@ class TestIntervalAndBall:
             vec((0, -1)),
         }
 
-    def test_interval_and_ball_share_one_dd(self, dd_calls):
-        for sp in (linf(3), lin_space(2), lin_space(3)):
-            sp.cone.hrep()  # a V-cone's facets are a DD of their own
+    def test_interval_and_ball_share_one_dd(self, dd_calls, dd_resumes):
+        # on a cold space, the cone's own DD (a V-cone's facets, an H-cone's
+        # rays) and one resume of it by the m rows of e - C
+        for sp, m in ((linf(3), 3), (lin_space(2), 4), (lin_space(3), 8)):
             dd_calls.clear()
+            dd_resumes.clear()
             order_interval_vertices(sp)
             unit_ball_vertices(sp)
-            assert len(dd_calls) == 1
+            assert dd_calls == [m] and dd_resumes == [m]
 
     def test_ball_is_the_dd_of_the_ball_rows(self):
         # [-e, e] = {v : a.v >= -a.e and -a.v >= -a.e for every row a}
@@ -453,6 +458,106 @@ class TestIntervalAndBall:
         for sp in (linf(3), lin_space(2), dual_augmented(linf(1))):
             for x in unit_ball_vertices(sp):
                 assert order_norm(sp, x) == 1
+
+
+def _pointed_spaces(r) -> list[AOUSpace]:
+    """Seeded pointed V- and H-spaces in dims 2-5, each cone with a
+    redundant row, a parallel one and rows at scales other than 1, and a
+    unit inside the cone, often with denominators; small enough for subset
+    enumeration."""
+    out = []
+    for trial in range(32):
+        d = 2 + trial // 2 % 4
+        k = d + (r.randint(0, 1) if d < 5 else 0)
+        while True:
+            base = [(r.randint(1, 3),) + tuple(r.randint(-2, 2) for _ in range(d - 1)) for _ in range(k)]
+            if rank(base) == d:
+                break
+        i, j = r.sample(range(len(base)), 2)
+        rows = base + [tuple(x + y for x, y in zip(base[i], base[j])), tuple(2 * x for x in base[j])]
+        scales = [Fraction(r.randint(1, 4), r.randint(1, 3)) for _ in rows]
+        rows = [tuple(c * x for x in row) for c, row in zip(scales, rows)]
+        if trial % 2:
+            weights = [Fraction(r.randint(1, 4), r.randint(1, 3)) for _ in base]
+            unit = tuple(sum(w * g[c] for w, g in zip(weights, base)) for c in range(d))
+            out.append(AOUSpace(d, Cone.from_generators(rows), unit))
+            continue
+        while True:
+            unit = (Fraction(r.randint(4, 12), r.randint(1, 2)),) + tuple(Fraction(r.randint(-1, 1), 3) for _ in range(d - 1))
+            if all(dot(a, unit) > 0 for a in base):
+                break
+        out.append(AOUSpace(d, Cone.from_inequalities(rows), unit))
+    return out
+
+
+class TestResumedInterval:
+    # the interval resumes the cone's own DD; it must give the vertices of
+    # the from-scratch homogenized DD (conftest.polytope_vertices) and of
+    # subset enumeration, pair for pair and in sorted order
+
+    BRUTE_SUBSETS = 2100
+
+    def _check(self, sp, want=None) -> bool:
+        """Both DD routes agree; so do subset enumeration, where its subset
+        count is at most BRUTE_SUBSETS, and want, a closed form, when given.
+        Returns whether one of those two independent checks ran."""
+        rows, rhs = interval_rows(sp)
+        scratch = rational_polytope_vertices(rows, rhs, sp.dim)
+        pairs = _interval_pairs(sp)
+        assert sorted(pairs) == sorted(scratch)
+        assert as_vertices(pairs) == order_interval_vertices(sp) == as_vertices(scratch)
+        independent = [] if want is None else [want]
+        # parallel rows cut out one halfspace, so the enumeration takes one
+        distinct = {integerize((*a, -b)): (a, b) for a, b in zip(rows, rhs)}.values()
+        if comb(len(distinct), sp.dim) <= self.BRUTE_SUBSETS:
+            independent.append(brute_polytope_vertices(*zip(*distinct), sp.dim))
+        assert all(set(order_interval_vertices(sp)) == w for w in independent)
+        return bool(independent)
+
+    def test_seeded_pointed_cones(self):
+        spaces = _pointed_spaces(rng(3517))
+        assert all(self._check(sp) for sp in spaces)
+        assert {(sp.dim, sp.cone.generators is None) for sp in spaces} == {
+            (d, h) for d in range(2, 6) for h in (False, True)
+        }
+
+    def test_fixture_and_lin_spaces(self):
+        # linf(2..4) and lin_space(1..3) are the CLI report fixtures; the
+        # closed forms stand in for subset enumeration from lin_space(4) on
+        for n in (2, 3, 4):
+            assert self._check(linf(n), _linf_interval(n))
+        for n in range(1, 7):
+            assert self._check(lin_space(n), _lin_interval(n))
+
+    def test_norm_query_tensor_spaces(self):
+        # each pair has the simplicial factor linf(2), so epsilon = pi, and
+        # [0, e] is the product of a factor interval over its two
+        # coordinates: z_(i, j) = p_j[i] for the columns p_0, p_1 of z
+        # (right factor linf(2)) or q_i[j] for its rows (left factor)
+        pairs = ((linf(2), lin_space(1), _lin_interval(1)), (lin_space(2), linf(2), _lin_interval(2)))
+        for left, right, factor in pairs:
+            simplicial_right = right.label == "linf(2)"
+            other = left if simplicial_right else right
+            want = set()
+            for p in product(factor, repeat=2):
+                want.add(tuple(
+                    p[j][i] if simplicial_right else p[i][j] for i in range(left.dim) for j in range(right.dim)
+                ))
+            for kind in (EPSILON, PI):
+                assert self._check(tensor_space(left, right, kind).realized, want)
+            assert len(want) == len(factor) ** 2 and other.dim == len(next(iter(factor)))
+
+
+def _linf_interval(n: int) -> set:
+    """The vertices of [0, e] in linf(n): the 0/1 vectors."""
+    return set(product((Fraction(0), Fraction(1)), repeat=n))
+
+
+def _lin_interval(n: int) -> set:
+    """The vertices of [0, e] in lin_space(n): 0, e and (e +- t_i) / 2,
+    the affine functions that are 0 or 1 at every corner of the cube."""
+    half = [tuple(Fraction(int(c == 0) + s * int(c == i), 2) for c in range(n + 1)) for i in range(1, n + 1) for s in (1, -1)]
+    return {(Fraction(0),) * (n + 1), (Fraction(1),) + (Fraction(0),) * n, *half}
 
 
 class TestDualAugmented:

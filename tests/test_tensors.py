@@ -39,6 +39,7 @@ from conftest import (
     rng,
     states_order_norm,
     sum_of_bilinear_squares,
+    unfiltered_block_positive,
 )
 
 from aoulab.cones import Cone, extreme_rays, is_simplicial, member
@@ -734,13 +735,14 @@ class TestFactorize:
         # and (0, +-1)
         return AOUSpace(3, Cone.from_generators([(1, 1, 0), (1, -1, 0), (1, 0, 1), (1, 0, -1)]), (1, 0, 0))
 
-    def test_cold_v_cone_factorize_runs_two_dds(self, dd_calls):
+    def test_cold_v_cone_factorize_runs_two_dds(self, dd_calls, dd_resumes):
         # the cone's, which gives its states and H-rows, and the unit
-        # ball's; the check reads the cone's own generators, and no dual
-        # cone is built for the multipliers
+        # ball's, which resumes it by the 4 rows of e - C; the check reads
+        # the cone's own generators, and no dual cone is built for the
+        # multipliers
         res = factorize(self.v_square())
         assert res.schedule == ((3, Fraction(1)), (4, Fraction(1, 2)))
-        assert dd_calls == [4, 9]
+        assert dd_calls == [4] and dd_resumes == [4]
 
     def test_every_multiplier_edit_agrees_with_weak_duality(self, monkeypatch):
         # each multiplier of each step edited (conftest.multiplier_edits);
@@ -1343,6 +1345,48 @@ class TestPsdExampleSuite:
             assert rep.verdict == "certified_non_member"
             assert rep.counterexample == grid_counterexample(m)
         assert calls == []
+
+    def test_zero_diagonal_row_that_no_shift_zeroes_skips_every_shift(self, monkeypatch):
+        # m_00 = 0 but m_01 = 1, and R_01 = 0: no shift zeroes row 0 of
+        # m + t R, as a PSD matrix with a zero diagonal entry needs, so no
+        # LDL^T runs (all 67 shifts were tried before the filter)
+        calls = []
+        original = aoulab.psd_examples.ldlt_psd
+        monkeypatch.setattr(aoulab.psd_examples, "ldlt_psd", lambda m: calls.append(m) or original(m))
+        m = Matrix.from_rows([(0, 1, 0, 0), (1, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
+        rep = block_positive(m)
+        assert calls == []
+        assert (rep.verdict, rep.evidence, rep.counterexample) == unfiltered_block_positive(m)
+        assert rep.verdict == "certified_non_member" and rep.counterexample == grid_counterexample(m)
+
+    def test_zero_diagonal_filter_agrees_with_the_unfiltered_search(self, monkeypatch):
+        # seeded symmetric 4x4 matrices with one or two zero diagonal
+        # entries, half of those rows left with only their R entry, so that
+        # one shift zeroes them: the same verdict, shift and counterexample
+        # as trying every shift, with at most one LDL^T per matrix
+        calls = []
+        original = aoulab.psd_examples.ldlt_psd
+        monkeypatch.setattr(aoulab.psd_examples, "ldlt_psd", lambda m: calls.append(m) or original(m))
+        r = rng(4099)
+        seen = Counter()
+        for _ in range(24):
+            upper = {(i, j): Fraction(r.randint(-3, 3), r.choice((1, 2))) for i in range(4) for j in range(i, 4)}
+            for i in range(4):
+                upper[i, i] = Fraction(r.randint(2, 9))
+            for i in r.sample(range(4), r.randint(1, 2)):
+                upper[i, i] = Fraction(0)
+                if r.random() < 0.5:
+                    for j in range(4):
+                        if j != 3 - i:
+                            upper[min(i, j), max(i, j)] = Fraction(0)
+            m = Matrix.from_rows([[upper[min(i, j), max(i, j)] for j in range(4)] for i in range(4)])
+            calls.clear()
+            rep = block_positive(m)
+            want = unfiltered_block_positive(m)
+            assert (rep.verdict, rep.evidence and rep.evidence.shift, rep.counterexample) == want
+            assert len(calls) <= 1
+            seen[rep.verdict] += 1
+        assert seen["certified_member"] >= 4 and seen["certified_non_member"] >= 4, seen
 
     def test_block_positive_can_be_undecided(self):
         # no shift tried makes m + t R PSD and no grid tensor is negative
