@@ -16,14 +16,19 @@ the type hints of the library's result types, plus one library checker: a
 `_*_holds`, or for `tensor-member` the certificate's own `verify`.
 `verify` re-runs every other verb and compares the result with the
 report's.
+
+argv is read against the verb table, which `-h` prints: the verb, then its
+row's arguments and --format, positionals in table order and options as
+`--key value` or `--key=value` in any order, each at most once and spelled
+in full.  An option takes the next word as its value, whatever it starts
+with; any other word that starts with "-" names an option.
 Exit codes: 0 the computation ran (whatever the verdict; `verify` exits 3
-on a report that does not hold), 1 usage error, 2 invalid input, 3
-internal invariant breach.
+on a report that does not hold), 1 a malformed command line, 2 invalid
+input, 3 internal invariant breach.
 """
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import functools
 import json
@@ -123,22 +128,15 @@ def _read(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
-def _load_typed(path: str, want, what: str):
-    obj = loads(_read(path))
-    if not isinstance(obj, want):
-        raise InputError(f"{path} does not hold a {what}")
-    return obj
-
-
-def _parse_json_flag(text: str, what: str):
+def _parse_json(text: str, what: str):
     try:
         return json.loads(text)
-    except ValueError as exc:
-        raise InputError(f"bad {what}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
+        raise InputError(f"malformed {what}: {exc}") from exc
 
 
 # -- runners with more than one step; the table below holds the rest ---------
@@ -171,20 +169,11 @@ def _run_examples(_which):
         "swap": {"psd": "non_member", "pi": "non_member", "epsilon": "member"},
         "identity": {"psd": "member", "pi": "member", "epsilon": "member"},
     }
-    suite = {rep.label: rep for rep in psd_example_suite()}
-    got = {
-        label: {cone: v.claim for cone, v in rep.verdicts.items()}
-        for label, rep in suite.items()
-    }
     # psd_example_suite raises on a report that fails its verify
+    got = {rep.label: {cone: v.claim for cone, v in rep.verdicts.items()} for rep in psd_example_suite()}
     pair = is_nuclear_pairwise(lin_space(2), lin_space(2))
-    all_match = got == expected and pair.nuclear is False
-    out = {
-        "matrix_examples": got,
-        "certificates_verified": True,
-        "lin_space_2_square_nuclear": pair.nuclear,
-        "all_match": all_match,
-    }
+    out = {"matrix_examples": got, "certificates_verified": True, "lin_space_2_square_nuclear": pair.nuclear}
+    out["all_match"] = got == expected and pair.nuclear is False
     if pair.witness is not None:
         out["non_nuclearity_witness"] = pair.witness
     return out
@@ -371,22 +360,55 @@ def _check_factorize(space, eps, result) -> bool:
     return _factorization_holds(space, eps, decode(FactorizationResult, result))
 
 
+def _roundtrip(path: str, fmt: str, out) -> int:
+    out.write(dumps(loads(_read(path))))
+    return EXIT_OK
+
+
+def _verify(path: str, fmt: str, out) -> int:
+    report = _parse_json(_read(path), "report")
+    if not isinstance(report, dict) or report.get("type") != "report":
+        raise InputError("not a report file")
+    if report.get("version") != VERSION:
+        raise InputError(f"unsupported report version {report.get('version')!r}")
+    verb = report.get("verb")
+    if not isinstance(verb, str) or verb not in _VERBS or not _VERBS[verb].report:
+        raise InputError(f"report carries unknown verb {verb!r}")
+    inputs, keys = report.get("inputs"), sorted(a.key for a in _VERBS[verb].args)
+    if not isinstance(inputs, dict) or sorted(inputs) != keys:
+        raise InputError(f"{verb} inputs must be an object with the keys {keys}")
+    inputs = [a.decode(inputs[a.key]) for a in _VERBS[verb].args]
+    stored = {k: report[k] for k in report if k not in _META_KEYS}
+    check = _VERBS[verb].check
+    # `_plain` yields only what JSON parses back to itself, so the re-run
+    # result compares with the stored one directly
+    try:
+        verified = check(*inputs, stored) if check else stored == _result(verb, inputs)
+    except _Refuted:
+        verified = False
+    verdict = {"version": VERSION, "type": "report", "verb": "verify", "inputs": {"report": verb}}
+    _emit({**verdict, "verified": verified}, fmt, out)
+    return EXIT_OK if verified else EXIT_BREACH
+
+
 # -- the verb table ------------------------------------------------------------
 #
-# One row per report verb: help text, arguments, runner, and the check that
+# One row per verb: help text, arguments, runner, and the check that
 # `verify` runs in place of the runner, where the report carries evidence
-# for one.  The parser, the argv path and `verify` all read it.  An argument
-# is spelled `key` (positional) or `--key` (option).  `load` turns its argv
-# text into the value the report embeds under `key` and the runner's
-# argument; `decode` turns an embedded value into the runner's argument and
-# rejects, as invalid input, any value `load` could not have made.
+# for one.  The argv parser, the dispatch, `--help` and `verify` all read it.
+# An argument is spelled `key` (positional) or `--key` (option).  `load`
+# turns its argv text into the value the report embeds under `key` and the
+# runner's argument; `decode` turns an embedded value into the runner's
+# argument and rejects, as invalid input, any value `load` could not have
+# made.  `roundtrip` and `verify` make no report: their runners take the
+# argv text and the format, write their own output and return the exit code.
 
 
 @dataclasses.dataclass(frozen=True)
 class _Arg:
     key: str
-    load: Callable[[str], tuple[object, object]]
-    decode: Callable[[object], object]
+    load: Callable[[str], tuple[object, object]] | None = None
+    decode: Callable[[object], object] | None = None
     option: bool = False
     help: str | None = None
     choices: tuple[str, ...] | None = None
@@ -395,7 +417,9 @@ class _Arg:
 
 def _file(key, cls, what, from_dict, help=None) -> _Arg:
     def load(path):
-        obj = _load_typed(path, cls, what)
+        obj = loads(_read(path))
+        if not isinstance(obj, cls):
+            raise InputError(f"{path} does not hold a {what}")
         return to_dict(obj), obj
 
     return _Arg(key, load, from_dict, help=help)
@@ -420,7 +444,7 @@ def _as_embedded(parse, decode):
 
 
 def _json(key, decode, help) -> _Arg:
-    parse = lambda text: _parse_json_flag(text, f"--{key}")
+    parse = lambda text: _parse_json(text, f"--{key}")
     return _Arg(key, _as_embedded(parse, decode), decode, True, help)
 
 
@@ -439,33 +463,26 @@ class _Verb:
     args: tuple[_Arg, ...]
     run: Callable[..., dict]
     check: Callable[..., bool] | None = None
+    report: bool = True
 
 
 _VERBS = {
-    "validate": _Verb(
-        "order-unit, Archimedean, pointedness flags", (_space(),), _fields_of(validate)
-    ),
+    "validate": _Verb("order-unit, Archimedean, pointedness flags", (_space(),), _fields_of(validate)),
     "norm": _Verb(
         "order norm of a vector",
         (_space(), _json("vector", decode_vec, 'JSON list, e.g. "[1,-1]"')),
         lambda space, v: {"norm": order_norm(space, v)},
     ),
     "states": _Verb(
-        "extreme states of the space",
-        (_space(),),
-        lambda space: {"states": extreme_states(space)},
+        "extreme states of the space", (_space(),), lambda space: {"states": extreme_states(space)}
     ),
-    "archimedeanize": _Verb(
-        "Archimedeanization and its projection", (_space(),), _run_archimedeanize
-    ),
+    "archimedeanize": _Verb("Archimedeanization and its projection", (_space(),), _run_archimedeanize),
     "quotient": _Verb(
         "Archimedean quotient by an order ideal",
         (_space(), _json("kernel", decode_rows, "JSON list of basis rows")),
         lambda space, kernel: dict(zip(("space", "map"), archimedean_quotient(space, kernel))),
     ),
-    "check-map": _Verb(
-        "unital/positive/embedding/isometry flags", (_MAP,), _fields_of(check_map)
-    ),
+    "check-map": _Verb("unital/positive/embedding/isometry flags", (_MAP,), _fields_of(check_map)),
     "extend": _Verb(
         "extend a partial unital positive map",
         (
@@ -474,9 +491,7 @@ _VERBS = {
             _json("basis", decode_rows, "JSON rows spanning the subspace"),
             _json("values", decode_rows, "JSON rows of images"),
         ),
-        lambda space, target, basis, values: {
-            "map": extend_unital_positive(space, basis, values, target)
-        },
+        lambda space, target, basis, values: {"map": extend_unital_positive(space, basis, values, target)},
     ),
     "pert": _Verb(
         "nearest positive map, coordinatewise target",
@@ -503,9 +518,7 @@ _VERBS = {
         _check_tensor_member,
     ),
     "tensor-norm": _Verb(
-        "injective norm of a tensor element",
-        (_ELEMENT,),
-        lambda z: {"norm": injective_banach_norm(z)},
+        "injective norm of a tensor element", (_ELEMENT,), lambda z: {"norm": injective_banach_norm(z)}
     ),
     "nuclear": _Verb(
         "nuclearity of one space", (_space(),), _fields_of(_space_nuclearity), _check_nuclear
@@ -520,14 +533,7 @@ _VERBS = {
         "approximate factorization through a coordinatewise space",
         (
             _space(),
-            _Arg(
-                "eps",
-                _as_embedded(str, decode_frac),
-                decode_frac,
-                True,
-                "defect tolerance, a rational",
-                default="1/10",
-            ),
+            _Arg("eps", _as_embedded(str, decode_frac), decode_frac, True, "defect tolerance", default="1/10"),
         ),
         _fields_of(factorize),
         _check_factorize,
@@ -537,16 +543,20 @@ _VERBS = {
         (_choice("which", ("paper",)),),
         _run_examples,
     ),
+    "roundtrip": _Verb(
+        "canonical serialization of a file",
+        (_Arg("path", help="a space, map or tensor element file"),),
+        _roundtrip,
+        report=False,
+    ),
+    "verify": _Verb(
+        "confirm a report: factorize, pert, perturb, auerbach, tensor-member, nuclear and "
+        "nuclear-pair from the evidence they carry, any other verb by running it again",
+        (_Arg("report", help="a report written with --format json"),),
+        _verify,
+        report=False,
+    ),
 }
-
-
-def _decode_inputs(verb: str, inputs) -> list:
-    """The runner's arguments from a report's embedded inputs."""
-    spec = _VERBS[verb]
-    keys = sorted(a.key for a in spec.args)
-    if not isinstance(inputs, dict) or sorted(inputs) != keys:
-        raise InputError(f"{verb} inputs must be an object with the keys {keys}")
-    return [a.decode(inputs[a.key]) for a in spec.args]
 
 
 def _result(verb: str, args: list) -> dict:
@@ -574,109 +584,98 @@ def _emit(report: dict, fmt: str, out) -> None:
         out.write(f"{key}: {json.dumps(result[key], sort_keys=True)}\n")
 
 
-# -- argv plumbing ----------------------------------------------------------
+# -- argv, read from the verb table (the grammar is in the module docstring) ----
+
+_FORMAT = _Arg("format", option=True, help="report format", choices=("text", "json"), default="text")
 
 
-class _Parser(argparse.ArgumentParser):
-    # exit status 2 is reserved for invalid input files, so usage problems
-    # exit 1 instead of argparse's default 2
-    def error(self, message):
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+class _UsageError(Exception):
+    """A malformed command line (exit 1), refused before any input is read."""
 
 
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    # built on the first main() call, not at import, and reused after that:
-    # building costs about a hundred times as much as parsing
-    parser = _Parser(prog="aoulab", description=__doc__.splitlines()[0])
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("text", "json"), default="text")
-    sub = parser.add_subparsers(dest="verb", required=True, parser_class=_Parser)
-    for verb, spec in _VERBS.items():
-        p = sub.add_parser(verb, parents=[common], help=spec.help)
-        for a in spec.args:
-            kw = {"required": a.default is None, "default": a.default} if a.option else {}
-            p.add_argument(f"--{a.key}" if a.option else a.key, choices=a.choices, help=a.help, **kw)
-    for verb, help_text, arg in (
-        ("roundtrip", "canonical serialization of a file", "path"),
-        (
-            "verify",
-            "confirm a report: factorize, pert, perturb, auerbach, tensor-member, nuclear "
-            "and nuclear-pair from the evidence they carry, any other verb by running it again",
-            "report",
-        ),
-    ):
-        sub.add_parser(verb, parents=[common], help=help_text).add_argument(arg)
-    return parser
+def _spelling(a: _Arg) -> str:
+    value = "{" + ",".join(a.choices) + "}" if a.choices else a.key.upper()
+    if not a.option:
+        return value
+    return f"--{a.key} {value}" if a.default is None else f"[--{a.key} {value}]"
 
 
-def _cmd_roundtrip(args, out) -> int:
-    out.write(dumps(loads(_read(args.path))))
-    return EXIT_OK
+def _help(verb: str | None) -> str:
+    """The usage text of one verb, or of them all."""
+    if verb is None:
+        usage, about = "VERB ... (aoulab VERB -h lists its arguments)", __doc__.splitlines()[0]
+        rows = [(v, spec.help) for v, spec in _VERBS.items()]
+    else:
+        args, about = _VERBS[verb].args + (_FORMAT,), _VERBS[verb].help
+        usage, rows = " ".join([verb, *map(_spelling, args)]), [(_spelling(a), a.help or "") for a in args]
+    width = max(len(name) for name, _ in rows) + 2
+    lines = "".join(f"  {name:<{width}}{text}".rstrip() + "\n" for name, text in rows)
+    return f"usage: aoulab {usage}\n\n{about}\n\n{lines}"
 
 
-def _cmd_verify(args, out) -> int:
-    try:
-        report = json.loads(_read(args.report))
-    except ValueError as exc:
-        raise InputError(f"malformed report: {exc}") from exc
-    if not isinstance(report, dict) or report.get("type") != "report":
-        raise InputError("not a report file")
-    if report.get("version") != VERSION:
-        raise InputError(f"unsupported report version {report.get('version')!r}")
-    verb = report.get("verb")
-    if not isinstance(verb, str) or verb not in _VERBS:
-        raise InputError(f"report carries unknown verb {verb!r}")
-    inputs = _decode_inputs(verb, report.get("inputs"))
-    stored = {k: report[k] for k in report if k not in _META_KEYS}
-    check = _VERBS[verb].check
-    # `_plain` yields only what JSON parses back to itself, so the re-run
-    # result compares with the stored one directly
-    try:
-        verified = check(*inputs, stored) if check else stored == _result(verb, inputs)
-    except _Refuted:
-        verified = False
-    _emit(
-        {"version": VERSION, "type": "report", "verb": "verify",
-         "inputs": {"report": report.get("verb")}, "verified": verified},
-        args.format,
-        out,
-    )
-    return EXIT_OK if verified else EXIT_BREACH
+def _parse(argv: list[str]) -> dict[str, str] | str:
+    """The verb under "verb" and each argument's text under its key, or the
+    help text where -h or --help stands in place of an option."""
+    verb = argv[0] if argv else None
+    if verb in ("-h", "--help"):
+        return _help(None)
+    if verb not in _VERBS:
+        raise _UsageError(f"expected a verb, one of {', '.join(_VERBS)}; got {verb!r}")
+    args = _VERBS[verb].args + (_FORMAT,)
+    options = {f"--{a.key}": a for a in args if a.option}
+    positionals, words, got = iter([a for a in args if not a.option]), iter(argv[1:]), {"verb": verb}
+    for word in words:
+        if word in ("-h", "--help"):
+            return _help(verb)
+        if word.startswith("-"):
+            name, eq, value = word.partition("=")
+            a = options.get(name)
+            if a is None:
+                raise _UsageError(f"{verb} has no option {name}")
+            value = value if eq else next(words, None)
+            if value is None or a.key in got:
+                raise _UsageError(f"{name} takes one value" if value is None else f"{name} given twice")
+        elif (a := next(positionals, None)) is None:
+            raise _UsageError(f"unexpected argument {word!r}")
+        else:
+            value = word
+        if a.choices and value not in a.choices:
+            raise _UsageError(f"{_spelling(a)} must be one of {', '.join(a.choices)}, got {value!r}")
+        got[a.key] = value
+    for a in args:
+        if a.key not in got and (not a.option or a.default is None):
+            raise _UsageError(f"{verb} requires {_spelling(a)}")
+        got.setdefault(a.key, a.default)
+    return got
 
 
 def main(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+        args = _parse(sys.argv[1:] if argv is None else argv)
+    except _UsageError as exc:
+        print(f"aoulab: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    if isinstance(args, str):  # -h or --help
+        out.write(args)
+        return EXIT_OK
+    verb, spec = args["verb"], _VERBS[args["verb"]]
     try:
-        if args.verb == "roundtrip":
-            return _cmd_roundtrip(args, out)
-        if args.verb == "verify":
-            return _cmd_verify(args, out)
-        spec = _VERBS[args.verb]
-        loaded = [a.load(getattr(args, a.key)) for a in spec.args]
-        report = {
-            "version": VERSION,
-            "type": "report",
-            "verb": args.verb,
-            "inputs": {a.key: embedded for a, (embedded, _) in zip(spec.args, loaded)},
-            **_result(args.verb, [arg for _, arg in loaded]),
-        }
-        _emit(report, args.format, out)
-        if args.verb == "examples" and not report.get("all_match", False):
+        if not spec.report:
+            return spec.run(*[args[a.key] for a in spec.args], args["format"], out)
+        loaded = [a.load(args[a.key]) for a in spec.args]
+        inputs = {a.key: embedded for a, (embedded, _) in zip(spec.args, loaded)}
+        report = {"version": VERSION, "type": "report", "verb": verb, "inputs": inputs}
+        report |= _result(verb, [arg for _, arg in loaded])
+        _emit(report, args["format"], out)
+        if verb == "examples" and not report.get("all_match", False):
             return EXIT_BREACH
         return EXIT_OK
     except InputError as exc:
         print(f"aoulab: invalid input: {exc}", file=sys.stderr)
         if exc.certificate is not None:
-            print(
-                f"aoulab: certificate: {json.dumps(_plain(exc.certificate), sort_keys=True)}",
-                file=sys.stderr,
-            )
+            certificate = json.dumps(_plain(exc.certificate), sort_keys=True)
+            print(f"aoulab: certificate: {certificate}", file=sys.stderr)
         return EXIT_INPUT
     except InvariantViolation as exc:
         print(f"aoulab: invariant breach: {exc}", file=sys.stderr)

@@ -2,7 +2,7 @@
 
 The split matters for the command line front end: InputError maps to exit
 code 2 and InvariantViolation to 3. Exit code 1 is a malformed command
-line, which `cli._Parser.error` refuses before any of these can be raised.
+line, which `cli._parse` refuses before any of these can be raised.
 Everything else is a bug.
 """
 

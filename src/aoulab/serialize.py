@@ -258,6 +258,6 @@ def dumps(obj) -> str:
 def loads(text: str):
     try:
         d = json.loads(text)
-    except ValueError as exc:  # malformed, or an int past the digit limit
+    except (ValueError, RecursionError) as exc:  # malformed, an int past the digit limit or too deep
         raise InputError(f"malformed JSON: {exc}") from exc
     return from_dict(d)

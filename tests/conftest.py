@@ -50,7 +50,9 @@ integer rows with their scales.  `own_rows_oracle` splits a cone's rows
 by Fraction arithmetic and `integerize`, as the constructors did before
 the split moved into `Cone.__post_init__`.  `rerun_verifies` confirms a CLI report by running its verb
 again and comparing the results through a JSON round trip, where `verify`
-checks the evidence of the seven verbs that carry it.  The block form of a
+checks the evidence of the seven verbs that carry it, and
+`argparse_parser` reads argv with the argparse parser the verb table once
+built, where `cli._parse` matches argv against the table by hand.  The block form of a
 4x4 matrix on the 2 (x) 2 square is expanded as a polynomial in x0, x1,
 y0, y1 (`biquadratic_form`, `sum_of_bilinear_squares`), where
 `psd_examples.sos_matches` tests one linear identity, and
@@ -67,7 +69,9 @@ and characteristic polynomials, for the sweep of `evidence_edits`.
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
+import functools
 import json
 import random
 from fractions import Fraction
@@ -1402,3 +1406,29 @@ def rerun_verifies(report: dict) -> bool:
     fresh = _plain(spec.run(*(a.decode(report["inputs"][a.key]) for a in spec.args)))
     stored = {k: v for k, v in report.items() if k not in _META_KEYS}
     return json.loads(json.dumps(fresh, sort_keys=True)) == stored
+
+
+# -- the argparse oracle for the CLI's table parser ------------------------------
+
+
+class _ArgparseParser(argparse.ArgumentParser):
+    # usage problems exit 1, as in the CLI, not argparse's default 2
+    def error(self, message):
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+@functools.cache
+def argparse_parser() -> argparse.ArgumentParser:
+    """The parser the CLI built from its verb table before it read argv
+    against the table itself: parse_args gives a Namespace whose vars are
+    the verb, --format and each argument's text by key."""
+    parser = _ArgparseParser(prog="aoulab")
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--format", choices=("text", "json"), default="text")
+    sub = parser.add_subparsers(dest="verb", required=True, parser_class=_ArgparseParser)
+    for verb, spec in _VERBS.items():
+        p = sub.add_parser(verb, parents=[common], help=spec.help)
+        for a in spec.args:
+            kw = {"required": a.default is None, "default": a.default} if a.option else {}
+            p.add_argument(f"--{a.key}" if a.option else a.key, choices=a.choices, help=a.help, **kw)
+    return parser

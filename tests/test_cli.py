@@ -3,6 +3,9 @@
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,16 +16,18 @@ import aoulab.cones
 import aoulab.maps
 import aoulab.spaces
 import aoulab.tensors
-from aoulab.cli import _EVIDENCE_KEYS, _META_KEYS, _VERBS, _build_parser, _plain, main
+from aoulab.cli import _EVIDENCE_KEYS, _FORMAT, _META_KEYS, _VERBS, _parse, _plain, main
 from aoulab.cones import Cone
 from aoulab.errors import InvariantViolation
-from aoulab.linalg import Matrix
+from aoulab.linalg import Matrix, inverse
 from aoulab.maps import UnitalMap
 from aoulab.psd_examples import WitnessReport
 from aoulab.serialize import canonical_json, dumps
 from aoulab.spaces import AOUSpace, lin_space, linf
 from aoulab.tensors import EPSILON, PI, TensorElement
-from conftest import ball_scan_spaces, rand_vec, random_unital_into_linf, refused_norms, rerun_verifies, rng
+from conftest import (
+    argparse_parser, ball_scan_spaces, rand_vec, random_unital_into_linf, refused_norms, rerun_verifies, rng
+)
 
 
 def run(argv):
@@ -63,6 +68,11 @@ def files(tmp_path):
     return paths
 
 
+# file contents no reader takes: bytes that are not UTF-8, and JSON nested
+# past the interpreter's recursion limit
+UNREADABLE = {"not_utf8": b"\xff\xfe{}", "nested_too_deep": b"[" * 200_000}
+
+
 class TestExitCodes:
     def test_computed_is_zero_even_for_negative_verdicts(self, files):
         code, out = run(["nuclear", files["lin2.json"]])
@@ -89,36 +99,157 @@ class TestExitCodes:
         bad.write_text(text)
         assert main(["validate", str(bad)]) == 2
 
+    @pytest.mark.parametrize("verb", ["validate", "verify", "roundtrip"])
+    @pytest.mark.parametrize("name", list(UNREADABLE))
+    def test_unreadable_file_is_input_error(self, tmp_path, capsys, verb, name):
+        path = tmp_path / "bad.json"
+        path.write_bytes(UNREADABLE[name])
+        code, out = run([verb, str(path)])
+        assert_invalid_input(code, out, capsys.readouterr().err)
 
-class TestParserReuse:
-    def test_one_parser_serves_a_call_sequence(self, files, tmp_path, capsys):
+    def test_vector_nested_too_deep_is_input_error(self, files, capsys):
+        code, out = run(["norm", files["linf2.json"], "--vector", "[" * 200_000])
+        assert_invalid_input(code, out, capsys.readouterr().err)
+
+
+class TestCallSequence:
+    def test_a_call_sequence_matches_fresh_calls(self, files, tmp_path, capsys):
         # a verb, a usage error, then verify of the verb's report, as a
-        # long-running caller would issue them
+        # long-running caller would issue them, against each call in a
+        # fresh interpreter
         report = tmp_path / "report.json"
-
-        def sequence(fresh_parser):
-            results = []
-            for argv in (
-                ["validate", files["lin2.json"], "--format", "json"],
-                ["norm", files["linf2.json"]],
-                ["verify", str(report)],
-            ):
-                if fresh_parser:
-                    _build_parser.cache_clear()
-                code, out = run(argv)
-                if argv[0] == "validate":
-                    report.write_text(out)
-                results.append((code, out, capsys.readouterr().err))
-            return results
-
-        fresh = sequence(True)
-        _build_parser.cache_clear()
-        reused = sequence(False)
-        assert _build_parser.cache_info().misses == 1
+        sequence = (
+            ["validate", files["lin2.json"], "--format", "json"],
+            ["norm", files["linf2.json"]],
+            ["verify", str(report)],
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(aoulab.cli.__file__).parents[1]))
+        fresh, reused = [], []
+        for argv in sequence:
+            proc = subprocess.run(
+                [sys.executable, "-m", "aoulab", *argv], env=env, capture_output=True, text=True, timeout=60
+            )
+            fresh.append((proc.returncode, proc.stdout, proc.stderr))
+            if argv[0] == "validate":
+                report.write_text(proc.stdout)
+        for argv in sequence:
+            code, out = run(argv)
+            reused.append((code, out, capsys.readouterr().err))
         assert reused == fresh
         assert [code for code, _, _ in reused] == [0, 1, 0]
-        assert "required: --vector" in reused[1][2]
+        assert reused[1][2] == "aoulab: error: norm requires --vector VECTOR\n"
         assert reused[2][1] == "true\n"
+
+
+# -- argv against the verb table, with argparse as the oracle ------------------
+
+# argument texts that neither parser reads as an option
+TEXTS = ("a.json", "[1,-1]", "[[1,0,0],[0,1,0]]", "1/10", "x=y", "two words")
+
+
+def valid_argv(r, verb) -> list[str]:
+    """argv for the verb's row: each positional in table order, each
+    required option, and each option with a default (--format too) half the
+    time, as `--key value` or `--key=value`, in shuffled order among the
+    positionals."""
+    args = _VERBS[verb].args + (_FORMAT,)
+    value = lambda a: r.choice(a.choices or TEXTS)
+    options = [
+        [f"--{a.key}={value(a)}"] if r.random() < 0.5 else [f"--{a.key}", value(a)]
+        for a in args
+        if a.option and (a.default is None or r.random() < 0.5)
+    ]
+    r.shuffle(options)
+    positionals, argv = [[value(a)] for a in args if not a.option], [verb]
+    while options or positionals:
+        argv += (options if options and (not positionals or r.random() < 0.5) else positionals).pop(0)
+    return argv
+
+
+def malformed_argvs(verb) -> dict:
+    """name -> argv that is the verb's full argv with one fault: an unknown
+    option, an extra positional, a positional or required option missing, a
+    value outside the choices, or an option with no value."""
+    args = _VERBS[verb].args + (_FORMAT,)
+
+    def argv(skip=None, bad=None, tail=()):
+        words = [verb]
+        for a in (a for a in args if a is not skip):
+            value = "bogus" if a is bad else a.choices[0] if a.choices else "a.json"
+            words += [f"--{a.key}", value] if a.option else [value]
+        return words + list(tail)
+
+    cases = {"unknown_option": argv(tail=["--bogus", "1"]), "extra_positional": argv(tail=["extra.json"])}
+    for a in args:
+        if not a.option or a.default is None:
+            cases[f"missing_{a.key}"] = argv(skip=a)
+        if a.choices:
+            cases[f"bad_{a.key}"] = argv(bad=a)
+        if a.option:
+            cases[f"no_value_{a.key}"] = argv(skip=a, tail=[f"--{a.key}"])
+    return cases
+
+
+MALFORMED_ARGV = {
+    "no_verb": [],
+    "unknown_verb": ["frobnicate", "a.json"],
+    "option_before_verb": ["--format", "json", "validate", "a.json"],
+} | {f"{verb}:{name}": argv for verb in _VERBS for name, argv in malformed_argvs(verb).items()}
+
+
+class TestTableParser:
+    @pytest.mark.parametrize("verb", list(_VERBS))
+    def test_valid_argv_parses_as_argparse_does(self, verb):
+        r = rng(300 + list(_VERBS).index(verb))
+        for _ in range(12):
+            argv = valid_argv(r, verb)
+            assert _parse(argv) == vars(argparse_parser().parse_args(argv)), argv
+
+    @pytest.mark.parametrize("name", list(MALFORMED_ARGV))
+    def test_malformed_argv_is_refused_by_both(self, capsys, name):
+        argv = MALFORMED_ARGV[name]
+        with pytest.raises(SystemExit) as exc:
+            argparse_parser().parse_args(argv)
+        assert exc.value.code == 1
+        capsys.readouterr()
+        assert run(argv) == (1, "")
+        err = capsys.readouterr().err
+        assert err.startswith("aoulab: error: ") and err.count("\n") == 1
+
+    # where the grammar departs from argparse's, on purpose
+    def test_abbreviated_option_is_refused(self, files):
+        argv = ["validate", files["linf2.json"], "--form", "json"]
+        assert argparse_parser().parse_args(argv).format == "json"
+        assert main(argv) == 1
+
+    def test_repeated_option_is_refused(self, files):
+        argv = ["validate", files["linf2.json"], "--format", "json", "--format", "text"]
+        assert argparse_parser().parse_args(argv).format == "text"
+        assert main(argv) == 1
+
+    def test_option_value_may_start_with_a_dash(self, files, capsys):
+        argv = ["factorize", files["lin2.json"], "--eps", "-1/10"]
+        with pytest.raises(SystemExit):
+            argparse_parser().parse_args(argv)
+        assert _parse(argv)["eps"] == "-1/10"
+        assert _parse(argv) == vars(argparse_parser().parse_args(argv[:2] + ["--eps=-1/10"]))
+        assert main(argv) == 2  # a negative eps is invalid input
+
+    @pytest.mark.parametrize("word", ["--", "-"])
+    def test_other_words_with_a_dash_name_options(self, files, word):
+        argv = ["validate", word, files["linf2.json"]] if word == "--" else ["validate", word]
+        assert argparse_parser().parse_args(argv).space == argv[-1]
+        assert main(argv) == 1
+
+    @pytest.mark.parametrize("verb", [None, *_VERBS])
+    def test_help_is_read_from_the_table(self, verb):
+        code, out = run(["--help"] if verb is None else [verb, "-h"])
+        assert code == 0 and out.startswith("usage: aoulab ")
+        args = () if verb is None else _VERBS[verb].args + (_FORMAT,)
+        names = list(_VERBS) if verb is None else [f"--{a.key}" for a in args if a.option]
+        names += [a.choices[0] if a.choices else a.key.upper() for a in args if not a.option]
+        names += [a.help for a in args if a.help] + [_VERBS[verb].help if verb else ""]
+        assert all(name in out for name in names)
 
 
 class TestScalarVerbs:
@@ -293,6 +424,9 @@ ROUND_TRIPS = {
 }
 
 
+REPORT_VERBS = [verb for verb, spec in _VERBS.items() if spec.report]
+
+
 def round_trip_id(verb):
     return f"argv{list(ROUND_TRIPS).index(verb)}" if verb in ROUND_TRIPS else verb
 
@@ -305,19 +439,19 @@ def fresh_report(files, argv, fmt="json") -> str:
 
 
 class TestVerify:
-    @pytest.mark.parametrize("verb", list(_VERBS), ids=round_trip_id)
+    @pytest.mark.parametrize("verb", REPORT_VERBS, ids=round_trip_id)
     def test_fresh_reports_verify(self, files, tmp_path, verb):
         report = tmp_path / "report.json"
         report.write_text(fresh_report(files, ROUND_TRIPS[verb]))
         code, out = run(["verify", str(report)])
         assert code == 0 and out.strip() == "true"
 
-    @pytest.mark.parametrize("verb", list(_VERBS), ids=round_trip_id)
+    @pytest.mark.parametrize("verb", REPORT_VERBS, ids=round_trip_id)
     def test_report_bytes_are_json_dumps(self, files, verb):
         out = fresh_report(files, ROUND_TRIPS[verb])
         assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
 
-    @pytest.mark.parametrize("verb", list(_VERBS), ids=round_trip_id)
+    @pytest.mark.parametrize("verb", REPORT_VERBS, ids=round_trip_id)
     def test_text_report_is_the_json_result(self, files, verb):
         # the text form is the JSON report without its meta and evidence
         # keys: a lone string, bool or int alone, else one line per key in
@@ -702,6 +836,18 @@ class TestMalformedReports:
         err = self.verify_edited(files, tmp_path, capsys, ["examples", "paper"], edit)
         assert "paper" in err and "'textbook'" in err
 
+    @pytest.mark.parametrize(
+        "label", [b'"lin_space\xff(2)"', b"[" * 100_000 + b"]" * 100_000], ids=list(UNREADABLE)
+    )
+    def test_unreadable_report(self, files, tmp_path, capsys, label):
+        # a report whose space label is no UTF-8, or is JSON nested too deep
+        text = fresh_report(files, ["nuclear", "{lin2}"]).encode()
+        report = tmp_path / "edited.json"
+        report.write_bytes(text.replace(b'"lin_space(2)"', label))
+        capsys.readouterr()
+        code, out = run(["verify", str(report)])
+        assert_invalid_input(code, out, capsys.readouterr().err)
+
     @pytest.mark.parametrize("name", list(MALFORMED_EVIDENCE))
     def test_malformed_evidence(self, files, tmp_path, capsys, name):
         argv, edit = MALFORMED_EVIDENCE[name]
@@ -857,6 +1003,11 @@ def check_cases() -> dict:
             for label, z in elements.items():
                 cases[f"tensor-member:{kind}:{a},{b}:{label}"] = ("tensor-member", [z, "--kind", kind])
         cases[f"nuclear-pair:{a},{b}"] = ("nuclear-pair", [left, right])
+    cases["nuclear:lin3"] = ("nuclear", [lin_space(3)])
+    # a cone over a pentagon: each ray's rows that are not tight there have
+    # rank d, where on lin_space(n) they have rank d - 1, as the tight ones do
+    pentagon = [(1, 1, 0), (1, 0, 1), (1, -1, 1), (1, -1, 0), (1, 0, -1)]
+    cases["nuclear:pentagon"] = ("nuclear", [AOUSpace(3, Cone.from_generators(pentagon), (1, 0, 0))])
     return cases
 
 
@@ -910,6 +1061,29 @@ def scale(path, c):
     return edit
 
 
+def simplicial_claim(d):
+    """An edit of lin_space(2)'s report, which is not nuclear, to claim the
+    biorthogonal pair of its first three extreme rays: states with
+    f_i(g_j) = delta_ij, which are not positive, since those rays do not
+    span the cone."""
+    rays = Matrix.from_rows([tuple(map(Fraction, g)) for g in d.pop("rays")[:3]])
+    states = inverse(rays).transpose()  # f_i . g_j = delta_ij
+    d["nuclear"] = True
+    d["biorthogonal"] = {"object": "Biorthogonal", "rays": _plain(rays.data), "states": _plain(states.data)}
+
+
+def negated_ray(d):
+    """The last of lin_space(2)'s four extreme rays negated: still four rays
+    spanning the space, no two on a line, but that one outside the cone."""
+    d["rays"][-1] = [str(-Fraction(x)) for x in d["rays"][-1]]
+
+
+def doubled_pair(d):
+    """The first basis vector doubled and its dual halved."""
+    scale(["basis", 0], 2)(d)
+    scale(["duals", 0], Fraction(1, 2))(d)
+
+
 # edits of a fresh report that leave it well-formed and make a claim false
 WITNESS_ENTRY = at(["certificate", "witness", 0])
 TAMPERS = {
@@ -945,15 +1119,15 @@ TAMPERS = {
     "nuclear_space_state_off": ("nuclear:ray", nudge(["biorthogonal", "states", 0, 0], Fraction(1, 7))),
     "nuclear_space_ray_doubled": ("nuclear:lin2", lambda d: d["rays"].__setitem__(-1, d["rays"][0])),
     "nuclear_space_ray_inside": ("nuclear:lin2", at(["rays", -1])(["1", "0", "0"])),
+    "nuclear_space_simplicial_claim": ("nuclear:lin2", simplicial_claim),
+    "nuclear_space_negated_ray": ("nuclear:lin2", negated_ray),
     "nuclear_witness": ("nuclear-pair:lin2,lin2", at(["witness", "coeffs", 0, 0])("1")),
     "auerbach_basis_entry": ("auerbach:lin2", nudge(["basis", 0, 0], Fraction(1, 7))),
     "auerbach_dual_scaled": ("auerbach:linf3", scale(["duals", 1], Fraction(8, 7))),
     "auerbach_basis_reordered": ("auerbach:linf2", lambda d: d["basis"].reverse()),
     # still biorthogonal: the row check sees ||2 x_1|| = 2
-    "auerbach_doubled_pair": (
-        "auerbach:lin2",
-        lambda d: (scale(["basis", 0], 2)(d), scale(["duals", 0], Fraction(1, 2))(d)),
-    ),
+    "auerbach_doubled_pair": ("auerbach:lin2", doubled_pair),
+    "auerbach_doubled_pair_linf3": ("auerbach:linf3", doubled_pair),
 }
 
 

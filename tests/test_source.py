@@ -520,7 +520,51 @@ def test_every_verb_is_checked_or_rerun():
     from aoulab.cli import _VERBS
 
     checked = [verb for verb, spec in _VERBS.items() if spec.check is not None]
-    assert sorted(checked + list(RERUN_VERBS)) == sorted(_VERBS)
+    assert sorted(checked + list(RERUN_VERBS)) == sorted(verb for verb, spec in _VERBS.items() if spec.report)
+
+
+def _argparse_imports(tree: ast.Module) -> list[int]:
+    lines = []
+    for node in ast.walk(tree):
+        names = [a.name for a in node.names] if isinstance(node, ast.Import) else []
+        names += [node.module] if isinstance(node, ast.ImportFrom) and node.module else []
+        lines += [node.lineno for name in names if name.split(".")[0] == "argparse"]
+    return lines
+
+
+def test_no_module_imports_argparse():
+    # argv is read against the verb table, so argparse stays off the
+    # request path; the tests keep it as the oracle
+    found = [f"{file}:{line}" for file, tree in _parse_package().items() for line in _argparse_imports(tree)]
+    assert not found, found
+
+
+def test_argparse_imports_are_found():
+    source = "import os, argparse as ap\nfrom argparse import Namespace\nimport json\nfrom . import cli"
+    assert _argparse_imports(ast.parse(source)) == [1, 2]
+
+
+def _shadowing_keys(table: dict) -> list[str]:
+    """Argument keys of a verb table that the parser's result would hold
+    twice: a key repeated in one row, or "verb" or "format", which it
+    holds for every row."""
+    found = []
+    for verb, spec in table.items():
+        keys = [a.key for a in spec.args]
+        found += [f"{verb}: {key}" for key in sorted(set(keys)) if keys.count(key) > 1 or key in ("verb", "format")]
+    return found
+
+
+def test_no_table_key_shadows_another():
+    from aoulab.cli import _VERBS
+
+    assert _shadowing_keys(_VERBS) == []
+
+
+def test_shadowing_keys_are_found():
+    row = lambda *keys: types.SimpleNamespace(args=[types.SimpleNamespace(key=k) for k in keys])
+    table = {"a": row("space", "space"), "b": row("format"), "c": row("verb", "x"), "d": row("left", "right")}
+    assert _shadowing_keys(table) == ["a: space", "b: format", "c: verb"]
 
 
 # where rational input becomes integers: each call of integerize or
