@@ -33,7 +33,7 @@ from .errors import (
     StrictConeError,
 )
 from .linalg import Matrix, Vec, det, dot, frac, integerize, inverse, nullspace, rank, solve, vec
-from .lp import EQ, GE, INFEASIBLE, LE, OPTIMAL, UNBOUNDED, LPOutcome, solve_lp
+from .lp import EQ, GE, INFEASIBLE, OPTIMAL, LPOutcome, solve_lp
 from .maps import (
     MapReport,
     QuotientReport,

@@ -5,7 +5,8 @@ that embeds both the inputs and the result, so `verify` can confirm the
 report from the report alone.  Seven verbs are checked from the evidence
 their reports carry, with no search run again: `factorize` from each
 greedy step's psi and defect-LP dual multipliers, `pert` and `perturb` from
-dual norms over the unit ball and the target's extreme states,
+the map's integer sign test and dual norms over the unit ball and the
+target's extreme states,
 `auerbach` from biorthogonality, the cone rows at the basis and the dual
 norms of the duals, `tensor-member` and `nuclear-pair` from their
 certificates against the product generators and product-state rows, and
@@ -32,6 +33,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import os
 import sys
 import types
 import typing
@@ -361,7 +363,7 @@ def _check_factorize(space, eps, result) -> bool:
 
 
 def _roundtrip(path: str, fmt: str, out) -> int:
-    out.write(dumps(loads(_read(path))))
+    _write(out, dumps(loads(_read(path))))
     return EXIT_OK
 
 
@@ -387,7 +389,7 @@ def _verify(path: str, fmt: str, out) -> int:
     except _Refuted:
         verified = False
     verdict = {"version": VERSION, "type": "report", "verb": "verify", "inputs": {"report": verb}}
-    _emit({**verdict, "verified": verified}, fmt, out)
+    _write(out, _render({**verdict, "verified": verified}, fmt))
     return EXIT_OK if verified else EXIT_BREACH
 
 
@@ -567,21 +569,31 @@ def _result(verb: str, args: list) -> dict:
     return result
 
 
-def _emit(report: dict, fmt: str, out) -> None:
+def _render(report: dict, fmt: str) -> str:
     if fmt == "json":
-        out.write(canonical_json(report))
-        return
+        return canonical_json(report)
     result = {k: v for k, v in report.items() if k not in _META_KEYS + _EVIDENCE_KEYS}
     if len(result) == 1:
         value = next(iter(result.values()))
         if isinstance(value, str):
-            out.write(f"{value}\n")
-            return
+            return f"{value}\n"
         if isinstance(value, (bool, int)):
-            out.write(f"{json.dumps(value)}\n")
-            return
-    for key in sorted(result):
-        out.write(f"{key}: {json.dumps(result[key], sort_keys=True)}\n")
+            return f"{json.dumps(value)}\n"
+    return "".join(f"{key}: {json.dumps(result[key], sort_keys=True)}\n" for key in sorted(result))
+
+
+def _write(out, text: str) -> None:
+    """Write and flush every output of `main`. A reader that has closed the
+    pipe ends the output quietly: out then points at os.devnull, so the
+    interpreter's closing flush cannot fail again, and the run keeps its
+    exit code."""
+    try:
+        out.write(text)
+        out.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, out.fileno())
+        os.close(devnull)
 
 
 # -- argv, read from the verb table (the grammar is in the module docstring) ----
@@ -657,7 +669,7 @@ def main(argv=None, out=None) -> int:
         print(f"aoulab: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if isinstance(args, str):  # -h or --help
-        out.write(args)
+        _write(out, args)
         return EXIT_OK
     verb, spec = args["verb"], _VERBS[args["verb"]]
     try:
@@ -667,7 +679,7 @@ def main(argv=None, out=None) -> int:
         inputs = {a.key: embedded for a, (embedded, _) in zip(spec.args, loaded)}
         report = {"version": VERSION, "type": "report", "verb": verb, "inputs": inputs}
         report |= _result(verb, [arg for _, arg in loaded])
-        _emit(report, args["format"], out)
+        _write(out, _render(report, args["format"]))
         if verb == "examples" and not report.get("all_match", False):
             return EXIT_BREACH
         return EXIT_OK

@@ -1,20 +1,20 @@
 """Exact rational linear programming with verifiable certificates.
 
 Two-phase primal simplex over Fraction with Bland's rule, so termination is
-guaranteed and every answer is exact. Every problem is a minimization, and
-each variable is free or nonnegative. Each outcome carries a certificate
-that re-verifies by substitution:
+guaranteed and every answer is exact. Every problem is a minimization over
+free and nonnegative variables subject to >= and = rows; a caller writes a
+row a.x <= b as the negated row -a.x >= -b. The objective must be bounded
+below on the feasible set (each library caller's docstring says why its
+is); an unbounded one raises InputError. Each outcome carries a
+certificate that re-verifies by substitution:
 
   optimal     primal point satisfying every row, plus dual multipliers with
               sum_i mu_i * a_i == objective and sum_i mu_i * b_i == value,
-              mu_i >= 0 on >=-rows, mu_i <= 0 on <=-rows, equality rows
-              unrestricted.
+              mu_i >= 0 on >=-rows, equality rows unrestricted.
 
-  infeasible  a Farkas witness: nonnegative multipliers on the rows oriented
-              as >= (a <=-row is used negated, equality rows may carry either
-              sign) combining to 0 >= positive, i.e. a proof of 0 <= -1.
-
-  unbounded   a feasible point plus an improving ray.
+  infeasible  a Farkas witness: multipliers, nonnegative on >=-rows and of
+              either sign on equality rows, combining the rows to 0 and the
+              rhs to a positive number, i.e. a proof of 0 >= positive.
 
 Each nonnegativity flag becomes an explicit row x_j >= 0 appended after the
 caller's rows, and certificates cover that expanded system (LPOutcome.system
@@ -36,13 +36,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import InvariantViolation, ShapeError
+from .errors import InputError, InvariantViolation, ShapeError
 from .linalg import _ONE, _ZERO, Vec, combine, dot, frac, integerize, unit_vec, vec, zeros
 
-LE, EQ, GE = "<=", "=", ">="
-_SENSES = (LE, EQ, GE)
+EQ, GE = "=", ">="
 
-OPTIMAL, INFEASIBLE, UNBOUNDED = "optimal", "infeasible", "unbounded"
+OPTIMAL, INFEASIBLE = "optimal", "infeasible"
 
 
 @dataclass(frozen=True)
@@ -63,7 +62,6 @@ class LPOutcome:
     primal: Vec | None = None
     value: Fraction | None = None
     dual_certificate: Vec | None = None
-    ray: Vec | None = None
 
     def verify(self) -> bool:
         try:
@@ -120,10 +118,10 @@ def _run_simplex(tab: list[list[Fraction]], basis: list[int], allowed: int) -> i
 
 def _standard_simplex(
     a: list[list[Fraction]], b: list[Fraction], c: list[Fraction]
-) -> tuple[str, Vec | None, Vec, Vec, Vec | None]:
-    """min c.x s.t. a x = b, x >= 0.
+) -> tuple[str, Vec | None, Vec, Vec]:
+    """min c.x s.t. a x = b, x >= 0, for c.x bounded below there.
 
-    Returns (status, x, y, d, ray). y are row multipliers relative to the
+    Returns (status, x, y, d). y are row multipliers relative to the
     input rows (internal row sign flips already undone) and d = c - y.A the
     reduced costs of the columns: at optimality d >= 0 and y.b = value; at
     infeasibility y and d come from phase 1, where c is zero, so y.A = -d <= 0
@@ -182,7 +180,7 @@ def _standard_simplex(
             y = tuple(
                 flip[i] * ((1 if start[i] >= n else 0) - obj[start[i]]) for i in range(m)
             )
-            return INFEASIBLE, None, y, tuple(obj[:n]), None
+            return INFEASIBLE, None, y, tuple(obj[:n])
 
         tab.pop()
         # Drive basic artificials out so they cannot creep back above zero
@@ -206,20 +204,14 @@ def _standard_simplex(
                 if x:
                     obj[k] -= cb * x
     tab.append(obj)
-    enter = _run_simplex(tab, basis, n)
+    if _run_simplex(tab, basis, n) is not None:
+        raise InputError("the objective is unbounded below")
     y = tuple(flip[i] * -obj[start[i]] for i in range(m))
     x = [_ZERO] * n
     for i in range(m):
         if basis[i] < n:
             x[basis[i]] = tab[i][-1]
-    if enter is not None:
-        ray = [_ZERO] * n
-        ray[enter] = _ONE
-        for i in range(m):
-            if basis[i] < n:
-                ray[basis[i]] = -tab[i][enter]
-        return UNBOUNDED, tuple(x), y, tuple(obj[:n]), tuple(ray)
-    return OPTIMAL, tuple(x), y, tuple(obj[:n]), None
+    return OPTIMAL, tuple(x), y, tuple(obj[:n])
 
 
 def solve_lp(
@@ -230,11 +222,13 @@ def solve_lp(
     *,
     nonneg: Sequence[bool] | None = None,
 ) -> LPOutcome:
-    """Minimize objective.x subject to rows[i].x (sense_i) rhs[i].
+    """Minimize objective.x subject to rows[i].x (sense_i) rhs[i], each
+    sense >= or =.
 
     nonneg, when given, flags each variable that must be >= 0; each flag
     becomes an explicit row after the user rows. The returned outcome
-    always self-verifies before it is handed back.
+    always self-verifies before it is handed back. InputError when the
+    objective is unbounded below on a nonempty feasible set.
     """
     c = vec(objective)
     n = len(c)
@@ -247,7 +241,7 @@ def solve_lp(
         if len(r) != n:
             raise ShapeError("row length differs from objective length")
     for s in ext_senses:
-        if s not in _SENSES:
+        if s not in (EQ, GE):
             raise ShapeError(f"unknown sense {s!r}")
     n_user = len(ext_rows)
     flags = [False] * n if nonneg is None else list(nonneg)
@@ -270,20 +264,20 @@ def solve_lp(
     )
 
     # standard form: column j is x_j itself when x_j >= 0, else u_j of
-    # x_j = u_j - w_j, with the w columns next and one slack per inequality
+    # x_j = u_j - w_j, with the w columns next and one slack per >= row
     free = [j for j in range(n) if not flags[j]]
-    n_slack = sum(1 for s in ext_senses[:n_user] if s != EQ)
+    n_slack = ext_senses[:n_user].count(GE)
     a_std = []
     slack = n + len(free)
     for r, s in zip(ext_rows, ext_senses[:n_user]):
         row = list(r) + [-r[j] for j in free] + [_ZERO] * n_slack
-        if s != EQ:
-            row[slack] = _ONE if s == LE else -_ONE
+        if s == GE:
+            row[slack] = -_ONE
             slack += 1
         a_std.append(row)
     c_std = list(c) + [-c[j] for j in free] + [_ZERO] * n_slack
 
-    status, xz, y, d, rayz = _standard_simplex(a_std, ext_rhs[:n_user], c_std)
+    status, xz, y, d = _standard_simplex(a_std, ext_rhs[:n_user], c_std)
 
     # multipliers per system row: y on the tableau rows, and on the row of a
     # nonnegative column that column's reduced cost (the phase-1 one, -y.A_j,
@@ -291,23 +285,14 @@ def solve_lp(
     mult = list(y) + [d[j] for j in pos]
 
     if status == INFEASIBLE:
-        farkas = [-m_i if s == LE else m_i for m_i, s in zip(mult, ext_senses)]
-        out = LPOutcome(INFEASIBLE, system, dual_certificate=vec(integerize(farkas)))
+        out = LPOutcome(INFEASIBLE, system, dual_certificate=vec(integerize(mult)))
         verify_outcome(out)
         return out
 
-    def user_vector(z: Vec) -> Vec:
-        out = list(z[:n])
-        for k, j in enumerate(free):
-            out[j] -= z[n + k]
-        return tuple(out)
-
-    x = user_vector(xz)
-    if status == UNBOUNDED:
-        out = LPOutcome(UNBOUNDED, system, primal=x, ray=user_vector(rayz))
-        verify_outcome(out)
-        return out
-
+    x = list(xz[:n])
+    for k, j in enumerate(free):
+        x[j] -= xz[n + k]
+    x = tuple(x)
     out = LPOutcome(OPTIMAL, system, primal=x, value=dot(c, x), dual_certificate=vec(mult))
     verify_outcome(out)
     return out
@@ -324,48 +309,29 @@ def verify_outcome(out: LPOutcome) -> None:
     rows, rhs, senses = sys_.rows, sys_.rhs, sys_.senses
     n = len(sys_.objective)
 
-    def feasible(x: Vec) -> None:
+    if out.status == OPTIMAL:
+        _check(out.primal is not None and out.dual_certificate is not None, "missing parts")
         # the message is built for a failing row alone, so a value past the
         # int/str digit limit is never written out on a row that holds
         for r, b, s in zip(rows, rhs, senses):
-            v = dot(r, x)
-            if not (v <= b if s == LE else v >= b if s == GE else v == b):
+            v = dot(r, out.primal)
+            if not (v >= b if s == GE else v == b):
                 _check(False, f"row {r} . x = {v}, not {s} {b}")
-
-    if out.status == OPTIMAL:
-        _check(out.primal is not None and out.dual_certificate is not None, "missing parts")
-        feasible(out.primal)
         _check(dot(sys_.objective, out.primal) == out.value, "objective value mismatch")
         mu = out.dual_certificate
         _check(len(mu) == len(rows), "dual length")
         for m_i, s in zip(mu, senses):
             if s == GE:
                 _check(m_i >= 0, "dual sign on >= row")
-            elif s == LE:
-                _check(m_i <= 0, "dual sign on <= row")
         _check(combine(mu, rows, n) == sys_.objective, "dual combination != objective")
         _check(dot(mu, rhs) == out.value, "dual value != primal value")
     elif out.status == INFEASIBLE:
         yv = out.dual_certificate
         _check(yv is not None and len(yv) == len(rows), "missing farkas")
         for y_i, s in zip(yv, senses):
-            if s != EQ:
-                _check(y_i >= 0, f"farkas sign on {s} row")
-        signed = [-y_i if s == LE else y_i for y_i, s in zip(yv, senses)]
-        _check(combine(signed, rows, n) == zeros(n), "farkas combination != 0")
-        _check(dot(signed, rhs) > 0, "farkas rhs combination not positive")
-    elif out.status == UNBOUNDED:
-        _check(out.primal is not None and out.ray is not None, "missing parts")
-        feasible(out.primal)
-        d = out.ray
-        for r, s in zip(rows, senses):
-            v = dot(r, d)
-            if s == LE:
-                _check(v <= 0, "ray leaves <= row")
-            elif s == GE:
-                _check(v >= 0, "ray leaves >= row")
-            else:
-                _check(v == 0, "ray leaves = row")
-        _check(dot(sys_.objective, d) < 0, "ray does not improve")
+            if s == GE:
+                _check(y_i >= 0, "farkas sign on >= row")
+        _check(combine(yv, rows, n) == zeros(n), "farkas combination != 0")
+        _check(dot(yv, rhs) > 0, "farkas rhs combination not positive")
     else:
         raise InvariantViolation(f"unknown status {out.status}")

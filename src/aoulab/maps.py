@@ -363,10 +363,11 @@ def extend_unital_positive(
     contain the unit of w2 (with value the unit of v). Feasibility is one
     exact LP over the matrix entries; with a simplicial target cone a
     solution always exists, and infeasibility (reported with the LP's
-    refutation certificate) means the preconditions fail. `solve_lp`
-    checks its solution by substitution, and that proves every claim: the
-    equality rows are M b_i = y_i and M e = e', and the >= rows are
-    a . (M g) >= 0 over every generator g of w2 and H-row a of v.
+    refutation certificate) means the preconditions fail. The objective
+    is zero, so the LP is bounded. `solve_lp` checks its solution by
+    substitution, and that proves every claim: the equality rows are
+    M b_i = y_i and M e = e', and the >= rows are a . (M g) >= 0 over
+    every generator g of w2 and H-row a of v.
     """
     basis = [vec(b) for b in w1_basis]
     vals = [vec(x) for x in values]
@@ -631,25 +632,16 @@ def _norm_into(source: AOUSpace, rows) -> Fraction:
     return max((dual_norm(source, row) for row in rows), default=Fraction(0))
 
 
-def _positive_rows(source: AOUSpace, rows) -> bool:
-    """Whether every row is a positive functional: f >= 0 on the cone
-    exactly when ||f||* = f(e), since 0 <= x <= r e puts x - r e / 2 in
-    the ball of radius r / 2, and -r e <= x <= r e bounds |f(x)| by
-    f(e) r for positive f."""
-    return all(dual_norm(source, f) == dot(f, source.unit) for f in rows)
-
-
 def _pert_holds(t: UnitalMap, s_map: UnitalMap, distance: Fraction, norm: Fraction) -> bool:
     """Whether a pert result (S, ||t - S||, ||t||) holds for t: S unital
-    and positive, row by row, the two norms exact as the largest dual norms
-    of the rows of t and t - S, and ||t - S|| <= ||t|| - 1. Every test
-    reads dual norms over the unit ball: no measure is decomposed and no
-    cone is compared."""
+    and positive by its integer sign test, the two norms exact as the
+    largest dual norms of the rows of t and t - S, and ||t - S|| <= ||t||
+    - 1. No measure is decomposed and no cone is compared."""
     _require_pert_input(t)
     gap = _norm_into(t.source, map(vsub, t.matrix.data, s_map.matrix.data))
     return (
         s_map.unital
-        and _positive_rows(t.source, s_map.matrix.data)
+        and s_map.positive
         and norm == _norm_into(t.source, t.matrix.data)
         and distance == gap
         and gap <= norm - 1
@@ -698,16 +690,16 @@ def _perturb_with_norm(t: UnitalMap) -> tuple[UnitalMap, Fraction, Fraction]:
 
 
 def _perturb_holds(t: UnitalMap, s_map: UnitalMap, bound: Fraction, norm: Fraction) -> bool:
-    """Whether a perturb result (S, bound, ||t||) holds for t: S positive,
-    ||t|| exact, bound = dim(source) (||t|| - 1) and ||t - S|| <= bound.
-    Composed with the Kadison embedding of the target, a map keeps its
-    norm and its positivity, so each claim is read off the functionals
-    g o t, g o S and g o (t - S) over the target's extreme states g."""
+    """Whether a perturb result (S, bound, ||t||) holds for t: S positive
+    by its integer sign test, ||t|| exact, bound = dim(source) (||t|| - 1)
+    and ||t - S|| <= bound. Composed with the Kadison embedding of the
+    target, a map keeps its norm, so each norm is read off the functionals
+    g o t and g o (t - S) over the target's extreme states g."""
     _require_unital(t, "perturb")
     evaluate = Matrix.from_rows(extreme_states(t.target))
     diff = Matrix.from_rows(map(vsub, t.matrix.data, s_map.matrix.data))
     return (
-        _positive_rows(t.source, (evaluate @ s_map.matrix).data)
+        s_map.positive
         and norm == _norm_into(t.source, (evaluate @ t.matrix).data)
         and bound == t.source.dim * (norm - 1)
         and _norm_into(t.source, (evaluate @ diff).data) <= bound

@@ -176,8 +176,8 @@ def order_norm(space: AOUSpace, v) -> Fraction:
     first: a cone with a line (NotPointedError, with the lineality), then
     a unit that `_require_order_unit` refuses. Past that gate every H-row
     a has a.e > 0, so the one LP over the rows, r a.e >= |a.v| for every
-    a, is feasible, and `solve_lp` proves its optimum by its duality
-    certificate. Its value is the largest |f(v)| over the extreme states f
+    a, is feasible, bounded below as it minimizes r over r >= 0, and
+    `solve_lp` proves its optimum by its duality certificate. Its value is the largest |f(v)| over the extreme states f
     (Paulsen & Tomforde, Vector spaces with an order unit, 2009), which
     the tests check.
     """

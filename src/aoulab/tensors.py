@@ -455,9 +455,12 @@ def _best_psi(space: AOUSpace, phi_rows: list[Vec], vectors: list[Vec]) -> Defec
     lam >= 0, and column k-1 is e minus the others, whose cone rows stay.
     The bound t = t0 + u+ - u-, t0 the defect at lam = 0, meets t (a . e)
     >= +-a . (psi phi(v) - v) for each cone row a and each v, each row
-    once, so every rhs is <= 0 and no phase 1 runs. SizeLimitError past
-    FACTORIZE_LP_CAP standard-form entries; before any row is built when
-    `factorize`'s (2d - 1) m rows pass it, m distinct nonzero cone rows."""
+    once, so every rhs is <= 0 and no phase 1 runs. It is bounded below:
+    the two signs of one defect row add up to 2 (a . e)(u+ - u-) >= -2 t0
+    (a . e), and past `factorize`'s order-unit gate a . e > 0, so u+ - u-
+    >= -t0. SizeLimitError past FACTORIZE_LP_CAP standard-form entries;
+    before any row is built when `factorize`'s (2d - 1) m rows pass it, m
+    distinct nonzero cone rows."""
     d, k = space.dim, len(phi_rows)
     gens, hrows = extreme_rays(space.cone), space.cone.hrep()
     n, last = len(gens), k - 1

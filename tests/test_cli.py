@@ -22,7 +22,7 @@ from aoulab.errors import InvariantViolation
 from aoulab.linalg import Matrix, inverse
 from aoulab.maps import UnitalMap
 from aoulab.psd_examples import WitnessReport
-from aoulab.serialize import canonical_json, dumps
+from aoulab.serialize import canonical_json, dumps, element_from_dict, map_from_dict, space_from_dict
 from aoulab.spaces import AOUSpace, lin_space, linf
 from aoulab.tensors import EPSILON, PI, TensorElement
 from conftest import (
@@ -110,6 +110,31 @@ class TestExitCodes:
     def test_vector_nested_too_deep_is_input_error(self, files, capsys):
         code, out = run(["norm", files["linf2.json"], "--vector", "[" * 200_000])
         assert_invalid_input(code, out, capsys.readouterr().err)
+
+    def test_closed_stdout_ends_quietly(self, files, tmp_path):
+        # stdout is a pipe whose reader has gone before the run starts: no
+        # traceback on stderr, and the exit code the run would have had
+        code, text = run(["norm", files["linf2.json"], "--vector", "[1,-1]", "--format", "json"])
+        (tmp_path / "true.json").write_text(text)
+        (tmp_path / "false.json").write_text(json.dumps(json.loads(text) | {"norm": "2"}))
+        cases = [
+            (["validate", files["linf2.json"]], 0),
+            (["states", files["lin2.json"], "--format", "json"], 0),
+            (["verify", str(tmp_path / "true.json")], 0),
+            (["verify", str(tmp_path / "false.json"), "--format", "json"], 3),
+            (["roundtrip", files["lin2.json"]], 0),
+            (["-h"], 0),
+        ]
+        env = dict(os.environ, PYTHONPATH=str(Path(aoulab.cli.__file__).parents[1]))
+        for argv, want in cases:
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            try:
+                argv = [sys.executable, "-m", "aoulab", *argv]
+                proc = subprocess.run(argv, env=env, stdout=write_end, stderr=subprocess.PIPE, timeout=60)
+            finally:
+                os.close(write_end)
+            assert (proc.returncode, proc.stderr) == (want, b""), argv
 
 
 class TestCallSequence:
@@ -590,6 +615,48 @@ def test_non_pointed_space_is_invalid_input(files, capsys, name, verb):
     assert json.loads(err[1].removeprefix("aoulab: certificate: ")) == lineality
 
 
+# a space of dim 0, and a map and a tensor element around it, as files hold them
+ZERO_SPACE = {
+    "version": 1, "type": "space", "label": "zero", "dim": 0, "unit": [], "cone": {"rep": "generators", "rows": []}
+}
+DIM_0 = {
+    "space": ZERO_SPACE,
+    "map": {"version": 1, "type": "map", "source": ZERO_SPACE, "target": ZERO_SPACE, "matrix": []},
+    "element": {"version": 1, "type": "tensor_element", "left": ZERO_SPACE, "right": ZERO_SPACE, "coeffs": []},
+}
+FILE_KINDS = {space_from_dict: "space", map_from_dict: "map", element_from_dict: "element"}
+FILE_VERBS = [verb for verb in _VERBS if verb not in ("examples", "verify")]
+
+
+@pytest.mark.parametrize("verb", FILE_VERBS)
+def test_dim_0_input_is_invalid_input(files, capsys, verb):
+    # every verb that reads a file (roundtrip's path too) refuses a space of
+    # dim 0, alone or inside a map or tensor element, with one message; each
+    # other required argument is its first choice or an empty JSON list
+    argv = [verb]
+    for a in _VERBS[verb].args:
+        kind = "space" if a.load is None else FILE_KINDS.get(a.decode)
+        if kind:
+            argv.append(files["write"](f"{a.key}.json", json.dumps(DIM_0[kind])))
+        elif a.default is None:
+            argv += [f"--{a.key}", a.choices[0] if a.choices else "[]"]
+    capsys.readouterr()
+    code, out = run(argv)
+    assert (code, out, capsys.readouterr().err) == (2, "", "aoulab: invalid input: bad dimension 0\n")
+
+
+@pytest.mark.parametrize("argv, key", [(["validate", "{linf1}"], "space"), (["pert", "{skew}"], "map")])
+def test_report_about_a_dim_0_input_is_invalid_input(files, tmp_path, capsys, argv, key):
+    # verify decodes a report's inputs before it re-runs or checks the verb
+    report = json.loads(fresh_report(files, argv))
+    report["inputs"][key] = DIM_0[key]
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report))
+    capsys.readouterr()
+    code, out = run(["verify", str(path)])
+    assert (code, out, capsys.readouterr().err) == (2, "", "aoulab: invalid input: bad dimension 0\n")
+
+
 @pytest.mark.parametrize("case", range(3), ids=["unit_on_facet", "half_plane", "ray"])
 def test_norm_of_a_dominated_vector_in_a_bad_space_is_invalid_input(files, capsys, case):
     space, v = refused_norms()[case]
@@ -952,6 +1019,8 @@ SKEW = UnitalMap(
     linf(2), linf(2), Matrix.from_rows([(Fraction(3, 2), Fraction(-1, 2)), (Fraction(-1, 2), Fraction(3, 2))])
 )
 AVG = UnitalMap(linf(2), linf(1), Matrix.from_rows([(Fraction(1, 2), Fraction(1, 2))]))
+# unital, of norm 3, and not positive
+LEAN = UnitalMap(linf(2), linf(2), Matrix.from_rows([(2, -1), (0, 1)]))
 CHECKED_VERBS = ("factorize", "pert", "perturb", "auerbach", "tensor-member", "nuclear", "nuclear-pair")
 
 
@@ -969,7 +1038,7 @@ def check_cases() -> dict:
     cases |= {f"auerbach:scan{i}": ("auerbach", [sp]) for i, sp in enumerate(scan)}
     r = rng(71)
     sources = list(BASE_SPACES.values()) + [sp for sp in scan if sp.dim <= 4]
-    maps = {"skew": SKEW, "avg": AVG}
+    maps = {"skew": SKEW, "avg": AVG, "lean": LEAN}
     maps |= {f"random{i}": random_unital_into_linf(r, src, 1 + i % 3) for i, src in enumerate(sources)}
     # a unital map into lin_space(1), a target that is not coordinatewise
     maps["into_lin1"] = UnitalMap(
@@ -1078,6 +1147,17 @@ def negated_ray(d):
     d["rays"][-1] = [str(-Fraction(x)) for x in d["rays"][-1]]
 
 
+def t_itself(key, value):
+    """An edit that claims t itself as S, with value under key: every
+    claim but S's positivity holds."""
+
+    def edit(d):
+        d["map"] = d["inputs"]["map"]
+        d[key] = value
+
+    return edit
+
+
 def doubled_pair(d):
     """The first basis vector doubled and its dual halved."""
     scale(["basis", 0], 2)(d)
@@ -1097,9 +1177,11 @@ TAMPERS = {
     "pert_distance": ("pert:skew", at(["distance"])("1/2")),
     "pert_norm": ("pert:skew", at(["norm"])("3")),
     "pert_map_row": ("pert:skew", at(["map", "matrix", 0])(["0", "1"])),
+    "pert_map_not_positive": ("pert:lean", t_itself("distance", "0")),
     "perturb_bound": ("perturb:skew", at(["bound"])("3")),
     "perturb_norm": ("perturb:skew", at(["norm"])("3")),
     "perturb_map_row": ("perturb:skew", at(["map", "matrix", 0])(["3/2", "-1/2"])),
+    "perturb_map_not_positive": ("perturb:lean", t_itself("bound", "4")),
     "tensor_member_verdict": ("tensor-member:pi:linf2,linf2:unit", at(["verdict"])("non_member")),
     "tensor_member_witness": ("tensor-member:pi:linf2,linf2:negated", WITNESS_ENTRY("-1")),
     "tensor_member_row_witness": ("tensor-member:epsilon:lin1,lin2:negated", WITNESS_ENTRY("-1")),

@@ -861,22 +861,6 @@ class TestMinimalMeasure:
         assert aoulab.maps._min_l1_measure(lin_space(2), (0, 0, 0)) == [0] * 4
 
 
-def test_positive_rows_match_cone_inclusion():
-    # f >= 0 on the cone exactly when ||f||* = f(e), the test the pert and
-    # perturb checks run; the map's positive flag, by cone inclusion, is
-    # the oracle
-    r = rng(3301)
-    seen = {True: 0, False: 0}
-    for sp in ball_scan_spaces(rng(43)):
-        if sp.dim > 4:
-            continue
-        for k in (1, 2):
-            t = random_unital_into_linf(r, sp, k, spread=1)
-            assert aoulab.maps._positive_rows(sp, t.matrix.data) == t.positive
-            seen[t.positive] += 1
-    assert min(seen.values()) >= 3
-
-
 class TestPerturb:
     def test_positive_map_fixed(self):
         t = UnitalMap(L2, L2, Matrix.identity(2))

@@ -113,9 +113,9 @@ def test_no_unreferenced_public_names():
 PUBLIC_API = {
     "AOUSpace", "AoulabError", "BELL", "BlockPositivityReport", "Certificate", "Cone", "DefectStep",
     "EPSILON", "EQ", "FactorizationResult", "GE", "I4", "INFEASIBLE", "InputError", "InvariantViolation",
-    "LE", "LPOutcome", "MapReport", "Matrix", "NotPointedError", "NuclearityReport", "OPTIMAL", "PI",
+    "LPOutcome", "MapReport", "Matrix", "NotPointedError", "NuclearityReport", "OPTIMAL", "PI",
     "PolyhedralRequired", "PsdResult", "QuotientReport", "SEGRE_RELATION", "SWAP", "ShapeError",
-    "SizeLimitError", "StrictConeError", "TensorElement", "TensorSpace", "TensorVerdict", "UNBOUNDED",
+    "SizeLimitError", "StrictConeError", "TensorElement", "TensorSpace", "TensorVerdict",
     "UnitalMap", "ValidationReport", "Vec", "WitnessReport", "archimedean_quotient", "archimedeanize",
     "auerbach_basis", "block_positive", "check_map", "contains", "det", "dot", "dual", "dual_augmented",
     "dual_norm", "dumps", "extend_unital_positive", "extreme_rays", "extreme_states", "factorize", "frac",
@@ -645,6 +645,17 @@ def test_rows_are_split_in_one_place():
     assert _call_sites(trees, ("_split",)) == {("cones.py", "Cone.__post_init__")}
     assert _call_sites(trees, ("dd_pair",)) == {("cones.py", "_dd")}
     assert _call_sites(trees, ("resume",)) == {("spaces.py", "_interval_pairs")}
+
+
+def test_lp_call_sites():
+    # solve_lp refuses an unbounded objective, and each of these callers'
+    # docstrings proves its LP bounded below; a fourth caller adds its site
+    # here and its proof there
+    assert _call_sites(_parse_package(), ("solve_lp",)) == {
+        ("spaces.py", "order_norm"),
+        ("tensors.py", "_best_psi"),
+        ("maps.py", "extend_unital_positive"),
+    }
 
 
 def test_one_refusal_of_a_line():

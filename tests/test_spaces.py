@@ -66,6 +66,12 @@ class TestBuilders:
         with pytest.raises(InputError):
             AOUSpace(2, Cone.from_generators([(1, 0), (0, 1)]), (0, 0))
 
+    def test_dim_0_rejected(self):
+        # the empty unit is the zero vector of Q^0
+        for cone in (Cone.from_generators([], dim=0), Cone.from_inequalities([], dim=0)):
+            with pytest.raises(InputError, match="zero vector cannot be an order unit"):
+                AOUSpace(0, cone, ())
+
 
 class TestValidate:
     def test_linf2_fully_valid(self):
